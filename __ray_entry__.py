@@ -22,7 +22,6 @@ import numpy as np
 
 from post_ocr_corrector_ray.functions.alphabet import build_alphabet
 from post_ocr_corrector_ray.pipelines import documents as D
-from post_ocr_corrector_ray.pipelines import embeddings as E
 from post_ocr_corrector_ray.pipelines import relational as R
 from post_ocr_corrector_ray.pipelines import training as T
 from post_ocr_corrector_ray.pipelines.extract_correct import extract_correct
@@ -276,114 +275,11 @@ def entry() -> Any:
     return _flagship(n_pages=60)
 
 
-# Oracle-backed queries that already have a green driver CORRECTNESS row
-# (round 3 window, CORRECTNESS_r03.json — 50/50 green).  The driver gate only
-# verifies the FIRST ~50 queries() entries each round, so round 4 rotates the
-# window: entries NOT in this set (never driver-verified) come first.
-_R3_DRIVER_VERIFIED = frozenset({
-    "doc_normalize_ws", "doc_all_chars", "doc_token_counts",
-    "doc_split_assignment", "doc_lev_reverse", "doc_markup_roundtrip",
-    "doc_length_extremes", "doc_prefix_sample", "doc_dedup_exact",
-    "doc_token_stats", "doc_token_count_bpe", "doc_scrub_pii", "doc_quality",
-    "doc_langid", "doc_fingerprint", "doc_simhash_md5",
-    "doc_simhash_candidates_md5", "doc_minhash_pairs",
-    "doc_ngram_jaccard_pairs", "emb_ann_topk", "emb_ann_topk_lsh",
-    "emb_ann_topk_ivf", "emb_nn_join", "emb_knn_graph",
-    "emb_knn_graph_bucketed", "emb_nn_join_bucketed", "emb_cosine_dups",
-    "emb_cosine_dups_bucketed", "emb_dedup", "emb_dedup_bucketed",
-    "emb_triangle_counts", "emb_kmeans", "emb_kcore", "pricing_summary",
-    "top_customers", "order_priority_counts", "parts_by_brand",
-    "supplier_counts_by_region", "events_hourly", "events_sessions",
-    "events_user_rolling", "events_value_lag", "events_asof_orders",
-    "events_asof_next_order", "orders_event_window_counts",
-    "orders_topk_per_customer", "doc_length_quantiles",
-    "doc_stratified_sample", "lineitem_order_priority",
-    "lineitem_order_priority_salted",
-})
-
-# Round-4 window (CORRECTNESS_r04.json — 50/50 green): the canaries, the
-# round-4 additions, and 39 previously-never-verified entries.
-_R4_DRIVER_VERIFIED = frozenset({
-    "doc_normalize_ws", "pricing_summary", "events_sessions",
-    "emb_dedup_bucketed", "emb_triangle_counts_bucketed",
-    "emb_kcore_bucketed", "doc_dictionary_join",
-    "events_value_quantiles_by_type", "emb_pq_topk", "emb_pq_topk_rerank",
-    "emb_pq_codes", "customers_without_events", "shipping_priority",
-    "doc_embedding_join", "doc_length_quantiles_by_lang",
-    "doc_dup_components", "doc_dedup_near", "doc_top_tokens",
-    "doc_token_distinct", "doc_percentile_filter", "doc_rank_by_length",
-    "doc_repetition_stats", "doc_repetition_filter", "doc_contamination",
-    "doc_contamination_joined", "doc_token_familiarity", "doc_lang_weights",
-    "doc_mix_materialize", "doc_weighted_sample", "doc_span_dedup",
-    "doc_span_dedup_hashed", "doc_pack_assignments", "doc_shuffle_order",
-    "doc_corpus_prep", "doc_source_cap", "doc_chunk_windows", "doc_idf",
-    "doc_tfidf_top_terms", "doc_inverted_index", "events_value_hour_corr",
-    "supplier_counts_rollup", "doc_length_ntile", "customer_order_dist",
-    "customers_with_events_bloom", "events_value_zscore", "events_funnel",
-    "supplier_counts_cube", "doc_bigram_pmi", "events_latest_per_user",
-    "events_value_histogram",
-})
-
-# Everything with a green driver CORRECTNESS row from ANY prior round.  The
-# 22 oracle-backed entries NOT in this union (judge-verified only, rounds
-# 3-4) rotate to the head of the round-5 window — one more rotation closes
-# cumulative driver coverage at 118/118.
-_DRIVER_VERIFIED = _R3_DRIVER_VERIFIED | _R4_DRIVER_VERIFIED
-
-# A handful of driver-green canaries kept inside each round's window so a
-# regression in already-verified machinery (exchange core, joins, sessions,
-# IVF dedup) would still surface in the driver gate.
-_WINDOW_CANARIES = (
-    "doc_normalize_ws",       # markup → normalize scan path
-    "pricing_summary",        # partial-agg + coarse exchange (TPC-H Q1)
-    "events_sessions",        # sessionization window machinery (r5: now lazy)
-    "emb_dedup_bucketed",     # IVF-bucketed near-dup (the 100-TB dedup path)
-)
-
-# Oracle-backed queries ADDED in round 5 — placed right after the canaries so
-# this round's riskiest new code gets a driver CORRECTNESS row immediately.
-_R5_NEW_PRIORITY: tuple = ("emb_pq_codes_incremental", "emb_ivfadc_topk",
-                           "emb_ivfadc_topk_rerank",
-                           "emb_ivfadc_index_topk",
-                           "emb_ann_topk_filtered",
-                           "emb_ivfadc_topk_filtered",
-                           "emb_ann_topk_multi",
-                           "doc_bpe_token_counts", "doc_quality_tiers",
-                           "doc_winnowing", "doc_dedup_keep_best",
-                           "doc_ngram_novelty", "doc_winnowing_dups")
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
-    """Registry ordered for maximal cumulative driver verification.
-
-    The driver's correctness gate verifies only a prefix of this dict (the
-    first ~50 entries in iteration order).  Rounds 3-4 proved 100 distinct
-    entries; round 5 rotates the window once more: the green canaries first,
-    then round-5 additions, then every oracle-backed query that has NEVER
-    had a driver CORRECTNESS row (the 22 judge-verified-only entries — this
-    closes cumulative driver coverage at 118/118), then the remaining
-    driver-verified entries, then the no-oracle tail (those only get a weak
-    rows-only check anyway).
-    """
+    """Registry with the oracle-backed entries first, then the rest."""
     reg = _registry()
     with_oracle = set(oracle_sql())
-    names = list(reg)
-    canaries = [k for k in _WINDOW_CANARIES if k in reg]
-    head = canaries + [
-        k for k in _R5_NEW_PRIORITY if k in reg and k in with_oracle
-    ]
-    never = [
-        k for k in names
-        if k in with_oracle
-        and k not in _DRIVER_VERIFIED
-        and k not in head
-    ]
-    verified = [
-        k for k in names
-        if k in with_oracle and k in _DRIVER_VERIFIED and k not in head
-    ]
-    tail = [k for k in names if k not in with_oracle]
-    return {k: reg[k] for k in head + never + verified + tail}
+    return {k: reg[k] for k in sorted(reg, key=lambda k: k not in with_oracle)}
 
 
 def _registry() -> dict[str, Callable[[str], Any]]:
@@ -464,73 +360,6 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         "media_frame_sample": lambda sf: _media_frame_sample(200),
         # perceptual-hash image near-dup pairs (banded 64-bit candidates)
         "media_phash_dups": lambda sf: _media_phash_dups(200),
-        # embeddings / similarity search
-        "emb_ann_topk": lambda sf: E.emb_ann_topk(sf),
-        "emb_ann_topk_lsh": lambda sf: E.emb_ann_topk_lsh(sf),
-        "emb_ann_topk_ivf": lambda sf: E.emb_ann_topk_ivf(sf),
-        "emb_nn_join": E.emb_nn_join,
-        # exact k-NN graph (block-distributed local top-k -> grouped reduce)
-        "emb_knn_graph": lambda sf: E.emb_knn_graph(sf),
-        # sub-quadratic scale twins: IVF multi-assign candidate generation,
-        # per-cluster local top-k, one id-keyed reduce (stages/embed.py);
-        # contract = exact k-NN within probed clusters (inlined-centroid SQL
-        # oracle); recall vs the exact graph pytest-pinned
-        "emb_knn_graph_bucketed": lambda sf: E.emb_knn_graph_bucketed(sf),
-        "emb_nn_join_bucketed": lambda sf: E.emb_nn_join_bucketed(sf),
-        "emb_cosine_dups": lambda sf: E.emb_cosine_dups(sf),
-        "emb_cosine_dups_bucketed": lambda sf: E.emb_cosine_dups_bucketed(sf),
-        # SemDeDup-style end-to-end embedding dedup (exact pairs → connected
-        # components → min-id survivors; _bucketed = IVF scale path)
-        "emb_dedup": lambda sf: E.emb_dedup(sf),
-        "emb_dedup_bucketed": lambda sf: E.emb_dedup_bucketed(sf),
-        # per-node triangle counts over the undirected exact k-NN graph
-        # (wedge generation + composite-key closure semi join)
-        "emb_triangle_counts": lambda sf: E.emb_triangle_counts(sf),
-        # 100-TB twin: same triangle dataflow over the BUCKETED (IVF
-        # sub-quadratic) k-NN graph — inlined-centroid probed-subset oracle
-        "emb_triangle_counts_bucketed":
-            lambda sf: E.emb_triangle_counts_bucketed(sf),
-        # distributed Lloyd k-means (streaming assignment passes, exact
-        # int64 partial sums; n_iter-level generated SQL twin)
-        "emb_kmeans": lambda sf: E.emb_kmeans(sf),
-        # product quantization (stages/pq.py): compressed ANN — ADC top-k
-        # and the materialized code column (long format = the SQL twin shape)
-        "emb_pq_topk": lambda sf: E.emb_pq_topk(sf),
-        "emb_pq_topk_rerank": lambda sf: E.emb_pq_topk_rerank(sf),
-        "emb_pq_codes": lambda sf: __import__(
-            "post_ocr_corrector_ray.stages.pq", fromlist=["pq_codes_long"]
-        ).pq_codes_long(E.emb_pq_codes(sf)),
-        # two-wave append-only PQ ingest against a FROZEN committed codebook
-        # store (stages/pq.py::pq_encode_incremental; wave 2 never retrains)
-        "emb_pq_codes_incremental":
-            lambda sf: E.emb_pq_codes_incremental(sf),
-        # IVFADC: inverted-file probe + ADC over residual PQ codes — the
-        # full FAISS-style compressed serving index (generated SQL twin)
-        "emb_ivfadc_topk": lambda sf: E.emb_ivfadc_topk(sf),
-        # IVFADC + exact re-rank: the complete compressed serving stack
-        # (probe -> residual-ADC candidates -> exact int64 L2 re-rank)
-        "emb_ivfadc_topk_rerank":
-            lambda sf: E.emb_ivfadc_topk_rerank(sf),
-        # serve the same query from the MATERIALIZED (cell, code) index
-        # — pass 1 never reads a raw vector; bit-identical contract
-        "emb_ivfadc_index_topk":
-            lambda sf: E.emb_ivfadc_index_topk(sf),
-        # FILTERED vector search, exact: metadata predicate pushed into the
-        # parquet read (row-group pruning), then broadcast-query top-k
-        "emb_ann_topk_filtered":
-            lambda sf: E.emb_ann_topk_filtered(sf),
-        # BATCHED exact search: one corpus scan serves Q queries (the
-        # serving-tier shape; corpus I/O amortizes across the batch)
-        "emb_ann_topk_multi":
-            lambda sf: E.emb_ann_topk_multi(sf),
-        # filtered search over the compressed index: label carried as an
-        # index column, predicate composed with the probed-cell filter
-        "emb_ivfadc_topk_filtered":
-            lambda sf: E.emb_ivfadc_topk_filtered(sf),
-        # fixed-round k-core peel (iterative degree filter, unrolled oracle)
-        "emb_kcore": lambda sf: E.emb_kcore(sf),
-        # 100-TB twin: same peel over the bucketed k-NN graph
-        "emb_kcore_bucketed": lambda sf: E.emb_kcore_bucketed(sf),
         # relational capability (groupby/join/sort/window)
         "pricing_summary": R.pricing_summary,
         "top_customers": lambda sf: R.top_customers(sf),
@@ -563,8 +392,6 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         "customers_without_events": R.customers_without_events,
         # TPC-H Q3 shape: broadcast dim filter + fact-fact join + topk
         "shipping_priority": lambda sf: R.shipping_priority(sf),
-        # cross-table documents ⋈ embeddings (vector reduced in-stage)
-        "doc_embedding_join": lambda sf: E.doc_embedding_join(sf),
         "doc_length_quantiles_by_lang": D.doc_length_quantiles_by_lang,
         # near-dup clustering + end-to-end dedup (large-star/small-star
         # contraction over verified LSH pairs — stages/components.py)
@@ -655,11 +482,6 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         "doc_length_percent_rank": lambda sf: D.doc_length_percent_rank(sf),
         # hot-key grouped top-k (per-block winner partials, no key funnel)
         "events_topk_per_type": R.events_topk_per_type,
-        # iterative distributed dataflow: PageRank over the exact k-NN graph
-        "emb_pagerank": lambda sf: E.emb_pagerank(sf),
-        # the 100-TB composition: PageRank over the BUCKETED graph (true
-        # per-src out-degrees; same probed-subset oracle contract)
-        "emb_pagerank_bucketed": lambda sf: E.emb_pagerank_bucketed(sf),
         # TPC-H Q6 shape: scan-side filter + shuffle-free global sum
         "forecast_revenue": R.forecast_revenue,
         # LEFT OUTER fact-fact join (zero-order customers kept)
@@ -721,118 +543,14 @@ def _registry() -> dict[str, Callable[[str], Any]]:
     }
 
 
-def _dlist(row) -> str:
-    """Float64 list literal with shortest-round-trip reprs (parse back to the
-    identical IEEE double in DuckDB)."""
-    return "[" + ",".join(repr(float(x)) for x in row) + "]"
-
-
-def _lsh_oracle_sql(bits: int = 4, dim: int = 64, k: int = 10) -> str:
-    """SQL twin of ``ann_topk_lsh``: exact top-k WITHIN the query's LSH bucket.
-
-    The probed subset is itself SQL-expressible because the hyperplanes are
-    deterministic seeded constants — inlined below — so the driver
-    hash-verifies the bucketing + scoring machinery end-to-end.  (True recall
-    vs the unrestricted top-k is a pytest concern: tests/test_training_data_ops.py.)
-    """
-    from post_ocr_corrector_ray.stages.embed import make_planes
-
-    planes = make_planes(dim, bits=bits, seed=42)
-
-    def bucket(expr: str) -> str:
-        return " + ".join(
-            f"(CASE WHEN list_dot_product({expr}, {_dlist(planes[b])}) > 0 "
-            f"THEN {1 << b} ELSE 0 END)" for b in range(bits))
-
-    return f"""
-        WITH q AS (SELECT CAST(embedding AS DOUBLE[]) AS v
-                   FROM embeddings WHERE vec_id = 0),
-        b AS (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v FROM embeddings)
-        SELECT vec_id, round(list_cosine_similarity(v, (SELECT v FROM q)), 6) AS sim
-        FROM b
-        WHERE {bucket('v')} = (SELECT {bucket('v')} FROM q)
-        ORDER BY sim DESC, vec_id LIMIT {k}"""
-
-
 _ORACLE_SF_DIR = os.environ.get("GRAFT_ORACLE_SF_DIR", "/root/testdata/sf0.01")
 
 
-def _oracle_centroids(n_clusters: int = 16):
-    """(centroids, arrow table) re-derived OUTSIDE Ray: pure pyarrow + the
-    same deterministic id-hash sample + seeded Lloyd kmeans the engine uses.
-    The driver's correctness fixture is sf0.01, which is the table these
-    constants correspond to."""
-    import pyarrow.parquet as pq
-
-    from post_ocr_corrector_ray.functions.hashing import hash_u64_array
-    from post_ocr_corrector_ray.stages.embed import kmeans_fit
-
-    t = pq.read_table(f"{_ORACLE_SF_DIR}/embeddings.parquet",
-                      columns=["vec_id", "embedding"])
-    ids = np.array(t.column("vec_id").to_pylist(), dtype=np.int64)
-    frac = min(1.0, 4096 / max(len(ids), 1))
-    keep = (np.ones(len(ids), dtype=bool) if frac >= 1.0
-            else hash_u64_array(ids.astype(np.uint64), seed=7)
-            < np.uint64(int(frac * float(2 ** 64))))
-    order = np.argsort(ids[keep])
-    sample = np.array(t.column("embedding").take(
-        np.nonzero(keep)[0]).to_pylist(), dtype=np.float64)[order]
-    return kmeans_fit(sample, n_clusters, seed=42), t, ids
-
-
-def _oracle_pq_sample(max_id: int | None = None) -> np.ndarray:
-    """The engine's deterministic id-hash training sample
-    (``train_quantizer_sample`` algebra) re-derived OUTSIDE Ray.  ``max_id``
-    restricts the population to wave 1 (``vec_id < max_id``) for the
-    incremental-ingest twin; the sample fraction then uses the WAVE's row
-    count, exactly as the engine's ``approx_count=split`` does."""
-    import pyarrow.parquet as pq
-
-    from post_ocr_corrector_ray.functions.hashing import hash_u64_array
-
-    t = pq.read_table(f"{_ORACLE_SF_DIR}/embeddings.parquet",
-                      columns=["vec_id", "embedding"])
-    ids = np.array(t.column("vec_id").to_pylist(), dtype=np.int64)
-    sub = np.arange(len(ids)) if max_id is None \
-        else np.nonzero(ids < max_id)[0]
-    sub_ids = ids[sub]
-    frac = min(1.0, 4096 / max(len(sub_ids), 1))
-    keep = (np.ones(len(sub_ids), dtype=bool) if frac >= 1.0
-            else hash_u64_array(sub_ids.astype(np.uint64), seed=7)
-            < np.uint64(int(frac * float(2 ** 64))))
-    order = np.argsort(sub_ids[keep])
-    return np.array(t.column("embedding").take(
-        sub[np.nonzero(keep)[0]]).to_pylist(), dtype=np.float64)[order]
-
-
-def _oracle_pq_books(max_id: int | None = None) -> np.ndarray:
-    """Codebooks re-derived OUTSIDE Ray: the oracle sample feeding the
-    engine's own ``pq_train_local`` — inlined oracle constants ARE the
-    engine's codebooks by construction."""
-    from post_ocr_corrector_ray.stages.pq import pq_train_local
-
-    return pq_train_local(_oracle_pq_sample(max_id))
-
-
-def _oracle_pq_constants():
-    """(full-table codebooks, vec_id=0 query vector) for the emb_pq_*
-    oracles."""
-    import pyarrow.parquet as pq
-
-    books = _oracle_pq_books()
-    t = pq.read_table(f"{_ORACLE_SF_DIR}/embeddings.parquet",
-                      columns=["vec_id", "embedding"],
-                      filters=[("vec_id", "=", 0)])
-    query = np.array(t.column("embedding")[0].as_py(), dtype=np.float64)
-    return books, query
-
-
 def _bpe_oracle_merges(n_merges: int = 30):
-    """The learned BPE merge table re-derived OUTSIDE Ray (the
-    ``_oracle_pq_sample`` discipline): word census by a local pyarrow
-    recount, merges by the shared deterministic trainer — any divergence
-    from the engine's exchange-counted census or its merge learning shows
-    up as an oracle hash mismatch."""
+    """The learned BPE merge table re-derived OUTSIDE Ray: word census by a
+    local pyarrow recount, merges by the shared deterministic trainer — any
+    divergence from the engine's exchange-counted census or its merge
+    learning shows up as an oracle hash mismatch."""
     from collections import Counter
 
     import pyarrow.parquet as pq
@@ -889,345 +607,6 @@ def _mix_oracle_sql(alpha: float = 0.5) -> str:
                                     1, 12) < m.thr
                         THEN 1 ELSE 0 END + 1)) AS BIGINT) AS copy_id
         FROM documents d JOIN m USING (lang)"""
-
-
-def _oracle_kmeans_init(n_clusters: int = 8):
-    """The engine's deterministic k-means INIT (id-hash sample + seeded
-    choice, NO Lloyd), re-derived outside Ray for the k-means oracle."""
-    import pyarrow.parquet as pq
-
-    from post_ocr_corrector_ray.functions.hashing import hash_u64_array
-
-    t = pq.read_table(f"{_ORACLE_SF_DIR}/embeddings.parquet",
-                      columns=["vec_id", "embedding"])
-    ids = np.array(t.column("vec_id").to_pylist(), dtype=np.int64)
-    frac = min(1.0, 4096 / max(len(ids), 1))
-    keep = (np.ones(len(ids), dtype=bool) if frac >= 1.0
-            else hash_u64_array(ids.astype(np.uint64), seed=7)
-            < np.uint64(int(frac * float(2 ** 64))))
-    order = np.argsort(ids[keep])
-    sample = np.array(t.column("embedding").take(
-        np.nonzero(keep)[0]).to_pylist(), dtype=np.float64)[order]
-    rng = np.random.default_rng(42)
-    idx = rng.choice(len(sample), size=min(n_clusters, len(sample)),
-                     replace=False)
-    return sample[np.sort(idx)].copy()
-
-
-def _kmeans_oracle_sql(n_clusters: int = 8, n_iter: int = 3,
-                       scale: int = 10**6) -> str:
-    """SQL twin of ``emb_kmeans``: the engine's deterministic init inlined
-    long-format, then ``n_iter`` Lloyd levels generated as chained CTEs —
-    assignment = row_number over per-(vec, cluster) squared distance (ties →
-    smaller cluster id), update = exact BIGINT coordinate sums divided by the
-    same integers the engine divides (floor(x*scale+0.5) on BOTH sides, so
-    the int64 coordinates are bit-equal by construction); empty clusters
-    carry the previous centroid.  n_members reports the FINAL assignment."""
-    init = _oracle_kmeans_init(n_clusters)
-    k, dim = init.shape
-    vals = ", ".join(f"({c}, {d}, {repr(float(init[c, d]))})"
-                     for c in range(k) for d in range(dim))
-    parts = [f"""
-        WITH x AS (
-          SELECT vec_id,
-                 CAST(generate_subscripts(v, 1) - 1 AS BIGINT) AS dim,
-                 unnest(v) AS x,
-                 CAST(floor(unnest(v) * {scale} + 0.5) AS BIGINT) AS xi
-          FROM (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v
-                FROM embeddings)),
-        c0(cid, dim, c) AS (VALUES {vals})"""]
-    for i in range(1, n_iter + 1):
-        p, q = i - 1, i
-        parts.append(f"""
-        d{q} AS (SELECT x.vec_id, c{p}.cid,
-                        sum((x.x - c{p}.c) * (x.x - c{p}.c)) AS d2
-                 FROM x JOIN c{p} USING (dim) GROUP BY 1, 2),
-        a{q} AS (SELECT vec_id, cid FROM (
-                   SELECT vec_id, cid,
-                          row_number() OVER (PARTITION BY vec_id
-                                             ORDER BY d2, cid) AS rn
-                   FROM d{q}) WHERE rn = 1),
-        n{q} AS (SELECT cid, CAST(count(DISTINCT vec_id) AS BIGINT) AS n
-                 FROM a{q} GROUP BY cid),
-        c{q} AS (SELECT a.cid, x.dim,
-                        sum(x.xi) / ({scale}.0 * count(*)) AS c
-                 FROM x JOIN a{q} a USING (vec_id) GROUP BY 1, 2
-                 UNION ALL
-                 SELECT cid, dim, c FROM c{p}
-                 WHERE cid NOT IN (SELECT cid FROM n{q}))""")
-    final = f"""
-        SELECT c{n_iter}.cid AS cluster,
-               COALESCE(n{n_iter}.n, 0) AS n_members,
-               c{n_iter}.dim AS dim,
-               round(c{n_iter}.c, 6) AS centroid
-        FROM c{n_iter} LEFT JOIN n{n_iter} USING (cid)"""
-    return ",".join(parts) + final
-
-
-def _kcore_oracle_sql(k: int = 3, rounds: int = 3, knn_k: int = 5) -> str:
-    """SQL twin of ``emb_kcore``: the same fixed peeling rounds unrolled as
-    chained CTEs over the exact k-NN edge CTE."""
-    parts = [f"""
-        WITH knn AS (
-          SELECT vec_id, nn_id FROM (
-            SELECT a.vec_id AS vec_id, b.vec_id AS nn_id,
-                   CAST(row_number() OVER (
-                     PARTITION BY a.vec_id
-                     ORDER BY round(list_cosine_similarity(
-                                CAST(a.embedding AS DOUBLE[]),
-                                CAST(b.embedding AS DOUBLE[])), 6) DESC,
-                              b.vec_id) AS BIGINT) AS nn_rank
-            FROM embeddings a, embeddings b WHERE a.vec_id <> b.vec_id)
-          WHERE nn_rank <= {knn_k}),
-        e0 AS (SELECT DISTINCT least(vec_id, nn_id) AS u,
-                               greatest(vec_id, nn_id) AS v
-               FROM knn)"""]
-    for i in range(1, rounds + 1):
-        p = i - 1
-        parts.append(f"""
-        d{i} AS (SELECT node, CAST(count(*) AS BIGINT) AS deg
-                 FROM (SELECT u AS node FROM e{p}
-                       UNION ALL SELECT v FROM e{p}) GROUP BY node),
-        k{i} AS (SELECT node FROM d{i} WHERE deg >= {k}),
-        e{i} AS (SELECT e{p}.u, e{p}.v FROM e{p}
-                 JOIN k{i} a ON e{p}.u = a.node
-                 JOIN k{i} b ON e{p}.v = b.node)""")
-    final = f"""
-        SELECT node, CAST(count(*) AS BIGINT) AS degree
-        FROM (SELECT u AS node FROM e{rounds}
-              UNION ALL SELECT v FROM e{rounds}) GROUP BY node"""
-    return ",".join(parts) + final
-
-
-def _ivf_oracle_sql(n_clusters: int = 16, n_probe: int = 4, k: int = 10) -> str:
-    """SQL twin of ``ann_topk_ivf``: exact top-k within the probed clusters,
-    from centroids inlined by ``_oracle_centroids``."""
-    centroids, t, ids = _oracle_centroids(n_clusters)
-    q = np.asarray(t.column("embedding")[ids.tolist().index(0)].as_py(),
-                   dtype=np.float64)
-    qd2 = ((centroids - q[None, :]) ** 2).sum(axis=1)
-    probe = ", ".join(str(c) for c in np.argsort(qd2)[:n_probe].tolist())
-    cent_values = ", ".join(f"({c}, {_dlist(centroids[c])})"
-                            for c in range(n_clusters))
-    return f"""
-        WITH cents(cid, c) AS (VALUES {cent_values}),
-        b AS (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v FROM embeddings),
-        assign AS (
-          SELECT vec_id, cid,
-                 row_number() OVER (PARTITION BY vec_id
-                                    ORDER BY list_distance(v, c), cid) AS rn
-          FROM b CROSS JOIN cents),
-        probed AS (SELECT vec_id FROM assign WHERE rn = 1 AND cid IN ({probe}))
-        SELECT b.vec_id,
-               round(list_cosine_similarity(b.v,
-                     (SELECT CAST(embedding AS DOUBLE[]) FROM embeddings
-                      WHERE vec_id = 0)), 6) AS sim
-        FROM b JOIN probed USING (vec_id)
-        ORDER BY sim DESC, vec_id LIMIT {k}"""
-
-
-def _ivf_pairs_oracle_sql(n_clusters: int = 16, n_assign: int = 2,
-                          threshold: float = 0.4) -> str:
-    """SQL twin of ``ivf_candidate_pairs`` (emb_cosine_dups_bucketed): the
-    same multi-assignment to the ``n_assign`` nearest inlined centroids, the
-    same shared-cluster candidate pairs, the same rounded exact-cosine
-    verify — so the approximate scale path's *machinery* is hash-verified
-    end-to-end (its recall vs the exact pair set is a separate pytest)."""
-    centroids, _, _ = _oracle_centroids(n_clusters)
-    cent_values = ", ".join(f"({c}, {_dlist(centroids[c])})"
-                            for c in range(n_clusters))
-    return f"""
-        WITH cents(cid, c) AS (VALUES {cent_values}),
-        b AS (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v FROM embeddings),
-        assign AS (
-          SELECT vec_id, cid,
-                 row_number() OVER (PARTITION BY vec_id
-                                    ORDER BY list_distance(v, c), cid) AS rn
-          FROM b CROSS JOIN cents),
-        aa AS (SELECT vec_id, cid FROM assign WHERE rn <= {n_assign}),
-        cand AS (SELECT DISTINCT x.vec_id AS id_a, y.vec_id AS id_b
-                 FROM aa x JOIN aa y ON x.cid = y.cid
-                 AND x.vec_id < y.vec_id)
-        SELECT id_a, id_b, round(list_cosine_similarity(a.v, d.v), 6) AS sim
-        FROM cand JOIN b a ON a.vec_id = id_a JOIN b d ON d.vec_id = id_b
-        WHERE round(list_cosine_similarity(a.v, d.v), 6) >= {threshold}"""
-
-
-def _ivf_assign_cte(n_clusters: int, n_assign: int) -> str:
-    """Shared CTE prefix: inlined centroids, per-vector multi-assignment to
-    the ``n_assign`` nearest clusters (identical to the engine's
-    deterministic quantizer — see ``_oracle_centroids``)."""
-    centroids, _, _ = _oracle_centroids(n_clusters)
-    cent_values = ", ".join(f"({c}, {_dlist(centroids[c])})"
-                            for c in range(n_clusters))
-    return f"""cents(cid, c) AS (VALUES {cent_values}),
-        b AS (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v FROM embeddings),
-        assign AS (
-          SELECT vec_id, cid,
-                 row_number() OVER (PARTITION BY vec_id
-                                    ORDER BY list_distance(v, c), cid) AS rn
-          FROM b CROSS JOIN cents),
-        aa AS (SELECT vec_id, cid FROM assign WHERE rn <= {n_assign})"""
-
-
-def _ivf_knn_oracle_sql(n_clusters: int = 16, n_assign: int = 2,
-                        k: int = 5, with_rank: bool = True) -> str:
-    """SQL twin of ``knn_graph_bucketed`` / ``nn_join_bucketed``: exact k-NN
-    WITHIN the union of each vector's probed clusters, centroids inlined —
-    the bucketed scale path's machinery is hash-verified end-to-end (recall
-    vs the unrestricted exact graph is the pytest concern)."""
-    proj = ("vec_id, nn_rank, nn_id, nn_sim" if with_rank
-            else "vec_id, nn_id, nn_sim")
-    return f"""
-        WITH {_ivf_assign_cte(n_clusters, n_assign)},
-        cand AS (SELECT DISTINCT x.vec_id AS vid, y.vec_id AS nid
-                 FROM aa x JOIN aa y ON x.cid = y.cid
-                 AND x.vec_id <> y.vec_id),
-        scored AS (
-          SELECT vid AS vec_id, nid AS nn_id,
-                 round(list_cosine_similarity(a.v, d.v), 6) AS nn_sim
-          FROM cand JOIN b a ON a.vec_id = vid JOIN b d ON d.vec_id = nid),
-        ranked AS (
-          SELECT vec_id, nn_id, nn_sim,
-                 CAST(row_number() OVER (PARTITION BY vec_id
-                                         ORDER BY nn_sim DESC, nn_id)
-                      AS BIGINT) AS nn_rank
-          FROM scored)
-        SELECT {proj} FROM ranked WHERE nn_rank <= {k}"""
-
-
-def _ivf_pagerank_oracle_sql(n_clusters: int = 16, n_assign: int = 2,
-                             k: int = 5, d: float = 0.85) -> str:
-    """SQL twin of ``emb_pagerank_bucketed``: the probed-subset k-NN edge set
-    (same CTE as ``_ivf_knn_oracle_sql``) driving 3 unrolled PageRank rounds
-    with per-source out-degrees (the bucketed graph's degree may be < k)."""
-    rounds = []
-    prev = "r0"
-    for i in (1, 2, 3):
-        rounds.append(f"""r{i} AS (SELECT nodes.node,
-                      (1.0 - {d}) / nn.n + {d} * COALESCE(s.s, 0.0) AS r
-               FROM nodes CROSS JOIN nn
-               LEFT JOIN (SELECT e.dst AS node, sum({prev}.r / e.od) AS s
-                          FROM e JOIN {prev} ON e.src = {prev}.node
-                          GROUP BY e.dst) s ON nodes.node = s.node)""")
-        prev = f"r{i}"
-    return f"""
-        WITH {_ivf_assign_cte(n_clusters, n_assign)},
-        cand AS (SELECT DISTINCT x.vec_id AS vid, y.vec_id AS nid
-                 FROM aa x JOIN aa y ON x.cid = y.cid
-                 AND x.vec_id <> y.vec_id),
-        scored AS (
-          SELECT vid AS vec_id, nid AS nn_id,
-                 round(list_cosine_similarity(a.v, d.v), 6) AS nn_sim
-          FROM cand JOIN b a ON a.vec_id = vid JOIN b d ON d.vec_id = nid),
-        g AS (SELECT vec_id AS src, nn_id AS dst FROM (
-                SELECT vec_id, nn_id,
-                       row_number() OVER (PARTITION BY vec_id
-                                          ORDER BY nn_sim DESC, nn_id) AS rn
-                FROM scored) WHERE rn <= {k}),
-        e AS (SELECT src, dst, CAST(c AS DOUBLE) AS od
-              FROM g JOIN (SELECT src AS osrc, count(*) AS c
-                           FROM g GROUP BY src) o ON g.src = o.osrc),
-        nodes AS (SELECT vec_id AS node FROM embeddings),
-        nn AS (SELECT CAST((SELECT count(*) FROM embeddings) AS DOUBLE) AS n),
-        r0 AS (SELECT node, 1.0 / nn.n AS r FROM nodes, nn),
-        {", ".join(rounds)}
-        SELECT node, round(r, 6) AS pr FROM r3"""
-
-
-def _ivf_graph_cte(n_clusters: int = 16, n_assign: int = 2,
-                   k: int = 5) -> str:
-    """Shared CTE chain: inlined-centroid multi-assignment → probed-subset
-    candidate edges → exact-cosine rank → the bucketed k-NN edge set ``g``
-    (identical derivation to ``_ivf_knn_oracle_sql`` / the pagerank twin)."""
-    return f"""{_ivf_assign_cte(n_clusters, n_assign)},
-        cand AS (SELECT DISTINCT x.vec_id AS vid, y.vec_id AS nid
-                 FROM aa x JOIN aa y ON x.cid = y.cid
-                 AND x.vec_id <> y.vec_id),
-        scored AS (
-          SELECT vid AS vec_id, nid AS nn_id,
-                 round(list_cosine_similarity(a.v, d.v), 6) AS nn_sim
-          FROM cand JOIN b a ON a.vec_id = vid JOIN b d ON d.vec_id = nid),
-        g AS (SELECT vec_id, nn_id FROM (
-                SELECT vec_id, nn_id,
-                       row_number() OVER (PARTITION BY vec_id
-                                          ORDER BY nn_sim DESC, nn_id) AS rn
-                FROM scored) WHERE rn <= {k})"""
-
-
-def _ivf_triangles_oracle_sql(n_clusters: int = 16, n_assign: int = 2,
-                              k: int = 5) -> str:
-    """SQL twin of ``emb_triangle_counts_bucketed``: the probed-subset k-NN
-    edge set (``_ivf_graph_cte``) composed with the exact triangle count —
-    per apex, neighbor pairs that are themselves an edge."""
-    return f"""
-        WITH {_ivf_graph_cte(n_clusters, n_assign, k)},
-        und AS (SELECT DISTINCT least(vec_id, nn_id) AS u,
-                                greatest(vec_id, nn_id) AS v
-                FROM g),
-        sym AS (SELECT u AS apex, v AS nbr FROM und
-                UNION ALL SELECT v, u FROM und)
-        SELECT s1.apex AS node, CAST(count(*) AS BIGINT) AS n_triangles
-        FROM sym s1
-        JOIN sym s2 ON s1.apex = s2.apex AND s1.nbr < s2.nbr
-        JOIN und e ON e.u = s1.nbr AND e.v = s2.nbr
-        GROUP BY s1.apex"""
-
-
-def _ivf_kcore_oracle_sql(n_clusters: int = 16, n_assign: int = 2,
-                          k: int = 3, rounds: int = 3,
-                          knn_k: int = 5) -> str:
-    """SQL twin of ``emb_kcore_bucketed``: the probed-subset k-NN edge set
-    feeding the same fixed peeling rounds unrolled as chained CTEs (the
-    ``_kcore_oracle_sql`` round structure over the bucketed graph)."""
-    parts = [f"""
-        WITH {_ivf_graph_cte(n_clusters, n_assign, knn_k)},
-        e0 AS (SELECT DISTINCT least(vec_id, nn_id) AS u,
-                               greatest(vec_id, nn_id) AS v
-               FROM g)"""]
-    for i in range(1, rounds + 1):
-        p = i - 1
-        parts.append(f"""
-        d{i} AS (SELECT node, CAST(count(*) AS BIGINT) AS deg
-                 FROM (SELECT u AS node FROM e{p}
-                       UNION ALL SELECT v FROM e{p}) GROUP BY node),
-        k{i} AS (SELECT node FROM d{i} WHERE deg >= {k}),
-        e{i} AS (SELECT e{p}.u, e{p}.v FROM e{p}
-                 JOIN k{i} a ON e{p}.u = a.node
-                 JOIN k{i} b ON e{p}.v = b.node)""")
-    final = f"""
-        SELECT node, CAST(count(*) AS BIGINT) AS degree
-        FROM (SELECT u AS node FROM e{rounds}
-              UNION ALL SELECT v FROM e{rounds}) GROUP BY node"""
-    return ",".join(parts) + final
-
-
-def _ivf_dedup_oracle_sql(n_clusters: int = 16, n_assign: int = 2,
-                          threshold: float = 0.4) -> str:
-    """SQL twin of ``emb_dedup_bucketed``: the IVF candidate-pair CTE
-    (``_ivf_pairs_oracle_sql``'s machinery) composed with the recursive
-    reachability closure of ``emb_dedup`` — min-id survivor per component."""
-    return f"""
-        WITH RECURSIVE {_ivf_assign_cte(n_clusters, n_assign)},
-        cand AS (SELECT DISTINCT x.vec_id AS id_a, y.vec_id AS id_b
-                 FROM aa x JOIN aa y ON x.cid = y.cid
-                 AND x.vec_id < y.vec_id),
-        pairs AS (
-          SELECT id_a, id_b FROM cand
-          JOIN b a ON a.vec_id = id_a JOIN b d ON d.vec_id = id_b
-          WHERE round(list_cosine_similarity(a.v, d.v), 6) >= {threshold}),
-        sym AS (SELECT id_a AS u, id_b AS v FROM pairs
-                UNION ALL SELECT id_b, id_a FROM pairs),
-        reach(node, r) AS (
-          SELECT u, v FROM sym
-          UNION
-          SELECT reach.node, sym.v FROM reach JOIN sym ON reach.r = sym.u)
-        SELECT vec_id FROM embeddings
-        WHERE vec_id NOT IN (
-          SELECT node
-          FROM (SELECT node, least(node, min(r)) AS component
-                FROM reach GROUP BY node)
-          WHERE node <> component)"""
 
 
 def _langid_oracle_sql() -> str:
@@ -1662,117 +1041,6 @@ def oracle_sql() -> dict[str, str]:
                                        ORDER BY quality, doc_id) AS BIGINT)
                        AS tier
             FROM q""",
-        "emb_ann_topk": """
-            SELECT vec_id,
-                   round(list_cosine_similarity(CAST(embedding AS DOUBLE[]),
-                         (SELECT CAST(embedding AS DOUBLE[]) FROM embeddings
-                          WHERE vec_id = 0)), 6) AS sim
-            FROM embeddings ORDER BY sim DESC, vec_id LIMIT 10""",
-        # batched search: per-query brute-force twin, partitioned top-k
-        "emb_ann_topk_multi": """
-            SELECT q.vec_id AS query_id, v.vec_id,
-                   round(list_cosine_similarity(CAST(v.embedding AS DOUBLE[]),
-                         CAST(q.embedding AS DOUBLE[])), 6) AS sim,
-                   CAST(row_number() OVER (
-                       PARTITION BY q.vec_id
-                       ORDER BY round(list_cosine_similarity(
-                                    CAST(v.embedding AS DOUBLE[]),
-                                    CAST(q.embedding AS DOUBLE[])), 6) DESC,
-                                v.vec_id) AS BIGINT) AS rank
-            FROM embeddings q CROSS JOIN embeddings v
-            WHERE q.vec_id IN (0, 1, 2)
-            QUALIFY rank <= 10
-            ORDER BY query_id, rank""",
-        # filtered vector search: same brute-force twin, predicate applied
-        # to the competing population (engine side: read-level pruning)
-        "emb_ann_topk_filtered": """
-            SELECT vec_id,
-                   round(list_cosine_similarity(CAST(embedding AS DOUBLE[]),
-                         (SELECT CAST(embedding AS DOUBLE[]) FROM embeddings
-                          WHERE vec_id = 0)), 6) AS sim
-            FROM embeddings WHERE label = 3
-            ORDER BY sim DESC, vec_id LIMIT 10""",
-        "emb_ann_topk_lsh": _lsh_oracle_sql(),
-        # added conditionally below: emb_ann_topk_ivf needs the sf0.01
-        # fixture to derive centroid constants
-        "emb_nn_join": """
-            SELECT vec_id, nn_id, nn_sim FROM (
-              SELECT a.vec_id AS vec_id, b.vec_id AS nn_id,
-                     round(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                           CAST(b.embedding AS DOUBLE[])), 6) AS nn_sim,
-                     row_number() OVER (
-                       PARTITION BY a.vec_id
-                       ORDER BY round(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                                      CAST(b.embedding AS DOUBLE[])), 6) DESC,
-                                b.vec_id) AS rn
-              FROM embeddings a, embeddings b WHERE a.vec_id <> b.vec_id)
-            WHERE rn = 1""",
-        # exact k-NN graph: k=5 nearest per vector, rank ties -> smaller nn_id
-        "emb_knn_graph": """
-            SELECT vec_id, nn_rank, nn_id, nn_sim FROM (
-              SELECT a.vec_id AS vec_id, b.vec_id AS nn_id,
-                     round(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                           CAST(b.embedding AS DOUBLE[])), 6) AS nn_sim,
-                     CAST(row_number() OVER (
-                       PARTITION BY a.vec_id
-                       ORDER BY round(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                                      CAST(b.embedding AS DOUBLE[])), 6) DESC,
-                                b.vec_id) AS BIGINT) AS nn_rank
-              FROM embeddings a, embeddings b WHERE a.vec_id <> b.vec_id)
-            WHERE nn_rank <= 5""",
-        # triangles over the undirected exact k-NN graph: per apex, count
-        # neighbor pairs that are themselves an edge
-        "emb_triangle_counts": """
-            WITH knn AS (
-              SELECT vec_id, nn_id FROM (
-                SELECT a.vec_id AS vec_id, b.vec_id AS nn_id,
-                       CAST(row_number() OVER (
-                         PARTITION BY a.vec_id
-                         ORDER BY round(list_cosine_similarity(
-                                    CAST(a.embedding AS DOUBLE[]),
-                                    CAST(b.embedding AS DOUBLE[])), 6) DESC,
-                                  b.vec_id) AS BIGINT) AS nn_rank
-                FROM embeddings a, embeddings b WHERE a.vec_id <> b.vec_id)
-              WHERE nn_rank <= 5),
-            und AS (SELECT DISTINCT least(vec_id, nn_id) AS u,
-                                    greatest(vec_id, nn_id) AS v
-                    FROM knn),
-            sym AS (SELECT u AS apex, v AS nbr FROM und
-                    UNION ALL SELECT v, u FROM und)
-            SELECT s1.apex AS node, CAST(count(*) AS BIGINT) AS n_triangles
-            FROM sym s1
-            JOIN sym s2 ON s1.apex = s2.apex AND s1.nbr < s2.nbr
-            JOIN und e ON e.u = s1.nbr AND e.v = s2.nbr
-            GROUP BY s1.apex""",
-        "emb_cosine_dups": """
-            SELECT a.vec_id AS id_a, b.vec_id AS id_b,
-                   round(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                         CAST(b.embedding AS DOUBLE[])), 6) AS sim
-            FROM embeddings a, embeddings b
-            WHERE a.vec_id < b.vec_id
-              AND round(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                        CAST(b.embedding AS DOUBLE[])), 6) >= 0.4""",
-        # SemDeDup end-to-end: connected components over the exact cosine-pair
-        # edge set (same pair CTE as emb_cosine_dups), min-id survivor kept
-        "emb_dedup": """
-            WITH RECURSIVE pairs AS (
-              SELECT a.vec_id AS id_a, b.vec_id AS id_b
-              FROM embeddings a, embeddings b
-              WHERE a.vec_id < b.vec_id
-                AND round(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                          CAST(b.embedding AS DOUBLE[])), 6) >= 0.4
-            ), sym AS (SELECT id_a AS u, id_b AS v FROM pairs
-                       UNION ALL SELECT id_b, id_a FROM pairs),
-            reach(node, r) AS (
-              SELECT u, v FROM sym
-              UNION
-              SELECT reach.node, sym.v FROM reach JOIN sym ON reach.r = sym.u)
-            SELECT vec_id FROM embeddings
-            WHERE vec_id NOT IN (
-              SELECT node
-              FROM (SELECT node, least(node, min(r)) AS component
-                    FROM reach GROUP BY node)
-              WHERE node <> component)""",
         # Q3 shape; revenue in exact e4-cents (price_cents * (100-disc_pct)),
         # top-10 by revenue DESC, orderdate ASC, orderkey ASC
         "shipping_priority": """
@@ -1790,13 +1058,6 @@ def oracle_sql() -> dict[str, str]:
             GROUP BY l_orderkey, o_orderdate
             ORDER BY revenue DESC, o_orderdate, l_orderkey
             LIMIT 10""",
-        # cross-table join: document metadata + embedding L2 norm
-        "doc_embedding_join": """
-            SELECT d.doc_id, d.lang, d.n_chars,
-                   round(sqrt(list_sum(list_transform(
-                         CAST(e.embedding AS DOUBLE[]), x -> x * x))), 6)
-                   AS emb_norm
-            FROM documents d JOIN embeddings e ON d.doc_id = e.vec_id""",
         "parts_by_brand": """
             SELECT p_brand,
                    CAST(COUNT(*) AS BIGINT) AS n_parts,
@@ -2470,43 +1731,6 @@ def oracle_sql() -> dict[str, str]:
                       ORDER BY value DESC, event_id DESC) AS rk
                   FROM events e)
             WHERE rk <= 3""",
-        # 3 unrolled PageRank iterations over the same k-NN edge set; both
-        # sides round the order-dependent float sums to 6 at the output only
-        "emb_pagerank": """
-            WITH e AS (
-              SELECT vec_id AS src, nn_id AS dst FROM (
-                SELECT a.vec_id AS vec_id, b.vec_id AS nn_id,
-                       CAST(row_number() OVER (
-                         PARTITION BY a.vec_id
-                         ORDER BY round(list_cosine_similarity(
-                                    CAST(a.embedding AS DOUBLE[]),
-                                    CAST(b.embedding AS DOUBLE[])), 6) DESC,
-                                  b.vec_id) AS BIGINT) AS nn_rank
-                FROM embeddings a, embeddings b WHERE a.vec_id <> b.vec_id)
-              WHERE nn_rank <= 5),
-            nodes AS (SELECT vec_id AS node FROM embeddings),
-            nn AS (SELECT CAST((SELECT count(*) FROM embeddings)
-                               AS DOUBLE) AS n),
-            r0 AS (SELECT node, 1.0 / nn.n AS r FROM nodes, nn),
-            r1 AS (SELECT nodes.node,
-                          (1.0 - 0.85) / nn.n + 0.85 * COALESCE(s.s, 0.0) AS r
-                   FROM nodes CROSS JOIN nn
-                   LEFT JOIN (SELECT e.dst AS node, sum(r0.r / 5) AS s
-                              FROM e JOIN r0 ON e.src = r0.node
-                              GROUP BY e.dst) s ON nodes.node = s.node),
-            r2 AS (SELECT nodes.node,
-                          (1.0 - 0.85) / nn.n + 0.85 * COALESCE(s.s, 0.0) AS r
-                   FROM nodes CROSS JOIN nn
-                   LEFT JOIN (SELECT e.dst AS node, sum(r1.r / 5) AS s
-                              FROM e JOIN r1 ON e.src = r1.node
-                              GROUP BY e.dst) s ON nodes.node = s.node),
-            r3 AS (SELECT nodes.node,
-                          (1.0 - 0.85) / nn.n + 0.85 * COALESCE(s.s, 0.0) AS r
-                   FROM nodes CROSS JOIN nn
-                   LEFT JOIN (SELECT e.dst AS node, sum(r2.r / 5) AS s
-                              FROM e JOIN r2 ON e.src = r2.node
-                              GROUP BY e.dst) s ON nodes.node = s.node)
-            SELECT node, round(r, 6) AS pr FROM r3""",
         # Q6 on the same exact integer units (cents × discount basis points)
         "forecast_revenue": """
             SELECT CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
@@ -2708,9 +1932,6 @@ def oracle_sql() -> dict[str, str]:
             FROM c JOIN n USING (doc_id)
             GROUP BY c.doc_id""",
     }
-    # the IVF oracle inlines centroids derived from the driver's sf0.01
-    # correctness fixture; if that fixture is absent (other deployments),
-    # degrade that ONE query to rows-only instead of breaking every oracle
     # the hashed-gram span-dedup path produces byte-identical output to the
     # string twin (hash keys only change the EXCHANGE representation), so it
     # shares the twin's oracle verbatim
@@ -2718,46 +1939,6 @@ def oracle_sql() -> dict[str, str]:
     # the salt spreads partitioning only — the joined SET is identical, so
     # the skew-resistant twin shares the plain join's oracle verbatim
     out["lineitem_order_priority_salted"] = out["lineitem_order_priority"]
-    if os.path.exists(f"{_ORACLE_SF_DIR}/embeddings.parquet"):
-        out["emb_ann_topk_ivf"] = _ivf_oracle_sql()
-        out["emb_cosine_dups_bucketed"] = _ivf_pairs_oracle_sql()
-        out["emb_knn_graph_bucketed"] = _ivf_knn_oracle_sql(with_rank=True)
-        out["emb_nn_join_bucketed"] = _ivf_knn_oracle_sql(k=1, with_rank=False)
-        out["emb_dedup_bucketed"] = _ivf_dedup_oracle_sql()
-        out["emb_pagerank_bucketed"] = _ivf_pagerank_oracle_sql()
-        out["emb_kmeans"] = _kmeans_oracle_sql()
-        out["emb_kcore"] = _kcore_oracle_sql()
-        out["emb_triangle_counts_bucketed"] = _ivf_triangles_oracle_sql()
-        out["emb_kcore_bucketed"] = _ivf_kcore_oracle_sql()
-        from post_ocr_corrector_ray.stages.pq import (
-            pq_codes_oracle_sql, pq_oracle_sql, pq_rerank_oracle_sql)
-
-        _books, _pq_query = _oracle_pq_constants()
-        out["emb_pq_topk"] = pq_oracle_sql(_books, _pq_query, k=10)
-        out["emb_pq_topk_rerank"] = pq_rerank_oracle_sql(_books, _pq_query,
-                                                         k=10, rerank=200)
-        out["emb_pq_codes"] = pq_codes_oracle_sql(_books)
-        from post_ocr_corrector_ray.pipelines.embeddings import pq_wave_split
-
-        _split = pq_wave_split(_ORACLE_SF_DIR)
-        out["emb_pq_codes_incremental"] = pq_codes_oracle_sql(
-            _oracle_pq_books(max_id=_split), where=f"vec_id >= {_split}")
-        from post_ocr_corrector_ray.stages.pq import (
-            ivfadc_oracle_sql, ivfadc_rerank_oracle_sql, ivfadc_train_local)
-
-        _cents, _rbooks = ivfadc_train_local(_oracle_pq_sample())
-        out["emb_ivfadc_topk"] = ivfadc_oracle_sql(
-            _cents, _rbooks, _pq_query, k=10, n_probe=4)
-        out["emb_ivfadc_topk_rerank"] = ivfadc_rerank_oracle_sql(
-            _cents, _rbooks, _pq_query, k=10, n_probe=4, rerank=200)
-        # the from-index serving path is bit-identical to the scan path
-        # by construction — same SQL twin
-        out["emb_ivfadc_index_topk"] = out["emb_ivfadc_topk"]
-        # filtered compressed search: the metadata predicate restricts the
-        # competing population (assignment is per-vector, so pre-filter ==
-        # post-filter); n_probe widened to 8 as in the engine path
-        out["emb_ivfadc_topk_filtered"] = ivfadc_oracle_sql(
-            _cents, _rbooks, _pq_query, k=10, n_probe=8, where="label = 3")
     if os.path.exists(f"{_ORACLE_SF_DIR}/documents.parquet"):
         out["doc_mix_materialize"] = _mix_oracle_sql()
         from post_ocr_corrector_ray.stages.bpe import bpe_counts_oracle_sql

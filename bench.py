@@ -69,7 +69,7 @@ def run_benchmarks() -> dict:
     import __ray_entry__ as entry
 
     # warm the OS page cache so reads measure compute, not first-touch disk IO
-    for t in ("lineitem", "orders", "documents", "embeddings", "events", "customer"):
+    for t in ("lineitem", "orders", "documents", "events", "customer"):
         with open(f"{SF_DIR}/{t}.parquet", "rb") as f:
             f.read()
 
@@ -105,8 +105,7 @@ def run_benchmarks() -> dict:
         "events_hourly", "events_sessions", "doc_token_counts",
         "doc_normalize_ws", "doc_dedup_exact", "doc_token_stats",
         "doc_lev_reverse", "doc_simhash", "doc_minhash_pairs",
-        "doc_ngram_jaccard_pairs", "emb_ann_topk", "emb_nn_join",
-        "emb_cosine_dups", "emb_cosine_dups_bucketed", "doc_langid",
+        "doc_ngram_jaccard_pairs", "doc_langid",
         "doc_fingerprint", "doc_token_count_bpe", "doc_scrub_pii",
         "events_user_rolling", "events_value_lag", "events_value_lead",
         "events_users_intersect", "events_first_value",
@@ -124,11 +123,9 @@ def run_benchmarks() -> dict:
         "doc_token_familiarity", "doc_lang_weights", "doc_span_dedup",
         "doc_span_dedup_hashed",
         "doc_pack_assignments", "doc_shuffle_order", "doc_corpus_prep",
-        "doc_source_cap", "emb_dedup", "emb_dedup_bucketed",
-        "emb_knn_graph", "emb_knn_graph_bucketed", "emb_nn_join_bucketed",
-        "doc_chunk_windows", "doc_idf",
+        "doc_source_cap", "doc_chunk_windows", "doc_idf",
         "doc_tfidf_top_terms", "doc_inverted_index",
-        "shipping_priority", "doc_embedding_join", "media_phash_dups",
+        "shipping_priority", "media_phash_dups",
         "events_value_hour_corr", "supplier_counts_rollup",
         "supplier_counts_cube", "doc_length_ntile", "doc_quality_tiers",
         "customer_order_dist",
@@ -136,8 +133,7 @@ def run_benchmarks() -> dict:
         "events_funnel", "doc_bigram_pmi", "events_latest_per_user",
         "events_value_histogram", "revenue_by_nation",
         "events_cohort_retention", "doc_length_percent_rank",
-        "events_topk_per_type", "emb_pagerank", "emb_pagerank_bucketed",
-        "forecast_revenue",
+        "events_topk_per_type", "forecast_revenue",
         "customer_order_stats", "events_value_mad",
         "events_distinct_users_per_type", "doc_heavy_hitters",
         "doc_token_entropy",
@@ -145,20 +141,15 @@ def run_benchmarks() -> dict:
         "events_rolling_active_users_hll", "events_value_quantiles_sketch",
         "user_order_event_totals", "returned_item_revenue",
         "promo_revenue_by_month", "large_volume_orders",
-        "events_running_totals", "emb_triangle_counts", "emb_kmeans",
+        "events_running_totals",
         "doc_mix_materialize", "events_props_json", "events_type_pivot",
         "events_type_unpivot", "lineitem_order_priority_salted",
-        "events_pairs_within", "emb_kcore", "events_asof_next_order",
+        "events_pairs_within", "events_asof_next_order",
         "doc_weighted_sample", "events_rolling_median",
         "events_distinct_users_per_type_hll",
-        "emb_triangle_counts_bucketed", "emb_kcore_bucketed",
         "doc_dictionary_join", "events_value_quantiles_by_type",
         "events_value_quantiles_sketch_by_type",
-        "emb_pq_topk", "emb_pq_topk_rerank", "emb_pq_codes",
-        "emb_pq_codes_incremental", "emb_ivfadc_topk",
-        "emb_ivfadc_topk_rerank", "emb_ivfadc_index_topk",
-        "emb_ann_topk_filtered", "emb_ivfadc_topk_filtered",
-        "emb_ann_topk_multi", "doc_bpe_token_counts",
+        "doc_bpe_token_counts",
         "doc_winnowing", "doc_winnowing_fast", "doc_dedup_keep_best",
         "doc_ngram_novelty", "flagship_tiered",
         "flagship_dictionary_joined",

@@ -59,7 +59,6 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--model-dir", default=None)
     s.add_argument("--partitions", type=int, default=32)
     s.add_argument("--no-resume", action="store_true")
-    s.add_argument("--chunk-parallel", action="store_true")
     s.add_argument("--concurrency", type=int, default=4)
     s.add_argument("--data-format", choices=["parquet", "csv"], default="parquet")
     s.add_argument("--num-gpus", type=float, default=None,
@@ -123,42 +122,6 @@ def main(argv: list[str] | None = None) -> int:
                         "one-shot-equivalent representatives); the new "
                         "wave's survivors commit to OUT_DIR, the combined "
                         "corpus is STORE_DIR + OUT_DIR")
-
-    s = sub.add_parser("pq-index", help="embeddings parquet → PQ codes in a "
-                                        "resumable committed store; codebooks "
-                                        "train on the FIRST wave and freeze "
-                                        "(--against reuses an existing "
-                                        "store's codebooks verbatim — no "
-                                        "retraining, byte-identical codes)")
-    s.add_argument("embeddings"); s.add_argument("out_dir")
-    s.add_argument("--id-col", default="vec_id")
-    s.add_argument("--vec-col", default="embedding")
-    s.add_argument("--m", type=int, default=8, help="subspaces (bytes/code)")
-    s.add_argument("--ksub", type=int, default=16, help="codewords/subspace")
-    s.add_argument("--partitions", type=int, default=16)
-    s.add_argument("--against", default=None, metavar="STORE_DIR",
-                   help="append-only ingest: encode this wave with the "
-                        "FROZEN codebooks of an existing pq-index store; "
-                        "the wave's codes commit to OUT_DIR and OUT_DIR "
-                        "inherits a copy of the codebooks so it can serve "
-                        "as --against for the next wave")
-
-    s = sub.add_parser("ivf-index",
-                       help="embeddings parquet → IVFADC index rows "
-                            "(vec_id, cell, pq_code) in a resumable "
-                            "committed store; coarse centroids + residual "
-                            "codebooks train on the FIRST wave and freeze "
-                            "(--against reuses an existing store's frozen "
-                            "quantizers verbatim — byte-identical rows)")
-    s.add_argument("embeddings"); s.add_argument("out_dir")
-    s.add_argument("--id-col", default="vec_id")
-    s.add_argument("--vec-col", default="embedding")
-    s.add_argument("--partitions", type=int, default=16)
-    s.add_argument("--against", default=None, metavar="STORE_DIR",
-                   help="append-only ingest: encode this wave with the "
-                        "FROZEN quantizers of an existing ivf-index store; "
-                        "OUT_DIR inherits a copy so it can serve as "
-                        "--against for the next wave")
 
     s = sub.add_parser("tiers",
                        help="pages (extract first) or documents parquet → "
@@ -226,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
             summary = extract_correct(
                 ray.data.read_parquet(args.pages), corrector=args.corrector,
                 out_dir=args.out_dir, num_partitions=args.partitions,
-                resume=not args.no_resume, chunk_parallel=args.chunk_parallel,
+                resume=not args.no_resume,
                 concurrency=args.concurrency, data_format=args.data_format,
                 num_gpus=args.num_gpus,
                 input_fingerprint=fingerprint_inputs(args.pages), **kwargs).to_pandas()
@@ -458,75 +421,6 @@ def main(argv: list[str] | None = None) -> int:
                            "threshold": args.threshold}, f)
             print(json.dumps({"partitions_committed": len(summary),
                               "rows": int(summary["n_rows"].sum()) if len(summary) else 0}))
-        elif args.cmd == "pq-index":
-            import pyarrow.parquet as _pq
-
-            from .stages.pq import (pq_encode_incremental, pq_store_exists,
-                                    pq_store_load, pq_store_save)
-            from .state.lineage import commit_by_key, fingerprint_inputs
-
-            vecs = ray.data.read_parquet(args.embeddings,
-                                         columns=[args.id_col, args.vec_col])
-            n = _pq.ParquetFile(args.embeddings).metadata.num_rows
-            if args.against:
-                # frozen ingest: the --against store's codebooks are
-                # authoritative; seed OUT_DIR with a verbatim copy FIRST so
-                # pq_encode_incremental never retrains
-                if not pq_store_exists(args.against):
-                    raise SystemExit(f"pq-index: no frozen codebook store "
-                                     f"under {args.against}")
-                if not pq_store_exists(args.out_dir):
-                    pq_store_save(pq_store_load(args.against), args.out_dir,
-                                  meta={"inherited_from": args.against})
-            codes, _books, trained = pq_encode_incremental(
-                vecs, args.out_dir, m_subspaces=args.m, ksub=args.ksub,
-                vec_col=args.vec_col, id_col=args.id_col, approx_count=n)
-            summary = commit_by_key(
-                codes, os.path.join(args.out_dir, "codes"),
-                key_col=args.id_col, num_partitions=args.partitions,
-                input_fingerprint=fingerprint_inputs(args.embeddings),
-                stage_versions={"pq": f"m{args.m}-k{args.ksub}-v1"}) \
-                .to_pandas()
-            print(json.dumps({
-                "partitions_committed": len(summary),
-                "rows": int(summary["n_rows"].sum()) if len(summary) else 0,
-                "trained_codebooks": bool(trained),
-                "m_subspaces": args.m, "ksub": args.ksub}))
-        elif args.cmd == "ivf-index":
-            import pyarrow.parquet as _pq
-
-            from .stages.pq import (ivfadc_index_commit,
-                                    ivfadc_index_incremental,
-                                    ivfadc_store_exists, ivfadc_store_load,
-                                    ivfadc_store_save)
-            from .state.lineage import fingerprint_inputs
-
-            vecs = ray.data.read_parquet(args.embeddings,
-                                         columns=[args.id_col, args.vec_col])
-            n = _pq.ParquetFile(args.embeddings).metadata.num_rows
-            if args.against:
-                if not ivfadc_store_exists(args.against):
-                    raise SystemExit(f"ivf-index: no frozen quantizer store "
-                                     f"under {args.against}")
-                if not ivfadc_store_exists(args.out_dir):
-                    ivfadc_store_save(*ivfadc_store_load(args.against),
-                                      args.out_dir,
-                                      meta={"inherited_from": args.against})
-            index, _c, _b, trained = ivfadc_index_incremental(
-                vecs, args.out_dir, vec_col=args.vec_col,
-                id_col=args.id_col, approx_count=n)
-            # CELL-partitioned commit — the serving layout: a query's probed
-            # cells map to a known partition subset, so the from-store read
-            # prunes whole files (stages/pq.py::ivfadc_topk_from_store)
-            summary = ivfadc_index_commit(
-                index, os.path.join(args.out_dir, "index"),
-                num_partitions=args.partitions,
-                input_fingerprint=fingerprint_inputs(args.embeddings)) \
-                .to_pandas()
-            print(json.dumps({
-                "partitions_committed": len(summary),
-                "rows": int(summary["n_rows"].sum()) if len(summary) else 0,
-                "trained_quantizers": bool(trained)}))
         elif args.cmd == "feed":
             from .pipelines.training import epoch_feed
 

@@ -37,12 +37,9 @@ from .transformer import Transformer, TransformerConfig, TransformerWeights
 
 # Fixed decode micro-batch: full max_len chunks decode in groups of exactly
 # this many.  The group boundary is a pure function of the document (chunks
-# [0, G), [G, 2G), ...), so the batch shapes fed to BLAS are identical whether
-# a document is corrected whole or exploded into G×max_len-char rows by the
-# chunk-parallel skew path — float results (and therefore argmax/bytes) match
-# bit-for-bit.  An "all chunks in one batch" policy would make output bytes
-# depend on document length vs explosion window (GEMM results vary with M), a
-# fragility the round-2 chunk-parallel byte-identity failure traced to.
+# [0, G), [G, 2G), ...), so the batch shapes fed to BLAS never depend on how
+# documents are batched — float results (and therefore argmax/bytes) are
+# reproducible bit-for-bit (GEMM results vary with M).
 # Also bounds decode memory: one giant page never builds a (n_chunks × L)
 # attention problem bigger than (G × L).
 DECODE_GROUP = 32
@@ -122,9 +119,7 @@ class NeuralCorrectorModel:
 
         Full ``max_len`` chunks decode in fixed groups of ``DECODE_GROUP``
         (uniform length — no padding exists), the short tail chunk decodes
-        alone.  Group boundaries are document-absolute, so the chunk-parallel
-        explosion path (rows of ``DECODE_GROUP × max_len`` chars) reproduces
-        the exact same batch shapes and bytes."""
+        alone."""
         if text == "":
             return ""
         L = self.max_len

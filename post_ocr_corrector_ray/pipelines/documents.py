@@ -91,11 +91,10 @@ def doc_bpe_merges(sf_dir: str, n_merges: int = 30):
     vocabulary induction from the corpus's own word census.  The only
     corpus-sized pass is the word-frequency exchange; merge learning is a
     deterministic driver-side pass over the aggregated (token, frequency)
-    table — the PQ-codebook discipline applied to tokenizers.  Returns the
-    merge table (rank, left, right, pair_count); training is iterative and
-    not SQL-expressible, so correctness is pytest-pinned (golden Sennrich
-    example + independent naive recount) while the APPLICATION twin below
-    is oracle-backed."""
+    table.  Returns the merge table (rank, left, right, pair_count);
+    training is iterative and not SQL-expressible, so correctness is
+    pytest-pinned (golden Sennrich example + independent naive recount)
+    while the APPLICATION twin below is oracle-backed."""
     return _bpe_merges(sf_dir, n_merges)
 
 
@@ -224,8 +223,8 @@ def doc_winnowing_dups(sf_dir: str) -> ray.data.Dataset:
     """MOSS near-dup pairs: exact Jaccard ≥ 0.5 over winnowing fingerprint
     sets (fp-keyed pair exchange + pair-keyed count sum + co-partitioned
     size joins — stages/dedup.py::winnowing_jaccard_pairs).  Exact SQL
-    twin; the 4th candidate-generation family next to MinHash bands,
-    SimHash bands and IVF buckets."""
+    twin; the 3rd candidate-generation family next to MinHash bands and
+    SimHash bands."""
     return dd.winnowing_jaccard_pairs(_docs(sf_dir, ["doc_id", "text"]))
 
 

@@ -41,94 +41,6 @@ from ..state import lineage as lin
 CorrectorKind = Literal["null", "neural", "dictionary"]
 
 
-def explode_chunks(batch: pa.Table, *, max_len: int, threshold: int,
-                   text_col: str = TEXT_COL) -> pa.Table:
-    """Skew handling (SURVEY.md §7.4.4): documents longer than ``threshold``
-    explode into independent ``max_len``-char chunk rows so one giant page
-    cannot serialize an actor.  Valid ONLY for the char-level neural corrector,
-    whose decode is chunk-independent by construction (the reference itself
-    chunks at ``max_len``, neural_corrector.py:138-141): per-chunk decode
-    concatenated equals whole-document correction byte-for-byte — PROVIDED the
-    explosion window is a multiple of ``model.max_len × DECODE_GROUP`` so the
-    corrector builds bit-identical decode batches either way (the caller
-    passes that product as ``max_len`` here).
-    Normal rows pass through with ``chunk_idx = -1``.
-
-    Vectorized (r5): chunk counts/indices via repeat/cumsum arithmetic, one
-    ``take`` per passthrough column, and chunk texts via per-ordinal
-    ``utf8_slice_codeunits`` (codepoint semantics — matches Python ``str``
-    slicing) over a stable ordinal grouping, scattered back by the inverse
-    permutation.  The only loop is over chunk ORDINALS (longest doc ÷
-    ``max_len``), never rows — the doc_chunk_windows discipline."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    names = batch.column_names
-    texts = pc.fill_null(batch.column(text_col).combine_chunks(), "")
-    n = pc.utf8_length(texts).to_numpy(zero_copy_only=False).astype(np.int64)
-    long_mask = n > threshold
-    n_chunks = np.where(long_mask, -(-n // max_len), 1).astype(np.int64)
-    total = int(n_chunks.sum())
-    rows = np.repeat(np.arange(len(n), dtype=np.int64), n_chunks)
-    off = np.concatenate(([0], np.cumsum(n_chunks)))[:-1]
-    cidx = np.arange(total, dtype=np.int64) - np.repeat(off, n_chunks)
-    out_long = long_mask[rows]
-    chunk_idx = np.where(out_long, cidx, -1).astype(np.int32)
-    chunk_total = np.where(out_long, n_chunks[rows], 1).astype(np.int32)
-    rows_arr = pa.array(rows)
-    taken = texts.take(rows_arr)
-    # group output rows by chunk ordinal (-1 = passthrough): one vectorized
-    # codepoint slice per ordinal, then scatter back to interleaved order
-    key = np.where(out_long, cidx, -1)
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], skey[1:] != skey[:-1]))) if total else \
-        np.empty(0, np.int64)
-    taken_sorted = taken.take(pa.array(order))
-    pieces = []
-    for gi, b in enumerate(starts):
-        e = int(starts[gi + 1]) if gi + 1 < len(starts) else total
-        sub = taken_sorted.slice(int(b), e - int(b))
-        ci = int(skey[b])
-        pieces.append(sub if ci < 0 else pc.utf8_slice_codeunits(
-            sub, start=ci * max_len, stop=(ci + 1) * max_len))
-    if pieces:
-        inv = np.empty_like(order)
-        inv[order] = np.arange(total, dtype=np.int64)
-        text_out = pa.concat_arrays(
-            [p if isinstance(p, pa.Array) else p.combine_chunks()
-             for p in pieces]).take(pa.array(inv))
-    else:
-        text_out = pa.array([], texts.type)
-    arrays, out_names = [], []
-    for nm in names:
-        arrays.append(text_out if nm == text_col
-                      else batch.column(nm).take(rows_arr))
-        out_names.append(nm)
-    arrays.append(pa.array(chunk_idx, pa.int32())); out_names.append("chunk_idx")
-    arrays.append(pa.array(chunk_total, pa.int32())); out_names.append("chunk_total")
-    return pa.Table.from_arrays(arrays, names=out_names)
-
-
-def _reassemble_df(df, text_cols=(TEXT_COL, OUT_COL)):
-    """Collapse chunk rows back to one row per url (pandas group input)."""
-    import pandas as pd
-
-    if (df["chunk_idx"] < 0).all():
-        return df.drop(columns=["chunk_idx", "chunk_total"])
-    rows = []
-    for _, g in df.groupby("url", sort=True):
-        g = g.sort_values("chunk_idx")
-        row = g.iloc[0].to_dict()
-        if row["chunk_idx"] >= 0:
-            for col in text_cols:
-                row[col] = "".join(g[col].tolist())
-        row.pop("chunk_idx"); row.pop("chunk_total")
-        rows.append(row)
-    return pd.DataFrame(rows)
-
-
 def read_pages(sf_path: str, columns: list[str] | None = None) -> ray.data.Dataset:
     """Column-pruned parquet scan of a pages table."""
     return ray.data.read_parquet(sf_path, columns=columns)
@@ -183,22 +95,11 @@ def correct_stage(ds: ray.data.Dataset, *, corrector: CorrectorKind,
 def extract_correct(pages: ray.data.Dataset, *, corrector: CorrectorKind = "null",
                     out_dir: str | None = None, num_partitions: int = 32,
                     resume: bool = True, input_fingerprint: str = "",
-                    chunk_parallel: bool = False, chunk_threshold: int | None = None,
                     data_format: str = "parquet",
                     **correct_kwargs) -> ray.data.Dataset:
     """Full pipeline.  With ``out_dir`` set, executes and commits partitioned
     output (returns the tiny per-partition summary dataset); without, returns
-    the lazy corrected dataset for the caller to consume.
-
-    ``chunk_parallel``: explode giant documents into chunk rows before the
-    corrector (neural only) and reassemble afterwards — in the committed path
-    the reassembly piggybacks on the partition shuffle (zero extra exchanges);
-    the uncommitted path adds a ``groupby(url)``.  Measured guidance: with the
-    tiny bench model the batched intra-document decode already amortizes
-    giants, so explosion LOSES throughput (per-chunk-row decode overhead +
-    reassembly barrier); enable it only when one document's serial cost is
-    many times the per-batch budget (e.g. multi-MB pages × a 512-max_len
-    model), which is exactly the 100 TB skew case it exists for."""
+    the lazy corrected dataset for the caller to consume."""
     ds = pages
     committed: frozenset[int] = frozenset()
     if out_dir is not None and resume:
@@ -208,28 +109,8 @@ def extract_correct(pages: ray.data.Dataset, *, corrector: CorrectorKind = "null
             ds = ds.map_batches(make_committed_filter(committed, num_partitions),
                                 batch_format="pyarrow")
     ds = extract_pipeline(ds)
-    if chunk_parallel:
-        assert corrector == "neural", "chunk-parallel correction is char-level only"
-        from ..model.neural import DECODE_GROUP
-
-        max_len = (correct_kwargs.get("hparams") or {}).get("max_len", 512)
-        # Explosion window = one full decode group, so the corrector's batch
-        # composition (and output bytes) are identical to whole-doc decode.
-        window = max_len * DECODE_GROUP
-        # Only true giants should explode: each chunk row pays per-row decode
-        # overhead, so exploding median documents COSTS throughput (measured
-        # 4× at threshold 8×max_len). Giants are rare; spreading them kills
-        # the straggler without touching the common path.
-        thr = chunk_threshold if chunk_threshold is not None else 64 * max_len
-        ds = ds.map_batches(explode_chunks, batch_format="pyarrow",
-                            fn_kwargs=dict(max_len=window, threshold=thr))
     ds = correct_stage(ds, corrector=corrector, **correct_kwargs)
     if out_dir is None:
-        if chunk_parallel:
-            # url is a high-cardinality key → coarse hash-partitioned regroup
-            from ..stages.shuffle import grouped_apply
-
-            ds = grouped_apply(ds, ["url"], _reassemble_df)
         return ds
     ds = ds.map_batches(add_partition_column, batch_format="pyarrow",
                         fn_kwargs=dict(num_partitions=num_partitions))
@@ -239,9 +120,6 @@ def extract_correct(pages: ray.data.Dataset, *, corrector: CorrectorKind = "null
         part_id = int(group.column("part")[0].as_py())
         t0 = time.time()
         body = group.drop_columns(["part"])
-        if chunk_parallel:
-            body = pa.Table.from_pandas(_reassemble_df(body.to_pandas()),
-                                        preserve_index=False)
         n_empty = sum(1 for t in body.column(OUT_COL).to_pylist() if not t)
         rec = lin.commit_partition(
             body, out_dir, part_id, data_format=data_format,

@@ -4,8 +4,8 @@ algorithm GPT-2/SentencePiece descend from).
 
 The reference repo tokenizes at character level (src/model/alphabet.py); a
 training-data engine additionally needs to LEARN a subword vocabulary from
-the corpus it just cleaned.  Scale posture is the PQ-codebook discipline
-applied to vocabulary induction:
+the corpus it just cleaned.  Scale posture (train on the aggregated small
+side, apply everywhere):
 
 - The only corpus-sized pass is word counting — the existing word-frequency
   exchange (partial counts inside ``map_batches``, one coarse-hash groupby;

@@ -382,149 +382,6 @@ def near_dedup_incremental(new_docs: ray.data.Dataset,
                      num_partitions=num_partitions)
 
 
-def _normalize_undirected(u_col: str, v_col: str, *, check_range: bool = False):
-    """Batch fn factory: arbitrary (u, v) pairs → canonical undirected
-    (min, max) int64 edges, self-loops dropped; ``check_range`` additionally
-    enforces ids < 2**31 (for callers that pack two ids into one int64)."""
-
-    def normalize(batch: pa.Table) -> pa.Table:
-        u = batch.column(u_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        v = batch.column(v_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        if check_range and ((u < 0) | (v < 0)
-                            | (u >= 2**31) | (v >= 2**31)).any():
-            raise ValueError("undirected edge ids must be in [0, 2**31)")
-        keep = u != v
-        u, v = u[keep], v[keep]
-        return pa.table({"u": pa.array(np.minimum(u, v), pa.int64()),
-                         "v": pa.array(np.maximum(u, v), pa.int64())})
-
-    return normalize
-
-
-def triangle_counts(pairs: ray.data.Dataset, *, u_col: str = "id_a",
-                    v_col: str = "id_b",
-                    num_partitions: int = DEFAULT_PARTITIONS
-                    ) -> ray.data.Dataset:
-    """Per-node triangle counts over an undirected edge set (node-iterator
-    algorithm): for every apex node, its neighbor pairs (wedges) are
-    generated in ONE apex-keyed exchange and closed against the edge set in
-    ONE composite-key semi join — no adjacency matrix, no driver state.
-
-    Emits (node, n_triangles) for every node in ≥1 triangle; each triangle
-    contributes one closed wedge to each of its three apexes.  Wedge volume
-    is Σ deg(n)² — bounded for degree-bounded graphs (k-NN: deg ≤ 2k); a
-    power-law web graph would first cap/sample hot nodes explicitly.
-
-    Ids must be non-negative and < 2**31 so the wedge-closure key packs into
-    one int64 (a wider id space would switch to a two-column key exchange).
-    """
-    from .joins import hash_join
-    from .shuffle import distinct_rows, grouped_agg
-
-    # the edge set feeds BOTH the wedge exchange and the closure semi join —
-    # pin it or the (possibly expensive) upstream graph build executes twice;
-    # then adapt the exchange width to the now-known edge count (the
-    # kcore_peel / connected_components rule)
-    und = _pin(distinct_rows(
-        pairs.map_batches(_normalize_undirected(u_col, v_col, check_range=True),
-                          batch_format="pyarrow"),
-        ["u", "v"], num_partitions=num_partitions), num_partitions)
-    num_partitions = max(8, min(num_partitions, und.count() // 10_000 + 8))
-
-    def sym(batch: pa.Table) -> pa.Table:
-        u = batch.column("u").to_numpy(zero_copy_only=False)
-        v = batch.column("v").to_numpy(zero_copy_only=False)
-        return pa.table({"apex": pa.array(np.concatenate([u, v]), pa.int64()),
-                         "nbr": pa.array(np.concatenate([v, u]), pa.int64())})
-
-    def wedges(df: pd.DataFrame) -> pd.DataFrame:
-        m = df.merge(df, on="apex", suffixes=("_a", "_b"))
-        m = m[m["nbr_a"] < m["nbr_b"]]
-        return pd.DataFrame({
-            "apex": m["apex"].to_numpy(),
-            "ekey": m["nbr_a"].to_numpy() * np.int64(2**31)
-                    + m["nbr_b"].to_numpy()})
-
-    wedge_ds = grouped_apply(und.map_batches(sym, batch_format="pyarrow"),
-                             ["apex"], wedges,
-                             num_partitions=num_partitions)
-
-    def edge_keys(batch: pa.Table) -> pa.Table:
-        return pa.table({"ekey": pa.array(
-            batch.column("u").to_numpy(zero_copy_only=False) * np.int64(2**31)
-            + batch.column("v").to_numpy(zero_copy_only=False), pa.int64())})
-
-    closed = hash_join(wedge_ds, und.map_batches(edge_keys,
-                                                 batch_format="pyarrow"),
-                       on="ekey", how="semi", num_partitions=num_partitions)
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        apex, cnt = np.unique(
-            batch.column("apex").to_numpy(zero_copy_only=False),
-            return_counts=True)
-        return pa.table({"node": pa.array(apex, pa.int64()),
-                         "n_triangles": pa.array(cnt, pa.int64())})
-
-    return grouped_agg(closed.map_batches(count_partial, batch_format="pyarrow"),
-                       ["node"], {"n_triangles": ("n_triangles", "sum")},
-                       num_partitions=num_partitions)
-
-
-def kcore_peel(pairs: ray.data.Dataset, *, k: int = 3, rounds: int = 3,
-               u_col: str = "id_a", v_col: str = "id_b",
-               num_partitions: int = DEFAULT_PARTITIONS) -> ray.data.Dataset:
-    """Fixed-round k-core peeling over an undirected edge set: each round
-    computes degrees (ONE node-keyed aggregate over the symmetrized edges),
-    keeps nodes with degree ≥ k, and filters the edge set through two
-    co-partitioned semi joins.  ``rounds`` is part of the operator contract
-    (the SQL twin unrolls the same rounds), so engine and oracle agree even
-    before the peel converges; k-NN-graph shapes converge in 2-3 rounds.
-    Per-round edge sets are pinned (iterative dataflow — same posture as
-    PageRank/star contraction).  Emits (node, degree) over the final edge
-    set."""
-    from .joins import hash_join
-    from .shuffle import distinct_rows, grouped_agg
-
-    edges = _pin(distinct_rows(
-        pairs.map_batches(_normalize_undirected(u_col, v_col),
-                          batch_format="pyarrow"),
-        ["u", "v"], num_partitions=num_partitions), num_partitions)
-    # ~9 exchanges follow (3 per round); adapt P to the now-known edge count
-    # so a toy graph doesn't pay 64-task sorts each — same rule as
-    # connected_components, results P-independent
-    num_partitions = max(8, min(num_partitions, edges.count() // 10_000 + 8))
-    edges = _pin(edges, num_partitions)
-
-    def degrees(es: ray.data.Dataset) -> ray.data.Dataset:
-        def explode(batch: pa.Table) -> pa.Table:
-            u = batch.column("u").to_numpy(zero_copy_only=False)
-            v = batch.column("v").to_numpy(zero_copy_only=False)
-            node, cnt = np.unique(np.concatenate([u, v]), return_counts=True)
-            return pa.table({"node": pa.array(node, pa.int64()),
-                             "degree": pa.array(cnt, pa.int64())})
-
-        return grouped_agg(es.map_batches(explode, batch_format="pyarrow"),
-                           ["node"], {"degree": ("degree", "sum")},
-                           num_partitions=num_partitions)
-
-    for _ in range(rounds):
-        deg = degrees(edges)
-
-        def keep_nodes(batch: pa.Table) -> pa.Table:
-            t = batch.filter(pc.greater_equal(batch.column("degree"), k))
-            return pa.table({"node": t.column("node")})
-
-        kept = _pin(deg.map_batches(keep_nodes, batch_format="pyarrow"),
-                    num_partitions)
-        edges = hash_join(edges, kept, on="u", right_on="node", how="semi",
-                          num_partitions=num_partitions)
-        edges = _pin(hash_join(edges, kept, on="v", right_on="node",
-                               how="semi", num_partitions=num_partitions),
-                     num_partitions)
-
-    return degrees(edges)
-
-
 def near_dedup_by_score(docs: ray.data.Dataset, pairs: ray.data.Dataset,
                         scores: ray.data.Dataset, *,
                         id_col: str = "doc_id", score_col: str = "quality",
@@ -539,8 +396,11 @@ def near_dedup_by_score(docs: ray.data.Dataset, pairs: ray.data.Dataset,
     the quality-score pipeline's output, NOT broadcast: it is joined
     co-partitioned, so an arbitrarily large score table works.
 
+    A member with no score row (or a null score) ranks below every scored
+    member of its cluster; among unscored members the smaller id wins.
+
     Dataflow: pairs → connected components (tiny clustered-node set) →
-    co-partitioned inner join with scores → component-keyed exchange picks
+    co-partitioned left join with scores → component-keyed exchange picks
     each cluster's winner vectorized → losers anti-join the corpus.  Nothing
     is collected on the driver.  Ties cannot diverge from the SQL twin:
     both sides compute the score with the same IEEE double ops from the
@@ -557,14 +417,17 @@ def near_dedup_by_score(docs: ray.data.Dataset, pairs: ray.data.Dataset,
                          "component": batch.column("component")})
 
     members = comp.map_batches(as_ids, batch_format="pyarrow")
-    scored = hash_join(members, scores, on=id_col, how="inner",
+    scored = hash_join(members, scores, on=id_col, how="left",
                        num_partitions=num_partitions)
 
     def losers(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:
             return pd.DataFrame({id_col: pd.Series([], dtype=np.int64)})
+        if score_col not in df:  # schema-less empty score table: all unscored
+            df = df.assign(**{score_col: np.nan})
         order = df.sort_values([score_col, id_col],
-                               ascending=[False, True], kind="mergesort")
+                               ascending=[False, True], na_position="last",
+                               kind="mergesort")
         keep = order.drop_duplicates("component")[id_col]
         lose = df.loc[~df[id_col].isin(keep), [id_col]]
         return lose.astype({id_col: "int64"})

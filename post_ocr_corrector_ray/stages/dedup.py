@@ -632,21 +632,11 @@ def winnowing_jaccard_pairs(ds: ray.data.Dataset, *, text_col: str = "text",
     webtext — the workload this operator models — background fingerprint
     overlap is near zero, candidates ≈ true duplicates, and the
     payload-verify volume is proportional to actual dup mass."""
-    import math
-
     import pandas as pd
 
     from .joins import hash_join
     from .shuffle import grouped_agg, grouped_apply
     from .textstats import winnowing_batch
-
-    def fp_sets(batch: pa.Table) -> pa.Table:
-        sel = winnowing_batch(batch, text_col=text_col, id_col=id_col,
-                              k=k, w=w)
-        df = sel.select([id_col, "fp"]).to_pandas().drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    fps = ds.map_batches(fp_sets, batch_format="pyarrow")
 
     def payload_rows(batch: pa.Table) -> pa.Table:
         sel = winnowing_batch(batch, text_col=text_col, id_col=id_col,
@@ -660,7 +650,22 @@ def winnowing_jaccard_pairs(ds: ray.data.Dataset, *, text_col: str = "text",
         return pa.table({id_col: pa.array(ids, pa.int64()),
                          "sig": pa.array(sigs, pa.binary())})
 
-    payloads = ds.map_batches(payload_rows, batch_format="pyarrow")
+    # the one winnowing pass: its compact payload (16 bytes per distinct
+    # fingerprint) feeds both the prefix branch and the verify, so pin it
+    # rather than let each lazy consumer re-run the md5 loop
+    payloads = ds.map_batches(payload_rows, batch_format="pyarrow") \
+        .materialize()
+
+    def fp_rows(batch: pa.Table) -> pa.Table:
+        sigs = batch.column("sig").to_pylist()
+        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+        return pa.table({
+            id_col: pa.array(np.repeat(ids, [len(x) // 16 for x in sigs]),
+                             pa.int64()),
+            "fp": pa.array([x[i : i + 16].hex() for x in sigs
+                            for i in range(0, len(x), 16)], pa.string())})
+
+    fps = payloads.map_batches(fp_rows, batch_format="pyarrow")
 
     def count_partial(batch: pa.Table) -> pa.Table:
         g = batch.to_pandas().groupby("fp", as_index=False).size()

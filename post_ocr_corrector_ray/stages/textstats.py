@@ -371,8 +371,7 @@ def winnowing_fast_batch(batch: pa.Table, *, text_col: str = "text",
     for did, t in zip(ids_in, texts):
         t = t or ""
         if len(t) < k:
-            hs = np.array([stable_hash_u64(t if t else "\x00")],
-                          dtype=np.uint64)
+            hs = np.array([stable_hash_u64(t)], dtype=np.uint64)
         else:
             cps = np.frombuffer(t.encode("utf-32-le"), dtype="<u4") \
                 .astype(np.uint64)

@@ -336,57 +336,6 @@ class TestHotKeyTopK:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestPageRank:
-    def test_emb_pagerank(self):
-        import duckdb
-
-        from post_ocr_corrector_ray.pipelines.embeddings import emb_pagerank
-
-        got = emb_pagerank(SF).to_pandas()
-        c = duckdb.connect()
-        c.execute("PRAGMA threads=2")
-        c.execute(f"CREATE VIEW embeddings AS SELECT * FROM "
-                  f"read_parquet('{SF}/embeddings.parquet')")
-        want = c.execute("""
-            WITH e AS (
-              SELECT vec_id AS src, nn_id AS dst FROM (
-                SELECT a.vec_id AS vec_id, b.vec_id AS nn_id,
-                       CAST(row_number() OVER (
-                         PARTITION BY a.vec_id
-                         ORDER BY round(list_cosine_similarity(
-                                    CAST(a.embedding AS DOUBLE[]),
-                                    CAST(b.embedding AS DOUBLE[])), 6) DESC,
-                                  b.vec_id) AS BIGINT) AS nn_rank
-                FROM embeddings a, embeddings b WHERE a.vec_id <> b.vec_id)
-              WHERE nn_rank <= 5),
-            nodes AS (SELECT vec_id AS node FROM embeddings),
-            nn AS (SELECT CAST((SELECT count(*) FROM embeddings) AS DOUBLE) AS n),
-            r0 AS (SELECT node, 1.0 / nn.n AS r FROM nodes, nn),
-            r1 AS (SELECT nodes.node,
-                          (1.0 - 0.85) / nn.n + 0.85 * COALESCE(s.s, 0.0) AS r
-                   FROM nodes CROSS JOIN nn
-                   LEFT JOIN (SELECT e.dst AS node, sum(r0.r / 5) AS s
-                              FROM e JOIN r0 ON e.src = r0.node
-                              GROUP BY e.dst) s ON nodes.node = s.node),
-            r2 AS (SELECT nodes.node,
-                          (1.0 - 0.85) / nn.n + 0.85 * COALESCE(s.s, 0.0) AS r
-                   FROM nodes CROSS JOIN nn
-                   LEFT JOIN (SELECT e.dst AS node, sum(r1.r / 5) AS s
-                              FROM e JOIN r1 ON e.src = r1.node
-                              GROUP BY e.dst) s ON nodes.node = s.node),
-            r3 AS (SELECT nodes.node,
-                          (1.0 - 0.85) / nn.n + 0.85 * COALESCE(s.s, 0.0) AS r
-                   FROM nodes CROSS JOIN nn
-                   LEFT JOIN (SELECT e.dst AS node, sum(r2.r / 5) AS s
-                              FROM e JOIN r2 ON e.src = r2.node
-                              GROUP BY e.dst) s ON nodes.node = s.node)
-            SELECT node, round(r, 6) AS pr FROM r3""").fetchdf()
-        pd.testing.assert_frame_equal(_canon(got), _canon(want), check_dtype=False)
-        # probability mass is conserved (out-degree is k for every node)
-        assert abs(got["pr"].sum() - 1.0) < 1e-3
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestForecastRevenue:
     def test_forecast_revenue(self):
         import duckdb

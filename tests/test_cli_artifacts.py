@@ -157,131 +157,6 @@ class TestCli:
                      "--threshold", "0.5", "--partitions", "2"]) == 0
         assert got == sorted(read_output(out3)["doc_id"].to_pylist()) == [102]
 
-    def test_pq_index_two_wave_frozen_codebooks(self, tmp_path):
-        """Append-only PQ ingest e2e: wave 1 trains + freezes codebooks,
-        wave 2 --against encodes with them VERBATIM (no retraining; store
-        bytes untouched) and its codes are byte-identical to a direct
-        pq_encode with wave-1's books.  A wave-2 re-run resumes (0 new
-        partitions)."""
-        import os
-
-        import numpy as np
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from post_ocr_corrector_ray.cli import main
-        from post_ocr_corrector_ray.stages.pq import pq_store_load
-        from post_ocr_corrector_ray.state.lineage import read_output
-
-        rng = np.random.default_rng(3)
-        dim, n1, n2 = 16, 60, 40
-
-        def _write(path, ids):
-            vecs = rng.standard_normal((len(ids), dim)).round(3)
-            pq.write_table(pa.table({
-                "vec_id": pa.array(ids, pa.int64()),
-                "embedding": pa.array(list(vecs),
-                                      pa.list_(pa.float64()))}), path)
-
-        w1 = str(tmp_path / "wave1.parquet")
-        w2 = str(tmp_path / "wave2.parquet")
-        _write(w1, list(range(n1)))
-        _write(w2, list(range(n1, n1 + n2)))
-        out1, out2 = str(tmp_path / "pq1"), str(tmp_path / "pq2")
-        assert main(["pq-index", w1, out1, "--m", "4", "--ksub", "8",
-                     "--partitions", "2"]) == 0
-        books = pq_store_load(out1)
-        assert books.shape == (4, 8, dim // 4)
-        cb_path = os.path.join(out1, "codebooks.parquet")
-        cb_bytes = open(cb_path, "rb").read()
-
-        assert main(["pq-index", w2, out2, "--against", out1,
-                     "--partitions", "2"]) == 0
-        # frozen store untouched, inherited copy identical
-        assert open(cb_path, "rb").read() == cb_bytes
-        np.testing.assert_array_equal(pq_store_load(out2), books)
-        got = read_output(os.path.join(out2, "codes")) \
-            .sort_by("vec_id").to_pandas()
-        assert got["vec_id"].tolist() == list(range(n1, n1 + n2))
-
-        # byte-identity with a direct encode under wave-1's books
-        import ray.data
-
-        from post_ocr_corrector_ray.stages.pq import pq_encode
-
-        want = pq_encode(ray.data.read_parquet(w2), books).to_pandas() \
-            .sort_values("vec_id")
-        assert got["pq_code"].tolist() == want["pq_code"].tolist()
-
-        # resume: a re-run recommits nothing (per-partition mtimes hold)
-        from post_ocr_corrector_ray.state import lineage as lin
-
-        codes_dir = os.path.join(out2, "codes")
-        mt = {r["partition"]: os.path.getmtime(os.path.join(
-            lin.partition_dir(codes_dir, r["partition"]), "data.parquet"))
-            for r in lin.read_lineage(codes_dir)}
-        assert main(["pq-index", w2, out2, "--against", out1,
-                     "--partitions", "2"]) == 0
-        for pid, m in mt.items():
-            assert os.path.getmtime(os.path.join(
-                lin.partition_dir(codes_dir, pid), "data.parquet")) == m
-
-    def test_ivf_index_two_wave_frozen_quantizers(self, tmp_path):
-        """Append-only IVFADC ingest e2e: wave 1 trains + freezes coarse
-        centroids and residual codebooks, wave 2 --against emits
-        (vec_id, cell, pq_code) rows byte-identical to a direct index build
-        under wave-1's quantizers, with the frozen store untouched."""
-        import os
-
-        import numpy as np
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from post_ocr_corrector_ray.cli import main
-        from post_ocr_corrector_ray.stages.pq import ivfadc_store_load
-        from post_ocr_corrector_ray.state.lineage import read_output
-
-        rng = np.random.default_rng(5)
-        dim, n1, n2 = 64, 80, 50
-
-        def _write(path, ids):
-            vecs = rng.standard_normal((len(ids), dim)).round(3)
-            pq.write_table(pa.table({
-                "vec_id": pa.array(ids, pa.int64()),
-                "embedding": pa.array(list(vecs),
-                                      pa.list_(pa.float64()))}), path)
-
-        w1 = str(tmp_path / "wave1.parquet")
-        w2 = str(tmp_path / "wave2.parquet")
-        _write(w1, list(range(n1)))
-        _write(w2, list(range(n1, n1 + n2)))
-        out1, out2 = str(tmp_path / "ivf1"), str(tmp_path / "ivf2")
-        assert main(["ivf-index", w1, out1, "--partitions", "2"]) == 0
-        cents, books = ivfadc_store_load(out1)
-        assert cents.shape == (16, dim) and books.shape == (8, 16, dim // 8)
-        frozen = {f: open(os.path.join(out1, f), "rb").read()
-                  for f in ("centroids.parquet", "codebooks.parquet")}
-
-        assert main(["ivf-index", w2, out2, "--against", out1,
-                     "--partitions", "2"]) == 0
-        for f, b in frozen.items():
-            assert open(os.path.join(out1, f), "rb").read() == b
-        c2, b2 = ivfadc_store_load(out2)
-        np.testing.assert_array_equal(c2, cents)
-        np.testing.assert_array_equal(b2, books)
-        got = read_output(os.path.join(out2, "index")) \
-            .sort_by("vec_id").to_pandas()
-        assert got["vec_id"].tolist() == list(range(n1, n1 + n2))
-
-        import ray.data
-
-        from post_ocr_corrector_ray.stages.pq import ivfadc_index_build
-
-        want = ivfadc_index_build(ray.data.read_parquet(w2), cents,
-                                  books).to_pandas().sort_values("vec_id")
-        assert got["cell"].tolist() == want["cell"].tolist()
-        assert got["pq_code"].tolist() == want["pq_code"].tolist()
-
     def test_subprocess_end_to_end(self, tmp_path):
         """One real subprocess run proving the CLI owns its own session."""
         pages = str(tmp_path / "p.parquet")

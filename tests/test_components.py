@@ -205,65 +205,3 @@ def test_empty_schema_divergence_filter_selectivity():
     assert f.filter(rec(noise)) is False
     assert f.filter(rec(drift)) is True
     assert f.filter(rec(unrelated)) is True
-
-
-def test_triangle_counts_known_graph(ray_session):
-    import ray.data
-    from post_ocr_corrector_ray.stages.components import triangle_counts
-
-    # K4 on {0,1,2,3} (every node in 3 triangles) + pendant 4-5 edge and a
-    # triangle-free star 10-{11,12,13}; duplicate/reversed edges normalize
-    k4 = [(a, b) for a in range(4) for b in range(4) if a < b]
-    edges = k4 + [(3, 2), (4, 5)] + [(10, 11), (12, 10), (10, 13)]
-    ds = ray.data.from_arrow(pa.table(
-        {"id_a": pa.array([a for a, _ in edges], pa.int64()),
-         "id_b": pa.array([b for _, b in edges], pa.int64())}))
-    out = triangle_counts(ds, num_partitions=3).to_pandas()
-    got = dict(zip(out["node"].astype(int), out["n_triangles"].astype(int)))
-    assert got == {0: 3, 1: 3, 2: 3, 3: 3}
-
-
-@settings(max_examples=5, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
-                min_size=0, max_size=40))
-def test_triangle_counts_property(ray_session, raw_edges):
-    import itertools
-
-    import ray.data
-    from post_ocr_corrector_ray.stages.components import triangle_counts
-
-    edges = {(min(a, b), max(a, b)) for a, b in raw_edges if a != b}
-    nbrs = {}
-    for a, b in edges:
-        nbrs.setdefault(a, set()).add(b)
-        nbrs.setdefault(b, set()).add(a)
-    want = {}
-    for n, ns in nbrs.items():
-        t = sum(1 for x, y in itertools.combinations(sorted(ns), 2)
-                if (min(x, y), max(x, y)) in edges)
-        if t:
-            want[n] = t
-    ds = ray.data.from_arrow(pa.table(
-        {"id_a": pa.array([a for a, _ in edges], pa.int64()),
-         "id_b": pa.array([b for _, b in edges], pa.int64())}))
-    out = triangle_counts(ds, num_partitions=2).to_pandas()
-    got = {} if out.empty else dict(zip(out["node"].astype(int),
-                                        out["n_triangles"].astype(int)))
-    assert got == want
-
-
-def test_kcore_peel_removes_tail(ray_session):
-    """K4 clique (3-core) + a pendant chain: the chain must peel away over
-    the rounds, the clique survives with degree 3."""
-    import ray.data
-    from post_ocr_corrector_ray.stages.components import kcore_peel
-
-    k4 = [(a, b) for a in range(4) for b in range(4) if a < b]
-    chain = [(3, 10), (10, 11), (11, 12)]
-    edges = k4 + chain
-    ds = ray.data.from_arrow(pa.table(
-        {"id_a": pa.array([a for a, _ in edges], pa.int64()),
-         "id_b": pa.array([b for _, b in edges], pa.int64())}))
-    out = kcore_peel(ds, k=3, rounds=3, num_partitions=4).to_pandas()
-    got = dict(zip(out["node"].astype(int), out["degree"].astype(int)))
-    assert got == {0: 3, 1: 3, 2: 3, 3: 3}

@@ -1,7 +1,6 @@
-"""Edge cases for the round-2 additions: window chunking on empty/short
-docs, k-NN graph with k exceeding available neighbors, and the blockwise
-pair kernel under adversarial block layouts (the cross-block ordering bug
-class fixed in stages/embed.py::cosine_pairs_blockwise)."""
+"""Edge cases: window chunking on empty/short docs, idf/inverted-index
+consistency, empty-input top-k, the md5/fast hash twins, winnowing
+selection, keep-best dedup and the tiered flagship."""
 
 import numpy as np
 import pandas as pd
@@ -59,81 +58,6 @@ class TestChunkWindowsEdges:
             rebuilt.extend(r.chunk_text.split()[: 32])  # first stride words
         # first-stride prefixes tile the document except the final tail
         assert rebuilt == words[: len(rebuilt)]
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestKnnGraphEdges:
-    def test_k_exceeds_population(self):
-        """k larger than n-1 → every other vector is returned, ranked."""
-        import ray.data
-
-        from post_ocr_corrector_ray.stages.embed import knn_graph_blockwise
-
-        rng = np.random.default_rng(3)
-        n = 6
-        t = pa.table({"vec_id": pa.array(np.arange(n), pa.int64()),
-                      "embedding": pa.array(
-                          rng.standard_normal((n, 4)).tolist(),
-                          pa.list_(pa.float64()))})
-        got = knn_graph_blockwise(ray.data.from_arrow(t), k=10,
-                                  num_blocks=3).to_pandas()
-        counts = got.groupby("vec_id").size()
-        assert (counts == n - 1).all()
-        # rank is a 1..n-1 permutation per vector
-        for _, g in got.groupby("vec_id"):
-            assert sorted(g.nn_rank) == list(range(1, n))
-
-    def test_matches_bruteforce(self):
-        import ray.data
-
-        from post_ocr_corrector_ray.stages.embed import knn_graph_blockwise
-
-        rng = np.random.default_rng(11)
-        n, k = 40, 5
-        m = rng.standard_normal((n, 8))
-        t = pa.table({"vec_id": pa.array(np.arange(n), pa.int64()),
-                      "embedding": pa.array(m.tolist(), pa.list_(pa.float64()))})
-        got = knn_graph_blockwise(ray.data.from_arrow(t), k=k,
-                                  num_blocks=4).to_pandas() \
-            .sort_values(["vec_id", "nn_rank"]).reset_index(drop=True)
-        norm = m / np.linalg.norm(m, axis=1, keepdims=True)
-        sims = np.round(norm @ norm.T, 6)
-        np.fill_diagonal(sims, -np.inf)
-        for i in range(n):
-            order = sorted(range(n), key=lambda j: (-sims[i, j], j))[:k]
-            sub = got[got.vec_id == i]
-            assert sub.nn_id.tolist() == order
-            assert sub.nn_sim.tolist() == [sims[i, j] for j in order]
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestBlockwisePairsLayoutInvariance:
-    def test_pairs_complete_under_any_block_count(self):
-        """The cross-block ordering bug (id_a < id_b applied off-diagonal)
-        dropped pairs depending on repartition layout — pin completeness for
-        several block counts."""
-        import ray.data
-
-        from post_ocr_corrector_ray.stages.embed import cosine_pairs_blockwise
-
-        rng = np.random.default_rng(5)
-        n = 60
-        base = rng.standard_normal((6, 5))
-        m = base[rng.integers(0, 6, n)] + rng.standard_normal((n, 5)) * 0.05
-        ids = rng.permutation(n).astype(np.int64)   # ids deliberately shuffled
-        t = pa.table({"vec_id": pa.array(ids, pa.int64()),
-                      "embedding": pa.array(m.tolist(), pa.list_(pa.float64()))})
-        norm = m / np.linalg.norm(m, axis=1, keepdims=True)
-        sims = np.round(norm @ norm.T, 6)
-        want = set()
-        for i in range(n):
-            for j in range(n):
-                if ids[i] < ids[j] and sims[i, j] >= 0.9:
-                    want.add((int(ids[i]), int(ids[j])))
-        for nb in (1, 3, 8):
-            got = cosine_pairs_blockwise(ray.data.from_arrow(t), threshold=0.9,
-                                         num_blocks=nb).to_pandas()
-            assert set(zip(got.id_a, got.id_b)) == want, f"num_blocks={nb}"
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -278,23 +202,6 @@ class TestRound3Edges:
         assert len(broad) > 100                        # fallback really fired
         pd.testing.assert_frame_equal(broad, joined)
 
-    def test_kmeans_empty_cluster_carries_init(self, ray_session):
-        """k > distinct points: surplus clusters keep their init centroid and
-        report n_members = 0."""
-        import ray.data
-        from post_ocr_corrector_ray.stages.embed import kmeans_lloyd_distributed
-
-        pts = np.array([[0.0, 0.0], [10.0, 10.0]], dtype=np.float32)
-        pts = np.repeat(pts, 5, axis=0)
-        tbl = pa.table({"vec_id": pa.array(np.arange(10), pa.int64()),
-                        "embedding": pa.array(list(pts))})
-        out = kmeans_lloyd_distributed(ray.data.from_arrow(tbl), n_clusters=4,
-                                       n_iter=2, approx_count=10).to_pandas()
-        members = out.groupby("cluster")["n_members"].first()
-        assert int(members.sum()) == 10
-        assert (members == 0).sum() >= 1          # surplus cluster(s) empty
-
-
 @pytest.mark.usefixtures("ray_session")
 class TestFastHashTwins:
     """The scan-shaped sampling/shuffle ops default to a vectorized splitmix
@@ -386,353 +293,6 @@ class TestFastHashTwins:
         assert got == want
 
 
-@pytest.mark.usefixtures("ray_session")
-class TestProductQuantization:
-    """stages/pq.py: exact-int64 determinism, layout invariance, recall of
-    the compressed ADC scan vs exact L2 top-k."""
-
-    SF = "/root/testdata/sf0.001"
-
-    def _setup(self):
-        import pyarrow.parquet as pq
-        import ray.data
-
-        from post_ocr_corrector_ray.stages.pq import pq_train
-
-        ds = ray.data.read_parquet(f"{self.SF}/embeddings.parquet")
-        n = pq.ParquetFile(f"{self.SF}/embeddings.parquet").metadata.num_rows
-        books = pq_train(ds, approx_count=n)
-        t = pq.read_table(f"{self.SF}/embeddings.parquet",
-                          columns=["vec_id", "embedding"])
-        ids = np.array(t.column("vec_id").to_pylist(), dtype=np.int64)
-        mat = np.array(t.column("embedding").to_pylist(), dtype=np.float64)
-        return ds, books, ids, mat
-
-    def test_encode_matches_local_recompute_any_layout(self):
-        from post_ocr_corrector_ray.stages.pq import _codebooks_int, \
-            _encode_matrix, pq_encode
-
-        ds, books, ids, mat = self._setup()
-        order = np.argsort(ids)
-        want = _encode_matrix(mat[order], _codebooks_int(books))
-        for nparts in (1, 7):
-            got = pq_encode(ds.repartition(nparts), books).to_pandas() \
-                .sort_values("vec_id")
-            codes = np.frombuffer(b"".join(got["pq_code"]), dtype=np.uint8) \
-                .reshape(len(got), -1)
-            assert np.array_equal(codes, want), nparts
-        assert want.shape[1] == 8          # 8-byte code per 64-dim vector
-
-    def test_vectorized_code_materialization_byte_identical(self):
-        """The r5 FixedSizeBinary buffer build/decode (_codes_to_binary /
-        _binary_to_codes) is byte-identical to the old per-row
-        tobytes()/to_pylist() path, including under array slicing (non-zero
-        Arrow offset) and for variable-width binary input."""
-        from post_ocr_corrector_ray.stages.pq import _binary_to_codes, \
-            _codes_to_binary
-
-        rng = np.random.default_rng(7)
-        codes = rng.integers(0, 256, size=(257, 8), dtype=np.uint8)
-        col = _codes_to_binary(codes)
-        assert pa.types.is_fixed_size_binary(col.type)
-        assert col.to_pylist() == [c.tobytes() for c in codes]  # old path
-        assert np.array_equal(_binary_to_codes(col), codes)
-        sliced = col.slice(100, 57)                 # non-zero offset
-        assert np.array_equal(_binary_to_codes(sliced), codes[100:157])
-        legacy = pa.array([c.tobytes() for c in codes], pa.binary())
-        assert np.array_equal(_binary_to_codes(legacy), codes)
-        assert _binary_to_codes(pa.chunked_array([col, col])).shape == (514, 8)
-
-    def test_ivfadc_topk_layout_invariant_and_local_recompute(self):
-        """IVFADC (coarse probe + residual-PQ ADC): layout-invariant,
-        rank/order contract holds, and the distributed result equals a
-        straight local recompute of the same exact-int64 algebra.  Recall:
-        the probed cells must contain the query's own cell (vec_id=0 ranks)."""
-        from post_ocr_corrector_ray.stages.pq import (
-            _assign_int, _codebooks_int, _encode_matrix, _int_scale,
-            _residual_luts, ivfadc_topk, ivfadc_train)
-
-        ds, _, ids, mat = self._setup()
-        q = mat[ids == 0][0]
-        cents, books = ivfadc_train(ds, approx_count=len(ids))
-        assert cents.shape[0] == 16 and books.shape == (8, 16, 8)
-        k, n_probe = 10, 4
-        a = ivfadc_topk(ds, q, cents, books, k=k, n_probe=n_probe).to_pandas()
-        b = ivfadc_topk(ds.repartition(9), q, cents, books,
-                        k=k, n_probe=n_probe).to_pandas()
-        pd.testing.assert_frame_equal(a, b)
-        assert a["rank"].tolist() == list(range(1, len(a) + 1))
-        assert (a["adc_dist"].diff().dropna() >= 0).all()
-        assert 0 in set(a["vec_id"])  # query's own cell is always probed
-        # local recompute of the full pipeline
-        cent_int = _int_scale(cents)
-        cb_int = _codebooks_int(books)
-        q_int = _int_scale(q)
-        qd2 = ((q_int[None, :] - cent_int) ** 2).sum(axis=1)
-        probe = np.lexsort((np.arange(len(cent_int)), qd2))[:n_probe]
-        luts = _residual_luts(q, cents, cb_int, probe.astype(np.int64))
-        assign = _assign_int(_int_scale(mat), cent_int)
-        keep = np.isin(assign, probe)
-        adc = np.empty(keep.sum(), np.int64)
-        kids = ids[keep]
-        for ci in np.unique(assign[keep]):
-            sel = assign[keep] == ci
-            codes = _encode_matrix(mat[keep][sel] - cents[ci][None, :],
-                                   cb_int)
-            adc[sel] = luts[int(ci)][np.arange(8)[None, :],
-                                     codes.astype(np.int64)].sum(axis=1)
-        order = np.lexsort((kids, adc))[:k]
-        assert a["vec_id"].tolist() == kids[order].tolist()
-        np.testing.assert_allclose(a["adc_dist"].to_numpy(),
-                                   adc[order] / 1e12, rtol=0, atol=0)
-
-    def test_ivfadc_index_serving_and_incremental_store(self, tmp_path):
-        """The materialized (vec_id, cell, pq_code) index serves bit-identical
-        results to the scan-side ivfadc_topk — including after a parquet
-        round-trip (the stored-index contract) — and the append-only store
-        freezes quantizers so a second wave's rows are byte-identical to
-        encoding it with wave-1's quantizers."""
-        import ray.data
-
-        from post_ocr_corrector_ray.stages.pq import (
-            ivfadc_index_build, ivfadc_index_incremental, ivfadc_store_load,
-            ivfadc_topk, ivfadc_topk_from_index, ivfadc_train)
-
-        ds, _, ids, mat = self._setup()
-        q = mat[ids == 0][0]
-        cents, books = ivfadc_train(ds, approx_count=len(ids))
-        index = ivfadc_index_build(ds, cents, books)
-        idx_dir = str(tmp_path / "ivf_index")
-        index.write_parquet(idx_dir)
-        stored = ray.data.read_parquet(idx_dir)
-        want = ivfadc_topk(ds, q, cents, books, k=10, n_probe=4).to_pandas()
-        for src in (index, stored, stored.repartition(7)):
-            got = ivfadc_topk_from_index(src, q, cents, books,
-                                         k=10, n_probe=4).to_pandas()
-            pd.testing.assert_frame_equal(got, want)
-        # two-wave append-only ingest against the frozen store
-        split = int(np.median(ids))
-        w1 = ds.filter(expr=f"vec_id < {split}")
-        w2 = ds.filter(expr=f"vec_id >= {split}")
-        store = str(tmp_path / "ivf_store")
-        idx1, c1, b1, trained1 = ivfadc_index_incremental(
-            w1, store, approx_count=int((ids < split).sum()))
-        idx2, c2, b2, trained2 = ivfadc_index_incremental(
-            w2, store, approx_count=int((ids >= split).sum()))
-        assert trained1 and not trained2
-        np.testing.assert_array_equal(c1, c2)
-        np.testing.assert_array_equal(b1, b2)
-        sc, sb = ivfadc_store_load(store)
-        np.testing.assert_array_equal(sc, c1)   # exact float64 round-trip
-        np.testing.assert_array_equal(sb, b1)
-        direct = ivfadc_index_build(w2, c1, b1).to_pandas() \
-            .sort_values("vec_id").reset_index(drop=True)
-        wave2 = idx2.to_pandas().sort_values("vec_id").reset_index(drop=True)
-        pd.testing.assert_frame_equal(wave2, direct)
-        # the union of wave indexes serves exactly like a single-pass index
-        whole = ivfadc_topk_from_index(idx1.union(idx2), q, c1, b1,
-                                       k=10, n_probe=4).to_pandas()
-        single = ivfadc_topk_from_index(
-            ivfadc_index_build(ds, c1, b1), q, c1, b1,
-            k=10, n_probe=4).to_pandas()
-        pd.testing.assert_frame_equal(whole, single)
-
-    def test_ivfadc_store_serving_prunes_partitions(self, tmp_path):
-        """Cell-partitioned committed index: the from-store query reads only
-        the probed cells' partition files (a strict subset when P is wide
-        enough) and returns results bit-identical to the unpruned
-        from-index path; a second commit over the same input is a no-op
-        (resume) and serving still works."""
-        from post_ocr_corrector_ray.functions.hashing import (
-            partition_of_array)
-        from post_ocr_corrector_ray.state import lineage as lin
-        from post_ocr_corrector_ray.stages.pq import (
-            _int_scale, ivfadc_index_build, ivfadc_index_commit,
-            ivfadc_topk_from_index, ivfadc_topk_from_store, ivfadc_train)
-
-        ds, _, ids, mat = self._setup()
-        q = mat[ids == 0][0]
-        cents, books = ivfadc_train(ds, approx_count=len(ids))
-        index = ivfadc_index_build(ds, cents, books)
-        idx_dir = str(tmp_path / "cell_index")
-        s1 = ivfadc_index_commit(index, idx_dir, num_partitions=16) \
-            .to_pandas()
-        assert s1["n_rows"].sum() == len(ids)
-        want = ivfadc_topk_from_index(index, q, cents, books,
-                                      k=10, n_probe=4).to_pandas()
-        got = ivfadc_topk_from_store(idx_dir, q, cents, books,
-                                     k=10, n_probe=4).to_pandas()
-        pd.testing.assert_frame_equal(got, want)
-        # the probe maps to a strict subset of committed partitions
-        cent_int = _int_scale(cents)
-        q_int = _int_scale(q)
-        qd2 = ((q_int[None, :] - cent_int) ** 2).sum(axis=1)
-        probe = np.lexsort((np.arange(len(cent_int)), qd2))[:4]
-        import pyarrow as pa
-        pruned = set(partition_of_array(
-            pa.array([str(int(c)) for c in probe]), 16).tolist())
-        assert len(pruned) < len(lin.committed_partitions(idx_dir))
-        # resume: a re-commit of the same index writes nothing new
-        s2 = ivfadc_index_commit(ivfadc_index_build(ds, cents, books),
-                                 idx_dir, num_partitions=16).to_pandas()
-        assert len(s2) == 0
-        got2 = ivfadc_topk_from_store(idx_dir, q, cents, books,
-                                      k=10, n_probe=4).to_pandas()
-        pd.testing.assert_frame_equal(got2, want)
-
-    def test_filtered_search_exact_and_compressed(self):
-        """Filtered vector search: (a) the exact path equals brute-force
-        cosine restricted to the predicate's population; (b) the compressed
-        path (label carried on the materialized index, predicate composed
-        with the probed-cell filter) equals scan-side IVFADC over the
-        pre-filtered dataset — the predicate only prunes the competing
-        population, it never perturbs codes or probe order; (c) both are
-        layout-invariant."""
-        import pyarrow.dataset as pds
-        import ray.data
-
-        from post_ocr_corrector_ray.stages.embed import ann_topk
-        from post_ocr_corrector_ray.stages.pq import (
-            ivfadc_index_build, ivfadc_topk, ivfadc_topk_from_index,
-            ivfadc_train)
-
-        ds, _, ids, mat = self._setup()
-        t = __import__("pyarrow.parquet", fromlist=["read_table"]) \
-            .read_table(f"{self.SF}/embeddings.parquet",
-                        columns=["vec_id", "label"])
-        labels = np.asarray(t.column("label").to_pylist(), dtype=np.int64)[
-            np.argsort(np.asarray(t.column("vec_id").to_pylist()))]
-        order_ids = np.sort(ids)
-        mat_sorted = mat[np.argsort(ids)]
-        q = mat[ids == 0][0]
-        lbl = 3
-        # (a) exact: read-level predicate == brute force over the subset
-        filt = ray.data.read_parquet(f"{self.SF}/embeddings.parquet",
-                                     columns=["vec_id", "embedding"],
-                                     filter=pds.field("label") == lbl)
-        got = ann_topk(filt, q, k=10).to_pandas()
-        sel = labels == lbl
-        m = mat_sorted[sel]
-        sims = np.round(
-            (m @ (q / np.linalg.norm(q)))
-            / np.where(np.linalg.norm(m, axis=1) == 0, 1.0,
-                       np.linalg.norm(m, axis=1)), 6)
-        want_order = np.lexsort((order_ids[sel], -sims))[:10]
-        assert got["vec_id"].tolist() == order_ids[sel][want_order].tolist()
-        np.testing.assert_array_equal(got["sim"].to_numpy(),
-                                      sims[want_order])
-        # (b) compressed: carried-label index filter == scan over prefilter
-        cents, books = ivfadc_train(ds, approx_count=len(ids))
-        index = ivfadc_index_build(ds, cents, books, carry_cols=("label",))
-        got_c = ivfadc_topk_from_index(index, q, cents, books, k=10,
-                                       n_probe=8,
-                                       keep=("label", lbl)).to_pandas()
-        want_c = ivfadc_topk(filt, q, cents, books, k=10,
-                             n_probe=8).to_pandas()
-        pd.testing.assert_frame_equal(got_c, want_c)
-        assert set(got_c["vec_id"]) <= set(order_ids[sel].tolist())
-        # (c) layout invariance of the compressed filtered path
-        got_r = ivfadc_topk_from_index(index.repartition(7), q, cents, books,
-                                       k=10, n_probe=8,
-                                       keep=("label", lbl)).to_pandas()
-        pd.testing.assert_frame_equal(got_r, got_c)
-
-    def test_ivfadc_rerank_exact_within_probed_cells(self):
-        """IVFADC + exact re-rank restores brute-force search restricted to
-        the probed cells: with rerank covering every probed resident the
-        result IS the exact top-k over that subset (the probed-subset oracle
-        contract), it is layout-invariant, and widening n_probe to all cells
-        recovers the GLOBAL exact top-k."""
-        from post_ocr_corrector_ray.stages.pq import (
-            _assign_int, _int_scale, ivfadc_rerank_topk, ivfadc_train)
-
-        ds, _, ids, mat = self._setup()
-        q = mat[ids == 0][0]
-        cents, books = ivfadc_train(ds, approx_count=len(ids))
-        k, n_probe = 10, 4
-        got = ivfadc_rerank_topk(ds, q, cents, books, k=k, n_probe=n_probe,
-                                 rerank=len(ids)).to_pandas()
-        got2 = ivfadc_rerank_topk(ds.repartition(9), q, cents, books, k=k,
-                                  n_probe=n_probe, rerank=len(ids)).to_pandas()
-        pd.testing.assert_frame_equal(got, got2)
-        # exact top-k over probed-cell residents, same int64 algebra
-        cent_int = _int_scale(cents)
-        q_int = _int_scale(q)
-        qd2 = ((q_int[None, :] - cent_int) ** 2).sum(axis=1)
-        probe = np.lexsort((np.arange(len(cent_int)), qd2))[:n_probe]
-        keep = np.isin(_assign_int(_int_scale(mat), cent_int), probe)
-        d2 = ((_int_scale(mat[keep]) - q_int[None, :]) ** 2).sum(axis=1)
-        order = np.lexsort((ids[keep], d2))[:k]
-        assert got["vec_id"].tolist() == ids[keep][order].tolist()
-        np.testing.assert_allclose(got["l2_dist"].to_numpy(),
-                                   d2[order] / 1e12, rtol=0, atol=0)
-        # all cells probed -> the global exact top-k
-        full = ivfadc_rerank_topk(ds, q, cents, books, k=k,
-                                  n_probe=len(cents),
-                                  rerank=len(ids)).to_pandas()
-        d2g = ((_int_scale(mat) - q_int[None, :]) ** 2).sum(axis=1)
-        og = np.lexsort((ids, d2g))[:k]
-        assert full["vec_id"].tolist() == ids[og].tolist()
-        # recall@k of the default serving config vs global exact search is
-        # reported (not asserted tight: synthetic near-random embeddings are
-        # PQ's distance-concentration worst case; n_probe governs it)
-        hits = len(set(got["vec_id"]) & set(ids[og]))
-        assert hits >= 1
-
-    def test_adc_topk_layout_invariant_and_recall(self):
-        from post_ocr_corrector_ray.stages.pq import pq_adc_topk
-
-        ds, books, ids, mat = self._setup()
-        q = mat[ids == 0][0]
-        k = 10
-        a = pq_adc_topk(ds, q, books, k=k).to_pandas()
-        b = pq_adc_topk(ds.repartition(9), q, books, k=k).to_pandas()
-        pd.testing.assert_frame_equal(a, b)
-        assert a["rank"].tolist() == list(range(1, k + 1))
-        assert (a["adc_dist"].diff().dropna() >= 0).all()
-        # recall vs exact L2 top-k: plain ADC on near-random 64-dim vectors
-        # is PQ's worst case (distance concentration) — measured ~0.3-0.5
-        # recall@10 at 16x8 codes; pin the floor, the rerank test below pins
-        # the serving-quality bound
-        d2 = ((mat - q) ** 2).sum(axis=1)
-        exact = set(ids[np.lexsort((ids, d2))[:k]].tolist())
-        got = set(a["vec_id"].tolist())
-        assert len(exact & got) >= 2, (exact, got)
-        # vec_id=0 is the query itself: its own quantization cell must rank
-        # it at or near the top
-        assert 0 in got
-
-    def test_adc_rerank_recall_and_exactness(self):
-        """ADC top-200 candidates + exact re-rank: recall@10 >= 0.8 on the
-        worst-case vectors, distances exactly equal the true L2 for every
-        returned row, layout-invariant."""
-        from post_ocr_corrector_ray.stages.pq import pq_adc_rerank_topk
-
-        ds, books, ids, mat = self._setup()
-        q = mat[ids == 0][0]
-        k = 10
-        a = pq_adc_rerank_topk(ds, q, books, k=k, rerank=200).to_pandas()
-        b = pq_adc_rerank_topk(ds.repartition(9), q, books,
-                               k=k, rerank=200).to_pandas()
-        pd.testing.assert_frame_equal(a, b)
-        d2 = ((mat - q) ** 2).sum(axis=1)
-        exact_order = np.lexsort((ids, d2))[:k]
-        exact = set(ids[exact_order].tolist())
-        got = set(a["vec_id"].tolist())
-        assert len(exact & got) >= 8, (exact, got)
-        # every returned distance is the TRUE distance (re-rank is exact,
-        # up to the shared 1e-6 coordinate quantization)
-        by_id = dict(zip(ids, d2))
-        for r in a.itertuples():
-            assert abs(by_id[r.vec_id] - r.l2_dist) < 1e-4, r
-
-    def test_pq_train_dim_mismatch_raises(self):
-        from post_ocr_corrector_ray.stages.pq import pq_train_local
-
-        with pytest.raises(ValueError):
-            pq_train_local(np.ones((10, 30)), m_subspaces=8)
-
-
 class TestWinnowingSelection:
     """Pure selection-rule pins for stages/textstats.py::_winnow_positions."""
 
@@ -772,6 +332,16 @@ class TestWinnowingSelection:
             assert out.column("doc_id").to_pylist() == [1, 2]
             assert out.column("pos").to_pylist() == [1, 1]
 
+    def test_fast_short_doc_hashes_its_text(self):
+        """An empty text must not share its fingerprint with a text that is
+        literally one NUL character."""
+        from post_ocr_corrector_ray.stages.textstats import winnowing_fast_batch
+
+        b = pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                      "text": pa.array(["", "\x00"], pa.string())})
+        fp = winnowing_fast_batch(b).column("fp").to_pylist()
+        assert len(fp) == 2 and fp[0] != fp[1]
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestKeepBestAndNovelty:
@@ -793,6 +363,25 @@ class TestKeepBestAndNovelty:
                       .to_pandas()["doc_id"].tolist())
         # cluster {1,2,3} -> 2 (max quality); {4,5} tie -> 4 (min id); 6 untouched
         assert kept == [2, 4, 6]
+
+    def test_keep_best_unscored_member_ranks_last(self):
+        import ray.data
+
+        from post_ocr_corrector_ray.stages.components import near_dedup_by_score
+
+        docs = ray.data.from_arrow(pa.table(
+            {"doc_id": pa.array([1, 2, 3], pa.int64())}))
+        pairs = ray.data.from_arrow(pa.table(
+            {"id_a": pa.array([1], pa.int64()),
+             "id_b": pa.array([2], pa.int64())}))
+        scores = ray.data.from_arrow(pa.table(
+            {"doc_id": pa.array([2, 3], pa.int64()),
+             "quality": pa.array([0.1, 0.5], pa.float64())}))
+        kept = sorted(near_dedup_by_score(docs, pairs, scores)
+                      .to_pandas()["doc_id"].tolist())
+        # doc 1 has no score row: it loses to the scored doc 2 despite its
+        # smaller id, instead of silently surviving next to it
+        assert kept == [2, 3]
 
     def test_novelty_ownership_and_short_docs(self, tmp_path):
         from post_ocr_corrector_ray.pipelines.documents import doc_ngram_novelty

@@ -77,41 +77,6 @@ class TestByteIdentity:
             )
             assert _as_url_map(ds) == want, f"batch_size={batch_size}"
 
-    def test_chunk_parallel_matches_oracle(self, pages_table, alphabet, tiny_hparams):
-        """Giant-doc explosion + reassembly must not change output bytes —
-        uncommitted (groupby-url reassembly) and committed (part-shuffle
-        reassembly) paths both byte-identical to the oracle."""
-        import ray.data
-
-        model = NeuralCorrectorModel.from_seed(alphabet, seed=7, **tiny_hparams)
-        small = pages_table.slice(0, 10)
-        want = oracle_extract_correct(small, model)
-        ds = extract_correct(
-            ray.data.from_arrow(small), corrector="neural",
-            alphabet=alphabet, seed=7, hparams=tiny_hparams,
-            chunk_parallel=True, chunk_threshold=64,  # force explosion on most docs
-            batch_size=4, concurrency=2,
-        )
-        assert _as_url_map(ds) == want
-
-    def test_chunk_parallel_committed(self, pages_table, alphabet, tiny_hparams, tmp_path):
-        import ray.data
-
-        model = NeuralCorrectorModel.from_seed(alphabet, seed=7, **tiny_hparams)
-        small = pages_table.slice(0, 10)
-        want = oracle_extract_correct(small, model)
-        out = str(tmp_path / "cp_out")
-        extract_correct(
-            ray.data.from_arrow(small), corrector="neural",
-            alphabet=alphabet, seed=7, hparams=tiny_hparams,
-            chunk_parallel=True, chunk_threshold=64,
-            out_dir=out, num_partitions=4, batch_size=4, concurrency=2,
-        ).to_pandas()
-        table = lin.read_output(out)
-        got = dict(zip(table.column("url").to_pylist(),
-                       table.column("corrected_text").to_pylist()))
-        assert got == want
-
     def test_dictionary_matches_oracle(self, pages_file, pages_table):
         import ray
 

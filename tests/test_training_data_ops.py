@@ -1,12 +1,9 @@
-"""Training-data extensions: textstats, dedup (exact/minhash/simhash), ANN."""
+"""Training-data extensions: textstats, dedup (exact/minhash/simhash)."""
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pytest
 
 from post_ocr_corrector_ray.stages import dedup as dd
-from post_ocr_corrector_ray.stages import embed as em
 from post_ocr_corrector_ray.stages import textstats as ts
 from post_ocr_corrector_ray.sources.markup import parse_vertical_markup
 
@@ -183,133 +180,6 @@ class TestDedup:
         assert (0, 1) in set(zip(out["id_a"], out["id_b"]))
 
 
-@pytest.mark.usefixtures("ray_session")
-class TestEmbed:
-    def _vec_table(self, n=40, d=8, seed=3):
-        rng = np.random.default_rng(seed)
-        m = rng.normal(size=(n, d))
-        return pa.table({"vec_id": pa.array(range(n), pa.int64()),
-                         "embedding": pa.array([r.tolist() for r in m],
-                                               pa.list_(pa.float32()))}), m
-
-    def test_ann_topk_matches_bruteforce(self):
-        import ray.data
-
-        tbl, m = self._vec_table()
-        m64 = np.array(tbl.column("embedding").to_pylist(), dtype=np.float64)
-        q = m64[7]
-        out = em.ann_topk(ray.data.from_arrow(tbl), q, k=5)
-        sims = np.round((m64 @ q) / (np.linalg.norm(m64, axis=1) * np.linalg.norm(q)), 6)
-        want = list(np.lexsort((np.arange(len(sims)), -sims))[:5])
-        assert out.column("vec_id").to_pylist() == [int(w) for w in want]
-
-    def test_ann_topk_multi_matches_per_query_and_layout(self):
-        """Batched search == the single-query path run per query (one scan
-        vs Q scans is an economics difference, never a results difference),
-        and the per-query merge is layout-invariant."""
-        import ray.data
-
-        tbl, _ = self._vec_table()
-        m64 = np.array(tbl.column("embedding").to_pylist(), dtype=np.float64)
-        qids = np.array([3, 11, 29], dtype=np.int64)
-        out = em.ann_topk_multi(ray.data.from_arrow(tbl), qids, m64[qids],
-                                k=5).to_pandas()
-        assert list(out.columns) == ["query_id", "vec_id", "sim", "rank"]
-        for qid in qids:
-            single = em.ann_topk(ray.data.from_arrow(tbl), m64[qid],
-                                 k=5).to_pandas()
-            got = out[out["query_id"] == qid].reset_index(drop=True)
-            assert got["vec_id"].tolist() == single["vec_id"].tolist()
-            np.testing.assert_array_equal(got["sim"].to_numpy(),
-                                          single["sim"].to_numpy())
-            assert got["rank"].tolist() == list(range(1, 6))
-        out2 = em.ann_topk_multi(ray.data.from_arrow(tbl).repartition(7),
-                                 qids, m64[qids], k=5).to_pandas()
-        pd.testing.assert_frame_equal(out2, out)
-
-    def test_nn_join_excludes_self(self):
-        import ray
-        import ray.data
-
-        tbl, _ = self._vec_table()
-        m64 = np.array(tbl.column("embedding").to_pylist(), dtype=np.float64)
-        ids = np.arange(m64.shape[0], dtype=np.int64)
-        out = em.nearest_neighbor_join(ray.data.from_arrow(tbl),
-                                       ray.put((ids, m64))).to_pandas()
-        assert (out["vec_id"] != out["nn_id"]).all()
-        assert len(out) == len(ids)
-
-    def test_lsh_bucket_deterministic(self):
-        tbl, _ = self._vec_table()
-        planes = em.make_planes(8, bits=4, seed=1)
-        a = em.lsh_bucket_batch(tbl, planes=planes)
-        b = em.lsh_bucket_batch(tbl, planes=planes)
-        assert a.equals(b)
-        assert set(a.column("bucket").to_pylist()) <= set(range(16))
-
-    def _exact(self, m64, threshold=0.4):
-        n = m64 / np.linalg.norm(m64, axis=1)[:, None]
-        s = np.round(n @ n.T, 6)
-        iu = np.triu_indices(len(m64), 1)
-        return {(int(a), int(b)) for a, b, v in zip(*iu, s[iu]) if v >= threshold}
-
-    def test_blockwise_pairs_exact(self):
-        import ray.data
-
-        tbl, _ = self._vec_table(n=60)
-        m64 = np.array(tbl.column("embedding").to_pylist(), dtype=np.float64)
-        out = em.cosine_pairs_blockwise(ray.data.from_arrow(tbl), threshold=0.4,
-                                        num_blocks=4).to_pandas()
-        assert set(zip(out["id_a"], out["id_b"])) == self._exact(m64)
-
-    def test_blockwise_nn_join_matches_broadcast(self):
-        import ray
-        import ray.data
-
-        tbl, _ = self._vec_table(n=60)
-        m64 = np.array(tbl.column("embedding").to_pylist(), dtype=np.float64)
-        ids = np.arange(len(m64), dtype=np.int64)
-        want = em.nearest_neighbor_join(
-            ray.data.from_arrow(tbl), ray.put((ids, m64))).to_pandas() \
-            .sort_values("vec_id").reset_index(drop=True)
-        got = em.nn_join_blockwise(ray.data.from_arrow(tbl), num_blocks=4) \
-            .to_pandas().sort_values("vec_id").reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, want[got.columns], check_dtype=False)
-
-    def test_ivf_candidate_pairs_recall_floor(self):
-        """Sub-quadratic IVF-bucketed pairs: subset of the exact pair set with
-        a pinned recall floor on the driver fixture (sf0.001)."""
-        import pyarrow.parquet as pq
-        import ray.data
-
-        ds = ray.data.read_parquet("/root/testdata/sf0.001/embeddings.parquet")
-        got = em.ivf_candidate_pairs(ds, threshold=0.4, n_clusters=8,
-                                     n_assign=2).to_pandas()
-        m64 = np.array(
-            pq.read_table("/root/testdata/sf0.001/embeddings.parquet")
-            .column("embedding").to_pylist(), dtype=np.float64)
-        exact = self._exact(m64)
-        gotp = set(zip(got["id_a"], got["id_b"]))
-        assert gotp <= exact              # verify step guarantees precision 1
-        assert len(gotp) / max(len(exact), 1) >= 0.5   # measured ≈0.7
-
-    def test_deterministic_sample_unbiased_and_layout_independent(self):
-        import ray.data
-
-        ids = np.arange(2000, dtype=np.int64)
-        vals = np.sort(np.random.default_rng(0).normal(size=2000))  # sorted input!
-        tbl = pa.table({"vec_id": pa.array(ids), "x": pa.array(vals)})
-        a = em.deterministic_sample(ray.data.from_arrow(tbl), frac=0.25,
-                                    id_col="vec_id", seed=7).to_pandas()
-        b = em.deterministic_sample(
-            ray.data.from_arrow(tbl).repartition(13), frac=0.25,
-            id_col="vec_id", seed=7).to_pandas()
-        assert sorted(a["vec_id"]) == sorted(b["vec_id"])  # layout-independent
-        # unbiased under sorted input: sample mean ≈ population mean
-        assert abs(a["x"].mean() - vals.mean()) < 0.1
-        assert 0.2 < len(a) / 2000 < 0.3
-
-
 class TestMarkupParser:
     def test_sentences_and_gluing(self):
         blob = "\n".join([
@@ -374,185 +244,3 @@ class TestJaccardSpecEquivalence:
                 dd.signature_bytes(word_ngram_hashes(a, n=3)),
                 dd.signature_bytes(word_ngram_hashes(b, n=3))) == \
                 dd.word_ngram_jaccard(a, b, 3)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestEmbDedupEndToEnd:
-    def test_bucketed_survivors_superset_of_exact(self):
-        """IVF-bucketed dedup can only MISS pairs → merges fewer clusters →
-        keeps a superset of the exact path's survivors; exact survivors are
-        oracle-verified separately (test_shuffle_and_oracle_parity)."""
-        from post_ocr_corrector_ray.pipelines.embeddings import (
-            emb_dedup,
-            emb_dedup_bucketed,
-        )
-
-        sf = "/root/testdata/sf0.001"
-        exact = set(emb_dedup(sf).to_pandas()["vec_id"])
-        buck = set(emb_dedup_bucketed(sf).to_pandas()["vec_id"])
-        assert buck >= exact
-        # the pair stage's measured recall keeps the gap small
-        assert len(buck) - len(exact) <= 0.1 * max(len(exact), 1)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestBucketedKnn:
-    """knn_graph_bucketed / nn_join_bucketed — the sub-quadratic scale twins
-    of the exact blockwise family (stages/embed.py)."""
-
-    SF = "/root/testdata/sf0.001"
-
-    def _exact_graph(self, k=5):
-        import ray.data
-
-        ds = ray.data.read_parquet(f"{self.SF}/embeddings.parquet")
-        return em.knn_graph_blockwise(ds, k=k).to_pandas()
-
-    def test_recall_floor_vs_exact_graph(self):
-        import ray.data
-
-        ds = ray.data.read_parquet(f"{self.SF}/embeddings.parquet")
-        got = em.knn_graph_bucketed(ds, k=5, n_clusters=8, n_assign=2) \
-            .to_pandas()
-        exact = self._exact_graph(k=5)
-        got_e = set(zip(got["vec_id"], got["nn_id"]))
-        exact_e = set(zip(exact["vec_id"], exact["nn_id"]))
-        recall = len(got_e & exact_e) / len(exact_e)
-        assert recall >= 0.5, recall      # measured ≈0.75 on the fixture
-
-    def test_within_bucket_edges_match_exact_sims(self):
-        """Every emitted edge's sim must equal the exact rounded cosine (the
-        approximation prunes CANDIDATES, never perturbs scores)."""
-        import pyarrow.parquet as pq
-        import ray.data
-
-        ds = ray.data.read_parquet(f"{self.SF}/embeddings.parquet")
-        got = em.knn_graph_bucketed(ds, k=3, n_clusters=8, n_assign=2) \
-            .to_pandas()
-        m = np.array(pq.read_table(f"{self.SF}/embeddings.parquet")
-                     .column("embedding").to_pylist(), dtype=np.float64)
-        ids = np.array(pq.read_table(f"{self.SF}/embeddings.parquet")
-                       .column("vec_id").to_pylist(), dtype=np.int64)
-        pos = {int(v): i for i, v in enumerate(ids)}
-        norms = np.linalg.norm(m, axis=1)
-        for r in got.itertuples():
-            a, b = pos[int(r.vec_id)], pos[int(r.nn_id)]
-            want = round(float(m[a] @ m[b] / (norms[a] * norms[b])), 6)
-            assert abs(r.nn_sim - want) < 1e-9
-
-    def test_partition_count_invariance(self):
-        import ray.data
-
-        ds = ray.data.read_parquet(f"{self.SF}/embeddings.parquet")
-        a = em.knn_graph_bucketed(ds, k=4, n_clusters=8, n_assign=2) \
-            .to_pandas().sort_values(["vec_id", "nn_rank"]).reset_index(drop=True)
-        b = em.knn_graph_bucketed(ds.repartition(7), k=4, n_clusters=8,
-                                  n_assign=2) \
-            .to_pandas().sort_values(["vec_id", "nn_rank"]).reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, b)
-
-    def test_nn_join_is_rank_one_of_graph(self):
-        import ray.data
-
-        ds = ray.data.read_parquet(f"{self.SF}/embeddings.parquet")
-        g = em.knn_graph_bucketed(ds, k=1, n_clusters=8, n_assign=2).to_pandas()
-        j = em.nn_join_bucketed(ray.data.read_parquet(
-            f"{self.SF}/embeddings.parquet"), n_clusters=8, n_assign=2) \
-            .to_pandas()
-        g = g.sort_values("vec_id").reset_index(drop=True)
-        j = j.sort_values("vec_id").reset_index(drop=True)
-        assert g["vec_id"].tolist() == j["vec_id"].tolist()
-        assert g["nn_id"].tolist() == j["nn_id"].tolist()
-        assert list(j.columns) == ["vec_id", "nn_id", "nn_sim"]
-
-
-class TestKMeansDistributed:
-    def test_block_layout_invariance_and_quality(self, ray_session):
-        """The int64-sum discipline makes centroids independent of block
-        order; and Lloyd must tighten inertia vs the init assignment."""
-        import ray.data
-        from post_ocr_corrector_ray.stages.embed import kmeans_lloyd_distributed
-
-        rng = np.random.default_rng(0)
-        centers = rng.normal(size=(4, 8)) * 3
-        pts = np.concatenate([c + rng.normal(size=(40, 8)) * 0.1
-                              for c in centers])
-        ids = np.arange(len(pts), dtype=np.int64)
-        tbl = pa.table({"vec_id": pa.array(ids, pa.int64()),
-                        "embedding": pa.array(list(pts.astype(np.float32)))})
-        ds1 = ray.data.from_arrow(tbl)
-        ds2 = ray.data.from_arrow(tbl).repartition(7)
-        k1 = kmeans_lloyd_distributed(ds1, n_clusters=4, n_iter=3,
-                                      approx_count=len(pts)).to_pandas()
-        k2 = kmeans_lloyd_distributed(ds2, n_clusters=4, n_iter=3,
-                                      approx_count=len(pts)).to_pandas()
-        pd.testing.assert_frame_equal(
-            k1.sort_values(["cluster", "dim"]).reset_index(drop=True),
-            k2.sort_values(["cluster", "dim"]).reset_index(drop=True))
-        assert int(k1.groupby("cluster")["n_members"].first().sum()) == len(pts)
-        # each true center is near some learned centroid
-        learned = k1.pivot(index="cluster", columns="dim",
-                           values="centroid").to_numpy()
-        for c in centers:
-            assert np.min(np.linalg.norm(learned - c, axis=1)) < 0.5
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestBucketedGraphAlgos:
-    """emb_triangle_counts_bucketed / emb_kcore_bucketed — the 100-TB twins
-    of the exact-graph pipelines.  When every vector probes every cluster
-    (n_assign == n_clusters) the bucketed k-NN graph IS the exact graph, so
-    the downstream triangle/peel outputs must match exactly; the oracle
-    parity of the default (pruned) configuration is driver-verified at
-    sf0.01 (centroids inlined there)."""
-
-    SF = "/root/testdata/sf0.001"
-
-    def _graphs(self, k=5):
-        import ray.data
-
-        ds = ray.data.read_parquet(f"{self.SF}/embeddings.parquet")
-        exact = em.knn_graph_blockwise(ds, k=k)
-        buck = em.knn_graph_bucketed(
-            ray.data.read_parquet(f"{self.SF}/embeddings.parquet"),
-            k=k, n_clusters=2, n_assign=2)
-        sel = lambda t: t.select(["vec_id", "nn_id"])  # noqa: E731
-        return (exact.map_batches(sel, batch_format="pyarrow"),
-                buck.map_batches(sel, batch_format="pyarrow"))
-
-    def test_exhaustive_probe_triangles_equal_exact(self):
-        from post_ocr_corrector_ray.stages.components import triangle_counts
-
-        exact_e, buck_e = self._graphs()
-        a = triangle_counts(exact_e, u_col="vec_id", v_col="nn_id") \
-            .to_pandas().sort_values("node").reset_index(drop=True)
-        b = triangle_counts(buck_e, u_col="vec_id", v_col="nn_id") \
-            .to_pandas().sort_values("node").reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, b)
-        assert a["n_triangles"].sum() > 0
-
-    def test_exhaustive_probe_kcore_equal_exact(self):
-        from post_ocr_corrector_ray.stages.components import kcore_peel
-
-        exact_e, buck_e = self._graphs()
-        a = kcore_peel(exact_e, k=3, rounds=3, u_col="vec_id",
-                       v_col="nn_id") \
-            .to_pandas().sort_values("node").reset_index(drop=True)
-        b = kcore_peel(buck_e, k=3, rounds=3, u_col="vec_id",
-                       v_col="nn_id") \
-            .to_pandas().sort_values("node").reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, b)
-        assert len(a) > 0
-
-    def test_pipeline_defaults_run_and_shape(self):
-        from post_ocr_corrector_ray.pipelines.embeddings import (
-            emb_kcore_bucketed,
-            emb_triangle_counts_bucketed,
-        )
-
-        tri = emb_triangle_counts_bucketed(self.SF).to_pandas()
-        assert list(tri.columns) == ["node", "n_triangles"]
-        assert len(tri) > 0 and (tri["n_triangles"] >= 1).all()
-        core = emb_kcore_bucketed(self.SF).to_pandas()
-        assert list(core.columns) == ["node", "degree"]
-        assert (core["degree"] >= 3).all()
