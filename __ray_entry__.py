@@ -22,7 +22,6 @@ import numpy as np
 
 from post_ocr_corrector_ray.functions.alphabet import build_alphabet
 from post_ocr_corrector_ray.pipelines import documents as D
-from post_ocr_corrector_ray.pipelines import relational as R
 from post_ocr_corrector_ray.pipelines import training as T
 from post_ocr_corrector_ray.pipelines.extract_correct import extract_correct
 from post_ocr_corrector_ray.sources import synth
@@ -360,38 +359,8 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         "media_frame_sample": lambda sf: _media_frame_sample(200),
         # perceptual-hash image near-dup pairs (banded 64-bit candidates)
         "media_phash_dups": lambda sf: _media_phash_dups(200),
-        # relational capability (groupby/join/sort/window)
-        "pricing_summary": R.pricing_summary,
-        "top_customers": lambda sf: R.top_customers(sf),
-        "order_priority_counts": R.order_priority_counts,
-        "parts_by_brand": R.parts_by_brand,
-        "supplier_counts_by_region": R.supplier_counts_by_region,
-        "events_hourly": R.events_hourly,
-        "events_sessions": lambda sf: R.events_sessions(sf),
-        "events_user_rolling": lambda sf: R.events_user_rolling(sf),
-        "events_value_lag": R.events_value_lag,
-        # LEAD window twin + INTERSECT/EXCEPT set-operation shape
-        "events_value_lead": R.events_value_lead,
-        "events_users_intersect": R.events_users_intersect,
-        # FIRST_VALUE anchor, hot-key DENSE_RANK and CUME_DIST via the
-        # distinct-domain histogram broadcast (no per-hot-key sort)
-        "events_first_value": R.events_first_value,
-        "orders_price_dense_rank": R.orders_price_dense_rank,
-        "events_value_cume_dist": R.events_value_cume_dist,
-        "events_asof_orders": R.events_asof_orders,
-        # forward as-of twin (next order at-or-after the event)
-        "events_asof_next_order": R.events_asof_next_order,
-        "orders_event_window_counts": lambda sf: R.orders_event_window_counts(sf),
-        "orders_topk_per_customer": lambda sf: R.orders_topk_per_customer(sf),
         "doc_length_quantiles": D.doc_length_quantiles,
         "doc_stratified_sample": D.doc_stratified_sample,
-        "lineitem_order_priority": R.lineitem_order_priority,
-        # skew-resistant salted twin (identical result set, shares the oracle)
-        "lineitem_order_priority_salted": lambda sf:
-            R.lineitem_order_priority_salted(sf),
-        "customers_without_events": R.customers_without_events,
-        # TPC-H Q3 shape: broadcast dim filter + fact-fact join + topk
-        "shipping_priority": lambda sf: R.shipping_priority(sf),
         "doc_length_quantiles_by_lang": D.doc_length_quantiles_by_lang,
         # near-dup clustering + end-to-end dedup (large-star/small-star
         # contraction over verified LSH pairs — stages/components.py)
@@ -451,93 +420,15 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         "doc_tfidf_top_terms": lambda sf: D.doc_tfidf_top_terms(sf),
         # token -> sorted posting list (search-index build)
         "doc_inverted_index": lambda sf: D.doc_inverted_index(sf),
-        # distributed second-moment aggregate: Pearson corr from exact
-        # integer sufficient statistics (n, Σx, Σy, Σx², Σy², Σxy)
-        "events_value_hour_corr": R.events_value_hour_corr,
-        # grouping sets: ROLLUP(region, nation) from the leaf aggregate
-        "supplier_counts_rollup": R.supplier_counts_rollup,
         # NTILE(8) equal-height length buckets via histogram-offset rank
         "doc_length_ntile": lambda sf: D.doc_length_ntile(sf),
-        # TPC-H Q13 shape: order-count histogram incl. k=0 without an outer join
-        "customer_order_dist": R.customer_order_dist,
-        # runtime-bloom-prefiltered exact semi join (big/big join pushdown)
-        "customers_with_events_bloom": R.customers_with_events_bloom,
-        # whole-partition window aggregate as two-pass broadcast (z-score)
-        "events_value_zscore": R.events_value_zscore,
-        # ordered conversion funnel (first-touch sequence analytics)
-        "events_funnel": R.events_funnel,
-        # CUBE(region, nation): 4 grouping sets from one leaf aggregate
-        "supplier_counts_cube": R.supplier_counts_cube,
         # adjacent-bigram PMI collocations (phrase mining)
         "doc_bigram_pmi": lambda sf: D.doc_bigram_pmi(sf),
-        # argmax-by-key: latest event row per user (CDC/compaction shape)
-        "events_latest_per_user": R.events_latest_per_user,
-        # fixed-width value histogram (profiling)
-        "events_value_histogram": R.events_value_histogram,
-        # Q5-lite: co-partitioned orders ⋈ customer + broadcast dims
-        "revenue_by_nation": R.revenue_by_nation,
-        # weekly cohort retention triangle (product analytics)
-        "events_cohort_retention": R.events_cohort_retention,
         # PERCENT_RANK window via histogram-offset rank, no global sort
         "doc_length_percent_rank": lambda sf: D.doc_length_percent_rank(sf),
-        # hot-key grouped top-k (per-block winner partials, no key funnel)
-        "events_topk_per_type": R.events_topk_per_type,
-        # TPC-H Q6 shape: scan-side filter + shuffle-free global sum
-        "forecast_revenue": R.forecast_revenue,
-        # LEFT OUTER fact-fact join (zero-order customers kept)
-        "customer_order_stats": R.customer_order_stats,
-        # robust spread: grouped MAD via two mergeable-quantile passes
-        "events_value_mad": R.events_value_mad,
-        # exact windowed COUNT DISTINCT via window replication (rolling DAU)
-        "events_rolling_active_users": R.events_rolling_active_users,
-        # hot-key exact COUNT DISTINCT via salted exchange
-        "events_distinct_users_per_type": R.events_distinct_users_per_type,
-        # FULL OUTER fact-fact hash join over pre-aggregated sides
-        "user_order_event_totals": R.user_order_event_totals,
-        # TPC-H Q10-shaped: returned-item revenue per customer, top-20
-        "returned_item_revenue": lambda sf: R.returned_item_revenue(sf),
-        # TPC-H Q14-shaped: promo revenue share per ship-month
-        "promo_revenue_by_month": R.promo_revenue_by_month,
-        # TPC-H Q18-shaped: HAVING-filtered large-quantity orders + customer
-        "large_volume_orders": lambda sf: R.large_volume_orders(sf),
-        # ordered-window suite: running total + ROWS-frame moving average
-        "events_running_totals": lambda sf: R.events_running_totals(sf),
-        # order-statistic window: per-user rolling median
-        "events_rolling_median": lambda sf: R.events_rolling_median(sf),
-        # semi-structured JSON extraction (vectorized regex) + aggregate
-        "events_props_json": R.events_props_json,
-        # PIVOT: per-user wide counts over the small event-type domain
-        "events_type_pivot": R.events_type_pivot,
-        # UNPIVOT (melt) round-trip of the wide layout
-        "events_type_unpivot": R.events_type_unpivot,
-        # stream-stream self join: same-user pairs within a time window
-        "events_pairs_within": lambda sf: R.events_pairs_within(sf),
         # Misra–Gries heavy hitters (shuffle-free approximate top-token twin;
         # MG guarantee pytest-pinned vs exact counts — no SQL oracle)
         "doc_heavy_hitters": lambda sf: D.doc_heavy_hitters(sf),
-        # per-type HLL distinct (shuffle-free approximate twin of the salted
-        # exact grouped distinct; accuracy pytest-pinned — no SQL oracle)
-        "events_distinct_users_per_type_hll":
-            lambda sf: R.events_distinct_users_per_type_hll(sf),
-        # mergeable KLL quantile sketch over the continuous event value
-        # (scale twin of exact_quantiles; approximate → no SQL oracle,
-        # rank-error pytest-pinned — stages/quantiles.py)
-        "events_value_quantiles_sketch":
-            lambda sf: R.events_value_quantiles_sketch(sf),
-        # per-type EXACT quantiles (oracle-backed; quantile_disc semantics
-        # over exact integer cents — the events_value_mad discipline)
-        "events_value_quantiles_by_type":
-            lambda sf: R.events_value_quantiles_by_type(sf),
-        # per-type GROUPED KLL sketches (continuous-value twin of the exact
-        # grouped histogram; approximate → no SQL oracle, per-group rank
-        # error pytest-pinned — stages/quantiles.py)
-        "events_value_quantiles_sketch_by_type":
-            lambda sf: R.events_value_quantiles_sketch_by_type(sf),
-        # HLL-per-bucket rolling DAU (sketch twin of the window-replication
-        # exact path: mergeable registers make the window union free; accuracy
-        # pytest-pinned vs exact — no SQL oracle)
-        "events_rolling_active_users_hll":
-            lambda sf: R.events_rolling_active_users_hll(sf),
         # per-doc token Shannon entropy (diversity quality signal, no shuffle)
         "doc_token_entropy": lambda sf: D.doc_token_entropy(sf),
     }
@@ -1041,181 +932,6 @@ def oracle_sql() -> dict[str, str]:
                                        ORDER BY quality, doc_id) AS BIGINT)
                        AS tier
             FROM q""",
-        # Q3 shape; revenue in exact e4-cents (price_cents * (100-disc_pct)),
-        # top-10 by revenue DESC, orderdate ASC, orderkey ASC
-        "shipping_priority": """
-            SELECT l_orderkey,
-                   CAST(SUM(CAST(round(l_extendedprice * 100) AS BIGINT)
-                        * (100 - CAST(round(l_discount * 100) AS BIGINT)))
-                        AS BIGINT) / 10000.0 AS revenue,
-                   o_orderdate
-            FROM customer, orders, lineitem
-            WHERE c_mktsegment = 'BUILDING'
-              AND c_custkey = o_custkey
-              AND l_orderkey = o_orderkey
-              AND o_orderdate < TIMESTAMP '1998-06-01'
-              AND l_shipdate > TIMESTAMP '1998-06-01'
-            GROUP BY l_orderkey, o_orderdate
-            ORDER BY revenue DESC, o_orderdate, l_orderkey
-            LIMIT 10""",
-        "parts_by_brand": """
-            SELECT p_brand,
-                   CAST(COUNT(*) AS BIGINT) AS n_parts,
-                   CAST(SUM(CAST(round(p_retailprice * 100) AS BIGINT)) AS BIGINT) / 100.0
-                       AS total_retail,
-                   CAST(SUM(CAST(p_size AS BIGINT)) AS BIGINT) * 1.0 / COUNT(*) AS avg_size
-            FROM part GROUP BY p_brand""",
-        "supplier_counts_by_region": """
-            SELECT r_name, CAST(COUNT(*) AS BIGINT) AS n_suppliers
-            FROM supplier
-            JOIN nation ON s_nationkey = n_nationkey
-            JOIN region ON n_regionkey = r_regionkey
-            GROUP BY r_name""",
-        "pricing_summary": """
-            SELECT l_returnflag, l_linestatus,
-                   CAST(SUM(CAST(l_quantity AS BIGINT)) AS BIGINT) AS sum_qty,
-                   CAST(SUM(CAST(round(l_extendedprice * 100) AS BIGINT)) AS BIGINT) / 100.0
-                       AS sum_base_price,
-                   CAST(SUM(CAST(round(l_extendedprice * 100) AS BIGINT)
-                            * (100 - CAST(round(l_discount * 100) AS BIGINT))) AS BIGINT) / 10000.0
-                       AS sum_disc_price,
-                   CAST(SUM(CAST(l_quantity AS BIGINT)) AS BIGINT) * 1.0 / COUNT(*) AS avg_qty,
-                   CAST(SUM(CAST(round(l_extendedprice * 100) AS BIGINT)) AS BIGINT) / 100.0
-                       / COUNT(*) AS avg_price,
-                   CAST(COUNT(*) AS BIGINT) AS count_order
-            FROM lineitem
-            WHERE l_shipdate <= TIMESTAMP '1998-09-02'
-            GROUP BY l_returnflag, l_linestatus""",
-        "top_customers": """
-            SELECT c_custkey,
-                   c_name,
-                   CAST(SUM(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT) / 100.0
-                       AS revenue
-            FROM orders JOIN customer ON o_custkey = c_custkey
-            GROUP BY c_custkey, c_name
-            ORDER BY revenue DESC, c_custkey LIMIT 10""",
-        "order_priority_counts": """
-            SELECT o_orderpriority, CAST(COUNT(*) AS BIGINT) AS n
-            FROM orders
-            WHERE o_orderdate >= TIMESTAMP '1996-01-01'
-              AND o_orderdate < TIMESTAMP '1996-04-01'
-            GROUP BY o_orderpriority""",
-        "events_hourly": """
-            SELECT event_type, date_trunc('hour', ts) AS hour,
-                   CAST(COUNT(*) AS BIGINT) AS n,
-                   CAST(SUM(CAST(round(value * 100) AS BIGINT)) AS BIGINT) AS value_cents
-            FROM events GROUP BY event_type, date_trunc('hour', ts)""",
-        "events_user_rolling": """
-            SELECT event_id, user_id,
-                   CAST(COUNT(*) OVER (
-                        PARTITION BY user_id ORDER BY ts
-                        RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW)
-                        AS BIGINT) AS n_in_window
-            FROM events""",
-        "events_value_lag": """
-            SELECT event_id, user_id,
-                   (CAST(round(value * 100) AS BIGINT)
-                    - lag(CAST(round(value * 100) AS BIGINT))
-                      OVER (PARTITION BY user_id ORDER BY ts, event_id)) / 100.0
-                   AS value_delta
-            FROM events""",
-        "events_value_lead": """
-            SELECT event_id, user_id,
-                   (lead(CAST(round(value * 100) AS BIGINT))
-                      OVER (PARTITION BY user_id ORDER BY ts, event_id)
-                    - CAST(round(value * 100) AS BIGINT)) / 100.0
-                   AS value_delta
-            FROM events""",
-        "events_first_value": """
-            SELECT event_id, user_id,
-                   FIRST_VALUE(value) OVER (PARTITION BY user_id
-                                            ORDER BY ts, event_id)
-                       AS first_value
-            FROM events""",
-        "orders_price_dense_rank": """
-            SELECT o_orderkey, o_orderpriority,
-                   CAST(DENSE_RANK() OVER (PARTITION BY o_orderpriority
-                                           ORDER BY o_totalprice DESC)
-                        AS BIGINT) AS price_rank
-            FROM orders""",
-        "events_value_cume_dist": """
-            SELECT event_id, event_type,
-                   CUME_DIST() OVER (PARTITION BY event_type ORDER BY value)
-                       AS cd
-            FROM events""",
-        # INTERSECT of high-value click/purchase user sets EXCEPT the
-        # severe-error user set
-        "events_users_intersect": """
-            SELECT user_id FROM events
-            WHERE event_type = 'click' AND value >= 50
-            INTERSECT
-            SELECT user_id FROM events
-            WHERE event_type = 'purchase' AND value >= 50
-            EXCEPT
-            SELECT user_id FROM events
-            WHERE event_type = 'error' AND value >= 80""",
-        "events_sessions": """
-            WITH marks AS (
-              SELECT user_id,
-                     CASE WHEN lag(ts) OVER w IS NULL
-                               OR ts - lag(ts) OVER w > INTERVAL 30 MINUTE
-                          THEN 1 ELSE 0 END AS new_s
-              FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id))
-            SELECT user_id, CAST(count(*) AS BIGINT) AS n_events,
-                   CAST(sum(new_s) AS BIGINT) AS n_sessions
-            FROM marks GROUP BY user_id""",
-        # as-of semantics spelled out instead of ASOF JOIN so the equal-date
-        # tie-break (max orderkey) is explicit and deterministic
-        "events_asof_orders": """
-            WITH m AS (
-              SELECT e.event_id, o.o_orderkey, o.o_totalprice,
-                     row_number() OVER (PARTITION BY e.event_id
-                                        ORDER BY o.o_orderdate DESC,
-                                                 o.o_orderkey DESC) AS rn
-              FROM events e JOIN orders o
-                ON o.o_custkey = e.user_id AND o.o_orderdate <= e.ts)
-            SELECT e.event_id, e.user_id,
-                   CAST(m.o_orderkey AS DOUBLE) AS asof_orderkey,
-                   CAST(m.o_totalprice AS DOUBLE) AS asof_totalprice
-            FROM events e
-            LEFT JOIN (SELECT * FROM m WHERE rn = 1) m USING (event_id)""",
-        # forward twin: smallest o_orderdate ≥ ts, equal dates → max orderkey
-        "events_asof_next_order": """
-            WITH m AS (
-              SELECT e.event_id, o.o_orderkey, o.o_totalprice,
-                     row_number() OVER (PARTITION BY e.event_id
-                                        ORDER BY o.o_orderdate ASC,
-                                                 o.o_orderkey DESC) AS rn
-              FROM events e JOIN orders o
-                ON o.o_custkey = e.user_id AND o.o_orderdate >= e.ts)
-            SELECT e.event_id, e.user_id,
-                   CAST(m.o_orderkey AS DOUBLE) AS next_orderkey,
-                   CAST(m.o_totalprice AS DOUBLE) AS next_totalprice
-            FROM events e
-            LEFT JOIN (SELECT * FROM m WHERE rn = 1) m USING (event_id)""",
-        "orders_event_window_counts": """
-            SELECT o.o_orderkey, CAST(count(e.user_id) AS BIGINT) AS n_events
-            FROM orders o LEFT JOIN events e
-              ON e.user_id = o.o_custkey
-             AND e.ts >= o.o_orderdate
-             AND e.ts < o.o_orderdate + INTERVAL 7 DAY
-            GROUP BY o.o_orderkey""",
-        "orders_topk_per_customer": """
-            SELECT o_custkey, o_orderkey, o_totalprice, rnk FROM (
-              SELECT o_custkey, o_orderkey, o_totalprice,
-                     CAST(row_number() OVER (
-                          PARTITION BY o_custkey
-                          ORDER BY o_totalprice DESC, o_orderkey DESC)
-                          AS BIGINT) AS rnk
-              FROM orders) WHERE rnk <= 3""",
-        "lineitem_order_priority": """
-            SELECT l.l_orderkey, l.l_linenumber, l.l_quantity,
-                   o.o_orderpriority
-            FROM lineitem l JOIN orders o ON o.o_orderkey = l.l_orderkey""",
-        "customers_without_events": """
-            SELECT c_custkey, c_name FROM customer c
-            WHERE NOT EXISTS (SELECT 1 FROM events e
-                              WHERE e.user_id = c.c_custkey)""",
         # threshold 1073741824 = floor(0.25 × 2^32), engine-identical integer
         "doc_stratified_sample": """
             SELECT doc_id, lang FROM documents
@@ -1548,109 +1264,12 @@ def oracle_sql() -> dict[str, str]:
                             ROWS BETWEEN UNBOUNDED PRECEDING
                             AND 1 PRECEDING), 0) // 512 AS BIGINT) AS pack_id
             FROM surv""",
-        # Pearson corr from the SAME exact integer moment sums the engine
-        # shuffles (x = value cents, y = hour of day); the closed-form corr
-        # converts the same int64s through the same double expression, so the
-        # result doubles are bit-identical
-        "events_value_hour_corr": """
-            WITH m AS (
-              SELECT event_type,
-                     CAST(count(*) AS BIGINT) AS n,
-                     CAST(sum(x) AS BIGINT) AS sx,
-                     CAST(sum(y) AS BIGINT) AS sy,
-                     CAST(sum(x*x) AS BIGINT) AS sxx,
-                     CAST(sum(y*y) AS BIGINT) AS syy,
-                     CAST(sum(x*y) AS BIGINT) AS sxy
-              FROM (SELECT event_type,
-                           CAST(round(value*100) AS BIGINT) AS x,
-                           CAST(EXTRACT(hour FROM ts) AS BIGINT) AS y
-                    FROM events)
-              GROUP BY event_type)
-            SELECT event_type, n,
-                   (CAST(n AS DOUBLE)*CAST(sxy AS DOUBLE)
-                    - CAST(sx AS DOUBLE)*CAST(sy AS DOUBLE))
-                   / (sqrt(CAST(n AS DOUBLE)*CAST(sxx AS DOUBLE)
-                           - CAST(sx AS DOUBLE)*CAST(sx AS DOUBLE))
-                      * sqrt(CAST(n AS DOUBLE)*CAST(syy AS DOUBLE)
-                             - CAST(sy AS DOUBLE)*CAST(sy AS DOUBLE)))
-                   AS corr_value_hour
-            FROM m""",
-        # ROLLUP grouping sets with the 'ALL' sentinel (dims are never NULL)
-        "supplier_counts_rollup": """
-            SELECT COALESCE(r_name, 'ALL') AS region_name,
-                   COALESCE(n_name, 'ALL') AS nation_name,
-                   CAST(count(*) AS BIGINT) AS n_suppliers
-            FROM supplier s
-            JOIN nation n ON s.s_nationkey = n.n_nationkey
-            JOIN region r ON n.n_regionkey = r.r_regionkey
-            GROUP BY ROLLUP(r_name, n_name)""",
         # NTILE(8) equal-height buckets over (n_chars, doc_id) order
         "doc_length_ntile": """
             SELECT doc_id, n_chars,
                    CAST(NTILE(8) OVER (ORDER BY n_chars, doc_id)
                         AS BIGINT) AS bucket
             FROM documents""",
-        # Q13 via the outer join the engine deliberately avoids
-        "customer_order_dist": """
-            SELECT CAST(c_count AS BIGINT) AS c_count,
-                   CAST(count(*) AS BIGINT) AS custdist
-            FROM (SELECT c.c_custkey, count(o.o_orderkey) AS c_count
-                  FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey
-                  GROUP BY c.c_custkey)
-            GROUP BY c_count""",
-        # the bloom prefilter is exactness-preserving, so the oracle is the
-        # plain IN-subquery semi join
-        "customers_with_events_bloom": """
-            SELECT c_custkey, c_name
-            FROM customer
-            WHERE c_custkey IN (SELECT user_id FROM events)""",
-        # same closed-form double expression from the same exact int64 moment
-        # sums (x = value cents), so the doubles are bit-identical
-        "events_value_zscore": """
-            WITH x AS (SELECT event_id, event_type,
-                              CAST(round(value*100) AS BIGINT) AS x
-                       FROM events),
-            m AS (SELECT event_type,
-                         CAST(count(*) AS BIGINT) AS n,
-                         CAST(sum(x) AS BIGINT) AS sx,
-                         CAST(sum(x*x) AS BIGINT) AS sxx
-                  FROM x GROUP BY event_type)
-            SELECT x.event_id, x.event_type,
-                   (CAST(x.x AS DOUBLE) - CAST(m.sx AS DOUBLE)/CAST(m.n AS DOUBLE))
-                   / sqrt((CAST(m.n AS DOUBLE)*CAST(m.sxx AS DOUBLE)
-                           - CAST(m.sx AS DOUBLE)*CAST(m.sx AS DOUBLE))
-                          / (CAST(m.n AS DOUBLE)*(CAST(m.n AS DOUBLE)-1)))
-                   AS z_value
-            FROM x JOIN m USING (event_type)""",
-        # first-touch funnel: depth = longest prefix of steps whose earliest
-        # occurrences are strictly increasing in time
-        "events_funnel": """
-            WITH m AS (SELECT user_id,
-                              min(CASE WHEN event_type='view' THEN ts END) AS t1,
-                              min(CASE WHEN event_type='click' THEN ts END) AS t2,
-                              min(CASE WHEN event_type='purchase' THEN ts END) AS t3
-                       FROM events GROUP BY user_id),
-            d AS (SELECT CASE WHEN t1 IS NULL THEN 0
-                              WHEN t2 IS NULL OR t2 <= t1 THEN 1
-                              WHEN t3 IS NULL OR t3 <= t2 THEN 2
-                              ELSE 3 END AS depth
-                  FROM m),
-            s(step, step_name) AS (VALUES (1, 'view'), (2, 'click'),
-                                          (3, 'purchase'))
-            SELECT CAST(s.step AS BIGINT) AS step, s.step_name,
-                   CAST(count(d.depth) AS BIGINT) AS n_users
-            FROM s LEFT JOIN d ON d.depth >= s.step
-            GROUP BY s.step, s.step_name""",
-        # all four grouping sets; dims are never NULL so COALESCE('ALL') is
-        # unambiguous
-        "supplier_counts_cube": """
-            SELECT COALESCE(r_name, 'ALL') AS region_name,
-                   COALESCE(n_name, 'ALL') AS nation_name,
-                   CAST(count(*) AS BIGINT) AS n_suppliers
-            FROM supplier s
-            JOIN nation n ON s.s_nationkey = n.n_nationkey
-            JOIN region r ON n.n_regionkey = r.r_regionkey
-            GROUP BY CUBE(r_name, n_name)""",
         # adjacent-bigram PMI from the same counts and the same double
         # expression; tokens split exactly like the engine (runs of
         # whitespace, empties dropped)
@@ -1678,188 +1297,12 @@ def oracle_sql() -> dict[str, str]:
             JOIN uc u2 ON bc.w2 = u2.token
             CROSS JOIN tot
             WHERE bc.c_xy >= 5""",
-        # argmax-by-key via the window the engine's combine-safe local
-        # winners replace
-        "events_latest_per_user": """
-            SELECT event_id, user_id, event_type, ts, value
-            FROM (SELECT e.*, row_number() OVER (
-                      PARTITION BY user_id
-                      ORDER BY ts DESC, event_id DESC) AS rn
-                  FROM events e)
-            WHERE rn = 1""",
-        # same floor(value/width) double division on both sides
-        "events_value_histogram": """
-            SELECT bin, bin * 10.0 AS lo, CAST(count(*) AS BIGINT) AS n
-            FROM (SELECT CAST(floor(value / 10.0) AS BIGINT) AS bin
-                  FROM events)
-            GROUP BY bin""",
-        # Q5-lite: revenue via the same exact integer cents
-        "revenue_by_nation": """
-            SELECT r_name AS region_name, n_name AS nation_name,
-                   CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT))
-                        AS BIGINT) / 100.0 AS revenue
-            FROM orders o
-            JOIN customer c ON o.o_custkey = c.c_custkey
-            JOIN nation n ON c.c_nationkey = n.n_nationkey
-            JOIN region r ON n.n_regionkey = r.r_regionkey
-            GROUP BY r_name, n_name""",
-        # Monday-truncated weeks on both sides; offsets divide aligned week
-        # starts exactly
-        "events_cohort_retention": """
-            WITH uw AS (SELECT DISTINCT user_id,
-                               CAST(date_trunc('week', ts) AS TIMESTAMP) AS week
-                        FROM events),
-            c AS (SELECT user_id, min(week) AS cohort_week
-                  FROM uw GROUP BY user_id)
-            SELECT c.cohort_week,
-                   CAST(date_diff('week', c.cohort_week, uw.week)
-                        AS BIGINT) AS week_offset,
-                   CAST(count(*) AS BIGINT) AS n_users
-            FROM uw JOIN c USING (user_id)
-            GROUP BY 1, 2""",
         # unique full ordering (doc_id tiebreak) → RANK ≡ ROW_NUMBER; both
         # sides divide the same ints as doubles
         "doc_length_percent_rank": """
             SELECT doc_id, n_chars,
                    percent_rank() OVER (ORDER BY n_chars, doc_id) AS pr
             FROM documents""",
-        # hot-key grouped top-3 with the engine's deterministic tie-break
-        "events_topk_per_type": """
-            SELECT event_id, event_type, ts, value, rk
-            FROM (SELECT e.*, row_number() OVER (
-                      PARTITION BY event_type
-                      ORDER BY value DESC, event_id DESC) AS rk
-                  FROM events e)
-            WHERE rk <= 3""",
-        # Q6 on the same exact integer units (cents × discount basis points)
-        "forecast_revenue": """
-            SELECT CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                            * CAST(round(l_discount * 100) AS BIGINT))
-                        AS BIGINT) / 10000.0 AS revenue
-            FROM lineitem
-            WHERE l_shipdate >= TIMESTAMP '1996-01-01'
-              AND l_shipdate < TIMESTAMP '1997-01-01'
-              AND CAST(round(l_discount * 100) AS BIGINT) BETWEEN 5 AND 7
-              AND CAST(l_quantity AS BIGINT) < 24""",
-        # LEFT JOIN with COALESCE-to-zero on the same exact cents
-        "customer_order_stats": """
-            SELECT c.c_custkey, c.c_name,
-                   CAST(COALESCE(o.cnt, 0) AS BIGINT) AS n_orders,
-                   CAST(COALESCE(o.cents, 0) AS BIGINT) / 100.0 AS total_spend
-            FROM customer c LEFT JOIN (
-              SELECT o_custkey, CAST(count(*) AS BIGINT) AS cnt,
-                     CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT))
-                          AS BIGINT) AS cents
-              FROM orders GROUP BY o_custkey) o
-              ON c.c_custkey = o.o_custkey""",
-        # same quantile_disc semantics on the same exact integer cents
-        "events_value_mad": """
-            WITH x AS (SELECT event_type,
-                              CAST(round(value * 100) AS BIGINT) AS v
-                       FROM events),
-            m AS (SELECT event_type, quantile_disc(v, 0.5) AS med
-                  FROM x GROUP BY event_type)
-            SELECT x.event_type,
-                   CAST(m.med AS BIGINT) / 100.0 AS median_value,
-                   CAST(quantile_disc(abs(x.v - m.med), 0.5) AS BIGINT)
-                   / 100.0 AS mad_value
-            FROM x JOIN m USING (event_type)
-            GROUP BY x.event_type, m.med""",
-        # per-type exact quantile_disc over exact integer cents (shared rank
-        # semantics with stages/quantiles.py::grouped_exact_quantiles)
-        "events_value_quantiles_by_type": """
-            WITH x AS (SELECT event_type,
-                              CAST(round(value * 100) AS BIGINT) AS v
-                       FROM events),
-            g AS (SELECT event_type,
-                         quantile_disc(v, [0.1,0.25,0.5,0.75,0.9]) AS vs
-                  FROM x GROUP BY event_type)
-            SELECT event_type,
-                   unnest([0.1,0.25,0.5,0.75,0.9]) AS q,
-                   CAST(unnest(vs) AS BIGINT) / 100.0 AS value
-            FROM g""",
-        # trailing-24h distinct users per observed hour bucket
-        "events_rolling_active_users": """
-            WITH uh AS (SELECT DISTINCT user_id,
-                               date_trunc('hour', ts) AS h FROM events),
-            hours AS (SELECT DISTINCT h FROM uh)
-            SELECT hours.h AS hour,
-                   CAST(count(DISTINCT uh.user_id) AS BIGINT) AS active_users
-            FROM hours JOIN uh
-              ON uh.h <= hours.h
-             AND uh.h > hours.h - INTERVAL 24 HOURS
-            GROUP BY hours.h""",
-        # the salted exchange is exactness-preserving (a user always lands
-        # in the same salt bucket), so the oracle is the plain grouped
-        # COUNT DISTINCT
-        "events_distinct_users_per_type": """
-            SELECT event_type,
-                   CAST(count(DISTINCT user_id) AS BIGINT) AS n_users
-            FROM events GROUP BY event_type""",
-        # FULL OUTER join of the two pre-aggregated sides; USING coalesces
-        # the key, absent sides zero-fill (the engine coalesces identically)
-        "user_order_event_totals": """
-            SELECT id,
-                   COALESCE(n_orders, 0) AS n_orders,
-                   COALESCE(n_events, 0) AS n_events
-            FROM (SELECT o_custkey AS id, CAST(count(*) AS BIGINT) AS n_orders
-                  FROM orders GROUP BY 1) o
-            FULL OUTER JOIN
-                 (SELECT user_id AS id, CAST(count(*) AS BIGINT) AS n_events
-                  FROM events GROUP BY 1) e
-            USING (id)""",
-        # Q10-lite: exact e4-cents revenue, deterministic (rev, custkey)
-        # tiebreak on the top-20 cut — mirrors the engine's driver merge
-        "returned_item_revenue": """
-            WITH rev AS (
-              SELECT o_custkey AS c_custkey,
-                     sum(CAST(round(l_extendedprice*100) AS BIGINT)
-                         * (100 - CAST(round(l_discount*100) AS BIGINT))) AS rev_e4
-              FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-              WHERE l_returnflag = 'R'
-              GROUP BY 1)
-            SELECT c.c_custkey, c.c_name, n.n_name,
-                   rev_e4 / 10000.0 AS revenue
-            FROM rev
-            JOIN customer c USING (c_custkey)
-            JOIN nation n ON c.c_nationkey = n.n_nationkey
-            ORDER BY rev_e4 DESC, c.c_custkey
-            LIMIT 20""",
-        # Q14-lite: both sides divide the same exact integers, so the
-        # percentage doubles are bit-identical
-        "promo_revenue_by_month": """
-            WITH l AS (
-              SELECT CAST(year(l_shipdate)*100 + month(l_shipdate) AS BIGINT)
-                         AS month,
-                     CAST(round(l_extendedprice*100) AS BIGINT)
-                     * (100 - CAST(round(l_discount*100) AS BIGINT)) AS rev_e4,
-                     CASE WHEN p_type = 'PROMO' THEN 1 ELSE 0 END AS is_promo
-              FROM lineitem JOIN part ON l_partkey = p_partkey)
-            SELECT month,
-                   100.0 * sum(CASE WHEN is_promo = 1 THEN rev_e4 ELSE 0 END)
-                         / sum(rev_e4) AS promo_pct
-            FROM l GROUP BY month ORDER BY month""",
-        # running/moving windows: exact int64 window sums divided identically
-        "events_running_totals": """
-            SELECT event_id, user_id,
-                   CAST(row_number() OVER w AS BIGINT) AS row_n,
-                   sum(CAST(round(value*100) AS BIGINT)) OVER w
-                     / 100.0 AS running_value,
-                   sum(CAST(round(value*100) AS BIGINT)) OVER w3
-                     / (100.0 * count(*) OVER w3) AS moving_avg
-            FROM events
-            WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id
-                         ROWS UNBOUNDED PRECEDING),
-                   w3 AS (PARTITION BY user_id ORDER BY ts, event_id
-                          ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)""",
-        # rolling median over exact cents (two-middle average exact < 2^52)
-        "events_rolling_median": """
-            SELECT event_id, user_id,
-                   median(CAST(round(value*100) AS BIGINT)) OVER (
-                     PARTITION BY user_id ORDER BY ts, event_id
-                     ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) / 100.0
-                       AS rolling_median
-            FROM events""",
         # A-ES weighted sample: identical key expression, top-32 by key
         "doc_weighted_sample": """
             SELECT doc_id, n_chars FROM (
@@ -1870,51 +1313,6 @@ def oracle_sql() -> dict[str, str]:
                          1.0 / greatest(n_chars, 1)) AS key
               FROM documents)
             ORDER BY key DESC, doc_id LIMIT 32""",
-        # JSON k extraction: exact integer sums, identical mean division
-        "events_props_json": """
-            SELECT event_type,
-                   CAST(count(*) AS BIGINT) AS n,
-                   CAST(sum(CAST(json_extract(props, '$.k') AS BIGINT))
-                        AS BIGINT) AS k_sum,
-                   CAST(sum(CAST(json_extract(props, '$.k') AS BIGINT))
-                        AS DOUBLE)
-                     / count(*) AS k_avg
-            FROM events GROUP BY event_type ORDER BY event_type""",
-        # PIVOT via conditional aggregation (engine emits the same wide row)
-        "events_type_pivot": """
-            SELECT user_id,
-                   CAST(count(*) FILTER (event_type = 'click') AS BIGINT) AS n_click,
-                   CAST(count(*) FILTER (event_type = 'error') AS BIGINT) AS n_error,
-                   CAST(count(*) FILTER (event_type = 'purchase') AS BIGINT) AS n_purchase,
-                   CAST(count(*) FILTER (event_type = 'signup') AS BIGINT) AS n_signup,
-                   CAST(count(*) FILTER (event_type = 'view') AS BIGINT) AS n_view
-            FROM events GROUP BY user_id""",
-        # same-user windowed pairs: lexicographic (ts, id) ordering, exact
-        # microsecond gaps
-        "events_pairs_within": """
-            SELECT a.user_id, a.event_id AS id_a, b.event_id AS id_b,
-                   CAST(date_diff('microsecond', a.ts, b.ts) AS BIGINT)
-                       AS gap_us
-            FROM events a JOIN events b
-              ON a.user_id = b.user_id
-             AND (a.ts < b.ts OR (a.ts = b.ts AND a.event_id < b.event_id))
-             AND date_diff('microsecond', a.ts, b.ts) <= 300000000""",
-        # melt(pivot(x)) with zero cells dropped == the long grouped count
-        "events_type_unpivot": """
-            SELECT user_id, event_type, CAST(count(*) AS BIGINT) AS n
-            FROM events GROUP BY user_id, event_type""",
-        # Q18-lite: integer centiquantity HAVING, then the two equi joins
-        "large_volume_orders": """
-            WITH q AS (
-              SELECT l_orderkey AS o_orderkey,
-                     sum(CAST(round(l_quantity*100) AS BIGINT)) AS qty_c
-              FROM lineitem GROUP BY 1
-              HAVING sum(CAST(round(l_quantity*100) AS BIGINT)) > 30000)
-            SELECT c.c_name, o.o_custkey, o.o_orderkey, o.o_orderdate,
-                   o.o_totalprice, qty_c / 100.0 AS total_qty
-            FROM q
-            JOIN orders o USING (o_orderkey)
-            JOIN customer c ON o.o_custkey = c.c_custkey""",
         # same -Σ p·ln p per doc; zero-token docs never enter the unnest
         "doc_token_entropy": r"""
             WITH t AS (SELECT doc_id,
@@ -1936,9 +1334,6 @@ def oracle_sql() -> dict[str, str]:
     # string twin (hash keys only change the EXCHANGE representation), so it
     # shares the twin's oracle verbatim
     out["doc_span_dedup_hashed"] = out["doc_span_dedup"]
-    # the salt spreads partitioning only — the joined SET is identical, so
-    # the skew-resistant twin shares the plain join's oracle verbatim
-    out["lineitem_order_priority_salted"] = out["lineitem_order_priority"]
     if os.path.exists(f"{_ORACLE_SF_DIR}/documents.parquet"):
         out["doc_mix_materialize"] = _mix_oracle_sql()
         from post_ocr_corrector_ray.stages.bpe import bpe_counts_oracle_sql

@@ -89,14 +89,7 @@ def partition_of_array(arr, num_partitions: int) -> np.ndarray:
     return (polyhash_u64_array(arr) % np.uint64(num_partitions)).astype(np.int64)
 
 
-def content_hash_hex(text: str) -> str:
-    """Hex digest used as the exact-dedup key (md5 to match the SQL oracle)."""
-    return hashlib.md5(text.encode("utf-8")).hexdigest()
-
-
 # --- vectorized multiply-shift hashing for minhash/simhash --------------------
-
-_MERSENNE = (1 << 61) - 1
 
 
 def hash_u64_array(values: np.ndarray, seed: int) -> np.ndarray:

@@ -21,7 +21,6 @@ unicode line separators) are preserved: we normalize with the same predicate.
 from __future__ import annotations
 
 import sys
-import unicodedata
 
 import numpy as np
 
@@ -34,11 +33,6 @@ _WHITESPACE_CODEPOINTS = np.array(
     sorted(cp for cp in range(sys.maxunicode + 1) if chr(cp).isspace()),
     dtype=np.uint32,
 )
-
-
-def is_space_char(ch: str) -> bool:
-    """Same predicate as the reference's ``char.isspace()``."""
-    return ch.isspace()
 
 
 def normalize_whitespace(text: str) -> str:
@@ -121,8 +115,3 @@ def detokenize(tokens: list[str]) -> str:
 def tokenize_ws(text: str) -> list[str]:
     """``text.strip().split()`` — the dictionary corrector's tokenizer."""
     return text.strip().split()
-
-
-def nfc(text: str) -> str:
-    """Unicode NFC normalization (engine extension; not used by reference paths)."""
-    return unicodedata.normalize("NFC", text)

@@ -483,7 +483,7 @@ def doc_top_tokens(sf_dir: str, k: int = 50) -> pa.Table:
     """Global heavy hitters: exact token frequencies (pre-aggregated partials
     → coarse-hash exchange) then per-block local top-k so only ≤ blocks × k
     tiny rows reach the driver merge (the distributed-top-k pattern of
-    top_customers).  Deterministic tiebreak (frequency DESC, token ASC)."""
+    per-block partials).  Deterministic tiebreak (frequency DESC, token ASC)."""
     import pandas as pd
 
     counts = token_counts(_docs(sf_dir, ["text"]), text_col="text", split=None)

@@ -25,6 +25,7 @@ import time
 from typing import Literal
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
@@ -101,9 +102,12 @@ def extract_correct(pages: ray.data.Dataset, *, corrector: CorrectorKind = "null
     output (returns the tiny per-partition summary dataset); without, returns
     the lazy corrected dataset for the caller to consume."""
     ds = pages
+    stage_versions = {"extract": "1", "correct": f"{corrector}/1"}
     committed: frozenset[int] = frozenset()
     if out_dir is not None and resume:
-        lin.check_partition_scheme(out_dir)
+        lin.check_partition_scheme(out_dir, num_partitions=num_partitions,
+                                   input_fingerprint=input_fingerprint,
+                                   stage_versions=stage_versions)
         committed = lin.committed_partitions(out_dir)
         if committed:
             ds = ds.map_batches(make_committed_filter(committed, num_partitions),
@@ -114,18 +118,19 @@ def extract_correct(pages: ray.data.Dataset, *, corrector: CorrectorKind = "null
         return ds
     ds = ds.map_batches(add_partition_column, batch_format="pyarrow",
                         fn_kwargs=dict(num_partitions=num_partitions))
-    stage_versions = {"extract": "1", "correct": f"{corrector}/1"}
 
     def _commit(group: pa.Table) -> pa.Table:
         part_id = int(group.column("part")[0].as_py())
         t0 = time.time()
         body = group.drop_columns(["part"])
-        n_empty = sum(1 for t in body.column(OUT_COL).to_pylist() if not t)
+        # code-point lengths, like Python's len; a null output counts as empty
+        out_len = pc.fill_null(pc.utf8_length(body.column(OUT_COL)), 0)
         rec = lin.commit_partition(
             body, out_dir, part_id, data_format=data_format,
             input_fingerprint=input_fingerprint, stage_versions=stage_versions,
-            metrics={"n_empty_outputs": n_empty,
-                     "total_out_chars": sum(len(t or "") for t in body.column(OUT_COL).to_pylist()),
+            num_partitions=num_partitions,
+            metrics={"n_empty_outputs": pc.sum(pc.equal(out_len, 0)).as_py(),
+                     "total_out_chars": pc.sum(out_len).as_py(),
                      "commit_seconds": round(time.time() - t0, 4)},
         )
         return pa.Table.from_pylist([{"part": part_id, "n_rows": rec["n_rows"]}])

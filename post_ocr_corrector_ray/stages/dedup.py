@@ -53,11 +53,6 @@ def exact_dedup(ds: ray.data.Dataset, *, text_col: str = "text",
 # --- MinHash + LSH ------------------------------------------------------------
 
 
-def minhash_signature(text: str, n_hashes: int, k_shingle: int) -> np.ndarray:
-    sig = minhash_signatures([shingle_hashes(text, k=k_shingle)], n_hashes)
-    return sig[0]
-
-
 def minhash_signatures(hash_sets: list[np.ndarray], n_hashes: int) -> np.ndarray:
     """(n_docs, n_hashes) minhash matrix, batch-vectorized: the docs' element
     sets are concatenated once and each permutation is ONE hash + ONE

@@ -1,7 +1,6 @@
-"""Two-sided co-partitioned temporal joins: as-of and interval (range) join.
+"""Two-sided co-partitioned equality join of two fact tables.
 
-Ray Data has no native as-of or range join (SURVEY §2's "custom operators"
-note).  Both are expressed here as ONE co-partitioning shuffle: tag each side,
+The join is expressed as ONE co-partitioning shuffle: tag each side,
 harmonize the two schemas (null-pad the other side's columns), ``union`` the
 datasets, coarse-hash-partition on the equality key (stages/shuffle.py — a
 fixed number of Ray groups regardless of key cardinality), and run the
@@ -12,10 +11,6 @@ equality key lands in exactly one partition — guaranteed by the deterministic
 key hash — so the per-partition merge is exact.  A pathologically hot key
 bounds a single task's memory; ``num_partitions`` spreads distinct keys but
 not one key's rows (the same skew contract as ``grouped_apply``).
-
-Determinism: as-of ties (several right rows sharing the maximal ``on`` value)
-are broken by ``tie_col`` (maximum wins) so results are reproducible across
-block layouts and match the SQL oracle's explicit ``row_number()`` ordering.
 """
 
 from __future__ import annotations
@@ -80,17 +75,13 @@ def _as_arrow(ds: ray.data.Dataset) -> ray.data.Dataset:
 
 def _union_tagged(left: ray.data.Dataset, right: ray.data.Dataset,
                   right_renames: dict[str, str],
-                  right_keep: list[str] | None = None,
-                  left_keep: list[str] | None = None
+                  right_keep: list[str] | None = None
                   ) -> tuple[ray.data.Dataset, list[str], list[str]]:
-    """Harmonize schemas (with the right side's columns renamed, and either
-    side optionally restricted to ``*_keep``) and union the two tagged
+    """Harmonize schemas (with the right side's columns renamed, and
+    optionally restricted to ``right_keep``) and union the two tagged
     datasets.  Returns (union_ds, left_cols, right_cols)."""
     left, right = _as_arrow(left), _as_arrow(right)
     ls = left.schema()
-    if left_keep is not None:
-        ls = pa.schema([pa.field(n, ls.types[ls.names.index(n)])
-                        for n in left_keep])
     rs = _renamed_schema(right, right_renames)
     if right_keep is not None:
         rs = pa.schema([pa.field(n, rs.types[rs.names.index(n)])
@@ -118,130 +109,18 @@ def _union_tagged(left: ray.data.Dataset, right: ray.data.Dataset,
     return tagged_l.union(tagged_r), left_cols, right_cols
 
 
-def asof_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
-              on: str, by: str, right_on: str, right_by: str,
-              right_cols: dict[str, str], tie_col: str,
-              direction: str = "backward",
-              num_partitions: int = DEFAULT_PARTITIONS) -> ray.data.Dataset:
-    """LEFT as-of join: for each left row, attach the right row with the
-    greatest ``right_on`` ≤ left ``on`` ("backward", default) or the
-    smallest ``right_on`` ≥ left ``on`` ("forward") for the same key (exact
-    matches allowed either way); no match → nulls.
-
-    ``right_cols`` maps right column → output name; ``tie_col`` (a right
-    column, also listed in ``right_cols`` or not) breaks equal-``on`` ties by
-    maximum in BOTH directions.  Output = every left column + the renamed
-    right columns.
-    """
-    if direction not in ("backward", "forward"):
-        raise ValueError(f"asof_join: unsupported direction={direction!r}")
-    left, right = _as_arrow(left), _as_arrow(right)
-    renames = {right_by: by, right_on: on}
-    keep = [right_by, right_on] + [c for c in right_cols if c not in (right_by, right_on)]
-    if tie_col not in keep:
-        keep.append(tie_col)
-    tie_out = right_cols.get(tie_col, tie_col)
-    renames.update({src: dst for src, dst in right_cols.items()
-                    if src not in (right_by, right_on)})
-    if tie_col not in right_cols and tie_col not in (right_by, right_on):
-        renames[tie_col] = tie_out
-    both, left_cols, extra_cols = _union_tagged(
-        left, right, renames, right_keep=[renames.get(c, c) for c in keep])
-    out_right = [right_cols[c] for c in right_cols if c not in (right_by, right_on)]
-    # null-padding integer columns through the union makes them float in
-    # pandas; left-side values are never null there, so restoring the
-    # original left dtypes after the merge is exact
-    left_dtypes = {n: t.to_pandas_dtype() for n, t in
-                   zip(left.schema().names, left.schema().types)
-                   if pa.types.is_integer(t)}
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        l = df[df[_SIDE] == 0][left_cols].sort_values(on, kind="mergesort")
-        # right: sorted so the direction's duplicate rule lands on the MAX
-        # tie_col — backward takes the LAST equal-`on` duplicate (tie
-        # ascending), forward takes the FIRST (tie descending)
-        r = df[df[_SIDE] == 1][[by, on] + sorted(set(extra_cols))].sort_values(
-            [on, tie_out], kind="mergesort",
-            ascending=[True, direction == "backward"])
-        if l.empty:
-            return pd.DataFrame({c: pd.Series([], dtype="float64")
-                                 for c in left_cols + out_right})
-        l = l.astype(left_dtypes)
-        r = r.astype({by: left_dtypes[by]} if by in left_dtypes else {})
-        out = pd.merge_asof(l, r[[by, on] + out_right], on=on, by=by,
-                            direction=direction, allow_exact_matches=True)
-        return out
-
-    return grouped_apply(both, [by], merge, num_partitions=num_partitions)
-
-
-def interval_count_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
-                        left_key: str, left_id: str, left_start: str,
-                        right_key: str, right_ts: str,
-                        window: np.timedelta64,
-                        out_count: str = "n_in_window",
-                        num_partitions: int = DEFAULT_PARTITIONS) -> ray.data.Dataset:
-    """Range-join COUNT: for each left row, the number of right rows with the
-    same key and ``right_ts`` in ``[left_start, left_start + window)``.  Left
-    rows with no matching key count 0 (LEFT-join semantics).
-
-    Per-partition algorithm is fully vectorized — no per-row loop and no pair
-    materialization: right timestamps are lex-sorted by (key-index, ts) into a
-    single composite int64 axis, and each left interval becomes two
-    ``np.searchsorted`` probes whose difference is the count.  The composite
-    fits int64 while ``keys_in_partition × ts_range_us < 2**63`` (centuries of
-    span for millions of per-partition keys); a wider layout would switch to
-    per-key offset slicing."""
-    lcols = [left_id, left_key, left_start]
-    renames = {right_key: left_key, right_ts: "_rts"}
-    both, _, _ = _union_tagged(left, right, renames,
-                               right_keep=[left_key, "_rts"], left_keep=lcols)
-    win_us = int(window / np.timedelta64(1, "us"))
-
-    def count(df: pd.DataFrame) -> pd.DataFrame:
-        l = df[df[_SIDE] == 0]
-        if l.empty:
-            return pd.DataFrame({left_id: pd.Series([], dtype="int64"),
-                                 out_count: pd.Series([], dtype="int64")})
-        r = df[df[_SIDE] == 1]
-        t0 = l[left_start].to_numpy().astype("datetime64[us]").astype(np.int64)
-        if r.empty:
-            return pd.DataFrame({left_id: l[left_id].astype("int64").to_numpy(),
-                                 out_count: np.zeros(len(l), dtype=np.int64)})
-        rts = r["_rts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        rkey = r[left_key].to_numpy()
-        lkey = l[left_key].to_numpy()
-        keys = np.unique(np.concatenate([rkey, lkey]))
-        base = min(int(rts.min()), int(t0.min()))
-        span = max(int(rts.max()), int(t0.max() + win_us)) - base + 2
-        if len(keys) * span >= 2**63:        # composite would overflow
-            raise OverflowError("interval_count_join: key×span layout too "
-                                "wide for the composite axis")
-        rk = np.searchsorted(keys, rkey).astype(np.int64)
-        comp = np.sort(rk * span + (rts - base))
-        lk = np.searchsorted(keys, lkey).astype(np.int64)
-        lo = lk * span + np.clip(t0 - base, 0, span - 1)
-        hi = lk * span + np.clip(t0 + win_us - base, 0, span - 1)
-        n = np.searchsorted(comp, hi) - np.searchsorted(comp, lo)
-        return pd.DataFrame({left_id: l[left_id].astype("int64").to_numpy(),
-                             out_count: n.astype(np.int64)})
-
-    return grouped_apply(both, [left_key], count, num_partitions=num_partitions)
-
-
 def hash_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
               on: str, right_on: str | None = None,
               how: str = "inner",
               num_partitions: int = DEFAULT_PARTITIONS) -> ray.data.Dataset:
     """Co-partitioned equality join of two fact tables ("inner", "semi",
     "anti") — the shuffle join for when NEITHER side fits a broadcast
-    (dimension-sized sides should keep using the `ray.put` broadcast-lookup
-    pattern in pipelines/relational.py instead; this operator moves BOTH
-    inputs through the exchange).
+    (dimension-sized sides should keep using a `ray.put` broadcast lookup,
+    like the broadcast dictionary corrector; this operator moves BOTH inputs
+    through the exchange).
 
-    Same machinery as the temporal joins above: tag sides, harmonize schemas,
-    union, ONE coarse hash-partitioning shuffle on the key, vectorized pandas
-    merge per partition.  "semi"/"anti" return left rows (filtered); "inner",
+    Tag sides, harmonize schemas, union, ONE coarse hash-partitioning shuffle
+    on the key, vectorized pandas merge per partition.  "semi"/"anti" return left rows (filtered); "inner",
     "left", "right" and "full" return left+right columns (outer variants
     null-pad unmatched rows and keep the padded side's integer columns
     float64 — coalesce + cast downstream); non-key column names must not
@@ -328,73 +207,3 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
         return l[keep if how == "semi" else ~keep]
 
     return grouped_apply(both, [on], merge, num_partitions=num_partitions)
-
-
-def salted_inner_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
-                      on: str, right_on: str | None = None,
-                      salt_buckets: int = 16,
-                      num_partitions: int = DEFAULT_PARTITIONS
-                      ) -> ray.data.Dataset:
-    """Skew-resistant inner equi join: a HOT left key no longer funnels into
-    one reduce task — left rows spread across ``salt_buckets`` sub-keys (a
-    per-batch row-position salt: placement is layout-dependent, the joined
-    SET is not), the right side replicates each row to every salt, and the
-    exchange co-partitions on (key, salt).  Cost model: right-side traffic
-    × salt_buckets buys a salt_buckets× reduction in the hottest task's
-    share of the left — the standard trade for power-law fact-fact joins
-    (use plain ``hash_join`` when neither side is skewed).
-
-    Same column contract as ``hash_join(how="inner")``: non-key names must
-    not collide; output = left columns + renamed right columns.
-    """
-    left, right = _as_arrow(left), _as_arrow(right)
-    # same degenerate-schema contract as hash_join(how="inner"): an empty
-    # (schema-less) side makes the inner join empty
-    ls_raw, rs_raw = left.schema(), right.schema()
-    if ls_raw is None or not ls_raw.names:
-        return left
-    if rs_raw is None or not rs_raw.names:
-        return left.limit(0)
-    renames = {right_on or on: on}
-    clash = (set(ls_raw.names)
-             & {renames.get(n, n) for n in rs_raw.names}) - {on}
-    if clash:
-        raise ValueError(f"salted_inner_join: column name collision "
-                         f"{sorted(clash)}; rename before joining")
-    S = int(salt_buckets)
-
-    def salt_left(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_salt", pa.array(np.arange(batch.num_rows, dtype=np.int64) % S))
-
-    def replicate_right(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        idx = pa.array(np.repeat(np.arange(n, dtype=np.int64), S))
-        rep = batch.take(idx)
-        return rep.append_column(
-            "_salt", pa.array(np.tile(np.arange(S, dtype=np.int64), n)))
-
-    both, left_cols, right_cols = _union_tagged(
-        left.map_batches(salt_left, batch_format="pyarrow"),
-        right.map_batches(replicate_right, batch_format="pyarrow"),
-        renames)
-    left_int = {n: t.to_pandas_dtype() for n, t in
-                zip(left.schema().names, left.schema().types)
-                if pa.types.is_integer(t)}
-    rs = _renamed_schema(right, renames)
-    right_int = {n: t.to_pandas_dtype() for n, t in zip(rs.names, rs.types)
-                 if n in right_cols and pa.types.is_integer(t)}
-    out_right = [c for c in right_cols if c != "_salt"]
-    payload_left = [c for c in left_cols if c != "_salt"]
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        # a coarse partition holds MANY (key, salt) groups — merging on the
-        # key alone would cross-match salts and duplicate pairs, so the salt
-        # is part of the merge key and dropped after
-        l = df[df[_SIDE] == 0][payload_left + ["_salt"]].astype(left_int)
-        r = df[df[_SIDE] == 1][[on, "_salt"] + out_right].astype(right_int)
-        return l.merge(r, on=[on, "_salt"], how="inner") \
-            .drop(columns=["_salt"])
-
-    return grouped_apply(both, [on, "_salt"], merge,
-                         num_partitions=num_partitions)

@@ -379,8 +379,7 @@ def grouped_sketch_quantiles(ds: ray.data.Dataset, key_col: str, col: str,
                              qs: list[float], *, k: int = 256) -> pa.Table:
     """Per-key mergeable KLL sketches — the continuous-value twin of
     ``grouped_exact_quantiles`` (whose driver histogram is O(groups ×
-    DISTINCT VALUES) and breaks on continuous columns), and the KLL sibling
-    of ``sketches.hll_registers_by_key``: each block emits one serialized
+    DISTINCT VALUES) and breaks on continuous columns): each block emits one serialized
     sketch per distinct key it contains (key, level, value, n — ``n`` on the
     sketch's first row only, the Misra–Gries n_stream trick, so sketches
     concatenate safely inside a transport batch), the driver merges per key.

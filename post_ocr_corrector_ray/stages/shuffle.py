@@ -2,8 +2,8 @@
 
 Ray Data's ``groupby().aggregate()`` / ``map_groups()`` pays per-GROUP Python
 overhead (~ms); measured on this Ray 2.49 install, a 2-column aggregate over
-40k groups takes ~100 s.  Fine for low-cardinality keys (our relational
-demos), catastrophic for web-scale keys (tokens, content hashes, url buckets,
+40k groups takes ~100 s.  Fine for low-cardinality keys (languages,
+statuses), catastrophic for web-scale keys (tokens, content hashes, url buckets,
 candidate pairs).
 
 The pattern here keeps the number of Ray-level groups FIXED at
@@ -105,7 +105,7 @@ class _EmptyBlockSizeEstimateFilter(logging.Filter):
 
     Ray's ``PandasBlockAccessor.size_bytes`` estimates object-column width
     with ``np.vectorize``, which raises on size-0 input — so every empty
-    string-typed block a selective exchange produces (e.g. the bloom-routed
+    string-typed block a selective exchange produces (e.g. a near-dup
     anti join, where most key partitions are empty) logs a spurious
     warning.  Genuine estimation failures on non-empty columns still warn.
     """

@@ -138,43 +138,3 @@ def mg_heavy_hitters(ds: "ray.data.Dataset", col_fn, *, k: int = 256
     out["est"] = out["est"].astype("int64")
     out.attrs["n_total"] = n_total
     return out
-
-
-def hll_registers_by_key(ds: "ray.data.Dataset", key_col: str, val_col: str,
-                         *, p: int = 12, hash_fn=None) -> dict:
-    """Per-key HLL register arrays: each block emits one (key, registers)
-    row per distinct key it contains; the driver max-merges per key.
-    Returns {key(int64): uint8[2^p]}.
-
-    The mergeability is the point: downstream WINDOWED distinct counts
-    (rolling DAU) come from max-merging the per-bucket sketches across the
-    window — no W× row replication, no key-partitioned exchange of raw
-    pairs.  Driver memory is O(keys · 2^p); at corpus scale the per-key
-    merge would run as one coarse grouped max-aggregate instead (same
-    register algebra), which is why the registers travel as bytes."""
-    from ..functions.hashing import hash_u64_array
-
-    hash_fn = hash_fn or (lambda arr: hash_u64_array(
-        np.asarray(arr, dtype=np.uint64), seed=17))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        keys = batch.column(key_col).to_numpy(zero_copy_only=False) \
-                                    .astype(np.int64)
-        vals = batch.column(val_col).to_numpy(zero_copy_only=False)
-        out_k, out_r = [], []
-        for k in np.unique(keys):
-            h = hash_fn(vals[keys == k])
-            out_k.append(int(k))
-            out_r.append(_hll_registers(h, p).tobytes())
-        return pa.table({"key": pa.array(out_k, pa.int64()),
-                         "regs": pa.array(out_r, pa.binary())})
-
-    merged: dict[int, np.ndarray] = {}
-    for b in ds.map_batches(partial, batch_format="pyarrow") \
-               .iter_batches(batch_size=4096, batch_format="pyarrow"):
-        for k, r in zip(b.column("key").to_pylist(),
-                        b.column("regs").to_pylist()):
-            arr = np.frombuffer(r, dtype=np.uint8)
-            prev = merged.get(k)
-            merged[k] = arr.copy() if prev is None else np.maximum(prev, arr)
-    return merged

@@ -17,8 +17,11 @@ no central manifest to corrupt: the marker files ARE the manifest, and the
 tmp→rename protocol makes each commit atomic on POSIX.
 
 The hash function IS the resume contract: every marker records
-``partition_scheme`` and resume refuses (loudly) to mix schemes — a store
-written under a different hash would otherwise silently drop/duplicate rows.
+``partition_scheme`` and ``num_partitions``, and resume refuses (loudly) to
+mix schemes or partition counts — a store written under a different layout
+would otherwise silently drop/duplicate rows.  Resume also refuses a marker
+written from a different input fingerprint or stage versions: the rerun must
+reproduce the store, not splice two runs into one.
 
 Lineage recorded per partition: input fileset fingerprint, row/url counts,
 url-hash range, stage versions, wall-clock, and arbitrary caller metrics.
@@ -44,18 +47,29 @@ SUCCESS_NAME = "_SUCCESS.json"
 PARTITION_SCHEME = "polyhash-v2"
 
 
-def check_partition_scheme(out_dir: str) -> None:
+def check_partition_scheme(out_dir: str, *, num_partitions: int | None = None,
+                           input_fingerprint: str | None = None,
+                           stage_versions: dict | None = None) -> None:
     """Refuse to resume over partitions committed under a different url-hash
-    scheme: the partition ids would not correspond to the same url sets, so a
-    'resume' would silently drop some urls and duplicate others."""
+    scheme or partition count (the partition ids would not correspond to the
+    same url sets, so a 'resume' would silently drop some urls and duplicate
+    others), or from a different input or stage versions.  An argument left
+    ``None`` is not checked; a marker without ``num_partitions`` predates
+    that field and is not checked against it."""
+    current = {"partition_scheme": PARTITION_SCHEME,
+               "num_partitions": num_partitions,
+               "input_fingerprint": input_fingerprint,
+               "stage_versions": stage_versions}
     for rec in read_lineage(out_dir):
-        scheme = rec.get("partition_scheme", "blake2b-v1")
-        if scheme != PARTITION_SCHEME:
-            raise ValueError(
-                f"{out_dir} partition {rec['partition']} was committed under "
-                f"partition_scheme={scheme!r} but this engine uses "
-                f"{PARTITION_SCHEME!r}; resuming would corrupt the output. "
-                f"Re-run with resume=False (or a fresh out_dir).")
+        rec = {"partition_scheme": "blake2b-v1", **rec}  # blake2b-era markers lack it
+        for field, want in current.items():
+            got = rec.get(field)
+            if want is not None and got is not None and got != want:
+                raise ValueError(
+                    f"{out_dir} partition {rec['partition']} was committed "
+                    f"with {field}={got!r} but this run uses {want!r}; "
+                    f"resuming would corrupt the output. "
+                    f"Re-run with resume=False (or a fresh out_dir).")
 
 
 def fingerprint_inputs(paths: list[str] | str) -> str:
@@ -100,7 +114,8 @@ def committed_partitions(out_dir: str) -> frozenset[int]:
 def commit_partition(table: pa.Table, out_dir: str, part_id: int, *,
                      input_fingerprint: str = "", stage_versions: dict | None = None,
                      metrics: dict | None = None,
-                     data_format: str = "parquet") -> dict:
+                     data_format: str = "parquet",
+                     num_partitions: int | None = None) -> dict:
     """Atomically write one partition + its lineage record; returns the record.
 
     ``data_format="csv"`` mirrors the reference eval sink (eval.py:39-42
@@ -122,6 +137,7 @@ def commit_partition(table: pa.Table, out_dir: str, part_id: int, *,
     record = {
         "partition": part_id,
         "partition_scheme": PARTITION_SCHEME,
+        "num_partitions": num_partitions,
         "data_format": data_format,
         "n_rows": table.num_rows,
         "engine_version": __version__,
@@ -156,9 +172,12 @@ def commit_by_key(ds, out_dir: str, *, key_col: str,
 
     from ..functions.hashing import partition_of_array
 
+    stage_versions = stage_versions or {}
     committed: frozenset[int] = frozenset()
     if resume:
-        check_partition_scheme(out_dir)
+        check_partition_scheme(out_dir, num_partitions=num_partitions,
+                               input_fingerprint=input_fingerprint,
+                               stage_versions=stage_versions)
         committed = committed_partitions(out_dir)
 
     def add_part(batch: pa.Table) -> pa.Table:
@@ -175,7 +194,8 @@ def commit_by_key(ds, out_dir: str, *, key_col: str,
         rec = commit_partition(group.drop_columns(["_part"]), out_dir, part_id,
                                input_fingerprint=input_fingerprint,
                                stage_versions=stage_versions,
-                               data_format=data_format)
+                               data_format=data_format,
+                               num_partitions=num_partitions)
         return pa.Table.from_pylist([{"part": part_id, "n_rows": rec["n_rows"]}])
 
     return ds.map_batches(add_part, batch_format="pyarrow") \

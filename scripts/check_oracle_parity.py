@@ -25,8 +25,7 @@ ray.data.DataContext.get_current().enable_progress_bars = False
 import __ray_entry__ as entrymod
 
 con = duckdb.connect()
-for t in "region nation customer supplier part orders lineitem events documents".split():
-    con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
+con.execute(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')")
 
 def to_pandas(res):
     import pyarrow as pa

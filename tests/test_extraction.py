@@ -133,6 +133,21 @@ class TestPartitionHash:
         parts = partition_of_array(arr, 16)
         assert [int(p) for p in parts] == [partition_of(s, 16) for s in strs]
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
+    def test_partition_ids_agree_and_cover_range(self, n):
+        """The resume unit: scalar and vectorized assignment agree at every
+        partition count, stay in [0, n) and reach every partition."""
+        import pyarrow as pa
+
+        from post_ocr_corrector_ray.functions.hashing import (
+            partition_of, partition_of_array)
+
+        urls = [f"https://synth.example/d{i % 97}/page-{i}" for i in range(20_000)]
+        parts = partition_of_array(pa.array(urls, pa.string()), n)
+        assert parts.min() >= 0 and parts.max() < n
+        assert len(np.unique(parts)) == n
+        assert [int(p) for p in parts[:300]] == [partition_of(u, n) for u in urls[:300]]
+
     def test_sliced_array_hashes_identically(self):
         import pyarrow as pa
 

@@ -89,44 +89,10 @@ class TestEmptyInputTopK:
     """Driver-side top-k merges must survive an all-empty partial set
     (pd.DataFrame([]) has no columns, so an unguarded sort_values raises)."""
 
-    def _write_empty(self, tmp_path):
-        import pyarrow.parquet as pq
-
-        pq.write_table(pa.table({
-            "o_orderkey": pa.array([], pa.int64()),
-            "o_custkey": pa.array([], pa.int64()),
-            "o_totalprice": pa.array([], pa.float64()),
-            "o_orderdate": pa.array([], pa.timestamp("us")),
-            "o_orderpriority": pa.array([], pa.string()),
-        }), f"{tmp_path}/orders.parquet")
-        pq.write_table(pa.table({
-            "c_custkey": pa.array([], pa.int64()),
-            "c_name": pa.array([], pa.string()),
-        }), f"{tmp_path}/customer.parquet")
-        pq.write_table(pa.table({
-            "event_id": pa.array([], pa.int64()),
-            "user_id": pa.array([], pa.int64()),
-            "event_type": pa.array([], pa.string()),
-            "ts": pa.array([], pa.timestamp("us")),
-            "value": pa.array([], pa.float64()),
-        }), f"{tmp_path}/events.parquet")
-        _write_docs(tmp_path, [])
-        return str(tmp_path)
-
     def test_empty_tables_yield_typed_empty_results(self, tmp_path):
         from post_ocr_corrector_ray.pipelines.documents import doc_top_tokens
-        from post_ocr_corrector_ray.pipelines.relational import (
-            events_topk_per_type,
-            top_customers,
-        )
 
-        sf = self._write_empty(tmp_path)
-        t = top_customers(sf)
-        assert t.num_rows == 0
-        assert t.column_names == ["c_custkey", "c_name", "revenue"]
-        e = events_topk_per_type(sf)
-        assert e.num_rows == 0
-        assert set(e.column_names) >= {"event_type", "value", "rk"}
+        sf = _write_docs(tmp_path, [])
         d = doc_top_tokens(sf)
         assert d.num_rows == 0
         assert d.column_names == ["token", "frequency"]
@@ -162,45 +128,6 @@ class TestRound3Edges:
         n_bb = (out["lang"] == "bb").sum()
         assert n_bb > 10 and n_aa < 90        # bb upsampled, aa downsampled
 
-    def test_running_totals_single_and_empty_user(self):
-        import ray.data
-        from post_ocr_corrector_ray.pipelines import relational as R
-
-        # direct stage-level window math on a 1-row and interleaved frame is
-        # covered by the oracle; here pin grouped_apply wiring on tiny input
-        sf = "/root/testdata/sf0.001"
-        out = R.events_running_totals(sf).to_pandas()
-        assert (out.groupby("user_id")["row_n"].min() == 1).all()
-        one = out[out["row_n"] == 1]
-        first_vals = one["running_value"].to_numpy()
-        assert np.allclose(one["moving_avg"].to_numpy(), first_vals)
-
-    def test_large_volume_orders_empty_qualifiers(self, ray_session):
-        from post_ocr_corrector_ray.pipelines.relational import large_volume_orders
-
-        out = large_volume_orders("/root/testdata/sf0.001",
-                                  min_qty=10**9).to_pandas()
-        assert len(out) == 0
-
-    def test_large_volume_orders_fallback_matches_broadcast(self, ray_session):
-        """A low threshold makes the HAVING unselective; budget=0 forces the
-        co-partitioned hash_join tail, which must be row-identical to the
-        broadcast pushdown (values, dtypes, timestamps)."""
-        from post_ocr_corrector_ray.pipelines.relational import large_volume_orders
-
-        sf = "/root/testdata/sf0.001"
-        kw = dict(min_qty=50.0)                       # huge qualifying set
-        cols = ["o_orderkey", "c_name", "o_custkey", "o_orderdate",
-                "o_totalprice", "total_qty"]
-
-        def canon(ds):
-            df = ds.to_pandas()[cols]
-            return df.sort_values("o_orderkey").reset_index(drop=True)
-
-        broad = canon(large_volume_orders(sf, broadcast_budget=10**9, **kw))
-        joined = canon(large_volume_orders(sf, broadcast_budget=0, **kw))
-        assert len(broad) > 100                        # fallback really fired
-        pd.testing.assert_frame_equal(broad, joined)
 
 @pytest.mark.usefixtures("ray_session")
 class TestFastHashTwins:

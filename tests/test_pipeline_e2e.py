@@ -121,12 +121,49 @@ class TestCommitResume:
         # lineage records present with metrics
         recs = lin.read_lineage(out)
         assert all(r["input_fingerprint"] == "testfp" for r in recs)
+        assert all(r["num_partitions"] == 8 for r in recs)
         assert sum(r["n_rows"] for r in recs) == N_PAGES
         # output matches oracle
         table = lin.read_output(out)
-        got = dict(zip(table.column("url").to_pylist(),
-                       table.column("corrected_text").to_pylist()))
+        texts = table.column("corrected_text").to_pylist()
+        got = dict(zip(table.column("url").to_pylist(), texts))
         assert got == oracle_extract(pages_table)
+        # the markers' metrics add up to the committed text
+        assert sum(r["metrics"]["n_empty_outputs"] for r in recs) \
+            == sum(1 for t in texts if not t)
+        assert sum(r["metrics"]["total_out_chars"] for r in recs) \
+            == sum(len(t or "") for t in texts)
+
+    def test_commit_metrics_count_code_points(self, tmp_path):
+        """Outputs outside the BMP, combining marks, CJK, whitespace-only and
+        missing payloads: the markers count code points (Python ``len``),
+        and an empty output counts as empty whatever produced it."""
+        import datetime
+
+        import pyarrow as pa
+        import ray.data
+
+        from post_ocr_corrector_ray.sources.synth import PAGES_SCHEMA
+
+        texts = ["plain ascii", "emoji 😀🚀 end", "é combining",
+                 "日本語のページ", "   ", None, "𝔘𝔫𝔦𝔠𝔬𝔡𝔢", ""] * 5
+        n = len(texts)
+        pages = pa.table({"url": [f"https://u.example/{i}" for i in range(n)],
+                          "warc_ts": [datetime.datetime(2024, 1, 1)] * n,
+                          "html": pa.nulls(n, pa.binary()),
+                          "text": texts, "lang": ["en"] * n},
+                         schema=PAGES_SCHEMA)
+        out = str(tmp_path / "cp")
+        extract_correct(ray.data.from_arrow(pages), corrector="null",
+                        out_dir=out, num_partitions=4).to_pandas()
+        recs = lin.read_lineage(out)
+        got = lin.read_output(out).column("corrected_text").to_pylist()
+        want = [(t or "").strip() for t in texts]
+        assert sorted(got) == sorted(want)
+        assert sum(r["metrics"]["total_out_chars"] for r in recs) \
+            == sum(len(t) for t in want)
+        assert sum(r["metrics"]["n_empty_outputs"] for r in recs) \
+            == sum(1 for t in want if not t) == 15
 
     def test_resume_skips_committed(self, pages_file, tmp_path):
         import ray.data
@@ -233,26 +270,46 @@ class TestCommitByKey:
 
 @pytest.mark.usefixtures("ray_session")
 class TestPartitionSchemeGuard:
-    def test_foreign_scheme_resume_refused(self, pages_file, tmp_path):
+    @pytest.mark.parametrize("mismatch", ["partition_scheme", "num_partitions",
+                                          "input_fingerprint", "stage_versions"],
+                             ids=["scheme", "partitions", "fingerprint", "stages"])
+    def test_foreign_scheme_resume_refused(self, pages_file, tmp_path, mismatch):
         import json
+        import shutil
 
         import ray.data
 
-        out = str(tmp_path / "legacy")
-        extract_correct(ray.data.read_parquet(pages_file), corrector="null",
-                        out_dir=out, num_partitions=4).to_pandas()
-        # forge one marker as a legacy/blake2b-era commit
-        mpath = os.path.join(lin.partition_dir(out, sorted(
-            lin.committed_partitions(out))[0]), lin.SUCCESS_NAME)
-        rec = json.load(open(mpath))
-        rec.pop("partition_scheme")
-        json.dump(rec, open(mpath, "w"))
-        with pytest.raises(ValueError, match="partition_scheme"):
-            extract_correct(ray.data.read_parquet(pages_file), corrector="null",
-                            out_dir=out, num_partitions=4)
+        out = str(tmp_path / "store")
+
+        def run(num_partitions, **kw):
+            return extract_correct(ray.data.read_parquet(pages_file),
+                                   corrector="null", out_dir=out,
+                                   num_partitions=num_partitions,
+                                   input_fingerprint="A", **kw)
+
+        run(8).to_pandas()
+        parts = sorted(lin.committed_partitions(out))
+        rerun_partitions = 8
+        if mismatch == "num_partitions":
+            # half the store is lost, then the rerun picks another count
+            for p in parts:
+                if p >= 4:
+                    shutil.rmtree(lin.partition_dir(out, p))
+            rerun_partitions = 4
+        else:
+            mpath = os.path.join(lin.partition_dir(out, parts[0]), lin.SUCCESS_NAME)
+            rec = json.load(open(mpath))
+            if mismatch == "partition_scheme":
+                rec.pop("partition_scheme")  # a legacy/blake2b-era commit
+            elif mismatch == "input_fingerprint":
+                rec["input_fingerprint"] = "B"
+            else:
+                rec["stage_versions"] = {"extract": "0", "correct": "null/1"}
+            json.dump(rec, open(mpath, "w"))
+        with pytest.raises(ValueError, match=mismatch):
+            run(rerun_partitions)
         # resume=False bypasses (fresh recompute over the same dir is allowed)
-        extract_correct(ray.data.read_parquet(pages_file), corrector="null",
-                        out_dir=out, num_partitions=4, resume=False).to_pandas()
+        run(rerun_partitions, resume=False).to_pandas()
         assert lin.read_output(out).num_rows == N_PAGES
 
 

@@ -1,8 +1,8 @@
 """Coarse hash-partitioned shuffle helper + SQL-oracle parity guard.
 
-The parity test runs every document-side oracle-backed ``__ray_entry__``
-query (plus a pinned relational subset) against its DuckDB oracle on the
-fixture the oracles' inlined constants were derived from.
+The parity test runs every oracle-backed ``__ray_entry__`` query against its
+DuckDB oracle on the fixture the oracles' inlined constants were derived
+from.
 """
 
 import duckdb
@@ -14,16 +14,8 @@ import __ray_entry__ as entry
 from post_ocr_corrector_ray.stages.shuffle import distinct_rows, grouped_agg, grouped_apply
 
 SF = "/root/testdata/sf0.001"
-TABLES = "region nation customer supplier part orders lineitem events documents"
+TABLES = "documents"
 ORACLES = entry.oracle_sql()
-# relational entries (outside the webtext boundary) still checked here until
-# pipelines/relational.py is deleted; every in-boundary oracle is a doc_* one
-RELATIONAL_PINNED = [
-    "order_priority_counts", "events_sessions", "supplier_counts_by_region",
-    "shipping_priority", "events_hourly", "events_value_lead",
-    "events_users_intersect", "events_first_value", "orders_price_dense_rank",
-    "events_value_cume_dist",
-]
 
 
 @pytest.fixture(scope="module")
@@ -76,11 +68,59 @@ class TestShuffleHelpers:
 
 
 @pytest.mark.usefixtures("ray_session")
+class TestShuffleHelpersSpec:
+    """Each helper against pandas on a two-column (string, int) key, with
+    every key's rows spread over several input blocks."""
+
+    @staticmethod
+    def _frame():
+        rng = np.random.default_rng(12)
+        n = 3000
+        v = rng.integers(-100, 100, n).astype("float64")
+        v[rng.random(n) < 0.1] = np.nan
+        return pd.DataFrame({"a": rng.choice(["en", "de", "fr"], n),
+                             "b": rng.integers(0, 200, n).astype("int64"),
+                             "v": v})
+
+    @pytest.mark.parametrize("how", ["sum", "min", "max", "count"])
+    def test_grouped_agg_each_combinable_agg(self, how):
+        import ray.data
+
+        df = self._frame()
+        got = grouped_agg(ray.data.from_pandas(df).repartition(9), ["a", "b"],
+                          {"out": ("v", how)}, num_partitions=4).to_pandas()
+        want = df.groupby(["a", "b"], as_index=False).agg(out=("v", how))
+        pd.testing.assert_frame_equal(_canon(got), _canon(want), check_dtype=False)
+
+    @pytest.mark.parametrize("parts", [1, 7])
+    def test_distinct_rows_layout_invariant(self, parts):
+        import ray.data
+
+        df = self._frame().fillna(0.0)
+        got = distinct_rows(ray.data.from_pandas(df).repartition(5), ["a", "b"],
+                            num_partitions=parts).to_pandas()
+        want = df.sort_values(["a", "b", "v"]).drop_duplicates(subset=["a", "b"])
+        pd.testing.assert_frame_equal(_canon(got), _canon(want), check_dtype=False)
+
+    def test_grouped_apply_multi_column_key(self):
+        import ray.data
+
+        df = self._frame()
+
+        def n_rows(d: pd.DataFrame) -> pd.DataFrame:
+            return d.groupby(["a", "b"], as_index=False).size()
+
+        got = grouped_apply(ray.data.from_pandas(df).repartition(6), ["a", "b"],
+                            n_rows, num_partitions=3).to_pandas()
+        want = df.groupby(["a", "b"], as_index=False).size()
+        pd.testing.assert_frame_equal(_canon(got), _canon(want), check_dtype=False)
+
+
+@pytest.mark.usefixtures("ray_session")
 class TestOracleParitySubset:
     """Ray result vs DuckDB oracle."""
 
-    @pytest.mark.parametrize("name", sorted(
-        k for k in ORACLES if k.startswith("doc_")) + RELATIONAL_PINNED)
+    @pytest.mark.parametrize("name", sorted(ORACLES))
     def test_query_matches_oracle(self, con, name):
         res = entry.queries()[name](entry._ORACLE_SF_DIR)
         got = res.to_pandas() if hasattr(res, "to_pandas") else pd.DataFrame(res)
@@ -98,18 +138,6 @@ class TestOracleParitySubset:
         a, b = q(SF).to_pandas(), q(SF).to_pandas()
         pd.testing.assert_frame_equal(a, b)
         assert (a["is_best"].sum() == 2) == (a["split"].nunique() == 2)
-
-    @pytest.mark.parametrize("name,col", [
-        ("events_hourly", "hour"),
-        ("shipping_priority", "o_orderdate"),
-    ])
-    def test_datetime_outputs_are_microsecond(self, name, col):
-        """Datetime columns leave the engine at microsecond resolution — the
-        parquet/DuckDB timestamp unit — so resolution-sensitive value-hash
-        comparators see identical int64 payloads."""
-        res = entry.queries()[name](SF)
-        got = res.to_pandas() if hasattr(res, "to_pandas") else pd.DataFrame(res)
-        assert str(got[col].dtype) == "datetime64[us]"
 
 
 def test_partitions_for_adaptive_width(ray_session):
