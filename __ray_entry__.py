@@ -192,83 +192,6 @@ def _flagship_dictionary_joined(n_pages: int):
                        banded=True, skip_empty_correct=True))
 
 
-def _media_metadata(n: int):
-    import pyarrow as pa
-
-    import ray.data
-
-    from post_ocr_corrector_ray.stages import multimodal as mm
-
-    def gen(batch: pa.Table) -> pa.Table:
-        return mm.media_batch(batch.column("id").to_numpy(), seed=42)
-
-    media = ray.data.range(n, override_num_blocks=8).map_batches(
-        gen, batch_format="pyarrow")
-    return media.map_batches(mm.MediaMetadataStage, batch_format="pyarrow",
-                             batch_size=32, concurrency=2, num_cpus=1)
-
-
-def _media_ds(n: int):
-    import pyarrow as pa
-
-    import ray.data
-
-    from post_ocr_corrector_ray.stages import multimodal as mm
-
-    def gen(batch: pa.Table) -> pa.Table:
-        return mm.media_batch(batch.column("id").to_numpy(), seed=42)
-
-    return ray.data.range(n, override_num_blocks=8).map_batches(
-        gen, batch_format="pyarrow")
-
-
-def _media_phash_dups(n: int, n_distinct: int = 150):
-    """Image near-dup detection over binary payloads: perceptual dHash per
-    image (real resize geometry over the stubbed pixel source) → banded
-    64-bit candidates → in-shuffle Hamming verify.  The synthetic corpus
-    reuses content index ``id % n_distinct`` so ids ≥ n_distinct are exact
-    payload duplicates of earlier rows — the pairs the stage must find."""
-    import pyarrow as pa
-
-    import ray.data
-
-    from post_ocr_corrector_ray.stages import dedup as dd
-    from post_ocr_corrector_ray.stages import multimodal as mm
-
-    def gen(batch: pa.Table) -> pa.Table:
-        ids = batch.column("id").to_numpy()
-        t = mm.media_batch(ids % n_distinct, seed=42)
-        return t.set_column(t.schema.get_field_index("media_id"),
-                            "media_id", pa.array(ids, pa.int64()))
-
-    media = ray.data.range(n, override_num_blocks=8).map_batches(
-        gen, batch_format="pyarrow")
-    sigs = media.map_batches(mm.phash_batch, batch_format="pyarrow",
-                             batch_size=32, num_cpus=1)
-    return dd.hash64_candidates(sigs, id_col="media_id", max_hamming=3)
-
-
-def _media_resize(n: int):
-    from post_ocr_corrector_ray.stages import multimodal as mm
-
-    return _media_ds(n).map_batches(mm.MediaResizeStage, batch_format="pyarrow",
-                                    batch_size=32, concurrency=2, num_cpus=1)
-
-
-def _media_frame_sample(n: int):
-    from post_ocr_corrector_ray.stages import multimodal as mm
-
-    return _media_ds(n).map_batches(mm.frame_sample_batch,
-                                    batch_format="pyarrow",
-                                    fn_kwargs=dict(every_n=10))
-
-
-def _dictionary_sweep(sf_dir: str):
-    from post_ocr_corrector_ray.pipelines.tuning import doc_dictionary_sweep
-
-    return doc_dictionary_sweep(sf_dir)
-
-
 def entry() -> Any:
     """Flagship pipeline smoke (sf0.001-scale synthetic pages)."""
     return _flagship(n_pages=60)
@@ -349,18 +272,7 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         # shuffle — pipelines/training.py; batch-content determinism across
         # parallelism is pytest-pinned in tests/test_training_feed.py)
         "training_feed": lambda sf: T.training_feed(sf),
-        # tuning sweep (reference dictionary_corrector.py:200-246; the
-        # non-torch tuning loop — vocab once, per-option streaming CER eval)
-        "dictionary_sweep": lambda sf: _dictionary_sweep(sf),
-        # multimodal binary columns (synthetic media; header parsing is real,
-        # pixel decode stubbed — stages/multimodal.py)
-        "media_metadata": lambda sf: _media_metadata(200),
-        "media_resize": lambda sf: _media_resize(200),
-        "media_frame_sample": lambda sf: _media_frame_sample(200),
-        # perceptual-hash image near-dup pairs (banded 64-bit candidates)
-        "media_phash_dups": lambda sf: _media_phash_dups(200),
         "doc_length_quantiles": D.doc_length_quantiles,
-        "doc_stratified_sample": D.doc_stratified_sample,
         "doc_length_quantiles_by_lang": D.doc_length_quantiles_by_lang,
         # near-dup clustering + end-to-end dedup (large-star/small-star
         # contraction over verified LSH pairs — stages/components.py)
@@ -932,12 +844,6 @@ def oracle_sql() -> dict[str, str]:
                                        ORDER BY quality, doc_id) AS BIGINT)
                        AS tier
             FROM q""",
-        # threshold 1073741824 = floor(0.25 × 2^32), engine-identical integer
-        "doc_stratified_sample": """
-            SELECT doc_id, lang FROM documents
-            WHERE CAST(('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8))
-                       AS UBIGINT)
-                  < CASE lang WHEN 'en' THEN 1073741824 ELSE 4294967296 END""",
         "doc_length_quantiles_by_lang": """
             WITH g AS (SELECT lang,
                               quantile_disc(n_chars, [0.25,0.5,0.75]) AS vs

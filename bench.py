@@ -26,6 +26,31 @@ SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 
 
+# The representative query suite; every name must be a ``queries()`` key.
+BENCH_QUERIES = (
+    "doc_token_counts", "doc_normalize_ws", "doc_dedup_exact",
+    "doc_token_stats", "doc_lev_reverse", "doc_simhash",
+    "doc_minhash_pairs", "doc_ngram_jaccard_pairs", "doc_langid",
+    "doc_fingerprint", "doc_token_count_bpe", "doc_scrub_pii",
+    "training_feed", "doc_null_corrector_cer", "doc_length_quantiles",
+    "doc_length_quantiles_by_lang", "doc_dup_components",
+    "doc_dedup_near", "doc_top_tokens", "doc_token_distinct",
+    "doc_token_distinct_hll", "doc_percentile_filter",
+    "doc_rank_by_length", "doc_repetition_stats", "doc_contamination",
+    "doc_contamination_joined", "doc_token_familiarity",
+    "doc_lang_weights", "doc_span_dedup", "doc_span_dedup_hashed",
+    "doc_pack_assignments", "doc_shuffle_order", "doc_corpus_prep",
+    "doc_source_cap", "doc_chunk_windows", "doc_idf",
+    "doc_tfidf_top_terms", "doc_inverted_index",
+    "doc_length_ntile", "doc_quality_tiers", "doc_bigram_pmi",
+    "doc_length_percent_rank", "doc_heavy_hitters", "doc_token_entropy",
+    "doc_mix_materialize", "doc_weighted_sample", "doc_dictionary_join",
+    "doc_bpe_token_counts", "doc_winnowing", "doc_winnowing_fast",
+    "doc_dedup_keep_best", "doc_ngram_novelty", "flagship_tiered",
+    "flagship_dictionary_joined",
+)
+
+
 def _n_pages(sf_dir: str) -> int:
     """Page count tied to the scale factor via the documents table row count.
 
@@ -99,29 +124,7 @@ def run_benchmarks() -> dict:
     except Exception as e:  # stats are diagnostics; never fail the bench
         flagship_stats = f"<ds.stats() unavailable: {e}>"
 
-    bench_queries = [] if os.environ.get("GRAFT_HEADLINE_ONLY") else [
-        "doc_token_counts", "doc_normalize_ws", "doc_dedup_exact",
-        "doc_token_stats", "doc_lev_reverse", "doc_simhash",
-        "doc_minhash_pairs", "doc_ngram_jaccard_pairs", "doc_langid",
-        "doc_fingerprint", "doc_token_count_bpe", "doc_scrub_pii",
-        "training_feed", "dictionary_sweep", "doc_null_corrector_cer",
-        "doc_length_quantiles", "doc_stratified_sample",
-        "doc_length_quantiles_by_lang", "doc_dup_components",
-        "doc_dedup_near", "doc_top_tokens", "doc_token_distinct",
-        "doc_token_distinct_hll", "doc_percentile_filter",
-        "doc_rank_by_length", "doc_repetition_stats", "doc_contamination",
-        "doc_contamination_joined", "doc_token_familiarity",
-        "doc_lang_weights", "doc_span_dedup", "doc_span_dedup_hashed",
-        "doc_pack_assignments", "doc_shuffle_order", "doc_corpus_prep",
-        "doc_source_cap", "doc_chunk_windows", "doc_idf",
-        "doc_tfidf_top_terms", "doc_inverted_index", "media_phash_dups",
-        "doc_length_ntile", "doc_quality_tiers", "doc_bigram_pmi",
-        "doc_length_percent_rank", "doc_heavy_hitters", "doc_token_entropy",
-        "doc_mix_materialize", "doc_weighted_sample", "doc_dictionary_join",
-        "doc_bpe_token_counts", "doc_winnowing", "doc_winnowing_fast",
-        "doc_dedup_keep_best", "doc_ngram_novelty", "flagship_tiered",
-        "flagship_dictionary_joined",
-    ]
+    bench_queries = () if os.environ.get("GRAFT_HEADLINE_ONLY") else BENCH_QUERIES
     # Each query is timed as the best of two consecutive runs: the first
     # execution in a session pays Ray worker-pool spin-up and parquet
     # metadata fetch (measured 3-5x inflation under transient host load,

@@ -18,11 +18,6 @@ def stable_hash_u64(key: str, *, salt: bytes = b"") -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def stable_hash_bytes_u64(data: bytes, *, salt: bytes = b"") -> int:
-    h = hashlib.blake2b(data, digest_size=8, key=salt[:64] if salt else b"")
-    return int.from_bytes(h.digest(), "little")
-
-
 _POLY_P = 1099511628211  # FNV prime; uint64 wraparound polynomial base
 
 

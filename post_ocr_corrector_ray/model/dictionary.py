@@ -55,9 +55,6 @@ class DictionaryCorrector:
         self.vocabulary = {t: f for t, f in self.vocabulary.items() if f >= min_frequency}
         self._invalidate()
 
-    def min_frequency_sweep_options(self) -> list[int]:
-        return min_frequency_sweep_options(max(self.vocabulary.values(), default=0))
-
     def _invalidate(self) -> None:
         self._buckets = None
         self._memo = {}
@@ -135,18 +132,3 @@ class DictionaryCorrector:
         assert set(state.keys()) == expected, f"unexpected keys: {set(state.keys())} != {expected}"
         return cls(vocabulary=state["vocabulary"], min_frequency=state["min_frequency"])
 
-
-def min_frequency_sweep_options(max_frequency: int) -> list[int]:
-    """A4 approximate top-k threshold estimate (reference
-    dictionary_corrector.py:211-214): the min_frequency sweep that prunes the
-    vocabulary to roughly its top 1000 words — powers of two up to
-    ``log2(max_frequency / 1000)``.  ``max_frequency`` comes from a tiny
-    distributed max over the (token, frequency) aggregate
-    (``pipelines.corpus.max_token_frequency``)."""
-    import math
-
-    freq_for_top_1000 = max_frequency / 1000
-    if freq_for_top_1000 <= 2:
-        return [2]
-    range_limit = math.ceil(math.log2(freq_for_top_1000))
-    return [2 ** power for power in range(1, range_limit)] or [2]

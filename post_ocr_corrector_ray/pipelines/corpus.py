@@ -182,15 +182,3 @@ def corpus_from_pages(pages: ray.data.Dataset, *, good_chars: str,
                         fn_kwargs=dict(good_chars=good_chars, salt=noise_salt))
     return ds.map_batches(add_split_column, batch_format="pyarrow")
 
-
-def max_token_frequency(counts: ray.data.Dataset) -> int:
-    """Global max of the (token, frequency) aggregate — per-batch partial max
-    streamed to a tiny driver reduce (A4's input; never collects the vocab)."""
-    import pyarrow.compute as pc
-
-    def partial(batch: pa.Table) -> pa.Table:
-        m = pc.max(batch.column("frequency")).as_py() or 0
-        return pa.table({"m": pa.array([int(m)], pa.int64())})
-
-    parts = counts.map_batches(partial, batch_format="pyarrow").take_all()
-    return max((p["m"] for p in parts), default=0)

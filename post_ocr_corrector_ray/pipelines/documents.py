@@ -401,17 +401,6 @@ def doc_length_quantiles(sf_dir: str) -> pa.Table:
                            [0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
 
 
-def doc_stratified_sample(sf_dir: str) -> ray.data.Dataset:
-    """Corpus rebalancing: deterministically downsample the majority language
-    (en → 25%), keep the rest — md5-id-keyed so the sample is layout- and
-    cluster-size-independent with an exact SQL twin (stages/sampling.py)."""
-    from ..stages.sampling import stratified_sample
-
-    return stratified_sample(_docs(sf_dir, ["doc_id", "lang"]),
-                             fracs={"en": 0.25}, default_frac=1.0,
-                             strat_col="lang", id_col="doc_id")
-
-
 def doc_length_quantiles_by_lang(sf_dir: str) -> pa.Table:
     """Per-language exact length quantiles (grouped mergeable histogram)."""
     from ..stages.quantiles import grouped_exact_quantiles

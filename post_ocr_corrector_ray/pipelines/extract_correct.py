@@ -21,9 +21,13 @@ HTML (projected away at extraction).
 
 from __future__ import annotations
 
+import hashlib
+import inspect
+import json
 import time
 from typing import Literal
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -93,6 +97,41 @@ def correct_stage(ds: ray.data.Dataset, *, corrector: CorrectorKind,
     raise ValueError(f"unknown corrector: {corrector}")
 
 
+def model_fingerprint(corrector: CorrectorKind, **correct_kwargs) -> str:
+    """Identity of the model that ``correct_stage(corrector=..., **correct_kwargs)``
+    runs, for the resume check: 16 hex digits of a sha256 over what decides
+    the output bytes.
+
+    - neural from a seed: the alphabet, the seed and the sorted hparams (the
+      model itself is not built here);
+    - neural from ``model_path``: the alphabet and every npz array's name,
+      dtype, shape and bytes (the contents, not the zip container);
+    - dictionary: ``min_frequency`` and the sorted vocabulary.
+    """
+    args = inspect.signature(correct_stage).bind(None, corrector=corrector, **correct_kwargs)
+    args.apply_defaults()
+    a = args.arguments
+    h = hashlib.sha256()
+    if corrector == "neural" and a["model_path"] is not None:
+        h.update(json.dumps(a["alphabet"]).encode())
+        with np.load(a["model_path"]) as npz:
+            for name in sorted(npz.files):
+                arr = np.ascontiguousarray(npz[name])
+                h.update(json.dumps([name, arr.dtype.str, arr.shape]).encode())
+                h.update(arr.tobytes())
+    elif corrector == "neural":
+        h.update(json.dumps([a["alphabet"], a["seed"],
+                             sorted((a["hparams"] or {}).items())]).encode())
+    elif corrector == "dictionary":
+        vocab = a["vocab_ref"]
+        if isinstance(vocab, ray.ObjectRef):
+            vocab = ray.get(vocab)
+        h.update(json.dumps([a["min_frequency"], sorted((vocab or {}).items())]).encode())
+    else:
+        raise ValueError(f"unknown corrector: {corrector}")
+    return h.hexdigest()[:16]
+
+
 def extract_correct(pages: ray.data.Dataset, *, corrector: CorrectorKind = "null",
                     out_dir: str | None = None, num_partitions: int = 32,
                     resume: bool = True, input_fingerprint: str = "",
@@ -100,9 +139,13 @@ def extract_correct(pages: ray.data.Dataset, *, corrector: CorrectorKind = "null
                     **correct_kwargs) -> ray.data.Dataset:
     """Full pipeline.  With ``out_dir`` set, executes and commits partitioned
     output (returns the tiny per-partition summary dataset); without, returns
-    the lazy corrected dataset for the caller to consume."""
+    the lazy corrected dataset for the caller to consume.  The committed
+    ``stage_versions`` name the model (``model_fingerprint``), so a resume
+    under other weights, hparams, seed, alphabet or vocabulary is refused."""
     ds = pages
     stage_versions = {"extract": "1", "correct": f"{corrector}/1"}
+    if out_dir is not None and corrector != "null":
+        stage_versions["correct"] += "/" + model_fingerprint(corrector, **correct_kwargs)
     committed: frozenset[int] = frozenset()
     if out_dir is not None and resume:
         lin.check_partition_scheme(out_dir, num_partitions=num_partitions,

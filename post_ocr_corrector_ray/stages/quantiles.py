@@ -10,10 +10,7 @@ Exactness contract: the result is the *discrete* quantile (DuckDB
 ``quantile_disc`` semantics — the smallest value whose cumulative count
 reaches ``ceil(q·n)``), computed exactly.  Driver memory is O(distinct
 values), which is what makes this scale-safe for the integer/categorical
-columns it targets (lengths, counts, scores in fixed grids); an unbounded
-continuous domain needs a mergeable sketch — ``KllSketch`` /
-``sketch_quantiles`` below (accuracy pytest-pinned vs exact), with the exact
-histogram path staying the SQL oracle for discrete columns.
+columns it targets (lengths, counts, scores in fixed grids).
 """
 
 from __future__ import annotations
@@ -164,256 +161,3 @@ def global_rank(ds: ray.data.Dataset, col: str, id_col: str, *,
     return grouped_apply(proj, [col], rank_part,
                          num_partitions=num_partitions)
 
-
-# --- mergeable quantile sketch (continuous values) ---------------------------
-
-
-class KllSketch:
-    """Mergeable KLL-style quantile sketch (Karnin-Lang-Liberty 2016 family,
-    deterministic compaction variant): the scale twin of ``exact_quantiles``
-    for CONTINUOUS columns, where the exact path's O(distinct values) driver
-    histogram is the wrong tool.
-
-    Structure: level ``i`` holds items of weight ``2^i``; a level over
-    capacity sorts and keeps alternating items (promoting them one level up).
-    Compaction alternates even/odd offsets per level (deterministic — no coin
-    flips; for a FIXED sequence of update/merge calls in one process the
-    result is exactly reproducible).  Across serialization boundaries the
-    guarantee is weaker: ``from_rows`` resets the per-level flip state (a
-    merged sketch has no single well-defined flip history), so grouped
-    estimates can vary with transport batching / block layout — always
-    within the same pytest-pinned rank-error bound, which is the contract
-    callers may rely on.  Rank error stays O(1/k)-ish with the same shape as
-    the randomized bound (accuracy is pytest-pinned vs exact on the bench
-    table).
-    Size: O(k · log(n/k)) items however large n grows — safe to ship per
-    block and merge on the driver.
-    """
-
-    def __init__(self, k: int = 256):
-        self.k = int(k)
-        self.levels: list[np.ndarray] = [np.empty(0, dtype=np.float64)]
-        self._flips: list[bool] = [False]
-        self.n = 0
-
-    def _capacity(self, level: int) -> int:
-        # geometrically decaying capacities, floor 8 (KLL's memory trick)
-        c = int(self.k * (2.0 / 3.0) ** (len(self.levels) - 1 - level))
-        return max(c, 8)
-
-    def update(self, values: np.ndarray) -> None:
-        v = np.asarray(values, dtype=np.float64)
-        v = v[~np.isnan(v)]
-        if len(v) == 0:
-            return
-        self.n += len(v)
-        self.levels[0] = np.concatenate([self.levels[0], v])
-        self._compress()
-
-    def _compress(self) -> None:
-        i = 0
-        while i < len(self.levels):
-            if len(self.levels[i]) > self._capacity(i):
-                srt = np.sort(self.levels[i])
-                off = 1 if self._flips[i] else 0
-                self._flips[i] = not self._flips[i]
-                promoted = srt[off::2]
-                self.levels[i] = np.empty(0, dtype=np.float64)
-                if i + 1 == len(self.levels):
-                    self.levels.append(np.empty(0, dtype=np.float64))
-                    self._flips.append(False)
-                self.levels[i + 1] = np.concatenate(
-                    [self.levels[i + 1], promoted])
-            i += 1
-
-    def merge(self, other: "KllSketch") -> None:
-        while len(self.levels) < len(other.levels):
-            self.levels.append(np.empty(0, dtype=np.float64))
-            self._flips.append(False)
-        for i, items in enumerate(other.levels):
-            if len(items):
-                self.levels[i] = np.concatenate([self.levels[i], items])
-        self.n += other.n
-        self._compress()
-
-    # -- transport ------------------------------------------------------------
-
-    def to_table(self) -> pa.Table:
-        lv = np.concatenate([np.full(len(x), i, dtype=np.int64)
-                             for i, x in enumerate(self.levels)]) \
-            if any(len(x) for x in self.levels) else np.empty(0, np.int64)
-        vals = np.concatenate([x for x in self.levels]) \
-            if any(len(x) for x in self.levels) else np.empty(0, np.float64)
-        return pa.table({"level": pa.array(lv, pa.int64()),
-                         "value": pa.array(vals, pa.float64()),
-                         "n": pa.array(np.full(len(lv), self.n, np.int64)
-                                       if len(lv) else [], pa.int64())})
-
-    @classmethod
-    def from_rows(cls, level: np.ndarray, value: np.ndarray, n: int,
-                  k: int = 256) -> "KllSketch":
-        s = cls(k)
-        top = int(level.max()) if len(level) else 0
-        s.levels = [value[level == i].astype(np.float64)
-                    for i in range(top + 1)]
-        s._flips = [False] * (top + 1)
-        s.n = int(n)
-        return s
-
-    # -- estimation -----------------------------------------------------------
-
-    def quantile(self, q: float) -> float:
-        items, weights = [], []
-        for i, x in enumerate(self.levels):
-            if len(x):
-                items.append(x)
-                weights.append(np.full(len(x), 1 << i, dtype=np.int64))
-        if not items:
-            return float("nan")
-        v = np.concatenate(items)
-        w = np.concatenate(weights)
-        order = np.argsort(v, kind="mergesort")
-        v, w = v[order], w[order]
-        cum = np.cumsum(w)
-        target = q * cum[-1]
-        idx = int(np.searchsorted(cum, target, side="left"))
-        return float(v[min(idx, len(v) - 1)])
-
-
-def sketch_quantiles(ds: ray.data.Dataset, col: str, qs: list[float], *,
-                     k: int = 256) -> pa.Table:
-    """Approximate quantiles of a CONTINUOUS column via per-block KLL
-    sketches merged on the driver — shuffle-free, O(k log n) driver memory
-    regardless of cardinality (the mergeable-sketch twin of
-    ``exact_quantiles``, which stays the oracle for discrete columns).
-    Returns (q: double, value: double)."""
-
-    def block_sketch(batch: pa.Table) -> pa.Table:
-        s = KllSketch(k)
-        s.update(batch.column(col).to_numpy(zero_copy_only=False))
-        return s.to_table()
-
-    merged = KllSketch(k)
-    for b in ds.map_batches(block_sketch, batch_format="pyarrow") \
-               .iter_batches(batch_size=65536, batch_format="pandas"):
-        if len(b) == 0:
-            continue
-        for n_val, grp in b.groupby("n", sort=False):
-            merged.merge(KllSketch.from_rows(grp["level"].to_numpy(np.int64),
-                                             grp["value"].to_numpy(np.float64),
-                                             int(n_val), k=k))
-    return pa.table({"q": pa.array([float(q) for q in qs], pa.float64()),
-                     "value": pa.array([merged.quantile(q) for q in qs],
-                                       pa.float64())})
-
-
-def grouped_sketch_quantiles_exchanged(ds: ray.data.Dataset, key_col: str,
-                                       col: str, qs: list[float], *,
-                                       k: int = 256,
-                                       num_partitions: int | None = None
-                                       ) -> ray.data.Dataset:
-    """``grouped_sketch_quantiles`` for UNBOUNDED key cardinality: the same
-    per-block per-key sketch rows go through ONE key-partitioned exchange
-    instead of a driver merge, and each partition folds its resident keys'
-    sketches locally — driver memory O(1), exchange volume O(blocks × keys ×
-    k·log n) tiny rows (sketch rows, never raw values).  The driver-merge
-    variant stays the default for dimension-sized keys (no exchange at all);
-    this is its corpus-scale twin, the relationship ``grouped_agg`` has to a
-    driver-side fold.  Compaction order differs from the driver variant, so
-    estimates may differ within the same rank-error bound (pytest pins
-    both, plus exact equality on inputs small enough to never compact).
-    Returns a Dataset of (key, q, value)."""
-
-    def block_sketch(batch: pa.Table) -> pa.Table:
-        return _per_key_sketch_rows(batch, key_col, col, k)
-
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        out_k, out_q, out_v = [], [], []
-        for kv, grp in df.groupby("key", sort=True):
-            s = KllSketch.from_rows(grp["level"].to_numpy(np.int64),
-                                    grp["value"].to_numpy(np.float64),
-                                    int(grp["n"].sum()), k=k)
-            s._compress()
-            for q in qs:
-                out_k.append(kv)
-                out_q.append(float(q))
-                out_v.append(s.quantile(q))
-        return pd.DataFrame({key_col: out_k,
-                             "q": pd.array(out_q, dtype="float64"),
-                             "value": pd.array(out_v, dtype="float64")})
-
-    rows = ds.map_batches(block_sketch, batch_format="pyarrow")
-    return grouped_apply(rows, ["key"], fold, num_partitions=num_partitions)
-
-
-def _per_key_sketch_rows(batch: pa.Table, key_col: str, col: str,
-                         k: int) -> pa.Table:
-    """One serialized KLL sketch per distinct key in the batch — (key,
-    level, value, n) rows, ``n`` on the sketch's first row only (the
-    Misra–Gries n_stream trick) so sketches concatenate safely downstream."""
-    keys = batch.column(key_col).to_numpy(zero_copy_only=False)
-    vals = batch.column(col).to_numpy(zero_copy_only=False) \
-                .astype(np.float64)
-    out = []
-    for kv in pd.unique(keys):
-        s = KllSketch(k)
-        s.update(vals[keys == kv])
-        t = s.to_table()
-        n_first = np.zeros(t.num_rows, np.int64)
-        if t.num_rows:
-            n_first[0] = s.n
-        out.append(pa.table({
-            "key": pa.array([kv] * t.num_rows),
-            "level": t.column("level"),
-            "value": t.column("value"),
-            "n": pa.array(n_first, pa.int64())}))
-    if not out:
-        return pa.table({"key": batch.column(key_col).slice(0, 0),
-                         "level": pa.array([], pa.int64()),
-                         "value": pa.array([], pa.float64()),
-                         "n": pa.array([], pa.int64())})
-    return pa.concat_tables(out)
-
-
-def grouped_sketch_quantiles(ds: ray.data.Dataset, key_col: str, col: str,
-                             qs: list[float], *, k: int = 256) -> pa.Table:
-    """Per-key mergeable KLL sketches — the continuous-value twin of
-    ``grouped_exact_quantiles`` (whose driver histogram is O(groups ×
-    DISTINCT VALUES) and breaks on continuous columns): each block emits one serialized
-    sketch per distinct key it contains (key, level, value, n — ``n`` on the
-    sketch's first row only, the Misra–Gries n_stream trick, so sketches
-    concatenate safely inside a transport batch), the driver merges per key.
-
-    Driver memory is O(keys · k·log(n/k)) — the group key is assumed
-    dimension-sized (event types, languages, sources); at corpus-scale key
-    cardinality the same merge runs as one coarse key-grouped aggregate over
-    the sketch rows (identical level-concat + compress algebra), which is why
-    the sketch travels as plain columns.  Returns (key, q, value), keys
-    sorted.  Item weights live in the level index (2^level), so
-    concatenating level arrays across block sketches of the same key is
-    itself a valid merge; ``n`` is bookkeeping only."""
-
-    def block_sketch(batch: pa.Table) -> pa.Table:
-        return _per_key_sketch_rows(batch, key_col, col, k)
-
-    merged: dict = {}
-    for b in ds.map_batches(block_sketch, batch_format="pyarrow") \
-               .iter_batches(batch_size=65536, batch_format="pandas"):
-        for kv, grp in b.groupby("key", sort=False):
-            part = KllSketch.from_rows(grp["level"].to_numpy(np.int64),
-                                       grp["value"].to_numpy(np.float64),
-                                       int(grp["n"].sum()), k=k)
-            if kv in merged:
-                merged[kv].merge(part)
-            else:
-                part._compress()
-                merged[kv] = part
-    out_k, out_q, out_v = [], [], []
-    for kv in sorted(merged):
-        for q in qs:
-            out_k.append(kv)
-            out_q.append(float(q))
-            out_v.append(merged[kv].quantile(q))
-    return pa.table({key_col: pa.array(out_k),
-                     "q": pa.array(out_q, pa.float64()),
-                     "value": pa.array(out_v, pa.float64())})

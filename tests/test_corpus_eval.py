@@ -118,17 +118,3 @@ class TestEvaluate:
         tbl = pa.table({"corrected_text": ["x", "ab"], "clean": ["", "ab"]})
         res = evaluate(ray.data.from_arrow(tbl), banded=False, skip_empty_correct=True)
         assert res.n == 1 and res.percent_perfect == 1.0
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestMaxTokenFrequency:
-    def test_streams_partial_max(self):
-        import pyarrow as pa
-        import ray.data
-
-        from post_ocr_corrector_ray.pipelines.corpus import max_token_frequency
-
-        counts = ray.data.from_arrow(pa.table({
-            "token": pa.array(["a", "b", "c", "d"]),
-            "frequency": pa.array([3, 99, 7, 12], pa.int64())})).repartition(3)
-        assert max_token_frequency(counts) == 99

@@ -84,20 +84,6 @@ class TestVocabMaintenance:
 
 
 class TestSweepOptions:
-    def test_matches_reference_formula(self):
-        import math
-
-        from post_ocr_corrector_ray.model.dictionary import (
-            DictionaryCorrector, min_frequency_sweep_options)
-
-        # reference dictionary_corrector.py:211-214 verbatim math
-        for mx in (50000, 9000, 2049, 123456):
-            want = [2 ** p for p in range(1, math.ceil(math.log2(mx / 1000)))]
-            assert min_frequency_sweep_options(mx) == (want or [2])
-        assert min_frequency_sweep_options(0) == [2]
-        c = DictionaryCorrector({"a": 50000, "b": 3})
-        assert c.min_frequency_sweep_options() == min_frequency_sweep_options(50000)
-
     def test_prune_invalidates_buckets(self):
         from post_ocr_corrector_ray.model.dictionary import DictionaryCorrector
 

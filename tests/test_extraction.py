@@ -1,5 +1,7 @@
 """HTML/PDF extraction tests against constructive synthetic goldens."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,23 @@ class TestPdf:
         pdf = b"%PDF-1.4\nstream\n\x00\x01\x02\nendstream\n%%EOF"
         res = extract_page(pdf)
         assert res.status == "pdf_undecodable" and res.text == ""
+
+
+class TestHostilePayloads:
+    PARA = "Caf\xe9 owners brew strong coffee every morning near the river."
+
+    @pytest.mark.parametrize("payload,status,text", [
+        (f"<html><body><p>{PARA}</p></body></html>".encode("latin-1"), "ok", PARA),
+        (b"%PDF-1.4\nstream\n" + zlib.compress(b"BT (Hello world) Tj ET")[:8]
+         + b"\nendstream", "pdf_undecodable", ""),
+        (b"%PDF-1.4\n%%EOF", "pdf_undecodable", ""),
+        (b"\x00" * 64, "no_content", ""),
+        (b"<html><body><nav><a href='/'>Home</a> <a href='/a'>About</a></nav>"
+         b"</body></html>", "no_content", ""),
+    ], ids=["invalid-utf8", "pdf-truncated-zlib", "pdf-no-stream", "nul-only", "nav-only"])
+    def test_status_and_text(self, payload, status, text):
+        res = extract_page(payload)
+        assert (res.status, res.text) == (status, text)
 
 
 class TestPartitionHash:

@@ -1,5 +1,5 @@
-"""Hash join, exact distributed quantiles, global rank and the KLL sketch —
-the custom operators Ray Data lacks (stages/joins.py, stages/quantiles.py).
+"""Hash join, exact distributed quantiles and global rank — the custom
+operators Ray Data lacks (stages/joins.py, stages/quantiles.py).
 
 Coverage the SQL-oracle gate doesn't reach: join semantics and key errors,
 invariance to partition count and block layout, and quantile agreement with
@@ -36,30 +36,6 @@ class TestExactQuantiles:
             {"v": pa.array([None, 5, None, 1, 9], pa.int64())}))
         out = exact_quantiles(ds, "v", [0.5]).to_pandas()
         assert out["value"].tolist() == [5]
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestStratifiedSample:
-    def test_rates_and_layout_invariance(self):
-        import ray.data
-
-        from post_ocr_corrector_ray.stages.sampling import stratified_sample
-
-        n = 4000
-        t = pa.table({"doc_id": pa.array(range(n), pa.int64()),
-                      "lang": pa.array(["en" if i % 2 else "de"
-                                        for i in range(n)], pa.string())})
-        kw = dict(fracs={"en": 0.25}, default_frac=1.0,
-                  strat_col="lang", id_col="doc_id")
-        a = stratified_sample(ray.data.from_arrow(t), **kw).to_pandas()
-        # de untouched, en ~25% (binomial tolerance)
-        assert (a[a.lang == "de"].shape[0]) == n // 2
-        en = a[a.lang == "en"].shape[0]
-        assert 0.18 * n / 2 < en < 0.32 * n / 2
-        # content-keyed: identical keep-set under a different block layout
-        b = stratified_sample(
-            ray.data.from_arrow(t).repartition(13), **kw).to_pandas()
-        assert sorted(a["doc_id"]) == sorted(b["doc_id"])
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -264,154 +240,6 @@ class TestGlobalRankNullKeys:
         # null-key rows are excluded from BOTH passes (no crash, no rank)
         assert got["id"].tolist() == [1, 3, 5]
         assert got["rank"].tolist() == [2, 1, 3]
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestKllSketch:
-    def test_rank_error_bound_vs_exact(self):
-        """KLL sketch quantiles land within 1.5% rank error of the exact
-        sorted-array answer on a heavy-tailed continuous distribution."""
-        import ray.data
-
-        from post_ocr_corrector_ray.stages.quantiles import sketch_quantiles
-
-        rng = np.random.default_rng(5)
-        x = rng.lognormal(0.0, 2.0, 120_000)
-        ds = ray.data.from_arrow(pa.table({"v": pa.array(x, pa.float64())})) \
-            .repartition(16)
-        got = sketch_quantiles(ds, "v", [0.01, 0.25, 0.5, 0.9, 0.99], k=256) \
-            .to_pandas()
-        xs = np.sort(x)
-        for r in got.itertuples():
-            rank_err = abs(np.searchsorted(xs, r.value) / len(xs) - r.q)
-            assert rank_err < 0.015, (r.q, rank_err)
-
-    def test_merge_equals_single_stream(self):
-        """Mergeability: feeding two halves into two sketches then merging
-        estimates as well as one sketch fed everything."""
-        from post_ocr_corrector_ray.stages.quantiles import KllSketch
-
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=50_000)
-        a, b = KllSketch(256), KllSketch(256)
-        a.update(x[:25_000]); b.update(x[25_000:])
-        a.merge(b)
-        assert a.n == 50_000
-        xs = np.sort(x)
-        for q in (0.1, 0.5, 0.9):
-            err = abs(np.searchsorted(xs, a.quantile(q)) / len(xs) - q)
-            assert err < 0.02, (q, err)
-
-    def test_transport_roundtrip(self):
-        from post_ocr_corrector_ray.stages.quantiles import KllSketch
-
-        s = KllSketch(64)
-        s.update(np.arange(10_000, dtype=np.float64))
-        t = s.to_table()
-        r = KllSketch.from_rows(t.column("level").to_numpy(),
-                                t.column("value").to_numpy(),
-                                int(t.column("n")[0].as_py()), k=64)
-        assert r.n == s.n
-        for q in (0.25, 0.5, 0.75):
-            assert r.quantile(q) == s.quantile(q)
-
-    def test_nan_and_empty(self):
-        import ray.data
-
-        from post_ocr_corrector_ray.stages.quantiles import sketch_quantiles
-
-        ds = ray.data.from_arrow(pa.table({
-            "v": pa.array([float("nan")] * 5 + [1.0, 2.0, 3.0], pa.float64())}))
-        got = sketch_quantiles(ds, "v", [0.5]).to_pandas()
-        assert got["value"].iloc[0] in (1.0, 2.0, 3.0)
-        empty = ray.data.from_arrow(pa.table({"v": pa.array([], pa.float64())}))
-        out = sketch_quantiles(empty, "v", [0.5]).to_pandas()
-        assert np.isnan(out["value"].iloc[0])
-
-    def test_grouped_sketch_rank_error_vs_exact_per_group(self):
-        """Per-key KLL: every group's sketch quantile lands within 2% rank
-        error of that group's OWN sorted values — including a small group
-        (exactly representable) next to two big skewed ones."""
-        import ray.data
-
-        from post_ocr_corrector_ray.stages.quantiles import (
-            grouped_sketch_quantiles)
-
-        rng = np.random.default_rng(7)
-        parts = {
-            "big_lognorm": rng.lognormal(0.0, 2.0, 60_000),
-            "big_uniform": rng.uniform(-5.0, 5.0, 40_000),
-            "tiny": np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
-        }
-        keys = np.concatenate([np.repeat(k, len(v)) for k, v in parts.items()])
-        vals = np.concatenate(list(parts.values()))
-        perm = rng.permutation(len(vals))       # interleave groups across blocks
-        ds = ray.data.from_arrow(pa.table({
-            "key": pa.array(keys[perm]),
-            "v": pa.array(vals[perm], pa.float64())})).repartition(16)
-        got = grouped_sketch_quantiles(ds, "key", "v",
-                                       [0.1, 0.5, 0.9], k=256).to_pandas()
-        assert sorted(got["key"].unique()) == sorted(parts)
-        for r in got.itertuples():
-            xs = np.sort(parts[r.key])
-            rank_err = abs(np.searchsorted(xs, r.value) / len(xs) - r.q)
-            tol = 0.02 if len(xs) > 1000 else 0.21   # tiny group: exact ±1 item
-            assert rank_err <= tol, (r.key, r.q, rank_err)
-        # the 5-item group never compacts → its median is exactly 3.0
-        tiny_med = got[(got.key == "tiny") & (got.q == 0.5)]["value"].iloc[0]
-        assert tiny_med == 3.0
-
-    def test_grouped_sketch_exchanged_matches_bound_and_small_exact(self):
-        """The key-partitioned exchange variant (unbounded key cardinality)
-        holds the same per-group rank-error bound, and on a never-compacting
-        input equals the driver-merge variant exactly."""
-        import ray.data
-
-        from post_ocr_corrector_ray.stages.quantiles import (
-            grouped_sketch_quantiles, grouped_sketch_quantiles_exchanged)
-
-        rng = np.random.default_rng(13)
-        parts = {"a": rng.lognormal(0.0, 1.5, 30_000),
-                 "b": rng.normal(size=20_000)}
-        keys = np.concatenate([np.repeat(k, len(v)) for k, v in parts.items()])
-        vals = np.concatenate(list(parts.values()))
-        perm = rng.permutation(len(vals))
-        ds = ray.data.from_arrow(pa.table({
-            "key": pa.array(keys[perm]),
-            "v": pa.array(vals[perm], pa.float64())})).repartition(8)
-        got = grouped_sketch_quantiles_exchanged(
-            ds, "key", "v", [0.1, 0.5, 0.9], k=256,
-            num_partitions=4).to_pandas()
-        assert len(got) == 6
-        for r in got.itertuples():
-            xs = np.sort(parts[r.key])
-            rank_err = abs(np.searchsorted(xs, r.value) / len(xs) - r.q)
-            assert rank_err <= 0.02, (r.key, r.q, rank_err)
-        # small input (< k values per key): no compaction anywhere → the
-        # exchange and driver variants are EXACTLY equal
-        small = ray.data.from_arrow(pa.table({
-            "key": pa.array(["x"] * 40 + ["y"] * 30),
-            "v": pa.array(np.arange(70, dtype=np.float64))})).repartition(4)
-        a = grouped_sketch_quantiles(small, "key", "v",
-                                     [0.25, 0.5, 0.75]).to_pandas()
-        b = grouped_sketch_quantiles_exchanged(
-            small, "key", "v", [0.25, 0.5, 0.75],
-            num_partitions=3).to_pandas() \
-            .sort_values(["key", "q"]).reset_index(drop=True)
-        pd.testing.assert_frame_equal(
-            a.sort_values(["key", "q"]).reset_index(drop=True), b)
-
-    def test_grouped_sketch_empty_and_null_keys(self):
-        import ray.data
-
-        from post_ocr_corrector_ray.stages.quantiles import (
-            grouped_sketch_quantiles)
-
-        empty = ray.data.from_arrow(pa.table({
-            "key": pa.array([], pa.string()),
-            "v": pa.array([], pa.float64())}))
-        out = grouped_sketch_quantiles(empty, "key", "v", [0.5]).to_pandas()
-        assert len(out) == 0
 
 
 def _rows(df: pd.DataFrame) -> list[str]:

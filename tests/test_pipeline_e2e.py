@@ -39,6 +39,17 @@ def alphabet(pages_table):
     return build_alphabet(set().union(*[set(t) for t in golden.values()]) or {"a"})
 
 
+def _pages(urls, htmls, texts):
+    """A pages table in the generator's schema from explicit payloads."""
+    import pyarrow as pa
+
+    from post_ocr_corrector_ray.sources.synth import PAGES_SCHEMA
+
+    n = len(urls)
+    return pa.table({"url": urls, "warc_ts": [None] * n, "html": htmls,
+                     "text": texts, "lang": ["en"] * n}, schema=PAGES_SCHEMA)
+
+
 def _as_url_map(ds, col="corrected_text"):
     tbl = ds.to_pandas()
     return dict(zip(tbl["url"], tbl[col]))
@@ -311,6 +322,112 @@ class TestPartitionSchemeGuard:
         # resume=False bypasses (fresh recompute over the same dir is allowed)
         run(rerun_partitions, resume=False).to_pandas()
         assert lin.read_output(out).num_rows == N_PAGES
+
+    @pytest.mark.parametrize("change", ["seed", "hparams", "alphabet", "weights",
+                                        "vocabulary"])
+    def test_model_change_refused(self, tmp_path, change):
+        """The committed stage versions name the model: a resume under the same
+        model commits nothing, one under another model raises."""
+        import ray
+        import ray.data
+
+        texts = ["the fox jumps", "over a lazy dog", "near quiet river banks"]
+        pages = _pages([f"https://t.example/{i}" for i in range(len(texts))],
+                       [None] * len(texts), texts)
+        alpha = build_alphabet(set("".join(texts)))
+        tiny = dict(max_len=8, d_model=8, n_head=2, n_layers=1, d_linear=8)
+        if change in ("seed", "hparams", "alphabet"):
+            before = dict(corrector="neural", alphabet=alpha, seed=7, hparams=tiny)
+            after = {"seed": dict(before, seed=8),
+                     "hparams": dict(before, hparams=dict(tiny, d_linear=16)),
+                     "alphabet": dict(before, alphabet=build_alphabet(alpha + "!"))}[change]
+        elif change == "weights":
+            paths = [str(tmp_path / f"w{seed}.npz") for seed in (7, 8)]
+            for seed, path in zip((7, 8), paths):
+                NeuralCorrectorModel.from_seed(alpha, seed=seed, **tiny).save(path)
+            before, after = [dict(corrector="neural", alphabet=alpha, model_path=p)
+                             for p in paths]
+        else:
+            vocab = {"the": 3, "fox": 2, "dog": 2}
+            before = dict(corrector="dictionary", vocab_ref=ray.put(vocab))
+            after = dict(corrector="dictionary", vocab_ref=ray.put(dict(vocab, cat=2)))
+        out = str(tmp_path / "store")
+
+        def run(kw):
+            return extract_correct(ray.data.from_arrow(pages), out_dir=out,
+                                   num_partitions=2, concurrency=1, **kw).to_pandas()
+
+        assert run(before)["n_rows"].sum() == len(texts)
+        assert len(run(before)) == 0
+        with pytest.raises(ValueError, match="stage_versions"):
+            run(after)
+
+
+def _hostile_pages():
+    """(pages, expected extract_status per row): payloads that must become
+    status rows, never exceptions, plus a url that appears twice."""
+    import zlib
+
+    para = "Caf\xe9 owners brew strong coffee every morning near the river."
+    rows = [  # (url, html, text, status)
+        ("https://h.example/no-payload", None, None, "no_payload"),
+        ("https://h.example/text", None, "  padded \t text\n\nhere  ", "text_passthrough"),
+        ("https://h.example/empty", b"", None, "empty"),
+        ("https://h.example/latin1", f"<html><body><p>{para}</p></body></html>"
+         .encode("latin-1"), None, "ok"),
+        ("https://h.example/pdf-truncated", b"%PDF-1.4\nstream\n"
+         + zlib.compress(b"BT (Hello world) Tj ET")[:8] + b"\nendstream", None,
+         "pdf_undecodable"),
+        ("https://h.example/pdf-no-stream", b"%PDF-1.4\n%%EOF", None, "pdf_undecodable"),
+        ("https://h.example/nul", b"\x00" * 64, None, "no_content"),
+        ("https://h.example/nav", b"<html><body><nav><a href='/'>Home</a> "
+         b"<a href='/a'>About</a></nav></body></html>", None, "no_content"),
+        ("https://h.example/latin1", None, "a second row under the same url",
+         "text_passthrough"),
+    ]
+    urls, htmls, texts, statuses = map(list, zip(*rows))
+    return _pages(urls, htmls, texts), statuses
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestHostilePages:
+    @pytest.mark.parametrize("corrector", ["null", "neural", "dictionary"])
+    def test_hostile_rows_committed(self, tmp_path, corrector):
+        """Every input row, a repeated url included, becomes one committed row
+        with its status and the oracle's corrected text.  Duplicate urls are
+        kept, not merged: both rows land in the url's one partition."""
+        import ray
+        import ray.data
+
+        from __ray_entry__ import FLAGSHIP_ALPHABET, TINY_HPARAMS
+
+        pages, statuses = _hostile_pages()
+        vocab = {"coffee": 3, "river": 2, "second": 2, "padded": 2}
+        model, kwargs = {
+            "null": (None, {}),
+            "neural": (NeuralCorrectorModel.from_seed(FLAGSHIP_ALPHABET, seed=7,
+                                                      **TINY_HPARAMS),
+                       dict(alphabet=FLAGSHIP_ALPHABET, seed=7, hparams=TINY_HPARAMS)),
+            "dictionary": (DictionaryCorrector(vocab, min_frequency=2),
+                           dict(vocab_ref=ray.put(vocab), min_frequency=2)),
+        }[corrector]
+        out = str(tmp_path / "store")
+        extract_correct(ray.data.from_arrow(pages), corrector=corrector, out_dir=out,
+                        num_partitions=4, concurrency=1, **kwargs).to_pandas()
+        want = sorted(
+            (url, status, oracle_extract_correct(pages.slice(i, 1), model)[url])
+            for i, (url, status) in enumerate(zip(pages.column("url").to_pylist(),
+                                                  statuses)))
+        got = lin.read_output(out)
+        assert sorted(zip(got.column("url").to_pylist(),
+                          got.column("extract_status").to_pylist(),
+                          got.column("corrected_text").to_pylist())) == want
+        dup_parts = [p for p in lin.committed_partitions(out)
+                     if "https://h.example/latin1" in pq.read_table(
+                         os.path.join(lin.partition_dir(out, p), "data.parquet"),
+                         columns=["url"]).column("url").to_pylist()]
+        assert len(dup_parts) == 1
+        assert sum(r["n_rows"] for r in lin.read_lineage(out)) == pages.num_rows
 
 
 @pytest.mark.usefixtures("ray_session")

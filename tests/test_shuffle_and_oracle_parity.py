@@ -5,6 +5,9 @@ DuckDB oracle on the fixture the oracles' inlined constants were derived
 from.
 """
 
+import os
+import re
+
 import duckdb
 import numpy as np
 import pandas as pd
@@ -129,16 +132,6 @@ class TestOracleParitySubset:
         assert list(got.columns) == list(want.columns)
         pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=True)
 
-    def test_dictionary_sweep_deterministic_across_runs(self):
-        """The sweep's validation passes run concurrently from driver
-        threads; the winner selection must stay index-ordered (first-wins),
-        so two runs are byte-identical regardless of thread completion
-        order."""
-        q = entry.queries()["dictionary_sweep"]
-        a, b = q(SF).to_pandas(), q(SF).to_pandas()
-        pd.testing.assert_frame_equal(a, b)
-        assert (a["is_best"].sum() == 2) == (a["split"].nunique() == 2)
-
 
 def test_partitions_for_adaptive_width(ray_session):
     import ray
@@ -165,3 +158,31 @@ def test_registry_orders_oracle_backed_first():
             tail_started = True
         else:
             assert not tail_started, f"oracle-backed {name!r} after a no-oracle entry"
+
+
+def test_bench_queries_are_registered():
+    import bench
+
+    assert set(bench.BENCH_QUERIES) <= set(entry.queries())
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _coverage_rows() -> list[str]:
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as f:
+        section = f.read().split("## Coverage map", 1)[1].split("\n## ", 1)[0]
+    return [line for line in section.splitlines() if line.startswith("|")]
+
+
+def test_every_query_has_a_coverage_row():
+    named = {tok for row in _coverage_rows() for tok in re.findall(r"`([^`]+)`", row)}
+    assert [name for name in entry.queries() if name not in named] == []
+
+
+def test_coverage_paths_exist():
+    paths = {p for row in _coverage_rows()
+             for p in re.findall(r"\b(?:stages|pipelines)/\w+\.py", row)}
+    assert paths
+    assert sorted(p for p in paths
+                  if not os.path.exists(os.path.join(REPO, "post_ocr_corrector_ray", p))) == []

@@ -179,6 +179,38 @@ class TestDedup:
                                     n_chunks=8).to_pandas()
         assert (0, 1) in set(zip(out["id_a"], out["id_b"]))
 
+    @pytest.mark.parametrize("blocks", [1, 7])
+    def test_hash64_candidates_equal_brute_force(self, blocks):
+        """Hand-built signatures: exact duplicates, 1-3 bit flips, far pairs
+        and sign-bit patterns.  Pigeonhole: with 4 chunks every pair at
+        Hamming distance <= 3 shares a chunk, so the candidates are exactly
+        the brute-force pairs, whatever the block layout."""
+        import numpy as np
+        import ray.data
+
+        rng = np.random.default_rng(5)
+        bases = [int(v) for v in rng.integers(0, 2**63, size=6, dtype=np.uint64)]
+        bases += [0x8000000000000000, 0xFFFFFFFFFFFFFFFF, 0x8000000000000001]
+        sigs = []
+        for b in bases:
+            sigs += [b, b]  # an exact duplicate
+            for n_flips in (1, 2, 3):
+                bits = rng.choice(64, size=n_flips, replace=False)
+                sigs.append(b ^ sum(1 << int(i) for i in bits))
+            sigs.append(b ^ 0x0F0F0F0F0F0F0F0F)  # far: 32 bits away
+        signed = np.array(sigs, dtype=np.uint64).view(np.int64)
+        tbl = pa.table({"doc_id": pa.array(np.arange(len(sigs)), pa.int64()),
+                        "simhash": pa.array(signed, pa.int64())})
+        out = dd.hash64_candidates(ray.data.from_arrow(tbl).repartition(blocks),
+                                   max_hamming=3, n_chunks=4).to_pandas()
+        got = list(zip(out["id_a"], out["id_b"], out["hamming"]))
+        want = [(i, j, bin(sigs[i] ^ sigs[j]).count("1"))
+                for i in range(len(sigs)) for j in range(i + 1, len(sigs))
+                if bin(sigs[i] ^ sigs[j]).count("1") <= 3]
+        assert sorted(got) == want
+        assert any(h == 0 for *_, h in want) and any(h == 3 for *_, h in want)
+        assert (signed < 0).sum() >= 6
+
 
 class TestMarkupParser:
     def test_sentences_and_gluing(self):
