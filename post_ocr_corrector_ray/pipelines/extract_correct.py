@@ -108,6 +108,8 @@ def model_fingerprint(corrector: CorrectorKind, **correct_kwargs) -> str:
       dtype, shape and bytes (the contents, not the zip container);
     - dictionary: ``min_frequency`` and the sorted vocabulary.
     """
+    # bound through correct_stage's signature, so its defaults (seed,
+    # min_frequency) are the ones hashed
     args = inspect.signature(correct_stage).bind(None, corrector=corrector, **correct_kwargs)
     args.apply_defaults()
     a = args.arguments
