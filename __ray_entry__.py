@@ -95,16 +95,14 @@ def _flagship_tiered(n_pages: int = 600, n: int = 3):
 
 
 def _flagship_dict_corpus(n_pages: int):
-    """The committed extraction corpus shared by BOTH dictionary flagships
-    (broadcast + joined): pages → extract → (url, clean), committed as a
-    PARTITIONED PARQUET STAGE (state/lineage.py::commit_by_key — the
-    engine's resumable checkpoint protocol), not an object-store
-    materialize.  The 100-TB posture: multi-consumer intermediates live in
+    """The committed extraction corpus of the dictionary flagship:
+    pages → extract → (url, clean), committed as a PARTITIONED PARQUET STAGE
+    (state/lineage.py::commit_by_key — the engine's resumable checkpoint
+    protocol), not an object-store materialize.  Intermediates live in
     durable storage with per-partition lineage, and a re-run (the bench
-    harness times best-of-two, and the two flagship variants here) resumes
-    by skipping every committed partition before any extraction work
-    happens.  The synthetic input is deterministic per n_pages, so the
-    store key includes n_pages."""
+    harness times best-of-two) resumes by skipping every committed
+    partition before any extraction work happens.  The synthetic input is
+    deterministic per n_pages, so the store key includes n_pages."""
     import pyarrow as pa
 
     from post_ocr_corrector_ray.pipelines.extract_correct import extract_pipeline
@@ -156,42 +154,6 @@ def _flagship_dictionary(n_pages: int):
     return scored
 
 
-def _flagship_dictionary_joined(n_pages: int):
-    """The partitioned-vocabulary twin of ``_flagship_dictionary`` on the
-    SAME committed extraction corpus (r4 verdict #7): pages → extract →
-    shared committed store → keyed noise → (token, frequency) DATASET vocab →
-    ``stages/dictjoin.py::dictionary_correct_joined`` (metric="osa") →
-    per-url CER.  Byte-identity with the broadcast flagship is pytest-pinned
-    (tests/test_pipeline_e2e.py).  This is the flagship graph a vocabulary
-    too large to ``ray.put`` would run — no driver-held vocab anywhere; the
-    url string IS the doc key throughout (the north_rule's per-url contract —
-    no synthetic int key, no hash-collision caveat)."""
-    from post_ocr_corrector_ray.pipelines.corpus import token_counts
-    from post_ocr_corrector_ray.pipelines.evaluate import add_cer_column
-    from post_ocr_corrector_ray.stages.joins import hash_join
-    from post_ocr_corrector_ray.stages.dictjoin import dictionary_correct_joined
-    from post_ocr_corrector_ray.stages.noise import add_messy_column
-
-    good_chars = "".join(c for c in FLAGSHIP_ALPHABET if not c.isupper())
-    corpus = _flagship_dict_corpus(n_pages)
-    vocab = token_counts(corpus, text_col="clean", split=None)
-    noisy = corpus.map_batches(add_messy_column, batch_format="pyarrow",
-                               fn_kwargs=dict(good_chars=good_chars))
-    corrected = dictionary_correct_joined(
-        noisy.select_columns(["url", "messy"]), vocab,
-        id_col="url", text_col="messy", min_frequency=2, metric="osa")
-    rejoined = hash_join(
-        noisy.select_columns(["url", "clean", "messy"]),
-        corrected.map_batches(
-            lambda t: t.rename_columns(["url", "corrected_text"]),
-            batch_format="pyarrow"),
-        on="url", how="inner")
-    return rejoined.map_batches(
-        add_cer_column, batch_format="pyarrow",
-        fn_kwargs=dict(out_col="corrected_text", correct_col="clean",
-                       banded=True, skip_empty_correct=True))
-
-
 def entry() -> Any:
     """Flagship pipeline smoke (sf0.001-scale synthetic pages)."""
     return _flagship(n_pages=60)
@@ -209,8 +171,6 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         # flagship + reference-semantics pipelines (rows-only where non-SQL)
         "flagship_extract_correct": lambda sf: _flagship(n_pages=120),
         "flagship_dictionary": lambda sf: _flagship_dictionary(n_pages=300),
-        "flagship_dictionary_joined":
-            lambda sf: _flagship_dictionary_joined(n_pages=300),
         # tier extraction end-to-end: extract → per-lang quality tiers over
         # extracted text (rows-only; pytest-pinned vs DuckDB NTILE recompute)
         "flagship_tiered": lambda sf: _flagship_tiered(n_pages=600),
@@ -220,10 +180,6 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         "doc_normalize_ws": D.doc_normalize_ws,
         "doc_all_chars": lambda sf: D.doc_all_chars(sf),
         "doc_token_counts": D.doc_token_counts,
-        # partitioned token-lookup dictionary correction (unbroadcastable-
-        # vocab twin of the broadcast corrector; lev = the SQL-shared metric,
-        # osa byte-identity vs broadcast is pytest-pinned)
-        "doc_dictionary_join": lambda sf: D.doc_dictionary_join(sf),
         "doc_split_assignment": D.doc_split_assignment,
         "doc_lev_reverse": D.doc_lev_reverse,
         "doc_markup_roundtrip": D.doc_markup_roundtrip,
@@ -257,9 +213,6 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         # keep the best-quality member of each near-dup cluster (curation
         # twin of doc_dedup_near; score table joined, never broadcast)
         "doc_dedup_keep_best": D.doc_dedup_keep_best,
-        # corpus-contribution novelty: share of a doc's distinct 5-grams
-        # first seen in that doc (gram-ownership exchange)
-        "doc_ngram_novelty": D.doc_ngram_novelty,
         "doc_simhash": D.doc_simhash,
         "doc_simhash_md5": D.doc_simhash_md5,
         "doc_simhash_candidates": D.doc_simhash_candidates,
@@ -288,40 +241,9 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         # global ROW_NUMBER without a global sort (histogram base offsets +
         # one value-keyed exchange — stages/quantiles.py::global_rank)
         "doc_rank_by_length": lambda sf: D.doc_rank_by_length(sf),
-        # training-corpus preparation (stages/corpusprep.py): Gopher-style
-        # repetition stats + filter, benchmark decontamination (broadcast
-        # 5-gram membership), unigram-LM familiarity (broadcast train vocab),
-        # temperature sampling weights (aggregate → broadcast → map)
-        "doc_repetition_stats": D.doc_repetition_stats,
-        "doc_repetition_filter": D.doc_repetition_filter,
-        "doc_contamination": lambda sf: D.doc_contamination(sf),
-        # scale twin: gram-keyed exchange instead of driver-collected
-        # broadcast — for benchmark sides too big to broadcast
-        "doc_contamination_joined": lambda sf: D.doc_contamination_joined(sf),
-        "doc_token_familiarity": lambda sf: D.doc_token_familiarity(sf),
-        "doc_lang_weights": lambda sf: D.doc_lang_weights(sf),
-        # materialized temperature mix: deterministic md5 residual coin,
-        # flat-map repeat expansion
-        "doc_mix_materialize": lambda sf: D.doc_mix_materialize(sf, hash_fn="md5"),
-        # Efraimidis–Spirakis weighted sample (md5-derived u, combine-safe
-        # top-k by u^(1/w))
-        "doc_weighted_sample": lambda sf: D.doc_weighted_sample(sf, hash_fn="md5"),
-        # cross-document exact span dedup (C4 / Lee et al. 2022 family):
-        # gram-keyed removal exchange + doc-keyed rebuild — stages/spandedup.py
-        "doc_span_dedup": lambda sf: D.doc_span_dedup(sf),
-        # scale default: 128-bit hashed gram keys (~4x fewer exchange bytes);
-        # identical output, so it shares the string twin's oracle
-        "doc_span_dedup_hashed": lambda sf: D.doc_span_dedup_hashed(sf),
-        # sequence packing via distributed exclusive prefix sum (range-bucket
-        # base offsets + ONE bucket-keyed exchange — stages/packing.py)
-        "doc_pack_assignments": lambda sf: D.doc_pack_assignments(sf),
         # deterministic global training shuffle: ROW_NUMBER over md5(doc_id)
         # via hash-prefix histogram offsets, no global sort
         "doc_shuffle_order": lambda sf: D.doc_shuffle_order(sf, hash_fn="md5"),
-        # the composed end-to-end corpus-prep manifest: repetition filter ∘
-        # exact dedup ∘ near-dup dedup ∘ decontamination ∘ packing, chained
-        # as co-partitioned semi joins (pipelines/documents.py)
-        "doc_corpus_prep": lambda sf: D.doc_corpus_prep(sf),
         # per-domain document cap (grouped top-k over source)
         "doc_source_cap": lambda sf: D.doc_source_cap(sf),
         # fixed-word-window chunking with stride (training context windows)
@@ -377,39 +299,6 @@ def _bpe_oracle_merges(n_merges: int = 30):
         "left": pa.array([m[0] for m in merges], pa.string()),
         "right": pa.array([m[1] for m in merges], pa.string()),
         "pair_count": pa.array([m[2] for m in merges], pa.int64())})
-
-
-def _mix_oracle_sql(alpha: float = 0.5) -> str:
-    """SQL twin of ``doc_mix_materialize``: per-language (⌊r⌋, 48-bit
-    residual threshold) re-derived outside Ray from the fixture's language
-    counts and inlined; the md5 residual coin and the range() expansion run
-    in SQL.  Hex compare == integer compare (fixed-width lowercase md5)."""
-    import pyarrow.parquet as pq
-
-    from post_ocr_corrector_ray.stages.corpusprep import temperature_weights
-
-    t = pq.read_table(f"{_ORACLE_SF_DIR}/documents.parquet", columns=["lang"])
-    vc = t.column("lang").value_counts()
-    merged = dict(zip(vc.field("values").to_pylist(),
-                      (int(x) for x in vc.field("counts").to_pylist())))
-    n_total = sum(merged.values())
-    w = temperature_weights(merged, alpha=alpha)
-    rows = []
-    for lang in sorted(merged):
-        r = round(w[lang] / merged[lang], 6) * n_total
-        base = int(np.floor(r))
-        thr = int(np.floor((r - base) * float(16**12)))
-        rows.append(f"('{lang}', {base}, '{thr:012x}')")
-    vals = ", ".join(rows)
-    return f"""
-        WITH m(lang, base, thr) AS (VALUES {vals})
-        SELECT d.doc_id, d.lang,
-               CAST(unnest(range(1,
-                 m.base
-                 + CASE WHEN substr(md5(CAST(d.doc_id AS VARCHAR) || ':mix'),
-                                    1, 12) < m.thr
-                        THEN 1 ELSE 0 END + 1)) AS BIGINT) AS copy_id
-        FROM documents d JOIN m USING (lang)"""
 
 
 def _langid_oracle_sql() -> str:
@@ -514,77 +403,6 @@ _SIMHASH_MD5_SQL = r"""
             GROUP BY doc_id"""
 
 
-# Gopher-style word-level repetition statistics: every ratio is an
-# int/int → IEEE-double division, bit-identical between NumPy and DuckDB
-_REPETITION_SQL = r"""
-    WITH toks AS (
-      SELECT doc_id, list_filter(regexp_split_to_array(text, '\s+'),
-                                 x -> x <> '') AS t
-      FROM documents
-    ), words AS (
-      SELECT doc_id, unnest(t) AS w FROM toks
-    ), wagg AS (
-      SELECT doc_id, CAST(count(*) AS BIGINT) AS nw,
-             CAST(count(DISTINCT w) AS BIGINT) AS nd
-      FROM words GROUP BY doc_id
-    ), wtop AS (
-      SELECT doc_id, CAST(max(c) AS BIGINT) AS topc
-      FROM (SELECT doc_id, w, count(*) AS c FROM words GROUP BY doc_id, w)
-      GROUP BY doc_id
-    ), grams AS (
-      SELECT doc_id,
-             t[CAST(g AS BIGINT)] || ' ' || t[CAST(g AS BIGINT) + 1] AS gram
-      FROM (SELECT doc_id, t, unnest(generate_series(1, len(t) - 1)) AS g
-            FROM toks WHERE len(t) >= 2)
-    ), gagg AS (
-      SELECT doc_id, CAST(count(*) AS BIGINT) AS n2,
-             CAST(count(DISTINCT gram) AS BIGINT) AS nd2
-      FROM grams GROUP BY doc_id
-    )
-    SELECT d.doc_id,
-           COALESCE(w.nw, 0) AS n_words,
-           COALESCE((w.nw - w.nd) * 1.0 / w.nw, 0.0) AS dup_word_frac,
-           COALESCE(t.topc * 1.0 / w.nw, 0.0) AS top_word_frac,
-           COALESCE(g.n2, 0) AS n_2grams,
-           COALESCE((g.n2 - g.nd2) * 1.0 / g.n2, 0.0) AS dup_2gram_frac
-    FROM documents d
-    LEFT JOIN wagg w USING (doc_id)
-    LEFT JOIN wtop t USING (doc_id)
-    LEFT JOIN gagg g USING (doc_id)"""
-
-
-# word-5-gram decontamination of non-test docs vs the test split's distinct
-# grams (short-doc convention shared with the n-gram Jaccard oracle: < 5
-# words → ONE whole-text gram); serves BOTH the broadcast and the
-# gram-exchange contamination paths (identical contract)
-_CONTAMINATION_SQL = r"""
-    WITH toks AS (
-      SELECT doc_id, list_filter(regexp_split_to_array(text, '\s+'),
-                                 x -> x <> '') AS t
-      FROM documents
-    ), grams AS (
-      SELECT DISTINCT doc_id,
-             CASE WHEN len(t) < 5 THEN array_to_string(t, ' ')
-                  ELSE array_to_string(
-                       t[CAST(g AS BIGINT):CAST(g AS BIGINT) + 4], ' ')
-             END AS gram
-      FROM (SELECT doc_id, t,
-                   unnest(generate_series(1, greatest(len(t) - 4, 1))) AS g
-            FROM toks)
-    ), bench AS (
-      SELECT DISTINCT gram FROM grams WHERE doc_id % 10 = 0
-    ), agg AS (
-      SELECT g.doc_id, CAST(count(*) AS BIGINT) AS n_grams,
-             CAST(sum(CASE WHEN b.gram IS NOT NULL THEN 1 ELSE 0 END)
-                  AS BIGINT) AS n_hit
-      FROM grams g LEFT JOIN bench b ON g.gram = b.gram
-      WHERE g.doc_id % 10 <> 0
-      GROUP BY g.doc_id
-    )
-    SELECT doc_id, n_grams, n_hit, n_hit * 1.0 / n_grams AS hit_frac
-    FROM agg"""
-
-
 # shared prefix for the near-dup clustering oracles: exact-Jaccard ≥ 0.5
 # pair edges (identical to the doc_minhash_pairs CTE) symmetrized, then the
 # recursive reachability set of every node (DuckDB UNION-dedup guarantees
@@ -626,41 +444,6 @@ def oracle_sql() -> dict[str, str]:
             FROM (SELECT unnest(regexp_split_to_array(trim(text), '\s+')) AS w
                   FROM documents WHERE trim(text) <> '')
             GROUP BY w""",
-        # partitioned dictionary correction, lev metric (the only metric
-        # DuckDB shares — damerau_levenshtein is unrestricted DL, not OSA);
-        # winner order mirrors stages/dictjoin.py::_reduce_best
-        "doc_dictionary_join": r"""
-            WITH docs AS (SELECT doc_id,
-                                 CASE WHEN trim(text) = ''
-                                      THEN CAST([] AS VARCHAR[])
-                                      ELSE regexp_split_to_array(trim(text),
-                                                                 '\s+')
-                                 END AS ws
-                          FROM documents),
-            toks AS (SELECT doc_id, unnest(ws) AS token,
-                            generate_subscripts(ws, 1) AS pos
-                     FROM docs),
-            vocab AS (SELECT token AS vtok, CAST(count(*) AS BIGINT) AS freq
-                      FROM toks GROUP BY token HAVING count(*) >= 2),
-            oov AS (SELECT DISTINCT token FROM toks
-                    WHERE token NOT IN (SELECT vtok FROM vocab)),
-            best AS (SELECT o.token, v.vtok,
-                            levenshtein(o.token, v.vtok) AS d, v.freq,
-                            abs(length(v.vtok) - length(o.token)) AS dl,
-                            length(v.vtok) AS cl
-                     FROM oov o CROSS JOIN vocab v),
-            corr AS (SELECT token, vtok AS ctok FROM (
-                        SELECT token, vtok,
-                               row_number() OVER (PARTITION BY token
-                                   ORDER BY d, freq DESC, dl, cl, vtok) AS rn
-                        FROM best) WHERE rn = 1)
-            SELECT d.doc_id,
-                   coalesce(string_agg(coalesce(c.ctok, t.token), ' '
-                                       ORDER BY t.pos), '') AS corrected
-            FROM docs d
-            LEFT JOIN toks t USING (doc_id)
-            LEFT JOIN corr c ON t.token = c.token
-            GROUP BY d.doc_id""",
         "doc_split_assignment": """
             SELECT doc_id,
                    CASE WHEN doc_id % 10 = 9 THEN 'validation'
@@ -926,135 +709,6 @@ def oracle_sql() -> dict[str, str]:
               FROM comp c JOIN q ON q.doc_id = c.node)
             SELECT doc_id FROM documents
             WHERE doc_id NOT IN (SELECT node FROM ranked WHERE rn > 1)""",
-        "doc_repetition_stats": _REPETITION_SQL,
-        "doc_repetition_filter": f"""
-            SELECT doc_id FROM ({_REPETITION_SQL})
-            WHERE dup_2gram_frac <= 0.05 AND top_word_frac <= 0.12""",
-        # word-5-gram decontamination of non-test docs vs the test split's
-        # distinct grams (same short-doc convention as the n-gram Jaccard
-        # oracle: < 5 words → ONE whole-text gram)
-        "doc_contamination": _CONTAMINATION_SQL,
-        # the distributed (gram-keyed exchange) scale twin computes the SAME
-        # contract — one oracle serves both paths
-        "doc_contamination_joined": _CONTAMINATION_SQL,
-        # corpus-contribution novelty: per doc, the share of its DISTINCT
-        # word-5-grams whose min-doc_id owner is the doc itself (same gram
-        # CTE + short-doc convention as the contamination oracle)
-        "doc_ngram_novelty": r"""
-            WITH toks AS (
-              SELECT doc_id, list_filter(regexp_split_to_array(text, '\s+'),
-                                         x -> x <> '') AS t
-              FROM documents
-            ), grams AS (
-              SELECT DISTINCT doc_id,
-                     CASE WHEN len(t) < 5 THEN array_to_string(t, ' ')
-                          ELSE array_to_string(
-                               t[CAST(g AS BIGINT):CAST(g AS BIGINT) + 4], ' ')
-                     END AS gram
-              FROM (SELECT doc_id, t,
-                           unnest(generate_series(1, greatest(len(t) - 4, 1))) AS g
-                    FROM toks)
-            ), own AS (SELECT gram, min(doc_id) AS owner
-                       FROM grams GROUP BY gram)
-            SELECT g.doc_id, CAST(count(*) AS BIGINT) AS n_grams,
-                   CAST(sum(CASE WHEN o.owner = g.doc_id THEN 1 ELSE 0 END)
-                        AS BIGINT) AS n_novel,
-                   sum(CASE WHEN o.owner = g.doc_id THEN 1 ELSE 0 END) * 1.0
-                       / count(*) AS novelty
-            FROM grams g JOIN own o USING (gram)
-            GROUP BY g.doc_id""",
-        # unigram familiarity vs the train split's (doc_id%10 ∉ {0,9}) token
-        # frequencies; integer sums/counts → exact double division
-        "doc_token_familiarity": r"""
-            WITH words AS (
-              SELECT doc_id,
-                     unnest(list_filter(regexp_split_to_array(text, '\s+'),
-                                        x -> x <> '')) AS w
-              FROM documents
-            ), freq AS (
-              SELECT w, CAST(count(*) AS BIGINT) AS f
-              FROM words WHERE doc_id % 10 NOT IN (0, 9) GROUP BY w
-            ), agg AS (
-              SELECT wo.doc_id, CAST(count(*) AS BIGINT) AS n_tokens,
-                     CAST(sum(CASE WHEN fr.f IS NULL THEN 1 ELSE 0 END)
-                          AS BIGINT) AS n_oov,
-                     CAST(sum(COALESCE(fr.f, 0)) AS BIGINT) * 1.0 / count(*)
-                         AS mean_train_freq
-              FROM words wo LEFT JOIN freq fr ON wo.w = fr.w
-              GROUP BY wo.doc_id
-            )
-            SELECT d.doc_id, COALESCE(a.n_tokens, 0) AS n_tokens,
-                   COALESCE(a.n_oov, 0) AS n_oov,
-                   COALESCE(a.mean_train_freq, 0.0) AS mean_train_freq
-            FROM documents d LEFT JOIN agg a USING (doc_id)""",
-        # temperature (alpha=0.5) sampling weights per language; sqrt on both
-        # sides, round(,6) absorbs the Σ fp-ordering ulp
-        "doc_lang_weights": """
-            WITH g AS (SELECT lang, CAST(count(*) AS BIGINT) AS c
-                       FROM documents GROUP BY lang)
-            SELECT d.doc_id, d.lang,
-                   round(sqrt(g.c) / (SELECT sum(sqrt(c)) FROM g) / g.c, 6)
-                       AS doc_weight
-            FROM documents d JOIN g USING (lang)""",
-        # cross-document exact span dedup, k=8: grams with ≥2 distinct docs
-        # are removed everywhere except the min-doc_id keeper; covered word
-        # positions are the union of [pos, pos+8) intervals; clean_text is the
-        # position-ordered join of survivors (hash-matched byte-for-byte)
-        "doc_span_dedup": r"""
-            WITH toks AS (
-              SELECT doc_id, list_filter(regexp_split_to_array(text, '\s+'),
-                                         x -> x <> '') AS t
-              FROM documents
-            ), words AS (
-              SELECT doc_id, CAST(g AS BIGINT) AS pos, t[CAST(g AS BIGINT)] AS w
-              FROM (SELECT doc_id, t, unnest(generate_series(1, len(t))) AS g
-                    FROM toks WHERE len(t) >= 1)
-            ), grams AS (
-              SELECT doc_id, CAST(g AS BIGINT) AS pos,
-                     array_to_string(t[CAST(g AS BIGINT):CAST(g AS BIGINT) + 7],
-                                     ' ') AS gram
-              FROM (SELECT doc_id, t,
-                           unnest(generate_series(1, len(t) - 7)) AS g
-                    FROM toks WHERE len(t) >= 8)
-            ), gstats AS (
-              SELECT gram, count(DISTINCT doc_id) AS nd,
-                     min(doc_id) AS keeper
-              FROM grams GROUP BY gram
-            ), rem AS (
-              SELECT g.doc_id, g.pos
-              FROM grams g JOIN gstats s USING (gram)
-              WHERE s.nd >= 2 AND g.doc_id <> s.keeper
-            ), cov AS (
-              SELECT DISTINCT r.doc_id, r.pos + o.o AS pos
-              FROM rem r, generate_series(0, 7) AS o(o)
-            ), kept AS (
-              SELECT w.doc_id, w.pos, w.w
-              FROM words w LEFT JOIN cov c
-                ON w.doc_id = c.doc_id AND w.pos = c.pos
-              WHERE c.pos IS NULL
-            ), agg AS (
-              SELECT doc_id, string_agg(w, ' ' ORDER BY pos) AS clean_text,
-                     CAST(count(*) AS BIGINT) AS n_kept
-              FROM kept GROUP BY doc_id
-            )
-            SELECT t.doc_id, COALESCE(a.clean_text, '') AS clean_text,
-                   CAST(len(t.t) AS BIGINT) AS n_words,
-                   CAST(len(t.t) - COALESCE(a.n_kept, 0) AS BIGINT) AS n_removed
-            FROM toks t LEFT JOIN agg a USING (doc_id)""",
-        # sequence packing, budget 512 words: pack_id = exclusive running
-        # word total in doc_id order, integer-divided by the budget
-        "doc_pack_assignments": r"""
-            WITH w AS (
-              SELECT doc_id,
-                     CAST(len(list_filter(regexp_split_to_array(text, '\s+'),
-                                          x -> x <> '')) AS BIGINT) AS n_words
-              FROM documents
-            )
-            SELECT doc_id, n_words,
-                   CAST(COALESCE(SUM(n_words) OVER (ORDER BY doc_id
-                            ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING),
-                            0) // 512 AS BIGINT) AS pack_id
-            FROM w""",
         # fixed-word-window chunking: win=64, stride=32, tail window partial,
         # empty docs emit nothing
         "doc_chunk_windows": r"""
@@ -1134,42 +788,6 @@ def oracle_sql() -> dict[str, str]:
                         ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id)
                         AS BIGINT) AS shuffle_rank
             FROM documents""",
-        # composed end-to-end corpus prep: intersection of the four keep-sets
-        # (repetition ceilings ∧ exact-dedup winners ∧ near-dup survivors ∧
-        # decontamination; the test split falls out of the contamination CTE
-        # by construction), then packing over the survivors in doc_id order
-        "doc_corpus_prep": _CC_ORACLE + f"""
-            , near AS (
-              SELECT doc_id FROM documents
-              WHERE doc_id NOT IN (
-                SELECT node
-                FROM (SELECT node, least(node, min(r)) AS component
-                      FROM reach GROUP BY node)
-                WHERE node <> component)
-            ), rep AS (
-              SELECT doc_id FROM ({_REPETITION_SQL})
-              WHERE dup_2gram_frac <= 0.05 AND top_word_frac <= 0.12
-            ), exact AS (
-              SELECT min(doc_id) AS doc_id FROM documents GROUP BY md5(text)
-            ), cont AS (
-              SELECT doc_id FROM ({_CONTAMINATION_SQL})
-              WHERE hit_frac <= 0.2
-            ), surv AS (
-              SELECT doc_id,
-                     CAST(len(list_filter(
-                          regexp_split_to_array(text, '\\s+'),
-                          x -> x <> '')) AS BIGINT) AS n_words
-              FROM documents
-              WHERE doc_id IN (SELECT doc_id FROM rep)
-                AND doc_id IN (SELECT doc_id FROM exact)
-                AND doc_id IN (SELECT doc_id FROM near)
-                AND doc_id IN (SELECT doc_id FROM cont)
-            )
-            SELECT doc_id, n_words,
-                   CAST(COALESCE(SUM(n_words) OVER (ORDER BY doc_id
-                            ROWS BETWEEN UNBOUNDED PRECEDING
-                            AND 1 PRECEDING), 0) // 512 AS BIGINT) AS pack_id
-            FROM surv""",
         # NTILE(8) equal-height buckets over (n_chars, doc_id) order
         "doc_length_ntile": """
             SELECT doc_id, n_chars,
@@ -1209,16 +827,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT doc_id, n_chars,
                    percent_rank() OVER (ORDER BY n_chars, doc_id) AS pr
             FROM documents""",
-        # A-ES weighted sample: identical key expression, top-32 by key
-        "doc_weighted_sample": """
-            SELECT doc_id, n_chars FROM (
-              SELECT doc_id, n_chars,
-                     pow(('0x' || substr(md5(CAST(doc_id AS VARCHAR) || ':ws'),
-                                         1, 12))::BIGINT
-                         / 281474976710656.0,
-                         1.0 / greatest(n_chars, 1)) AS key
-              FROM documents)
-            ORDER BY key DESC, doc_id LIMIT 32""",
         # same -Σ p·ln p per doc; zero-token docs never enter the unnest
         "doc_token_entropy": r"""
             WITH t AS (SELECT doc_id,
@@ -1236,12 +844,7 @@ def oracle_sql() -> dict[str, str]:
             FROM c JOIN n USING (doc_id)
             GROUP BY c.doc_id""",
     }
-    # the hashed-gram span-dedup path produces byte-identical output to the
-    # string twin (hash keys only change the EXCHANGE representation), so it
-    # shares the twin's oracle verbatim
-    out["doc_span_dedup_hashed"] = out["doc_span_dedup"]
     if os.path.exists(f"{_ORACLE_SF_DIR}/documents.parquet"):
-        out["doc_mix_materialize"] = _mix_oracle_sql()
         from post_ocr_corrector_ray.stages.bpe import bpe_counts_oracle_sql
 
         out["doc_bpe_token_counts"] = bpe_counts_oracle_sql(

@@ -33,21 +33,14 @@ BENCH_QUERIES = (
     "doc_minhash_pairs", "doc_ngram_jaccard_pairs", "doc_langid",
     "doc_fingerprint", "doc_token_count_bpe", "doc_scrub_pii",
     "training_feed", "doc_null_corrector_cer", "doc_length_quantiles",
-    "doc_length_quantiles_by_lang", "doc_dup_components",
-    "doc_dedup_near", "doc_top_tokens", "doc_token_distinct",
-    "doc_token_distinct_hll", "doc_percentile_filter",
-    "doc_rank_by_length", "doc_repetition_stats", "doc_contamination",
-    "doc_contamination_joined", "doc_token_familiarity",
-    "doc_lang_weights", "doc_span_dedup", "doc_span_dedup_hashed",
-    "doc_pack_assignments", "doc_shuffle_order", "doc_corpus_prep",
-    "doc_source_cap", "doc_chunk_windows", "doc_idf",
-    "doc_tfidf_top_terms", "doc_inverted_index",
-    "doc_length_ntile", "doc_quality_tiers", "doc_bigram_pmi",
-    "doc_length_percent_rank", "doc_heavy_hitters", "doc_token_entropy",
-    "doc_mix_materialize", "doc_weighted_sample", "doc_dictionary_join",
-    "doc_bpe_token_counts", "doc_winnowing", "doc_winnowing_fast",
-    "doc_dedup_keep_best", "doc_ngram_novelty", "flagship_tiered",
-    "flagship_dictionary_joined",
+    "doc_length_quantiles_by_lang", "doc_dup_components", "doc_dedup_near",
+    "doc_top_tokens", "doc_token_distinct", "doc_token_distinct_hll",
+    "doc_percentile_filter", "doc_rank_by_length", "doc_shuffle_order",
+    "doc_source_cap", "doc_chunk_windows", "doc_idf", "doc_tfidf_top_terms",
+    "doc_inverted_index", "doc_length_ntile", "doc_quality_tiers",
+    "doc_bigram_pmi", "doc_length_percent_rank", "doc_heavy_hitters",
+    "doc_token_entropy", "doc_bpe_token_counts", "doc_winnowing",
+    "doc_winnowing_fast", "doc_dedup_keep_best", "flagship_tiered",
 )
 
 

@@ -147,6 +147,8 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--no-resume", action="store_true")
 
     args = p.parse_args(argv)
+    if args.cmd == "run" and args.corrector != "null" and not args.model_dir:
+        p.error(f"--model-dir is required for --corrector {args.corrector}")
 
     if args.cmd == "convert-ckpt":
         from .model.ckpt_compat import convert_to_model_dir
@@ -174,13 +176,11 @@ def main(argv: list[str] | None = None) -> int:
 
             kwargs: dict = {}
             if args.corrector == "neural":
-                assert args.model_dir, "--model-dir required for neural"
                 from .model.artifacts import read_alphabet
 
                 kwargs = dict(alphabet=read_alphabet(args.model_dir),
                               model_path=os.path.join(args.model_dir, "weights.npz"))
             elif args.corrector == "dictionary":
-                assert args.model_dir, "--model-dir required for dictionary"
                 corr = load_dictionary(args.model_dir)
                 kwargs = dict(vocab_ref=ray.put(corr.vocabulary),
                               min_frequency=corr.min_frequency)

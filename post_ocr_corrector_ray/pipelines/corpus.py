@@ -146,11 +146,7 @@ def build_dictionary(ds: ray.data.Dataset, *, text_col: str = "clean",
     ``min_frequency`` are PRUNED INSIDE the distributed count pipeline before
     the driver collection: the corrector ignores them anyway (reference
     :80/:87-88), and a raw web-scale token census (typos, ids, hashes) is
-    orders of magnitude larger than its ≥2-frequency core.  If even the
-    pruned vocabulary outgrows the broadcast budget, the scale twin is
-    ``stages/dictjoin.py::dictionary_correct_joined`` — the vocabulary stays
-    a DATASET (membership hash join + sharded nearest-word scan),
-    byte-identical to this broadcast path (pytest-pinned, any shard count).
+    orders of magnitude larger than its ≥2-frequency core.
     """
     import pyarrow.compute as pc
 

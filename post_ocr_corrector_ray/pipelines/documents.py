@@ -1,5 +1,6 @@
-"""Document-table pipelines: reference text semantics + training-data ops
-applied to the ``documents`` test table (doc_id, text, lang, source, n_chars).
+"""Document-table pipelines: reference text semantics, dedup, quality and
+text statistics over the ``documents`` test table (doc_id, text, lang, source,
+n_chars).
 
 Each function takes ``sf_dir`` and returns a Dataset / Arrow table; SQL
 oracles (where expressible) live in __ray_entry__.
@@ -111,27 +112,6 @@ def doc_bpe_token_counts(sf_dir: str, n_merges: int = 30) -> ray.data.Dataset:
 
     return bpe_token_counts(_docs(sf_dir, ["doc_id", "text"]),
                             _bpe_merges(sf_dir, n_merges))
-
-
-def doc_dictionary_join(sf_dir: str, min_frequency: int = 2,
-                        metric: str = "lev") -> ray.data.Dataset:
-    """Dictionary correction with the vocabulary as a DATASET — the
-    partitioned token-lookup twin of the broadcast DictionaryCorrector
-    (stages/dictjoin.py): tokens ⋈ vocab membership join, sharded
-    nearest-word scan over distinct OOV tokens, positional rebuild.  Here
-    the corpus corrects against its OWN ≥ ``min_frequency`` token census
-    (singleton tokens snap to their nearest frequent word — corpus
-    spell-normalization).  ``metric="lev"`` is the SQL-shared metric (the
-    oracle's levenshtein); byte-identity of ``metric="osa"`` vs the
-    broadcast corrector is pytest-pinned.  Returns (doc_id, corrected)."""
-    from ..stages.dictjoin import dictionary_correct_joined
-
-    docs = _docs(sf_dir, ["doc_id", "text"])
-    vocab = doc_token_counts(sf_dir)
-    return dictionary_correct_joined(docs, vocab, id_col="doc_id",
-                                     text_col="text",
-                                     min_frequency=min_frequency,
-                                     metric=metric)
 
 
 def doc_split_assignment(sf_dir: str) -> ray.data.Dataset:
@@ -451,16 +431,6 @@ def doc_dedup_keep_best(sf_dir: str) -> ray.data.Dataset:
                                _near_dup_pairs(sf_dir), scores)
 
 
-def doc_ngram_novelty(sf_dir: str) -> ray.data.Dataset:
-    """Per-doc novelty: fraction of its distinct word-5-grams first seen (by
-    min doc_id) in this document — the corpus-contribution curation metric.
-    One gram-keyed ownership exchange + one doc-keyed partial sum
-    (stages/corpusprep.py::ngram_novelty); exact SQL twin."""
-    from ..stages import corpusprep as cp
-
-    return cp.ngram_novelty(_docs(sf_dir, ["doc_id", "text"]))
-
-
 def doc_simhash_md5(sf_dir: str) -> ray.data.Dataset:
     """SimHash with md5 shingle hashes — the SQL-oracle twin of doc_simhash,
     hash-verifying the bit-majority machinery (stages/dedup.py)."""
@@ -537,249 +507,6 @@ def doc_simhash_candidates_md5(sf_dir: str) -> ray.data.Dataset:
     return dd.simhash_candidates(_docs(sf_dir, ["doc_id", "text"]),
                                  max_hamming=8, n_chunks=8,
                                  sig_batch_fn=dd.simhash_md5_batch)
-
-
-def _filter_by_split_remainder(ds: ray.data.Dataset,
-                               keep_remainders: tuple[int, ...]
-                               ) -> ray.data.Dataset:
-    """Vectorized doc_id%10 split filter (reference split mapping: 9→val,
-    0→test, else train — pipelines/corpus.py::pick_split)."""
-
-    def f(batch: pa.Table) -> pa.Table:
-        rem = batch.column("doc_id").to_numpy() % 10
-        return batch.filter(pa.array(np.isin(rem, keep_remainders)))
-
-    return ds.map_batches(f, batch_format="pyarrow")
-
-
-def doc_repetition_stats(sf_dir: str) -> ray.data.Dataset:
-    """Gopher-style word-level repetition statistics per document
-    (stages/corpusprep.py) — pure vectorized map, exact SQL twin."""
-    from ..stages import corpusprep as cp
-
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        cp.repetition_stats_batch, batch_format="pyarrow")
-
-
-def doc_repetition_filter(sf_dir: str) -> ray.data.Dataset:
-    """Repetition-based quality filter: keep documents under the duplicate-
-    2-gram and top-word-fraction ceilings (thresholds sit at ≈p75/p85 of the
-    synthetic corpus so the filter genuinely splits it)."""
-    stats = doc_repetition_stats(sf_dir)
-
-    def keep(batch: pa.Table) -> pa.Table:
-        mask = pc.and_(pc.less_equal(batch.column("dup_2gram_frac"), 0.05),
-                       pc.less_equal(batch.column("top_word_frac"), 0.12))
-        return batch.filter(mask).select(["doc_id"])
-
-    return stats.map_batches(keep, batch_format="pyarrow")
-
-
-def doc_contamination(sf_dir: str, n_gram: int = 5) -> ray.data.Dataset:
-    """Benchmark decontamination: score every non-test document's word-5-gram
-    overlap against the test split's distinct grams.
-
-    Scale shape: the benchmark side is SMALL by definition (a curated eval
-    suite), so its distinct grams are collected once and broadcast via
-    ``ray.put`` (read per actor in ``ContaminationStage.__init__``) — a
-    broadcast membership join, not a shuffle.  The corpus side streams."""
-    import ray
-
-    from ..stages import corpusprep as cp
-
-    docs = _docs(sf_dir, ["doc_id", "text"])
-    bench_parts = _filter_by_split_remainder(docs, (0,)).map_batches(
-        cp.distinct_grams_batch, batch_format="pyarrow",
-        fn_kwargs=dict(n_gram=n_gram))
-    uniq: set[str] = set()
-    for b in bench_parts.iter_batches(batch_format="pyarrow"):
-        uniq.update(b.column("gram").to_pylist())
-    bench_ref = ray.put(pa.array(sorted(uniq), pa.string()))
-    scored = _filter_by_split_remainder(docs, (1, 2, 3, 4, 5, 6, 7, 8, 9))
-    return scored.map_batches(
-        cp.ContaminationStage, batch_format="pyarrow",
-        fn_constructor_kwargs=dict(bench_ref=bench_ref, n_gram=n_gram),
-        batch_size=256, concurrency=(1, 4), num_cpus=1)
-
-
-def doc_contamination_joined(sf_dir: str, n_gram: int = 5) -> ray.data.Dataset:
-    """Distributed (gram-keyed exchange) contamination scoring — the scale
-    twin of doc_contamination for when the benchmark side is too big to
-    broadcast.  Same semantics, same SQL oracle, no driver materialization."""
-    from ..stages import corpusprep as cp
-
-    return cp.contamination_joined(_docs(sf_dir, ["doc_id", "text"]),
-                                   n_gram=n_gram)
-
-
-def doc_token_familiarity(sf_dir: str) -> ray.data.Dataset:
-    """Unigram-LM familiarity scoring: mean train-split token frequency +
-    OOV count per document.  The train vocabulary is built with the
-    pre-aggregated token exchange (pipelines/corpus.py::token_counts) and
-    broadcast once (the dictionary-corrector small-side pattern)."""
-    import ray
-
-    from ..stages import corpusprep as cp
-
-    docs = _docs(sf_dir, ["doc_id", "text"])
-    train = _filter_by_split_remainder(docs, (1, 2, 3, 4, 5, 6, 7, 8))
-    counts = token_counts(train, text_col="text", split=None)
-    toks: list[str] = []
-    freqs: list[int] = []
-    for b in counts.iter_batches(batch_format="pyarrow"):
-        toks.extend(b.column("token").to_pylist())
-        freqs.extend(b.column("frequency").to_pylist())
-    order = np.argsort(np.array(toks, dtype=object))
-    vocab_ref = ray.put((pa.array(np.array(toks, dtype=object)[order], type=pa.string()),
-                         np.array(freqs, dtype=np.int64)[order]))
-    return docs.map_batches(
-        cp.FamiliarityStage, batch_format="pyarrow",
-        fn_constructor_kwargs=dict(vocab_ref=vocab_ref),
-        batch_size=256, concurrency=(1, 4), num_cpus=1)
-
-
-def doc_lang_weights(sf_dir: str, alpha: float = 0.5) -> ray.data.Dataset:
-    """Temperature sampling weights for corpus mixing: per-language counts →
-    w_lang = cnt^alpha / Σ cnt^alpha → per-doc weight w_lang / cnt, rounded
-    to 6 dp (the SQL twin rounds identically).  Counts are per-batch partials
-    merged on the driver (≤ #languages rows); the weight map is a tiny
-    broadcast into a vectorized map — no shuffle anywhere."""
-    from ..stages.corpusprep import temperature_weights
-
-    docs = _docs(sf_dir, ["doc_id", "lang"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        vc = batch.column("lang").value_counts()
-        return pa.table({"lang": vc.field("values"),
-                         "n": vc.field("counts").cast(pa.int64())})
-
-    merged: dict[str, int] = {}
-    for b in docs.map_batches(partial, batch_format="pyarrow") \
-            .iter_batches(batch_format="pyarrow"):
-        for lang, cnt in zip(b.column("lang").to_pylist(),
-                             b.column("n").to_pylist()):
-            merged[lang] = merged.get(lang, 0) + cnt
-    w = temperature_weights(merged, alpha=alpha)
-    langs = sorted(merged)
-    weight_arr = np.round(np.array([w[lang] / merged[lang] for lang in langs]),
-                          6)
-    lang_vals = pa.array(langs, pa.string())
-
-    def apply(batch: pa.Table) -> pa.Table:
-        idx = pc.index_in(batch.column("lang"), value_set=lang_vals) \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "lang": batch.column("lang"),
-                         "doc_weight": pa.array(weight_arr[idx], pa.float64())})
-
-    return docs.map_batches(apply, batch_format="pyarrow")
-
-
-def doc_span_dedup(sf_dir: str, k: int = 8) -> ray.data.Dataset:
-    """Cross-document exact span dedup (stages/spandedup.py): remove every
-    word-k-gram occurring in ≥2 documents except the copy in the lowest
-    doc_id, and rebuild each document from its surviving words.  Two coarse
-    exchanges (gram-keyed removal detection, doc-keyed reconstruction); exact
-    DuckDB twin hash-matches clean_text itself.  String gram keys — the
-    SQL-expressible twin of the hashed default below."""
-    from ..stages.spandedup import span_dedup
-
-    return span_dedup(_docs(sf_dir, ["doc_id", "text"]), k=k, hash_grams=False)
-
-
-def doc_span_dedup_hashed(sf_dir: str, k: int = 8) -> ray.data.Dataset:
-    """The scale default of ``doc_span_dedup``: the removal exchange is keyed
-    on the 128-bit gram hash (16 bytes/occurrence instead of the ~50-byte
-    string — measured ~4× fewer exchange bytes).  Output is identical to the
-    string twin (collisions ~n²/2¹²⁹), so the SAME DuckDB oracle
-    hash-verifies this path too."""
-    from ..stages.spandedup import span_dedup
-
-    return span_dedup(_docs(sf_dir, ["doc_id", "text"]), k=k, hash_grams=True)
-
-
-def doc_pack_assignments(sf_dir: str, budget: int = 512) -> ray.data.Dataset:
-    """Sequence packing (stages/packing.py): documents laid end-to-end in
-    doc_id order are assigned to fixed-word-budget training packs via the
-    distributed exclusive prefix sum — SQL twin is a window SUM."""
-    from ..stages.packing import pack_assignments
-    from ..stages.textstats import _split_words
-
-    def wc(batch: pa.Table) -> pa.Table:
-        _, counts = _split_words(batch.column("text").combine_chunks())
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "n_words": pa.array(counts, pa.int64())})
-
-    stats = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        wc, batch_format="pyarrow")
-    return pack_assignments(stats, "doc_id", "n_words", budget=budget)
-
-
-def doc_corpus_prep(sf_dir: str, *, contamination_max: float = 0.2,
-                    pack_budget: int = 512) -> ray.data.Dataset:
-    """End-to-end training-corpus preparation — the composed RefinedWeb-style
-    flow as ONE lazy Ray pipeline, emitting the final training manifest
-    (doc_id, n_words, pack_id):
-
-    1. repetition quality filter (Gopher ceilings — doc_repetition_filter);
-    2. exact dedup winners (min doc_id per md5 — doc_dedup_exact);
-    3. near-dup survivors (LSH pairs → connected components → anti join —
-       doc_dedup_near);
-    4. benchmark decontamination (hit_frac ≤ ``contamination_max``; the test
-       split itself is excluded by construction — doc_contamination);
-    5. sequence packing of the survivors in doc_id order (stages/packing.py).
-
-    Every keep-set is a Dataset of doc_ids; survivors are computed with
-    co-partitioned SEMI joins (stages/joins.py — only the key crosses each
-    exchange), never collected on the driver.  The composed DuckDB twin
-    hash-matches the full manifest."""
-    from ..stages.joins import hash_join
-    from ..stages.packing import pack_assignments
-    from ..stages.textstats import _split_words
-
-    def wc(batch: pa.Table) -> pa.Table:
-        _, counts = _split_words(batch.column("text").combine_chunks())
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "n_words": pa.array(counts, pa.int64())})
-
-    surv = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        wc, batch_format="pyarrow")
-
-    def ids_only(ds: ray.data.Dataset) -> ray.data.Dataset:
-        return ds.map_batches(lambda t: t.select(["doc_id"]),
-                              batch_format="pyarrow")
-
-    def not_contaminated(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.less_equal(batch.column("hit_frac"),
-                                          contamination_max)) \
-            .select(["doc_id"])
-
-    keeps = [
-        doc_repetition_filter(sf_dir),
-        ids_only(doc_dedup_exact(sf_dir)),
-        doc_dedup_near(sf_dir),
-        doc_contamination(sf_dir).map_batches(not_contaminated,
-                                              batch_format="pyarrow"),
-    ]
-    # each keep-set and each semi-join result is pinned (materialize +
-    # coalesce, components._pin): the four keep pipelines each end in
-    # grouped exchanges, and chaining them lazily into ONE plan multiplies
-    # per-block exchange task overheads (the incremental-ingest lesson in
-    # BASELINE.md) — measured 258 s → ~60 s at sf0.1/32cpus.  Keep-sets are
-    # doc_id-only rows; the object store holds (and can spill) them.  The
-    # four keep pipelines are independent, so they materialize concurrently
-    # from driver threads (each owns its own Ray Data execution) instead of
-    # serializing four cluster-wide passes.
-    from concurrent.futures import ThreadPoolExecutor
-
-    from ..stages.components import _pin
-
-    with ThreadPoolExecutor(max_workers=len(keeps)) as ex:
-        pinned = list(ex.map(lambda k: _pin(k, 16), keeps))
-    for k in pinned:
-        surv = _pin(hash_join(surv, k, on="doc_id", how="semi"), 16)
-    return pack_assignments(surv, "doc_id", "n_words", budget=pack_budget,
-                            pack_col="pack_id")
 
 
 def doc_rank_by_length(sf_dir: str) -> ray.data.Dataset:
@@ -1233,8 +960,8 @@ def doc_heavy_hitters(sf_dir: str, k: int = 256) -> pa.Table:
 
 
 def doc_token_entropy(sf_dir: str) -> ray.data.Dataset:
-    """Shannon entropy of each document's token distribution (the repetition
-    /diversity quality signal next to doc_repetition_stats) — entirely
+    """Shannon entropy of each document's token distribution (a
+    diversity quality signal) — entirely
     batch-local, NO shuffle: one Arrow whitespace split, one vectorized
     (row, token) groupby, and a per-row -Σ p·ln p via np.add.reduceat.
     Zero-token documents are omitted (mirrors the SQL twin, where they never
@@ -1269,124 +996,3 @@ def doc_token_entropy(sf_dir: str) -> ray.data.Dataset:
                          "entropy": pa.array(np.round(h, 6), pa.float64())})
 
     return ds.map_batches(entropy, batch_format="pyarrow")
-
-
-_MIX_SEED = 0x311C5  # doc_mix_materialize's fast-path hash seed
-
-
-def doc_mix_materialize(sf_dir: str, alpha: float = 0.5, *,
-                        hash_fn: str = "fast") -> ray.data.Dataset:
-    """MATERIALIZED temperature mix: each document is emitted ``r`` times,
-    where r = per-doc weight (doc_lang_weights' round-6 discipline) × corpus
-    size — upsampled rare languages repeat ⌊r⌋ or ⌈r⌉ times, downsampled
-    common ones keep a ⌊r⌋=0 + Bernoulli(frac) residual.  The residual coin
-    is a DETERMINISTIC 48-bit hash of the doc id (reproducible across runs,
-    block layouts and cluster sizes — never seeded RNG), compared against a
-    per-group threshold.  ``hash_fn="fast"`` (DEFAULT) draws the coin from
-    one vectorized splitmix64 mix of the id column; ``hash_fn="md5"`` is the
-    SQL-oracle twin (the twin compares the same md5 prefix against the same
-    threshold rendered in hex) — per-row hashlib, kept ONLY for driver
-    verification.  Flat-map shape: no shuffle, output ~N rows regardless of
-    the mix."""
-    import hashlib
-
-    from ..functions.hashing import hash_u64_array
-    from ..stages.corpusprep import temperature_weights
-
-    if hash_fn not in ("fast", "md5"):
-        raise ValueError(f"doc_mix_materialize: unknown hash_fn={hash_fn!r}")
-
-    docs = _docs(sf_dir, ["doc_id", "lang"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        vc = batch.column("lang").value_counts()
-        return pa.table({"lang": vc.field("values"),
-                         "n": vc.field("counts").cast(pa.int64())})
-
-    merged: dict[str, int] = {}
-    for b in docs.map_batches(partial, batch_format="pyarrow") \
-            .iter_batches(batch_format="pyarrow"):
-        for lang, cnt in zip(b.column("lang").to_pylist(),
-                             b.column("n").to_pylist()):
-            merged[lang] = merged.get(lang, 0) + cnt
-    n_total = sum(merged.values())
-    w = temperature_weights(merged, alpha=alpha)
-    langs = sorted(merged)
-    # r from the 6-dp per-doc weight (bit-reproducible in SQL); threshold is
-    # the 48-bit integer floor(frac(r) * 16^12)
-    r = np.array([round(w[lang] / merged[lang], 6) for lang in langs]) * n_total
-    base_arr = np.floor(r).astype(np.int64)
-    thr_arr = np.floor((r - base_arr) * float(16**12)).astype(np.int64)
-    lang_vals = pa.array(langs, pa.string())
-
-    def expand(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        idx = pc.index_in(batch.column("lang"), value_set=lang_vals) \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        if hash_fn == "fast":
-            pref = (hash_u64_array(ids.astype(np.uint64), seed=_MIX_SEED)
-                    >> np.uint64(16)).astype(np.int64)
-        else:
-            pref = np.array(
-                [int(hashlib.md5(f"{i}:mix".encode()).hexdigest()[:12], 16)
-                 for i in ids], dtype=np.int64)
-        n = base_arr[idx] + (pref < thr_arr[idx])
-        rep = np.repeat(np.arange(len(ids)), n)
-        ends = np.cumsum(n)
-        copy_id = np.arange(int(ends[-1]) if len(ends) else 0) \
-            - np.repeat(ends - n, n) + 1
-        return pa.table({
-            "doc_id": pa.array(ids[rep], pa.int64()),
-            "lang": batch.column("lang").take(pa.array(rep)),
-            "copy_id": pa.array(copy_id, pa.int64())})
-
-    return docs.map_batches(expand, batch_format="pyarrow")
-
-
-_WSAMPLE_SEED = 0x35A17  # doc_weighted_sample's fast-path hash seed
-
-
-def doc_weighted_sample(sf_dir: str, k: int = 32, *,
-                        hash_fn: str = "fast") -> pa.Table:
-    """Weighted sampling WITHOUT replacement (Efraimidis–Spirakis A-ES):
-    each doc draws u ∈ (0,1) from a DETERMINISTIC 48-bit hash of its id and
-    competes with key u^(1/w) (w = n_chars) — the k largest keys are an
-    exact weighted sample.  Top-k is combine-safe, so per-block local top-k
-    partials → tiny driver merge; no shuffle, reproducible across layouts
-    and cluster sizes.  ``hash_fn="fast"`` (DEFAULT) draws u from one
-    vectorized splitmix64 mix of the id column; ``hash_fn="md5"`` is the
-    SQL-oracle twin (the twin computes the identical md5 key expression;
-    selection ties would need keys within 1 ulp of each other — the hash
-    makes that astronomically unlikely) — per-row hashlib, kept ONLY for
-    driver verification."""
-    import hashlib
-
-    from ..functions.hashing import hash_u64_array
-
-    if hash_fn not in ("fast", "md5"):
-        raise ValueError(f"doc_weighted_sample: unknown hash_fn={hash_fn!r}")
-    docs = _docs(sf_dir, ["doc_id", "n_chars"])
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        w = batch.column("n_chars").to_numpy(zero_copy_only=False) \
-                 .astype(np.float64)
-        if hash_fn == "fast":
-            u = (hash_u64_array(ids.astype(np.uint64), seed=_WSAMPLE_SEED)
-                 >> np.uint64(16)).astype(np.float64) / float(1 << 48)
-        else:
-            u = np.array(
-                [int(hashlib.md5(f"{i}:ws".encode()).hexdigest()[:12], 16)
-                 for i in ids], dtype=np.float64) / float(16**12)
-        key = u ** (1.0 / np.maximum(w, 1.0))
-        order = np.argsort(-key, kind="stable")[:k]
-        return pa.table({"doc_id": pa.array(ids[order], pa.int64()),
-                         "n_chars": pa.array(
-                             batch.column("n_chars").take(pa.array(order))),
-                         "key": pa.array(key[order], pa.float64())})
-
-    parts = docs.map_batches(local_topk, batch_format="pyarrow").to_pandas()
-    top = parts.sort_values(["key", "doc_id"],
-                            ascending=[False, True]).head(k)
-    return pa.table({"doc_id": pa.array(top["doc_id"].astype("int64")),
-                     "n_chars": pa.array(top["n_chars"].astype("int64"))})

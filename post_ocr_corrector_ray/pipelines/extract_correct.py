@@ -143,7 +143,8 @@ def extract_correct(pages: ray.data.Dataset, *, corrector: CorrectorKind = "null
     output (returns the tiny per-partition summary dataset); without, returns
     the lazy corrected dataset for the caller to consume.  The committed
     ``stage_versions`` name the model (``model_fingerprint``), so a resume
-    under other weights, hparams, seed, alphabet or vocabulary is refused."""
+    under other weights, hparams, seed, alphabet or vocabulary is refused.
+    ``resume=False`` deletes the store's partitions before the run."""
     ds = pages
     stage_versions = {"extract": "1", "correct": f"{corrector}/1"}
     if out_dir is not None and corrector != "null":
@@ -152,11 +153,14 @@ def extract_correct(pages: ray.data.Dataset, *, corrector: CorrectorKind = "null
     if out_dir is not None and resume:
         lin.check_partition_scheme(out_dir, num_partitions=num_partitions,
                                    input_fingerprint=input_fingerprint,
-                                   stage_versions=stage_versions)
+                                   stage_versions=stage_versions,
+                                   data_format=data_format)
         committed = lin.committed_partitions(out_dir)
         if committed:
             ds = ds.map_batches(make_committed_filter(committed, num_partitions),
                                 batch_format="pyarrow")
+    elif out_dir is not None:
+        lin.clear_partitions(out_dir)
     ds = extract_pipeline(ds)
     ds = correct_stage(ds, corrector=corrector, **correct_kwargs)
     if out_dir is None:

@@ -16,9 +16,9 @@ side, apply everywhere):
   driver-side and fully deterministic: the best pair is (max summed count,
   ties → lexicographically smallest), so two runs — or an independent
   reimplementation — learn the identical merge list.
-- APPLICATION is distributed and memoized per distinct word per batch (the
-  dictjoin discipline): tokenize, ``np.unique``, encode each distinct word
-  once, scatter counts back.  The merge list broadcasts via ``ray.put``.
+- APPLICATION is distributed and memoized per distinct word per batch:
+  tokenize, ``np.unique``, encode each distinct word once, scatter counts
+  back.  The merge list broadcasts via ``ray.put``.
 
 Application semantics (shared with the generated DuckDB twin): a word is
 the symbol sequence ``[*chars, "</w>"]``; repeatedly merge the

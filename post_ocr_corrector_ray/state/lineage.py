@@ -20,8 +20,10 @@ The hash function IS the resume contract: every marker records
 ``partition_scheme`` and ``num_partitions``, and resume refuses (loudly) to
 mix schemes or partition counts — a store written under a different layout
 would otherwise silently drop/duplicate rows.  Resume also refuses a marker
-written from a different input fingerprint or stage versions: the rerun must
-reproduce the store, not splice two runs into one.
+written from a different input fingerprint, stage versions or data format:
+the rerun must reproduce the store, not splice two runs into one.  A run with
+``resume=False`` first deletes every ``part=*`` directory, for the same
+reason.
 
 Lineage recorded per partition: input fileset fingerprint, row/url counts,
 url-hash range, stage versions, wall-clock, and arbitrary caller metrics.
@@ -49,17 +51,20 @@ PARTITION_SCHEME = "polyhash-v2"
 
 def check_partition_scheme(out_dir: str, *, num_partitions: int | None = None,
                            input_fingerprint: str | None = None,
-                           stage_versions: dict | None = None) -> None:
+                           stage_versions: dict | None = None,
+                           data_format: str | None = None) -> None:
     """Refuse to resume over partitions committed under a different url-hash
     scheme or partition count (the partition ids would not correspond to the
     same url sets, so a 'resume' would silently drop some urls and duplicate
-    others), or from a different input or stage versions.  An argument left
-    ``None`` is not checked; a marker without ``num_partitions`` predates
-    that field and is not checked against it."""
+    others), from a different input or stage versions, or in another
+    ``data_format`` (a store mixing parquet and csv partitions reads back
+    neither whole).  An argument left ``None`` is not checked; a marker
+    without a field predates it and is not checked against it."""
     current = {"partition_scheme": PARTITION_SCHEME,
                "num_partitions": num_partitions,
                "input_fingerprint": input_fingerprint,
-               "stage_versions": stage_versions}
+               "stage_versions": stage_versions,
+               "data_format": data_format}
     for rec in read_lineage(out_dir):
         rec = {"partition_scheme": "blake2b-v1", **rec}  # blake2b-era markers lack it
         for field, want in current.items():
@@ -98,6 +103,21 @@ def fingerprint_inputs(paths: list[str] | str) -> str:
 
 def partition_dir(out_dir: str, part_id: int) -> str:
     return os.path.join(out_dir, f"part={part_id:05d}")
+
+
+def clear_partitions(out_dir: str) -> None:
+    """Delete every ``part=NNNNN`` directory under ``out_dir``, committed or
+    not; other entries are left alone.  A ``resume=False`` run calls this
+    first, so partitions the new run does not rewrite cannot survive into
+    its store."""
+    import re
+    import shutil
+
+    if not os.path.isdir(out_dir):
+        return
+    for name in os.listdir(out_dir):
+        if re.fullmatch(r"part=\d{5,}", name):
+            shutil.rmtree(os.path.join(out_dir, name))
 
 
 def committed_partitions(out_dir: str) -> frozenset[int]:
@@ -177,8 +197,11 @@ def commit_by_key(ds, out_dir: str, *, key_col: str,
     if resume:
         check_partition_scheme(out_dir, num_partitions=num_partitions,
                                input_fingerprint=input_fingerprint,
-                               stage_versions=stage_versions)
+                               stage_versions=stage_versions,
+                               data_format=data_format)
         committed = committed_partitions(out_dir)
+    else:
+        clear_partitions(out_dir)
 
     def add_part(batch: pa.Table) -> pa.Table:
         parts = partition_of_array(batch.column(key_col).cast(pa.string()),
@@ -230,7 +253,9 @@ def read_output(out_dir: str) -> pa.Table:
 def read_output_ds(out_dir: str):
     """Committed partitions as a streaming Dataset (parquet-format stores) —
     the scale-safe twin of ``read_output``: partitions are read lazily by Ray
-    tasks, never concatenated on the driver."""
+    tasks, never concatenated on the driver.  Same columns as
+    ``read_output``: the ``part=NNNNN`` directory names are not parsed into
+    a hive partition column."""
     import ray.data
 
     paths = []
@@ -240,4 +265,4 @@ def read_output_ds(out_dir: str):
             paths.append(fp)
     if not paths:
         raise FileNotFoundError(f"no committed parquet partitions under {out_dir}")
-    return ray.data.read_parquet(paths)
+    return ray.data.read_parquet(paths, partitioning=None)

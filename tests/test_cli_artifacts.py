@@ -2,6 +2,7 @@
 except one true end-to-end subprocess run)."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -230,3 +231,205 @@ class TestTiersCli:
             got[["doc_id", "lang", "quality", "tier"]],
             want[["doc_id", "lang", "quality", "tier"]],
             check_dtype=False, check_exact=True)
+
+
+class TestCliUsageErrors:
+    @pytest.mark.parametrize("corrector", ["neural", "dictionary"])
+    def test_run_without_model_dir(self, tmp_path, capsys, corrector):
+        """A missing --model-dir is a usage error (exit 2), not an assert
+        that ``python -O`` strips."""
+        from post_ocr_corrector_ray.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(tmp_path / "pages.parquet"), str(tmp_path / "o"),
+                  "--corrector", corrector])
+        assert exc.value.code == 2
+        assert "--model-dir" in capsys.readouterr().err
+
+
+def _last_json(capsys) -> dict:
+    return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+def _write_pages(tmp_path, ids):
+    """Synthetic pages ``ids`` (seed 42) written as one parquet file."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from post_ocr_corrector_ray.sources.synth import pages_batch
+
+    pages = pages_batch(np.asarray(ids), seed=42)
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(pages, path)
+    return pages, path
+
+
+def _committed_url_map(out_dir, col="corrected_text") -> dict:
+    from post_ocr_corrector_ray.state.lineage import read_output
+
+    t = read_output(out_dir)
+    urls = t.column("url").to_pylist()
+    assert len(set(urls)) == len(urls)
+    return dict(zip(urls, t.column(col).to_pylist()))
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestCliSubcommands:
+    """Each shipped subcommand's artifact against the single-process oracle
+    or the kernel the subcommand wraps."""
+
+    def test_alphabet(self, tmp_path, capsys):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.functions.alphabet import build_alphabet
+        from post_ocr_corrector_ray.oracle import oracle_alphabet
+
+        texts = ["Ünïcode and ascii.", None, "", "tab\tand\nnewline", "zz"]
+        f = str(tmp_path / "t.parquet")
+        pq.write_table(pa.table({"body": pa.array(texts, pa.string())}), f)
+        out = tmp_path / "alphabet.txt"
+        assert main(["alphabet", f, "--column", "body", "--out", str(out)]) == 0
+        want = build_alphabet(oracle_alphabet([t for t in texts if t]))
+        assert out.read_text(encoding="utf-8") == want
+        assert "\n" not in want and "Ü" in want
+        assert _last_json(capsys) == {"alphabet_size": len(want),
+                                      "alphabet": want}
+
+    def test_corpus(self, tmp_path):
+        import pyarrow.parquet as pq
+
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.oracle import oracle_extract, oracle_messy
+        from post_ocr_corrector_ray.pipelines.corpus import add_split_column
+
+        pages, path = _write_pages(tmp_path, range(30))
+        out = str(tmp_path / "corpus")
+        good = "abcdefghijklmnopqrstuvwxyz "
+        assert main(["corpus", path, out, "--good-chars", good]) == 0
+        got = pq.read_table(out).to_pandas().set_index("url").sort_index()
+        clean = oracle_extract(pages)
+        splits = add_split_column(pages.select(["url"])).to_pandas()
+        assert sorted(got.index) == sorted(clean)
+        for url, row in got.iterrows():
+            assert row["clean"] == clean[url]
+            assert row["messy"] == oracle_messy(url, clean[url].strip(), good)
+        assert got["split"].to_dict() == dict(zip(splits["url"], splits["split"]))
+        assert (got["messy"] != got["clean"]).any()
+
+    def test_build_dictionary(self, tmp_path, capsys):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.oracle import oracle_token_counts
+
+        clean = ["the fox and the dog", "a fox ran", "", None, "the  end dog"]
+        f = str(tmp_path / "c.parquet")
+        pq.write_table(pa.table({"clean": pa.array(clean, pa.string())}), f)
+        out = tmp_path / "dictionary.json"
+        assert main(["build-dictionary", f, str(out)]) == 0
+        counts = oracle_token_counts([t for t in clean if t])
+        want = {w: n for w, n in counts.items() if n >= 2}
+        state = json.loads(out.read_text(encoding="utf-8"))
+        assert state == {"min_frequency": 2, "vocabulary": want}
+        assert _last_json(capsys) == {"vocab_size": len(want)}
+
+    def test_parse_markup(self, tmp_path):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.sources.markup import markup_to_sentences_batch
+
+        src = tmp_path / "markup"
+        src.mkdir()
+        blobs = {
+            "a.vert": "\n".join(["<s>", "Hello\tH\tX\t0", "<g/>", ",\t,\tX\t0",
+                                 "world\tw\tX\t0", "</s>", "<s>",
+                                 "Again\ta\tX\t0", "</s>"]),
+            "b.vert": "\n".join(["</s>", "<s>", "only\to\tX\t0", "bad", "</s>"]),
+        }
+        for name, blob in blobs.items():
+            (src / name).write_text(blob, encoding="utf-8")
+        out = str(tmp_path / "sentences")
+        assert main(["parse-markup", str(src), out]) == 0
+        got = pq.read_table(out).to_pandas()
+        got["path"] = got["path"].map(os.path.basename)
+        want = markup_to_sentences_batch(pa.table({
+            "path": list(blobs), "markup": list(blobs.values())})).to_pandas()
+        key = ["path", "sentence_idx"]
+        assert got.sort_values(key).reset_index(drop=True).equals(
+            want.sort_values(key).reset_index(drop=True))
+        assert len(want) == 4   # the orphan </s> closes an empty sentence
+
+    def test_commit_and_resume(self, tmp_path, capsys):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.state.lineage import read_output
+
+        src = pa.table({"k": pa.array([f"key{i}" for i in range(60)]),
+                        "v": pa.array(range(60), pa.int64())})
+        f = str(tmp_path / "in.parquet")
+        pq.write_table(src, f)
+        out = str(tmp_path / "store")
+        argv = ["commit", f, out, "--key-col", "k", "--partitions", "5"]
+        assert main(argv) == 0
+        first = _last_json(capsys)
+        assert first["rows"] == 60 and 0 < first["partitions_committed"] <= 5
+        assert read_output(out).sort_by("v").equals(src)
+        assert main(argv) == 0
+        assert _last_json(capsys) == {"partitions_committed": 0, "rows": 0}
+
+    def test_run_no_resume_after_partitions_change(self, tmp_path):
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.state.lineage import read_lineage, read_output
+
+        _, path = _write_pages(tmp_path, range(40))
+        out = str(tmp_path / "store")
+        assert main(["run", path, out, "--partitions", "16"]) == 0
+        assert main(["run", path, out, "--partitions", "8", "--no-resume"]) == 0
+        urls = read_output(out).column("url").to_pylist()
+        assert len(urls) == len(set(urls)) == 40
+        assert {r["num_partitions"] for r in read_lineage(out)} == {8}
+
+    def test_run_dictionary_corrector(self, tmp_path):
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.oracle import oracle_extract_correct
+
+        pages, path = _write_pages(tmp_path, range(40))
+        corpus = str(tmp_path / "corpus")
+        mdir = tmp_path / "model"
+        mdir.mkdir()
+        assert main(["corpus", path, corpus]) == 0
+        assert main(["build-dictionary", corpus,
+                     str(mdir / "dictionary.json")]) == 0
+        out = str(tmp_path / "store")
+        assert main(["--num-cpus", "4", "run", path, out,
+                     "--corrector", "dictionary", "--model-dir", str(mdir),
+                     "--concurrency", "1", "--partitions", "4"]) == 0
+        want = oracle_extract_correct(pages, load_dictionary(str(mdir)))
+        assert _committed_url_map(out) == want
+        assert len(load_dictionary(str(mdir)).vocabulary) > 10
+
+    def test_run_neural_corrector(self, tmp_path):
+        from __ray_entry__ import FLAGSHIP_ALPHABET, TINY_HPARAMS
+
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.oracle import oracle_extract_correct
+
+        # page 7 is the generator's 26k-char page: skipped for speed
+        pages, path = _write_pages(tmp_path, range(8, 20))
+        mdir = str(tmp_path / "model")
+        save_model_dir(mdir, NeuralCorrectorModel.from_seed(
+            FLAGSHIP_ALPHABET, seed=7, **TINY_HPARAMS))
+        out = str(tmp_path / "store")
+        assert main(["--num-cpus", "4", "run", path, out,
+                     "--corrector", "neural", "--model-dir", mdir,
+                     "--concurrency", "1", "--partitions", "4"]) == 0
+        want = oracle_extract_correct(pages, load_model_dir(mdir))
+        assert _committed_url_map(out) == want
+        assert any(want.values())

@@ -1,6 +1,5 @@
 """Dictionary corrector semantics (reference dictionary_corrector.py:48-106)."""
 
-import pyarrow as pa
 import pytest
 
 from post_ocr_corrector_ray.model.dictionary import DictionaryCorrector
@@ -92,112 +91,3 @@ class TestSweepOptions:
         c.prune(3)
         assert "bbb" not in c.vocabulary
         assert c.correct_token("bbb") == "aaa"  # stale memo/buckets would say 'bbb'
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestDictionaryJoinTwin:
-    """stages/dictjoin.py: the partitioned token-lookup path must be
-    byte-identical to the broadcast DictionaryCorrector (osa metric), at any
-    shard count, including empty docs / empty vocab edges."""
-
-    def _corpus(self):
-        texts = [
-            "the quick brown fox jmps over the lazy dog",
-            "teh quick dog jumps   over a brown fox",
-            "the lazy dog sleeps",
-            "",
-            "   ",
-            "quick quick fox jumps jmups oevr the dog",
-            "zzzzqq the fox",
-        ]
-        return pa.table({
-            "doc_id": pa.array(range(len(texts)), pa.int64()),
-            "text": pa.array(texts, pa.string())})
-
-    def _expected(self, tbl, min_frequency):
-        from collections import Counter
-
-        from post_ocr_corrector_ray.model.dictionary import DictionaryCorrector
-
-        c = Counter()
-        for t in tbl.column("text").to_pylist():
-            c.update(t.strip().split())
-        corr = DictionaryCorrector(dict(c), min_frequency=min_frequency)
-        return {i: corr.correct_sentence(t)
-                for i, t in zip(tbl.column("doc_id").to_pylist(),
-                                tbl.column("text").to_pylist())}
-
-    def test_byte_identity_vs_broadcast_across_shard_counts(self):
-        import ray.data
-
-        from post_ocr_corrector_ray.stages.dictjoin import (
-            dictionary_correct_joined)
-        from post_ocr_corrector_ray.stages.shuffle import grouped_agg
-
-        tbl = self._corpus()
-        corpus = ray.data.from_arrow(tbl)
-
-        def tok_partial(batch):
-            from collections import Counter
-            c = Counter()
-            for t in batch.column("text").to_pylist():
-                c.update(t.strip().split())
-            toks = sorted(c)
-            return pa.table({"token": pa.array(toks, pa.string()),
-                             "frequency": pa.array([c[t] for t in toks],
-                                                   pa.int64())})
-
-        vocab = grouped_agg(
-            corpus.map_batches(tok_partial, batch_format="pyarrow"),
-            ["token"], {"frequency": ("frequency", "sum")}, num_partitions=4)
-        want = self._expected(tbl, min_frequency=2)
-        for shards in (1, 3, 8):
-            got = dictionary_correct_joined(
-                corpus, vocab, id_col="doc_id", text_col="text",
-                min_frequency=2, vocab_shards=shards, metric="osa",
-                num_partitions=4).to_pandas()
-            got_map = dict(zip(got["doc_id"], got["corrected"]))
-            assert got_map == want, f"shards={shards}"
-
-    def test_empty_vocab_passes_raw_through(self):
-        import ray.data
-
-        from post_ocr_corrector_ray.stages.dictjoin import (
-            dictionary_correct_joined)
-
-        tbl = self._corpus()
-        corpus = ray.data.from_arrow(tbl)
-        vocab = ray.data.from_arrow(pa.table({
-            "token": pa.array([], pa.string()),
-            "frequency": pa.array([], pa.int64())}))
-        got = dictionary_correct_joined(
-            corpus, vocab, id_col="doc_id", text_col="text",
-            min_frequency=2, num_partitions=4).to_pandas()
-        got_map = dict(zip(got["doc_id"], got["corrected"]))
-        want = {i: " ".join(t.strip().split())
-                for i, t in zip(tbl.column("doc_id").to_pylist(),
-                                tbl.column("text").to_pylist())}
-        assert got_map == want
-
-    def test_lev_vs_osa_swap_word(self):
-        import ray.data
-
-        from post_ocr_corrector_ray.stages.dictjoin import (
-            dictionary_correct_joined)
-
-        corpus = ray.data.from_arrow(pa.table({
-            "doc_id": pa.array([0], pa.int64()),
-            "text": pa.array(["ab"], pa.string())}))
-        vocab = ray.data.from_arrow(pa.table({
-            "token": pa.array(["ba", "abc"], pa.string()),
-            "frequency": pa.array([2, 2], pa.int64())}))
-        osa = dictionary_correct_joined(
-            corpus, vocab, id_col="doc_id", text_col="text",
-            metric="osa", num_partitions=2).to_pandas()
-        lev = dictionary_correct_joined(
-            corpus, vocab, id_col="doc_id", text_col="text",
-            metric="lev", num_partitions=2).to_pandas()
-        assert osa["corrected"].iloc[0] == "ba"    # swap: d(ab,ba)=1 < d=1 abc tie? no: d(ab,abc)=1 insert
-        # osa: ba=1 (swap), abc=1 (insert) → tie, equal freq → |Δlen|: ba Δ0 < abc Δ1 → ba
-        # lev: ba=2 (two subs), abc=1 → abc
-        assert lev["corrected"].iloc[0] == "abc"

@@ -90,6 +90,20 @@ class TestCommitPartition:
         assert rec["metrics"] == {"note": "日本語"}
 
 
+class TestClearPartitions:
+    def test_only_partition_dirs_are_removed(self, tmp_path):
+        out = str(tmp_path / "s")
+        _store(out, parts=(0, 7))
+        os.makedirs(os.path.join(out, "part=00003"))   # uncommitted leftover
+        os.makedirs(os.path.join(out, "_sigstore"))
+        os.makedirs(os.path.join(out, "part=notes"))
+        with open(os.path.join(out, "README"), "w") as f:
+            f.write("x")
+        lin.clear_partitions(out)
+        assert sorted(os.listdir(out)) == ["README", "_sigstore", "part=notes"]
+        lin.clear_partitions(str(tmp_path / "missing"))   # no store: no-op
+
+
 class TestCommittedPartitions:
     def test_missing_dir_is_empty(self, tmp_path):
         missing = str(tmp_path / "nope")
@@ -133,6 +147,7 @@ class TestCheckPartitionScheme:
         ("num_partitions", 8),
         ("input_fingerprint", "B"),
         ("stage_versions", {"extract": "1", "correct": "neural/1"}),
+        ("data_format", "csv"),
     ])
     def test_mismatch_refused(self, tmp_path, field, value):
         out = str(tmp_path / "s")

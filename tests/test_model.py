@@ -115,3 +115,36 @@ class TestWeights:
         assert pe.shape == (8, 4)
         np.testing.assert_allclose(pe[0], [0, 1, 0, 1], atol=1e-6)
         np.testing.assert_allclose(pe[1, 0], np.sin(1.0), rtol=1e-5)
+
+
+class TestDecodeGroupBound:
+    """``correct_document`` decodes full chunks in groups of at most
+    ``DECODE_GROUP`` rows and the tail alone, so one giant page never builds
+    a decode problem bigger than ``DECODE_GROUP × max_len``."""
+
+    @pytest.mark.parametrize("n_full", [0, 31, 32, 33, 65],
+                             ids=["0", "G-1", "G", "G+1", "2G+1"])
+    def test_calls_and_rows(self, monkeypatch, n_full):
+        from __ray_entry__ import TINY_HPARAMS
+
+        from post_ocr_corrector_ray.model.neural import DECODE_GROUP as G
+
+        assert G == 32  # the ids above are written for it
+        m = NeuralCorrectorModel.from_seed(ALPHA, seed=7, **TINY_HPARAMS)
+        L = m.max_len
+        rng = np.random.default_rng(n_full)
+        text = "".join(rng.choice(list("abcdefgh ."), size=n_full * L + 5))
+        rows = []
+        real = m.greedy_decode
+
+        def spy(ids):
+            rows.append(ids.shape)
+            return real(ids)
+
+        monkeypatch.setattr(m, "greedy_decode", spy)
+        m.correct_document(text)
+        assert max(r for r, _ in rows) <= G
+        assert len(rows) == -(-n_full // G) + 1
+        assert rows[-1] == (1, 5)                      # the tail, alone
+        assert sum(r for r, _ in rows[:-1]) == n_full
+        assert all(w == L for _, w in rows[:-1])

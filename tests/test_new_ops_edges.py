@@ -99,42 +99,10 @@ class TestEmptyInputTopK:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestRound3Edges:
-    def test_mix_materialize_copy_semantics(self, tmp_path):
-        """Every emitted doc's copy_ids are exactly 1..n; per-language totals
-        land within 1 of r × count; deterministic across runs."""
-        from post_ocr_corrector_ray.pipelines.documents import doc_mix_materialize
-
-        import pyarrow.parquet as pq
-
-        rows = [(i, f"text {i}", "aa" if i < 90 else "bb") for i in range(100)]
-        t = pa.table({
-            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-            "text": pa.array([r[1] for r in rows], pa.string()),
-            "lang": pa.array([r[2] for r in rows], pa.string()),
-            "source": pa.array(["s"] * len(rows), pa.string()),
-            "n_chars": pa.array([1] * len(rows), pa.int64())})
-        pq.write_table(t, f"{tmp_path}/documents.parquet")
-        out = doc_mix_materialize(str(tmp_path)).to_pandas()
-        out2 = doc_mix_materialize(str(tmp_path)).to_pandas()
-        pd.testing.assert_frame_equal(
-            out.sort_values(["doc_id", "copy_id"]).reset_index(drop=True),
-            out2.sort_values(["doc_id", "copy_id"]).reset_index(drop=True))
-        per_doc = out.groupby("doc_id")["copy_id"].agg(["min", "max", "size"])
-        assert (per_doc["min"] == 1).all()
-        assert (per_doc["max"] == per_doc["size"]).all()
-        # temperature α=0.5 upsamples the rare language, downsamples common
-        n_aa = (out["lang"] == "aa").sum()
-        n_bb = (out["lang"] == "bb").sum()
-        assert n_bb > 10 and n_aa < 90        # bb upsampled, aa downsampled
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestFastHashTwins:
-    """The scan-shaped sampling/shuffle ops default to a vectorized splitmix
-    hash; the md5 variants survive ONLY as SQL-oracle twins.  Both paths must
-    satisfy the same structural contract, and the fast paths must equal a
-    local scalar recompute (no hidden layout dependence)."""
+    """The shuffle op defaults to a vectorized splitmix hash; the md5
+    variant survives ONLY as the SQL-oracle twin.  Both paths must satisfy
+    the same structural contract."""
 
     SF = "/root/testdata/sf0.001"
 
@@ -153,60 +121,6 @@ class TestFastHashTwins:
 
         with pytest.raises(ValueError):
             doc_shuffle_order(self.SF, hash_fn="sha999")
-
-    def test_weighted_sample_fast_matches_local_recompute(self):
-        """The distributed local-top-k + driver merge must equal a single
-        numpy recompute of the identical A-ES keys over the whole table."""
-        import pyarrow.parquet as pq
-
-        from post_ocr_corrector_ray.functions.hashing import hash_u64_array
-        from post_ocr_corrector_ray.pipelines.documents import (
-            _WSAMPLE_SEED, doc_weighted_sample)
-
-        k = 16
-        got = doc_weighted_sample(self.SF, k=k).to_pandas()
-        t = pq.read_table(f"{self.SF}/documents.parquet",
-                          columns=["doc_id", "n_chars"])
-        ids = t.column("doc_id").to_numpy()
-        w = t.column("n_chars").to_numpy().astype(np.float64)
-        u = (hash_u64_array(ids.astype(np.uint64), seed=_WSAMPLE_SEED)
-             >> np.uint64(16)).astype(np.float64) / float(1 << 48)
-        key = u ** (1.0 / np.maximum(w, 1.0))
-        order = np.lexsort((ids, -key))[:k]
-        assert got["doc_id"].tolist() == ids[order].tolist()
-
-    def test_mix_materialize_fast_copy_semantics(self, tmp_path):
-        """Fast-hash mix keeps the copy contract (copy_ids exactly 1..n,
-        per-lang totals within 1 of r x count is covered by the md5 test —
-        here pin determinism and the residual-coin bound base<=n<=base+1)."""
-        import pyarrow.parquet as pq
-
-        from post_ocr_corrector_ray.pipelines.documents import doc_mix_materialize
-
-        rows = [(i, "aa" if i < 90 else "bb") for i in range(100)]
-        t = pa.table({
-            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-            "text": pa.array(["x"] * 100, pa.string()),
-            "lang": pa.array([r[1] for r in rows], pa.string()),
-            "source": pa.array(["s"] * 100, pa.string()),
-            "n_chars": pa.array([1] * 100, pa.int64())})
-        pq.write_table(t, f"{tmp_path}/documents.parquet")
-        out = doc_mix_materialize(str(tmp_path), hash_fn="fast").to_pandas()
-        out2 = doc_mix_materialize(str(tmp_path), hash_fn="fast").to_pandas()
-        pd.testing.assert_frame_equal(
-            out.sort_values(["doc_id", "copy_id"]).reset_index(drop=True),
-            out2.sort_values(["doc_id", "copy_id"]).reset_index(drop=True))
-        per_doc = out.groupby("doc_id")["copy_id"].agg(["min", "max", "size"])
-        assert (per_doc["min"] == 1).all()
-        assert (per_doc["max"] == per_doc["size"]).all()
-        # copy counts per doc differ between docs of the SAME lang by <= 1
-        # (floor vs ceil of the same r) — the residual-coin contract
-        sizes = out.merge(
-            pd.DataFrame({"doc_id": [r[0] for r in rows],
-                          "lang0": [r[1] for r in rows]}), on="doc_id")
-        spread = sizes.groupby(["lang0", "doc_id"]).size().groupby("lang0") \
-                      .agg(["min", "max"])
-        assert ((spread["max"] - spread["min"]) <= 1).all()
 
     def test_add_split_column_vectorized_matches_scalar(self):
         from post_ocr_corrector_ray.functions.hashing import polyhash_u64
@@ -309,21 +223,6 @@ class TestKeepBestAndNovelty:
         # doc 1 has no score row: it loses to the scored doc 2 despite its
         # smaller id, instead of silently surviving next to it
         assert kept == [2, 3]
-
-    def test_novelty_ownership_and_short_docs(self, tmp_path):
-        from post_ocr_corrector_ray.pipelines.documents import doc_ngram_novelty
-
-        sf = _write_docs(tmp_path, [
-            (0, "a b c d e f"),   # grams "a b c d e","b c d e f" — both owned
-            (1, "a b c d e"),     # exactly 5 words -> one gram, owned by doc 0
-            (2, ""),              # empty -> one '' gram, owned
-        ])
-        got = doc_ngram_novelty(sf).to_pandas() \
-            .sort_values("doc_id").reset_index(drop=True)
-        assert got["n_grams"].tolist() == [2, 1, 1]
-        assert got["n_novel"].tolist() == [2, 0, 1]
-        assert got["novelty"].tolist() == [1.0, 0.0, 1.0]
-
 
 @pytest.mark.usefixtures("ray_session")
 class TestFlagshipTiered:

@@ -279,11 +279,183 @@ class TestCommitByKey:
         assert lin.read_output(out).num_rows == 100
 
 
+def _text_pages(n):
+    """n text-only pages: extraction passes each page's text through."""
+    return _pages([f"https://r.example/{i}" for i in range(n)], [None] * n,
+                  [f"page {i} body words" for i in range(n)])
+
+
+def _doc_rows(n):
+    import pyarrow as pa
+
+    return pa.table({"doc_id": pa.array(range(n), pa.int64()),
+                     "text": pa.array([f"t{i}" for i in range(n)])})
+
+
+def _assert_store(out, n, num_partitions, key_col="url"):
+    """Exactly n rows, n distinct keys, every marker from one partition count."""
+    t = lin.read_output(out)
+    assert t.num_rows == n
+    assert len(set(t.column(key_col).to_pylist())) == n
+    assert {r["num_partitions"] for r in lin.read_lineage(out)} == {num_partitions}
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestResumeFalseClearsStore:
+    """A ``resume=False`` rerun replaces the store: a partition the new run
+    does not rewrite must not survive into it."""
+
+    def test_extract_correct_rerun_with_fewer_partitions(self, tmp_path):
+        import ray.data
+
+        out = str(tmp_path / "store")
+        pages = _text_pages(40)
+        for parts, resume in ((16, True), (8, False)):
+            extract_correct(ray.data.from_arrow(pages), corrector="null",
+                            out_dir=out, num_partitions=parts,
+                            resume=resume).to_pandas()
+        _assert_store(out, 40, 8)
+
+    def test_commit_by_key_rerun_with_fewer_partitions(self, tmp_path):
+        import ray.data
+
+        out = str(tmp_path / "store")
+        for parts, resume in ((16, True), (8, False)):
+            lin.commit_by_key(ray.data.from_arrow(_doc_rows(40)), out,
+                              key_col="doc_id", num_partitions=parts,
+                              resume=resume).to_pandas()
+        _assert_store(out, 40, 8, key_col="doc_id")
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestCommitByKeyResume:
+    def _commit(self, out, **kw):
+        import ray.data
+
+        kw = {"key_col": "doc_id", "num_partitions": 8,
+              "input_fingerprint": "A", "stage_versions": {"s": "1"}, **kw}
+        return lin.commit_by_key(ray.data.from_arrow(_doc_rows(100)), out,
+                                 **kw).to_pandas()
+
+    @pytest.mark.parametrize("field, value", [("num_partitions", 4),
+                                              ("input_fingerprint", "B"),
+                                              ("stage_versions", {"s": "2"})])
+    def test_mismatch_refused(self, tmp_path, field, value):
+        import shutil
+
+        out = str(tmp_path / "store")
+        self._commit(out)
+        lost = sorted(lin.committed_partitions(out))[0]
+        shutil.rmtree(lin.partition_dir(out, lost))   # a crash left work to do
+        n_left = lin.read_output(out).num_rows
+        with pytest.raises(ValueError, match=field):
+            self._commit(out, **{field: value})
+        assert lin.read_output(out).num_rows == n_left
+
+    def test_unmarked_partition_rewritten(self, tmp_path):
+        import pyarrow as pa
+
+        out = str(tmp_path / "store")
+        self._commit(out)
+        part = sorted(lin.committed_partitions(out))[0]
+        pdir = lin.partition_dir(out, part)
+        os.remove(os.path.join(pdir, lin.SUCCESS_NAME))   # died before its marker
+        pq.write_table(pa.table({"doc_id": pa.array([-1], pa.int64()),
+                                 "text": pa.array(["torn"])}),
+                       os.path.join(pdir, "data.parquet"))
+        s = self._commit(out)
+        assert s["part"].tolist() == [part]
+        assert sorted(lin.read_output(out).column("doc_id").to_pylist()) == \
+            list(range(100))
+
+    def test_csv_store_resumes(self, tmp_path):
+        import shutil
+
+        out = str(tmp_path / "store")
+        self._commit(out, data_format="csv")
+        lost = sorted(lin.committed_partitions(out))[-1]
+        shutil.rmtree(lin.partition_dir(out, lost))
+        s = self._commit(out, data_format="csv")
+        assert s["part"].tolist() == [lost]
+        assert sorted(lin.read_output(out).column("doc_id").to_pylist()) == \
+            list(range(100))
+        assert {r["data_format"] for r in lin.read_lineage(out)} == {"csv"}
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestReadOutputDs:
+    def test_rows_equal_read_output(self, tmp_path):
+        import ray.data
+
+        out = str(tmp_path / "store")
+        lin.commit_by_key(ray.data.from_arrow(_doc_rows(50)), out,
+                          key_col="doc_id", num_partitions=6).to_pandas()
+        got = lin.read_output_ds(out).to_pandas().sort_values("doc_id")
+        want = lin.read_output(out).to_pandas().sort_values("doc_id")
+        assert got.reset_index(drop=True).equals(want.reset_index(drop=True))
+        assert len(got) == 50
+
+    def test_csv_only_store_refused(self, tmp_path):
+        out = str(tmp_path / "store")
+        lin.commit_partition(_doc_rows(3), out, 0, data_format="csv")
+        with pytest.raises(FileNotFoundError):
+            lin.read_output_ds(out)
+
+
+class TestModelFingerprint:
+    """``model_fingerprint`` hashes what decides the output bytes, and
+    nothing else."""
+
+    def test_npz_contents_not_zip_container(self, tmp_path):
+        import zipfile
+
+        from post_ocr_corrector_ray.pipelines.extract_correct import model_fingerprint
+
+        alpha = " .abcdefghij"
+        first = str(tmp_path / "a.npz")
+        NeuralCorrectorModel.from_seed(alpha, seed=3, max_len=8, d_model=8,
+                                       n_head=2, n_layers=1, d_linear=8).save(first)
+        second = str(tmp_path / "b.npz")
+        with zipfile.ZipFile(first) as src, zipfile.ZipFile(second, "w") as dst:
+            for info in src.infolist():
+                info.date_time = (1999, 1, 2, 3, 4, 6)
+                dst.writestr(info, src.read(info.filename))
+        with open(first, "rb") as f1, open(second, "rb") as f2:
+            assert f1.read() != f2.read()
+        fps = {model_fingerprint("neural", alphabet=alpha, model_path=p)
+               for p in (first, second)}
+        assert len(fps) == 1
+
+    def test_dictionary_vocabulary_order(self):
+        from post_ocr_corrector_ray.pipelines.extract_correct import model_fingerprint
+
+        a = model_fingerprint("dictionary", vocab_ref={"fox": 3, "dog": 2})
+        b = model_fingerprint("dictionary", vocab_ref={"dog": 2, "fox": 3})
+        c = model_fingerprint("dictionary", vocab_ref={"dog": 2, "fox": 4})
+        assert a == b != c
+
+    def test_hparams_key_order(self):
+        from __ray_entry__ import FLAGSHIP_ALPHABET, TINY_HPARAMS
+
+        from post_ocr_corrector_ray.pipelines.extract_correct import model_fingerprint
+
+        def fp(hparams):
+            return model_fingerprint("neural", alphabet=FLAGSHIP_ALPHABET,
+                                     seed=7, hparams=hparams)
+
+        reordered = dict(reversed(list(TINY_HPARAMS.items())))
+        assert list(reordered) != list(TINY_HPARAMS)
+        assert fp(reordered) == fp(dict(TINY_HPARAMS))
+        assert fp(dict(TINY_HPARAMS, d_linear=64)) != fp(TINY_HPARAMS)
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestPartitionSchemeGuard:
     @pytest.mark.parametrize("mismatch", ["partition_scheme", "num_partitions",
-                                          "input_fingerprint", "stage_versions"],
-                             ids=["scheme", "partitions", "fingerprint", "stages"])
+                                          "input_fingerprint", "stage_versions",
+                                          "data_format"],
+                             ids=["scheme", "partitions", "fingerprint", "stages",
+                                  "format"])
     def test_foreign_scheme_resume_refused(self, pages_file, tmp_path, mismatch):
         import json
         import shutil
@@ -301,7 +473,13 @@ class TestPartitionSchemeGuard:
         run(8).to_pandas()
         parts = sorted(lin.committed_partitions(out))
         rerun_partitions = 8
-        if mismatch == "num_partitions":
+        rerun_kw = {}
+        if mismatch == "data_format":
+            # half the store is lost, then the rerun picks csv
+            for p in parts[len(parts) // 2:]:
+                shutil.rmtree(lin.partition_dir(out, p))
+            rerun_kw["data_format"] = "csv"
+        elif mismatch == "num_partitions":
             # half the store is lost, then the rerun picks another count
             for p in parts:
                 if p >= 4:
@@ -318,9 +496,9 @@ class TestPartitionSchemeGuard:
                 rec["stage_versions"] = {"extract": "0", "correct": "null/1"}
             json.dump(rec, open(mpath, "w"))
         with pytest.raises(ValueError, match=mismatch):
-            run(rerun_partitions)
+            run(rerun_partitions, **rerun_kw)
         # resume=False bypasses (fresh recompute over the same dir is allowed)
-        run(rerun_partitions, resume=False).to_pandas()
+        run(rerun_partitions, resume=False, **rerun_kw).to_pandas()
         assert lin.read_output(out).num_rows == N_PAGES
 
     @pytest.mark.parametrize("change", ["seed", "hparams", "alphabet", "weights",
@@ -461,35 +639,3 @@ class TestFlagshipDictionaryCommittedIntermediate:
         for pid, mt in mtimes.items():
             assert os.path.getmtime(os.path.join(
                 lin.partition_dir(store, pid), "data.parquet")) == mt
-
-    def test_joined_flagship_byte_identical_to_broadcast(self):
-        """``_flagship_dictionary_joined`` (vocabulary as a DATASET, dictjoin
-        partitioned scan) corrects every url byte-identically to the
-        broadcast ``_flagship_dictionary`` — the same corpus, noise, vocab
-        threshold, and osa metric, through a completely different dataflow.
-        It also shares (resumes from) the broadcast flagship's committed
-        corpus store rather than re-extracting."""
-        import shutil
-        import sys
-
-        sys.path.insert(0, os.getcwd())
-        import __ray_entry__ as entry
-
-        store = "/tmp/flagship_dict_corpus_n40"
-        shutil.rmtree(store, ignore_errors=True)
-        broad = entry._flagship_dictionary(40).to_pandas()
-        mtimes = {r["partition"]: os.path.getmtime(
-            os.path.join(lin.partition_dir(store, r["partition"]), "data.parquet"))
-            for r in lin.read_lineage(store)}
-        joined = entry._flagship_dictionary_joined(40).to_pandas()
-        # shared store: the joined variant committed nothing new
-        for pid, mt in mtimes.items():
-            assert os.path.getmtime(os.path.join(
-                lin.partition_dir(store, pid), "data.parquet")) == mt
-        assert len(joined) == len(broad) == 40
-        b = broad.set_index("url").sort_index()
-        j = joined.set_index("url").sort_index()
-        assert j["corrected_text"].tolist() == b["corrected_text"].tolist()
-        # NaN CER (empty clean text, skip_empty_correct) must match positionally
-        np.testing.assert_array_equal(j["cer"].to_numpy(),
-                                      b["cer"].to_numpy())
