@@ -225,25 +225,16 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         # shuffle — pipelines/training.py; batch-content determinism across
         # parallelism is pytest-pinned in tests/test_training_feed.py)
         "training_feed": lambda sf: T.training_feed(sf),
-        "doc_length_quantiles": D.doc_length_quantiles,
-        "doc_length_quantiles_by_lang": D.doc_length_quantiles_by_lang,
         # near-dup clustering + end-to-end dedup (large-star/small-star
         # contraction over verified LSH pairs — stages/components.py)
         "doc_dup_components": D.doc_dup_components,
         "doc_dedup_near": D.doc_dedup_near,
-        # heavy hitters / distinct counting / threshold filtering
+        # heavy hitters / distinct counting
         "doc_top_tokens": lambda sf: D.doc_top_tokens(sf),
         "doc_token_distinct": lambda sf: D.doc_token_distinct(sf),
         # HLL sketch (shuffle-free scale twin of doc_token_distinct; accuracy
         # pytest-pinned vs the exact count — stages/sketches.py)
         "doc_token_distinct_hll": lambda sf: D.doc_token_distinct_hll(sf),
-        "doc_percentile_filter": lambda sf: D.doc_percentile_filter(sf),
-        # global ROW_NUMBER without a global sort (histogram base offsets +
-        # one value-keyed exchange — stages/quantiles.py::global_rank)
-        "doc_rank_by_length": lambda sf: D.doc_rank_by_length(sf),
-        # deterministic global training shuffle: ROW_NUMBER over md5(doc_id)
-        # via hash-prefix histogram offsets, no global sort
-        "doc_shuffle_order": lambda sf: D.doc_shuffle_order(sf, hash_fn="md5"),
         # per-domain document cap (grouped top-k over source)
         "doc_source_cap": lambda sf: D.doc_source_cap(sf),
         # fixed-word-window chunking with stride (training context windows)
@@ -254,12 +245,8 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         "doc_tfidf_top_terms": lambda sf: D.doc_tfidf_top_terms(sf),
         # token -> sorted posting list (search-index build)
         "doc_inverted_index": lambda sf: D.doc_inverted_index(sf),
-        # NTILE(8) equal-height length buckets via histogram-offset rank
-        "doc_length_ntile": lambda sf: D.doc_length_ntile(sf),
         # adjacent-bigram PMI collocations (phrase mining)
         "doc_bigram_pmi": lambda sf: D.doc_bigram_pmi(sf),
-        # PERCENT_RANK window via histogram-offset rank, no global sort
-        "doc_length_percent_rank": lambda sf: D.doc_length_percent_rank(sf),
         # Misra–Gries heavy hitters (shuffle-free approximate top-token twin;
         # MG guarantee pytest-pinned vs exact counts — no SQL oracle)
         "doc_heavy_hitters": lambda sf: D.doc_heavy_hitters(sf),
@@ -627,17 +614,6 @@ def oracle_sql() -> dict[str, str]:
                                        ORDER BY quality, doc_id) AS BIGINT)
                        AS tier
             FROM q""",
-        "doc_length_quantiles_by_lang": """
-            WITH g AS (SELECT lang,
-                              quantile_disc(n_chars, [0.25,0.5,0.75]) AS vs
-                       FROM documents GROUP BY lang)
-            SELECT lang, unnest([0.25,0.5,0.75]) AS q, unnest(vs) AS value
-            FROM g""",
-        "doc_length_quantiles": """
-            SELECT unnest([0.1,0.25,0.5,0.75,0.9,0.99]) AS q,
-                   unnest(quantile_disc(n_chars, [0.1,0.25,0.5,0.75,0.9,0.99]))
-                   AS value
-            FROM documents""",
         "doc_top_tokens": r"""
             SELECT w AS token, CAST(count(*) AS BIGINT) AS frequency
             FROM (SELECT unnest(regexp_split_to_array(trim(text), '\s+')) AS w
@@ -647,15 +623,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT CAST(count(DISTINCT w) AS BIGINT) AS n_tokens
             FROM (SELECT unnest(regexp_split_to_array(trim(text), '\s+')) AS w
                   FROM documents WHERE trim(text) <> '')""",
-        "doc_percentile_filter": """
-            SELECT doc_id, n_chars FROM documents
-            WHERE n_chars >= (SELECT quantile_disc(n_chars, 0.25)
-                              FROM documents)""",
-        "doc_rank_by_length": """
-            SELECT doc_id, n_chars,
-                   CAST(row_number() OVER (ORDER BY n_chars, doc_id)
-                        AS BIGINT) AS rank
-            FROM documents""",
         # simhash bit-majority over md5-derived shingle hashes (top 64 digest
         # bits); bits 0..62 only — the engine masks bit 63 off for Arrow int64
         "doc_simhash_md5": _SIMHASH_MD5_SQL,
@@ -779,21 +746,6 @@ def oracle_sql() -> dict[str, str]:
                           ORDER BY doc_id) AS BIGINT) AS source_rank
               FROM documents)
             WHERE source_rank <= 20""",
-        # deterministic global shuffle: permutation position by md5 of the
-        # decimal doc_id (hex-lexicographic order == the engine's
-        # (16-bit-prefix histogram, full-digest tiebreak) order)
-        "doc_shuffle_order": """
-            SELECT doc_id,
-                   CAST(ROW_NUMBER() OVER (
-                        ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id)
-                        AS BIGINT) AS shuffle_rank
-            FROM documents""",
-        # NTILE(8) equal-height buckets over (n_chars, doc_id) order
-        "doc_length_ntile": """
-            SELECT doc_id, n_chars,
-                   CAST(NTILE(8) OVER (ORDER BY n_chars, doc_id)
-                        AS BIGINT) AS bucket
-            FROM documents""",
         # adjacent-bigram PMI from the same counts and the same double
         # expression; tokens split exactly like the engine (runs of
         # whitespace, empties dropped)
@@ -821,12 +773,6 @@ def oracle_sql() -> dict[str, str]:
             JOIN uc u2 ON bc.w2 = u2.token
             CROSS JOIN tot
             WHERE bc.c_xy >= 5""",
-        # unique full ordering (doc_id tiebreak) → RANK ≡ ROW_NUMBER; both
-        # sides divide the same ints as doubles
-        "doc_length_percent_rank": """
-            SELECT doc_id, n_chars,
-                   percent_rank() OVER (ORDER BY n_chars, doc_id) AS pr
-            FROM documents""",
         # same -Σ p·ln p per doc; zero-token docs never enter the unnest
         "doc_token_entropy": r"""
             WITH t AS (SELECT doc_id,

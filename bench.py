@@ -29,18 +29,16 @@ NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 # The representative query suite; every name must be a ``queries()`` key.
 BENCH_QUERIES = (
     "doc_token_counts", "doc_normalize_ws", "doc_dedup_exact",
-    "doc_token_stats", "doc_lev_reverse", "doc_simhash",
-    "doc_minhash_pairs", "doc_ngram_jaccard_pairs", "doc_langid",
-    "doc_fingerprint", "doc_token_count_bpe", "doc_scrub_pii",
-    "training_feed", "doc_null_corrector_cer", "doc_length_quantiles",
-    "doc_length_quantiles_by_lang", "doc_dup_components", "doc_dedup_near",
+    "doc_token_stats", "doc_lev_reverse", "doc_simhash", "doc_minhash_pairs",
+    "doc_ngram_jaccard_pairs", "doc_langid", "doc_fingerprint",
+    "doc_token_count_bpe", "doc_scrub_pii", "training_feed",
+    "doc_null_corrector_cer", "doc_dup_components", "doc_dedup_near",
     "doc_top_tokens", "doc_token_distinct", "doc_token_distinct_hll",
-    "doc_percentile_filter", "doc_rank_by_length", "doc_shuffle_order",
     "doc_source_cap", "doc_chunk_windows", "doc_idf", "doc_tfidf_top_terms",
-    "doc_inverted_index", "doc_length_ntile", "doc_quality_tiers",
-    "doc_bigram_pmi", "doc_length_percent_rank", "doc_heavy_hitters",
-    "doc_token_entropy", "doc_bpe_token_counts", "doc_winnowing",
-    "doc_winnowing_fast", "doc_dedup_keep_best", "flagship_tiered",
+    "doc_inverted_index", "doc_quality_tiers", "doc_bigram_pmi",
+    "doc_heavy_hitters", "doc_token_entropy", "doc_bpe_token_counts",
+    "doc_winnowing", "doc_winnowing_fast", "doc_dedup_keep_best",
+    "flagship_tiered",
 )
 
 

@@ -11,7 +11,7 @@ they run today):
 | ``make_split_csv.py`` | ``corpus`` (adds split column) |
 | ``eval.py`` / ``null_corrector.py`` | ``eval`` |
 | ``dictionary_corrector.py`` train | ``build-dictionary`` |
-| inference over pages | ``run`` (extract+correct, committed output; ``--data-format csv``, ``--num-gpus``) |
+| inference over pages | ``run`` (extract+correct, committed output; ``--num-gpus``) |
 | ``CorrectorDataset`` + DataLoader | ``feed`` (collated epoch batches parquet) |
 | ``NeuralCorrector.load_from_checkpoint`` | ``convert-ckpt`` (torch-free .ckpt → model dir) |
 | — | ``synth`` (deterministic test pages) |
@@ -60,7 +60,6 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--partitions", type=int, default=32)
     s.add_argument("--no-resume", action="store_true")
     s.add_argument("--concurrency", type=int, default=4)
-    s.add_argument("--data-format", choices=["parquet", "csv"], default="parquet")
     s.add_argument("--num-gpus", type=float, default=None,
                    help="GPUs per corrector actor (passed to map_batches)")
 
@@ -103,7 +102,6 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("parquet"); s.add_argument("out_dir")
     s.add_argument("--key-col", required=True)
     s.add_argument("--partitions", type=int, default=32)
-    s.add_argument("--data-format", choices=["parquet", "csv"], default="parquet")
 
     s = sub.add_parser("dedup", help="documents parquet → near-dup-deduplicated "
                                      "resumable committed store (MinHash-LSH "
@@ -190,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
                 ray.data.read_parquet(args.pages), corrector=args.corrector,
                 out_dir=args.out_dir, num_partitions=args.partitions,
                 resume=not args.no_resume,
-                concurrency=args.concurrency, data_format=args.data_format,
+                concurrency=args.concurrency,
                 num_gpus=args.num_gpus,
                 input_fingerprint=fingerprint_inputs(args.pages), **kwargs).to_pandas()
             print(json.dumps({"partitions_committed": len(summary),
@@ -238,7 +236,6 @@ def main(argv: list[str] | None = None) -> int:
             summary = commit_by_key(
                 ray.data.read_parquet(args.parquet), args.out_dir,
                 key_col=args.key_col, num_partitions=args.partitions,
-                data_format=args.data_format,
                 input_fingerprint=fingerprint_inputs(args.parquet)).to_pandas()
             print(json.dumps({"partitions_committed": len(summary),
                               "rows": int(summary["n_rows"].sum()) if len(summary) else 0}))

@@ -87,11 +87,3 @@ class Vocab:
             else:
                 out.append(UNK)
         return "".join(out)
-
-
-def chars_of_batch(texts: list[str]) -> set[str]:
-    """Distinct chars of a batch — the partial of the global alphabet aggregate."""
-    out: set[str] = set()
-    for t in texts:
-        out.update(t)
-    return out

@@ -94,7 +94,8 @@ class _TorchUnpickler(pickle.Unpickler):
 
     def persistent_load(self, pid):
         kind, tag, key, _location, numel = pid
-        assert kind == "storage", f"unknown persistent id kind: {kind}"
+        if kind != "storage":
+            raise ValueError(f"unknown persistent id kind in checkpoint: {kind!r}")
         raw = self._storages[str(key)]
         return np.frombuffer(raw, dtype=tag.dtype, count=int(numel)).copy()
 
@@ -211,8 +212,9 @@ def checkpoint_to_weights(ckpt_path: str, alphabet: str) -> tuple[TransformerWei
     n_layers = int(hp.get("n_layers", 4))
     params = state_dict_to_params(sd, n_layers)
     vocab_size, d_model = params["emb_src"].shape
-    assert vocab_size == len(alphabet) + 3, \
-        f"alphabet ({len(alphabet)} chars) does not match checkpoint vocab {vocab_size}"
+    if vocab_size != len(alphabet) + 3:
+        raise ValueError(f"{ckpt_path}: alphabet ({len(alphabet)} chars) does "
+                         f"not match checkpoint vocab {vocab_size}")
     cfg = TransformerConfig(
         vocab_size=vocab_size,
         max_len=int(hp.get("max_len", params["pe"].shape[0])),

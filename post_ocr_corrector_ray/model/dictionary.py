@@ -127,8 +127,10 @@ class DictionaryCorrector:
     def load(cls, file_path: str) -> "DictionaryCorrector":
         with open(file_path, "r", encoding="utf-8") as f:
             state = json.load(f)
-        assert isinstance(state, dict)
         expected = {"min_frequency", "vocabulary"}
-        assert set(state.keys()) == expected, f"unexpected keys: {set(state.keys())} != {expected}"
+        if not isinstance(state, dict) or set(state) != expected:
+            got = sorted(state) if isinstance(state, dict) else type(state).__name__
+            raise ValueError(f"{file_path}: expected a JSON object with keys "
+                             f"{sorted(expected)}, got {got}")
         return cls(vocabulary=state["vocabulary"], min_frequency=state["min_frequency"])
 

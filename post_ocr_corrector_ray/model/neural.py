@@ -49,9 +49,9 @@ class NeuralCorrectorModel:
     def __init__(self, alphabet: str, weights: TransformerWeights, batch_size: int = 4):
         self.vocab = Vocab(alphabet)
         cfg = weights.config
-        assert cfg.vocab_size == self.vocab.vocab_size, (
-            f"weights vocab_size {cfg.vocab_size} != alphabet vocab {self.vocab.vocab_size}"
-        )
+        if cfg.vocab_size != self.vocab.vocab_size:
+            raise ValueError(f"weights vocab_size {cfg.vocab_size} != alphabet "
+                             f"vocab {self.vocab.vocab_size}")
         self.alphabet = alphabet
         self.max_len = cfg.max_len
         self.batch_size = batch_size

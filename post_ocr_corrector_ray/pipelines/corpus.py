@@ -48,33 +48,20 @@ def pick_split(remainder: int) -> str:
 
 
 def add_split_column(batch: pa.Table, *, key_col: str = "url",
-                     out_col: str = "split",
-                     hash_fn: str = "fast") -> pa.Table:
+                     out_col: str = "split") -> pa.Table:
     """80/10/10 split keyed on a VECTORIZED url hash (polyhash_u64_array —
     the same scalar/vectorized-pinned hash the partition router uses; no
     per-row Python on the scan).  Remainder → split mapping is the
     reference's ``pick_split`` (make_split_csv.py:23-32), applied as two
-    numpy selects.
-
-    ``hash_fn``: ``"fast"`` (default, vectorized polyhash) or ``"blake2b"``
-    — the pre-r4 per-row ``stable_hash_u64`` keying, kept so artifacts built
-    on the old split membership (trained dictionaries, split manifests)
-    remain reproducible; the r4 default migration is a split REASSIGNMENT
-    relative to those (ADVICE r4)."""
+    numpy selects."""
     import numpy as np
+
+    from ..functions.hashing import polyhash_u64_array
 
     col = batch.column(key_col)
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
-    if hash_fn == "blake2b":
-        from ..functions.hashing import stable_hash_u64
-
-        rem = np.array([stable_hash_u64(u) % 10 for u in col.to_pylist()],
-                       dtype=np.uint64)
-    else:
-        from ..functions.hashing import polyhash_u64_array
-
-        rem = polyhash_u64_array(col) % np.uint64(10)
+    rem = polyhash_u64_array(col) % np.uint64(10)
     assert pick_split(9) == SPLIT_VAL and pick_split(0) == SPLIT_TEST
     splits = np.where(rem == 9, SPLIT_VAL,
                       np.where(rem == 0, SPLIT_TEST, SPLIT_TRAIN))

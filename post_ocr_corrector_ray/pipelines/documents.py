@@ -23,7 +23,7 @@ from ..sources.markup import markup_to_sentences_batch
 from ..stages import dedup as dd
 from ..stages import textstats as ts
 from .corpus import pick_split, token_counts
-from .evaluate import add_cer_column
+from .evaluate import evaluate
 
 
 def _docs(sf_dir: str, columns: list[str] | None = None) -> ray.data.Dataset:
@@ -321,26 +321,12 @@ def doc_null_corrector_cer(sf_dir: str) -> pa.Table:
                          "clean": batch.column("text"),
                          "messy": pa.array(messy, pa.string())})
 
-    scored = ds.map_batches(noisy, batch_format="pyarrow").map_batches(
-        add_cer_column, batch_format="pyarrow",
-        fn_kwargs=dict(out_col="messy", correct_col="clean", banded=True,
-                       skip_empty_correct=True))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        col = batch.column("cer").drop_null()
-        return pa.table({"n": pa.array([len(col)], pa.int64()),
-                         "total": pa.array([pc.sum(col).as_py() or 0.0], pa.float64()),
-                         "perfect": pa.array(
-                             [pc.sum(pc.equal(col, 0.0).cast(pa.int64())).as_py() or 0],
-                             pa.int64())})
-
-    parts = scored.map_batches(partial, batch_format="pyarrow").take_all()
-    n = sum(p["n"] for p in parts)
-    total = sum(p["total"] for p in parts)
-    perfect = sum(p["perfect"] for p in parts)
-    return pa.table({"n": pa.array([n], pa.int64()),
-                     "mean_cer": pa.array([total / n if n else 0.0], pa.float64()),
-                     "percent_perfect": pa.array([perfect / n if n else 0.0], pa.float64())})
+    res = evaluate(ds.map_batches(noisy, batch_format="pyarrow"),
+                   out_col="messy", correct_col="clean", banded=True,
+                   skip_empty_correct=True)
+    return pa.table({"n": pa.array([res.n], pa.int64()),
+                     "mean_cer": pa.array([res.mean_cer], pa.float64()),
+                     "percent_perfect": pa.array([res.percent_perfect], pa.float64())})
 
 
 def doc_markup_roundtrip(sf_dir: str) -> ray.data.Dataset:
@@ -369,24 +355,6 @@ def doc_markup_roundtrip(sf_dir: str) -> ray.data.Dataset:
                          "sentence": batch.column("sentence")})
 
     return parsed.map_batches(project, batch_format="pyarrow")
-
-
-def doc_length_quantiles(sf_dir: str) -> pa.Table:
-    """Exact discrete quantiles of document length (n_chars): mergeable
-    value-histogram partials → coarse-partitioned sum → tiny driver cumsum
-    (stages/quantiles.py).  DuckDB ``quantile_disc`` oracle."""
-    from ..stages.quantiles import exact_quantiles
-
-    return exact_quantiles(_docs(sf_dir, ["n_chars"]), "n_chars",
-                           [0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
-
-
-def doc_length_quantiles_by_lang(sf_dir: str) -> pa.Table:
-    """Per-language exact length quantiles (grouped mergeable histogram)."""
-    from ..stages.quantiles import grouped_exact_quantiles
-
-    return grouped_exact_quantiles(_docs(sf_dir, ["lang", "n_chars"]),
-                                   "n_chars", "lang", [0.25, 0.5, 0.75])
 
 
 def _near_dup_pairs(sf_dir: str) -> ray.data.Dataset:
@@ -487,19 +455,6 @@ def doc_token_distinct_hll(sf_dir: str, p: int = 12) -> pa.Table:
     return hll_distinct(tokens, "token", p=p)
 
 
-def doc_percentile_filter(sf_dir: str, q: float = 0.25) -> ray.data.Dataset:
-    """Two-pass corpus filter: exact length quantile (mergeable histogram →
-    tiny driver threshold) broadcast into a row-filter-pushdown re-read —
-    drop the shortest q of the corpus.  The aggregate→broadcast→filter shape
-    every quality-threshold pipeline uses at scale."""
-    from ..stages.quantiles import exact_quantiles
-
-    t = exact_quantiles(_docs(sf_dir, ["n_chars"]), "n_chars", [q])
-    threshold = int(t.column("value")[0].as_py())
-    return _docs(sf_dir, ["doc_id", "n_chars"]) \
-        .filter(expr=f"n_chars >= {threshold}")
-
-
 def doc_simhash_candidates_md5(sf_dir: str) -> ray.data.Dataset:
     """SimHash banding + hamming verify over the md5 signature kernel — the
     SQL-oracle twin of doc_simhash_candidates, hash-verifying the chunk
@@ -507,74 +462,6 @@ def doc_simhash_candidates_md5(sf_dir: str) -> ray.data.Dataset:
     return dd.simhash_candidates(_docs(sf_dir, ["doc_id", "text"]),
                                  max_hamming=8, n_chunks=8,
                                  sig_batch_fn=dd.simhash_md5_batch)
-
-
-def doc_rank_by_length(sf_dir: str) -> ray.data.Dataset:
-    """Global ROW_NUMBER over the corpus ordered by (n_chars, doc_id) —
-    histogram base offsets + ONE value-keyed exchange, no global sort
-    (stages/quantiles.py::global_rank)."""
-    from ..stages.quantiles import global_rank
-
-    return global_rank(_docs(sf_dir, ["doc_id", "n_chars"]),
-                       "n_chars", "doc_id")
-
-
-_SHUFFLE_SEED = 0x51AFF  # doc_shuffle_order's fast-path hash seed
-
-
-def doc_shuffle_order(sf_dir: str, *,
-                      hash_fn: str = "fast") -> ray.data.Dataset:
-    """Deterministic global training shuffle: every document's position in a
-    pseudorandom permutation, computed as ROW_NUMBER over hash(doc_id) with NO
-    global sort — the 16-bit hash prefix is the bounded histogram domain for
-    global_rank's base offsets, and the remaining hash bits break ties inside
-    a prefix bucket.  The standard "shuffle once, shard deterministically"
-    step of an LLM training data pipeline; the hash is reproducible across
-    runs/machines/block layouts (unlike seeded RNG state tied to layout).
-
-    ``hash_fn="fast"`` (DEFAULT): one vectorized splitmix64 mix of the int64
-    id column — no per-row Python on the scan.  ``hash_fn="md5"``: the
-    SQL-oracle twin (md5 is the only hash DuckDB shares; hex-lexicographic ==
-    numeric on the prefix, so engine and SQL agree) — per-row hashlib on a
-    short string, kept ONLY for driver verification."""
-    from ..stages.quantiles import global_rank
-
-    if hash_fn == "fast":
-        from ..functions.hashing import hash_u64_array
-
-        def h(batch: pa.Table) -> pa.Table:
-            ids = batch.column("doc_id").to_numpy(zero_copy_only=False) \
-                       .astype(np.uint64)
-            hv = hash_u64_array(ids, seed=_SHUFFLE_SEED)
-            return pa.table({
-                "doc_id": batch.column("doc_id"),
-                "h16": pa.array((hv >> np.uint64(48)).astype(np.int64)),
-                "h_rest": pa.array(
-                    (hv & np.uint64((1 << 48) - 1)).astype(np.int64)),
-            })
-
-        tie = ["h_rest"]
-    elif hash_fn == "md5":
-        import hashlib
-
-        def h(batch: pa.Table) -> pa.Table:
-            hx = [hashlib.md5(str(i).encode()).hexdigest()
-                  for i in batch.column("doc_id").to_pylist()]
-            return pa.table({
-                "doc_id": batch.column("doc_id"),
-                "h16": pa.array([int(x[:4], 16) for x in hx], pa.int64()),
-                "hash_hex": pa.array(hx, pa.string()),
-            })
-
-        tie = ["hash_hex"]
-    else:
-        raise ValueError(f"doc_shuffle_order: unknown hash_fn={hash_fn!r}")
-
-    ranked = global_rank(
-        _docs(sf_dir, ["doc_id"]).map_batches(h, batch_format="pyarrow"),
-        "h16", "doc_id", tie_cols=tie, rank_col="shuffle_rank")
-    return ranked.map_batches(
-        lambda t: t.select(["doc_id", "shuffle_rank"]), batch_format="pyarrow")
 
 
 def doc_chunk_windows(sf_dir: str, win: int = 64,
@@ -789,39 +676,6 @@ def doc_source_cap(sf_dir: str, cap: int = 20) -> ray.data.Dataset:
     return grouped_apply(docs, ["source"], topk)
 
 
-def doc_length_ntile(sf_dir: str, n: int = 8) -> ray.data.Dataset:
-    """NTILE(n) OVER (ORDER BY n_chars, doc_id): equal-height length buckets
-    for stratified curriculum/sharding, WITHOUT a global sort — reuses the
-    histogram-offset global ROW_NUMBER (stages/quantiles.py::global_rank)
-    plus the exact SQL NTILE size rule applied vectorized per partition:
-    with t rows and q, r = divmod(t, n), the first r buckets hold q+1 rows
-    and the rest hold q (rank→bucket is closed-form, so no second pass).
-
-    The row total comes from parquet metadata (O(1) driver-side), never a
-    dataset count pass."""
-    import pyarrow.parquet as pq
-
-    from ..stages.quantiles import global_rank
-
-    total = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
-    q, r = divmod(total, n)
-    ranked = global_rank(_docs(sf_dir, ["doc_id", "n_chars"]),
-                         "n_chars", "doc_id")
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        rank = batch.column("rank").to_numpy().astype(np.int64)
-        qq = max(q, 1)  # total < n → every bucket has ≤1 row, first branch wins
-        bucket = np.where(
-            rank <= r * (q + 1),
-            (rank - 1) // (q + 1),
-            r + (rank - 1 - r * (q + 1)) // qq) + 1
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "n_chars": batch.column("n_chars"),
-                         "bucket": pa.array(bucket, pa.int64())})
-
-    return ranked.map_batches(bucketize, batch_format="pyarrow")
-
-
 def doc_quality_tiers(sf_dir: str, n: int = 3) -> ray.data.Dataset:
     """Per-language quality tiers — NTILE(n) OVER (PARTITION BY lang ORDER BY
     quality, doc_id) over the composite quality score: the CCNet head/middle/
@@ -914,31 +768,6 @@ def doc_bigram_pmi(sf_dir: str, min_count: int = 5) -> ray.data.Dataset:
                          "pmi": pa.array(pmi, pa.float64())})
 
     return j.map_batches(add_pmi, batch_format="pyarrow")
-
-
-def doc_length_percent_rank(sf_dir: str) -> ray.data.Dataset:
-    """PERCENT_RANK() OVER (ORDER BY n_chars, doc_id) — the normalized-rank
-    window over the whole corpus WITHOUT a global sort: histogram-offset
-    global ROW_NUMBER (stages/quantiles.py::global_rank, one value-keyed
-    exchange) and the closed-form (rank-1)/(N-1) applied vectorized per
-    block; N comes from parquet metadata.  The full ordering is unique
-    (doc_id tiebreak), so RANK ≡ ROW_NUMBER on both sides."""
-    import pyarrow.parquet as pq
-
-    from ..stages.quantiles import global_rank
-
-    total = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
-    ranked = global_rank(_docs(sf_dir, ["doc_id", "n_chars"]),
-                         "n_chars", "doc_id")
-
-    def add_pr(batch: pa.Table) -> pa.Table:
-        rank = batch.column("rank").to_numpy().astype(np.float64)
-        pr = (rank - 1.0) / float(total - 1)
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "n_chars": batch.column("n_chars"),
-                         "pr": pa.array(pr, pa.float64())})
-
-    return ranked.map_batches(add_pr, batch_format="pyarrow")
 
 
 def doc_heavy_hitters(sf_dir: str, k: int = 256) -> pa.Table:

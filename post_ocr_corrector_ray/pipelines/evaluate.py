@@ -10,7 +10,9 @@ Reference call-site semantics preserved per variant:
 
 Scale posture: per-row CER is computed inside ``map_batches`` (vectorized
 banded DP per row, O(band·n)); the global mean/count reduce over per-batch
-partial sums — no shuffle, a tiny streaming aggregate.
+partial sums — no shuffle, a tiny streaming aggregate.  The CER partial sums
+are exact integers (``_scaled_sum``), so ``mean_cer`` is the correctly rounded
+Σcer/n however the input is split into blocks.
 """
 
 from __future__ import annotations
@@ -55,6 +57,20 @@ def add_cer_column(batch: pa.Table, *, out_col: str, correct_col: str,
     return batch.append_column(cer_col, pa.array(cers, pa.float64()))
 
 
+# Every finite float64 is an integer multiple of 2**-1074.
+_SCALE_BITS = 1074
+
+
+def _scaled_sum(values: list[float]) -> int:
+    """Exact Σ values × 2**1074 as an int: integer addition does not depend
+    on the order or grouping of the partials, unlike float addition."""
+    total = 0
+    for v in values:
+        num, den = v.as_integer_ratio()  # den is a power of two ≤ 2**1074
+        total += num << (_SCALE_BITS + 1 - den.bit_length())
+    return total
+
+
 def evaluate(ds: ray.data.Dataset, *, out_col: str = "corrected_text",
              correct_col: str = "clean", banded: bool = False,
              skip_empty_correct: bool = True) -> EvalResult:
@@ -66,17 +82,16 @@ def evaluate(ds: ray.data.Dataset, *, out_col: str = "corrected_text",
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        col = batch.column("cer")
-        valid = col.drop_null()
-        n = len(valid)
-        total = pa.compute.sum(valid).as_py() or 0.0
-        perfect = pa.compute.sum(pa.compute.equal(valid, 0.0).cast(pa.int64())).as_py() or 0
-        return pa.Table.from_pylist([{"n": n, "total": total, "perfect": perfect}])
+        cers = batch.column("cer").drop_null().to_pylist()
+        return pa.Table.from_pylist([{"n": len(cers), "total": str(_scaled_sum(cers)),
+                                      "perfect": cers.count(0.0)}])
 
     parts = scored.map_batches(partial, batch_format="pyarrow").take_all()
     n = sum(p["n"] for p in parts)
     if n == 0:
         return EvalResult(0.0, 0.0, 0)
-    total = sum(p["total"] for p in parts)
+    total = sum(int(p["total"]) for p in parts)
     perfect = sum(p["perfect"] for p in parts)
-    return EvalResult(mean_cer=total / n, percent_perfect=perfect / n, n=n)
+    # int / int is correctly rounded, so the mean is the same at every layout
+    return EvalResult(mean_cer=total / (n << _SCALE_BITS),
+                      percent_perfect=perfect / n, n=n)

@@ -137,7 +137,6 @@ def model_fingerprint(corrector: CorrectorKind, **correct_kwargs) -> str:
 def extract_correct(pages: ray.data.Dataset, *, corrector: CorrectorKind = "null",
                     out_dir: str | None = None, num_partitions: int = 32,
                     resume: bool = True, input_fingerprint: str = "",
-                    data_format: str = "parquet",
                     **correct_kwargs) -> ray.data.Dataset:
     """Full pipeline.  With ``out_dir`` set, executes and commits partitioned
     output (returns the tiny per-partition summary dataset); without, returns
@@ -153,8 +152,7 @@ def extract_correct(pages: ray.data.Dataset, *, corrector: CorrectorKind = "null
     if out_dir is not None and resume:
         lin.check_partition_scheme(out_dir, num_partitions=num_partitions,
                                    input_fingerprint=input_fingerprint,
-                                   stage_versions=stage_versions,
-                                   data_format=data_format)
+                                   stage_versions=stage_versions)
         committed = lin.committed_partitions(out_dir)
         if committed:
             ds = ds.map_batches(make_committed_filter(committed, num_partitions),
@@ -175,7 +173,7 @@ def extract_correct(pages: ray.data.Dataset, *, corrector: CorrectorKind = "null
         # code-point lengths, like Python's len; a null output counts as empty
         out_len = pc.fill_null(pc.utf8_length(body.column(OUT_COL)), 0)
         rec = lin.commit_partition(
-            body, out_dir, part_id, data_format=data_format,
+            body, out_dir, part_id,
             input_fingerprint=input_fingerprint, stage_versions=stage_versions,
             num_partitions=num_partitions,
             metrics={"n_empty_outputs": pc.sum(pc.equal(out_len, 0)).as_py(),

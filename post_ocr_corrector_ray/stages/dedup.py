@@ -3,9 +3,10 @@
 Engine extensions for training-data pipelines (the reference's only dedup is
 the distinct-char aggregate, SURVEY.md §2.7).  Scale posture:
 
-- **exact**: content-hash column added vectorized in ``map_batches``; ONE
-  hash-shuffle ``groupby(hash)`` keeps the min-id row per group.  At 100 TB the
-  shuffle moves (hash, id) projections, not payloads, when ``keep="ids"``.
+- **exact**: md5 content-hash column (``add_md5_column``); the caller's ONE
+  hash-shuffle aggregate keeps the min id per hash
+  (pipelines/documents.py::doc_dedup_exact), moving (hash, id) projections,
+  not payloads.
 - **MinHash+LSH**: shingle→minhash signatures per batch (NumPy, no shuffle),
   exploded to (band_id, band_hash, id) rows — b×rows small ints — then ONE
   ``groupby(band)`` produces candidate groups; candidates are verified with
@@ -31,23 +32,6 @@ def add_md5_column(batch: pa.Table, *, text_col: str = "text",
     vals = [hashlib.md5((t or "").encode("utf-8")).hexdigest()
             for t in batch.column(text_col).to_pylist()]
     return batch.append_column(out_col, pa.array(vals, pa.string()))
-
-
-def exact_dedup(ds: ray.data.Dataset, *, text_col: str = "text",
-                id_col: str = "doc_id") -> ray.data.Dataset:
-    """Keep the min-id row per distinct text (md5 key, matching the SQL oracle
-    ``GROUP BY md5(text) … min(id)``).  Uses coarse hash partitions so key
-    cardinality (≈ row count) never becomes Ray-level group count."""
-    from .shuffle import grouped_apply
-
-    hashed = ds.map_batches(add_md5_column, batch_format="pyarrow",
-                            fn_kwargs=dict(text_col=text_col))
-
-    def keep_first(df):
-        out = df.sort_values(id_col).drop_duplicates(subset=["content_md5"])
-        return out.drop(columns=["content_md5"])
-
-    return grouped_apply(hashed, ["content_md5"], keep_first)
 
 
 # --- MinHash + LSH ------------------------------------------------------------

@@ -10,9 +10,9 @@ A language is a giant key at 100 TB, so one-group-per-task sorting is the
 wrong tool.  Instead: the float64 score maps to its IEEE-754 bit pattern
 (order-isomorphic int64 for this formula's non-negative scores), a
 (lang, value) histogram gives every score group its per-language base offset
-(tiny driver cumsum over DISTINCT (lang, value) pairs — global_rank's
-bounded-domain contract; quantize the score first if its distinct-value
-count is unbounded), and ONE (lang, value)-keyed exchange finishes rank and
+(tiny driver cumsum over DISTINCT (lang, value) pairs, so the histogram
+is only as large as the number of distinct scores; quantize the score first
+if that count is unbounded), and ONE (lang, value)-keyed exchange finishes rank and
 tier in closed form with the exact SQL NTILE size rule.  The broadcast side
 is offsets + per-language totals, shipped once via ``ray.put``.
 

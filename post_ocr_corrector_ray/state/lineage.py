@@ -20,10 +20,10 @@ The hash function IS the resume contract: every marker records
 ``partition_scheme`` and ``num_partitions``, and resume refuses (loudly) to
 mix schemes or partition counts — a store written under a different layout
 would otherwise silently drop/duplicate rows.  Resume also refuses a marker
-written from a different input fingerprint, stage versions or data format:
-the rerun must reproduce the store, not splice two runs into one.  A run with
-``resume=False`` first deletes every ``part=*`` directory, for the same
-reason.
+written from a different input fingerprint or stage versions, or in the
+retired csv data format: the rerun must reproduce the store, not splice two
+runs into one.  A run with ``resume=False`` first deletes every ``part=*``
+directory, for the same reason.
 
 Lineage recorded per partition: input fileset fingerprint, row/url counts,
 url-hash range, stage versions, wall-clock, and arbitrary caller metrics.
@@ -51,20 +51,20 @@ PARTITION_SCHEME = "polyhash-v2"
 
 def check_partition_scheme(out_dir: str, *, num_partitions: int | None = None,
                            input_fingerprint: str | None = None,
-                           stage_versions: dict | None = None,
-                           data_format: str | None = None) -> None:
+                           stage_versions: dict | None = None) -> None:
     """Refuse to resume over partitions committed under a different url-hash
     scheme or partition count (the partition ids would not correspond to the
     same url sets, so a 'resume' would silently drop some urls and duplicate
-    others), from a different input or stage versions, or in another
-    ``data_format`` (a store mixing parquet and csv partitions reads back
-    neither whole).  An argument left ``None`` is not checked; a marker
-    without a field predates it and is not checked against it."""
+    others), from a different input or stage versions, or in a
+    ``data_format`` other than parquet (older stores could hold csv
+    partitions, which the readers refuse).  An argument left ``None`` is not
+    checked; a marker without a field predates it and is not checked against
+    it."""
     current = {"partition_scheme": PARTITION_SCHEME,
                "num_partitions": num_partitions,
                "input_fingerprint": input_fingerprint,
                "stage_versions": stage_versions,
-               "data_format": data_format}
+               "data_format": "parquet"}
     for rec in read_lineage(out_dir):
         rec = {"partition_scheme": "blake2b-v1", **rec}  # blake2b-era markers lack it
         for field, want in current.items():
@@ -134,31 +134,20 @@ def committed_partitions(out_dir: str) -> frozenset[int]:
 def commit_partition(table: pa.Table, out_dir: str, part_id: int, *,
                      input_fingerprint: str = "", stage_versions: dict | None = None,
                      metrics: dict | None = None,
-                     data_format: str = "parquet",
                      num_partitions: int | None = None) -> dict:
-    """Atomically write one partition + its lineage record; returns the record.
-
-    ``data_format="csv"`` mirrors the reference eval sink (eval.py:39-42
-    appends CSV rows); parquet is the engine default.  Same tmp→rename
-    protocol, same ``_SUCCESS.json`` marker either way."""
+    """Atomically write one partition (``data.parquet``) + its lineage
+    record; returns the record."""
     pdir = partition_dir(out_dir, part_id)
     os.makedirs(pdir, exist_ok=True)
     started = time.time()
-    tmp = os.path.join(pdir, f".tmp-{uuid.uuid4().hex}.{data_format}")
-    if data_format == "parquet":
-        pq.write_table(table, tmp)
-    elif data_format == "csv":
-        from pyarrow import csv as pacsv
-
-        pacsv.write_csv(table, tmp)
-    else:
-        raise ValueError(f"unknown data_format: {data_format}")
-    os.replace(tmp, os.path.join(pdir, f"data.{data_format}"))
+    tmp = os.path.join(pdir, f".tmp-{uuid.uuid4().hex}.parquet")
+    pq.write_table(table, tmp)
+    os.replace(tmp, os.path.join(pdir, "data.parquet"))
     record = {
         "partition": part_id,
         "partition_scheme": PARTITION_SCHEME,
         "num_partitions": num_partitions,
-        "data_format": data_format,
+        "data_format": "parquet",
         "n_rows": table.num_rows,
         "engine_version": __version__,
         "input_fingerprint": input_fingerprint,
@@ -176,7 +165,7 @@ def commit_partition(table: pa.Table, out_dir: str, part_id: int, *,
 
 def commit_by_key(ds, out_dir: str, *, key_col: str,
                   num_partitions: int = 32, resume: bool = True,
-                  input_fingerprint: str = "", data_format: str = "parquet",
+                  input_fingerprint: str = "",
                   stage_versions: dict | None = None):
     """Generic resumable committed sink for ANY dataset: rows are
     hash-partitioned on ``key_col`` (the same vectorized polynomial hash the
@@ -197,8 +186,7 @@ def commit_by_key(ds, out_dir: str, *, key_col: str,
     if resume:
         check_partition_scheme(out_dir, num_partitions=num_partitions,
                                input_fingerprint=input_fingerprint,
-                               stage_versions=stage_versions,
-                               data_format=data_format)
+                               stage_versions=stage_versions)
         committed = committed_partitions(out_dir)
     else:
         clear_partitions(out_dir)
@@ -217,7 +205,6 @@ def commit_by_key(ds, out_dir: str, *, key_col: str,
         rec = commit_partition(group.drop_columns(["_part"]), out_dir, part_id,
                                input_fingerprint=input_fingerprint,
                                stage_versions=stage_versions,
-                               data_format=data_format,
                                num_partitions=num_partitions)
         return pa.Table.from_pylist([{"part": part_id, "n_rows": rec["n_rows"]}])
 
@@ -234,35 +221,35 @@ def read_lineage(out_dir: str) -> list[dict]:
     return out
 
 
-def read_output(out_dir: str) -> pa.Table:
-    """Concatenate committed partitions (test/driver-side convenience)."""
-    tables = []
-    for p in sorted(committed_partitions(out_dir)):
-        pdir = partition_dir(out_dir, p)
-        if os.path.exists(os.path.join(pdir, "data.parquet")):
-            tables.append(pq.read_table(os.path.join(pdir, "data.parquet")))
-        else:
-            from pyarrow import csv as pacsv
-
-            tables.append(pacsv.read_csv(os.path.join(pdir, "data.csv")))
-    if not tables:
-        raise FileNotFoundError(f"no committed partitions under {out_dir}")
-    return pa.concat_tables(tables)
-
-
-def read_output_ds(out_dir: str):
-    """Committed partitions as a streaming Dataset (parquet-format stores) —
-    the scale-safe twin of ``read_output``: partitions are read lazily by Ray
-    tasks, never concatenated on the driver.  Same columns as
-    ``read_output``: the ``part=NNNNN`` directory names are not parsed into
-    a hive partition column."""
-    import ray.data
-
+def _data_paths(out_dir: str) -> list[str]:
+    """``data.parquet`` of every committed partition, in partition order.  A
+    committed partition without one (older stores could hold csv
+    partitions) is refused, not skipped: the store would read back short."""
     paths = []
     for p in sorted(committed_partitions(out_dir)):
         fp = os.path.join(partition_dir(out_dir, p), "data.parquet")
-        if os.path.exists(fp):
-            paths.append(fp)
+        if not os.path.exists(fp):
+            raise FileNotFoundError(
+                f"{out_dir} partition {p} is committed but has no "
+                f"data.parquet (a csv-format store is no longer readable); "
+                f"re-run with resume=False to rewrite it.")
+        paths.append(fp)
     if not paths:
-        raise FileNotFoundError(f"no committed parquet partitions under {out_dir}")
-    return ray.data.read_parquet(paths, partitioning=None)
+        raise FileNotFoundError(f"no committed partitions under {out_dir}")
+    return paths
+
+
+def read_output(out_dir: str) -> pa.Table:
+    """Concatenate committed partitions (test/driver-side convenience)."""
+    return pa.concat_tables([pq.read_table(p) for p in _data_paths(out_dir)])
+
+
+def read_output_ds(out_dir: str):
+    """Committed partitions as a streaming Dataset — the scale-safe twin of
+    ``read_output``: partitions are read lazily by Ray tasks, never
+    concatenated on the driver.  Same columns as ``read_output``: the
+    ``part=NNNNN`` directory names are not parsed into a hive partition
+    column."""
+    import ray.data
+
+    return ray.data.read_parquet(_data_paths(out_dir), partitioning=None)

@@ -1,5 +1,5 @@
-"""Document-side window, join and sketch checks: bigram PMI, PERCENT_RANK,
-LEFT hash-join semantics, Misra–Gries guarantee and token entropy.
+"""Document-side window, join and sketch checks: bigram PMI, LEFT
+hash-join semantics, Misra–Gries guarantee and token entropy.
 
 DuckDB recomputes each expected result from the sf0.001 fixture.
 """
@@ -48,29 +48,6 @@ class TestPmiHistLatestRevenue:
             JOIN uc u2 ON bc.w2 = u2.token
             CROSS JOIN tot WHERE bc.c_xy >= 5""").fetchdf()
         pd.testing.assert_frame_equal(_canon(got), _canon(want), check_dtype=False)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestCohortPercentRank:
-    def test_doc_length_percent_rank(self):
-        import duckdb
-
-        from post_ocr_corrector_ray.pipelines.documents import (
-            doc_length_percent_rank,
-        )
-
-        got = doc_length_percent_rank(SF).to_pandas()
-        c = duckdb.connect()
-        c.execute("PRAGMA threads=2")
-        c.execute(f"CREATE VIEW documents AS SELECT * FROM "
-                  f"read_parquet('{SF}/documents.parquet')")
-        want = c.execute("""
-            SELECT doc_id, n_chars,
-                   percent_rank() OVER (ORDER BY n_chars, doc_id) AS pr
-            FROM documents""").fetchdf()
-        g, w = _canon(got), _canon(want)
-        assert (g["pr"].to_numpy().tobytes() == w["pr"].to_numpy().tobytes())
-        assert g["pr"].min() == 0.0 and g["pr"].max() == 1.0
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -2,6 +2,7 @@
 state-dict mapping round-trips, and serving the converted weights."""
 
 import numpy as np
+import pytest
 
 from post_ocr_corrector_ray.functions.alphabet import build_alphabet
 from post_ocr_corrector_ray.model import ckpt_compat as cc
@@ -65,3 +66,27 @@ class TestZipReader:
         # transposed view strides (column-major 4x6 read as 6x4)
         out = cc._rebuild_tensor_v2(base, 0, (6, 4), (1, 6))
         np.testing.assert_array_equal(out, base.reshape(4, 6).T)
+
+
+class TestMismatchedAlphabet:
+    """A wrong alphabet is a user error on the CLI path (``run --corrector
+    neural``, ``convert-ckpt``): a ValueError naming both sizes, which
+    ``python -O`` does not strip."""
+
+    def test_weights_with_shorter_alphabet_refused(self, tmp_path):
+        path = str(tmp_path / "weights.npz")
+        _seeded_model().save(path)
+        with pytest.raises(ValueError, match=f"{len(ALPHABET) + 3} != "
+                                             f"alphabet vocab {len(ALPHABET) + 2}"):
+            NeuralCorrectorModel.load(path, ALPHABET[:-1])
+
+    def test_convert_with_wrong_alphabet_refused(self, tmp_path):
+        m = _seeded_model()
+        p = {k: v for k, v in m.net.w.items() if not k.startswith("_")}
+        path = str(tmp_path / "model.ckpt")
+        cc.write_fake_torch_ckpt(path, cc.params_to_state_dict(p, HPARAMS["n_layers"]),
+                                 dict(HPARAMS))
+        out = tmp_path / "model_dir"
+        with pytest.raises(ValueError, match="model.ckpt"):
+            cc.convert_to_model_dir(path, ALPHABET[:-1], str(out))
+        assert not out.exists()

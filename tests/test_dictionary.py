@@ -78,7 +78,13 @@ class TestVocabMaintenance:
     def test_load_rejects_bad_keys(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"vocabulary": {}}')
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
+            DictionaryCorrector.load(str(p))
+
+    def test_load_rejects_non_object(self, tmp_path):
+        p = tmp_path / "dictionary.json"
+        p.write_text('[["fox", 3]]')
+        with pytest.raises(ValueError, match="dictionary.json"):
             DictionaryCorrector.load(str(p))
 
 

@@ -1,7 +1,9 @@
 """Input-layout invariance of the operators the CLI runs (``dedup``:
 ``minhash_duplicate_pairs`` and ``near_dedup``; ``tiers``:
-``quality_tiers``): the same rows split into 1, 3, 7 or 16 input blocks give
-the same output, equal to a single-process recompute."""
+``quality_tiers``; ``alphabet``, ``build-dictionary``, ``corpus`` and
+``eval``: the corpus and eval aggregates): the same rows split into 1, 3, 7
+or 16 input blocks give the same output, equal to a single-process
+recompute."""
 
 import numpy as np
 import pyarrow as pa
@@ -114,3 +116,102 @@ class TestCliOperatorsLayoutInvariance:
         pd.testing.assert_frame_equal(
             got[["doc_id", "lang", "quality", "tier"]], want,
             check_dtype=False, check_exact=True)
+
+
+_GOOD_CHARS = "abcdefghijklmnopqrstuvwxyz "
+
+
+@pytest.fixture(scope="module")
+def pages() -> pa.Table:
+    from post_ocr_corrector_ray.sources.synth import pages_batch
+
+    return pages_batch(np.arange(120), seed=3)
+
+
+@pytest.fixture(scope="module")
+def corpus(pages) -> pa.Table:
+    """The (url, clean, messy, split) corpus, built row by row in one
+    process."""
+    from post_ocr_corrector_ray.functions.hashing import polyhash_u64
+    from post_ocr_corrector_ray.oracle import oracle_extract, oracle_messy
+    from post_ocr_corrector_ray.pipelines.corpus import pick_split
+
+    clean = oracle_extract(pages)
+    urls = list(clean)
+    return pa.table({
+        "url": urls,
+        "clean": [clean[u] for u in urls],
+        "messy": [oracle_messy(u, clean[u].strip(), _GOOD_CHARS) for u in urls],
+        "split": [pick_split(polyhash_u64(u.encode("utf-8")) % 10) for u in urls],
+    })
+
+
+def _train_counts(corpus: pa.Table) -> dict:
+    from post_ocr_corrector_ray.oracle import oracle_token_counts
+
+    return oracle_token_counts(
+        [c for c, s in zip(corpus.column("clean").to_pylist(),
+                           corpus.column("split").to_pylist()) if s == "train"])
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestCorpusEvalLayoutInvariance:
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_compute_alphabet(self, corpus, blocks):
+        from post_ocr_corrector_ray.oracle import oracle_alphabet
+        from post_ocr_corrector_ray.pipelines.corpus import compute_alphabet
+
+        got = compute_alphabet(_blocks(corpus, blocks), text_col="clean")
+        assert got == oracle_alphabet(corpus.column("clean").to_pylist())
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_token_counts_train(self, corpus, blocks):
+        from post_ocr_corrector_ray.pipelines.corpus import token_counts
+
+        df = token_counts(_blocks(corpus, blocks), text_col="clean",
+                          split="train").to_pandas()
+        want = _train_counts(corpus)
+        assert len(want) > 100
+        assert dict(zip(df["token"], df["frequency"].astype(int))) == want
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_build_dictionary(self, corpus, blocks):
+        from post_ocr_corrector_ray.pipelines.corpus import build_dictionary
+
+        got = build_dictionary(_blocks(corpus, blocks), min_frequency=2)
+        want = {t: c for t, c in _train_counts(corpus).items() if c >= 2}
+        assert got.vocabulary == want
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_corpus_from_pages(self, pages, corpus, blocks):
+        from post_ocr_corrector_ray.pipelines.corpus import corpus_from_pages
+
+        df = corpus_from_pages(_blocks(pages, blocks),
+                               good_chars=_GOOD_CHARS).to_pandas()
+        got = {u: (c, m, s) for u, c, m, s in
+               zip(df["url"], df["clean"], df["messy"], df["split"])}
+        want = {u: (c, m, s) for u, c, m, s in
+                zip(*(corpus.column(k).to_pylist()
+                      for k in ("url", "clean", "messy", "split")))}
+        assert len(df) == corpus.num_rows
+        assert got == want
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_evaluate(self, corpus, blocks):
+        """Messy text scored against clean: ``mean_cer`` is Σcer/n rounded
+        once, so every layout gives the same bits."""
+        from fractions import Fraction
+
+        from post_ocr_corrector_ray.functions.edit_distance import edit_distance_banded
+        from post_ocr_corrector_ray.pipelines.evaluate import EvalResult, evaluate
+
+        cers = [0.0 if m == c else edit_distance_banded(m, c) / len(c)
+                for m, c in zip(corpus.column("messy").to_pylist(),
+                                corpus.column("clean").to_pylist()) if c]
+        n = len(cers)
+        want = EvalResult(mean_cer=float(sum(map(Fraction, cers)) / n),
+                          percent_perfect=cers.count(0.0) / n, n=n)
+        got = evaluate(_blocks(corpus, blocks), out_col="messy",
+                       correct_col="clean", banded=True)
+        assert n > 100
+        assert got == want

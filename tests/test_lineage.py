@@ -54,19 +54,6 @@ class TestCommitPartition:
         assert rec["stage_versions"] == STAGES and rec["metrics"] == {"n": 1}
         assert rec["data_format"] == "parquet"
 
-    def test_csv_roundtrip(self, tmp_path):
-        out = str(tmp_path / "s")
-        lin.commit_partition(_table(4), out, 0, data_format="csv")
-        assert os.path.exists(os.path.join(out, "part=00000", "data.csv"))
-        back = lin.read_output(out)
-        assert back.column("url").to_pylist() == _table(4).column("url").to_pylist()
-
-    def test_unknown_format_commits_nothing(self, tmp_path):
-        out = str(tmp_path / "s")
-        with pytest.raises(ValueError, match="data_format"):
-            lin.commit_partition(_table(2), out, 0, data_format="orc")
-        assert lin.committed_partitions(out) == frozenset()
-
     def test_recommit_replaces_data_and_leaves_no_tmp(self, tmp_path):
         out = str(tmp_path / "s")
         lin.commit_partition(_table(2), out, 0)
@@ -147,7 +134,6 @@ class TestCheckPartitionScheme:
         ("num_partitions", 8),
         ("input_fingerprint", "B"),
         ("stage_versions", {"extract": "1", "correct": "neural/1"}),
-        ("data_format", "csv"),
     ])
     def test_mismatch_refused(self, tmp_path, field, value):
         out = str(tmp_path / "s")
@@ -156,6 +142,13 @@ class TestCheckPartitionScheme:
                    "stage_versions": STAGES, field: value}
         with pytest.raises(ValueError, match=field):
             lin.check_partition_scheme(out, **current)
+
+    def test_legacy_csv_marker_refused(self, tmp_path):
+        out = str(tmp_path / "s")
+        _store(out)
+        _rewrite_marker(out, 0, data_format="csv")
+        with pytest.raises(ValueError, match="data_format"):
+            lin.check_partition_scheme(out)
 
     def test_one_foreign_marker_is_enough(self, tmp_path):
         out = str(tmp_path / "s")

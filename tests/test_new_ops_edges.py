@@ -100,27 +100,8 @@ class TestEmptyInputTopK:
 
 @pytest.mark.usefixtures("ray_session")
 class TestFastHashTwins:
-    """The shuffle op defaults to a vectorized splitmix hash; the md5
-    variant survives ONLY as the SQL-oracle twin.  Both paths must satisfy
-    the same structural contract."""
-
-    SF = "/root/testdata/sf0.001"
-
-    def test_shuffle_order_both_paths_bijection(self):
-        from post_ocr_corrector_ray.pipelines.documents import doc_shuffle_order
-
-        for fn in ("fast", "md5"):
-            a = doc_shuffle_order(self.SF, hash_fn=fn).to_pandas() \
-                .sort_values("doc_id")
-            n = len(a)
-            assert sorted(a["shuffle_rank"]) == list(range(1, n + 1)), fn
-            assert a["shuffle_rank"].tolist() != list(range(1, n + 1)), fn
-
-    def test_shuffle_order_unknown_hash_fn_raises(self):
-        from post_ocr_corrector_ray.pipelines.documents import doc_shuffle_order
-
-        with pytest.raises(ValueError):
-            doc_shuffle_order(self.SF, hash_fn="sha999")
+    """The split column keys on the vectorized polyhash; it must equal the
+    scalar hash row by row."""
 
     def test_add_split_column_vectorized_matches_scalar(self):
         from post_ocr_corrector_ray.functions.hashing import polyhash_u64

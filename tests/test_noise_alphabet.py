@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from post_ocr_corrector_ray import INT_EMPTY, UNK
-from post_ocr_corrector_ray.functions.alphabet import Vocab, build_alphabet, chars_of_batch
+from post_ocr_corrector_ray.functions.alphabet import Vocab, build_alphabet
 from post_ocr_corrector_ray.functions.noise import (
     EDIT_CHANCE,
     INSERT_CHANCE,
@@ -114,6 +114,3 @@ class TestAlphabet:
         v = Vocab("")
         assert v.encode("xy").tolist() == [0, 0]
         assert v.decode(v.encode("xy")) == UNK + UNK
-
-    def test_chars_of_batch(self):
-        assert chars_of_batch(["ab", "bc"]) == {"a", "b", "c"}

@@ -193,21 +193,6 @@ class TestCommitResume:
         assert set(summary2["part"]) == set(victims)
         assert lin.committed_partitions(out) == first
 
-    def test_csv_sink_variant(self, pages_file, tmp_path):
-        """Reference eval.py:39-42 writes CSV — the commit sink supports it
-        with the same atomic-rename + _SUCCESS protocol and readback."""
-        import ray.data
-
-        out = str(tmp_path / "csvout")
-        s = extract_correct(ray.data.read_parquet(pages_file), corrector="null",
-                            out_dir=out, num_partitions=4,
-                            data_format="csv").to_pandas()
-        assert s["n_rows"].sum() == N_PAGES
-        tbl = lin.read_output(out)
-        assert tbl.num_rows == N_PAGES
-        assert all(r["data_format"] == "csv" for r in lin.read_lineage(out))
-        assert os.path.exists(os.path.join(out, "part=00000", "data.csv"))
-
     def test_crashed_partition_redone_cleanly(self, pages_file, tmp_path):
         """A partition with data but no _SUCCESS (crash between write and
         commit) plus stray tmp files is redone and recommitted atomically."""
@@ -292,6 +277,25 @@ def _doc_rows(n):
                      "text": pa.array([f"t{i}" for i in range(n)])})
 
 
+def _forge_csv_partition(out, part):
+    """Rewrite a committed partition the way older releases stored csv:
+    ``data.csv`` in place of ``data.parquet``, and a marker that says so."""
+    import json
+
+    from pyarrow import csv as pacsv
+
+    pdir = lin.partition_dir(out, part)
+    data = os.path.join(pdir, "data.parquet")
+    pacsv.write_csv(pq.read_table(data), os.path.join(pdir, "data.csv"))
+    os.remove(data)
+    mpath = os.path.join(pdir, lin.SUCCESS_NAME)
+    with open(mpath, encoding="utf-8") as f:
+        rec = json.load(f)
+    rec["data_format"] = "csv"
+    with open(mpath, "w", encoding="utf-8") as f:
+        json.dump(rec, f)
+
+
 def _assert_store(out, n, num_partitions, key_col="url"):
     """Exactly n rows, n distinct keys, every marker from one partition count."""
     t = lin.read_output(out)
@@ -368,19 +372,6 @@ class TestCommitByKeyResume:
         assert sorted(lin.read_output(out).column("doc_id").to_pylist()) == \
             list(range(100))
 
-    def test_csv_store_resumes(self, tmp_path):
-        import shutil
-
-        out = str(tmp_path / "store")
-        self._commit(out, data_format="csv")
-        lost = sorted(lin.committed_partitions(out))[-1]
-        shutil.rmtree(lin.partition_dir(out, lost))
-        s = self._commit(out, data_format="csv")
-        assert s["part"].tolist() == [lost]
-        assert sorted(lin.read_output(out).column("doc_id").to_pylist()) == \
-            list(range(100))
-        assert {r["data_format"] for r in lin.read_lineage(out)} == {"csv"}
-
 
 @pytest.mark.usefixtures("ray_session")
 class TestReadOutputDs:
@@ -397,9 +388,21 @@ class TestReadOutputDs:
 
     def test_csv_only_store_refused(self, tmp_path):
         out = str(tmp_path / "store")
-        lin.commit_partition(_doc_rows(3), out, 0, data_format="csv")
+        lin.commit_partition(_doc_rows(3), out, 0)
+        _forge_csv_partition(out, 0)
         with pytest.raises(FileNotFoundError):
             lin.read_output_ds(out)
+
+    @pytest.mark.parametrize("reader", ["read_output", "read_output_ds"])
+    def test_legacy_csv_partition_refused(self, tmp_path, reader):
+        """One parquet and one legacy csv partition: reading back only the
+        parquet rows, or both, would hide that the store is mixed."""
+        out = str(tmp_path / "store")
+        lin.commit_partition(_doc_rows(3), out, 0)
+        lin.commit_partition(_doc_rows(5), out, 1)
+        _forge_csv_partition(out, 1)
+        with pytest.raises(FileNotFoundError, match="partition 1"):
+            getattr(lin, reader)(out)
 
 
 class TestModelFingerprint:
@@ -473,12 +476,11 @@ class TestPartitionSchemeGuard:
         run(8).to_pandas()
         parts = sorted(lin.committed_partitions(out))
         rerun_partitions = 8
-        rerun_kw = {}
         if mismatch == "data_format":
-            # half the store is lost, then the rerun picks csv
+            # half the store is lost, and a partition left is legacy csv
             for p in parts[len(parts) // 2:]:
                 shutil.rmtree(lin.partition_dir(out, p))
-            rerun_kw["data_format"] = "csv"
+            _forge_csv_partition(out, parts[0])
         elif mismatch == "num_partitions":
             # half the store is lost, then the rerun picks another count
             for p in parts:
@@ -496,9 +498,9 @@ class TestPartitionSchemeGuard:
                 rec["stage_versions"] = {"extract": "0", "correct": "null/1"}
             json.dump(rec, open(mpath, "w"))
         with pytest.raises(ValueError, match=mismatch):
-            run(rerun_partitions, **rerun_kw)
+            run(rerun_partitions)
         # resume=False bypasses (fresh recompute over the same dir is allowed)
-        run(rerun_partitions, resume=False, **rerun_kw).to_pandas()
+        run(rerun_partitions, resume=False).to_pandas()
         assert lin.read_output(out).num_rows == N_PAGES
 
     @pytest.mark.parametrize("change", ["seed", "hparams", "alphabet", "weights",
@@ -565,6 +567,53 @@ def _hostile_pages():
     ]
     urls, htmls, texts, statuses = map(list, zip(*rows))
     return _pages(urls, htmls, texts), statuses
+
+
+_P_VOCAB = {"brza": 3, "lisica": 3, "quick": 5, "brown": 5, "fox": 5,
+            "the": 9, "dog": 4, "under": 3, "trees": 3}
+
+
+@pytest.fixture(scope="module")
+def store_at(ray_session, pages_table, tmp_path_factory):
+    """(corrector, num_partitions) → the committed store read back sorted by
+    url; each store is written once per module."""
+    import ray
+    import ray.data
+
+    stores = {}
+
+    def get(corrector, num_partitions):
+        key = (corrector, num_partitions)
+        if key not in stores:
+            kwargs = {} if corrector == "null" else \
+                dict(vocab_ref=ray.put(_P_VOCAB), min_frequency=2)
+            out = str(tmp_path_factory.mktemp(f"{corrector}-p{num_partitions}"))
+            extract_correct(ray.data.from_arrow(pages_table.slice(0, 40)),
+                            corrector=corrector, out_dir=out,
+                            num_partitions=num_partitions, concurrency=1,
+                            **kwargs).to_pandas()
+            stores[key] = lin.read_output(out).sort_by("url")
+        return stores[key]
+
+    return get
+
+
+class TestStoreIndependentOfPartitions:
+    """The committed rows are a function of the input alone: any
+    ``num_partitions`` gives the P=1 store, url by url."""
+
+    @pytest.mark.parametrize("num_partitions", [1, 2, 7, 32])
+    @pytest.mark.parametrize("corrector", ["null", "dictionary"])
+    def test_store_equals_single_partition(self, store_at, pages_table,
+                                           corrector, num_partitions):
+        got = store_at(corrector, num_partitions)
+        assert got.num_rows == 40
+        assert got.equals(store_at(corrector, 1))
+        model = None if corrector == "null" else \
+            DictionaryCorrector(_P_VOCAB, min_frequency=2)
+        want = oracle_extract_correct(pages_table.slice(0, 40), model)
+        assert dict(zip(got.column("url").to_pylist(),
+                        got.column("corrected_text").to_pylist())) == want
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -1,4 +1,4 @@
-"""Training-data extensions: textstats, dedup (exact/minhash/simhash)."""
+"""Training-data extensions: textstats, dedup (minhash/simhash)."""
 
 import pyarrow as pa
 import pytest
@@ -86,14 +86,6 @@ class TestTextStats:
 
 @pytest.mark.usefixtures("ray_session")
 class TestDedup:
-    def test_exact_dedup_keeps_min_id(self):
-        import ray.data
-
-        tbl = _doc_table(["aaa", "bbb", "aaa", "ccc", "bbb"], ids=[5, 2, 1, 9, 7])
-        out = dd.exact_dedup(ray.data.from_arrow(tbl)).to_pandas()
-        kept = dict(zip(out["text"], out["doc_id"]))
-        assert kept == {"aaa": 1, "bbb": 2, "ccc": 9}
-
     def test_minhash_finds_near_dups(self):
         import ray
 
