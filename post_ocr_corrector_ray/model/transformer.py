@@ -62,49 +62,54 @@ def sinusoidal_pe(max_len: int, d_model: int) -> np.ndarray:
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * g + b
+    """``(x - mean) / sqrt(var + eps) * g + b`` over the last axis, in place on
+    one centred copy of ``x``; same operation order (and bits) as the plain
+    expression, with fewer temporaries and no ``ndarray.mean`` wrapper."""
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= n
+    xc = x - mu
+    var = np.add.reduce(np.multiply(xc, xc), axis=-1, keepdims=True)
+    var /= n
+    var += eps
+    np.sqrt(var, out=var)
+    xc /= var
+    xc *= g
+    xc += b
+    return xc
 
 
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    x = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(x)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    return e
 
 
-def _mha(q_in: np.ndarray, kv_in: np.ndarray, w: dict, n_head: int,
-         kv_cache: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Multi-head attention, shapes (B, L, D); packed qkv like torch MHA.
+def _mha(x: np.ndarray, w: dict, n_head: int,
+         kv: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Multi-head attention of queries ``x`` (B, L, D), like torch MHA.
 
-    Self-attention (q_in is kv_in, no cache) projects q/k/v in ONE packed GEMM
-    against the stacked weight — one BLAS call instead of three, same dot
-    products.  ``kv_cache``: precomputed (k, v) projections of a FIXED kv
-    input (the encoder memory during greedy decode) — identical math, computed
-    once per decode instead of once per step."""
-    d = q_in.shape[-1]
+    ``kv=None`` is self-attention over ``x``: q, k and v come from ONE GEMM
+    against the packed weight ``w["wqkv"]`` (one BLAS call instead of three,
+    same dot products).  Otherwise ``kv`` holds the (k, v) projections of the
+    encoder memory, computed once per decode by
+    ``Transformer.precompute_memory_kv``."""
+    d = x.shape[-1]
     dh = d // n_head
-    if kv_cache is not None:
-        q = q_in @ w["wq"].T + w["bq"]
-        k, v = kv_cache
-    elif q_in is kv_in:
-        packed = w.get("_packed")
-        if packed is None:
-            packed = (np.vstack([w["wq"], w["wk"], w["wv"]]),
-                      np.concatenate([w["bq"], w["bk"], w["bv"]]))
-            w["_packed"] = packed
-        qkv = q_in @ packed[0].T + packed[1]
+    if kv is None:
+        qkv = x @ w["wqkv"].T + w["bqkv"]
         q, k, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
     else:
-        q = q_in @ w["wq"].T + w["bq"]
-        k = kv_in @ w["wk"].T + w["bk"]
-        v = kv_in @ w["wv"].T + w["bv"]
+        q = x @ w["wq"].T + w["bq"]
+        k, v = kv
     B, Lq, _ = q.shape
     Lk = k.shape[1]
     q = q.reshape(B, Lq, n_head, dh).transpose(0, 2, 1, 3)
     k = k.reshape(B, Lk, n_head, dh).transpose(0, 2, 1, 3)
     v = v.reshape(B, Lk, n_head, dh).transpose(0, 2, 1, 3)
-    scores = (q @ k.transpose(0, 1, 3, 2)) / np.float32(math.sqrt(dh))
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores /= np.float32(math.sqrt(dh))
     attn = _softmax(scores, axis=-1)
     out = (attn @ v).transpose(0, 2, 1, 3).reshape(B, Lq, d)
     return out @ w["wo"].T + w["bo"]
@@ -181,33 +186,39 @@ class TransformerWeights:
 
 
 class Transformer:
-    """Inference-only encoder-decoder over (B, L) int64 id arrays."""
+    """Inference-only encoder-decoder over (B, L) int64 id arrays.
+
+    The per-layer parameters are gathered once here, from the flat
+    ``weights.params`` names: ``enc``/``dec`` hold one dict per layer with the
+    self-attention (``wqkv``/``bqkv`` packed, ``wo``/``bo``), the decoder's
+    cross-attention, the feed-forward and the ``(g, b)`` of each norm."""
 
     def __init__(self, weights: TransformerWeights):
-        self.w = weights.params
-        self.cfg = weights.config
+        self.w = w = weights.params
+        self.cfg = cfg = weights.config
 
-    def _attn_params(self, pre: str, a: int) -> dict:
-        # memoized so the packed-qkv weight cached inside persists across steps
-        cache = getattr(self, "_attn_cache", None)
-        if cache is None:
-            cache = self._attn_cache = {}
-        key = (pre, a)
-        got = cache.get(key)
-        if got is None:
-            w = self.w
-            got = cache[key] = {nm: w[f"{pre}.attn{a}.{nm}"] for nm in
-                                ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")}
-        return got
+        def group(pre: str, names: tuple[str, ...]) -> dict:
+            return {nm: w[f"{pre}.{nm}"] for nm in names}
 
-    def _ff_params(self, pre: str) -> dict:
-        w = self.w
-        return {"w1": w[f"{pre}.ff.w1"], "b1": w[f"{pre}.ff.b1"],
-                "w2": w[f"{pre}.ff.w2"], "b2": w[f"{pre}.ff.b2"]}
+        def layer(pre: str, n_norms: int) -> dict:
+            sa = group(f"{pre}.attn0", ("wq", "wk", "wv", "bq", "bk", "bv", "wo", "bo"))
+            return {
+                "self": {"wqkv": np.vstack([sa["wq"], sa["wk"], sa["wv"]]),
+                         "bqkv": np.concatenate([sa["bq"], sa["bk"], sa["bv"]]),
+                         "wo": sa["wo"], "bo": sa["bo"]},
+                "ff": group(f"{pre}.ff", ("w1", "b1", "w2", "b2")),
+                "norms": [(w[f"{pre}.norm{k}.g"], w[f"{pre}.norm{k}.b"])
+                          for k in range(n_norms)],
+            }
 
-    def _norm(self, x: np.ndarray, pre: str, k: int) -> np.ndarray:
-        return _layer_norm(x, self.w[f"{pre}.norm{k}.g"], self.w[f"{pre}.norm{k}.b"],
-                           self.cfg.layer_norm_eps)
+        self.enc = [layer(f"enc{i}", 2) for i in range(cfg.n_layers)]
+        self.dec = [{**layer(f"dec{i}", 3),
+                     "cross": group(f"dec{i}.attn1",
+                                    ("wq", "wk", "wv", "bq", "bk", "bv", "wo", "bo"))}
+                    for i in range(cfg.n_layers)]
+        self.enc_norm = (w["enc_final_norm.g"], w["enc_final_norm.b"])
+        self.dec_norm = (w["dec_final_norm.g"], w["dec_final_norm.b"])
+        self.head = group("head", ("w1", "b1", "w2", "b2"))  # Linear → ReLU → Linear
 
     def embed(self, ids: np.ndarray, which: str) -> np.ndarray:
         """Embedding + positional encoding (no sqrt(d_model) scale — reference
@@ -218,40 +229,32 @@ class Transformer:
 
     def encode(self, src_ids: np.ndarray) -> np.ndarray:
         x = self.embed(src_ids, "src")
-        nh = self.cfg.n_head
-        for layer in range(self.cfg.n_layers):
-            pre = f"enc{layer}"
-            h = self._norm(x, pre, 0)
-            x = x + _mha(h, h, self._attn_params(pre, 0), nh)
-            x = x + _ff(self._norm(x, pre, 1), self._ff_params(pre))
-        return _layer_norm(x, self.w["enc_final_norm.g"], self.w["enc_final_norm.b"],
-                           self.cfg.layer_norm_eps)
+        nh, eps = self.cfg.n_head, self.cfg.layer_norm_eps
+        for p in self.enc:
+            n0, n1 = p["norms"]
+            x += _mha(_layer_norm(x, *n0, eps), p["self"], nh)
+            x += _ff(_layer_norm(x, *n1, eps), p["ff"])
+        return _layer_norm(x, *self.enc_norm, eps)
 
     def precompute_memory_kv(self, memory: np.ndarray) -> list:
         """Cross-attention K/V projections of the (fixed) encoder memory, one
         pair per decoder layer — hoisted out of the per-step decode loop."""
-        out = []
-        for layer in range(self.cfg.n_layers):
-            w = self._attn_params(f"dec{layer}", 1)
-            out.append((memory @ w["wk"].T + w["bk"], memory @ w["wv"].T + w["bv"]))
-        return out
+        return [(memory @ p["cross"]["wk"].T + p["cross"]["bk"],
+                 memory @ p["cross"]["wv"].T + p["cross"]["bv"]) for p in self.dec]
 
     def decode_last_logits(self, tgt_ids: np.ndarray, memory: np.ndarray,
                            mem_kv: list | None = None) -> np.ndarray:
         """Run the decoder over the full target prefix (B, Lt) with UNMASKED
         self-attention — the reference's inference decode passes no tgt_mask
         (neural_corrector.py:92) — and return logits for the LAST position."""
+        if mem_kv is None:
+            mem_kv = self.precompute_memory_kv(memory)
         x = self.embed(tgt_ids, "tgt")
-        nh = self.cfg.n_head
-        for layer in range(self.cfg.n_layers):
-            pre = f"dec{layer}"
-            h = self._norm(x, pre, 0)
-            x = x + _mha(h, h, self._attn_params(pre, 0), nh)
-            x = x + _mha(self._norm(x, pre, 1), memory, self._attn_params(pre, 1), nh,
-                         kv_cache=mem_kv[layer] if mem_kv is not None else None)
-            x = x + _ff(self._norm(x, pre, 2), self._ff_params(pre))
-        x = _layer_norm(x, self.w["dec_final_norm.g"], self.w["dec_final_norm.b"],
-                        self.cfg.layer_norm_eps)
-        last = x[:, -1, :]  # (B, D)
-        h = np.maximum(last @ self.w["head.w1"].T + self.w["head.b1"], 0.0)
-        return h @ self.w["head.w2"].T + self.w["head.b2"]  # (B, V)
+        nh, eps = self.cfg.n_head, self.cfg.layer_norm_eps
+        for p, kv in zip(self.dec, mem_kv):
+            n0, n1, n2 = p["norms"]
+            x += _mha(_layer_norm(x, *n0, eps), p["self"], nh)
+            x += _mha(_layer_norm(x, *n1, eps), p["cross"], nh, kv=kv)
+            x += _ff(_layer_norm(x, *n2, eps), p["ff"])
+        x = _layer_norm(x, *self.dec_norm, eps)
+        return _ff(x[:, -1, :], self.head)  # (B, V)

@@ -5,8 +5,9 @@ Two independent checks:
 - **Golden digests.** sha256 of the float32 logits of a fixed
   ``decode_last_logits`` call (tiny and default hparams) and of the per-url
   corrected bytes of the flagship configuration.  An exact optimization keeps
-  all three; a change that is not bit-exact must update them and say so.  The
-  constants hold for numpy 1.26.4 with OpenBLAS 0.3.23 on x86-64 with one
+  all three; a change that is not bit-exact must update them and say so.
+  ``python tests/test_golden_digests.py`` prints the current values in the
+  form of the constants below, ready to paste.  The constants hold for numpy 1.26.4 with OpenBLAS 0.3.23 on x86-64 with one
   BLAS thread; another BLAS build or CPU kernel may round differently.
 - **A test-only reference decoder.** A literal float64 NumPy transcription of
   ``nn.Transformer(d_model, n_head, n_layers, n_layers, d_linear,
@@ -20,6 +21,14 @@ Two independent checks:
 
 from __future__ import annotations
 
+if __name__ == "__main__":  # as a script: conftest's BLAS pinning, the repo root importable
+    import os
+    import sys
+
+    for _v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_v, "1")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
 import hashlib
 import math
 
@@ -27,8 +36,8 @@ import numpy as np
 import pytest
 
 from post_ocr_corrector_ray import INT_EMPTY
-from post_ocr_corrector_ray.model.neural import NeuralCorrectorModel
-from post_ocr_corrector_ray.oracle import oracle_extract_correct
+from post_ocr_corrector_ray.model.neural import DECODE_GROUP, NeuralCorrectorModel
+from post_ocr_corrector_ray.oracle import oracle_extract, oracle_extract_correct
 from post_ocr_corrector_ray.sources import synth
 
 from __ray_entry__ import FLAGSHIP_ALPHABET, TINY_HPARAMS
@@ -46,13 +55,21 @@ GOLDEN_LOGITS_DEFAULT = "6168289862576891740c8baba953aef2b82378e794ac6f6e5985b43
 GOLDEN_FLAGSHIP_BYTES = "9b38143075954975090388645efc2e0d92c06b5894a89d2174bf465833b95a9a"
 
 
-@pytest.fixture(scope="module")
-def models():
+def _models() -> dict[str, NeuralCorrectorModel]:
     return {
         "tiny": NeuralCorrectorModel.from_seed(FLAGSHIP_ALPHABET, seed=SEED, **TINY_HPARAMS),
         "default": NeuralCorrectorModel.from_seed(FLAGSHIP_ALPHABET, seed=SEED,
                                                   **DEFAULT_HPARAMS),
     }
+
+
+@pytest.fixture(scope="module")
+def models():
+    return _models()
+
+
+def _flagship_pages():
+    return synth.pages_batch(np.arange(24), seed=42)
 
 
 def _ids(model: NeuralCorrectorModel, texts: list[str]) -> np.ndarray:
@@ -177,20 +194,27 @@ DIGEST_CALLS = {
 }
 
 
+def _digest_logits(models, case: str) -> np.ndarray:
+    name, srcs, prefixes = DIGEST_CALLS[case]
+    model = models[name]
+    return _engine_logits(model, _ids(model, srcs), _target(model, prefixes))
+
+
+def _flagship_corrected(models) -> dict[str, str]:
+    return oracle_extract_correct(_flagship_pages(), models["tiny"])
+
+
 @pytest.mark.parametrize("case,want", [("tiny", GOLDEN_LOGITS_TINY),
                                        ("default", GOLDEN_LOGITS_DEFAULT)],
                          ids=["tiny", "default"])
 def test_logits_digest(models, case, want):
-    name, srcs, prefixes = DIGEST_CALLS[case]
-    model = models[name]
-    logits = _engine_logits(model, _ids(model, srcs), _target(model, prefixes))
+    logits = _digest_logits(models, case)
     assert logits.dtype == np.float32
     assert _sha(logits) == want
 
 
 def test_flagship_bytes_digest(models):
-    pages = synth.pages_batch(np.arange(24), seed=42)
-    corrected = oracle_extract_correct(pages, models["tiny"])
+    corrected = _flagship_corrected(models)
     assert len(corrected) == 24
     assert _texts_sha(corrected) == GOLDEN_FLAGSHIP_BYTES
 
@@ -258,9 +282,21 @@ def _reference_check_greedy(model: NeuralCorrectorModel, src_ids: np.ndarray) ->
     return checked
 
 
+def _flagship_group_rows() -> list[str]:
+    """``DECODE_GROUP`` full ``max_len``-char chunks of the flagship pages'
+    extracted text: the (32, L) batch shape the flagship decodes, where GEMM
+    rounding depends on the row count M."""
+    L = TINY_HPARAMS["max_len"]
+    rows = [t[i : i + L] for t in oracle_extract(_flagship_pages()).values()
+            for i in range(0, len(t) - L + 1, L)]
+    assert len(rows) >= DECODE_GROUP
+    return rows[:DECODE_GROUP]
+
+
 GREEDY_CASES = {
     # a full window: 64 steps, so the target slides past max_len
     "tiny": ("tiny", ["Quiet river banks during early s", "Брза лисица."]),
+    "tiny-flagship-group": ("tiny", _flagship_group_rows()),
     "default": ("default", ["Gentle rain."]),
 }
 
@@ -275,3 +311,10 @@ def test_greedy_ids_match_reference(models, case):
         src[i, : len(t)] = model.vocab.encode(t)
     checked = _reference_check_greedy(model, src)
     assert checked >= 0.9 * len(texts) * 2 * width
+
+
+if __name__ == "__main__":
+    _ms = _models()
+    print(f'GOLDEN_LOGITS_TINY = "{_sha(_digest_logits(_ms, "tiny"))}"')
+    print(f'GOLDEN_LOGITS_DEFAULT = "{_sha(_digest_logits(_ms, "default"))}"')
+    print(f'GOLDEN_FLAGSHIP_BYTES = "{_texts_sha(_flagship_corrected(_ms))}"')

@@ -1,12 +1,15 @@
 """Neural corrector decode semantics + determinism (SURVEY.md §5)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from post_ocr_corrector_ray import INT_EMPTY
 from post_ocr_corrector_ray.functions.alphabet import build_alphabet
 from post_ocr_corrector_ray.model.neural import NeuralCorrectorModel
-from post_ocr_corrector_ray.model.transformer import TransformerWeights, sinusoidal_pe
+from post_ocr_corrector_ray.model.transformer import (
+    TransformerWeights, _layer_norm, _softmax, sinusoidal_pe)
 
 ALPHA = build_alphabet("abcdefghijklmnopqrstuvwxyz .,!ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
@@ -117,6 +120,42 @@ class TestWeights:
         np.testing.assert_allclose(pe[1, 0], np.sin(1.0), rtol=1e-5)
 
 
+class TestInPlaceKernels:
+    """``_layer_norm`` and ``_softmax`` work in place on their own temporaries;
+    the bits must equal the plain NumPy expressions written out below, and
+    the caller's array must be left alone."""
+
+    SHAPES = [(3, 7, 256), (4, 1, 32), (4, 2, 1, 33)]  # (B,L,D), (B,1,D), (B,H,1,L)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["BLD", "B1D", "BH1L"])
+    def test_layer_norm_bits(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x = rng.normal(0.0, 2.0, size=shape).astype(np.float32)
+        g = rng.normal(1.0, 0.1, size=shape[-1]).astype(np.float32)
+        b = rng.normal(0.0, 0.1, size=shape[-1]).astype(np.float32)
+        before = x.copy()
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        want = (x - mu) / np.sqrt(var + 2e-5) * g + b
+        got = _layer_norm(x, g, b, 2e-5)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["BLD", "B1D", "BH1L"])
+    def test_softmax_bits(self, shape):
+        rng = np.random.default_rng(10 + len(shape))
+        x = rng.normal(0.0, 3.0, size=shape).astype(np.float32)
+        before = x.copy()
+        shifted = x - x.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        want = e / e.sum(axis=-1, keepdims=True)
+        got = _softmax(x, axis=-1)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()
+
+
 class TestDecodeGroupBound:
     """``correct_document`` decodes full chunks in groups of at most
     ``DECODE_GROUP`` rows and the tail alone, so one giant page never builds
@@ -148,3 +187,29 @@ class TestDecodeGroupBound:
         assert rows[-1] == (1, 5)                      # the tail, alone
         assert sum(r for r, _ in rows[:-1]) == n_full
         assert all(w == L for _, w in rows[:-1])
+
+
+class TestDecodeMemoryBound:
+    """Decode memory is bounded by the group, not the page: a page of three
+    full ``DECODE_GROUP``s peaks within 1.25x of a page of one."""
+
+    def test_peak_does_not_grow_with_page_length(self):
+        from __ray_entry__ import TINY_HPARAMS
+
+        from post_ocr_corrector_ray.model.neural import DECODE_GROUP as G
+
+        m = NeuralCorrectorModel.from_seed(ALPHA, seed=7, **TINY_HPARAMS)
+        rng = np.random.default_rng(0)
+        page = "".join(rng.choice(list("abcdefgh ."), size=3 * G * m.max_len))
+        m.correct_document(page[: m.max_len])  # first-call allocations stay out
+
+        def peak(n_groups: int) -> int:
+            tracemalloc.start()
+            try:
+                m.correct_document(page[: n_groups * G * m.max_len])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, three = peak(1), peak(3)
+        assert three <= 1.25 * one, (one, three)
