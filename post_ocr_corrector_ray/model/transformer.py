@@ -87,21 +87,24 @@ def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _mha(x: np.ndarray, w: dict, n_head: int,
-         kv: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+         kv: tuple[np.ndarray, np.ndarray] | None = None,
+         q_rows: slice = slice(None)) -> np.ndarray:
     """Multi-head attention of queries ``x`` (B, L, D), like torch MHA.
 
     ``kv=None`` is self-attention over ``x``: q, k and v come from ONE GEMM
     against the packed weight ``w["wqkv"]`` (one BLAS call instead of three,
     same dot products).  Otherwise ``kv`` holds the (k, v) projections of the
     encoder memory, computed once per decode by
-    ``Transformer.precompute_memory_kv``."""
+    ``Transformer.precompute_memory_kv``.  ``q_rows`` keeps only those query
+    positions after the projection: every row still serves as a key and
+    value, and the output has one row per kept query."""
     d = x.shape[-1]
     dh = d // n_head
     if kv is None:
         qkv = x @ w["wqkv"].T + w["bqkv"]
-        q, k, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
+        q, k, v = qkv[:, q_rows, :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
     else:
-        q = x @ w["wq"].T + w["bq"]
+        q = x[:, q_rows] @ w["wq"].T + w["bq"]
         k, v = kv
     B, Lq, _ = q.shape
     Lk = k.shape[1]
@@ -244,17 +247,25 @@ class Transformer:
 
     def decode_last_logits(self, tgt_ids: np.ndarray, memory: np.ndarray,
                            mem_kv: list | None = None) -> np.ndarray:
-        """Run the decoder over the full target prefix (B, Lt) with UNMASKED
-        self-attention — the reference's inference decode passes no tgt_mask
-        (neural_corrector.py:92) — and return logits for the LAST position."""
+        """Logits (B, V) for the LAST position of the target prefix (B, Lt).
+
+        Self-attention is UNMASKED — the reference's inference decode passes
+        no tgt_mask (neural_corrector.py:92) — so every layer but the last
+        runs over the whole prefix: each of its output rows attends to every
+        position.  The last layer needs only the final row's output: its
+        packed QKV projection still covers every row (the keys and values),
+        and from there the query, residual, cross-attention, feed-forward,
+        their norms and the final norm see one row.  Same math as running
+        every row; the rounding differs only because the GEMMs see fewer rows."""
         if mem_kv is None:
             mem_kv = self.precompute_memory_kv(memory)
         x = self.embed(tgt_ids, "tgt")
         nh, eps = self.cfg.n_head, self.cfg.layer_norm_eps
-        for p, kv in zip(self.dec, mem_kv):
+        last = len(self.dec) - 1
+        for i, (p, kv) in enumerate(zip(self.dec, mem_kv)):
             n0, n1, n2 = p["norms"]
-            x += _mha(_layer_norm(x, *n0, eps), p["self"], nh)
+            rows = slice(-1, None) if i == last else slice(None)
+            x = x[:, rows] + _mha(_layer_norm(x, *n0, eps), p["self"], nh, q_rows=rows)
             x += _mha(_layer_norm(x, *n1, eps), p["cross"], nh, kv=kv)
             x += _ff(_layer_norm(x, *n2, eps), p["ff"])
-        x = _layer_norm(x, *self.dec_norm, eps)
-        return _ff(x[:, -1, :], self.head)  # (B, V)
+        return _ff(_layer_norm(x[:, -1], *self.dec_norm, eps), self.head)  # (B, V)
