@@ -11,7 +11,9 @@ src/model/neural_corrector.py:71-150) on the NumPy transformer:
 - when the growing target exceeds ``max_len`` only the last ``max_len`` tokens
   feed the decoder (:87-88);
 - decoder self-attention is UNMASKED during generation (no tgt_mask at :92) —
-  so the whole prefix is re-run every step, exactly like the reference;
+  so every decoder layer but the last re-runs the whole prefix every step,
+  like the reference; the last layer computes only the final position's
+  output, the one the argmax reads (``Transformer.decode_last_logits``);
 - output ids map back to text with unk/out-of-range → U+FFFD and sequences
   stopping at the first INT_EMPTY (:107-126).
 

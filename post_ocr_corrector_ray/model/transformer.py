@@ -95,16 +95,17 @@ def _mha(x: np.ndarray, w: dict, n_head: int,
     against the packed weight ``w["wqkv"]`` (one BLAS call instead of three,
     same dot products).  Otherwise ``kv`` holds the (k, v) projections of the
     encoder memory, computed once per decode by
-    ``Transformer.precompute_memory_kv``.  ``q_rows`` keeps only those query
-    positions after the projection: every row still serves as a key and
-    value, and the output has one row per kept query."""
+    ``Transformer.precompute_memory_kv``.  ``q_rows`` keeps only those
+    self-attention queries after the packed projection: every row of ``x``
+    still serves as a key and value, and the output has one row per kept
+    query."""
     d = x.shape[-1]
     dh = d // n_head
     if kv is None:
         qkv = x @ w["wqkv"].T + w["bqkv"]
         q, k, v = qkv[:, q_rows, :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
     else:
-        q = x[:, q_rows] @ w["wq"].T + w["bq"]
+        q = x @ w["wq"].T + w["bq"]
         k, v = kv
     B, Lq, _ = q.shape
     Lk = k.shape[1]
@@ -203,8 +204,10 @@ class Transformer:
         def group(pre: str, names: tuple[str, ...]) -> dict:
             return {nm: w[f"{pre}.{nm}"] for nm in names}
 
+        attn = ("wq", "wk", "wv", "bq", "bk", "bv", "wo", "bo")
+
         def layer(pre: str, n_norms: int) -> dict:
-            sa = group(f"{pre}.attn0", ("wq", "wk", "wv", "bq", "bk", "bv", "wo", "bo"))
+            sa = group(f"{pre}.attn0", attn)
             return {
                 "self": {"wqkv": np.vstack([sa["wq"], sa["wk"], sa["wv"]]),
                          "bqkv": np.concatenate([sa["bq"], sa["bk"], sa["bv"]]),
@@ -215,9 +218,7 @@ class Transformer:
             }
 
         self.enc = [layer(f"enc{i}", 2) for i in range(cfg.n_layers)]
-        self.dec = [{**layer(f"dec{i}", 3),
-                     "cross": group(f"dec{i}.attn1",
-                                    ("wq", "wk", "wv", "bq", "bk", "bv", "wo", "bo"))}
+        self.dec = [{**layer(f"dec{i}", 3), "cross": group(f"dec{i}.attn1", attn)}
                     for i in range(cfg.n_layers)]
         self.enc_norm = (w["enc_final_norm.g"], w["enc_final_norm.b"])
         self.dec_norm = (w["dec_final_norm.g"], w["dec_final_norm.b"])

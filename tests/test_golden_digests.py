@@ -7,8 +7,9 @@ Two independent checks:
   corrected bytes of the flagship configuration.  An exact optimization keeps
   all three; a change that is not bit-exact must update them and say so.
   ``python tests/test_golden_digests.py`` prints the current values in the
-  form of the constants below, ready to paste.  The constants hold for numpy 1.26.4 with OpenBLAS 0.3.23 on x86-64 with one
-  BLAS thread; another BLAS build or CPU kernel may round differently.
+  form of the constants below, ready to paste.  The constants hold for numpy
+  1.26.4 with OpenBLAS 0.3.23 on x86-64 with one BLAS thread; another BLAS
+  build or CPU kernel may round differently.
 - **A test-only reference decoder.** A literal float64 NumPy transcription of
   ``nn.Transformer(d_model, n_head, n_layers, n_layers, d_linear,
   norm_first=True)`` encode and decode with the reference's embedding,
