@@ -126,7 +126,7 @@ class _BlockParser(HTMLParser):
             return  # text outside any block element (e.g. bare body) is ignored
         blk = self._stack[-1]
         blk.text_parts.append(data)
-        n = len(data) - sum(ch.isspace() for ch in data)
+        n = len("".join(data.split()))  # non-whitespace chars
         blk.total_chars += n
         if self._link_depth:
             blk.link_chars += n

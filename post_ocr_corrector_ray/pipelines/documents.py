@@ -18,7 +18,7 @@ import ray.data
 
 from ..functions.edit_distance import levenshtein
 from ..functions.noise import mutilate_keyed
-from ..functions.text import normalize_whitespace_vec
+from ..functions.text import normalize_whitespace
 from ..sources.markup import markup_to_sentences_batch
 from ..stages import dedup as dd
 from ..stages import textstats as ts
@@ -34,7 +34,7 @@ def doc_normalize_ws(sf_dir: str) -> ray.data.Dataset:
     ds = _docs(sf_dir, ["doc_id", "text"])
 
     def f(batch: pa.Table) -> pa.Table:
-        norm = [normalize_whitespace_vec(t or "")
+        norm = [normalize_whitespace(t or "")
                 for t in batch.column("text").to_pylist()]
         return pa.table({"doc_id": batch.column("doc_id"),
                          "norm_text": pa.array(norm, pa.string())})

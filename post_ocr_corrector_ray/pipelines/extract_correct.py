@@ -17,6 +17,18 @@ documents delay only their own batch; ``correct_batch_size`` should stay small
 graph holds: the only all-to-all exchange is the final url-hash partitioning,
 sized by ``num_partitions``, and it moves extracted text (small), never raw
 HTML (projected away at extraction).
+
+Committed runs execute without Ray Data's per-operator CPU reservation
+(``state.lineage._exchange_and_commit``).  With it, the exchange's sort and
+the commit each held a CPU reservation for the whole job while they waited
+for the last row, and the fused read→extract operator was left about one
+CPU: on 3 logical CPUs, 16 extract tasks ran back to back in one worker.
+Without it, extraction and correction use every free CPU.  The trade-off:
+no stage before the exchange has a reserved memory budget, which costs
+little because the exchange holds every row anyway and raw HTML is dropped
+inside the extract operator.  ``out_dir=None`` runs have no exchange and
+keep Ray's defaults.  The commit still waits for the exchange: no partition
+commits before every page is corrected.
 """
 
 from __future__ import annotations
@@ -24,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-import time
 from typing import Literal
 
 import numpy as np
@@ -166,23 +177,17 @@ def extract_correct(pages: ray.data.Dataset, *, corrector: CorrectorKind = "null
     ds = ds.map_batches(add_partition_column, batch_format="pyarrow",
                         fn_kwargs=dict(num_partitions=num_partitions))
 
-    def _commit(group: pa.Table) -> pa.Table:
-        part_id = int(group.column("part")[0].as_py())
-        t0 = time.time()
-        body = group.drop_columns(["part"])
+    def marker_metrics(body: pa.Table) -> dict:
         # code-point lengths, like Python's len; a null output counts as empty
         out_len = pc.fill_null(pc.utf8_length(body.column(OUT_COL)), 0)
-        rec = lin.commit_partition(
-            body, out_dir, part_id,
-            input_fingerprint=input_fingerprint, stage_versions=stage_versions,
-            num_partitions=num_partitions,
-            metrics={"n_empty_outputs": pc.sum(pc.equal(out_len, 0)).as_py(),
-                     "total_out_chars": pc.sum(out_len).as_py(),
-                     "commit_seconds": round(time.time() - t0, 4)},
-        )
-        return pa.Table.from_pylist([{"part": part_id, "n_rows": rec["n_rows"]}])
+        return {"n_empty_outputs": pc.sum(pc.equal(out_len, 0)).as_py(),
+                "total_out_chars": pc.sum(out_len).as_py()}
 
-    return ds.groupby("part").map_groups(_commit, batch_format="pyarrow")
+    return lin._exchange_and_commit(ds, out_dir, part_col="part",
+                                    input_fingerprint=input_fingerprint,
+                                    stage_versions=stage_versions,
+                                    num_partitions=num_partitions,
+                                    metrics=marker_metrics)
 
 
 __all__ = ["read_pages", "extract_pipeline", "correct_stage", "extract_correct",

@@ -175,7 +175,11 @@ def commit_by_key(ds, out_dir: str, *, key_col: str,
 
     This is the flagship's commit protocol lifted to a standalone operator so
     every pipeline output (dedup tables, stats, training feeds) can be a
-    resumable partitioned store rather than one giant file."""
+    resumable partitioned store rather than one giant file.  It shares the
+    exchange and commit with the flagship (``_exchange_and_commit``), so the
+    summary runs without Ray Data's per-operator CPU reservation: the stages
+    before the exchange use every free CPU instead of a fixed share, and
+    ``ds`` keeps its own context."""
     import numpy as np
     import pyarrow as pa
 
@@ -200,16 +204,55 @@ def commit_by_key(ds, out_dir: str, *, key_col: str,
             batch = batch.filter(pa.array(keep, pa.bool_()))
         return batch
 
+    return _exchange_and_commit(ds.map_batches(add_part, batch_format="pyarrow"),
+                                out_dir, part_col="_part",
+                                input_fingerprint=input_fingerprint,
+                                stage_versions=stage_versions,
+                                num_partitions=num_partitions)
+
+
+def _exchange_and_commit(ds, out_dir: str, *, part_col: str,
+                         input_fingerprint: str, stage_versions: dict,
+                         num_partitions: int, metrics=None):
+    """The tail both committed sinks share (``commit_by_key`` and
+    ``pipelines.extract_correct``): the url-hash exchange on ``part_col``
+    (``groupby`` + ``map_groups``), then one atomic ``commit_partition`` per
+    partition, without ``part_col``.  ``metrics(body)``, if given, returns
+    the marker's caller metrics.  Returns the summary dataset (``part``,
+    ``n_rows``).
+
+    The summary runs on a private copy of its ``DataContext`` with
+    ``op_resource_reservation_enabled = False``.  With reservation on, Ray
+    Data 2.49's ``ReservationOpResourceAllocator`` reserves CPUs for the
+    exchange's sort and for the commit for the whole job, though neither can
+    run until every upstream row has arrived; on 3 logical CPUs the fused
+    read→extract operator was left 1.17 CPUs, so its tasks ran one at a
+    time.  Without it, every stage before the exchange gets the CPUs that are
+    free.  Little is lost: the allocator already lifts object-store
+    backpressure for an operator that feeds a materializing one, so before
+    an exchange reservation only splits CPUs.  The one budget that goes is
+    the neural path's read→actor memory budget, and that stage carries
+    extracted text only: ``html`` is dropped inside the same fused operator.
+    The copy is taken of the summary dataset alone, so neither the caller's
+    input dataset (derived datasets share one context object) nor the
+    process-global context changes.  Rows keep their input order within a
+    partition: Ray runs a plan that sorts with ``preserve_order``."""
+    import ray.data
+
     def _commit(group: pa.Table) -> pa.Table:
-        part_id = int(group.column("_part")[0].as_py())
-        rec = commit_partition(group.drop_columns(["_part"]), out_dir, part_id,
+        part_id = int(group.column(part_col)[0].as_py())
+        body = group.drop_columns([part_col])
+        rec = commit_partition(body, out_dir, part_id,
                                input_fingerprint=input_fingerprint,
                                stage_versions=stage_versions,
-                               num_partitions=num_partitions)
+                               num_partitions=num_partitions,
+                               metrics=metrics(body) if metrics else None)
         return pa.Table.from_pylist([{"part": part_id, "n_rows": rec["n_rows"]}])
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("_part").map_groups(_commit, batch_format="pyarrow")
+    summary = ds.groupby(part_col).map_groups(_commit, batch_format="pyarrow")
+    summary = ray.data.Dataset.copy(summary, _deep_copy=True)
+    summary.context.op_resource_reservation_enabled = False
+    return summary
 
 
 def read_lineage(out_dir: str) -> list[dict]:

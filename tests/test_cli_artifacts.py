@@ -20,6 +20,8 @@ from post_ocr_corrector_ray.model.dictionary import DictionaryCorrector
 from post_ocr_corrector_ray.model.neural import NeuralCorrectorModel
 
 ALPHA = " .abcdefghij"
+# the checkout this test file belongs to: subprocesses import its package
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestArtifacts:
@@ -164,12 +166,12 @@ class TestCli:
         out = str(tmp_path / "o")
         r1 = subprocess.run([sys.executable, "-m", "post_ocr_corrector_ray.cli",
                              "synth", pages, "--n", "30"],
-                            capture_output=True, text=True, cwd="/root/repo")
+                            capture_output=True, text=True, cwd=REPO_ROOT)
         assert r1.returncode == 0, r1.stderr[-500:]
         r2 = subprocess.run([sys.executable, "-m", "post_ocr_corrector_ray.cli",
                              "--num-cpus", "2", "run", pages, out,
                              "--corrector", "null", "--partitions", "2"],
-                            capture_output=True, text=True, cwd="/root/repo")
+                            capture_output=True, text=True, cwd=REPO_ROOT)
         assert r2.returncode == 0, r2.stderr[-500:]
         assert json.loads(r2.stdout.strip().splitlines()[-1])["rows"] == 30
 

@@ -2,8 +2,12 @@
 clusters, different num_cpus, identical output bytes (FIXTURES.md F4)."""
 
 import json
+import os
 import subprocess
 import sys
+
+# the checkout this test file belongs to: the subprocess imports its package
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCRIPT = r"""
 import os, sys, json
@@ -28,7 +32,7 @@ def _run(num_cpus: int, batch_size: int, concurrency: int) -> dict:
     # every CPU starves the pipeline (ray_guide: pool sizing rule)
     r = subprocess.run([sys.executable, "-c", SCRIPT, str(num_cpus),
                         str(batch_size), str(concurrency)],
-                       capture_output=True, text=True, cwd="/root/repo", timeout=600)
+                       capture_output=True, text=True, cwd=REPO_ROOT, timeout=600)
     assert r.returncode == 0, r.stderr[-800:]
     line = [ln for ln in r.stdout.splitlines() if ln.startswith("RESULT::")][-1]
     return json.loads(line[len("RESULT::"):])

@@ -405,6 +405,129 @@ class TestReadOutputDs:
             getattr(lin, reader)(out)
 
 
+def _six_file_input(tmp_path, n_per_file=10):
+    """Six parquet files of synth pages, one read block each."""
+    d = tmp_path / "six"
+    d.mkdir()
+    for i in range(6):
+        idx = np.arange(i * n_per_file, (i + 1) * n_per_file)
+        pq.write_table(pages_batch(idx, seed=42), str(d / f"pages-{i}.parquet"))
+    return str(d)
+
+
+def _timed_sleep(log_dir, seconds):
+    """A batch UDF that sleeps ``seconds()`` and records its (start, end) as
+    one file in ``log_dir``: the upstream task timeline, across workers."""
+    def sleepy(batch):
+        import time
+        import uuid
+
+        t0 = time.time()
+        time.sleep(seconds())
+        with open(os.path.join(log_dir, uuid.uuid4().hex), "w") as f:
+            f.write(f"{t0} {time.time()}")
+        return batch
+    return sleepy
+
+
+def _peak_overlap(log_dir):
+    events = []
+    for name in os.listdir(log_dir):
+        with open(os.path.join(log_dir, name)) as f:
+            start, end = map(float, f.read().split())
+        events += [(start, 1), (end, -1)]
+    peak = running = 0
+    for _, step in sorted(events):   # an end sorts before a start at a tie
+        running += step
+        peak = max(peak, running)
+    return peak
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestCommittedPlanConcurrency:
+    """The url-hash exchange must not serialize the stages before it: Ray
+    Data's per-operator reservation kept a CPU each for the exchange's sort
+    and the commit, which cannot run before the last row, and left the
+    extract operator one task at a time.  Committed plans run without it, on
+    a private context."""
+
+    def _run(self, tmp_path, sink):
+        import ray.data
+        from ray.data import DataContext
+
+        log_dir = tmp_path / "tasks"
+        log_dir.mkdir()
+        before = DataContext.get_current().op_resource_reservation_enabled
+        src = ray.data.read_parquet(_six_file_input(tmp_path),
+                                    override_num_blocks=6)
+        src_before = src.context.op_resource_reservation_enabled
+        ds = src.map_batches(_timed_sleep(str(log_dir), lambda: 0.4),
+                             batch_format="pyarrow")
+        summary = sink(ds, str(tmp_path / "store"))
+        assert summary.to_pandas()["n_rows"].sum() == 60
+        assert len(os.listdir(log_dir)) == 6
+        assert _peak_overlap(str(log_dir)) >= 2
+        assert not summary.context.op_resource_reservation_enabled
+        assert DataContext.get_current().op_resource_reservation_enabled == before
+        assert src.context.op_resource_reservation_enabled == src_before
+        assert ds.context.op_resource_reservation_enabled == src_before
+
+    def test_extract_correct_upstream_runs_concurrently(self, tmp_path):
+        self._run(tmp_path, lambda ds, out: extract_correct(
+            ds, corrector="null", out_dir=out, num_partitions=4))
+
+    def test_commit_by_key_upstream_runs_concurrently(self, tmp_path):
+        self._run(tmp_path, lambda ds, out: lin.commit_by_key(
+            ds, out, key_col="url", num_partitions=4))
+
+    def test_uncommitted_plan_keeps_defaults(self):
+        import ray.data
+
+        src = ray.data.from_arrow(_text_pages(4))
+        ds = extract_correct(src, corrector="null")
+        assert ds.context is src.context
+        assert ds.context.op_resource_reservation_enabled
+
+    def test_store_bytes_stable_across_runs(self, tmp_path):
+        """Upstream tasks finish in a random order; every partition's
+        ``data.parquet`` is still byte-identical between two runs."""
+        import pathlib
+        import random
+
+        import ray.data
+
+        pages = _six_file_input(tmp_path)
+        log_dir = tmp_path / "tasks"
+        log_dir.mkdir()
+        stores = []
+        for run in range(2):
+            src = ray.data.read_parquet(pages, override_num_blocks=6).map_batches(
+                _timed_sleep(str(log_dir), lambda: random.uniform(0, 0.3)),
+                batch_format="pyarrow")
+            stores.append(str(tmp_path / f"store{run}"))
+            extract_correct(src, corrector="null", out_dir=stores[-1],
+                            num_partitions=4).to_pandas()
+        parts = sorted(lin.committed_partitions(stores[0]))
+        assert parts == sorted(lin.committed_partitions(stores[1])) == [0, 1, 2, 3]
+        for p in parts:
+            a, b = (pathlib.Path(lin.partition_dir(s, p), "data.parquet").read_bytes()
+                    for s in stores)
+            assert a == b, f"partition {p} differs"
+
+    def test_marker_metrics(self, tmp_path):
+        """The marker's caller metrics describe the committed text; the
+        write is timed by ``write_seconds``, not by a metric evaluated
+        before it."""
+        import ray.data
+
+        out = str(tmp_path / "store")
+        extract_correct(ray.data.from_arrow(_text_pages(12)), corrector="null",
+                        out_dir=out, num_partitions=2).to_pandas()
+        for rec in lin.read_lineage(out):
+            assert set(rec["metrics"]) == {"n_empty_outputs", "total_out_chars"}
+            assert rec["write_seconds"] >= 0
+
+
 class TestModelFingerprint:
     """``model_fingerprint`` hashes what decides the output bytes, and
     nothing else."""

@@ -1,12 +1,13 @@
 """Whitespace normalization + detokenization goldens (FIXTURES.md F7)."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from post_ocr_corrector_ray.functions.text import (
     detokenize,
     normalize_whitespace,
-    normalize_whitespace_vec,
     tokenize_ws,
 )
 
@@ -32,14 +33,39 @@ def test_normalize_goldens(raw, expected):
     assert normalize_whitespace(raw) == expected
 
 
+def _reference_normalize(text: str) -> str:
+    """The reference's ``get_line`` loop, one char at a time."""
+    out = []
+    prev_space = True  # a leading run is dropped
+    for ch in text:
+        if ch.isspace():
+            if not prev_space:
+                out.append(" ")
+                prev_space = True
+        else:
+            out.append(ch)
+            prev_space = False
+    return "".join(out)
+
+
 @pytest.mark.parametrize("raw,expected", GOLDENS)
-def test_normalize_vec_matches_scalar(raw, expected):
-    assert normalize_whitespace_vec(raw) == expected
+def test_reference_loop_goldens(raw, expected):
+    assert _reference_normalize(raw) == expected
 
 
-@given(st.text(alphabet=st.characters(max_codepoint=0x2FFF), max_size=200))
-def test_vec_equals_scalar_property(s):
-    assert normalize_whitespace_vec(s) == normalize_whitespace(s)
+@given(st.text(alphabet=st.characters(max_codepoint=sys.maxunicode), max_size=200))
+def test_normalize_equals_reference_loop_property(s):
+    assert normalize_whitespace(s) == _reference_normalize(s)
+
+
+def test_every_codepoint_matches_reference_loop():
+    """Each code point alone, between words, doubled at the start and at the
+    end: ``str.split`` must treat exactly the ``str.isspace`` set as
+    whitespace."""
+    for cp in range(sys.maxunicode + 1):
+        c = chr(cp)
+        for s in (c, f"a{c}b", f"{c}{c}a{c}{c}"):
+            assert normalize_whitespace(s) == _reference_normalize(s), hex(cp)
 
 
 @given(st.text(max_size=100))
