@@ -15,11 +15,6 @@ import os
 from collections.abc import Callable
 from typing import Any
 
-for _v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_v, "1")
-
-import numpy as np
-
 from post_ocr_corrector_ray.functions.alphabet import build_alphabet
 from post_ocr_corrector_ray.pipelines import documents as D
 from post_ocr_corrector_ray.pipelines import training as T
@@ -188,13 +183,6 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         # training-data ops
         "doc_dedup_exact": D.doc_dedup_exact,
         "doc_token_stats": D.doc_token_stats,
-        "doc_token_count_bpe": D.doc_token_count_bpe,
-        # BPE tokenizer TRAINING (vocabulary induction from the corpus's
-        # own word census; iterative — pytest-pinned, no SQL twin possible)
-        "doc_bpe_merges": lambda sf: D.doc_bpe_merges(sf),
-        # distributed application of the learned merges; recursive-CTE twin
-        # re-applies independently re-derived inlined merge constants
-        "doc_bpe_token_counts": lambda sf: D.doc_bpe_token_counts(sf),
         "doc_scrub_pii": D.doc_scrub_pii,
         "doc_quality": D.doc_quality,
         # CCNet-style head/middle/tail bucketing: per-language NTILE over the
@@ -229,63 +217,10 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         # contraction over verified LSH pairs — stages/components.py)
         "doc_dup_components": D.doc_dup_components,
         "doc_dedup_near": D.doc_dedup_near,
-        # heavy hitters / distinct counting
-        "doc_top_tokens": lambda sf: D.doc_top_tokens(sf),
-        "doc_token_distinct": lambda sf: D.doc_token_distinct(sf),
-        # HLL sketch (shuffle-free scale twin of doc_token_distinct; accuracy
-        # pytest-pinned vs the exact count — stages/sketches.py)
-        "doc_token_distinct_hll": lambda sf: D.doc_token_distinct_hll(sf),
-        # per-domain document cap (grouped top-k over source)
-        "doc_source_cap": lambda sf: D.doc_source_cap(sf),
-        # fixed-word-window chunking with stride (training context windows)
-        "doc_chunk_windows": lambda sf: D.doc_chunk_windows(sf),
-        # per-token document frequency + idf
-        "doc_idf": lambda sf: D.doc_idf(sf),
-        # per-doc top tf-idf terms (tf ⋈ idf co-partitioned join + top-k)
-        "doc_tfidf_top_terms": lambda sf: D.doc_tfidf_top_terms(sf),
-        # token -> sorted posting list (search-index build)
-        "doc_inverted_index": lambda sf: D.doc_inverted_index(sf),
-        # adjacent-bigram PMI collocations (phrase mining)
-        "doc_bigram_pmi": lambda sf: D.doc_bigram_pmi(sf),
-        # Misra–Gries heavy hitters (shuffle-free approximate top-token twin;
-        # MG guarantee pytest-pinned vs exact counts — no SQL oracle)
-        "doc_heavy_hitters": lambda sf: D.doc_heavy_hitters(sf),
-        # per-doc token Shannon entropy (diversity quality signal, no shuffle)
-        "doc_token_entropy": lambda sf: D.doc_token_entropy(sf),
     }
 
 
 _ORACLE_SF_DIR = os.environ.get("GRAFT_ORACLE_SF_DIR", "/root/testdata/sf0.01")
-
-
-def _bpe_oracle_merges(n_merges: int = 30):
-    """The learned BPE merge table re-derived OUTSIDE Ray: word census by a
-    local pyarrow recount, merges by the shared deterministic trainer — any
-    divergence from the engine's exchange-counted census or its merge
-    learning shows up as an oracle hash mismatch."""
-    from collections import Counter
-
-    import pyarrow.parquet as pq
-
-    from post_ocr_corrector_ray.stages.bpe import bpe_train_from_counts
-
-    t = pq.read_table(f"{_ORACLE_SF_DIR}/documents.parquet",
-                      columns=["text"])
-    census: Counter = Counter()
-    for txt in t.column("text").to_pylist():
-        if txt:
-            census.update(txt.strip().split())
-    words = sorted(census)
-    merges = bpe_train_from_counts(
-        words, np.array([census[w] for w in words], dtype=np.int64),
-        n_merges)
-    import pyarrow as pa
-
-    return pa.table({
-        "rank": pa.array(range(len(merges)), pa.int64()),
-        "left": pa.array([m[0] for m in merges], pa.string()),
-        "right": pa.array([m[1] for m in merges], pa.string()),
-        "pair_count": pa.array([m[2] for m in merges], pa.int64())})
 
 
 def _langid_oracle_sql() -> str:
@@ -419,7 +354,7 @@ _CC_ORACLE = r"""
 
 
 def oracle_sql() -> dict[str, str]:
-    out = {
+    return {
         "doc_normalize_ws": r"""
             SELECT doc_id,
                    regexp_replace(regexp_replace(text, '\s+', ' ', 'g'), '^ ', '') AS norm_text
@@ -456,17 +391,6 @@ def oracle_sql() -> dict[str, str]:
             FROM documents GROUP BY md5(text)""",
         "doc_token_stats": _TOKEN_STATS_SQL,
         "doc_langid": _langid_oracle_sql(),
-        # RE2 on both sides (pyarrow + DuckDB) → identical match counts
-        "doc_token_count_bpe": r"""
-            SELECT doc_id,
-                   CAST(len(regexp_extract_all(text,
-                        '''(?:s|t|re|ve|m|ll|d)| ?\pL+| ?\pN+| ?[^\s\pL\pN]+|\s+'))
-                        AS BIGINT) AS n_bpe_tokens,
-                   CAST(CASE WHEN trim(text) = '' THEN 0
-                        ELSE len(list_filter(regexp_split_to_array(text, '\s+'),
-                                             x -> x <> '')) END AS BIGINT)
-                        AS n_ws_tokens
-            FROM documents""",
         "doc_scrub_pii": r"""
             SELECT doc_id,
                    regexp_replace(
@@ -614,15 +538,6 @@ def oracle_sql() -> dict[str, str]:
                                        ORDER BY quality, doc_id) AS BIGINT)
                        AS tier
             FROM q""",
-        "doc_top_tokens": r"""
-            SELECT w AS token, CAST(count(*) AS BIGINT) AS frequency
-            FROM (SELECT unnest(regexp_split_to_array(trim(text), '\s+')) AS w
-                  FROM documents WHERE trim(text) <> '')
-            GROUP BY w ORDER BY frequency DESC, token LIMIT 50""",
-        "doc_token_distinct": r"""
-            SELECT CAST(count(DISTINCT w) AS BIGINT) AS n_tokens
-            FROM (SELECT unnest(regexp_split_to_array(trim(text), '\s+')) AS w
-                  FROM documents WHERE trim(text) <> '')""",
         # simhash bit-majority over md5-derived shingle hashes (top 64 digest
         # bits); bits 0..62 only — the engine masks bit 63 off for Arrow int64
         "doc_simhash_md5": _SIMHASH_MD5_SQL,
@@ -676,123 +591,4 @@ def oracle_sql() -> dict[str, str]:
               FROM comp c JOIN q ON q.doc_id = c.node)
             SELECT doc_id FROM documents
             WHERE doc_id NOT IN (SELECT node FROM ranked WHERE rn > 1)""",
-        # fixed-word-window chunking: win=64, stride=32, tail window partial,
-        # empty docs emit nothing
-        "doc_chunk_windows": r"""
-            WITH w AS (
-              SELECT doc_id,
-                     list_filter(regexp_split_to_array(text, '\s+'),
-                                 x -> x <> '') AS words
-              FROM documents),
-            c AS (
-              SELECT doc_id, words,
-                     unnest(range(0, len(words), 32)) AS cs
-              FROM w WHERE len(words) > 0)
-            SELECT doc_id,
-                   CAST(cs // 32 AS BIGINT) AS chunk_idx,
-                   CAST(cs AS BIGINT) AS chunk_start,
-                   array_to_string(words[cs + 1 : cs + 64], ' ') AS chunk_text,
-                   CAST(least(64, len(words) - cs) AS BIGINT) AS chunk_n_words
-            FROM c""",
-        # per-token document frequency + idf = ln(N/df) rounded to 6 decimals
-        "doc_idf": r"""
-            WITH dt AS (
-              SELECT DISTINCT doc_id,
-                     unnest(list_filter(regexp_split_to_array(text, '\s+'),
-                                        x -> x <> '')) AS token
-              FROM documents)
-            SELECT token, CAST(COUNT(*) AS BIGINT) AS df,
-                   round(ln(CAST((SELECT COUNT(*) FROM documents) AS DOUBLE)
-                            / COUNT(*)), 6) AS idf
-            FROM dt GROUP BY token""",
-        # per-doc top-3 tf·idf terms; idf rounded to 6 before the product,
-        # ties -> token ASC (mirrors the engine exactly)
-        "doc_tfidf_top_terms": r"""
-            WITH words AS (
-              SELECT doc_id,
-                     unnest(list_filter(regexp_split_to_array(text, '\s+'),
-                                        x -> x <> '')) AS token
-              FROM documents),
-            tf AS (SELECT doc_id, token, CAST(COUNT(*) AS BIGINT) AS tf
-                   FROM words GROUP BY doc_id, token),
-            idf AS (SELECT token,
-                           round(ln(CAST((SELECT COUNT(*) FROM documents) AS DOUBLE)
-                                    / COUNT(DISTINCT doc_id)), 6) AS idf
-                    FROM words GROUP BY token)
-            SELECT doc_id, term_rank, token, tf, tfidf FROM (
-              SELECT tf.doc_id, tf.token, tf.tf,
-                     round(tf.tf * idf.idf, 6) AS tfidf,
-                     CAST(ROW_NUMBER() OVER (PARTITION BY tf.doc_id
-                          ORDER BY round(tf.tf * idf.idf, 6) DESC, tf.token)
-                          AS BIGINT) AS term_rank
-              FROM tf JOIN idf USING (token))
-            WHERE term_rank <= 3""",
-        # inverted index: token -> df + comma-joined sorted doc_id postings
-        "doc_inverted_index": r"""
-            WITH dt AS (
-              SELECT DISTINCT doc_id,
-                     unnest(list_filter(regexp_split_to_array(text, '\s+'),
-                                        x -> x <> '')) AS token
-              FROM documents)
-            SELECT token, CAST(COUNT(*) AS BIGINT) AS df,
-                   string_agg(CAST(doc_id AS VARCHAR), ','
-                              ORDER BY doc_id) AS postings
-            FROM dt GROUP BY token""",
-        # per-domain cap: each source's 20 lowest doc_ids (ROW_NUMBER family)
-        "doc_source_cap": """
-            SELECT doc_id, source, source_rank FROM (
-              SELECT doc_id, source,
-                     CAST(ROW_NUMBER() OVER (PARTITION BY source
-                          ORDER BY doc_id) AS BIGINT) AS source_rank
-              FROM documents)
-            WHERE source_rank <= 20""",
-        # adjacent-bigram PMI from the same counts and the same double
-        # expression; tokens split exactly like the engine (runs of
-        # whitespace, empties dropped)
-        "doc_bigram_pmi": r"""
-            WITH toks AS (
-              SELECT doc_id, list_filter(regexp_split_to_array(text, '\s+'),
-                                         x -> x <> '') AS l
-              FROM documents),
-            bi AS (
-              SELECT l[i] AS w1, l[i + 1] AS w2
-              FROM toks, LATERAL (SELECT unnest(range(1, len(l))) AS i) r),
-            uni AS (SELECT unnest(l) AS token FROM toks),
-            uc AS (SELECT token, CAST(count(*) AS BIGINT) AS c
-                   FROM uni GROUP BY token),
-            bc AS (SELECT w1, w2, CAST(count(*) AS BIGINT) AS c_xy
-                   FROM bi GROUP BY w1, w2),
-            tot AS (SELECT CAST((SELECT count(*) FROM uni) AS DOUBLE) AS t_uni,
-                           CAST((SELECT count(*) FROM bi) AS DOUBLE) AS t_bi)
-            SELECT bc.w1, bc.w2, bc.c_xy,
-                   round(ln((CAST(bc.c_xy AS DOUBLE) / t_bi)
-                            / ((CAST(u1.c AS DOUBLE) / t_uni)
-                               * (CAST(u2.c AS DOUBLE) / t_uni))), 6) AS pmi
-            FROM bc
-            JOIN uc u1 ON bc.w1 = u1.token
-            JOIN uc u2 ON bc.w2 = u2.token
-            CROSS JOIN tot
-            WHERE bc.c_xy >= 5""",
-        # same -Σ p·ln p per doc; zero-token docs never enter the unnest
-        "doc_token_entropy": r"""
-            WITH t AS (SELECT doc_id,
-                              unnest(list_filter(
-                                regexp_split_to_array(text, '\s+'),
-                                x -> x <> '')) AS w
-                       FROM documents),
-            c AS (SELECT doc_id, w, CAST(count(*) AS BIGINT) AS c
-                  FROM t GROUP BY doc_id, w),
-            n AS (SELECT doc_id, CAST(sum(c) AS BIGINT) AS n
-                  FROM c GROUP BY doc_id)
-            SELECT c.doc_id,
-                   round(-sum((CAST(c.c AS DOUBLE) / n.n)
-                              * ln(CAST(c.c AS DOUBLE) / n.n)), 6) AS entropy
-            FROM c JOIN n USING (doc_id)
-            GROUP BY c.doc_id""",
     }
-    if os.path.exists(f"{_ORACLE_SF_DIR}/documents.parquet"):
-        from post_ocr_corrector_ray.stages.bpe import bpe_counts_oracle_sql
-
-        out["doc_bpe_token_counts"] = bpe_counts_oracle_sql(
-            _bpe_oracle_merges())
-    return out

@@ -31,12 +31,8 @@ BENCH_QUERIES = (
     "doc_token_counts", "doc_normalize_ws", "doc_dedup_exact",
     "doc_token_stats", "doc_lev_reverse", "doc_simhash", "doc_minhash_pairs",
     "doc_ngram_jaccard_pairs", "doc_langid", "doc_fingerprint",
-    "doc_token_count_bpe", "doc_scrub_pii", "training_feed",
-    "doc_null_corrector_cer", "doc_dup_components", "doc_dedup_near",
-    "doc_top_tokens", "doc_token_distinct", "doc_token_distinct_hll",
-    "doc_source_cap", "doc_chunk_windows", "doc_idf", "doc_tfidf_top_terms",
-    "doc_inverted_index", "doc_quality_tiers", "doc_bigram_pmi",
-    "doc_heavy_hitters", "doc_token_entropy", "doc_bpe_token_counts",
+    "doc_scrub_pii", "training_feed", "doc_null_corrector_cer",
+    "doc_dup_components", "doc_dedup_near", "doc_quality_tiers",
     "doc_winnowing", "doc_winnowing_fast", "doc_dedup_keep_best",
     "flagship_tiered",
 )

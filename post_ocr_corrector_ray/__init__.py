@@ -25,9 +25,17 @@ Nothing in this package calls ``ray.init``/``ray.shutdown``; sessions are owned
 by the caller (tests, bench.py, the driver).
 """
 
+import os
+
+# Pin BLAS to one thread before any module of the package imports numpy.
+# OpenBLAS reads these once, when it loads, and its thread count changes the
+# float reductions (the default-hparams logits move by up to 8.9e-7 at two
+# threads against one), so a pin set after ``import pyarrow`` comes too late.
+for _v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_v, "1")
+
 __version__ = "0.1.0"
 
-DEFAULT_ENCODING = "utf-8"
 # Sentinel used by the reference for "no token" padding outside the model
 # (reference: src/util/__init__.py:2) and the replacement char for unknowns
 # (reference: src/util/__init__.py:3).

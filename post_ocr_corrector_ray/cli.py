@@ -27,9 +27,6 @@ import json
 import os
 import sys
 
-for _v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_v, "1")
-
 
 def _ray_session(num_cpus: int | None):
     import ray

@@ -69,51 +69,6 @@ def doc_token_counts(sf_dir: str) -> ray.data.Dataset:
                         num_partitions=p)
 
 
-_BPE_MERGES_CACHE: dict = {}
-
-
-def _bpe_merges(sf_dir: str, n_merges: int = 30):
-    """One BPE training pass per table, memoized (the _PQ_BOOKS_CACHE
-    discipline): the word census is the corpus-sized exchange
-    (``doc_token_counts``), merge learning runs on its aggregated output —
-    deterministic in sf_dir, so the memo changes nothing observable."""
-    key = (sf_dir, n_merges)
-    got = _BPE_MERGES_CACHE.get(key)
-    if got is None:
-        from ..stages.bpe import bpe_learn
-
-        got = bpe_learn(doc_token_counts(sf_dir), n_merges)
-        _BPE_MERGES_CACHE[key] = got
-    return got
-
-
-def doc_bpe_merges(sf_dir: str, n_merges: int = 30):
-    """BPE tokenizer TRAINING (stages/bpe.py; Sennrich et al. 2016):
-    vocabulary induction from the corpus's own word census.  The only
-    corpus-sized pass is the word-frequency exchange; merge learning is a
-    deterministic driver-side pass over the aggregated (token, frequency)
-    table.  Returns the merge table (rank, left, right, pair_count);
-    training is iterative and not SQL-expressible, so correctness is
-    pytest-pinned (golden Sennrich example + independent naive recount)
-    while the APPLICATION twin below is oracle-backed."""
-    return _bpe_merges(sf_dir, n_merges)
-
-
-def doc_bpe_token_counts(sf_dir: str, n_merges: int = 30) -> ray.data.Dataset:
-    """Distributed application of the learned BPE merges: per document,
-    whitespace-word and BPE-token counts (stages/bpe.py::bpe_token_counts —
-    merges broadcast once, per-batch distinct-word memoized encode).  The
-    generated DuckDB twin re-applies the SAME learned merges (inlined
-    constants, independently re-derived by a local non-Ray recount) through
-    a recursive CTE that merges one leftmost lowest-rank pair per step —
-    provably equivalent to the engine's all-occurrences merge (see
-    stages/bpe.py module docstring)."""
-    from ..stages.bpe import bpe_token_counts
-
-    return bpe_token_counts(_docs(sf_dir, ["doc_id", "text"]),
-                            _bpe_merges(sf_dir, n_merges))
-
-
 def doc_split_assignment(sf_dir: str) -> ray.data.Dataset:
     """80/10/10 split keyed on the stable row id (doc_id % 10 — the direct
     analog of the reference's line-number modulo, make_split_csv.py:23-32)."""
@@ -206,12 +161,6 @@ def doc_winnowing_dups(sf_dir: str) -> ray.data.Dataset:
     twin; the 3rd candidate-generation family next to MinHash bands and
     SimHash bands."""
     return dd.winnowing_jaccard_pairs(_docs(sf_dir, ["doc_id", "text"]))
-
-
-def doc_token_count_bpe(sf_dir: str) -> ray.data.Dataset:
-    """BPE-ish + whitespace token counts (training-budget pass; SQL twin)."""
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        ts.bpe_token_count_batch, batch_format="pyarrow")
 
 
 def doc_scrub_pii(sf_dir: str) -> ray.data.Dataset:
@@ -406,55 +355,6 @@ def doc_simhash_md5(sf_dir: str) -> ray.data.Dataset:
         dd.simhash_md5_batch, batch_format="pyarrow")
 
 
-def doc_top_tokens(sf_dir: str, k: int = 50) -> pa.Table:
-    """Global heavy hitters: exact token frequencies (pre-aggregated partials
-    → coarse-hash exchange) then per-block local top-k so only ≤ blocks × k
-    tiny rows reach the driver merge (the distributed-top-k pattern of
-    per-block partials).  Deterministic tiebreak (frequency DESC, token ASC)."""
-    import pandas as pd
-
-    counts = token_counts(_docs(sf_dir, ["text"]), text_col="text", split=None)
-
-    def local_topk(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(["frequency", "token"],
-                              ascending=[False, True]).head(k)
-
-    parts = counts.map_batches(local_topk, batch_format="pandas").take_all()
-    if not parts:  # every block empty: sort_values would KeyError on []
-        return pa.table({"token": pa.array([], pa.string()),
-                         "frequency": pa.array([], pa.int64())})
-    top = pd.DataFrame(parts).sort_values(
-        ["frequency", "token"], ascending=[False, True]).head(k)
-    return pa.table({"token": pa.array(top["token"], pa.string()),
-                     "frequency": pa.array(top["frequency"], pa.int64())})
-
-
-def doc_token_distinct(sf_dir: str) -> pa.Table:
-    """Exact global distinct-token count: the token exchange's output row
-    count (no extra pass).  The HLL sketch below is its shuffle-free scale
-    twin."""
-    counts = token_counts(_docs(sf_dir, ["text"]), text_col="text", split=None)
-    return pa.table({"n_tokens": pa.array([counts.count()], pa.int64())})
-
-
-def doc_token_distinct_hll(sf_dir: str, p: int = 12) -> pa.Table:
-    """Approximate distinct tokens via mergeable HyperLogLog registers
-    (stages/sketches.py): per-block register arrays → driver max-merge; NO
-    shuffle, fixed 2^p bytes per block.  Accuracy vs the exact twin is
-    pytest-pinned (~1.6% at p=12)."""
-    from ..stages.sketches import hll_distinct
-
-    def explode(batch: pa.Table) -> pa.Table:
-        toks = pc.list_flatten(pc.utf8_split_whitespace(
-            batch.column("text").combine_chunks()))
-        toks = toks.filter(pc.not_equal(toks, ""))
-        return pa.table({"token": toks})
-
-    tokens = _docs(sf_dir, ["text"]).map_batches(explode,
-                                                 batch_format="pyarrow")
-    return hll_distinct(tokens, "token", p=p)
-
-
 def doc_simhash_candidates_md5(sf_dir: str) -> ray.data.Dataset:
     """SimHash banding + hamming verify over the md5 signature kernel — the
     SQL-oracle twin of doc_simhash_candidates, hash-verifying the chunk
@@ -462,218 +362,6 @@ def doc_simhash_candidates_md5(sf_dir: str) -> ray.data.Dataset:
     return dd.simhash_candidates(_docs(sf_dir, ["doc_id", "text"]),
                                  max_hamming=8, n_chunks=8,
                                  sig_batch_fn=dd.simhash_md5_batch)
-
-
-def doc_chunk_windows(sf_dir: str, win: int = 64,
-                      stride: int = 32) -> ray.data.Dataset:
-    """Fixed-word-window document chunking with overlap (the training
-    context-window shape: each doc → ceil(n_words/stride) windows of up to
-    ``win`` words starting every ``stride`` words; the tail window is
-    partial).  Pure flat-map — no shuffle; empty docs emit nothing.
-
-    Vectorized end-to-end: one Arrow whitespace split per batch, window word
-    indices built with repeat/cumsum arithmetic, chunk texts re-joined with
-    ``binary_join`` over a take-gathered flat word array (windows overlap, so
-    the flat array cannot be list-wrapped in place)."""
-    from ..stages.textstats import _split_words
-
-    ds = _docs(sf_dir, ["doc_id", "text"])
-
-    def explode(batch: pa.Table) -> pa.Table:
-        empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                          "chunk_idx": pa.array([], pa.int64()),
-                          "chunk_start": pa.array([], pa.int64()),
-                          "chunk_text": pa.array([], pa.string()),
-                          "chunk_n_words": pa.array([], pa.int64())})
-        texts = batch.column("text").combine_chunks()
-        flat, counts = _split_words(texts)
-        n_chunks = -(-counts // stride)            # ceil; 0 words → 0 chunks
-        total = int(n_chunks.sum())
-        if total == 0:
-            return empty
-        doc_off = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        rows = np.repeat(np.arange(len(counts), dtype=np.int64), n_chunks)
-        chunk_off = np.concatenate(([0], np.cumsum(n_chunks)))[:-1]
-        cidx = np.arange(total, dtype=np.int64) - np.repeat(chunk_off, n_chunks)
-        start = cidx * stride
-        length = np.minimum(win, counts[rows] - start)
-        # gather every window's word indices into one flat take
-        lens_off = np.concatenate(([0], np.cumsum(length)))[:-1]
-        abs_start = doc_off[rows] + start
-        idx = (np.arange(int(length.sum()), dtype=np.int64)
-               - np.repeat(lens_off, length) + np.repeat(abs_start, length))
-        words = flat.take(pa.array(idx))
-        offsets = np.concatenate(([0], np.cumsum(length))).astype(np.int32)
-        joined = pc.binary_join(
-            pa.ListArray.from_arrays(pa.array(offsets), words), " ")
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        return pa.table({"doc_id": pa.array(ids[rows], pa.int64()),
-                         "chunk_idx": pa.array(cidx, pa.int64()),
-                         "chunk_start": pa.array(start, pa.int64()),
-                         "chunk_text": joined,
-                         "chunk_n_words": pa.array(length, pa.int64())})
-
-    return ds.map_batches(explode, batch_format="pyarrow")
-
-
-def doc_idf(sf_dir: str) -> ray.data.Dataset:
-    """Per-token document frequency + inverse document frequency over the
-    corpus (the rare-token signal quality filters weight by).
-
-    Shape: per-batch DISTINCT (doc, token) pairs collapse to partial
-    df counts (a doc never spans batches, so partials sum exactly), ONE
-    coarse-hash token exchange sums them, idf = round(ln(N/df), 6) with N
-    read from parquet metadata (no data pass)."""
-    import pandas as pd
-    import pyarrow.parquet as pq
-
-    from ..stages.shuffle import grouped_agg
-    from ..stages.textstats import _split_words
-
-    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
-    ds = _docs(sf_dir, ["text"])
-
-    def partial_df(batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").combine_chunks()
-        flat, counts = _split_words(texts)
-        rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        d = pd.DataFrame({"row": rows,
-                          "token": flat.to_numpy(zero_copy_only=False)})
-        cnt = d.drop_duplicates()["token"].value_counts().sort_index()
-        return pa.table({"token": pa.array(cnt.index.to_numpy(dtype=object),
-                                           pa.string()),
-                         "df": pa.array(cnt.to_numpy(), pa.int64())})
-
-    summed = grouped_agg(ds.map_batches(partial_df, batch_format="pyarrow"),
-                         ["token"], {"df": ("df", "sum")})
-
-    def add_idf(batch: pa.Table) -> pa.Table:
-        df = batch.column("df").to_numpy().astype(np.float64)
-        idf = np.round(np.log(float(n_docs) / df), 6)
-        return batch.append_column("idf", pa.array(idf, pa.float64()))
-
-    return summed.map_batches(add_idf, batch_format="pyarrow")
-
-
-def _doc_token_pairs(batch: pa.Table, *, counted: bool) -> pa.Table:
-    """(doc_id, token[, tf]) rows for the batch — distinct pairs when
-    ``counted`` is False, with per-doc term frequency when True.  One Arrow
-    whitespace split + one vectorized pandas groupby per batch."""
-    import pandas as pd
-
-    from ..stages.textstats import _split_words
-
-    texts = batch.column("text").combine_chunks()
-    flat, counts = _split_words(texts)
-    ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-    rows = np.repeat(ids, counts)
-    d = pd.DataFrame({"doc_id": rows,
-                      "token": flat.to_numpy(zero_copy_only=False)})
-    if counted:
-        g = d.groupby(["doc_id", "token"], as_index=False, sort=True).size()
-        return pa.table({"doc_id": pa.array(g["doc_id"].to_numpy(), pa.int64()),
-                         "token": pa.array(g["token"].to_numpy(dtype=object),
-                                           pa.string()),
-                         "tf": pa.array(g["size"].to_numpy(), pa.int64())})
-    u = d.drop_duplicates().sort_values(["doc_id", "token"])
-    return pa.table({"doc_id": pa.array(u["doc_id"].to_numpy(), pa.int64()),
-                     "token": pa.array(u["token"].to_numpy(dtype=object),
-                                       pa.string())})
-
-
-def doc_tfidf_top_terms(sf_dir: str, top: int = 3) -> ray.data.Dataset:
-    """Each document's ``top`` highest-tf·idf terms (ties → token ASC) — the
-    classic keyword-extraction shape, composed from engine primitives: per-doc
-    term frequencies (map_batches), the corpus idf table (doc_idf), a
-    co-partitioned fact-fact hash join on token (stages/joins.py — both sides
-    are token-cardinality, neither fits a broadcast), and a grouped per-doc
-    top-k.  tfidf = round(tf · idf, 6) with idf pre-rounded, mirroring the
-    SQL twin exactly."""
-    import pandas as pd
-
-    from ..stages.joins import hash_join
-    from ..stages.shuffle import grouped_apply
-
-    from ..stages.components import _pin
-
-    tf = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        lambda b: _doc_token_pairs(b, counted=True), batch_format="pyarrow")
-    # idf is token-cardinality (small next to tf) and ends in a grouped
-    # exchange — pin it so the join exchange doesn't chain onto a deep plan
-    idf = _pin(doc_idf(sf_dir).map_batches(
-        lambda t: t.select(["token", "idf"]), batch_format="pyarrow"), 16)
-    joined = hash_join(tf, idf, on="token", how="inner")
-
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "term_rank": pd.Series([], dtype="int64"),
-                                 "token": pd.Series([], dtype="object"),
-                                 "tf": pd.Series([], dtype="int64"),
-                                 "tfidf": pd.Series([], dtype="float64")})
-        df = df.assign(tfidf=np.round(df["tf"].to_numpy() * df["idf"].to_numpy(), 6))
-        df = df.sort_values(["doc_id", "tfidf", "token"],
-                            ascending=[True, False, True], kind="mergesort")
-        rnk = df.groupby("doc_id").cumcount().to_numpy() + 1
-        df = df.assign(term_rank=rnk.astype(np.int64))
-        df = df[df["term_rank"] <= top]
-        return df[["doc_id", "term_rank", "token", "tf", "tfidf"]]
-
-    return grouped_apply(joined, ["doc_id"], topk)
-
-
-def doc_inverted_index(sf_dir: str) -> ray.data.Dataset:
-    """Token → sorted posting list (comma-joined doc_ids) + document
-    frequency — the search-index build shape.  Distinct (doc, token) pairs
-    per batch, ONE coarse token exchange, per-partition sort + groupby join.
-    The posting string is the op's output (the exchange inherently moves
-    every pair once); at 100 TB postings would be chunked per token range and
-    written columnar instead of strings."""
-    import pandas as pd
-
-    from ..stages.shuffle import grouped_apply
-
-    pairs = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        lambda b: _doc_token_pairs(b, counted=False), batch_format="pyarrow")
-
-    def build(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame({"token": pd.Series([], dtype="object"),
-                                 "df": pd.Series([], dtype="int64"),
-                                 "postings": pd.Series([], dtype="object")})
-        df = df.drop_duplicates().sort_values(["token", "doc_id"])
-        g = df.groupby("token", sort=True)
-        out = g.agg(df_=("doc_id", "size"),
-                    postings=("doc_id", lambda s: ",".join(map(str, s))))
-        return pd.DataFrame({"token": out.index.to_numpy(dtype=object),
-                             "df": out["df_"].to_numpy().astype(np.int64),
-                             "postings": out["postings"].to_numpy(dtype=object)})
-
-    return grouped_apply(pairs, ["token"], build)
-
-
-def doc_source_cap(sf_dir: str, cap: int = 20) -> ray.data.Dataset:
-    """Per-domain document cap (the C4/RefinedWeb "max N pages per host"
-    composition rule): keep each source's ``cap`` lowest doc_ids.
-
-    Grouped top-k shape (stages/shuffle.py::grouped_apply): ONE coarse
-    hash-partitioned exchange on source, vectorized sort + cumcount inside
-    each partition, ≤ cap rows per source survive — source cardinality never
-    becomes Ray group count, and the deterministic rank order (doc_id ASC)
-    matches the ROW_NUMBER oracle exactly."""
-    import pandas as pd
-
-    from ..stages.shuffle import grouped_apply
-
-    docs = _docs(sf_dir, ["doc_id", "source"])
-
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["source", "doc_id"], kind="mergesort")
-        rnk = df.groupby("source").cumcount().to_numpy() + 1
-        out = df.assign(source_rank=rnk.astype(np.int64))
-        return out[out["source_rank"] <= cap]
-
-    return grouped_apply(docs, ["source"], topk)
 
 
 def doc_quality_tiers(sf_dir: str, n: int = 3) -> ray.data.Dataset:
@@ -691,137 +379,3 @@ def doc_quality_tiers(sf_dir: str, n: int = 3) -> ray.data.Dataset:
 
     return quality_tiers(_docs(sf_dir, ["doc_id", "text", "lang"]),
                          id_col="doc_id", n=n)
-
-
-def doc_bigram_pmi(sf_dir: str, min_count: int = 5) -> ray.data.Dataset:
-    """Pointwise mutual information of adjacent word pairs (collocation
-    mining — the phrase-detection shape from word2vec preprocessing), exact
-    and fully distributed: bigram and unigram counts each pre-combine per
-    batch and cross ONE coarse token-keyed exchange; the corpus totals are
-    tiny sums over the two pinned count tables; marginals attach via two
-    co-partitioned fact-fact hash joins (token cardinality on both sides —
-    no broadcast); pmi evaluates vectorized per batch from broadcast scalar
-    totals.  pmi = round(ln((c_xy/B) / ((c_x/T)·(c_y/T))), 6) with T = total
-    tokens, B = total bigrams.
-    """
-    import pandas as pd
-
-    from ..stages.components import _pin
-    from ..stages.joins import hash_join
-    from ..stages.shuffle import grouped_agg
-    from ..stages.textstats import _split_words
-
-    docs = _docs(sf_dir, ["text"])
-
-    def bigram_partial(batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").combine_chunks()
-        flat, counts = _split_words(texts)
-        toks = flat.to_numpy(zero_copy_only=False)
-        rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        if len(toks) < 2:
-            return pa.table({"w1": pa.array([], pa.string()),
-                             "w2": pa.array([], pa.string()),
-                             "c_xy": pa.array([], pa.int64())})
-        same = rows[1:] == rows[:-1]  # adjacency never crosses documents
-        d = pd.DataFrame({"w1": toks[:-1][same], "w2": toks[1:][same]})
-        g = d.groupby(["w1", "w2"], as_index=False).size() \
-             .rename(columns={"size": "c_xy"})
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def unigram_partial(batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").combine_chunks()
-        flat, _ = _split_words(texts)
-        cnt = pd.Series(flat.to_numpy(zero_copy_only=False)) \
-            .value_counts().sort_index()
-        return pa.table({"token": pa.array(cnt.index.to_numpy(dtype=object),
-                                           pa.string()),
-                         "c": pa.array(cnt.to_numpy(), pa.int64())})
-
-    bc = _pin(grouped_agg(docs.map_batches(bigram_partial, batch_format="pyarrow"),
-                          ["w1", "w2"], {"c_xy": ("c_xy", "sum")}), 16)
-    uc = _pin(grouped_agg(docs.map_batches(unigram_partial, batch_format="pyarrow"),
-                          ["token"], {"c": ("c", "sum")}), 16)
-    t_uni = float(uc.sum("c"))
-    t_bi = float(bc.sum("c_xy"))
-
-    # Arrow-kernel filter (filter(expr=…) can't type pandas object blocks
-    # coming out of the pinned grouped exchange)
-    import pyarrow.compute as pc
-
-    bc_f = bc.map_batches(
-        lambda t: t.filter(pc.greater_equal(t.column("c_xy"), min_count)),
-        batch_format="pyarrow")
-    u1 = uc.map_batches(lambda t: t.rename_columns(["w1", "c1"]),
-                        batch_format="pyarrow")
-    u2 = uc.map_batches(lambda t: t.rename_columns(["w2", "c2"]),
-                        batch_format="pyarrow")
-    j = hash_join(hash_join(bc_f, u1, on="w1"), u2, on="w2")
-
-    def add_pmi(batch: pa.Table) -> pa.Table:
-        c_xy = batch.column("c_xy").to_numpy().astype(np.float64)
-        c1 = batch.column("c1").to_numpy().astype(np.float64)
-        c2 = batch.column("c2").to_numpy().astype(np.float64)
-        pmi = np.round(np.log((c_xy / t_bi)
-                              / ((c1 / t_uni) * (c2 / t_uni))), 6)
-        return pa.table({"w1": batch.column("w1"), "w2": batch.column("w2"),
-                         "c_xy": batch.column("c_xy"),
-                         "pmi": pa.array(pmi, pa.float64())})
-
-    return j.map_batches(add_pmi, batch_format="pyarrow")
-
-
-def doc_heavy_hitters(sf_dir: str, k: int = 256) -> pa.Table:
-    """Misra–Gries heavy-hitter tokens (shuffle-free approximate twin of
-    doc_top_tokens, as hll is to exact distinct): ≤ k-entry counter summary
-    per block, tiny driver merge.  Guarantee pinned in pytest: every token
-    with true frequency > N/k is present with estimate within N/k."""
-    import pandas as pd  # noqa: F401  (sketch returns a DataFrame)
-
-    from ..stages.sketches import mg_heavy_hitters
-    from ..stages.textstats import _split_words
-
-    def tokens_of(batch: pa.Table):
-        flat, _ = _split_words(batch.column("text").combine_chunks())
-        return flat.to_numpy(zero_copy_only=False)
-
-    out = mg_heavy_hitters(_docs(sf_dir, ["text"]), tokens_of, k=k)
-    return pa.Table.from_pandas(out, preserve_index=False)
-
-
-def doc_token_entropy(sf_dir: str) -> ray.data.Dataset:
-    """Shannon entropy of each document's token distribution (a
-    diversity quality signal) — entirely
-    batch-local, NO shuffle: one Arrow whitespace split, one vectorized
-    (row, token) groupby, and a per-row -Σ p·ln p via np.add.reduceat.
-    Zero-token documents are omitted (mirrors the SQL twin, where they never
-    enter the unnest).  round-6 output absorbs summation-order ulps."""
-    import pandas as pd
-
-    from ..stages.textstats import _split_words
-
-    ds = _docs(sf_dir, ["doc_id", "text"])
-
-    def entropy(batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").combine_chunks()
-        flat, counts = _split_words(texts)
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        rows = np.repeat(ids, counts)
-        if len(rows) == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "entropy": pa.array([], pa.float64())})
-        d = pd.DataFrame({"doc_id": rows,
-                          "token": flat.to_numpy(zero_copy_only=False)})
-        g = d.groupby(["doc_id", "token"], sort=True, as_index=False).size()
-        doc = g["doc_id"].to_numpy()
-        c = g["size"].to_numpy(np.float64)
-        # row totals per doc (g is sorted by doc_id)
-        starts = np.flatnonzero(np.r_[True, doc[1:] != doc[:-1]])
-        totals = np.add.reduceat(c, starts)
-        n = np.repeat(totals, np.diff(np.r_[starts, len(c)]))
-        p = c / n
-        terms = p * np.log(p)
-        h = -np.add.reduceat(terms, starts)
-        return pa.table({"doc_id": pa.array(doc[starts], pa.int64()),
-                         "entropy": pa.array(np.round(h, 6), pa.float64())})
-
-    return ds.map_batches(entropy, batch_format="pyarrow")

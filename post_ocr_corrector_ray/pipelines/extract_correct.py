@@ -12,7 +12,7 @@ Stage graph (all lazy, streaming with backpressure)::
 
 Skew note (SURVEY.md §7.4.4): correction cost scales superlinearly with
 document length.  The actor pool pulls small batches dynamically, so giant
-documents delay only their own batch; ``correct_batch_size`` should stay small
+documents delay only their own batch; ``batch_size`` should stay small
 (16-64 docs) so a straggler batch holds few innocent rows.  At 100 TB the same
 graph holds: the only all-to-all exchange is the final url-hash partitioning,
 sized by ``num_partitions``, and it moves extracted text (small), never raw
@@ -57,11 +57,6 @@ from ..state import lineage as lin
 CorrectorKind = Literal["null", "neural", "dictionary"]
 
 
-def read_pages(sf_path: str, columns: list[str] | None = None) -> ray.data.Dataset:
-    """Column-pruned parquet scan of a pages table."""
-    return ray.data.read_parquet(sf_path, columns=columns)
-
-
 def extract_pipeline(pages: ray.data.Dataset) -> ray.data.Dataset:
     return pages.map_batches(extract_batch, batch_format="pyarrow")
 
@@ -72,11 +67,10 @@ def correct_stage(ds: ray.data.Dataset, *, corrector: CorrectorKind,
                   vocab_ref=None, min_frequency: int = 2,
                   concurrency: int | tuple[int, int] = 4,
                   batch_size: int = 32, num_cpus: float = 1,
-                  num_gpus: float | None = None,
-                  resources: dict | None = None) -> ray.data.Dataset:
+                  num_gpus: float | None = None) -> ray.data.Dataset:
     """Corrector actor-pool stage.
 
-    ``num_gpus`` / ``resources`` pass straight to ``map_batches`` so the
+    ``num_gpus`` passes straight to ``map_batches`` so the
     neural corrector deploys as the north-star "GPU-sized micro-batches"
     shape (reference eval.py:25-33 runs the model on whatever device torch
     finds; here the resource request is explicit per stage).  ``batch_size``
@@ -84,13 +78,12 @@ def correct_stage(ds: ray.data.Dataset, *, corrector: CorrectorKind,
     pool_kwargs: dict = dict(num_cpus=num_cpus)
     if num_gpus is not None:
         pool_kwargs["num_gpus"] = num_gpus
-    if resources is not None:
-        pool_kwargs["resources"] = resources
     if corrector == "null":
         # stateless identity — plain task stage, no actor pool needed
         return ds.map_batches(NullCorrectorStage(), batch_format="pyarrow")
     if corrector == "neural":
-        assert alphabet is not None
+        if alphabet is None:
+            raise ValueError("the neural corrector needs an alphabet")
         return ds.map_batches(
             NeuralCorrectorStage,
             fn_constructor_kwargs=dict(alphabet=alphabet, model_path=model_path,
@@ -190,5 +183,5 @@ def extract_correct(pages: ray.data.Dataset, *, corrector: CorrectorKind = "null
                                     metrics=marker_metrics)
 
 
-__all__ = ["read_pages", "extract_pipeline", "correct_stage", "extract_correct",
+__all__ = ["extract_pipeline", "correct_stage", "extract_correct",
            "TEXT_COL", "OUT_COL"]

@@ -57,9 +57,6 @@ PAGES_SCHEMA = pa.schema(
         ("lang", pa.string()),
     ]
 )
-GOLDEN_SCHEMA = pa.schema(
-    [("url", pa.string()), ("expected_text", pa.string()), ("kind", pa.string())]
-)
 
 
 def url_of(i: int) -> str:

@@ -14,17 +14,12 @@ Use with::
 
 from __future__ import annotations
 
-import os
-
 import pyarrow as pa
+
+import ray
 
 from ..model.dictionary import DictionaryCorrector
 from ..model.neural import NeuralCorrectorModel
-
-# Keep per-actor BLAS single-threaded: Ray sizes pools by num_cpus, and a
-# deterministic thread count keeps float reductions reproducible everywhere.
-for _v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_v, "1")
 
 TEXT_COL = "extracted_text"
 OUT_COL = "corrected_text"
@@ -72,26 +67,15 @@ class DictionaryCorrectorStage:
     """Token-frequency correction; the vocab map is the broadcast small side.
 
     ``vocab_ref`` may be a ``ray.ObjectRef`` (``ray.put`` once on the driver —
-    zero-copy shared across all actors on a node) or a plain dict/path for
-    tests.  The per-actor memo cache amortizes the nearest-word scan across
-    repeated unknown tokens.
+    zero-copy shared across all actors on a node) or a plain dict for tests.
+    The per-actor memo cache amortizes the nearest-word scan across repeated
+    unknown tokens.
     """
 
-    def __init__(self, *, vocab_ref=None, vocab_path: str | None = None,
-                 min_frequency: int = 2,
+    def __init__(self, *, vocab_ref=None, min_frequency: int = 2,
                  text_col: str = TEXT_COL, out_col: str = OUT_COL):
-        if vocab_path is not None:
-            self.corrector = DictionaryCorrector.load(vocab_path)
-        else:
-            vocab = vocab_ref
-            try:
-                import ray
-
-                if isinstance(vocab_ref, ray.ObjectRef):
-                    vocab = ray.get(vocab_ref)
-            except ImportError:  # pragma: no cover
-                pass
-            self.corrector = DictionaryCorrector(vocab or {}, min_frequency=min_frequency)
+        vocab = ray.get(vocab_ref) if isinstance(vocab_ref, ray.ObjectRef) else vocab_ref
+        self.corrector = DictionaryCorrector(vocab or {}, min_frequency=min_frequency)
         self.text_col, self.out_col = text_col, out_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:

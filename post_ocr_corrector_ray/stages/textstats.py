@@ -193,29 +193,10 @@ def langid_batch_scalar(batch: pa.Table, *, text_col: str = "text",
     })
 
 
-# GPT-2-style pre-tokenizer pattern, restricted to the RE2-supported subset
-# (no lookahead; RE2 is what BOTH pyarrow and DuckDB run, so counts agree
-# bit-for-bit with the SQL oracle).
-BPE_TOKEN_RE = r"'(?:s|t|re|ve|m|ll|d)| ?\pL+| ?\pN+| ?[^\s\pL\pN]+|\s+"
-
 _PII_PATTERNS = (
     (r"[\w.+-]+@[\w-]+\.[\w.]+", "<EMAIL>"),
     (r"\pN{4,}", "<NUM>"),
 )
-
-
-def bpe_token_count_batch(batch: pa.Table, *, text_col: str = "text",
-                          id_col: str = "doc_id") -> pa.Table:
-    """Per-row token counts under a BPE-ish pre-tokenizer regex plus plain
-    whitespace tokens — the budget/estimation pass of a training-data
-    pipeline, fully vectorized (RE2 count kernel; no tokenizer model)."""
-    texts = batch.column(text_col).combine_chunks()
-    n_bpe = pc.count_substring_regex(texts, BPE_TOKEN_RE).fill_null(0) \
-        .cast(pa.int64())
-    _, ws_counts = _split_words(texts)
-    return pa.table({id_col: batch.column(id_col),
-                     "n_bpe_tokens": n_bpe,
-                     "n_ws_tokens": pa.array(ws_counts, pa.int64())})
 
 
 def scrub_pii_batch(batch: pa.Table, *, text_col: str = "text",

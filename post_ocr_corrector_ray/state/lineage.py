@@ -139,6 +139,11 @@ def commit_partition(table: pa.Table, out_dir: str, part_id: int, *,
     record; returns the record."""
     pdir = partition_dir(out_dir, part_id)
     os.makedirs(pdir, exist_ok=True)
+    # a commit that crashed before its rename left its temp files behind;
+    # the partition's one writer sweeps them so the store matches a clean run
+    for name in os.listdir(pdir):
+        if name.startswith(".tmp-"):
+            os.remove(os.path.join(pdir, name))
     started = time.time()
     tmp = os.path.join(pdir, f".tmp-{uuid.uuid4().hex}.parquet")
     pq.write_table(table, tmp)

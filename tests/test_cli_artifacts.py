@@ -435,3 +435,246 @@ class TestCliSubcommands:
         want = oracle_extract_correct(pages, load_model_dir(mdir))
         assert _committed_url_map(out) == want
         assert any(want.values())
+
+
+DOCS = "/root/testdata/sf0.001/documents.parquet"
+_TIER_COLS = ["doc_id", "lang", "quality", "tier", "lang_tier"]
+
+
+def _renamed_copy(src: str, dst: str, names: dict) -> str:
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(src)
+    pq.write_table(t.rename_columns([names.get(n, n) for n in t.column_names]), dst)
+    return dst
+
+
+def _tier_rows(out_dir: str, names: dict | None = None):
+    from post_ocr_corrector_ray.state.lineage import read_output
+
+    df = read_output(out_dir).to_pandas().rename(columns=names or {})
+    return df[_TIER_COLS].sort_values("doc_id").reset_index(drop=True)
+
+
+@pytest.fixture(scope="module")
+def default_doc_tiers(tmp_path_factory):
+    """``tiers --mode documents`` over the documents fixture, default options."""
+    from post_ocr_corrector_ray.cli import main
+
+    out = str(tmp_path_factory.mktemp("tiers") / "store")
+    assert main(["tiers", DOCS, out, "--mode", "documents", "--partitions", "4"]) == 0
+    return _tier_rows(out)
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestCliOptions:
+    """Options of the shipped subcommands that change what they read or
+    write, each against the default run or the library call it maps to."""
+
+    def test_dedup_against_refuses_mismatched_sigstore(self, tmp_path):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from post_ocr_corrector_ray.cli import main
+
+        w1, w2 = str(tmp_path / "w1.parquet"), str(tmp_path / "w2.parquet")
+        pq.write_table(pa.table({"doc_id": pa.array([0, 1], pa.int64()),
+                                 "text": ["alpha beta gamma delta", "epsilon zeta"]}), w1)
+        pq.write_table(pa.table({"doc_id": pa.array([100], pa.int64()),
+                                 "text": ["alpha beta gamma delta"]}), w2)
+        out1 = tmp_path / "out1"
+        assert main(["dedup", w1, str(out1), "--partitions", "2"]) == 0
+        meta = out1 / "_sigstore" / "meta.json"
+        params = json.loads(meta.read_text(encoding="utf-8"))
+        meta.write_text(json.dumps({**params, "n_hashes": 32}), encoding="utf-8")
+        with pytest.raises(SystemExit, match="not comparable"):
+            main(["dedup", w2, str(tmp_path / "out2"), "--against", str(out1),
+                  "--partitions", "2"])
+
+    def test_dedup_custom_columns(self, tmp_path):
+        """``--id-col``/``--text-col`` keep the survivors of the default
+        column names, and the signature store records the id column."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.state.lineage import read_output
+
+        base = "the quick brown fox jumps over the lazy dog near the river bank"
+        texts = [base, base.replace("lazy", "hazy"), "an unrelated sentence on arrow",
+                 base, "another different line about parquet files"]
+        ids = pa.array([3, 5, 8, 13, 21], pa.int64())
+        plain, renamed = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
+        pq.write_table(pa.table({"doc_id": ids, "text": texts}), plain)
+        pq.write_table(pa.table({"id": ids, "body": texts}), renamed)
+        assert main(["dedup", plain, str(tmp_path / "oa"), "--partitions", "2"]) == 0
+        assert main(["dedup", renamed, str(tmp_path / "ob"), "--partitions", "2",
+                     "--id-col", "id", "--text-col", "body"]) == 0
+        want = sorted(read_output(str(tmp_path / "oa")).column("doc_id").to_pylist())
+        assert want == [3, 8, 21]
+        assert sorted(read_output(str(tmp_path / "ob")).column("id").to_pylist()) == want
+        meta = json.loads((tmp_path / "ob" / "_sigstore" / "meta.json").read_text())
+        assert meta["id_col"] == "id"
+
+    def test_tiers_text_col(self, tmp_path, default_doc_tiers):
+        import pandas as pd
+
+        from post_ocr_corrector_ray.cli import main
+
+        src = _renamed_copy(DOCS, str(tmp_path / "d.parquet"), {"text": "body"})
+        out = str(tmp_path / "store")
+        assert main(["tiers", src, out, "--mode", "documents", "--partitions", "4",
+                     "--text-col", "body"]) == 0
+        pd.testing.assert_frame_equal(_tier_rows(out), default_doc_tiers)
+
+    def test_tiers_id_and_lang_cols(self, tmp_path, default_doc_tiers):
+        import pandas as pd
+
+        from post_ocr_corrector_ray.cli import main
+
+        names = {"doc_id": "id", "lang": "language"}
+        src = _renamed_copy(DOCS, str(tmp_path / "d.parquet"), names)
+        out = str(tmp_path / "store")
+        assert main(["tiers", src, out, "--mode", "documents", "--partitions", "4",
+                     "--id-col", "id", "--lang-col", "language"]) == 0
+        got = _tier_rows(out, {v: k for k, v in names.items()})
+        pd.testing.assert_frame_equal(got, default_doc_tiers)
+
+    def test_tiers_no_resume(self, tmp_path, capsys, default_doc_tiers):
+        """A ``--no-resume`` rerun over a complete store commits every
+        partition again and writes the same rows."""
+        import pandas as pd
+
+        from post_ocr_corrector_ray.cli import main
+
+        out = str(tmp_path / "store")
+        argv = ["tiers", DOCS, out, "--mode", "documents", "--partitions", "4"]
+        assert main(argv) == 0
+        first = _last_json(capsys)
+        assert main(argv + ["--no-resume"]) == 0
+        second = _last_json(capsys)
+        assert second == first and first["partitions_committed"] > 0
+        pd.testing.assert_frame_equal(_tier_rows(out), default_doc_tiers)
+
+    @pytest.mark.parametrize("shards", [1, 4, 7])
+    def test_tiers_shards_per_tier(self, tmp_path, shards, default_doc_tiers):
+        """Sub-sharding moves rows between partitions only: the tiers are
+        the default run's, and each row's key ends in its id-hash shard."""
+        import pandas as pd
+
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.functions.hashing import polyhash_u64
+
+        out = str(tmp_path / "store")
+        assert main(["tiers", DOCS, out, "--mode", "documents", "--partitions", "4",
+                     "--shards-per-tier", str(shards)]) == 0
+        got = _tier_rows(out)
+        cols = ["doc_id", "lang", "quality", "tier"]
+        pd.testing.assert_frame_equal(got[cols], default_doc_tiers[cols])
+        want = [f"{lang}/tier-{tier}/s{polyhash_u64(str(i).encode()) % shards}"
+                for i, lang, tier in zip(got["doc_id"], got["lang"], got["tier"])]
+        assert got["lang_tier"].tolist() == want
+        assert got["lang_tier"].str.rsplit("/s", n=1).str[1].nunique() == shards
+
+    def test_tiers_count(self, tmp_path):
+        """``--tiers 5``: per-language NTILE(5) over (quality, doc_id)."""
+        import duckdb
+        import pandas as pd
+        import pyarrow.parquet as pq
+
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.stages.textstats import quality_score_batch
+
+        out = str(tmp_path / "store")
+        assert main(["tiers", DOCS, out, "--mode", "documents", "--partitions", "4",
+                     "--tiers", "5"]) == 0
+        docs = pq.read_table(DOCS, columns=["doc_id", "text", "lang"])
+        q = quality_score_batch(docs.select(["doc_id", "text"])).to_pandas()
+        q["lang"] = docs.column("lang").to_pylist()
+        want = duckdb.query(
+            "SELECT doc_id, lang, quality, CAST(NTILE(5) OVER (PARTITION BY "
+            "lang ORDER BY quality, doc_id) AS BIGINT) AS tier FROM q"
+        ).fetchdf().sort_values("doc_id").reset_index(drop=True)
+        got = _tier_rows(out)
+        pd.testing.assert_frame_equal(got[["doc_id", "lang", "quality", "tier"]], want,
+                                      check_dtype=False, check_exact=True)
+        assert sorted(got["tier"].unique()) == [1, 2, 3, 4, 5]
+
+    def test_eval_banded(self, tmp_path, capsys):
+        """``--banded`` scores with the reference's banded distance, which
+        differs from the full one when an alignment leaves the band."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+        import ray.data
+
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.pipelines.evaluate import evaluate
+
+        a, p = "abcdefghijklmnopqrstuvwxyz", "0123456789ABCDEF"
+        f = str(tmp_path / "pairs.parquet")
+        pq.write_table(pa.table({"corrected_text": [p + a, "abd", "same"],
+                                 "clean": [a + p, "abcd", "same"]}), f)
+        assert main(["eval", f, "--banded"]) == 0
+        got = _last_json(capsys)
+        banded, full = (evaluate(ray.data.read_parquet(f), banded=b) for b in (True, False))
+        assert got == {"mean_cer": banded.mean_cer,
+                       "percent_perfect": banded.percent_perfect, "n": banded.n}
+        assert banded.mean_cer != full.mean_cer
+
+    def test_eval_custom_columns(self, tmp_path, capsys):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+        import ray.data
+
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.pipelines.evaluate import evaluate
+
+        f = str(tmp_path / "pairs.parquet")
+        pq.write_table(pa.table({"corrected_text": ["x", "y", "z"],
+                                 "messy": ["ab", "xyz", ""],
+                                 "ref": ["abcd", "xyz", "q"]}), f)
+        assert main(["eval", f, "--out-col", "messy", "--clean-col", "ref"]) == 0
+        want = evaluate(ray.data.read_parquet(f), out_col="messy", correct_col="ref")
+        assert _last_json(capsys) == {"mean_cer": want.mean_cer,
+                                      "percent_perfect": want.percent_perfect,
+                                      "n": want.n}
+        assert want.n == 3 and 0 < want.mean_cer < 1
+
+    @pytest.mark.parametrize("argv,kwargs", [
+        (["--epoch", "1"], dict(epoch=1)),
+        (["--split", "validation", "--batch-size", "3"],
+         dict(split="validation", batch_size=3)),
+    ], ids=["epoch", "split"])
+    def test_feed_options(self, tmp_path, argv, kwargs):
+        """The collated batches equal ``epoch_feed`` called with the same
+        options, and differ from the default epoch-0 train feed."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+        import ray.data
+
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.pipelines.training import epoch_feed
+
+        n = 40
+        f = str(tmp_path / "corpus.parquet")
+        pq.write_table(pa.table({
+            "url": [f"u{i}" for i in range(n)],
+            "clean": [f"ab cd {'e' * (i % 7)}" for i in range(n)],
+            "messy": [f"ab ce {'d' * (i % 5)}" for i in range(n)],
+            "split": [("train", "validation")[i % 4 == 0] for i in range(n)]}), f)
+        alpha = tmp_path / "alpha.txt"
+        alpha.write_text("abcde ")
+        out = str(tmp_path / "feed_out")
+        assert main(["feed", f, out, "--alphabet-file", str(alpha)] + argv) == 0
+
+        def rows(df):
+            return sorted(zip(*(df[c].tolist() for c in
+                                ("batch_id", "size", "width_x", "width_y", "x", "y"))))
+
+        def library(**kw):
+            return rows(epoch_feed(ray.data.read_parquet(f), alphabet="abcde ",
+                                   **kw).to_pandas())
+
+        got = rows(pq.read_table(out).to_pandas())
+        want, default = library(**kwargs), library()
+        assert got == want != default

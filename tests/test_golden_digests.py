@@ -32,6 +32,9 @@ if __name__ == "__main__":  # as a script: conftest's BLAS pinning, the repo roo
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -218,6 +221,32 @@ def test_flagship_bytes_digest(models):
     corrected = _flagship_corrected(models)
     assert len(corrected) == 24
     assert _texts_sha(corrected) == GOLDEN_FLAGSHIP_BYTES
+
+
+# a child process with no BLAS variables set imports this module first, then
+# computes the default-hparams digest: the package must pin BLAS to one
+# thread before numpy loads, whichever of its modules comes first
+_PIN_CHILD = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
+sys.path.insert(0, "tests")
+from test_golden_digests import _digest_logits, _models, _sha
+print(_sha(_digest_logits(_models(), "default")))
+"""
+
+
+@pytest.mark.parametrize("first", ["post_ocr_corrector_ray.stages.correct",
+                                   "post_ocr_corrector_ray.oracle",
+                                   "post_ocr_corrector_ray.model.neural",
+                                   "post_ocr_corrector_ray.pipelines.extract_correct"])
+def test_blas_pin_holds_for_any_import_order(first):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    r = subprocess.run([sys.executable, "-c", _PIN_CHILD, first], cwd=root, env=env,
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert r.stdout.split()[-1] == GOLDEN_LOGITS_DEFAULT
 
 
 # -- engine vs reference decoder -----------------------------------------------

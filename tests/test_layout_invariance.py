@@ -1,9 +1,11 @@
-"""Input-layout invariance of the operators the CLI runs (``dedup``:
-``minhash_duplicate_pairs`` and ``near_dedup``; ``tiers``:
-``quality_tiers``; ``alphabet``, ``build-dictionary``, ``corpus`` and
-``eval``: the corpus and eval aggregates): the same rows split into 1, 3, 7
-or 16 input blocks give the same output, equal to a single-process
-recompute."""
+"""Input-layout invariance of the operators the CLI runs (``run`` and
+``tiers``: ``extract_pipeline``; ``dedup``: ``minhash_duplicate_pairs``,
+``near_dedup``, ``signature_store_tables`` and, with ``--against``,
+``minhash_duplicate_pairs_incremental`` and ``near_dedup_incremental``;
+``tiers``: ``quality_tiers``; ``commit``: ``commit_by_key``; ``feed``:
+``epoch_feed``; ``alphabet``, ``build-dictionary``, ``corpus`` and ``eval``:
+the corpus and eval aggregates): the same rows split into 1, 3, 7 or 16
+input blocks give the same output, equal to a single-process recompute."""
 
 import numpy as np
 import pyarrow as pa
@@ -55,12 +57,40 @@ def _spec_pairs(tbl: pa.Table) -> set:
     return out
 
 
+# the CLI ``dedup`` LSH parameters
+_LSH = dict(n_hashes=64, bands=16, k_shingle=5)
+
+
 def _pairs(ds):
     from post_ocr_corrector_ray.stages.dedup import minhash_duplicate_pairs
 
-    # the CLI ``dedup`` LSH parameters
-    return minhash_duplicate_pairs(ds, n_hashes=64, bands=16, k_shingle=5,
-                                   jaccard_threshold=0.5)
+    return minhash_duplicate_pairs(ds, jaccard_threshold=0.5, **_LSH)
+
+
+def _roots(tbl: pa.Table) -> dict:
+    """doc_id → the min id of its union-find cluster over the spec pairs."""
+    parent = {i: i for i in tbl.column("doc_id").to_pylist()}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in sorted(_spec_pairs(tbl)):
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return {i: find(i) for i in parent}
+
+
+def _waves(tbl: pa.Table):
+    """(store, new, min_new_id): the lower half of the ids is the store
+    wave, the upper half the new wave (the append-only id contract)."""
+    import pyarrow.compute as pc
+
+    cut = sorted(tbl.column("doc_id").to_pylist())[tbl.num_rows // 2]
+    store = tbl.filter(pc.less(tbl.column("doc_id"), cut))
+    new = tbl.filter(pc.greater_equal(tbl.column("doc_id"), cut))
+    return store, new, cut
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -81,17 +111,7 @@ class TestCliOperatorsLayoutInvariance:
         ds = _blocks(tbl, blocks)
         got = near_dedup(ds, _pairs(ds), num_partitions=4).to_pandas()
         # min-id representative per union-find cluster
-        parent = {i: i for i in tbl.column("doc_id").to_pylist()}
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        for a, b in sorted(_spec_pairs(tbl)):
-            ra, rb = find(a), find(b)
-            parent[max(ra, rb)] = min(ra, rb)
-        want = sorted(i for i in parent if find(i) == i)
+        want = sorted(i for i, r in _roots(tbl).items() if i == r)
         assert sorted(got["doc_id"]) == want
         assert len(want) < tbl.num_rows
         assert sorted(got.columns) == sorted(tbl.column_names)
@@ -116,6 +136,143 @@ class TestCliOperatorsLayoutInvariance:
         pd.testing.assert_frame_equal(
             got[["doc_id", "lang", "quality", "tier"]], want,
             check_dtype=False, check_exact=True)
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_signature_store_tables(self, blocks):
+        from post_ocr_corrector_ray.functions.hashing import shingle_hashes
+        from post_ocr_corrector_ray.stages.dedup import (
+            minhash_bands_batch,
+            signature_bytes,
+            signature_store_tables,
+        )
+
+        tbl = _docs().select(["doc_id", "text"])
+        bands, sigs = signature_store_tables(_blocks(tbl, blocks), **_LSH)
+        got = bands.to_pandas()
+        want = minhash_bands_batch(tbl, **_LSH).to_pandas()
+        assert len(want) == tbl.num_rows * _LSH["bands"]
+        assert sorted(zip(got["band_id"], got["band_hash"], got["doc_id"])) == \
+            sorted(zip(want["band_id"], want["band_hash"], want["doc_id"]))
+        got = sigs.to_pandas()
+        assert dict(zip(got["doc_id"], got["sig"])) == {
+            i: signature_bytes(shingle_hashes(t, k=_LSH["k_shingle"]))
+            for i, t in zip(tbl.column("doc_id").to_pylist(),
+                            tbl.column("text").to_pylist())}
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_minhash_duplicate_pairs_incremental(self, blocks):
+        """The new wave against the store wave's persisted tables: every
+        spec pair with a new member, and no store-store pair."""
+        from post_ocr_corrector_ray.stages.dedup import (
+            minhash_duplicate_pairs_incremental,
+            signature_store_tables,
+        )
+
+        tbl = _docs().select(["doc_id", "text"])
+        store, new, cut = _waves(tbl)
+        bands, sigs = signature_store_tables(_blocks(store, blocks), **_LSH)
+        got = minhash_duplicate_pairs_incremental(
+            _blocks(new, blocks), bands, sigs, min_new_id=cut,
+            jaccard_threshold=0.5, **_LSH).to_pandas()
+        want = {p for p in _spec_pairs(tbl) if p[1] >= cut}
+        assert any(a < cut for a, _ in want) and any(a >= cut for a, _ in want)
+        assert sorted(zip(got["id_a"], got["id_b"])) == sorted(want)
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_near_dedup_incremental(self, blocks):
+        """A new document survives iff no store document shares its
+        cluster and it is its cluster's min id."""
+        from post_ocr_corrector_ray.stages.components import near_dedup_incremental
+        from post_ocr_corrector_ray.stages.dedup import (
+            minhash_duplicate_pairs_incremental,
+            signature_store_tables,
+        )
+
+        tbl = _docs().select(["doc_id", "text"])
+        store, new, cut = _waves(tbl)
+        bands, sigs = signature_store_tables(_blocks(store, blocks), **_LSH)
+        new_ds = _blocks(new, blocks)
+        pairs = minhash_duplicate_pairs_incremental(
+            new_ds, bands, sigs, min_new_id=cut, jaccard_threshold=0.5, **_LSH)
+        got = near_dedup_incremental(new_ds, _blocks(store.select(["doc_id"]), blocks),
+                                     pairs, num_partitions=4).to_pandas()
+        roots = _roots(tbl)
+        tainted = {roots[i] for i in store.column("doc_id").to_pylist()}
+        want = sorted(i for i in new.column("doc_id").to_pylist()
+                      if roots[i] == i and i not in tainted)
+        assert sorted(got["doc_id"]) == want
+        assert 0 < len(want) < new.num_rows
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_commit_by_key_store_bytes(self, blocks, tmp_path):
+        """Each partition's ``data.parquet`` is the bytes of its rows, in
+        input order, written by one process."""
+        import pathlib
+
+        import pyarrow.parquet as pq
+
+        from post_ocr_corrector_ray.functions.hashing import partition_of_array
+        from post_ocr_corrector_ray.state import lineage as lin
+
+        tbl = _docs()
+        out = str(tmp_path / "store")
+        lin.commit_by_key(_blocks(tbl, blocks), out, key_col="doc_id",
+                          num_partitions=5).to_pandas()
+        assert sorted(lin.committed_partitions(out)) == [0, 1, 2, 3, 4]
+        parts = partition_of_array(tbl.column("doc_id").cast(pa.string()), 5)
+        for p in range(5):
+            want = tmp_path / f"want{p}.parquet"
+            pq.write_table(tbl.filter(pa.array(parts == p)), want)
+            got = pathlib.Path(lin.partition_dir(out, p), "data.parquet")
+            assert got.read_bytes() == want.read_bytes(), f"partition {p}"
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_extract_pipeline(self, pages, blocks):
+        from post_ocr_corrector_ray.oracle import oracle_extract_row
+        from post_ocr_corrector_ray.pipelines.extract_correct import extract_pipeline
+
+        got = extract_pipeline(_blocks(pages, blocks)).to_pandas()
+        want = {u: oracle_extract_row(h, t) for u, h, t in
+                zip(*(pages.column(k).to_pylist() for k in ("url", "html", "text")))}
+        assert len(got) == pages.num_rows
+        assert dict(zip(got["url"], zip(got["extracted_text"],
+                                        got["extract_status"]))) == want
+        assert "html" not in got.columns
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_epoch_feed(self, corpus, blocks):
+        """Train rows ordered by (epoch shuffle key, url), cut into batches
+        of 8 and collated to ``INT_EMPTY``-padded int32 id matrices."""
+        from post_ocr_corrector_ray import INT_EMPTY
+        from post_ocr_corrector_ray.functions.alphabet import Vocab, build_alphabet
+        from post_ocr_corrector_ray.pipelines.training import _shuffle_key, epoch_feed
+
+        alphabet = build_alphabet(set(_GOOD_CHARS + "."))
+        got = epoch_feed(_blocks(corpus, blocks), alphabet=alphabet, epoch=1) \
+            .to_pandas().sort_values("batch_id")
+        train = corpus.filter(pa.array([s == "train" for s in
+                                        corpus.column("split").to_pylist()]))
+        keys = _shuffle_key(train, "url", 1, 17).tolist()
+        urls = train.column("url").to_pylist()
+        order = sorted(range(train.num_rows), key=lambda i: (keys[i], urls[i]))
+        v = Vocab(alphabet)
+
+        def collate(col, rows):
+            seqs = [v.encode(train.column(col)[i].as_py()) for i in rows]
+            width = max(len(s) for s in seqs)
+            m = np.full((len(seqs), width), INT_EMPTY, dtype="<i4")
+            for r, s in enumerate(seqs):
+                m[r, :len(s)] = s
+            return width, m.tobytes()
+
+        want = []
+        for b in range(0, len(order), 8):
+            rows = order[b:b + 8]
+            (wx, x), (wy, y) = collate("messy", rows), collate("clean", rows)
+            want.append((b // 8, len(rows), wx, wy, x, y))
+        assert len(want) > 8
+        assert list(zip(got["batch_id"], got["size"], got["width_x"],
+                        got["width_y"], got["x"], got["y"])) == want
 
 
 _GOOD_CHARS = "abcdefghijklmnopqrstuvwxyz "

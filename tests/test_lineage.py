@@ -62,6 +62,19 @@ class TestCommitPartition:
         assert sorted(os.listdir(lin.partition_dir(out, 0))) == \
             ["_SUCCESS.json", "data.parquet"]
 
+    def test_commit_sweeps_a_crashed_commits_temp_files(self, tmp_path):
+        """A commit that died before its renames left a temp pair; the
+        rerun's commit must leave the store as a clean run writes it."""
+        out = str(tmp_path / "s")
+        pdir = lin.partition_dir(out, 0)
+        os.makedirs(pdir)
+        pq.write_table(_table(4), os.path.join(pdir, ".tmp-deadbeef.parquet"))
+        with open(os.path.join(pdir, ".tmp-deadbeef.json"), "w") as f:
+            f.write("{")
+        lin.commit_partition(_table(2), out, 0)
+        assert sorted(os.listdir(pdir)) == ["_SUCCESS.json", "data.parquet"]
+        assert lin.read_output(out).equals(_table(2))
+
     def test_num_partitions_is_keyword_only(self, tmp_path):
         with pytest.raises(TypeError):
             lin.commit_partition(_table(1), str(tmp_path / "s"), 0, "",

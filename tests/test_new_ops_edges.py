@@ -1,102 +1,10 @@
-"""Edge cases: window chunking on empty/short docs, idf/inverted-index
-consistency, empty-input top-k, the md5/fast hash twins, winnowing
-selection, keep-best dedup and the tiered flagship."""
+"""Edge cases: the md5/fast hash twins, winnowing selection, keep-best
+dedup and the tiered flagship."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
-
-SF = "/root/testdata/sf0.001"
-
-
-def _write_docs(tmp_path, rows):
-    import pyarrow.parquet as pq
-
-    t = pa.table({
-        "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-        "text": pa.array([r[1] for r in rows], pa.string()),
-        "lang": pa.array(["xx"] * len(rows), pa.string()),
-        "source": pa.array(["s"] * len(rows), pa.string()),
-        "n_chars": pa.array([len(r[1]) for r in rows], pa.int64()),
-    })
-    pq.write_table(t, f"{tmp_path}/documents.parquet")
-    return str(tmp_path)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestChunkWindowsEdges:
-    def test_empty_and_short_docs(self, tmp_path):
-        from post_ocr_corrector_ray.pipelines.documents import doc_chunk_windows
-
-        sf = _write_docs(tmp_path, [
-            (1, ""),                      # no words → no chunks
-            (2, "   "),                   # whitespace only → no chunks
-            (3, "one two three"),         # < win → single partial window
-            (4, " ".join(f"w{i}" for i in range(65))),  # win+1 words
-        ])
-        got = doc_chunk_windows(sf, win=64, stride=32).to_pandas() \
-            .sort_values(["doc_id", "chunk_idx"]).reset_index(drop=True)
-        assert set(got.doc_id) == {3, 4}
-        d3 = got[got.doc_id == 3]
-        assert len(d3) == 1 and d3.iloc[0].chunk_text == "one two three"
-        assert d3.iloc[0].chunk_n_words == 3
-        d4 = got[got.doc_id == 4]
-        # 65 words, stride 32 → starts 0, 32, 64
-        assert d4.chunk_start.tolist() == [0, 32, 64]
-        assert d4.chunk_n_words.tolist() == [64, 33, 1]
-        assert d4.iloc[2].chunk_text == "w64"
-
-    def test_windows_cover_all_words_once_per_stride(self, tmp_path):
-        from post_ocr_corrector_ray.pipelines.documents import doc_chunk_windows
-
-        words = [f"t{i}" for i in range(100)]
-        sf = _write_docs(tmp_path, [(7, " ".join(words))])
-        got = doc_chunk_windows(sf, win=64, stride=32).to_pandas()
-        rebuilt = []
-        for _, r in got.sort_values("chunk_idx").iterrows():
-            rebuilt.extend(r.chunk_text.split()[: 32])  # first stride words
-        # first-stride prefixes tile the document except the final tail
-        assert rebuilt == words[: len(rebuilt)]
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestIdfInvertedIndexEdges:
-    def test_idf_and_index_consistent(self, tmp_path):
-        from post_ocr_corrector_ray.pipelines.documents import (
-            doc_idf,
-            doc_inverted_index,
-        )
-
-        sf = _write_docs(tmp_path, [
-            (1, "alpha beta beta"),
-            (2, "beta gamma"),
-            (3, ""),
-        ])
-        idf = doc_idf(sf).to_pandas().set_index("token")
-        idx = doc_inverted_index(sf).to_pandas().set_index("token")
-        assert idf.loc["beta", "df"] == 2 and idx.loc["beta", "postings"] == "1,2"
-        assert idf.loc["alpha", "df"] == 1 and idx.loc["alpha", "postings"] == "1"
-        # idf uses total doc count INCLUDING empty docs (N=3)
-        assert idf.loc["gamma", "idf"] == np.round(np.log(3 / 1), 6)
-        pd.testing.assert_series_equal(idf["df"].sort_index(),
-                                       idx["df"].sort_index(),
-                                       check_names=False)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestEmptyInputTopK:
-    """Driver-side top-k merges must survive an all-empty partial set
-    (pd.DataFrame([]) has no columns, so an unguarded sort_values raises)."""
-
-    def test_empty_tables_yield_typed_empty_results(self, tmp_path):
-        from post_ocr_corrector_ray.pipelines.documents import doc_top_tokens
-
-        sf = _write_docs(tmp_path, [])
-        d = doc_top_tokens(sf)
-        assert d.num_rows == 0
-        assert d.column_names == ["token", "frequency"]
-
 
 @pytest.mark.usefixtures("ray_session")
 class TestFastHashTwins:

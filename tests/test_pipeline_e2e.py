@@ -104,7 +104,7 @@ class TestByteIdentity:
 
     def test_corrector_stage_resource_passthrough(self, pages_table, alphabet,
                                                   tiny_hparams):
-        """SURVEY §2.3 T1: num_gpus/resources plumb through to map_batches
+        """SURVEY §2.3 T1: num_gpus plumbs through to map_batches
         (smoke with num_gpus=0 — same output, no GPU requested)."""
         import ray.data
 
@@ -811,3 +811,50 @@ class TestFlagshipDictionaryCommittedIntermediate:
         for pid, mt in mtimes.items():
             assert os.path.getmtime(os.path.join(
                 lin.partition_dir(store, pid), "data.parquet")) == mt
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestCorrectStageArguments:
+    def test_neural_without_alphabet_is_a_value_error(self):
+        """Refused with an error ``python -O`` keeps, before any actor
+        starts."""
+        import ray.data
+
+        from post_ocr_corrector_ray.pipelines.extract_correct import correct_stage
+
+        ds = ray.data.from_arrow(_text_pages(2))
+        with pytest.raises(ValueError, match="alphabet"):
+            correct_stage(ds, corrector="neural", seed=7)
+
+    def test_unknown_corrector_refused(self):
+        import ray.data
+
+        from post_ocr_corrector_ray.pipelines.extract_correct import (
+            correct_stage,
+            model_fingerprint,
+        )
+
+        with pytest.raises(ValueError, match="unknown corrector"):
+            correct_stage(ray.data.from_arrow(_text_pages(2)), corrector="spell")
+        with pytest.raises(ValueError, match="unknown corrector"):
+            model_fingerprint("spell")
+
+    @pytest.mark.parametrize("broadcast", [False, True], ids=["dict", "object_ref"])
+    def test_dictionary_stage_vocabulary(self, broadcast):
+        """The vocabulary arrives as a plain dict or as a ``ray.put``
+        reference; either way each row is the corrector's sentence output
+        and a null text becomes an empty string."""
+        import pyarrow as pa
+        import ray
+
+        from post_ocr_corrector_ray.stages.correct import DictionaryCorrectorStage
+
+        vocab = {"the": 9, "quick": 4, "fox": 5, "dog": 3}
+        texts = ["teh quick f0x", None, "the dgo", ""]
+        stage = DictionaryCorrectorStage(
+            vocab_ref=ray.put(vocab) if broadcast else vocab, min_frequency=2)
+        out = stage(pa.table({"extracted_text": pa.array(texts, pa.string())}))
+        corr = DictionaryCorrector(vocab, min_frequency=2)
+        assert out.column("corrected_text").to_pylist() == \
+            [corr.correct_sentence(t or "") for t in texts]
+        assert out.column("corrected_text").to_pylist()[0] == "the quick fox"

@@ -6,7 +6,6 @@ operator promises."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -28,12 +27,6 @@ def _run(name: str) -> pd.DataFrame:
 
 def _by_id(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values("doc_id").reset_index(drop=True)
-
-
-def _tokens(docs: pa.Table) -> pa.Array:
-    toks = pc.list_flatten(pc.utf8_split_whitespace(
-        docs.column("text").combine_chunks()))
-    return toks.filter(pc.not_equal(toks, ""))
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -113,20 +106,6 @@ class TestAggregateQueries:
             "n_dropped_pairs": int((over * (over - 1) // 2).sum()),
         }]
         assert len(sizes) > docs.num_rows
-
-    def test_doc_token_distinct_hll(self, docs):
-        from post_ocr_corrector_ray.functions.hashing import polyhash_u64_array
-        from post_ocr_corrector_ray.stages.sketches import _hll_estimate, _hll_registers
-
-        got = _run("doc_token_distinct_hll")
-        toks = _tokens(docs)
-        # block registers max-merge exactly: equal to one whole-corpus array;
-        # the fixture's few distinct tokens sit in the linear-counting range
-        want = _hll_estimate(_hll_registers(polyhash_u64_array(toks), 12))
-        assert got.to_dict("records") == [{"estimate": want, "p": 12}]
-        exact = len(set(toks.to_pylist()))
-        assert abs(want - exact) <= 3 * 1.04 / 64 * exact
-
 
 @pytest.mark.usefixtures("ray_session")
 def test_doc_simhash_candidates_spec(docs):

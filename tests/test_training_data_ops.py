@@ -233,15 +233,6 @@ class TestMarkupParser:
 
 
 class TestBpeAndScrub:
-    def test_bpe_counts_reference_examples(self):
-        out = ts.bpe_token_count_batch(_doc_table(
-            ["it's here", "abc 123 !!", "", "  "]))
-        # "it's here" -> ["it", "'s", " here"]
-        assert out.column("n_bpe_tokens").to_pylist()[0] == 3
-        # "abc 123 !!" -> ["abc", " 123", " !!"]
-        assert out.column("n_bpe_tokens").to_pylist()[1] == 3
-        assert out.column("n_ws_tokens").to_pylist() == [2, 3, 0, 0]
-
     def test_scrub_replaces_pii(self):
         out = ts.scrub_pii_batch(_doc_table(
             ["mail me at a.b+c@exa-mple.com now", "card 123456789", "clean"]))
