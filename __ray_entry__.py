@@ -1,9 +1,10 @@
 """Driver contract for the graft builder (Ray Data target).
 
 ``entry()`` runs the flagship extract+correct pipeline on synthetic pages
-derived from sf0.001; ``queries()`` exposes one callable per implemented
-operator/pipeline from SURVEY.md §2 (plus the training-data extensions);
-``oracle_sql()`` gives the DuckDB twin for every SQL-expressible query.
+derived from sf0.001; ``queries()`` times or checks the operators that a CLI
+command or the flagship runs (the README coverage map names the command or
+stage behind each entry); ``oracle_sql()`` gives the DuckDB twin for every
+SQL-expressible one.
 
 Ray is initialised by the driver BEFORE this module is imported: nothing here
 calls ``ray.init()`` / ``ray.shutdown()``.
@@ -176,37 +177,16 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         "doc_all_chars": lambda sf: D.doc_all_chars(sf),
         "doc_token_counts": D.doc_token_counts,
         "doc_split_assignment": D.doc_split_assignment,
-        "doc_lev_reverse": D.doc_lev_reverse,
         "doc_markup_roundtrip": D.doc_markup_roundtrip,
-        "doc_length_extremes": lambda sf: D.doc_length_extremes(sf),
-        "doc_prefix_sample": lambda sf: D.doc_prefix_sample(sf),
-        # training-data ops
-        "doc_dedup_exact": D.doc_dedup_exact,
+        # the scores `tiers` ranks by
         "doc_token_stats": D.doc_token_stats,
-        "doc_scrub_pii": D.doc_scrub_pii,
         "doc_quality": D.doc_quality,
         # CCNet-style head/middle/tail bucketing: per-language NTILE over the
         # quality score, via (lang, score-bits) histogram-offset ranking —
         # no global or per-language sort
         "doc_quality_tiers": lambda sf: D.doc_quality_tiers(sf),
-        "doc_langid": D.doc_langid,
-        "doc_fingerprint": D.doc_fingerprint,
-        "doc_fingerprint_rolling": D.doc_fingerprint_rolling,
-        # MOSS winnowing fingerprints (Schleimer et al. 2003): md5 oracle
-        # twin + vectorized uint64 scale default (no-twin, pytest-pinned)
-        "doc_winnowing": D.doc_winnowing,
-        "doc_winnowing_fast": D.doc_winnowing_fast,
-        # MOSS near-dup pairs: exact Jaccard over winnowing fp sets
-        "doc_winnowing_dups": D.doc_winnowing_dups,
-        # keep the best-quality member of each near-dup cluster (curation
-        # twin of doc_dedup_near; score table joined, never broadcast)
-        "doc_dedup_keep_best": D.doc_dedup_keep_best,
-        "doc_simhash": D.doc_simhash,
-        "doc_simhash_md5": D.doc_simhash_md5,
-        "doc_simhash_candidates": D.doc_simhash_candidates,
-        "doc_simhash_candidates_md5": D.doc_simhash_candidates_md5,
+        # the `dedup` command's pairs and its LSH bucket census
         "doc_minhash_pairs": D.doc_minhash_pairs,
-        "doc_ngram_jaccard_pairs": D.doc_ngram_jaccard_pairs,
         "doc_minhash_bucket_stats": lambda sf: D.doc_minhash_bucket_stats(sf),
         # training-data feed (CorrectorDataset+DataLoader analog: collated
         # INT_EMPTY-padded (messy, clean) id batches, deterministic epoch
@@ -221,62 +201,6 @@ def _registry() -> dict[str, Callable[[str], Any]]:
 
 
 _ORACLE_SF_DIR = os.environ.get("GRAFT_ORACLE_SF_DIR", "/root/testdata/sf0.01")
-
-
-def _langid_oracle_sql() -> str:
-    """SQL twin of the vectorized language heuristic (stages/textstats.py):
-    script-class codepoint counts, distinct-stopword profile voting with
-    alphabetical tiebreak, und fallback.  Profiles are generated from the
-    engine's own table so they cannot drift."""
-    from post_ocr_corrector_ray.stages.textstats import _LANG_PROFILES
-
-    prof_vals = ", ".join(f"('{lang}', '{w}')"
-                          for lang in sorted(_LANG_PROFILES)
-                          for w in sorted(_LANG_PROFILES[lang]))
-    return f"""
-        WITH prof(lang, w) AS (VALUES {prof_vals}),
-        words AS (
-          SELECT DISTINCT doc_id, w FROM (
-            SELECT doc_id,
-                   unnest(list_filter(regexp_split_to_array(lower(text), '\\s+'),
-                                      x -> x <> '')) AS w
-            FROM documents)
-        ),
-        hits AS (
-          SELECT w.doc_id, p.lang, CAST(count(*) AS BIGINT) AS h
-          FROM words w JOIN prof p ON w.w = p.w GROUP BY 1, 2
-        ),
-        best AS (
-          SELECT doc_id, lang, h,
-                 row_number() OVER (PARTITION BY doc_id
-                                    ORDER BY h DESC, lang) AS rn
-          FROM hits
-        ),
-        scripts AS (
-          SELECT doc_id,
-                 CAST(length(text) - length(regexp_replace(text,
-                      '[\\x{{0400}}-\\x{{04FF}}]', '', 'g')) AS BIGINT) AS n_cyr,
-                 CAST(length(text) - length(regexp_replace(text,
-                      '[\\x{{4E00}}-\\x{{9FFF}}]', '', 'g')) AS BIGINT) AS n_cjk,
-                 greatest(CAST(length(text) - length(regexp_replace(text,
-                      '\\pL', '', 'g')) AS BIGINT), 1) AS n_alpha,
-                 length(text) AS n_len
-          FROM documents
-        )
-        SELECT s.doc_id,
-               CASE WHEN s.n_len = 0 THEN 'und'
-                    WHEN CAST(s.n_cyr AS DOUBLE) / s.n_alpha > 0.5 THEN 'sr'
-                    WHEN CAST(s.n_cjk AS DOUBLE) / s.n_alpha > 0.5 THEN 'zh'
-                    WHEN b.h IS NULL OR b.h = 0 THEN 'und'
-                    ELSE b.lang END AS lang_pred,
-               CASE WHEN s.n_len = 0 THEN 0.0
-                    WHEN CAST(s.n_cyr AS DOUBLE) / s.n_alpha > 0.5
-                         THEN CAST(s.n_cyr AS DOUBLE) / s.n_alpha
-                    WHEN CAST(s.n_cjk AS DOUBLE) / s.n_alpha > 0.5
-                         THEN CAST(s.n_cjk AS DOUBLE) / s.n_alpha
-                    WHEN b.h IS NULL OR b.h = 0 THEN 0.0
-                    ELSE CAST(b.h AS DOUBLE) / 10 END AS lang_conf
-        FROM scripts s LEFT JOIN (SELECT * FROM best WHERE rn = 1) b USING (doc_id)"""
 
 
 _STOP_LIST = "('the','a','of','and','to','in','is','on','for','with')"
@@ -299,30 +223,6 @@ SELECT d.doc_id,
        COALESCE(a.n_stop * 1.0 / a.n_words, 0.0) AS stop_ratio
 FROM documents d LEFT JOIN agg a USING (doc_id)
 """
-
-
-# md5-simhash twin (doc_simhash_md5; also the signature CTE for the banding
-# candidates oracle): bit-majority over md5-derived shingle hashes
-_SIMHASH_MD5_SQL = r"""
-            SELECT doc_id,
-                   CAST(sum(CASE WHEN vote > 0
-                            THEN (CAST(1 AS UBIGINT) << CAST(b AS INTEGER))
-                            ELSE 0 END) AS BIGINT) AS simhash
-            FROM (
-              SELECT doc_id, b,
-                     sum(CASE WHEN (hv >> b) & 1 = 1 THEN 1 ELSE -1 END) AS vote
-              FROM (
-                SELECT doc_id,
-                       CAST(('0x' || substr(md5(gram), 1, 16)) AS UBIGINT) AS hv
-                FROM (
-                  SELECT DISTINCT doc_id,
-                         substr(text, CAST(g AS INTEGER), 5) AS gram
-                  FROM (SELECT doc_id, text,
-                               unnest(generate_series(1, greatest(length(text)-4, 1))) AS g
-                        FROM documents)))
-              CROSS JOIN (SELECT unnest(generate_series(0, 62)) AS b)
-              GROUP BY doc_id, b)
-            GROUP BY doc_id"""
 
 
 # shared prefix for the near-dup clustering oracles: exact-Jaccard ≥ 0.5
@@ -372,32 +272,11 @@ def oracle_sql() -> dict[str, str]:
                         WHEN doc_id % 10 = 0 THEN 'test'
                         ELSE 'train' END AS split
             FROM documents""",
-        "doc_lev_reverse": """
-            SELECT doc_id, CAST(levenshtein(text, reverse(text)) AS BIGINT) AS lev_rev
-            FROM documents""",
         "doc_markup_roundtrip": r"""
             SELECT doc_id,
                    array_to_string(regexp_split_to_array(trim(text), '\s+'), ' ') AS sentence
             FROM documents""",
-        "doc_length_extremes": """
-            SELECT CAST(max(length(text)) AS BIGINT) AS longest,
-                   CAST(min(length(text)) AS BIGINT) AS shortest
-            FROM documents""",
-        "doc_prefix_sample": """
-            SELECT doc_id, CAST(length(text) AS BIGINT) AS n_chars
-            FROM documents ORDER BY doc_id LIMIT 100""",
-        "doc_dedup_exact": """
-            SELECT CAST(min(doc_id) AS BIGINT) AS doc_id, md5(text) AS content_md5
-            FROM documents GROUP BY md5(text)""",
         "doc_token_stats": _TOKEN_STATS_SQL,
-        "doc_langid": _langid_oracle_sql(),
-        "doc_scrub_pii": r"""
-            SELECT doc_id,
-                   regexp_replace(
-                     regexp_replace(text, '[\w.+-]+@[\w-]+\.[\w.]+',
-                                    '<EMAIL>', 'g'),
-                     '\pN{4,}', '<NUM>', 'g') AS scrubbed
-            FROM documents""",
         # Exact-Jaccard oracles for the LSH near-dup pipelines.  The engine
         # output is "LSH candidates, verified by exact Jaccard >= t"; on this
         # corpus similarity is bimodal (planted near-dups >= 0.9, background
@@ -419,98 +298,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT id_a, id_b, CAST(ix AS DOUBLE) / (sa.sz + sb.sz - ix) AS jaccard
             FROM inter
             JOIN sizes sa ON sa.doc_id = id_a JOIN sizes sb ON sb.doc_id = id_b
-            WHERE CAST(ix AS DOUBLE) / (sa.sz + sb.sz - ix) >= 0.5""",
-        "doc_ngram_jaccard_pairs": r"""
-            WITH toks AS (
-              SELECT doc_id,
-                     list_filter(regexp_split_to_array(text, '\s+'), x -> x <> '') AS t
-              FROM documents
-            ), grams AS (
-              SELECT DISTINCT doc_id,
-                     CASE WHEN len(t) < 3 THEN array_to_string(t, ' ')
-                          ELSE array_to_string(t[CAST(g AS BIGINT):CAST(g AS BIGINT)+2], ' ')
-                     END AS gram
-              FROM (SELECT doc_id, t,
-                           unnest(generate_series(1, greatest(len(t)-2, 1))) AS g
-                    FROM toks)
-            ), sizes AS (SELECT doc_id, count(*) AS sz FROM grams GROUP BY doc_id),
-            inter AS (
-              SELECT a.doc_id AS id_a, b.doc_id AS id_b, count(*) AS ix
-              FROM grams a JOIN grams b ON a.gram = b.gram AND a.doc_id < b.doc_id
-              GROUP BY 1, 2)
-            SELECT id_a, id_b, CAST(ix AS DOUBLE) / (sa.sz + sb.sz - ix) AS jaccard
-            FROM inter
-            JOIN sizes sa ON sa.doc_id = id_a JOIN sizes sb ON sb.doc_id = id_b
-            WHERE CAST(ix AS DOUBLE) / (sa.sz + sb.sz - ix) >= 0.3""",
-        "doc_fingerprint": r"""
-            WITH grams AS (
-              SELECT DISTINCT doc_id, substr(text, CAST(g AS INTEGER), 8) AS gram
-              FROM (SELECT doc_id, text,
-                           unnest(generate_series(1, greatest(length(text)-7, 1))) AS g
-                    FROM documents))
-            SELECT d.doc_id, md5(d.text) AS content_md5, m.fp_min
-            FROM documents d
-            JOIN (SELECT doc_id, min(md5(gram)) AS fp_min
-                  FROM grams GROUP BY doc_id) m USING (doc_id)""",
-        # MOSS winnowing (k=8 char grams, window w=4): per window the min
-        # md5 digest, rightmost position on ties; distinct (doc_id,pos,fp).
-        # Same short-doc gram convention as doc_fingerprint (substr pads).
-        "doc_winnowing": r"""
-            WITH g AS (
-              SELECT doc_id, CAST(i AS BIGINT) AS pos,
-                     md5(substr(text, CAST(i AS INTEGER), 8)) AS h
-              FROM (SELECT doc_id, text,
-                           unnest(generate_series(1, greatest(length(text) - 7, 1))) AS i
-                    FROM documents)
-            ), n AS (
-              SELECT doc_id, CAST(count(*) AS BIGINT) AS ng
-              FROM g GROUP BY doc_id
-            ), wins AS (
-              SELECT doc_id, CAST(wi AS BIGINT) AS win
-              FROM (SELECT doc_id,
-                           unnest(generate_series(1, greatest(ng - 3, 1))) AS wi
-                    FROM n)
-            ), sel AS (
-              SELECT w.doc_id, g.pos, g.h,
-                     ROW_NUMBER() OVER (PARTITION BY w.doc_id, w.win
-                                        ORDER BY g.h ASC, g.pos DESC) AS rn
-              FROM wins w JOIN g ON g.doc_id = w.doc_id
-                                AND g.pos BETWEEN w.win AND w.win + 3)
-            SELECT DISTINCT doc_id, pos, h AS fp FROM sel WHERE rn = 1""",
-        # MOSS near-dup pairs: exact Jaccard >= 0.5 over the winnowing
-        # fingerprint SETS (same selection CTE as doc_winnowing)
-        "doc_winnowing_dups": r"""
-            WITH g AS (
-              SELECT doc_id, CAST(i AS BIGINT) AS pos,
-                     md5(substr(text, CAST(i AS INTEGER), 8)) AS h
-              FROM (SELECT doc_id, text,
-                           unnest(generate_series(1, greatest(length(text) - 7, 1))) AS i
-                    FROM documents)
-            ), n AS (
-              SELECT doc_id, CAST(count(*) AS BIGINT) AS ng
-              FROM g GROUP BY doc_id
-            ), wins AS (
-              SELECT doc_id, CAST(wi AS BIGINT) AS win
-              FROM (SELECT doc_id,
-                           unnest(generate_series(1, greatest(ng - 3, 1))) AS wi
-                    FROM n)
-            ), sel AS (
-              SELECT w.doc_id, g.pos, g.h,
-                     ROW_NUMBER() OVER (PARTITION BY w.doc_id, w.win
-                                        ORDER BY g.h ASC, g.pos DESC) AS rn
-              FROM wins w JOIN g ON g.doc_id = w.doc_id
-                                AND g.pos BETWEEN w.win AND w.win + 3
-            ), fps AS (SELECT DISTINCT doc_id, h FROM sel WHERE rn = 1),
-            sizes AS (SELECT doc_id, count(*) AS sz FROM fps GROUP BY doc_id),
-            inter AS (
-              SELECT a.doc_id AS id_a, b.doc_id AS id_b, count(*) AS ix
-              FROM fps a JOIN fps b ON a.h = b.h AND a.doc_id < b.doc_id
-              GROUP BY 1, 2)
-            SELECT id_a, id_b,
-                   CAST(ix AS DOUBLE) / (sa.sz + sb.sz - ix) AS jaccard
-            FROM inter
-            JOIN sizes sa ON sa.doc_id = id_a
-            JOIN sizes sb ON sb.doc_id = id_b
             WHERE CAST(ix AS DOUBLE) / (sa.sz + sb.sz - ix) >= 0.5""",
         "doc_quality": f"""
             WITH s AS ({_TOKEN_STATS_SQL})
@@ -538,23 +325,6 @@ def oracle_sql() -> dict[str, str]:
                                        ORDER BY quality, doc_id) AS BIGINT)
                        AS tier
             FROM q""",
-        # simhash bit-majority over md5-derived shingle hashes (top 64 digest
-        # bits); bits 0..62 only — the engine masks bit 63 off for Arrow int64
-        "doc_simhash_md5": _SIMHASH_MD5_SQL,
-        # chunk-banding candidates + hamming verify over the same md5
-        # signatures: shares-any-8-bit-chunk pair generation, hamming ≤ 8
-        "doc_simhash_candidates_md5": f"""
-            WITH s AS ({_SIMHASH_MD5_SQL}),
-            cand AS (
-              SELECT a.doc_id AS id_a, b.doc_id AS id_b,
-                     a.simhash AS x, b.simhash AS y
-              FROM s a JOIN s b ON a.doc_id < b.doc_id
-              WHERE EXISTS (
-                SELECT 1 FROM (SELECT unnest(generate_series(0, 7)) AS c)
-                WHERE (a.simhash >> CAST(8*c AS INTEGER)) & 255
-                      = (b.simhash >> CAST(8*c AS INTEGER)) & 255))
-            SELECT id_a, id_b, CAST(bit_count(xor(x, y)) AS BIGINT) AS hamming
-            FROM cand WHERE bit_count(xor(x, y)) <= 8""",
         # connected components over the exact-Jaccard ≥ 0.5 edge set (same
         # edge CTE as doc_minhash_pairs); component = min doc_id, computed by
         # transitive-closure min over the recursive reachability set
@@ -568,27 +338,4 @@ def oracle_sql() -> dict[str, str]:
               FROM (SELECT node, least(node, min(r)) AS component
                     FROM reach GROUP BY node)
               WHERE node <> component)""",
-        # keep-best curation dedup: the cluster survivor is the max-quality
-        # member (quality DESC, doc_id ASC) instead of the min id
-        "doc_dedup_keep_best": _CC_ORACLE + f""",
-            comp AS (SELECT node, least(node, min(r)) AS component
-                     FROM reach GROUP BY node),
-            q AS (
-              SELECT s.doc_id,
-                     0.25 * (least(s.n_chars / 200.0, 1.0)
-                             + least(s.n_words / 30.0, 1.0)
-                             + CASE WHEN s.mean_word_len >= 2.0
-                                         AND s.mean_word_len <= 12.0
-                                    THEN 1.0 ELSE 0.5 END
-                             + CASE WHEN s.stop_ratio > 0.0
-                                    THEN 1.0 ELSE 0.6 END) AS quality
-              FROM ({_TOKEN_STATS_SQL}) s),
-            ranked AS (
-              SELECT c.node,
-                     ROW_NUMBER() OVER (PARTITION BY c.component
-                                        ORDER BY q.quality DESC, c.node ASC)
-                         AS rn
-              FROM comp c JOIN q ON q.doc_id = c.node)
-            SELECT doc_id FROM documents
-            WHERE doc_id NOT IN (SELECT node FROM ranked WHERE rn > 1)""",
     }

@@ -28,12 +28,9 @@ NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 
 # The representative query suite; every name must be a ``queries()`` key.
 BENCH_QUERIES = (
-    "doc_token_counts", "doc_normalize_ws", "doc_dedup_exact",
-    "doc_token_stats", "doc_lev_reverse", "doc_simhash", "doc_minhash_pairs",
-    "doc_ngram_jaccard_pairs", "doc_langid", "doc_fingerprint",
-    "doc_scrub_pii", "training_feed", "doc_null_corrector_cer",
+    "doc_token_counts", "doc_normalize_ws", "doc_token_stats",
+    "doc_minhash_pairs", "training_feed", "doc_null_corrector_cer",
     "doc_dup_components", "doc_dedup_near", "doc_quality_tiers",
-    "doc_winnowing", "doc_winnowing_fast", "doc_dedup_keep_best",
     "flagship_tiered",
 )
 

@@ -16,8 +16,9 @@ they run today):
 | ``NeuralCorrector.load_from_checkpoint`` | ``convert-ckpt`` (torch-free .ckpt → model dir) |
 | — | ``synth`` (deterministic test pages) |
 
-The CLI owns the Ray session (``ray.init(address="local")``); library code
-never does.  All outputs are partitioned parquet.
+The CLI owns the Ray session (``ray.init(address="local")``) unless its
+caller already started one, which it reuses and leaves running; library code
+never starts one.  All outputs are partitioned parquet.
 """
 
 from __future__ import annotations
@@ -29,15 +30,18 @@ import sys
 
 
 def _ray_session(num_cpus: int | None):
+    """(ray, started): ``started`` is False when the caller's session is
+    reused — that session is the caller's to shut down, not ours."""
     import ray
 
-    if not ray.is_initialized():
+    started = not ray.is_initialized()
+    if started:
         ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
                  logging_level="ERROR")
     import ray.data
 
     ray.data.DataContext.get_current().enable_progress_bars = False
-    return ray
+    return ray, started
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -161,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {args.n} pages to {args.out}")
         return 0
 
-    ray = _ray_session(args.num_cpus)
+    ray, started = _ray_session(args.num_cpus)
     import ray.data
 
     try:
@@ -304,6 +308,25 @@ def main(argv: list[str] | None = None) -> int:
             import shutil
 
             lsh_params = dict(n_hashes=64, bands=16, k_shingle=5)
+
+            def _sigstore_meta(store_dir):
+                return os.path.join(store_dir, "_sigstore", "meta.json")
+
+            # a persisted signature store is checked before any wave work:
+            # a mismatch is refused with nothing shingled or written
+            has_sigstore = bool(args.against) and os.path.exists(
+                _sigstore_meta(args.against))
+            if has_sigstore:
+                with open(_sigstore_meta(args.against), encoding="utf-8") as f:
+                    meta = json.load(f)
+                want = {**lsh_params, "id_col": args.id_col}
+                got = {k: meta.get(k) for k in want}
+                if got != want:
+                    raise SystemExit(
+                        f"sigstore params {got} != run params {want}; "
+                        "signatures are not comparable across parameter "
+                        "sets — rerun without the persisted store")
+
             docs = ray.data.read_parquet(
                 args.documents, columns=[args.id_col, args.text_col])
 
@@ -311,9 +334,6 @@ def main(argv: list[str] | None = None) -> int:
                 return minhash_duplicate_pairs(
                     ds, text_col=args.text_col, id_col=args.id_col,
                     jaccard_threshold=args.threshold, **lsh_params)
-
-            def _sigstore_meta(store_dir):
-                return os.path.join(store_dir, "_sigstore", "meta.json")
 
             # shingle the wave ONCE: the full wave's deterministic LSH state
             # goes to a tmp store first (idempotent: any stale tmp/final
@@ -340,20 +360,10 @@ def main(argv: list[str] | None = None) -> int:
 
                 store_ids = read_output_ds(args.against) \
                     .map_batches(_proj_id, batch_format="pyarrow")
-                meta_path = _sigstore_meta(args.against)
-                if os.path.exists(meta_path):
+                if has_sigstore:
                     # persisted signature store: candidate generation +
                     # verification never touch store TEXT again — the wave's
                     # cost is O(new docs), not O(store + new docs)
-                    with open(meta_path, encoding="utf-8") as f:
-                        meta = json.load(f)
-                    want = {**lsh_params, "id_col": args.id_col}
-                    got = {k: meta.get(k) for k in want}
-                    if got != want:
-                        raise SystemExit(
-                            f"sigstore params {got} != run params {want}; "
-                            "signatures are not comparable across parameter "
-                            "sets — rerun without the persisted store")
                     store_bands = ray.data.read_parquet(
                         os.path.join(args.against, "_sigstore", "bands"))
                     store_sigs = ray.data.read_parquet(
@@ -426,7 +436,8 @@ def main(argv: list[str] | None = None) -> int:
             ds.write_parquet(args.out_dir)
             print(f"collated batches written to {args.out_dir}")
     finally:
-        ray.shutdown()
+        if started:
+            ray.shutdown()
     return 0
 
 

@@ -141,32 +141,7 @@ def normalized_edit_distance(incorrect: str, correct: str, banded: bool = True) 
     return dist / len(correct)
 
 
-def levenshtein(s1: str, s2: str) -> int:
-    """Plain Levenshtein (no transposition) — engine extension.
-
-    Used where an ANSI-SQL oracle must agree exactly (DuckDB ``levenshtein``);
-    the reference's OSA metric has no SQL equivalent (DuckDB's
-    ``damerau_levenshtein`` is true DL, not OSA).
-    """
-    a = np.frombuffer(s1.encode("utf-32-le"), dtype="<u4") if s1 else np.empty(0, "<u4")
-    b = np.frombuffer(s2.encode("utf-32-le"), dtype="<u4") if s2 else np.empty(0, "<u4")
-    m, n = len(a), len(b)
-    if m == 0:
-        return n
-    if n == 0:
-        return m
-    prev = np.arange(n + 1, dtype=np.int64)
-    for i in range(1, m + 1):
-        sub = (a[i - 1] != b).astype(np.int64)
-        cand = np.empty(n + 1, dtype=np.int64)
-        cand[0] = prev[0] + 1
-        cand[1:] = np.minimum(prev[1:] + 1, prev[:-1] + sub)
-        prev = _left_propagate(cand)
-    return int(prev[-1])
-
-
-def edit_distance_batch(query: str, candidates: list[str], *,
-                        transpositions: bool = True) -> np.ndarray:
+def edit_distance_batch(query: str, candidates: list[str]) -> np.ndarray:
     """OSA distance from ``query`` to each candidate, DP batched across candidates.
 
     All candidates are padded to the max candidate length with a sentinel that
@@ -174,11 +149,6 @@ def edit_distance_batch(query: str, candidates: list[str], *,
     work is NumPy-vectorized across the whole candidate set.  This is the hot
     kernel of the dictionary corrector's nearest-word scan (reference
     dictionary_corrector.py:86-98 does a Python-level scan per vocab entry).
-
-    ``transpositions=False`` drops the swap transition → plain Levenshtein
-    (the SQL-oracle twin metric of the partitioned dictionary join: DuckDB's
-    ``damerau_levenshtein`` is the UNRESTRICTED variant, not OSA, so
-    ``levenshtein`` is the only shared metric).
     """
     if not candidates:
         return np.empty(0, dtype=np.int64)
@@ -201,7 +171,7 @@ def edit_distance_batch(query: str, candidates: list[str], *,
         cand = np.empty((k, n_max + 1), dtype=np.int64)
         cand[:, 0] = prev[:, 0] + 1
         cand[:, 1:] = np.minimum(prev[:, 1:] + 1, prev[:, :-1] + sub)
-        if transpositions and i >= 2:
+        if i >= 2:
             swap_ok = (cmat[:, :-1] == q[i - 1]) & (cmat[:, 1:] == q[i - 2])
             swap = prev2[:, :-2] + COST_SWAP
             cand[:, 2:] = np.minimum(cand[:, 2:], np.where(swap_ok, swap, _BIG))

@@ -84,7 +84,7 @@ def partition_of_array(arr, num_partitions: int) -> np.ndarray:
     return (polyhash_u64_array(arr) % np.uint64(num_partitions)).astype(np.int64)
 
 
-# --- vectorized multiply-shift hashing for minhash/simhash --------------------
+# --- vectorized multiply-shift hashing for minhash ----------------------------
 
 
 def hash_u64_array(values: np.ndarray, seed: int) -> np.ndarray:
@@ -101,18 +101,6 @@ def hash_u64_array(values: np.ndarray, seed: int) -> np.ndarray:
     x *= np.uint64(0x94D049BB133111EB)
     x ^= x >> np.uint64(31)
     return x
-
-
-def word_ngram_hashes(text: str, n: int = 3) -> np.ndarray:
-    """Hashes of word n-grams (whitespace tokens), deduplicated — the
-    token-level counterpart of char shingles for n-gram Jaccard dedup."""
-    toks = text.split()
-    if len(toks) < n:
-        base = " ".join(toks) if toks else "\x00"
-        return np.array([stable_hash_u64(base)], dtype=np.uint64)
-    grams = [" ".join(toks[i : i + n]) for i in range(len(toks) - n + 1)]
-    vals = np.array([stable_hash_u64(g) for g in grams], dtype=np.uint64)
-    return np.unique(vals)
 
 
 def shingle_hashes(text: str, k: int = 5) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Document-table pipelines: reference text semantics, dedup, quality and
-text statistics over the ``documents`` test table (doc_id, text, lang, source,
-n_chars).
+"""Document-table pipelines over the ``documents`` test table (doc_id, text,
+lang, source, n_chars): the reference's text semantics, and the dedup,
+quality and tier operators that the ``dedup`` and ``tiers`` commands run.
 
 Each function takes ``sf_dir`` and returns a Dataset / Arrow table; SQL
 oracles (where expressible) live in __ray_entry__.
@@ -16,7 +16,6 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..functions.edit_distance import levenshtein
 from ..functions.noise import mutilate_keyed
 from ..functions.text import normalize_whitespace
 from ..sources.markup import markup_to_sentences_batch
@@ -85,32 +84,6 @@ def doc_split_assignment(sf_dir: str) -> ray.data.Dataset:
     return ds.map_batches(f, batch_format="pyarrow")
 
 
-def doc_lev_reverse(sf_dir: str) -> ray.data.Dataset:
-    """Levenshtein(text, reverse(text)) — exercises the plain-lev kernel with
-    an exact SQL twin (DuckDB ``levenshtein``)."""
-    ds = _docs(sf_dir, ["doc_id", "text"])
-
-    def f(batch: pa.Table) -> pa.Table:
-        vals = [levenshtein(t or "", (t or "")[::-1])
-                for t in batch.column("text").to_pylist()]
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "lev_rev": pa.array(vals, pa.int64())})
-
-    return ds.map_batches(f, batch_format="pyarrow")
-
-
-def doc_dedup_exact(sf_dir: str) -> ray.data.Dataset:
-    """Exact dedup: min doc_id per md5(text) (SQL-twin groupby), via coarse
-    hash partitions (content-hash cardinality ≈ row count)."""
-    from ..stages.shuffle import grouped_agg
-
-    ds = _docs(sf_dir, ["doc_id", "text"])
-    hashed = ds.map_batches(dd.add_md5_column, batch_format="pyarrow") \
-        .map_batches(lambda b: b.select(["doc_id", "content_md5"]),
-                     batch_format="pyarrow")
-    return grouped_agg(hashed, ["content_md5"], {"doc_id": ("doc_id", "min")})
-
-
 def doc_token_stats(sf_dir: str) -> ray.data.Dataset:
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(
         ts.token_stats_batch, batch_format="pyarrow")
@@ -119,64 +92,6 @@ def doc_token_stats(sf_dir: str) -> ray.data.Dataset:
 def doc_quality(sf_dir: str) -> ray.data.Dataset:
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(
         ts.quality_score_batch, batch_format="pyarrow")
-
-
-def doc_langid(sf_dir: str) -> ray.data.Dataset:
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        ts.langid_batch, batch_format="pyarrow")
-
-
-def doc_fingerprint(sf_dir: str) -> ray.data.Dataset:
-    """MD5 content + min-k-gram-md5 fingerprint (exact SQL twin)."""
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        ts.fingerprint_batch, batch_format="pyarrow")
-
-
-def doc_fingerprint_rolling(sf_dir: str) -> ray.data.Dataset:
-    """uint64 rolling-hash fingerprint (vectorized scale variant, no SQL twin)."""
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        ts.fingerprint_rolling_batch, batch_format="pyarrow")
-
-
-def doc_winnowing(sf_dir: str) -> ray.data.Dataset:
-    """MOSS winnowing fingerprints (Schleimer et al., SIGMOD 2003), md5
-    variant: one fingerprint per window of w=4 consecutive k=8-char-gram
-    digests — the min, rightmost on ties.  Exact SQL twin (window join +
-    ROW_NUMBER).  Scale sibling: doc_winnowing_fast."""
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        ts.winnowing_batch, batch_format="pyarrow")
-
-
-def doc_winnowing_fast(sf_dir: str) -> ray.data.Dataset:
-    """uint64 rolling-hash winnowing — the vectorized 100-TB default (no SQL
-    twin; coverage guarantee + determinism pytest-pinned)."""
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        ts.winnowing_fast_batch, batch_format="pyarrow")
-
-
-def doc_winnowing_dups(sf_dir: str) -> ray.data.Dataset:
-    """MOSS near-dup pairs: exact Jaccard ≥ 0.5 over winnowing fingerprint
-    sets (fp-keyed pair exchange + pair-keyed count sum + co-partitioned
-    size joins — stages/dedup.py::winnowing_jaccard_pairs).  Exact SQL
-    twin; the 3rd candidate-generation family next to MinHash bands and
-    SimHash bands."""
-    return dd.winnowing_jaccard_pairs(_docs(sf_dir, ["doc_id", "text"]))
-
-
-def doc_scrub_pii(sf_dir: str) -> ray.data.Dataset:
-    """Email/number scrubbing with typed placeholders (SQL twin)."""
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        ts.scrub_pii_batch, batch_format="pyarrow")
-
-
-def doc_simhash(sf_dir: str) -> ray.data.Dataset:
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        dd.simhash_batch, batch_format="pyarrow")
-
-
-def doc_simhash_candidates(sf_dir: str) -> ray.data.Dataset:
-    return dd.simhash_candidates(_docs(sf_dir, ["doc_id", "text"]),
-                                 max_hamming=8, n_chunks=8)
 
 
 def doc_minhash_pairs(sf_dir: str) -> ray.data.Dataset:
@@ -192,44 +107,11 @@ def doc_minhash_pairs(sf_dir: str) -> ray.data.Dataset:
     driver-side corpus dict.  With verify-exact semantics and the corpus's
     bimodal similarity (near-dups ≥ 0.9, background ≤ 0.31), LSH recall at
     the 0.5 threshold is 1 − (1 − 0.9⁴)¹⁶ ≈ 1 − 4e-8, so the result equals
-    the exact-Jaccard SQL oracle (pinned in CORRECTNESS)."""
+    the exact-Jaccard SQL oracle (pinned in CORRECTNESS).  It is also the
+    edge list that ``doc_dup_components`` and ``doc_dedup_near`` cluster."""
     return dd.minhash_duplicate_pairs(
         _docs(sf_dir, ["doc_id", "text"]), n_hashes=64, bands=16, k_shingle=5,
         jaccard_threshold=0.5)
-
-
-def doc_length_extremes(sf_dir: str) -> pa.Table:
-    """Global max/min text length (the reference's longest-sentence stat,
-    to_plain_text.py:41,45 — A6) as a per-batch partial → tiny final reduce."""
-    ds = _docs(sf_dir, ["text"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        lens = pc.utf8_length(batch.column("text")).cast(pa.int64())
-        return pa.table({"mx": pa.array([pc.max(lens).as_py() or 0], pa.int64()),
-                         "mn": pa.array([pc.min(lens).as_py() or 0], pa.int64())})
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").take_all()
-    return pa.table({"longest": pa.array([max(p["mx"] for p in parts)], pa.int64()),
-                     "shortest": pa.array([min(p["mn"] for p in parts)], pa.int64())})
-
-
-def doc_prefix_sample(sf_dir: str, n: int = 100) -> ray.data.Dataset:
-    """Deterministic prefix sample by id (the reference's 100-row probe,
-    corrector_dataset.py:74-79 — O4) with per-row char counts."""
-    ds = _docs(sf_dir, ["doc_id", "text"]).sort("doc_id").limit(n)
-
-    def f(batch: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "n_chars": pc.utf8_length(batch.column("text")).cast(pa.int64())})
-
-    return ds.map_batches(f, batch_format="pyarrow")
-
-
-def doc_ngram_jaccard_pairs(sf_dir: str) -> ray.data.Dataset:
-    """Word-3-gram Jaccard near-dup pairs (token-level dedup variant);
-    distributed signature-join verification, exact-Jaccard SQL oracle."""
-    return dd.ngram_jaccard_pairs(_docs(sf_dir, ["doc_id", "text"]), n_gram=3,
-                                  jaccard_threshold=0.3)
 
 
 def doc_minhash_bucket_stats(sf_dir: str) -> pa.Table:
@@ -306,22 +188,13 @@ def doc_markup_roundtrip(sf_dir: str) -> ray.data.Dataset:
     return parsed.map_batches(project, batch_format="pyarrow")
 
 
-def _near_dup_pairs(sf_dir: str) -> ray.data.Dataset:
-    """The calibrated MinHash-LSH verified pair set (doc_minhash_pairs) used
-    as the edge list for clustering — exact-Jaccard-equal at the 0.5
-    threshold (recall analysis in doc_minhash_pairs docstring)."""
-    return dd.minhash_duplicate_pairs(
-        _docs(sf_dir, ["doc_id", "text"]), n_hashes=64, bands=16, k_shingle=5,
-        jaccard_threshold=0.5)
-
-
 def doc_dup_components(sf_dir: str) -> ray.data.Dataset:
     """Near-dup clusters: verified pair edges contracted to (node, component)
     by alternating large-star/small-star rounds (stages/components.py);
     component = min doc_id.  DuckDB recursive-CTE oracle."""
     from ..stages.components import connected_components
 
-    return connected_components(_near_dup_pairs(sf_dir))
+    return connected_components(doc_minhash_pairs(sf_dir))
 
 
 def doc_dedup_near(sf_dir: str) -> ray.data.Dataset:
@@ -330,38 +203,7 @@ def doc_dedup_near(sf_dir: str) -> ray.data.Dataset:
     co-partitioned anti join (never collected on the driver)."""
     from ..stages.components import near_dedup
 
-    return near_dedup(_docs(sf_dir, ["doc_id"]), _near_dup_pairs(sf_dir))
-
-
-def doc_dedup_keep_best(sf_dir: str) -> ray.data.Dataset:
-    """Near-duplicate dedup keeping each cluster's HIGHEST-QUALITY member
-    (quality DESC, doc_id ASC on ties) — the curation variant of
-    doc_dedup_near: real web pipelines keep the best page of a dup cluster,
-    not the lowest id.  Pairs → components → co-partitioned score join →
-    component-keyed winner exchange → anti join; the score table is joined,
-    never broadcast."""
-    from ..stages.components import near_dedup_by_score
-
-    scores = doc_quality(sf_dir).map_batches(
-        lambda b: b.select(["doc_id", "quality"]), batch_format="pyarrow")
-    return near_dedup_by_score(_docs(sf_dir, ["doc_id"]),
-                               _near_dup_pairs(sf_dir), scores)
-
-
-def doc_simhash_md5(sf_dir: str) -> ray.data.Dataset:
-    """SimHash with md5 shingle hashes — the SQL-oracle twin of doc_simhash,
-    hash-verifying the bit-majority machinery (stages/dedup.py)."""
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        dd.simhash_md5_batch, batch_format="pyarrow")
-
-
-def doc_simhash_candidates_md5(sf_dir: str) -> ray.data.Dataset:
-    """SimHash banding + hamming verify over the md5 signature kernel — the
-    SQL-oracle twin of doc_simhash_candidates, hash-verifying the chunk
-    bucketing and vectorized hamming machinery end-to-end."""
-    return dd.simhash_candidates(_docs(sf_dir, ["doc_id", "text"]),
-                                 max_hamming=8, n_chunks=8,
-                                 sig_batch_fn=dd.simhash_md5_batch)
+    return near_dedup(_docs(sf_dir, ["doc_id"]), doc_minhash_pairs(sf_dir))
 
 
 def doc_quality_tiers(sf_dir: str, n: int = 3) -> ray.data.Dataset:

@@ -380,59 +380,3 @@ def near_dedup_incremental(new_docs: ray.data.Dataset,
         num_partitions=num_partitions), num_partitions)
     return hash_join(new_docs, losers, on=id_col, how="anti",
                      num_partitions=num_partitions)
-
-
-def near_dedup_by_score(docs: ray.data.Dataset, pairs: ray.data.Dataset,
-                        scores: ray.data.Dataset, *,
-                        id_col: str = "doc_id", score_col: str = "quality",
-                        u_col: str = "id_a", v_col: str = "id_b",
-                        num_partitions: int = DEFAULT_PARTITIONS
-                        ) -> ray.data.Dataset:
-    """Near-dup dedup keeping the BEST-scoring member of each cluster
-    (score DESC, id ASC on ties) instead of the min-id member — the curation
-    variant real web pipelines use (keep the highest-quality page of a dup
-    cluster, drop the rest; cf. CCNet/C4 keep-one-of-dups with a quality
-    preference).  ``scores`` is a (id_col, score_col) dataset — typically
-    the quality-score pipeline's output, NOT broadcast: it is joined
-    co-partitioned, so an arbitrarily large score table works.
-
-    A member with no score row (or a null score) ranks below every scored
-    member of its cluster; among unscored members the smaller id wins.
-
-    Dataflow: pairs → connected components (tiny clustered-node set) →
-    co-partitioned left join with scores → component-keyed exchange picks
-    each cluster's winner vectorized → losers anti-join the corpus.  Nothing
-    is collected on the driver.  Ties cannot diverge from the SQL twin:
-    both sides compute the score with the same IEEE double ops from the
-    same integers, so equal inputs give bit-equal scores on both sides.
-    """
-    from .joins import hash_join
-
-    pairs = _pin(pairs, num_partitions)
-    comp = connected_components(pairs, u_col=u_col, v_col=v_col,
-                                num_partitions=num_partitions)
-
-    def as_ids(batch: pa.Table) -> pa.Table:
-        return pa.table({id_col: batch.column("node"),
-                         "component": batch.column("component")})
-
-    members = comp.map_batches(as_ids, batch_format="pyarrow")
-    scored = hash_join(members, scores, on=id_col, how="left",
-                       num_partitions=num_partitions)
-
-    def losers(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame({id_col: pd.Series([], dtype=np.int64)})
-        if score_col not in df:  # schema-less empty score table: all unscored
-            df = df.assign(**{score_col: np.nan})
-        order = df.sort_values([score_col, id_col],
-                               ascending=[False, True], na_position="last",
-                               kind="mergesort")
-        keep = order.drop_duplicates("component")[id_col]
-        lose = df.loc[~df[id_col].isin(keep), [id_col]]
-        return lose.astype({id_col: "int64"})
-
-    lost = _pin(grouped_apply(scored, ["component"], losers,
-                              num_partitions=num_partitions), num_partitions)
-    return hash_join(docs, lost, on=id_col, how="anti",
-                     num_partitions=num_partitions)

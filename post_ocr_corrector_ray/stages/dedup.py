@@ -1,23 +1,18 @@
-"""Deduplication stages: exact, MinHash+LSH, SimHash, n-gram Jaccard.
+"""Near-duplicate detection: MinHash + LSH over character shingles.
 
-Engine extensions for training-data pipelines (the reference's only dedup is
-the distinct-char aggregate, SURVEY.md §2.7).  Scale posture:
-
-- **exact**: md5 content-hash column (``add_md5_column``); the caller's ONE
-  hash-shuffle aggregate keeps the min id per hash
-  (pipelines/documents.py::doc_dedup_exact), moving (hash, id) projections,
-  not payloads.
-- **MinHash+LSH**: shingle→minhash signatures per batch (NumPy, no shuffle),
-  exploded to (band_id, band_hash, id) rows — b×rows small ints — then ONE
-  ``groupby(band)`` produces candidate groups; candidates are verified with
-  exact Jaccard inside the group task.  No all-pairs anywhere.
-- **SimHash**: 64-bit signatures per batch; near-dup candidates via banded
-  16-bit chunks (same LSH groupby shape).
+Engine extension for the ``dedup`` command (the reference's only dedup is the
+distinct-char aggregate, SURVEY.md §2.7).  Scale posture: shingle→minhash
+signatures per batch (NumPy, no shuffle), exploded to (band_id, band_hash, id)
+rows — b×rows small ints — then ONE coarse-partitioned bucket exchange
+produces candidate pairs, verified with exact Jaccard through the
+distributed signature join.  No all-pairs anywhere, and the corpus never
+reaches the driver.  ``signature_store_tables`` and
+``minhash_duplicate_pairs_incremental`` persist and reuse that state for
+``dedup --against``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -25,13 +20,6 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.hashing import hash_u64_array, shingle_hashes
-
-
-def add_md5_column(batch: pa.Table, *, text_col: str = "text",
-                   out_col: str = "content_md5") -> pa.Table:
-    vals = [hashlib.md5((t or "").encode("utf-8")).hexdigest()
-            for t in batch.column(text_col).to_pylist()]
-    return batch.append_column(out_col, pa.array(vals, pa.string()))
 
 
 # --- MinHash + LSH ------------------------------------------------------------
@@ -46,7 +34,7 @@ def minhash_signatures(hash_sets: list[np.ndarray], n_hashes: int) -> np.ndarray
     if n == 0:
         return np.empty((0, n_hashes), dtype=np.uint64)
     lens = np.fromiter((a.size for a in hash_sets), dtype=np.int64, count=n)
-    assert (lens > 0).all()  # shingle/word-gram hashes always emit >= 1
+    assert (lens > 0).all()  # shingle_hashes always emits >= 1
     flat = np.concatenate(hash_sets)
     starts = np.concatenate(([0], np.cumsum(lens)))[:-1]
     sig = np.empty((n, n_hashes), dtype=np.uint64)
@@ -91,54 +79,6 @@ def _jaccard(a: str, b: str, k: int) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def word_ngram_jaccard(a: str, b: str, n: int = 3) -> float:
-    """Exact Jaccard over word n-grams (token-level near-dup measure)."""
-    from ..functions.hashing import word_ngram_hashes
-
-    sa = set(word_ngram_hashes(a, n=n).tolist())
-    sb = set(word_ngram_hashes(b, n=n).tolist())
-    if not sa and not sb:
-        return 1.0
-    return len(sa & sb) / len(sa | sb)
-
-
-def ngram_jaccard_pairs(ds: ray.data.Dataset, *, text_col: str = "text",
-                        id_col: str = "doc_id", n_gram: int = 3,
-                        n_hashes: int = 64, bands: int = 16,
-                        jaccard_threshold: float = 0.3,
-                        verify: bool = True) -> ray.data.Dataset:
-    """Word-n-gram Jaccard near-dup pairs: MinHash-LSH candidate generation
-    over word n-gram hashes, verified with exact token-level Jaccard via the
-    distributed signature join (``verify_pairs_payload`` — no driver-side
-    corpus dict; the round-1 scale defect is gone)."""
-    from ..functions.hashing import word_ngram_hashes
-
-    def bands_batch(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        ids = np.asarray(batch.column(id_col).to_pylist(), dtype=np.int64)
-        sig = minhash_signatures([word_ngram_hashes(t or "", n=n_gram)
-                                  for t in texts], n_hashes)
-        bh = band_hashes(sig, bands, seed_base=2000)
-        n = len(ids)
-        return pa.table({
-            "band_id": pa.array(np.tile(np.arange(bands, dtype=np.int32), n)),
-            "band_hash": pa.array(bh.ravel(), pa.int64()),
-            id_col: pa.array(np.repeat(ids, bands), pa.int64())})
-
-    if not verify:
-        return _bucket_pairs_partitioned(
-            ds.map_batches(bands_batch, batch_format="pyarrow"),
-            ["band_id", "band_hash"], id_col)
-    cand = _bucket_pairs_partitioned(
-        ds.map_batches(bands_batch, batch_format="pyarrow"),
-        ["band_id", "band_hash"], id_col, distinct=False)
-    sigs = word_ngram_signatures(ds, text_col=text_col, id_col=id_col,
-                                 n_gram=n_gram)
-    return verify_pairs_payload(cand, sigs, id_col=id_col,
-                                score_fn=jaccard_from_signatures,
-                                threshold=jaccard_threshold, out_col="jaccard")
-
-
 MAX_BUCKET = 64          # LSH buckets larger than this are boilerplate collisions
 _PAIR_PARTITIONS = 64    # coarse partitions for vectorized bucket-joins
 
@@ -168,19 +108,6 @@ def shingle_signatures(ds: ray.data.Dataset, *, text_col: str = "text",
 
     def f(batch: pa.Table) -> pa.Table:
         sigs = [signature_bytes(shingle_hashes(t or "", k=k_shingle))
-                for t in batch.column(text_col).to_pylist()]
-        return pa.table({id_col: batch.column(id_col),
-                         "sig": pa.array(sigs, pa.binary())})
-
-    return ds.map_batches(f, batch_format="pyarrow")
-
-
-def word_ngram_signatures(ds: ray.data.Dataset, *, text_col: str = "text",
-                          id_col: str = "doc_id", n_gram: int = 3) -> ray.data.Dataset:
-    from ..functions.hashing import word_ngram_hashes
-
-    def f(batch: pa.Table) -> pa.Table:
-        sigs = [signature_bytes(word_ngram_hashes(t or "", n=n_gram))
                 for t in batch.column(text_col).to_pylist()]
         return pa.table({id_col: batch.column(id_col),
                          "sig": pa.array(sigs, pa.binary())})
@@ -295,8 +222,7 @@ def bucket_stats(rows_ds: ray.data.Dataset, key_cols: list[str], *,
 
 
 def _bucket_pairs_partitioned(rows_ds: ray.data.Dataset, key_cols: list[str],
-                              id_col: str, carry_cols: list[str] | None = None,
-                              max_bucket: int = MAX_BUCKET,
+                              id_col: str, max_bucket: int = MAX_BUCKET,
                               distinct: bool = True) -> ray.data.Dataset:
     """(key → member ids) → candidate (id_a, id_b) pairs, scalably.
 
@@ -310,8 +236,6 @@ def _bucket_pairs_partitioned(rows_ds: ray.data.Dataset, key_cols: list[str],
     no per-group Python), never ``map_groups``.
     """
     import pandas as pd
-
-    carry = carry_cols or []
 
     def add_pbucket(batch: pa.Table) -> pa.Table:
         h = np.zeros(batch.num_rows, dtype=np.uint64)
@@ -327,18 +251,12 @@ def _bucket_pairs_partitioned(rows_ds: ray.data.Dataset, key_cols: list[str],
         df = df[(sizes > 1) & (sizes <= max_bucket)]
         if df.empty:
             return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                                 "id_b": pd.Series([], dtype="int64"),
-                                 **{c: pd.Series([], dtype=df[c].dtype if c in df else "object")
-                                    for c in carry}})
-        cols = key_cols + [id_col] + carry
+                                 "id_b": pd.Series([], dtype="int64")})
+        cols = key_cols + [id_col]
         m = df[cols].merge(df[cols], on=key_cols, suffixes=("_a", "_b"))
         m = m[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
-        out = pd.DataFrame({"id_a": m[f"{id_col}_a"].to_numpy(),
-                            "id_b": m[f"{id_col}_b"].to_numpy()})
-        for c in carry:
-            out[c + "_a"] = m[c + "_a"].to_numpy()
-            out[c + "_b"] = m[c + "_b"].to_numpy()
-        return out
+        return pd.DataFrame({"id_a": m[f"{id_col}_a"].to_numpy(),
+                             "id_b": m[f"{id_col}_b"].to_numpy()})
 
     cand = rows_ds.map_batches(add_pbucket, batch_format="pyarrow") \
         .groupby("pbucket").map_groups(pairs_in_partition, batch_format="pandas")
@@ -448,254 +366,3 @@ def minhash_duplicate_pairs_incremental(
                                 score_fn=jaccard_from_signatures,
                                 threshold=jaccard_threshold,
                                 out_col="jaccard")
-
-
-# --- SimHash ------------------------------------------------------------------
-
-
-def _bit_majority_word(hashes: np.ndarray) -> int:
-    """64-bit per-bit majority vote over a uint64 hash set, masked
-    int64-positive for Arrow."""
-    if hashes.size == 0:
-        return 0
-    bits = ((hashes[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & 1) \
-        .astype(np.int64)
-    votes = (2 * bits - 1).sum(axis=0)
-    weights = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-    word = int((votes > 0).astype(np.uint64) @ weights)
-    return word & 0x7FFFFFFFFFFFFFFF
-
-
-def simhash64(text: str, k_shingle: int = 5) -> int:
-    return _bit_majority_word(shingle_hashes(text or "", k=k_shingle))
-
-
-def simhash_batch(batch: pa.Table, *, text_col: str = "text",
-                  id_col: str = "doc_id", k_shingle: int = 5) -> pa.Table:
-    vals = [simhash64(t, k_shingle) for t in batch.column(text_col).to_pylist()]
-    return pa.table({id_col: batch.column(id_col),
-                     "simhash": pa.array(vals, pa.int64())})
-
-
-def simhash_md5_batch(batch: pa.Table, *, text_col: str = "text",
-                      id_col: str = "doc_id", k_shingle: int = 5) -> pa.Table:
-    """SimHash with md5-derived shingle hashes (top 64 digest bits) — the
-    SQL-expressible oracle twin of ``simhash_batch``, cross-validating the
-    bit-majority machinery end-to-end (__ray_entry__ ``doc_simhash_md5``).
-    The polyhash variant stays the scale path (md5-per-gram is Python-loop
-    bound); a per-batch gram→hash cache amortizes repeated grams."""
-    import hashlib
-
-    cache: dict[str, int] = {}
-    vals: list[int] = []
-    for t in batch.column(text_col).to_pylist():
-        t = t or ""
-        grams = ({t[i:i + k_shingle] for i in range(len(t) - k_shingle + 1)}
-                 if len(t) >= k_shingle else {t})
-        hs = np.fromiter(
-            (cache.get(g) if g in cache else cache.setdefault(
-                g, int(hashlib.md5(g.encode("utf-8")).hexdigest()[:16], 16))
-             for g in grams), dtype=np.uint64, count=len(grams))
-        vals.append(_bit_majority_word(hs))
-    return pa.table({id_col: batch.column(id_col),
-                     "simhash": pa.array(vals, pa.int64())})
-
-
-def simhash_candidates(ds: ray.data.Dataset, *, text_col: str = "text",
-                       id_col: str = "doc_id", k_shingle: int = 5,
-                       max_hamming: int = 3, n_chunks: int = 4,
-                       sig_batch_fn=None) -> ray.data.Dataset:
-    """Near-dup candidates: equal simhash chunk (64/n_chunks bits) → bucket →
-    verify Hamming distance ≤ max_hamming within bucket.  Pigeonhole recall
-    guarantee: every pair with hamming < n_chunks shares ≥ one chunk; raise
-    ``n_chunks`` (8 → 8-bit chunks) for higher recall at more candidates.
-    ``sig_batch_fn`` swaps the signature kernel (``simhash_md5_batch`` for
-    the SQL-oracle twin); default is the polyhash scale path."""
-    sigs = ds.map_batches(sig_batch_fn or simhash_batch,
-                          batch_format="pyarrow",
-                          fn_kwargs=dict(text_col=text_col, id_col=id_col,
-                                         k_shingle=k_shingle))
-    return hash64_candidates(sigs, id_col=id_col, max_hamming=max_hamming,
-                             n_chunks=n_chunks)
-
-
-def hash64_candidates(sigs: ray.data.Dataset, *, id_col: str = "doc_id",
-                      max_hamming: int = 3,
-                      n_chunks: int = 4) -> ray.data.Dataset:
-    """Banded near-dup candidate pairs over ANY 64-bit signature dataset
-    (column ``simhash``: int64 bit pattern — simhash, perceptual dHash, …):
-    equal chunk (64/n_chunks bits) → bucket → vectorized Hamming verify
-    inside the bucket shuffle (signatures are carried through, nothing is
-    re-read).  Pigeonhole: every pair with hamming < n_chunks shares a
-    chunk."""
-    chunk_bits = 64 // n_chunks
-    chunk_mask = (1 << chunk_bits) - 1
-
-    def explode(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        sh = batch.column("simhash").to_numpy(zero_copy_only=False)
-        n = len(ids)
-        chunk_ids = np.repeat(np.arange(n_chunks, dtype=np.int64), n)
-        tiled_ids = np.tile(ids, n_chunks)
-        tiled_sh = np.tile(sh, n_chunks)
-        chunk_vals = (tiled_sh >> (chunk_bits * chunk_ids)) & chunk_mask
-        return pa.table({"chunk_id": pa.array(chunk_ids, pa.int64()),
-                         "chunk_val": pa.array(chunk_vals, pa.int64()),
-                         id_col: pa.array(tiled_ids, pa.int64()),
-                         "simhash": pa.array(tiled_sh, pa.int64())})
-
-    cand = _bucket_pairs_partitioned(
-        sigs.map_batches(explode, batch_format="pyarrow"),
-        ["chunk_id", "chunk_val"], id_col, carry_cols=["simhash"])
-
-    def hamming_filter(batch: pa.Table) -> pa.Table:
-        a = batch.column("simhash_a").to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = batch.column("simhash_b").to_numpy(zero_copy_only=False).astype(np.uint64)
-        x = a ^ b
-        ham = np.zeros(len(x), dtype=np.int64)
-        for _ in range(64):
-            ham += (x & np.uint64(1)).astype(np.int64)
-            x >>= np.uint64(1)
-        out = pa.table({"id_a": batch.column("id_a"), "id_b": batch.column("id_b"),
-                        "hamming": pa.array(ham, pa.int64())})
-        return out.filter(pc.less_equal(out.column("hamming"), max_hamming))
-
-    return cand.map_batches(hamming_filter, batch_format="pyarrow")
-
-
-
-
-def jaccard_from_md5_sets(a: bytes, b: bytes) -> float:
-    """Exact Jaccard between two sorted-unique sets of 16-byte md5 digests
-    (the winnowing fingerprint payloads)."""
-    xa = np.frombuffer(a, dtype="S16")
-    xb = np.frombuffer(b, dtype="S16")
-    ix = np.intersect1d(xa, xb, assume_unique=True).size
-    return ix / (xa.size + xb.size - ix)
-
-
-def winnowing_jaccard_pairs(ds: ray.data.Dataset, *, text_col: str = "text",
-                            id_col: str = "doc_id", k: int = 8, w: int = 4,
-                            threshold: float = 0.5,
-                            num_partitions: int = _PAIR_PARTITIONS
-                            ) -> ray.data.Dataset:
-    """MOSS-style near-duplicate pairs over winnowing fingerprint SETS:
-    exact Jaccard ≥ ``threshold`` between each pair of documents' distinct
-    selected fingerprints (stages/textstats.py::winnowing_batch — md5, so
-    the SQL twin computes the identical set).
-
-    EXACT without the quadratic boilerplate blowup, via prefix filtering
-    (Bayardo, Ma & Srikant, "Scaling Up All Pairs Similarity Search",
-    WWW 2007): order every document's fingerprints rare-first by global
-    document frequency (one fp-keyed count exchange), keep only the first
-    ``|set| - ceil(t*|set|) + 1`` as the candidate-generating prefix — the
-    prefix-filter lemma guarantees any pair with overlap ≥ ceil(t*max) ≥
-    ceil(t*|set|) collides inside the prefixes, so no qualifying pair is
-    missed — and generate candidates only where PREFIXES share a
-    fingerprint.  Ubiquitous boilerplate fingerprints sort last and never
-    enter a prefix, so hot buckets vanish.  Candidates (duplicates allowed)
-    are then scored exactly on the FULL fingerprint sets through the
-    distributed payload-join verify (``verify_pairs_payload`` — dedupes per
-    pair, never ships the corpus to the driver).
-
-    Exchanges: fp-count, df→fps join, doc-keyed prefix cut, fp-keyed
-    prefix pair generation, candidate dedup, and the two verify shuffles —
-    all coarse hash-partitioned; per-doc fingerprint sets and payloads are
-    batch-local (a document's winnowing rows never span batches).
-
-    Corpus-density note: on the synthetic bench corpus every document
-    draws from one ~40-word vocabulary, so fingerprint-set background
-    Jaccard sits just below the 0.5 threshold and the prefix filter can
-    only thin, not eliminate, the candidate set (~7.7M candidates for 256
-    true pairs at sf0.1 → wall time is verify-bound there).  On real
-    webtext — the workload this operator models — background fingerprint
-    overlap is near zero, candidates ≈ true duplicates, and the
-    payload-verify volume is proportional to actual dup mass."""
-    import pandas as pd
-
-    from .joins import hash_join
-    from .shuffle import grouped_agg, grouped_apply
-    from .textstats import winnowing_batch
-
-    def payload_rows(batch: pa.Table) -> pa.Table:
-        sel = winnowing_batch(batch, text_col=text_col, id_col=id_col,
-                              k=k, w=w)
-        df = sel.select([id_col, "fp"]).to_pandas().drop_duplicates()
-        ids, sigs = [], []
-        for did, grp in df.groupby(id_col):
-            raw = sorted(bytes.fromhex(h) for h in grp["fp"])
-            ids.append(int(did))
-            sigs.append(b"".join(raw))
-        return pa.table({id_col: pa.array(ids, pa.int64()),
-                         "sig": pa.array(sigs, pa.binary())})
-
-    # the one winnowing pass: its compact payload (16 bytes per distinct
-    # fingerprint) feeds both the prefix branch and the verify, so pin it
-    # rather than let each lazy consumer re-run the md5 loop
-    payloads = ds.map_batches(payload_rows, batch_format="pyarrow") \
-        .materialize()
-
-    def fp_rows(batch: pa.Table) -> pa.Table:
-        sigs = batch.column("sig").to_pylist()
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        return pa.table({
-            id_col: pa.array(np.repeat(ids, [len(x) // 16 for x in sigs]),
-                             pa.int64()),
-            "fp": pa.array([x[i : i + 16].hex() for x in sigs
-                            for i in range(0, len(x), 16)], pa.string())})
-
-    fps = payloads.map_batches(fp_rows, batch_format="pyarrow")
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        g = batch.to_pandas().groupby("fp", as_index=False).size()
-        return pa.table({"fp": pa.array(g["fp"], pa.string()),
-                         "c": pa.array(g["size"].to_numpy(), pa.int64())})
-
-    dfreq = grouped_agg(fps.map_batches(count_partial, batch_format="pyarrow"),
-                        ["fp"], {"df": ("c", "sum")},
-                        num_partitions=num_partitions)
-    joined = hash_join(fps, dfreq, on="fp", num_partitions=num_partitions)
-
-    def prefixes(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame({"fp": pd.Series([], dtype=object),
-                                 id_col: pd.Series([], dtype="int64")})
-        df = df.sort_values([id_col, "df", "fp"], kind="mergesort")
-        sz = df.groupby(id_col)[id_col].transform("size").to_numpy()
-        pos = df.groupby(id_col).cumcount().to_numpy()
-        plen = sz - np.ceil(threshold * sz).astype(np.int64) + 1
-        out = df.loc[pos < plen, ["fp", id_col]]
-        return out.astype({id_col: "int64"})
-
-    pref = grouped_apply(joined, [id_col], prefixes,
-                         num_partitions=num_partitions)
-
-    def pairs_in_partition(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                              "id_b": pd.Series([], dtype="int64")})
-        if df.empty:
-            return empty
-        m = df.merge(df, on="fp")
-        m = m[m[f"{id_col}_x"] < m[f"{id_col}_y"]]
-        if m.empty:
-            return empty
-        g = m[[f"{id_col}_x", f"{id_col}_y"]].drop_duplicates()
-        return pd.DataFrame({"id_a": g[f"{id_col}_x"].astype("int64"),
-                             "id_b": g[f"{id_col}_y"].astype("int64")})
-
-    cand = grouped_apply(pref, ["fp"], pairs_in_partition,
-                         num_partitions=num_partitions)
-    # global dedup before the verify: the same pair arises once per shared
-    # prefix fingerprint (different fps land in different partitions, so the
-    # per-partition drop_duplicates above cannot see them); one cheap int64
-    # exchange here divides the verify's payload-carrying row volume by the
-    # mean prefix-overlap multiplicity (~2.6x on the bench corpus)
-    distinct_pairs = grouped_agg(
-        cand.map_batches(lambda b: b.append_column(
-            "one", pa.array(np.ones(b.num_rows, np.int64))),
-            batch_format="pyarrow"),
-        ["id_a", "id_b"], {"n_shared_prefix": ("one", "sum")},
-        num_partitions=num_partitions)
-    return verify_pairs_payload(distinct_pairs, payloads, id_col=id_col,
-                                score_fn=jaccard_from_md5_sets,
-                                threshold=threshold, out_col="jaccard")

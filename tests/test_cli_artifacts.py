@@ -76,6 +76,21 @@ class TestCli:
                                  "clean": ["abcd", "xyz"]}), f)
         assert main(["eval", f]) == 0
 
+    def test_reused_session_left_running(self, tmp_path):
+        """``main`` reuses the caller's Ray session and leaves it up: the
+        session fixture's 4-CPU cluster survives an in-process command."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+        import ray
+
+        from post_ocr_corrector_ray.cli import main
+
+        f = str(tmp_path / "pairs.parquet")
+        pq.write_table(pa.table({"corrected_text": ["ab"], "clean": ["ab"]}), f)
+        assert main(["eval", f]) == 0
+        assert ray.is_initialized()
+        assert ray.cluster_resources()["CPU"] == 4
+
     def test_feed_subcommand(self, tmp_path):
         import pyarrow as pa
         import pyarrow.parquet as pq
@@ -487,9 +502,12 @@ class TestCliOptions:
         meta = out1 / "_sigstore" / "meta.json"
         params = json.loads(meta.read_text(encoding="utf-8"))
         meta.write_text(json.dumps({**params, "n_hashes": 32}), encoding="utf-8")
+        out2 = tmp_path / "out2"
         with pytest.raises(SystemExit, match="not comparable"):
-            main(["dedup", w2, str(tmp_path / "out2"), "--against", str(out1),
+            main(["dedup", w2, str(out2), "--against", str(out1),
                   "--partitions", "2"])
+        # refused before the wave is shingled: no temp signature store left
+        assert not (out2 / "_sigstore.tmp").exists()
 
     def test_dedup_custom_columns(self, tmp_path):
         """``--id-col``/``--text-col`` keep the survivors of the default

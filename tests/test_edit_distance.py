@@ -11,7 +11,6 @@ from post_ocr_corrector_ray.functions.edit_distance import (
     edit_distance,
     edit_distance_banded,
     edit_distance_batch,
-    levenshtein,
     normalized_edit_distance,
 )
 
@@ -82,8 +81,3 @@ def test_normalized():
     assert normalized_edit_distance("ab", "abcd", banded=False) == 0.5
     with pytest.raises(ZeroDivisionError):
         normalized_edit_distance("x", "")  # reference behavior: unguarded
-
-
-def test_levenshtein_no_swap():
-    assert levenshtein("ab", "ba") == 2  # no transposition credit
-    assert levenshtein("kitten", "sitting") == 3

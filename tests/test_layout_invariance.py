@@ -1,11 +1,18 @@
-"""Input-layout invariance of the operators the CLI runs (``run`` and
+"""Input-layout invariance of the operators the CLI runs (``run``:
+``extract_correct`` with the null and dictionary correctors; ``run`` and
 ``tiers``: ``extract_pipeline``; ``dedup``: ``minhash_duplicate_pairs``,
+``bucket_stats``' census of its buckets, ``connected_components``,
 ``near_dedup``, ``signature_store_tables`` and, with ``--against``,
-``minhash_duplicate_pairs_incremental`` and ``near_dedup_incremental``;
-``tiers``: ``quality_tiers``; ``commit``: ``commit_by_key``; ``feed``:
-``epoch_feed``; ``alphabet``, ``build-dictionary``, ``corpus`` and ``eval``:
-the corpus and eval aggregates): the same rows split into 1, 3, 7 or 16
-input blocks give the same output, equal to a single-process recompute."""
+``minhash_duplicate_pairs_incremental``, ``near_dedup_incremental`` and the
+``hash_join`` semi / anti filter under both; ``tiers``: ``quality_tiers`` and
+the token stats and quality score it ranks by; ``commit``: ``commit_by_key``;
+``feed``: ``epoch_feed``; ``parse-markup``: ``read_markup_dir``; ``corpus``:
+``add_messy_column``; ``alphabet``, ``build-dictionary``, ``corpus`` and
+``eval``: the corpus and eval aggregates): the same rows split into 1, 3, 7
+or 16 input blocks (or files) give the same output, equal to a
+single-process recompute."""
+
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -203,6 +210,97 @@ class TestCliOperatorsLayoutInvariance:
         assert sorted(got["doc_id"]) == want
         assert 0 < len(want) < new.num_rows
 
+    @pytest.mark.parametrize("how", ["semi", "anti"])
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_hash_join(self, blocks, how):
+        """The survivor filter: the rows of ``docs`` whose id is (semi) or
+        is not (anti) in a key set with repeats and strangers, with the int
+        payload column restored to int64."""
+        import pyarrow.compute as pc
+
+        from post_ocr_corrector_ray.stages.joins import hash_join
+
+        tbl = _docs()
+        tbl = tbl.append_column("n", pc.utf8_length(tbl["text"]).cast(pa.int64()))
+        rng = np.random.default_rng(9)
+        keys = np.concatenate((rng.choice(tbl["doc_id"].to_numpy(), 40), [5000, 5001]))
+        got = hash_join(_blocks(tbl, blocks),
+                        _blocks(pa.table({"doc_id": pa.array(keys)}), blocks),
+                        on="doc_id", how=how, num_partitions=4).to_pandas()
+        df = tbl.to_pandas()
+        hit = df["doc_id"].isin(keys)
+        want = df[hit if how == "semi" else ~hit]
+        assert 0 < len(want) < len(df)
+        assert got.dtypes.to_dict() == want.dtypes.to_dict()
+        assert sorted(got.itertuples(index=False)) == \
+            sorted(want.itertuples(index=False))
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_connected_components(self, blocks):
+        """Every clustered document maps to its union-find cluster's min
+        id, and no unclustered document appears."""
+        from post_ocr_corrector_ray.stages.components import connected_components
+
+        tbl = _docs()
+        got = connected_components(_pairs(_blocks(tbl, blocks)),
+                                   num_partitions=4).to_pandas()
+        roots = _roots(tbl)
+        clustered = {i for pair in _spec_pairs(tbl) for i in pair}
+        assert len(got) == len(clustered)
+        assert dict(zip(got["node"], got["component"])) == \
+            {i: roots[i] for i in clustered}
+        assert len(set(roots[i] for i in clustered)) > 1
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_bucket_stats(self, blocks):
+        """The census of the LSH buckets, at the ``dedup`` cap and at a cap
+        of 2 that drops the near-dup clusters' shared buckets."""
+        from post_ocr_corrector_ray.stages.dedup import (
+            MAX_BUCKET,
+            bucket_stats,
+            minhash_bands_batch,
+            signature_store_tables,
+        )
+
+        tbl = _docs().select(["doc_id", "text"])
+        bands, _ = signature_store_tables(_blocks(tbl, blocks), **_LSH)
+        sizes = minhash_bands_batch(tbl, **_LSH).to_pandas() \
+            .groupby(["band_id", "band_hash"]).size()
+        assert (sizes > 2).any()
+        for cap in (MAX_BUCKET, 2):
+            over = sizes[sizes > cap]
+            got = bucket_stats(bands, ["band_id", "band_hash"], max_bucket=cap)
+            assert got.to_pylist() == [{
+                "n_buckets": len(sizes),
+                "n_multi_buckets": int((sizes > 1).sum()),
+                "n_dropped_buckets": len(over),
+                "n_dropped_pairs": int((over * (over - 1) // 2).sum()),
+            }]
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_token_stats_batch(self, blocks):
+        from post_ocr_corrector_ray.stages.textstats import token_stats_batch
+
+        got = _blocks(_stats_docs(), blocks).map_batches(
+            token_stats_batch, batch_format="pyarrow").to_pandas()
+        assert got.sort_values("doc_id").to_dict("records") == _spec_stats()
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_quality_score_batch(self, blocks):
+        from post_ocr_corrector_ray.stages.textstats import quality_score_batch
+
+        got = _blocks(_stats_docs(), blocks).map_batches(
+            quality_score_batch, batch_format="pyarrow").to_pandas()
+        want = []
+        for r in _spec_stats():
+            wl_ok = 1.0 if 2.0 <= r["mean_word_len"] <= 12.0 else 0.5
+            stop_ok = 1.0 if r["stop_ratio"] > 0.0 else 0.6
+            want.append({**r, "quality": 0.25 * (min(r["n_chars"] / 200.0, 1.0)
+                                                 + min(r["n_words"] / 30.0, 1.0)
+                                                 + wl_ok + stop_ok)})
+        assert len({r["quality"] for r in want}) > 5
+        assert got.sort_values("doc_id").to_dict("records") == want
+
     @pytest.mark.parametrize("blocks", BLOCKS)
     def test_commit_by_key_store_bytes(self, blocks, tmp_path):
         """Each partition's ``data.parquet`` is the bytes of its rows, in
@@ -226,6 +324,51 @@ class TestCliOperatorsLayoutInvariance:
             got = pathlib.Path(lin.partition_dir(out, p), "data.parquet")
             assert got.read_bytes() == want.read_bytes(), f"partition {p}"
 
+    @pytest.mark.parametrize("corrector", ["null", "dictionary"])
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_extract_correct_store_bytes(self, pages, corpus, blocks, corrector,
+                                         tmp_path):
+        """``run``: each partition's ``data.parquet`` is the bytes of its
+        pages' extracted and corrected rows, in input order, written by one
+        process."""
+        import pathlib
+
+        import pyarrow.parquet as pq
+        import ray
+
+        from post_ocr_corrector_ray.functions.hashing import partition_of_array
+        from post_ocr_corrector_ray.model.dictionary import DictionaryCorrector
+        from post_ocr_corrector_ray.oracle import oracle_extract_correct
+        from post_ocr_corrector_ray.pipelines.extract_correct import extract_correct
+        from post_ocr_corrector_ray.stages.extract import extract_batch
+        from post_ocr_corrector_ray.state import lineage as lin
+
+        kwargs, model = {}, None
+        if corrector == "dictionary":
+            # the synthetic pages are clean: a high frequency floor makes the
+            # rarer words corrections, so the stage rewrites most pages
+            vocab = _train_counts(corpus)
+            kwargs = dict(vocab_ref=ray.put(vocab), min_frequency=25, concurrency=1)
+            model = DictionaryCorrector(vocab, min_frequency=25)
+        out = str(tmp_path / "store")
+        extract_correct(_blocks(pages, blocks), corrector=corrector, out_dir=out,
+                        num_partitions=5, **kwargs).to_pandas()
+        assert sorted(lin.committed_partitions(out)) == [0, 1, 2, 3, 4]
+        corrected = oracle_extract_correct(pages, model)
+        tbl = extract_batch(pages)
+        urls = tbl.column("url").to_pylist()
+        assert len(set(urls)) == len(urls)
+        tbl = tbl.append_column("corrected_text",
+                                pa.array([corrected[u] for u in urls], pa.string()))
+        if model is not None:
+            assert not tbl["corrected_text"].equals(tbl["extracted_text"])
+        parts = partition_of_array(tbl.column("url"), 5)
+        for p in range(5):
+            want = tmp_path / f"want{p}.parquet"
+            pq.write_table(tbl.filter(pa.array(parts == p)), want)
+            got = pathlib.Path(lin.partition_dir(out, p), "data.parquet")
+            assert got.read_bytes() == want.read_bytes(), f"partition {p}"
+
     @pytest.mark.parametrize("blocks", BLOCKS)
     def test_extract_pipeline(self, pages, blocks):
         from post_ocr_corrector_ray.oracle import oracle_extract_row
@@ -238,6 +381,32 @@ class TestCliOperatorsLayoutInvariance:
         assert dict(zip(got["url"], zip(got["extracted_text"],
                                         got["extract_status"]))) == want
         assert "html" not in got.columns
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_read_markup_dir(self, blocks, tmp_path):
+        """``parse-markup``: the same sentences spread over 1, 3, 7 or 16
+        files give every file's sentences in order, detokenized, with the
+        file's malformed-line count on its first sentence."""
+        from post_ocr_corrector_ray.sources.markup import read_markup_dir
+
+        sents = [t.split() for t in _docs().column("text").to_pylist()]
+        bounds = np.linspace(0, len(sents), blocks + 1).astype(int)
+        want = []
+        for f, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            lines = []
+            for i, toks in enumerate(sents[a:b]):
+                lines.append("<s>")
+                lines += [f"{w}\t{w.upper()}\tX\t0" for w in toks]
+                if i == 0 and f % 2 == 0:
+                    lines.append("malformed")  # even files: one bad line
+                lines.append("</s>")
+            path = tmp_path / f"f{f:02d}.vert"
+            path.write_text("\n".join(lines), encoding="utf-8")
+            want += [(path.name, i, " ".join(toks), int(i == 0 and f % 2 == 0))
+                     for i, toks in enumerate(sents[a:b])]
+        got = read_markup_dir(str(tmp_path)).to_pandas()
+        assert sorted(zip(got["path"].map(os.path.basename), got["sentence_idx"],
+                          got["sentence"], got["n_malformed"])) == sorted(want)
 
     @pytest.mark.parametrize("blocks", BLOCKS)
     def test_epoch_feed(self, corpus, blocks):
@@ -276,6 +445,37 @@ class TestCliOperatorsLayoutInvariance:
 
 
 _GOOD_CHARS = "abcdefghijklmnopqrstuvwxyz "
+
+
+def _stats_docs() -> pa.Table:
+    """The dedup documents plus texts with stopwords, every punctuation
+    mark, runs of whitespace and empty rows spread over the block
+    boundaries."""
+    extra = ["", "the cat: and the dog.", "  a  b  ", "word.word, end!", "",
+             "is it; on? for with", "\tof\nto in ", "x" * 250, "",
+             " ".join(["the"] * 40), "one two three four"]
+    tbl = _docs().select(["doc_id", "text"])
+    ids = np.arange(2000, 2000 + len(extra), dtype=np.int64)
+    return pa.concat_tables([tbl, pa.table({"doc_id": ids, "text": extra})]) \
+        .take(np.random.default_rng(4).permutation(tbl.num_rows + len(extra)))
+
+
+def _spec_stats() -> list:
+    """Token stats of ``_stats_docs`` row by row over ``str.split``, in
+    doc_id order."""
+    from post_ocr_corrector_ray.stages.textstats import STOPWORDS_EN
+
+    tbl = _stats_docs()
+    out = []
+    for i, t in sorted(zip(tbl["doc_id"].to_pylist(), tbl["text"].to_pylist())):
+        words = t.split()
+        n = len(words)
+        out.append({"doc_id": i, "n_chars": len(t), "n_words": n,
+                    "n_punct": sum(t.count(c) for c in ".,!?;:"),
+                    "mean_word_len": sum(map(len, words)) / n if n else 0.0,
+                    "stop_ratio": sum(w in STOPWORDS_EN for w in words) / n
+                    if n else 0.0})
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -352,6 +552,20 @@ class TestCorpusEvalLayoutInvariance:
                       for k in ("url", "clean", "messy", "split")))}
         assert len(df) == corpus.num_rows
         assert got == want
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_add_messy_column(self, corpus, blocks):
+        """``corpus``'s noise stage keys each row's RNG by its url, so a
+        row's noise does not depend on the rows that share its block."""
+        from post_ocr_corrector_ray.stages.noise import add_messy_column
+
+        got = _blocks(corpus.select(["url", "clean"]), blocks).map_batches(
+            add_messy_column, batch_format="pyarrow",
+            fn_kwargs=dict(good_chars=_GOOD_CHARS)).to_pandas()
+        want = dict(zip(corpus["url"].to_pylist(), corpus["messy"].to_pylist()))
+        assert sum(m != c.strip() for m, c in zip(corpus["messy"].to_pylist(),
+                                                    corpus["clean"].to_pylist())) > 50
+        assert dict(zip(got["url"], got["messy"])) == want
 
     @pytest.mark.parametrize("blocks", BLOCKS)
     def test_evaluate(self, corpus, blocks):

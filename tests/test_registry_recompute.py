@@ -3,7 +3,6 @@ single-process recompute on the oracle fixture: the same row kernel applied
 to the whole table in one batch, or a brute-force statement of what the
 operator promises."""
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -32,26 +31,6 @@ def _by_id(df: pd.DataFrame) -> pd.DataFrame:
 @pytest.mark.usefixtures("ray_session")
 class TestRowKernelQueries:
     """Per-row queries equal their kernel run once over the whole table."""
-
-    @pytest.mark.parametrize("name, kernel", [
-        ("doc_simhash", "dedup.simhash_batch"),
-        ("doc_fingerprint_rolling", "textstats.fingerprint_rolling_batch"),
-        ("doc_winnowing_fast", "textstats.winnowing_fast_batch"),
-    ])
-    def test_equals_whole_table_kernel(self, docs, name, kernel):
-        import importlib
-
-        mod, fn = kernel.split(".")
-        fn = getattr(importlib.import_module(
-            f"post_ocr_corrector_ray.stages.{mod}"), fn)
-        got = _run(name)
-        want = fn(docs).to_pandas()
-        assert len(want) >= docs.num_rows
-        cols = list(want.columns)
-        assert sorted(got.columns) == sorted(cols)
-        pd.testing.assert_frame_equal(
-            got[cols].sort_values(cols).reset_index(drop=True),
-            want.sort_values(cols).reset_index(drop=True), check_exact=True)
 
     def test_doc_mutilate_keyed_by_doc_id(self, docs):
         from post_ocr_corrector_ray.functions.noise import mutilate_keyed
@@ -106,32 +85,3 @@ class TestAggregateQueries:
             "n_dropped_pairs": int((over * (over - 1) // 2).sum()),
         }]
         assert len(sizes) > docs.num_rows
-
-@pytest.mark.usefixtures("ray_session")
-def test_doc_simhash_candidates_spec(docs):
-    """Every pair at Hamming ≤ 8 that shares one of the eight 8-bit chunks
-    in a bucket of at most MAX_BUCKET signatures, and nothing else."""
-    from post_ocr_corrector_ray.stages.dedup import MAX_BUCKET, simhash_batch
-
-    got = _run("doc_simhash_candidates")
-    sig = simhash_batch(docs).to_pandas()
-    ids = sig["doc_id"].to_numpy()
-    sh = sig["simhash"].to_numpy().astype(np.uint64)
-    chunks = np.stack([(sh >> np.uint64(8 * c)) & np.uint64(0xFF)
-                       for c in range(8)])
-    usable = np.zeros_like(chunks, dtype=bool)
-    for c in range(8):
-        _, inv, cnt = np.unique(chunks[c], return_inverse=True,
-                                   return_counts=True)
-        usable[c] = cnt[inv] <= MAX_BUCKET
-    want = set()
-    for i in range(len(ids)):
-        x = sh[i] ^ sh[i + 1:]
-        ham = np.array([bin(int(v)).count("1") for v in x], dtype=np.int64)
-        shared = ((chunks[:, i:i + 1] == chunks[:, i + 1:])
-                  & usable[:, i:i + 1] & usable[:, i + 1:]).any(axis=0)
-        for j in np.nonzero((ham <= 8) & shared)[0]:
-            a, b = int(ids[i]), int(ids[i + 1 + j])
-            want.add((min(a, b), max(a, b), int(ham[j])))
-    assert want
-    assert sorted(zip(got["id_a"], got["id_b"], got["hamming"])) == sorted(want)

@@ -180,6 +180,14 @@ def test_every_query_has_a_coverage_row():
     assert [name for name in entry.queries() if name not in named] == []
 
 
+def test_coverage_rows_name_only_queries():
+    """The reverse of the check above: a row may not name a registry entry
+    that is gone."""
+    named = {tok for row in _coverage_rows() for tok in re.findall(r"`([^`]+)`", row)
+             if re.fullmatch(r"doc_\w+|flagship_\w+|training_feed", tok)}
+    assert sorted(named - set(entry.queries())) == []
+
+
 def test_coverage_paths_exist():
     paths = {p for row in _coverage_rows()
              for p in re.findall(r"\b(?:stages|pipelines)/\w+\.py", row)}

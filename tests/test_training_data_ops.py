@@ -1,4 +1,4 @@
-"""Training-data extensions: textstats, dedup (minhash/simhash)."""
+"""Training-data extensions: textstats, MinHash dedup, the markup parser."""
 
 import pyarrow as pa
 import pytest
@@ -36,52 +36,6 @@ class TestTextStats:
         q = out.column("quality").to_pylist()
         assert all(0.0 <= v <= 1.0 for v in q)
         assert q[0] > q[1]
-
-    def test_langid_scripts(self):
-        out = ts.langid_batch(_doc_table([
-            "the cat and the dog is in that house for it",
-            "der hund und die katze ist nicht ein tier mit den",
-            "брза смеђа лисица скаче преко лењог пса",
-            "",
-        ]))
-        preds = out.column("lang_pred").to_pylist()
-        assert preds[0] == "en" and preds[1] == "de" and preds[2] == "sr" and preds[3] == "und"
-
-    def test_langid_vectorized_equals_scalar(self):
-        texts = [
-            "the cat and the dog is in that house for it",
-            "der hund und die katze ist nicht ein tier mit den",
-            "le chat est dans la maison et il est un animal",
-            "el gato es un animal y no es la casa de que",
-            "брза смеђа лисица скаче преко лењог пса",
-            "你好 世界 你好 世界 你好",
-            "", "   ", "12345 67890 !!!", "la la la un un",  # profile overlaps
-            "mixed брза text with some ћирилица only partly",
-            "xyzzy plugh qwerty",
-        ]
-        tbl = _doc_table(texts)
-        assert ts.langid_batch(tbl).equals(ts.langid_batch_scalar(tbl))
-
-    def test_fingerprint_rolling_deterministic(self):
-        a = ts.fingerprint_rolling_batch(_doc_table(["hello world"]))
-        b = ts.fingerprint_rolling_batch(_doc_table(["hello world"]))
-        assert a.equals(b)
-        c = ts.fingerprint_rolling_batch(_doc_table(["hello worlb"]))
-        assert c.column("content_hash")[0].as_py() != a.column("content_hash")[0].as_py()
-
-    def test_fingerprint_md5_matches_reference_hashes(self):
-        import hashlib
-
-        txt = "hello world, a fingerprintable document"
-        out = ts.fingerprint_batch(_doc_table([txt, "tiny", ""]))
-        assert out.column("content_md5")[0].as_py() == \
-            hashlib.md5(txt.encode()).hexdigest()
-        grams = {txt[i:i + 8] for i in range(len(txt) - 7)}
-        assert out.column("fp_min")[0].as_py() == \
-            min(hashlib.md5(g.encode()).hexdigest() for g in grams)
-        # len<k and empty text: the whole text is the single gram (substr semantics)
-        assert out.column("fp_min")[1].as_py() == hashlib.md5(b"tiny").hexdigest()
-        assert out.column("fp_min")[2].as_py() == hashlib.md5(b"").hexdigest()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -133,9 +87,9 @@ class TestDedup:
         assert (inc["id_b"] >= 100).all()  # no store-store pairs emitted
 
     def test_near_dup_wrappers_never_materialize_on_driver(self, monkeypatch):
-        """Round-1 judge finding: the near-dup wrappers used to collect the
-        whole corpus into a driver dict.  Pin the fix: building the pipelines
-        must not call any driver-side materialization API."""
+        """The near-dup wrapper used to collect the whole corpus into a
+        driver dict.  Pin the fix: building the pipeline must not call any
+        driver-side materialization API."""
         import ray.data
 
         from post_ocr_corrector_ray.pipelines import documents as D
@@ -147,61 +101,10 @@ class TestDedup:
                      "iter_rows", "materialize"):
             monkeypatch.setattr(ray.data.Dataset, meth, _boom)
         ds1 = D.doc_minhash_pairs("/root/testdata/sf0.001")
-        ds2 = D.doc_ngram_jaccard_pairs("/root/testdata/sf0.001")
-        assert isinstance(ds1, ray.data.Dataset) and isinstance(ds2, ray.data.Dataset)
+        assert isinstance(ds1, ray.data.Dataset)
         monkeypatch.undo()
         # and the lazy pipelines still execute
         assert {"id_a", "id_b", "jaccard"} <= set(ds1.to_pandas().columns)
-
-    def test_simhash_near_dup_low_hamming(self):
-        a = dd.simhash64("the quick brown fox jumps over the lazy dog today ok")
-        b = dd.simhash64("the quick brown fox jumps over the hazy dog today ok")
-        c = dd.simhash64("entirely different text on another topic altogether now")
-        ham_ab = bin(a ^ b).count("1")
-        ham_ac = bin(a ^ c).count("1")
-        assert ham_ab < ham_ac
-
-    def test_simhash_candidates_pipeline(self):
-        import ray.data
-
-        base = "the quick brown fox jumps over the lazy dog and runs far away"
-        tbl = _doc_table([base, base.replace("dog", "cat"), "other stuff entirely here now"])
-        # hamming(0,1)=9: needs 8-bit chunks (recall bound: hamming < n_chunks)
-        out = dd.simhash_candidates(ray.data.from_arrow(tbl), max_hamming=16,
-                                    n_chunks=8).to_pandas()
-        assert (0, 1) in set(zip(out["id_a"], out["id_b"]))
-
-    @pytest.mark.parametrize("blocks", [1, 7])
-    def test_hash64_candidates_equal_brute_force(self, blocks):
-        """Hand-built signatures: exact duplicates, 1-3 bit flips, far pairs
-        and sign-bit patterns.  Pigeonhole: with 4 chunks every pair at
-        Hamming distance <= 3 shares a chunk, so the candidates are exactly
-        the brute-force pairs, whatever the block layout."""
-        import numpy as np
-        import ray.data
-
-        rng = np.random.default_rng(5)
-        bases = [int(v) for v in rng.integers(0, 2**63, size=6, dtype=np.uint64)]
-        bases += [0x8000000000000000, 0xFFFFFFFFFFFFFFFF, 0x8000000000000001]
-        sigs = []
-        for b in bases:
-            sigs += [b, b]  # an exact duplicate
-            for n_flips in (1, 2, 3):
-                bits = rng.choice(64, size=n_flips, replace=False)
-                sigs.append(b ^ sum(1 << int(i) for i in bits))
-            sigs.append(b ^ 0x0F0F0F0F0F0F0F0F)  # far: 32 bits away
-        signed = np.array(sigs, dtype=np.uint64).view(np.int64)
-        tbl = pa.table({"doc_id": pa.array(np.arange(len(sigs)), pa.int64()),
-                        "simhash": pa.array(signed, pa.int64())})
-        out = dd.hash64_candidates(ray.data.from_arrow(tbl).repartition(blocks),
-                                   max_hamming=3, n_chunks=4).to_pandas()
-        got = list(zip(out["id_a"], out["id_b"], out["hamming"]))
-        want = [(i, j, bin(sigs[i] ^ sigs[j]).count("1"))
-                for i in range(len(sigs)) for j in range(i + 1, len(sigs))
-                if bin(sigs[i] ^ sigs[j]).count("1") <= 3]
-        assert sorted(got) == want
-        assert any(h == 0 for *_, h in want) and any(h == 3 for *_, h in want)
-        assert (signed < 0).sum() >= 6
 
 
 class TestMarkupParser:
@@ -232,22 +135,11 @@ class TestMarkupParser:
         assert sentences == [["surface"]]
 
 
-class TestBpeAndScrub:
-    def test_scrub_replaces_pii(self):
-        out = ts.scrub_pii_batch(_doc_table(
-            ["mail me at a.b+c@exa-mple.com now", "card 123456789", "clean"]))
-        got = out.column("scrubbed").to_pylist()
-        assert got[0] == "mail me at <EMAIL> now"
-        assert got[1] == "card <NUM>"
-        assert got[2] == "clean"
-
-
 class TestJaccardSpecEquivalence:
     def test_signature_jaccard_equals_text_jaccard(self):
         """The distributed verify scores serialized signatures; the text-based
-        helpers are the semantic spec — both must agree exactly."""
-        from post_ocr_corrector_ray.functions.hashing import (
-            shingle_hashes, word_ngram_hashes)
+        helper is the semantic spec — both must agree exactly."""
+        from post_ocr_corrector_ray.functions.hashing import shingle_hashes
 
         pairs = [("the quick brown fox jumps", "the quick brown fox jumped"),
                  ("aaaa", "aaab"), ("", ""), ("x", ""), ("same", "same")]
@@ -255,7 +147,3 @@ class TestJaccardSpecEquivalence:
             assert dd.jaccard_from_signatures(
                 dd.signature_bytes(shingle_hashes(a, k=5)),
                 dd.signature_bytes(shingle_hashes(b, k=5))) == dd._jaccard(a, b, 5)
-            assert dd.jaccard_from_signatures(
-                dd.signature_bytes(word_ngram_hashes(a, n=3)),
-                dd.signature_bytes(word_ngram_hashes(b, n=3))) == \
-                dd.word_ngram_jaccard(a, b, 3)
