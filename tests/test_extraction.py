@@ -1,12 +1,37 @@
 """HTML/PDF extraction tests against constructive synthetic goldens."""
 
+import signal
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from post_ocr_corrector_ray.functions.extraction import extract_page, extract_pdf_text
+from post_ocr_corrector_ray.functions.extraction import (
+    _extract_html, _tokenize_fast, _tokenize_reference, extract_page, extract_pdf_text)
 from post_ocr_corrector_ray.sources.synth import gen_page, pages_batch
+
+PARA = "This paragraph has plenty of real sentence content to keep around here."
+
+
+def _both_paths(html: str):
+    """(fast-path result, or None when it refuses the page; html.parser result)."""
+    return _extract_html(_tokenize_fast, html), _extract_html(_tokenize_reference, html)
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Fail instead of hanging: SIGALRM interrupts a regex scan too."""
+    def _expire(*_):
+        raise TimeoutError(f"over {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 class TestSynthGoldens:
@@ -90,6 +115,78 @@ class TestHtmlHeuristics:
         res = extract_page(html)
         assert res.text.startswith("Clean heading words")
         assert "linked heading" not in res.text
+
+
+    @pytest.mark.parametrize("prefix", [
+        "<nav><ul><li>Home<li>About</ul></nav>",
+        "<form><select><option>A<option>B</select></form>",
+    ], ids=["nav-li", "select-option"])
+    def test_implicit_end_tag_in_pruned_subtree(self, prefix):
+        """HTML lets </li> and </option> be left out; the pruned subtree
+        still ends at its root's own end tag."""
+        res = extract_page(f"<html><body>{prefix}<p>{PARA}</p></body></html>".encode())
+        assert (res.status, res.text) == ("ok", PARA)
+
+
+class TestFastPath:
+    """The regex tokenizer against the html.parser one, on the full result."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 42])
+    def test_synthetic_pages_all_accepted_and_identical(self, seed):
+        kinds = set()
+        for i in range(600):
+            p = gen_page(i, seed)
+            if p["html"] is None or p["kind"] == "pdf":
+                continue
+            kinds.add(p["kind"])
+            fast, ref = _both_paths(p["html"].decode("utf-8"))
+            assert fast is not None, (seed, i, p["kind"])
+            assert fast == ref, (seed, i, p["kind"])
+        assert kinds == {"html", "html_big", "html_boiler", "html_empty"}
+
+    @pytest.mark.parametrize("construct", [
+        "<![CDATA[x < y]]>", "<?xml version='1.0'?>", "<!bogus>", "</>", "a < b",
+        "<script>var unterminated = 1;", "<!-- unterminated comment", "<p class=\"x\"",
+        "<p class=a/>", "<p:x>inside</p:x>", "<x-y>inside</x-y>",
+    ], ids=["cdata", "pi", "bogus-decl", "empty-end-tag", "stray-lt", "open-script",
+            "open-comment", "open-tag", "bare-value-slash", "colon-name", "dash-name"])
+    def test_refused_pages_agree_after_fallback(self, construct):
+        html = f"<html><body><p>{PARA}</p>{construct}<p>{PARA} Again.</p></body></html>"
+        fast, ref = _both_paths(html)
+        assert fast is None
+        assert extract_page(html.encode("utf-8")) == ref
+
+    @pytest.mark.parametrize("construct", [
+        "<script>a</\u017fcript>b</SCRIPT ></script>", "<br/><p/><img src=x />",
+        "<input disabled/>", "<!---->", "<!-- a -- b -- >", "<!--\nmulti\nline\n-->",
+        "<P CLASS='a \"b\"'>x</P>", "<a href=\"/x\"/>", "<!DOCTYPE html PUBLIC \"-//W3C//DTD\">",
+    ])
+    def test_accepted_edges_identical(self, construct):
+        html = f"<html><body><p>{PARA}</p>{construct}<p>{PARA} &amp Again.</p></body></html> &amp"
+        fast, ref = _both_paths(html)
+        assert fast is not None and fast == ref
+
+
+class TestGiantAndAdversarial:
+    def test_4mb_page_identical_on_both_paths(self):
+        pages = [gen_page(7 + 499 * k)["html"] for k in range(120)]
+        html = b"".join(pages).decode("utf-8")
+        assert len(html.encode("utf-8")) >= 4_000_000
+        with _deadline(60):
+            fast, ref = _both_paths(html)
+        assert fast is not None and fast.status == "ok"
+        assert fast == ref
+
+    @pytest.mark.parametrize("html", [
+        "<p>" + PARA + "</p><a" + " x=1" * 200_000,
+        "<p>" + PARA + "</p><!--" + "-- x -" * 175_000,
+    ], ids=["open-tag-200k-attrs", "open-comment-1mb"])
+    def test_adversarial_page_finishes(self, html):
+        with _deadline(30):
+            fast, ref = _both_paths(html)
+            res = extract_page(html.encode("utf-8"))
+        assert fast is None
+        assert res == ref
 
 
 class TestPdf:
