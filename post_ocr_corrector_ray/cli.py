@@ -299,15 +299,14 @@ def main(argv: list[str] | None = None) -> int:
                               "rows": int(summary["n_rows"].sum()) if len(summary) else 0}))
         elif args.cmd == "dedup":
             from .stages.components import near_dedup, near_dedup_incremental
-            from .stages.dedup import (minhash_duplicate_pairs,
-                                       minhash_duplicate_pairs_incremental,
-                                       signature_store_tables)
+            from .stages.dedup import _verified_pairs, signature_store_tables
             from .state.lineage import (commit_by_key, fingerprint_inputs,
                                         read_output, read_output_ds)
 
             import shutil
 
             lsh_params = dict(n_hashes=64, bands=16, k_shingle=5)
+            id_col, text_col = args.id_col, args.text_col
 
             def _sigstore_meta(store_dir):
                 return os.path.join(store_dir, "_sigstore", "meta.json")
@@ -319,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
             if has_sigstore:
                 with open(_sigstore_meta(args.against), encoding="utf-8") as f:
                     meta = json.load(f)
-                want = {**lsh_params, "id_col": args.id_col}
+                want = {**lsh_params, "id_col": id_col}
                 got = {k: meta.get(k) for k in want}
                 if got != want:
                     raise SystemExit(
@@ -327,13 +326,8 @@ def main(argv: list[str] | None = None) -> int:
                         "signatures are not comparable across parameter "
                         "sets — rerun without the persisted store")
 
-            docs = ray.data.read_parquet(
-                args.documents, columns=[args.id_col, args.text_col])
-
-            def _pairs(ds):
-                return minhash_duplicate_pairs(
-                    ds, text_col=args.text_col, id_col=args.id_col,
-                    jaccard_threshold=args.threshold, **lsh_params)
+            docs = ray.data.read_parquet(args.documents,
+                                         columns=[id_col, text_col])
 
             # shingle the wave ONCE: the full wave's deterministic LSH state
             # goes to a tmp store first (idempotent: any stale tmp/final
@@ -346,57 +340,45 @@ def main(argv: list[str] | None = None) -> int:
             shutil.rmtree(tmp_store, ignore_errors=True)
             shutil.rmtree(fin_store, ignore_errors=True)
             wave_bands, wave_sigs = signature_store_tables(
-                docs, text_col=args.text_col, id_col=args.id_col, **lsh_params)
+                docs, text_col=text_col, id_col=id_col, **lsh_params)
             wave_bands.write_parquet(os.path.join(tmp_store, "bands"))
             wave_sigs.write_parquet(os.path.join(tmp_store, "sigs"))
             wave_bands = ray.data.read_parquet(os.path.join(tmp_store, "bands"))
             wave_sigs = ray.data.read_parquet(os.path.join(tmp_store, "sigs"))
 
+            bands, sigs, min_new_id = wave_bands, wave_sigs, None
             if args.against:
-                id_col = args.id_col
-
-                def _proj_id(batch):
-                    return batch.select([id_col])
-
-                store_ids = read_output_ds(args.against) \
-                    .map_batches(_proj_id, batch_format="pyarrow")
                 if has_sigstore:
-                    # persisted signature store: candidate generation +
-                    # verification never touch store TEXT again — the wave's
-                    # cost is O(new docs), not O(store + new docs)
+                    # persisted signature store: store TEXT is never read
+                    # again — the wave's cost is O(new docs)
+                    sig_dir = os.path.join(args.against, "_sigstore")
                     store_bands = ray.data.read_parquet(
-                        os.path.join(args.against, "_sigstore", "bands"))
+                        os.path.join(sig_dir, "bands"))
                     store_sigs = ray.data.read_parquet(
-                        os.path.join(args.against, "_sigstore", "sigs"))
-                    min_new_id = int(docs.min(args.id_col))
-                    pairs = minhash_duplicate_pairs_incremental(
-                        docs, store_bands, store_sigs,
-                        min_new_id=min_new_id, text_col=args.text_col,
-                        id_col=args.id_col,
-                        jaccard_threshold=args.threshold,
-                        new_bands=wave_bands, new_sigs=wave_sigs,
-                        **lsh_params)
+                        os.path.join(sig_dir, "sigs"))
                 else:
-                    text_col = args.text_col
-
-                    def _proj(batch):
-                        return batch.select([id_col, text_col])
-
-                    store = read_output_ds(args.against) \
-                        .map_batches(_proj, batch_format="pyarrow")
-                    pairs = _pairs(docs.union(store))
+                    store_bands, store_sigs = signature_store_tables(
+                        read_output_ds(args.against).map_batches(
+                            lambda b: b.select([id_col, text_col]),
+                            batch_format="pyarrow"),
+                        text_col=text_col, id_col=id_col, **lsh_params)
+                bands = bands.union(store_bands)
+                sigs = sigs.union(store_sigs)
+                min_new_id = int(docs.min(id_col))
+            pairs = _verified_pairs(bands, sigs, id_col=id_col,
+                                    jaccard_threshold=args.threshold,
+                                    min_new_id=min_new_id)
+            if args.against:
+                store_ids = read_output_ds(args.against).map_batches(
+                    lambda b: b.select([id_col]), batch_format="pyarrow")
                 surv = near_dedup_incremental(
                     docs, store_ids, pairs,
-                    id_col=args.id_col, num_partitions=args.partitions)
+                    id_col=id_col, num_partitions=args.partitions)
             else:
-                pairs_own = minhash_duplicate_pairs(
-                    docs, text_col=args.text_col, id_col=args.id_col,
-                    jaccard_threshold=args.threshold,
-                    bands_ds=wave_bands, sigs_ds=wave_sigs, **lsh_params)
-                surv = near_dedup(docs, pairs_own, id_col=args.id_col,
+                surv = near_dedup(docs, pairs, id_col=id_col,
                                   num_partitions=args.partitions)
             summary = commit_by_key(
-                surv, args.out_dir, key_col=args.id_col,
+                surv, args.out_dir, key_col=id_col,
                 num_partitions=args.partitions,
                 input_fingerprint=fingerprint_inputs(args.documents),
                 stage_versions={"dedup": "minhash-lsh-cc-v1"}).to_pandas()
@@ -408,11 +390,11 @@ def main(argv: list[str] | None = None) -> int:
             # to float64 through the join union), meta LAST
             import pyarrow.compute as _pc
 
-            surv_id_tbl = read_output(args.out_dir).select([args.id_col])
-            ids_ref = ray.put(surv_id_tbl.column(args.id_col).combine_chunks())
+            surv_ids = read_output(args.out_dir).column(id_col)
+            ids_ref = ray.put(surv_ids.combine_chunks())
 
             def _keep_surv(batch):
-                return batch.filter(_pc.is_in(batch.column(args.id_col),
+                return batch.filter(_pc.is_in(batch.column(id_col),
                                               value_set=ray.get(ids_ref)))
 
             wave_bands.map_batches(_keep_surv, batch_format="pyarrow") \
@@ -421,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
                 .write_parquet(os.path.join(fin_store, "sigs"))
             shutil.rmtree(tmp_store, ignore_errors=True)
             with open(_sigstore_meta(args.out_dir), "w", encoding="utf-8") as f:
-                json.dump({**lsh_params, "id_col": args.id_col,
+                json.dump({**lsh_params, "id_col": id_col,
                            "threshold": args.threshold}, f)
             print(json.dumps({"partitions_committed": len(summary),
                               "rows": int(summary["n_rows"].sum()) if len(summary) else 0}))

@@ -66,6 +66,8 @@ BLOCK_TAGS = frozenset(
     "p div article section main td th li h1 h2 h3 h4 h5 h6 blockquote pre "
     "figcaption summary dd dt".split()
 )
+# Elements an <option> outside a <select> closes with, its end tag left out.
+_OPTION_PARENTS = frozenset(("datalist", "optgroup", "select"))
 VOID_TAGS = frozenset("br hr img input meta link area base col wbr source track".split())
 
 # Block-scoring thresholds (fixed constants — part of the engine's semantics).
@@ -112,9 +114,14 @@ class _Blocks:
             # Only the prune root's own name nests.  HTML lets </li> and
             # </option> be left out, so counting every tag inside a pruned
             # subtree would never return to 0 and drop the rest of the page.
-            if tag == self._prune_tag:
-                self._prune_depth += 1
-            return
+            # An <option> never holds another: the next <option> or
+            # <optgroup> ends it, and an <option> opens the next pruned one.
+            if self._prune_tag == "option" and tag in ("option", "optgroup"):
+                self._prune_depth = 0
+            else:
+                if tag == self._prune_tag:
+                    self._prune_depth += 1
+                return
         if tag in VOID_TAGS:
             if tag == "br" and self._stack:
                 self._stack[-1].text_parts.append(" ")
@@ -135,7 +142,9 @@ class _Blocks:
 
     def end(self, tag: str) -> None:
         if self._prune_depth:
-            if tag == self._prune_tag:
+            # an <option> root also ends when its parent closes
+            if tag == self._prune_tag or (self._prune_tag == "option"
+                                          and tag in _OPTION_PARENTS):
                 self._prune_depth -= 1
             return
         if tag == "title":

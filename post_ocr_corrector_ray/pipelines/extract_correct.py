@@ -51,7 +51,7 @@ from ..stages.correct import (
     OUT_COL,
     TEXT_COL,
 )
-from ..stages.extract import add_partition_column, extract_batch, make_committed_filter
+from ..stages.extract import extract_batch
 from ..state import lineage as lin
 
 CorrectorKind = Literal["null", "neural", "dictionary"]
@@ -152,22 +152,19 @@ def extract_correct(pages: ray.data.Dataset, *, corrector: CorrectorKind = "null
     stage_versions = {"extract": "1", "correct": f"{corrector}/1"}
     if out_dir is not None and corrector != "null":
         stage_versions["correct"] += "/" + model_fingerprint(corrector, **correct_kwargs)
-    committed: frozenset[int] = frozenset()
-    if out_dir is not None and resume:
-        lin.check_partition_scheme(out_dir, num_partitions=num_partitions,
+    if out_dir is not None:
+        committed = lin.open_store(out_dir, resume=resume,
+                                   num_partitions=num_partitions,
                                    input_fingerprint=input_fingerprint,
                                    stage_versions=stage_versions)
-        committed = lin.committed_partitions(out_dir)
         if committed:
-            ds = ds.map_batches(make_committed_filter(committed, num_partitions),
+            ds = ds.map_batches(lin.make_committed_filter(committed, num_partitions),
                                 batch_format="pyarrow")
-    elif out_dir is not None:
-        lin.clear_partitions(out_dir)
     ds = extract_pipeline(ds)
     ds = correct_stage(ds, corrector=corrector, **correct_kwargs)
     if out_dir is None:
         return ds
-    ds = ds.map_batches(add_partition_column, batch_format="pyarrow",
+    ds = ds.map_batches(lin.add_partition_column, batch_format="pyarrow",
                         fn_kwargs=dict(num_partitions=num_partitions))
 
     def marker_metrics(body: pa.Table) -> dict:

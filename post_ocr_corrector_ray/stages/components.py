@@ -21,6 +21,13 @@ Near-dup graphs contract fast in practice (clusters are small and star-shaped
 after one large+small round); ``max_rounds`` is a safety bound, not the
 expected cost.
 
+Survivors: ``near_dedup`` drops every non-root member with one anti join;
+``near_dedup_incremental`` (a new wave against a committed store) needs
+three exchanges after the clustering — a semi join marking store nodes, one
+``grouped_apply`` on ``component`` that emits the losers, and the anti join.
+Every exchange is ``grouped_apply`` (stages/shuffle.py); ``_pin`` marks the
+few small intermediates that feed more than one.
+
 Output contract: ``connected_components`` returns (node, component) with
 component = min node id of the component — deterministic, so the result is
 hash-comparable against a DuckDB recursive-CTE oracle (__ray_entry__).
@@ -47,7 +54,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from .shuffle import DEFAULT_PARTITIONS, grouped_apply
+from .shuffle import DEFAULT_PARTITIONS, _pin, grouped_apply
+
 
 def _empty_edges() -> pd.DataFrame:
     return pd.DataFrame({"u": pd.Series([], dtype=np.int64),
@@ -106,23 +114,6 @@ def _small_star(df: pd.DataFrame) -> pd.DataFrame:
     out = pd.concat([neigh, heads], ignore_index=True)
     out = out[out["u"] != out["v"]].drop_duplicates()
     return out if not out.empty else _empty_edges()
-
-
-def _pin(ds: ray.data.Dataset, num_partitions: int) -> ray.data.Dataset:
-    """Materialize + coalesce a small intermediate.  Exchange cost in Ray is
-    per-TASK (block), not per-row: a 150-row set fragmented into 140 blocks
-    makes the next sort pay 140 map + 140 reduce task overheads.  Joins and
-    grouped stages inflate block counts, so every pinned intermediate is
-    coalesced back to ≤ num_partitions blocks before feeding the next
-    exchange."""
-    m = ds.materialize()
-    try:
-        blocks = m.num_blocks()
-    except Exception:
-        return m
-    if blocks and blocks > num_partitions:
-        m = m.repartition(num_partitions).materialize()
-    return m
 
 
 def _checksum(edges: ray.data.Dataset) -> tuple[int, int]:
@@ -308,75 +299,64 @@ def near_dedup_incremental(new_docs: ray.data.Dataset,
     an EXISTING deduped store.
 
     ``pairs`` must be the verified near-dup pairs over the UNION of store and
-    new documents.  Ids must be globally unique across both sets AND
-    append-only ordered: every store id strictly smaller than every new id
-    (monotone ingest ids — the natural property of an append-only store).
+    new documents (pairs of two store documents may be left out).  Ids must
+    be globally unique across both sets.
     Semantics: a new document is dropped iff its connected component contains
     any store document (the store is authoritative and never modified), else
     the component's min-id new document survives and the rest drop.
     Transitive chains through new documents into the store therefore drop the
-    whole chain — under the append-only id ordering this is exactly the
-    closure the one-shot ``near_dedup`` would have produced had all documents
-    arrived together.  Without that ordering the CLOSURE still matches but
-    the chosen representative may differ: one-shot keeps the global min-id
+    whole chain.  Under the append-only id ordering (every store id smaller
+    than every new id — monotone ingest ids) this is exactly the closure the
+    one-shot ``near_dedup`` would have produced had all documents arrived
+    together.  Without that ordering the CLOSURE still matches but the
+    chosen representative may differ: one-shot keeps the global min-id
     (possibly a new doc), incremental always keeps the store doc.
 
-    All set logic runs through the co-partitioned exchanges over the tiny
-    clustered-node rows; nothing is collected on the driver.  Scale note:
-    ``pairs`` should come from the persisted-signature ingest path
-    (``stages/dedup.py:minhash_duplicate_pairs_incremental`` over
+    Three exchanges after the clustering, over the tiny clustered-node rows
+    until the last; nothing is collected on the driver:
+
+    1. a semi join marks the clustered nodes that are store documents;
+    2. one ``grouped_apply`` on ``component`` emits the losers — every new
+       node of a component that holds a store node, and every new node that
+       is not its component's minimum new id;
+    3. an anti join drops the losers from ``new_docs``.
+
+    Scale note: ``pairs`` should come from the persisted-signature ingest
+    path (``stages/dedup.py:minhash_duplicate_pairs_incremental`` over
     ``signature_store_tables`` written next to the survivor store — the CLI
-    ``dedup`` command does this) so each wave's cost is O(new docs); this
-    function's clustering and survivor logic is identical either way.
+    ``dedup`` command does this) so each wave's cost is O(new docs).
     """
     from .joins import hash_join
-    from .shuffle import grouped_agg
 
-    # every intermediate below is O(clustered nodes) — tiny next to the
-    # corpus — and is pinned with materialize() so each co-partitioned
-    # exchange runs as its own small plan instead of one deep union+sort DAG
-    # (which the streaming executor schedules poorly under few CPUs); only
-    # the final anti join over the full new_docs streams.
     comp = connected_components(pairs, u_col=u_col, v_col=v_col,
                                 num_partitions=num_partitions)
 
-    def _nodes(batch: pa.Table) -> pa.Table:
-        return pa.table({id_col: batch.column("node").cast(pa.int64()),
-                         "component": batch.column("component").cast(pa.int64())})
+    def tagged(node_col: str, is_store: int):
+        def f(batch: pa.Table) -> pa.Table:
+            return pa.table({
+                id_col: batch.column(node_col).cast(pa.int64()),
+                "component": batch.column("component").cast(pa.int64()),
+                "is_store": pa.array(np.full(batch.num_rows, is_store, np.int8))})
+        return f
 
-    comp_rows = _pin(comp.map_batches(_nodes, batch_format="pyarrow"),
+    # consumed twice (the semi join and the survivor step): pinned, so the
+    # clustering runs once
+    comp_rows = _pin(comp.map_batches(tagged("node", 0), batch_format="pyarrow"),
                      num_partitions)
-    # components containing ≥1 store doc
-    old_rows = _pin(hash_join(comp_rows, store_ids, on=id_col, how="semi",
-                              num_partitions=num_partitions), num_partitions)
+    store_rows = hash_join(comp_rows, store_ids, on=id_col, how="semi",
+                           num_partitions=num_partitions) \
+        .map_batches(tagged(id_col, 1), batch_format="pyarrow")
 
-    def _flag(batch: pa.Table) -> pa.Table:
-        return pa.table({"component": batch.column("component").cast(pa.int64()),
-                         "n_old": pa.array(np.ones(batch.num_rows, np.int64))})
+    def losers(df: pd.DataFrame) -> pd.DataFrame:
+        is_store = df["is_store"].to_numpy() == 1
+        store = df[is_store]
+        new = df[~is_store & ~df[id_col].isin(store[id_col])]
+        touched = new["component"].isin(store["component"])
+        min_new = new.groupby("component")[id_col].transform("min")
+        return new.loc[touched | (new[id_col] != min_new), [id_col]]
 
-    flagged = grouped_agg(old_rows.map_batches(_flag, batch_format="pyarrow"),
-                          ["component"], {"n_old": ("n_old", "sum")},
-                          num_partitions=num_partitions)
-    flagged = _pin(flagged, num_partitions)
-    # clustered NEW nodes = comp rows minus store rows
-    new_rows = _pin(hash_join(comp_rows, store_ids, on=id_col, how="anti",
-                              num_partitions=num_partitions), num_partitions)
-    # drop new nodes in store-flagged components
-    unflagged = hash_join(new_rows, flagged, on="component", how="anti",
-                          num_partitions=num_partitions)
-
-    def _min_new(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("component", as_index=False)[id_col].min()
-        return g[[id_col]]
-
-    winners = _pin(grouped_apply(unflagged, ["component"], _min_new,
-                                 num_partitions=num_partitions),
-                   num_partitions)
-    # losers = every clustered new node that is not a winner
-    losers = _pin(hash_join(
-        new_rows.map_batches(
-            lambda t: t.select([id_col]), batch_format="pyarrow"),
-        winners, on=id_col, how="anti",
-        num_partitions=num_partitions), num_partitions)
-    return hash_join(new_docs, losers, on=id_col, how="anti",
+    lost = _pin(grouped_apply(comp_rows.union(store_rows), ["component"],
+                              losers, num_partitions=num_partitions),
+                num_partitions)
+    return hash_join(new_docs, lost, on=id_col, how="anti",
                      num_partitions=num_partitions)

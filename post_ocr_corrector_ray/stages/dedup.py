@@ -1,21 +1,23 @@
 """Near-duplicate detection: MinHash + LSH over character shingles.
 
 Engine extension for the ``dedup`` command (the reference's only dedup is the
-distinct-char aggregate, SURVEY.md §2.7).  Scale posture: shingle→minhash
-signatures per batch (NumPy, no shuffle), exploded to (band_id, band_hash, id)
-rows — b×rows small ints — then ONE coarse-partitioned bucket exchange
-produces candidate pairs, verified with exact Jaccard through the
-distributed signature join.  No all-pairs anywhere, and the corpus never
-reaches the driver.  ``signature_store_tables`` and
-``minhash_duplicate_pairs_incremental`` persist and reuse that state for
-``dedup --against``.
+distinct-char aggregate, SURVEY.md §2.7).  Each document becomes two
+deterministic tables (``signature_store_tables``): ``bands`` rows
+(band_id, band_hash, id) — b small ints per document, from shingle→minhash
+signatures per batch (NumPy, no shuffle) — and ``sigs``, its exact
+shingle-hash set as one binary payload.  ONE function turns (bands, sigs) into
+verified pairs: a ``grouped_apply`` on the band key makes the candidate pairs
+of each LSH bucket, and the id-partitioned verify join scores them by exact
+Jaccard.  No all-pairs anywhere, and the corpus never reaches the driver.
+``minhash_duplicate_pairs`` builds both tables from text;
+``minhash_duplicate_pairs_incremental`` builds the new wave's and reuses a
+persisted store's, as ``dedup --against`` does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray.data
 
@@ -80,7 +82,6 @@ def _jaccard(a: str, b: str, k: int) -> float:
 
 
 MAX_BUCKET = 64          # LSH buckets larger than this are boilerplate collisions
-_PAIR_PARTITIONS = 64    # coarse partitions for vectorized bucket-joins
 
 
 # --- distributed pair verification (no driver-side corpus) --------------------
@@ -116,16 +117,16 @@ def shingle_signatures(ds: ray.data.Dataset, *, text_col: str = "text",
 
 
 def verify_pairs_payload(cand: ray.data.Dataset, payloads: ray.data.Dataset, *,
-                         id_col: str, score_fn, threshold: float,
-                         out_col: str) -> ray.data.Dataset:
-    """Score candidate (id_a, id_b) pairs against a per-id binary payload
-    dataset WITHOUT materializing anything on the driver.
+                         id_col: str, threshold: float) -> ray.data.Dataset:
+    """Score candidate (id_a, id_b) pairs by the exact Jaccard of their
+    per-id shingle-set payloads WITHOUT materializing anything on the driver;
+    keep (id_a, id_b, jaccard) at or above ``threshold``.
 
-    Shape (the id-partitioned verify join the round-1 judge asked for): each
-    pair explodes into two (jid, id_a, id_b) side rows; side rows and payload
-    rows shuffle together on a coarse hash of ``jid`` where each side picks up
-    its payload; a second coarse shuffle on (id_a, id_b) brings both payloads
-    of a pair together for exact scoring.  Only candidate-pair rows and their
+    Shape (an id-partitioned verify join): each pair explodes into two
+    (jid, id_a, id_b) side rows; side rows and payload rows shuffle together
+    on a coarse hash of ``jid`` where each side picks up its payload; a
+    second coarse shuffle on (id_a, id_b) brings both payloads of a pair
+    together for exact scoring.  Only candidate-pair rows and their
     two payloads ever move — never the corpus to the driver.
 
     ``cand`` may contain cross-band duplicate pairs: the score step dedupes
@@ -181,12 +182,12 @@ def verify_pairs_payload(cand: ray.data.Dataset, payloads: ray.data.Dataset, *,
         for (a, b), sigs in g.items():
             if len(sigs) != 2 or any(s is None for s in sigs):
                 continue  # payload missing — candidate from outside the corpus
-            s = score_fn(sigs[0], sigs[1])
+            s = jaccard_from_signatures(sigs[0], sigs[1])
             if s >= threshold:
                 out_a.append(a); out_b.append(b); out_s.append(s)
         return pd.DataFrame({"id_a": pd.Series(out_a, dtype="int64"),
                              "id_b": pd.Series(out_b, dtype="int64"),
-                             out_col: pd.Series(out_s, dtype="float64")})
+                             "jaccard": pd.Series(out_s, dtype="float64")})
 
     return grouped_apply(attached.map_batches(
         lambda b: b.select(["id_a", "id_b", "sig"]), batch_format="pyarrow"),
@@ -195,8 +196,8 @@ def verify_pairs_payload(cand: ray.data.Dataset, payloads: ray.data.Dataset, *,
 
 def bucket_stats(rows_ds: ray.data.Dataset, key_cols: list[str], *,
                  max_bucket: int = MAX_BUCKET) -> pa.Table:
-    """LSH bucket census — the no-silent-caps companion of
-    ``_bucket_pairs_partitioned``: how many buckets exist, how many exceed
+    """LSH bucket census — the no-silent-caps companion of the candidate
+    step in ``_verified_pairs``: how many buckets exist, how many exceed
     ``max_bucket`` (and are therefore dropped from candidate generation), and
     how many candidate pairs that drop discards.  Tiny result (one row)."""
     import pandas as pd
@@ -221,61 +222,51 @@ def bucket_stats(rows_ds: ray.data.Dataset, key_cols: list[str], *,
                                "n_dropped_buckets", "n_dropped_pairs")})
 
 
-def _bucket_pairs_partitioned(rows_ds: ray.data.Dataset, key_cols: list[str],
-                              id_col: str, max_bucket: int = MAX_BUCKET,
-                              distinct: bool = True) -> ray.data.Dataset:
-    """(key → member ids) → candidate (id_a, id_b) pairs, scalably.
+def _verified_pairs(bands: ray.data.Dataset, sigs: ray.data.Dataset, *,
+                    id_col: str, jaccard_threshold: float,
+                    min_new_id: int | None = None) -> ray.data.Dataset:
+    """Verified (id_a, id_b, jaccard) pairs, id_a < id_b, from (bands, sigs)
+    tables — the one pair path behind ``minhash_duplicate_pairs``,
+    ``minhash_duplicate_pairs_incremental`` and the ``dedup`` command.
 
-    A naive ``groupby(key).map_groups`` makes one Python call per bucket —
-    with millions of size-1 buckets that serializes the pipeline.  Instead the
-    rows are grouped by a COARSE partition of the key space (``key_hash % P``)
-    so each ``map_groups`` call handles thousands of buckets at once with one
-    vectorized pandas self-merge; oversized buckets (> MAX_BUCKET, hash
-    collisions on boilerplate) are dropped deterministically.  Cross-band
-    duplicate pairs are removed by a vectorized ``groupby.count`` (sort-based,
-    no per-group Python), never ``map_groups``.
+    Candidates: one ``grouped_apply`` on (band_id, band_hash), each call a
+    vectorized self-merge over the thousands of buckets in its partition;
+    buckets over ``MAX_BUCKET`` (boilerplate collisions) are dropped
+    deterministically, and ``bucket_stats`` counts them.  Cross-band
+    duplicate pairs are left to the verify join, which collapses them.
+
+    ``min_new_id``: drop the pairs whose LARGER id is below it.  With every
+    new id ≥ ``min_new_id``, only pairs of two store documents qualify, and
+    incremental survivors never consult those (any store contact drops the
+    new documents of its component) — whatever the store ids are, so the
+    filter only saves volume and never changes survivors.
     """
     import pandas as pd
 
-    def add_pbucket(batch: pa.Table) -> pa.Table:
-        h = np.zeros(batch.num_rows, dtype=np.uint64)
-        for kc in key_cols:
-            h = hash_u64_array(
-                h + batch.column(kc).to_numpy(zero_copy_only=False).astype(np.uint64),
-                seed=11)
-        return batch.append_column("pbucket",
-                                   pa.array((h % _PAIR_PARTITIONS).astype(np.int64)))
+    from .shuffle import grouped_apply
 
-    def pairs_in_partition(df: pd.DataFrame) -> pd.DataFrame:
-        sizes = df.groupby(key_cols)[id_col].transform("size")
-        df = df[(sizes > 1) & (sizes <= max_bucket)]
-        if df.empty:
-            return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                                 "id_b": pd.Series([], dtype="int64")})
-        cols = key_cols + [id_col]
-        m = df[cols].merge(df[cols], on=key_cols, suffixes=("_a", "_b"))
-        m = m[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
-        return pd.DataFrame({"id_a": m[f"{id_col}_a"].to_numpy(),
-                             "id_b": m[f"{id_col}_b"].to_numpy()})
+    key = ["band_id", "band_hash"]
+    a, b = f"{id_col}_a", f"{id_col}_b"
 
-    cand = rows_ds.map_batches(add_pbucket, batch_format="pyarrow") \
-        .groupby("pbucket").map_groups(pairs_in_partition, batch_format="pandas")
-    if not distinct:
-        return cand  # caller dedupes downstream (saves one all-to-all)
-    # cross-band duplicate pairs: exact distinct via coarse hash partitions
-    # (Ray's native groupby costs ~ms per group — ruinous at pair cardinality)
-    from .shuffle import distinct_rows
+    def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
+        sizes = df.groupby(key)[id_col].transform("size")
+        df = df.loc[(sizes > 1) & (sizes <= MAX_BUCKET), key + [id_col]]
+        m = df.merge(df, on=key, suffixes=("_a", "_b"))
+        keep = m[a] < m[b]
+        if min_new_id is not None:
+            keep &= m[b] >= min_new_id
+        return pd.DataFrame({"id_a": m.loc[keep, a].to_numpy(np.int64),
+                             "id_b": m.loc[keep, b].to_numpy(np.int64)})
 
-    return distinct_rows(cand, ["id_a", "id_b"])
+    cand = grouped_apply(bands, key, bucket_pairs)
+    return verify_pairs_payload(cand, sigs, id_col=id_col,
+                                threshold=jaccard_threshold)
 
 
 def minhash_duplicate_pairs(ds: ray.data.Dataset, *, text_col: str = "text",
                             id_col: str = "doc_id", n_hashes: int = 64,
                             bands: int = 16, k_shingle: int = 5,
-                            jaccard_threshold: float = 0.8,
-                            verify: bool = True,
-                            bands_ds: ray.data.Dataset | None = None,
-                            sigs_ds: ray.data.Dataset | None = None
+                            jaccard_threshold: float = 0.8
                             ) -> ray.data.Dataset:
     """Candidate pairs from LSH buckets, verified by exact shingle Jaccard.
 
@@ -284,26 +275,12 @@ def minhash_duplicate_pairs(ds: ray.data.Dataset, *, text_col: str = "text",
     through an id-partitioned shuffle to meet its candidate pairs — the corpus
     is never collected on the driver.  Emits (id_a, id_b, jaccard) with
     id_a < id_b, deduplicated across bands.
-
-    ``bands_ds``/``sigs_ds``: pre-computed LSH state for ``ds`` (e.g. read
-    back from a persisted signature store) — pass them to skip re-shingling
-    the text; they MUST have been built with the same parameters.
     """
-    if bands_ds is None:
-        bands_ds = ds.map_batches(
-            minhash_bands_batch, batch_format="pyarrow",
-            fn_kwargs=dict(text_col=text_col, id_col=id_col, n_hashes=n_hashes,
-                           bands=bands, k_shingle=k_shingle))
-    if not verify:
-        return _bucket_pairs_partitioned(bands_ds, ["band_id", "band_hash"],
-                                         id_col)
-    cand = _bucket_pairs_partitioned(bands_ds, ["band_id", "band_hash"],
-                                     id_col, distinct=False)
-    sigs = sigs_ds if sigs_ds is not None else shingle_signatures(
-        ds, text_col=text_col, id_col=id_col, k_shingle=k_shingle)
-    return verify_pairs_payload(cand, sigs, id_col=id_col,
-                                score_fn=jaccard_from_signatures,
-                                threshold=jaccard_threshold, out_col="jaccard")
+    bands_ds, sigs_ds = signature_store_tables(
+        ds, text_col=text_col, id_col=id_col, n_hashes=n_hashes, bands=bands,
+        k_shingle=k_shingle)
+    return _verified_pairs(bands_ds, sigs_ds, id_col=id_col,
+                           jaccard_threshold=jaccard_threshold)
 
 
 def signature_store_tables(ds: ray.data.Dataset, *, text_col: str = "text",
@@ -328,41 +305,18 @@ def minhash_duplicate_pairs_incremental(
         store_sigs: ray.data.Dataset, *, min_new_id: int,
         text_col: str = "text", id_col: str = "doc_id", n_hashes: int = 64,
         bands: int = 16, k_shingle: int = 5,
-        jaccard_threshold: float = 0.8,
-        new_bands: ray.data.Dataset | None = None,
-        new_sigs: ray.data.Dataset | None = None) -> ray.data.Dataset:
+        jaccard_threshold: float = 0.8) -> ray.data.Dataset:
     """Verified near-dup pairs for append-only ingest WITHOUT touching store
     text: the new wave's bands/signatures are computed, the store side reads
-    its persisted signature store (``signature_store_tables``).
-
-    Store-store pairs are dropped BEFORE verification: incremental-dedup
-    survivors never depend on them (any store contact in a component drops
-    the whole new chain; new-only components contain no store doc), and under
-    the append-only id ordering (every store id < ``min_new_id`` ≤ every new
-    id — the contract near_dedup_incremental documents) the filter is one
-    vectorized comparison: a pair is store-store iff its LARGER id is still
-    below ``min_new_id``.  Verification payload volume likewise drops to
-    pairs that can matter.
+    its persisted signature store (``signature_store_tables``).  Pairs of two
+    store documents are dropped before verification (``_verified_pairs``'
+    ``min_new_id``; pass the smallest new id), so verification payload
+    volume drops to pairs that can matter.
     """
-    if new_bands is None:
-        new_bands = new_docs.map_batches(
-            minhash_bands_batch, batch_format="pyarrow",
-            fn_kwargs=dict(text_col=text_col, id_col=id_col, n_hashes=n_hashes,
-                           bands=bands, k_shingle=k_shingle))
-    cand = _bucket_pairs_partitioned(new_bands.union(store_bands),
-                                     ["band_id", "band_hash"], id_col,
-                                     distinct=False)
-
-    def drop_store_store(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.greater_equal(batch.column("id_b"),
-                                             min_new_id))
-
-    cand = cand.map_batches(drop_store_store, batch_format="pyarrow")
-    if new_sigs is None:
-        new_sigs = shingle_signatures(new_docs, text_col=text_col,
-                                      id_col=id_col, k_shingle=k_shingle)
-    return verify_pairs_payload(cand, new_sigs.union(store_sigs),
-                                id_col=id_col,
-                                score_fn=jaccard_from_signatures,
-                                threshold=jaccard_threshold,
-                                out_col="jaccard")
+    new_bands, new_sigs = signature_store_tables(
+        new_docs, text_col=text_col, id_col=id_col, n_hashes=n_hashes,
+        bands=bands, k_shingle=k_shingle)
+    return _verified_pairs(new_bands.union(store_bands),
+                           new_sigs.union(store_sigs), id_col=id_col,
+                           jaccard_threshold=jaccard_threshold,
+                           min_new_id=min_new_id)

@@ -21,8 +21,9 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..functions.extraction import extract_page
-from ..functions.hashing import partition_of_array
 from ..functions.text import normalize_whitespace
+# the store-key routing lives with the commit protocol it serves
+from ..state.lineage import add_partition_column, make_committed_filter
 
 EXTRACTED_SCHEMA = pa.schema(
     [
@@ -74,31 +75,3 @@ def extract_batch(batch: pa.Table) -> pa.Table:
         ],
         schema=EXTRACTED_SCHEMA,
     )
-
-
-def add_partition_column(batch: pa.Table, *, num_partitions: int,
-                         key: str = "url", col: str = "part") -> pa.Table:
-    """Deterministic url-hash partition id — the lineage/resume unit.
-    Vectorized polynomial hash (no per-row Python on the flagship hot path)."""
-    parts = partition_of_array(batch.column(key), num_partitions)
-    return batch.append_column(col, pa.array(parts.astype("int32"), pa.int32()))
-
-
-def make_committed_filter(committed: frozenset[int], num_partitions: int, key: str = "url"):
-    """Batch filter dropping rows whose output partition is already committed.
-
-    Runs BEFORE extraction/correction so resumed runs skip all expensive work
-    for finished partitions; ``committed`` is a small broadcast set captured in
-    the task closure.
-    """
-
-    def _filter(batch: pa.Table) -> pa.Table:
-        if not committed:
-            return batch
-        import numpy as np
-
-        parts = partition_of_array(batch.column(key), num_partitions)
-        keep = ~np.isin(parts, np.fromiter(committed, dtype=np.int64))
-        return batch.filter(pa.array(keep, pa.bool_()))
-
-    return _filter

@@ -15,6 +15,16 @@ land in the same partition, so any per-key computation is exact.
 
 Row hashing uses ``pd.util.hash_pandas_object`` (fixed default hash key —
 deterministic across processes and machines, unlike builtin ``hash``).
+
+``grouped_apply`` is the package's one keyed exchange for derived data: the
+LSH candidate buckets and the verify join (stages/dedup.py), the star
+contraction and survivor step (stages/components.py) and the semi/anti join
+(stages/joins.py) all run on it.  The only other Ray-level
+``groupby().map_groups()`` is the store commit (state/lineage.py), whose
+polyhash partition id is the resume contract.  Exchange width comes from
+``partitions_for`` — the cluster's CPUs and, where known, the input size —
+not from caller knobs; ``_pin`` materializes a small intermediate that feeds
+more than one exchange.
 """
 
 from __future__ import annotations
@@ -30,22 +40,20 @@ import ray.data
 DEFAULT_PARTITIONS = 64   # fixed fallback (no Ray session / explicit pins)
 
 _TARGET_PARTITION_BYTES = 256 << 20   # ~256 MB of input per reduce partition
-_TARGET_PARTITION_ROWS = 1 << 21      # ~2M rows per reduce partition
 
 
-def partitions_for(size_bytes: int | None = None, rows: int | None = None, *,
-                   floor: int = 8, cap: int = 8192) -> int:
+def partitions_for(size_bytes: int | None = None) -> int:
     """Adaptive exchange width: the number of coarse reduce partitions an
-    exchange should use.
+    exchange should use — the runtime picks it from what it observes.
 
-    Two adaptive components, take the max:
+    Two adaptive components, take the max (at least 8, at most 8192):
     - CLUSTER-scaled: ~2 partitions per CPU (good reduce-task granularity;
       equals the legacy fixed 64 on the 32-CPU bench box) so small inputs
       still use the whole machine.
-    - DATA-scaled: enough partitions that each holds ~256 MB / ~2M rows of
-      input — the component that matters at 100 TB, where a fixed 64-wide
-      exchange would put ~1.5 TB in each reduce task.  Callers that know
-      their input size (parquet metadata, ``os.path.getsize``) pass it;
+    - DATA-scaled: enough partitions that each holds ~256 MB of input — the
+      component that matters at 100 TB, where a fixed 64-wide exchange would
+      put ~1.5 TB in each reduce task.  Callers that know their input size
+      (parquet metadata, ``os.path.getsize``) pass it;
       ``connected_components`` adapts DOWN for toy graphs the same way.
 
     Exactness never depends on P (all-key-equal rows land together at any
@@ -54,7 +62,7 @@ def partitions_for(size_bytes: int | None = None, rows: int | None = None, *,
     """
     import math
 
-    p = floor
+    p = 8
     try:
         import ray
 
@@ -67,9 +75,7 @@ def partitions_for(size_bytes: int | None = None, rows: int | None = None, *,
         p = max(p, DEFAULT_PARTITIONS)
     if size_bytes:
         p = max(p, math.ceil(size_bytes / _TARGET_PARTITION_BYTES))
-    if rows:
-        p = max(p, math.ceil(rows / _TARGET_PARTITION_ROWS))
-    return int(min(p, cap))
+    return int(min(p, 8192))
 
 
 def _resolve_partitions(num_partitions: int | None) -> int:
@@ -164,6 +170,23 @@ def grouped_apply(ds: ray.data.Dataset, key_cols: list[str],
         .groupby("_kp").map_groups(run, batch_format="pandas")
 
 
+def _pin(ds: ray.data.Dataset, num_partitions: int) -> ray.data.Dataset:
+    """Materialize + coalesce a small intermediate.  Exchange cost in Ray is
+    per-TASK (block), not per-row: a 150-row set fragmented into 140 blocks
+    makes the next exchange pay 140 map + 140 reduce task overheads.
+    ``grouped_apply`` inflates block counts, so every pinned intermediate is
+    coalesced back to ≤ num_partitions blocks before feeding the next
+    exchange."""
+    m = ds.materialize()
+    try:
+        blocks = m.num_blocks()
+    except Exception:
+        return m
+    if blocks and blocks > num_partitions:
+        m = m.repartition(num_partitions).materialize()
+    return m
+
+
 def grouped_agg(ds: ray.data.Dataset, key_cols: list[str],
                 agg_spec: dict[str, tuple[str, str]], *,
                 num_partitions: int | None = None) -> ray.data.Dataset:
@@ -181,14 +204,3 @@ def grouped_agg(ds: ray.data.Dataset, key_cols: list[str],
         return g
 
     return grouped_apply(ds, key_cols, agg, num_partitions=num_partitions)
-
-
-def distinct_rows(ds: ray.data.Dataset, key_cols: list[str], *,
-                  num_partitions: int | None = None) -> ray.data.Dataset:
-    """Exact distinct over arbitrary-cardinality keys (first row per key after
-    a deterministic sort by all columns)."""
-
-    def dedup(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(list(df.columns)).drop_duplicates(subset=key_cols)
-
-    return grouped_apply(ds, key_cols, dedup, num_partitions=num_partitions)

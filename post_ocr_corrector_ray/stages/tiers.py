@@ -39,8 +39,7 @@ def quality_tiers(ds: ray.data.Dataset, *, id_col: str = "doc_id",
     import pandas as pd
 
     from . import textstats as ts
-    from .components import _pin
-    from .shuffle import grouped_agg, grouped_apply, partitions_for
+    from .shuffle import _pin, grouped_agg, grouped_apply, partitions_for
 
     def project(batch: pa.Table) -> pa.Table:
         q = ts.quality_score_batch(batch.select([id_col, text_col]),

@@ -36,10 +36,12 @@ import os
 import time
 import uuid
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .. import __version__
+from ..functions.hashing import partition_of_array
 
 SUCCESS_NAME = "_SUCCESS.json"
 
@@ -131,6 +133,50 @@ def committed_partitions(out_dir: str) -> frozenset[int]:
     return frozenset(out)
 
 
+def open_store(out_dir: str, *, resume: bool, num_partitions: int,
+               input_fingerprint: str, stage_versions: dict) -> frozenset[int]:
+    """The resume prologue both committed sinks share: with ``resume``,
+    refuse a store written under another layout, input or stage versions
+    (``check_partition_scheme``) and return its committed partition ids;
+    without, delete its partitions (``clear_partitions``) and return none."""
+    if not resume:
+        clear_partitions(out_dir)
+        return frozenset()
+    check_partition_scheme(out_dir, num_partitions=num_partitions,
+                           input_fingerprint=input_fingerprint,
+                           stage_versions=stage_versions)
+    return committed_partitions(out_dir)
+
+
+def _key_partitions(batch: pa.Table, key: str, num_partitions: int) -> np.ndarray:
+    # hashed as a string, so an int key routes by its decimal text
+    return partition_of_array(batch.column(key).cast(pa.string()), num_partitions)
+
+
+def add_partition_column(batch: pa.Table, *, num_partitions: int,
+                         key: str = "url", col: str = "part") -> pa.Table:
+    """Deterministic key-hash partition id — the lineage/resume unit."""
+    parts = _key_partitions(batch, key, num_partitions)
+    return batch.append_column(col, pa.array(parts.astype("int32"), pa.int32()))
+
+
+def make_committed_filter(committed: frozenset[int], num_partitions: int,
+                          key: str = "url"):
+    """Batch filter dropping rows whose output partition is already
+    committed — run before any expensive stage, so a resumed run skips the
+    work of finished partitions; ``committed`` is a small set captured in
+    the task closure."""
+
+    def _filter(batch: pa.Table) -> pa.Table:
+        if not committed:
+            return batch
+        parts = _key_partitions(batch, key, num_partitions)
+        keep = ~np.isin(parts, np.fromiter(committed, dtype=np.int64))
+        return batch.filter(pa.array(keep, pa.bool_()))
+
+    return _filter
+
+
 def commit_partition(table: pa.Table, out_dir: str, part_id: int, *,
                      input_fingerprint: str = "", stage_versions: dict | None = None,
                      metrics: dict | None = None,
@@ -185,29 +231,16 @@ def commit_by_key(ds, out_dir: str, *, key_col: str,
     summary runs without Ray Data's per-operator CPU reservation: the stages
     before the exchange use every free CPU instead of a fixed share, and
     ``ds`` keeps its own context."""
-    import numpy as np
-    import pyarrow as pa
-
-    from ..functions.hashing import partition_of_array
-
     stage_versions = stage_versions or {}
-    committed: frozenset[int] = frozenset()
-    if resume:
-        check_partition_scheme(out_dir, num_partitions=num_partitions,
-                               input_fingerprint=input_fingerprint,
-                               stage_versions=stage_versions)
-        committed = committed_partitions(out_dir)
-    else:
-        clear_partitions(out_dir)
+    keep = make_committed_filter(
+        open_store(out_dir, resume=resume, num_partitions=num_partitions,
+                   input_fingerprint=input_fingerprint,
+                   stage_versions=stage_versions),
+        num_partitions, key_col)
 
     def add_part(batch: pa.Table) -> pa.Table:
-        parts = partition_of_array(batch.column(key_col).cast(pa.string()),
-                                   num_partitions)
-        batch = batch.append_column("_part", pa.array(parts, pa.int64()))
-        if committed:
-            keep = ~np.isin(parts, np.fromiter(committed, dtype=np.int64))
-            batch = batch.filter(pa.array(keep, pa.bool_()))
-        return batch
+        return add_partition_column(keep(batch), num_partitions=num_partitions,
+                                    key=key_col, col="_part")
 
     return _exchange_and_commit(ds.map_batches(add_part, batch_format="pyarrow"),
                                 out_dir, part_col="_part",

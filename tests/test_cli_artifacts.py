@@ -175,6 +175,75 @@ class TestCli:
                      "--threshold", "0.5", "--partitions", "2"]) == 0
         assert got == sorted(read_output(out3)["doc_id"].to_pylist()) == [102]
 
+    def test_dedup_against_store_ids_above_new_ids(self, tmp_path):
+        """Two waves where every store id is LARGER than every new id, so
+        ``_verified_pairs``' ``min_new_id`` filter keeps every pair.  With and
+        without the persisted signature store, the survivors equal a
+        union-find over the exact-Jaccard pairs: a new document drops iff
+        its cluster holds a store document, else only its cluster's min new
+        id survives."""
+        import itertools
+
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.stages.dedup import _jaccard
+        from post_ocr_corrector_ray.state.lineage import read_output
+
+        base = ("the quick brown fox jumps over the lazy dog and then "
+                "runs far away toward the distant hills today")
+        other = "completely different content about database engines and arrow"
+        boats = ("a story about sailing boats crossing the wide ocean under "
+                 "bright summer stars")
+        store = {100: base, 101: other,
+                 102: "unrelated text regarding mountains and rivers"}
+        new = {0: base.replace("lazy", "hazy"),           # dup of store 100
+               1: other,                                   # exact dup of 101
+               2: boats.replace("bright", "warm"),         # new-only cluster
+               3: boats,
+               4: "fresh novel text with nothing shared at all whatsoever"}
+
+        def _write(path, rows):
+            pq.write_table(pa.table({
+                "doc_id": pa.array(list(rows), pa.int64()),
+                "text": pa.array(list(rows.values()), pa.string())}), path)
+
+        texts = {**store, **new}
+        parent = {i: i for i in texts}
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for a, b in itertools.combinations(texts, 2):
+            if _jaccard(texts[a], texts[b], 5) >= 0.5:
+                parent[find(a)] = find(b)
+        clusters = {}
+        for i in texts:
+            clusters.setdefault(find(i), []).append(i)
+        want = sorted(min(c) for c in clusters.values()
+                      if not any(i in store for i in c))
+        assert want == [2, 4]
+
+        w1, w2 = str(tmp_path / "w1.parquet"), str(tmp_path / "w2.parquet")
+        _write(w1, store)
+        _write(w2, new)
+        out1 = str(tmp_path / "out1")
+        assert main(["dedup", w1, out1, "--threshold", "0.5",
+                     "--partitions", "2"]) == 0
+        assert sorted(read_output(out1)["doc_id"].to_pylist()) == sorted(store)
+        got = {}
+        for name in ("sigstore", "text"):
+            if name == "text":
+                (tmp_path / "out1" / "_sigstore" / "meta.json").unlink()
+            out = str(tmp_path / f"out_{name}")
+            assert main(["dedup", w2, out, "--against", out1,
+                         "--threshold", "0.5", "--partitions", "2"]) == 0
+            got[name] = sorted(read_output(out)["doc_id"].to_pylist())
+        assert got == {"sigstore": want, "text": want}
+
     def test_subprocess_end_to_end(self, tmp_path):
         """One real subprocess run proving the CLI owns its own session."""
         pages = str(tmp_path / "p.parquet")

@@ -179,6 +179,43 @@ def test_near_dedup_incremental_property(ray_session, raw_edges):
     assert surv == _incr_oracle(new_ids, old_ids, edges)
 
 
+def test_near_dedup_incremental_exchange_count(ray_session, monkeypatch):
+    """After the clustering, the survivors take three keyed exchanges: the
+    semi join marking store nodes, one survivor step keyed on the
+    component, and the final anti join."""
+    import ray.data
+    from post_ocr_corrector_ray.stages import components, joins, shuffle
+
+    calls = []
+    real_apply, real_cc = shuffle.grouped_apply, components.connected_components
+
+    def counting_apply(*a, **kw):
+        calls.append(1)
+        return real_apply(*a, **kw)
+
+    def marking_cc(*a, **kw):
+        out = real_cc(*a, **kw)
+        calls.clear()
+        return out
+
+    for mod in (shuffle, joins, components):
+        monkeypatch.setattr(mod, "grouped_apply", counting_apply)
+    monkeypatch.setattr(components, "connected_components", marking_cc)
+    edges = [(1, 100), (2, 1), (5, 7), (7, 9), (11, 102)]
+    docs = ray.data.from_arrow(pa.table(
+        {"doc_id": pa.array(range(1, 20), pa.int64())}))
+    store = ray.data.from_arrow(pa.table(
+        {"doc_id": pa.array([100, 101, 102], pa.int64())}))
+    pairs = ray.data.from_arrow(pa.table(
+        {"id_a": pa.array([a for a, _ in edges], pa.int64()),
+         "id_b": pa.array([b for _, b in edges], pa.int64())}))
+    surv = components.near_dedup_incremental(docs, store, pairs,
+                                             num_partitions=4)
+    assert len(calls) == 3
+    assert sorted(surv.to_pandas()["doc_id"].tolist()) == _incr_oracle(
+        set(range(1, 20)), {100, 101, 102}, edges)
+
+
 def test_empty_schema_divergence_filter_selectivity():
     """The logger filter drops ONLY empty-new-schema divergence noise (Ray's
     map_groups yields nothing for empty sorted blocks); real schema drift

@@ -120,12 +120,19 @@ class TestHtmlHeuristics:
     @pytest.mark.parametrize("prefix", [
         "<nav><ul><li>Home<li>About</ul></nav>",
         "<form><select><option>A<option>B</select></form>",
-    ], ids=["nav-li", "select-option"])
+        "<datalist id=c><option value=a><option value=b></datalist>",
+        "<optgroup><option>A<option>B</optgroup>",
+    ], ids=["nav-li", "select-option", "datalist-option", "optgroup-option"])
     def test_implicit_end_tag_in_pruned_subtree(self, prefix):
         """HTML lets </li> and </option> be left out; the pruned subtree
-        still ends at its root's own end tag."""
-        res = extract_page(f"<html><body>{prefix}<p>{PARA}</p></body></html>".encode())
+        still ends at its root's own end tag, and an <option> outside a
+        <select> also at the next <option> or at its parent's end tag.
+        Both tokenizers agree."""
+        html = f"<html><body>{prefix}<p>{PARA}</p></body></html>"
+        res = extract_page(html.encode())
         assert (res.status, res.text) == ("ok", PARA)
+        fast, ref = _both_paths(html)
+        assert fast == ref == res
 
 
 class TestFastPath:

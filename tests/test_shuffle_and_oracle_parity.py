@@ -14,7 +14,7 @@ import pandas as pd
 import pytest
 
 import __ray_entry__ as entry
-from post_ocr_corrector_ray.stages.shuffle import distinct_rows, grouped_agg, grouped_apply
+from post_ocr_corrector_ray.stages.shuffle import grouped_agg, grouped_apply
 
 SF = "/root/testdata/sf0.001"
 TABLES = "documents"
@@ -46,15 +46,6 @@ class TestShuffleHelpers:
         got = grouped_agg(ray.data.from_pandas(df), ["k"],
                           {"total": ("v", "sum"), "lo": ("v", "min")}).to_pandas()
         want = df.groupby("k", as_index=False).agg(total=("v", "sum"), lo=("v", "min"))
-        pd.testing.assert_frame_equal(_canon(got), _canon(want), check_dtype=False)
-
-    def test_distinct_rows_deterministic_winner(self):
-        import ray.data
-
-        df = pd.DataFrame({"k": [1, 1, 2, 2, 3], "v": [9, 3, 5, 5, 1]})
-        got = distinct_rows(ray.data.from_pandas(df), ["k"]).to_pandas()
-        # winner per key = first row after sort by all columns → min (k, v)
-        want = pd.DataFrame({"k": [1, 2, 3], "v": [3, 5, 1]})
         pd.testing.assert_frame_equal(_canon(got), _canon(want), check_dtype=False)
 
     def test_grouped_apply_sees_whole_key(self):
@@ -95,16 +86,6 @@ class TestShuffleHelpersSpec:
         want = df.groupby(["a", "b"], as_index=False).agg(out=("v", how))
         pd.testing.assert_frame_equal(_canon(got), _canon(want), check_dtype=False)
 
-    @pytest.mark.parametrize("parts", [1, 7])
-    def test_distinct_rows_layout_invariant(self, parts):
-        import ray.data
-
-        df = self._frame().fillna(0.0)
-        got = distinct_rows(ray.data.from_pandas(df).repartition(5), ["a", "b"],
-                            num_partitions=parts).to_pandas()
-        want = df.sort_values(["a", "b", "v"]).drop_duplicates(subset=["a", "b"])
-        pd.testing.assert_frame_equal(_canon(got), _canon(want), check_dtype=False)
-
     def test_grouped_apply_multi_column_key(self):
         import ray.data
 
@@ -138,16 +119,32 @@ def test_partitions_for_adaptive_width(ray_session):
 
     from post_ocr_corrector_ray.stages.shuffle import partitions_for
 
-    # cluster-scaled: 2 per CPU (capped 256), never < floor
+    # cluster-scaled: 2 per CPU (capped 256), never < 8
     cpus = int(ray.cluster_resources().get("CPU", 0))
     assert partitions_for() == max(8, min(2 * cpus, 256))
     # data-scaled: ~256 MB per partition dominates when input is large
     assert partitions_for(size_bytes=100 << 30) == (100 << 30) // (256 << 20)
-    assert partitions_for(rows=1 << 27) == (1 << 27) // (1 << 21)
-    # cap bounds runaway widths
-    assert partitions_for(size_bytes=1 << 50, cap=8192) == 8192
-    # explicit floor respected
-    assert partitions_for(floor=32) >= 32
+    # 8192 bounds runaway widths
+    assert partitions_for(size_bytes=1 << 50) == 8192
+
+
+def test_map_groups_only_in_shuffle_and_commit():
+    """Every keyed exchange of derived data goes through ``grouped_apply``
+    (stages/shuffle.py); the store commit (state/lineage.py) is the one other
+    Ray-level ``groupby().map_groups()``.  A third is a hand-rolled twin."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    pat = re.compile(r"\.groupby\([^()]*\)\s*\.map_groups\(")
+    paths = [os.path.join(root, "__ray_entry__.py"), os.path.join(root, "bench.py")]
+    for top in ("post_ocr_corrector_ray", "scripts"):
+        for d, _, files in os.walk(os.path.join(root, top)):
+            paths += [os.path.join(d, f) for f in files if f.endswith(".py")]
+    found = set()
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            if pat.search(f.read()):
+                found.add(os.path.relpath(path, root))
+    assert found == {os.path.join("post_ocr_corrector_ray", "stages", "shuffle.py"),
+                     os.path.join("post_ocr_corrector_ray", "state", "lineage.py")}
 
 
 def test_registry_orders_oracle_backed_first():
