@@ -112,7 +112,10 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--id-col", default="doc_id")
     s.add_argument("--text-col", default="text")
     s.add_argument("--threshold", type=float, default=0.5)
-    s.add_argument("--partitions", type=int, default=32)
+    s.add_argument("--partitions", type=int, default=32,
+                   help="partition count of the committed survivor store "
+                        "(its layout, checked on resume); the dedup "
+                        "exchanges size themselves to the cluster")
     s.add_argument("--against", default=None, metavar="STORE_DIR",
                    help="incremental ingest: dedup the new documents against "
                         "this existing committed survivor store (ids must be "
@@ -300,8 +303,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.cmd == "dedup":
             from .stages.components import near_dedup, near_dedup_incremental
             from .stages.dedup import _verified_pairs, signature_store_tables
-            from .state.lineage import (commit_by_key, fingerprint_inputs,
-                                        read_output, read_output_ds)
+            from .state.lineage import (commit_by_key, committed_partitions,
+                                        fingerprint_inputs, read_output,
+                                        read_output_ds)
 
             import shutil
 
@@ -328,23 +332,22 @@ def main(argv: list[str] | None = None) -> int:
 
             docs = ray.data.read_parquet(args.documents,
                                          columns=[id_col, text_col])
+            empty = json.dumps({"partitions_committed": 0, "rows": 0})
 
-            # shingle the wave ONCE: the full wave's deterministic LSH state
-            # goes to a tmp store first (idempotent: any stale tmp/final
-            # stores are cleared — meta.json written LAST is the validity
-            # marker), is read back for pair generation, and is filtered to
-            # the survivors for the final persisted store — the wave's text
-            # is never re-shingled
-            tmp_store = os.path.join(args.out_dir, "_sigstore.tmp")
+            # shingle the wave ONCE: the wave's deterministic LSH tables are
+            # materialized, feed pair generation, and are filtered to the
+            # survivors for the persisted store — the wave's text is never
+            # re-shingled
+            wave_bands, wave_sigs = (
+                t.materialize() for t in signature_store_tables(
+                    docs, text_col=text_col, id_col=id_col, **lsh_params))
+            if wave_sigs.count() == 0:
+                print(empty)
+                return 0
+            # a stale store is cleared first: meta.json, written LAST, is
+            # the validity marker
             fin_store = os.path.join(args.out_dir, "_sigstore")
-            shutil.rmtree(tmp_store, ignore_errors=True)
             shutil.rmtree(fin_store, ignore_errors=True)
-            wave_bands, wave_sigs = signature_store_tables(
-                docs, text_col=text_col, id_col=id_col, **lsh_params)
-            wave_bands.write_parquet(os.path.join(tmp_store, "bands"))
-            wave_sigs.write_parquet(os.path.join(tmp_store, "sigs"))
-            wave_bands = ray.data.read_parquet(os.path.join(tmp_store, "bands"))
-            wave_sigs = ray.data.read_parquet(os.path.join(tmp_store, "sigs"))
 
             bands, sigs, min_new_id = wave_bands, wave_sigs, None
             if args.against:
@@ -364,28 +367,29 @@ def main(argv: list[str] | None = None) -> int:
                         text_col=text_col, id_col=id_col, **lsh_params)
                 bands = bands.union(store_bands)
                 sigs = sigs.union(store_sigs)
-                min_new_id = int(docs.min(id_col))
+                min_new_id = int(wave_sigs.min(id_col))
             pairs = _verified_pairs(bands, sigs, id_col=id_col,
                                     jaccard_threshold=args.threshold,
                                     min_new_id=min_new_id)
             if args.against:
                 store_ids = read_output_ds(args.against).map_batches(
                     lambda b: b.select([id_col]), batch_format="pyarrow")
-                surv = near_dedup_incremental(
-                    docs, store_ids, pairs,
-                    id_col=id_col, num_partitions=args.partitions)
+                surv = near_dedup_incremental(docs, store_ids, pairs,
+                                              id_col=id_col)
             else:
-                surv = near_dedup(docs, pairs, id_col=id_col,
-                                  num_partitions=args.partitions)
+                surv = near_dedup(docs, pairs, id_col=id_col)
             summary = commit_by_key(
                 surv, args.out_dir, key_col=id_col,
                 num_partitions=args.partitions,
                 input_fingerprint=fingerprint_inputs(args.documents),
                 stage_versions={"dedup": "minhash-lsh-cc-v1"}).to_pandas()
+            if not committed_partitions(args.out_dir):
+                print(empty)
+                return 0
             # persist the SURVIVORS' LSH state so the NEXT wave can run
-            # --against this out_dir: filter the already-persisted wave
-            # tables against the broadcast survivor-id set (wave-bounded —
-            # NOT store-bounded; a co-partitioned semi join is unusable here
+            # --against this out_dir: filter the materialized wave tables
+            # against the broadcast survivor-id set (wave-bounded — NOT
+            # store-bounded; a co-partitioned semi join is unusable here
             # because band_hash is a full-range int64 that would be promoted
             # to float64 through the join union), meta LAST
             import pyarrow.compute as _pc
@@ -401,7 +405,6 @@ def main(argv: list[str] | None = None) -> int:
                 .write_parquet(os.path.join(fin_store, "bands"))
             wave_sigs.map_batches(_keep_surv, batch_format="pyarrow") \
                 .write_parquet(os.path.join(fin_store, "sigs"))
-            shutil.rmtree(tmp_store, ignore_errors=True)
             with open(_sigstore_meta(args.out_dir), "w", encoding="utf-8") as f:
                 json.dump({**lsh_params, "id_col": id_col,
                            "threshold": args.threshold}, f)

@@ -90,13 +90,8 @@ def compute_alphabet(ds: ray.data.Dataset, text_col: str = "clean") -> str:
 
 
 def token_counts(ds: ray.data.Dataset, text_col: str = "clean",
-                 split: str | None = SPLIT_TRAIN,
-                 num_partitions: int | None = None) -> ray.data.Dataset:
-    """(token, frequency) dataset — pre-aggregated groupby (A2).
-
-    ``num_partitions=None`` → adaptive exchange width (cluster-scaled);
-    callers that know the input size pass ``partitions_for(size_bytes=...)``
-    so the token exchange widens with the corpus (stages/shuffle.py)."""
+                 split: str | None = SPLIT_TRAIN) -> ray.data.Dataset:
+    """(token, frequency) dataset — pre-aggregated groupby (A2)."""
     if split is not None:
         # string expr → vectorized pyarrow predicate, not a per-row Python call
         ds = ds.filter(expr=f"split == '{split}'")
@@ -118,8 +113,7 @@ def token_counts(ds: ray.data.Dataset, text_col: str = "clean",
     # hash-partitioned aggregate, NOT Ray's per-group groupby.aggregate
     from ..stages.shuffle import grouped_agg
 
-    return grouped_agg(partials, ["token"], {"frequency": ("frequency", "sum")},
-                       num_partitions=num_partitions)
+    return grouped_agg(partials, ["token"], {"frequency": ("frequency", "sum")})
 
 
 def build_dictionary(ds: ray.data.Dataset, *, text_col: str = "clean",

@@ -8,19 +8,17 @@ oracles (where expressible) live in __ray_entry__.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
 
-from ..functions.noise import mutilate_keyed
 from ..functions.text import normalize_whitespace
 from ..sources.markup import markup_to_sentences_batch
 from ..stages import dedup as dd
 from ..stages import textstats as ts
+from ..stages.noise import add_messy_column
 from .corpus import pick_split, token_counts
 from .evaluate import evaluate
 
@@ -59,13 +57,7 @@ def doc_all_chars(sf_dir: str) -> pa.Table:
 
 
 def doc_token_counts(sf_dir: str) -> ray.data.Dataset:
-    # data-size-adaptive exchange: the token shuffle widens with the corpus
-    # (parquet byte size known for free), never a fixed 64 at 100 TB
-    from ..stages.shuffle import partitions_for
-
-    p = partitions_for(size_bytes=os.path.getsize(f"{sf_dir}/documents.parquet"))
-    return token_counts(_docs(sf_dir, ["text"]), text_col="text", split=None,
-                        num_partitions=p)
+    return token_counts(_docs(sf_dir, ["text"]), text_col="text", split=None)
 
 
 def doc_split_assignment(sf_dir: str) -> ray.data.Dataset:
@@ -126,34 +118,23 @@ def doc_minhash_bucket_stats(sf_dir: str) -> pa.Table:
 
 def doc_mutilate(sf_dir: str, good_chars: str = "abcdefghijklmnopqrstuvwxyz ") -> ray.data.Dataset:
     """Keyed noise per doc (reference mutilate semantics, RNG keyed by doc_id)."""
-    ds = _docs(sf_dir, ["doc_id", "text"])
 
     def f(batch: pa.Table) -> pa.Table:
-        out = [mutilate_keyed(str(i), (t or "").strip(), good_chars)
-               for i, t in zip(batch.column("doc_id").to_pylist(),
-                               batch.column("text").to_pylist())]
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "messy": pa.array(out, pa.string())})
+        return add_messy_column(batch, good_chars=good_chars, text_col="text",
+                                key_col="doc_id").drop_columns(["text"])
 
-    return ds.map_batches(f, batch_format="pyarrow")
+    return _docs(sf_dir, ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
 
 
 def doc_null_corrector_cer(sf_dir: str) -> pa.Table:
     """Null-corrector eval control (reference null_corrector.py:16-42): mean
     banded CER of keyed-noise messy text vs the clean original, + the exact
     perfect fraction.  Single-row result."""
-    ds = _docs(sf_dir, ["doc_id", "text"])
-
-    def noisy(batch: pa.Table) -> pa.Table:
-        messy = [mutilate_keyed(str(i), (t or "").strip(), "abcdefghijklmnopqrstuvwxyz ")
-                 for i, t in zip(batch.column("doc_id").to_pylist(),
-                                 batch.column("text").to_pylist())]
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "clean": batch.column("text"),
-                         "messy": pa.array(messy, pa.string())})
-
-    res = evaluate(ds.map_batches(noisy, batch_format="pyarrow"),
-                   out_col="messy", correct_col="clean", banded=True,
+    noisy = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+        add_messy_column, batch_format="pyarrow",
+        fn_kwargs=dict(good_chars="abcdefghijklmnopqrstuvwxyz ",
+                       text_col="text", key_col="doc_id"))
+    res = evaluate(noisy, out_col="messy", correct_col="text", banded=True,
                    skip_empty_correct=True)
     return pa.table({"n": pa.array([res.n], pa.int64()),
                      "mean_cer": pa.array([res.mean_cer], pa.float64()),

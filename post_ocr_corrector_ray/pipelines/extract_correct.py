@@ -66,7 +66,7 @@ def correct_stage(ds: ray.data.Dataset, *, corrector: CorrectorKind,
                   seed: int = 42, hparams: dict | None = None,
                   vocab_ref=None, min_frequency: int = 2,
                   concurrency: int | tuple[int, int] = 4,
-                  batch_size: int = 32, num_cpus: float = 1,
+                  batch_size: int = 32,
                   num_gpus: float | None = None) -> ray.data.Dataset:
     """Corrector actor-pool stage.
 
@@ -75,7 +75,7 @@ def correct_stage(ds: ray.data.Dataset, *, corrector: CorrectorKind,
     shape (reference eval.py:25-33 runs the model on whatever device torch
     finds; here the resource request is explicit per stage).  ``batch_size``
     is the micro-batch: size it to the device memory, not the block."""
-    pool_kwargs: dict = dict(num_cpus=num_cpus)
+    pool_kwargs: dict = dict(num_cpus=1)
     if num_gpus is not None:
         pool_kwargs["num_gpus"] = num_gpus
     if corrector == "null":

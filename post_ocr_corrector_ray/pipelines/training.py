@@ -167,7 +167,7 @@ def documents_corpus(sf_dir: str, *, good_chars: str = "abcdefghijklmnopqrstuvwx
                      ) -> ray.data.Dataset:
     """(url, clean, messy, split) corpus derived from the documents test table
     (keyed noise + reference split semantics — doc_id % 10)."""
-    from ..functions.noise import mutilate_keyed
+    from ..stages.noise import add_messy_column
     from .corpus import pick_split
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -175,15 +175,13 @@ def documents_corpus(sf_dir: str, *, good_chars: str = "abcdefghijklmnopqrstuvwx
 
     def f(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
-        texts = batch.column("text").to_pylist()
-        clean = [(t or "").strip() for t in texts]
-        messy = [mutilate_keyed(str(i), c, good_chars)
-                 for i, c in zip(ids, clean)]
+        clean = [(t or "").strip() for t in batch.column("text").to_pylist()]
         splits = [pick_split(int(i) % 10) for i in ids]
-        return pa.table({"url": pa.array([str(i) for i in ids], pa.string()),
-                         "clean": pa.array(clean, pa.string()),
-                         "messy": pa.array(messy, pa.string()),
-                         "split": pa.array(splits, pa.string())})
+        return add_messy_column(
+            pa.table({"url": pa.array([str(i) for i in ids], pa.string()),
+                      "clean": pa.array(clean, pa.string())}),
+            good_chars=good_chars).append_column(
+                "split", pa.array(splits, pa.string()))
 
     return ds.map_batches(f, batch_format="pyarrow")
 

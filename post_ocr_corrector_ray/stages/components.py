@@ -25,7 +25,9 @@ Survivors: ``near_dedup`` drops every non-root member with one anti join;
 ``near_dedup_incremental`` (a new wave against a committed store) needs
 three exchanges after the clustering — a semi join marking store nodes, one
 ``grouped_apply`` on ``component`` that emits the losers, and the anti join.
-Every exchange is ``grouped_apply`` (stages/shuffle.py); ``_pin`` marks the
+Every exchange is ``grouped_apply`` (stages/shuffle.py) at the width
+``partitions_for()`` picks; the star rounds alone narrow it, to
+``edges // 10_000 + 8``, once the edge count is known.  ``_pin`` marks the
 few small intermediates that feed more than one.
 
 Output contract: ``connected_components`` returns (node, component) with
@@ -54,7 +56,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from .shuffle import DEFAULT_PARTITIONS, _pin, grouped_apply
+from . import shuffle
+from .shuffle import _pin, grouped_apply
 
 
 def _empty_edges() -> pd.DataFrame:
@@ -137,8 +140,7 @@ def _checksum(edges: ray.data.Dataset) -> tuple[int, int]:
     return n, s
 
 
-def _is_star_forest(edges: ray.data.Dataset, *,
-                    num_partitions: int) -> bool:
+def _is_star_forest(edges: ray.data.Dataset, width: int) -> bool:
     """True iff no node appears both as child (u) and parent (v).
 
     A max→min oriented edge set that passes this check is a star forest whose
@@ -167,15 +169,13 @@ def _is_star_forest(edges: ray.data.Dataset, *,
 
     parts = grouped_apply(
         edges.map_batches(explode, batch_format="pyarrow"), ["node"],
-        violations, num_partitions=num_partitions).take_all()
+        violations, num_partitions=width).take_all()
     return sum(p["bad"] for p in parts) == 0
 
 
 def connected_components(edges: ray.data.Dataset, *,
                          u_col: str = "id_a", v_col: str = "id_b",
-                         max_rounds: int = 25,
-                         num_partitions: int = DEFAULT_PARTITIONS
-                         ) -> ray.data.Dataset:
+                         max_rounds: int = 25) -> ray.data.Dataset:
     """(node, component) for every node appearing in ``edges``; component =
     min node id of its connected component.
 
@@ -192,8 +192,7 @@ def connected_components(edges: ray.data.Dataset, *,
                          "v": batch.column(v_col).cast(pa.int64())})
 
     cur = _pin(edges.map_batches(to_uv, batch_format="pyarrow")
-               .map_batches(_orient_max_min, batch_format="pyarrow"),
-               num_partitions)
+               .map_batches(_orient_max_min, batch_format="pyarrow"))
     prev_fp = _checksum(cur)
     if prev_fp[0] == 0:
         return ray.data.from_arrow(
@@ -201,22 +200,19 @@ def connected_components(edges: ray.data.Dataset, *,
                       "component": pa.array([], pa.int64())}))
     # exchange cost is per TASK: ~10 star-contraction exchanges at P
     # partitions each cost O(P) fixed task overheads regardless of rows.
-    # Adapt P to the (now known) edge count so a toy graph doesn't pay a
+    # Narrow P to the (now known) edge count so a toy graph doesn't pay a
     # 64-partition sort per round; results are P-independent (grouped_apply
     # is exact per key at any P).
-    num_partitions = max(8, min(num_partitions, prev_fp[0] // 10_000 + 8))
-    cur = _pin(cur, num_partitions)
+    width = min(shuffle.partitions_for(), prev_fp[0] // 10_000 + 8)
+    cur = _pin(cur, width)
     for _ in range(max_rounds):
         sym = cur.map_batches(_symmetrize, batch_format="pyarrow")
-        large = grouped_apply(sym, ["u"], _large_star,
-                              num_partitions=num_partitions)
+        large = grouped_apply(sym, ["u"], _large_star, num_partitions=width)
         small = _pin(grouped_apply(
             large.map_batches(_orient_max_min, batch_format="pyarrow"),
-            ["u"], _small_star, num_partitions=num_partitions),
-            num_partitions)
+            ["u"], _small_star, num_partitions=width), width)
         fp = _checksum(small)
-        converged = (fp == prev_fp
-                     and _is_star_forest(small, num_partitions=num_partitions))
+        converged = fp == prev_fp and _is_star_forest(small, width)
         cur = small
         prev_fp = fp
         if converged:
@@ -252,15 +248,14 @@ def connected_components(edges: ray.data.Dataset, *,
 
     child_rows = cur.map_batches(children, batch_format="pyarrow")
     roots = grouped_apply(cur.map_batches(local_roots, batch_format="pyarrow"),
-                          ["v"], root_rows, num_partitions=num_partitions) \
+                          ["v"], root_rows, num_partitions=width) \
         .map_batches(as_arrow, batch_format="pandas")
     return child_rows.union(roots)
 
 
 def near_dedup(docs: ray.data.Dataset, pairs: ray.data.Dataset, *,
                id_col: str = "doc_id", u_col: str = "id_a",
-               v_col: str = "id_b",
-               num_partitions: int = DEFAULT_PARTITIONS) -> ray.data.Dataset:
+               v_col: str = "id_b") -> ray.data.Dataset:
     """Drop every non-canonical member of each near-dup cluster; keep the
     min-id representative and all untouched documents.
 
@@ -273,28 +268,23 @@ def near_dedup(docs: ray.data.Dataset, pairs: ray.data.Dataset, *,
     # pin the (tiny relative to docs) pair set first: an UNPINNED pair
     # pipeline would otherwise run as one deep DAG under the contraction
     # loop's repeated exchanges — measured 3× slower at bench scale
-    pairs = _pin(pairs, num_partitions)
-    comp = connected_components(pairs, u_col=u_col, v_col=v_col,
-                                num_partitions=num_partitions)
+    pairs = _pin(pairs)
+    comp = connected_components(pairs, u_col=u_col, v_col=v_col)
 
     def losers(batch: pa.Table) -> pa.Table:
         t = batch.filter(pc.not_equal(batch.column("node"),
                                       batch.column("component")))
         return pa.table({id_col: t.column("node")})
 
-    discard = _pin(comp.map_batches(losers, batch_format="pyarrow"),
-                   num_partitions)
-    return hash_join(docs, discard, on=id_col, how="anti",
-                     num_partitions=num_partitions)
+    discard = _pin(comp.map_batches(losers, batch_format="pyarrow"))
+    return hash_join(docs, discard, on=id_col, how="anti")
 
 
 def near_dedup_incremental(new_docs: ray.data.Dataset,
                            store_ids: ray.data.Dataset,
                            pairs: ray.data.Dataset, *,
                            id_col: str = "doc_id", u_col: str = "id_a",
-                           v_col: str = "id_b",
-                           num_partitions: int = DEFAULT_PARTITIONS
-                           ) -> ray.data.Dataset:
+                           v_col: str = "id_b") -> ray.data.Dataset:
     """Append-only ingest dedup: keep the new documents that survive against
     an EXISTING deduped store.
 
@@ -328,8 +318,7 @@ def near_dedup_incremental(new_docs: ray.data.Dataset,
     """
     from .joins import hash_join
 
-    comp = connected_components(pairs, u_col=u_col, v_col=v_col,
-                                num_partitions=num_partitions)
+    comp = connected_components(pairs, u_col=u_col, v_col=v_col)
 
     def tagged(node_col: str, is_store: int):
         def f(batch: pa.Table) -> pa.Table:
@@ -341,10 +330,8 @@ def near_dedup_incremental(new_docs: ray.data.Dataset,
 
     # consumed twice (the semi join and the survivor step): pinned, so the
     # clustering runs once
-    comp_rows = _pin(comp.map_batches(tagged("node", 0), batch_format="pyarrow"),
-                     num_partitions)
-    store_rows = hash_join(comp_rows, store_ids, on=id_col, how="semi",
-                           num_partitions=num_partitions) \
+    comp_rows = _pin(comp.map_batches(tagged("node", 0), batch_format="pyarrow"))
+    store_rows = hash_join(comp_rows, store_ids, on=id_col, how="semi") \
         .map_batches(tagged(id_col, 1), batch_format="pyarrow")
 
     def losers(df: pd.DataFrame) -> pd.DataFrame:
@@ -356,7 +343,5 @@ def near_dedup_incremental(new_docs: ray.data.Dataset,
         return new.loc[touched | (new[id_col] != min_new), [id_col]]
 
     lost = _pin(grouped_apply(comp_rows.union(store_rows), ["component"],
-                              losers, num_partitions=num_partitions),
-                num_partitions)
-    return hash_join(new_docs, lost, on=id_col, how="anti",
-                     num_partitions=num_partitions)
+                              losers))
+    return hash_join(new_docs, lost, on=id_col, how="anti")

@@ -32,11 +32,8 @@ def _append_str_column(batch: pa.Table, name: str, values: list[str]) -> pa.Tabl
 class NullCorrectorStage:
     """Identity corrector — the eval control (reference null_corrector.py:16-42)."""
 
-    def __init__(self, text_col: str = TEXT_COL, out_col: str = OUT_COL):
-        self.text_col, self.out_col = text_col, out_col
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return batch.append_column(self.out_col, batch.column(self.text_col))
+        return batch.append_column(OUT_COL, batch.column(TEXT_COL))
 
 
 class NeuralCorrectorStage:
@@ -49,18 +46,16 @@ class NeuralCorrectorStage:
     """
 
     def __init__(self, *, alphabet: str, model_path: str | None = None,
-                 seed: int = 42, hparams: dict | None = None,
-                 text_col: str = TEXT_COL, out_col: str = OUT_COL):
+                 seed: int = 42, hparams: dict | None = None):
         if model_path is not None:
             self.model = NeuralCorrectorModel.load(model_path, alphabet)
         else:
             self.model = NeuralCorrectorModel.from_seed(alphabet, seed=seed, **(hparams or {}))
-        self.text_col, self.out_col = text_col, out_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column(self.text_col).to_pylist()
+        texts = batch.column(TEXT_COL).to_pylist()
         corrected = [self.model.correct_document(t or "") for t in texts]
-        return _append_str_column(batch, self.out_col, corrected)
+        return _append_str_column(batch, OUT_COL, corrected)
 
 
 class DictionaryCorrectorStage:

@@ -3,15 +3,15 @@ does (semi) or does not (anti) occur in another.
 
 The filter is ONE co-partitioning shuffle: tag each side, pad both onto the
 left schema (the right side ships only its key), ``union`` the datasets,
-coarse-hash-partition on the key (stages/shuffle.py — a fixed number of Ray
-groups regardless of key cardinality), and run a vectorized ``isin`` inside
+coarse-hash-partition on the key (stages/shuffle.py — ``partitions_for()``
+Ray groups regardless of key cardinality), and run a vectorized ``isin`` inside
 each partition.  The ``dedup`` command's survivor logic
 (stages/components.py) runs on it.
 
 Partitioning assumption (document per the engine contract): every row of one
 key lands in exactly one partition — guaranteed by the deterministic key
 hash — so the per-partition filter is exact.  A pathologically hot key
-bounds a single task's memory; ``num_partitions`` spreads distinct keys but
+bounds a single task's memory; the exchange width spreads distinct keys but
 not one key's rows (the same skew contract as ``grouped_apply``).
 """
 
@@ -23,7 +23,7 @@ import pyarrow as pa
 
 import ray.data
 
-from .shuffle import DEFAULT_PARTITIONS, grouped_apply
+from .shuffle import grouped_apply
 
 _SIDE = "_side"
 
@@ -63,8 +63,7 @@ def _tagged(ds: ray.data.Dataset, schema: pa.Schema, side: int,
 
 
 def hash_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
-              on: str, how: str,
-              num_partitions: int = DEFAULT_PARTITIONS) -> ray.data.Dataset:
+              on: str, how: str) -> ray.data.Dataset:
     """Rows of ``left`` whose ``on`` value occurs ("semi") or does not occur
     ("anti") in ``right[on]`` — the shuffle filter for when NEITHER side
     fits a broadcast (a dimension-sized right side should stay a ``ray.put``
@@ -112,4 +111,4 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
         hit = l[on].isin(df.loc[~is_left, on].unique())
         return l[hit if how == "semi" else ~hit]
 
-    return grouped_apply(both, [on], keep_rows, num_partitions=num_partitions)
+    return grouped_apply(both, [on], keep_rows)

@@ -19,7 +19,8 @@ from ..functions.noise import mutilate_keyed
 def add_messy_column(batch: pa.Table, *, good_chars: str, salt: int = 0,
                      text_col: str = "clean", out_col: str = "messy",
                      key_col: str = "url") -> pa.Table:
-    urls = batch.column(key_col).to_pylist()
+    # keyed by the key's text, so an int doc_id keys by its decimal form
+    urls = batch.column(key_col).cast(pa.string()).to_pylist()
     texts = batch.column(text_col).to_pylist()
     messy = [mutilate_keyed(u, (t or "").strip(), good_chars, salt=salt)
              for u, t in zip(urls, texts)]

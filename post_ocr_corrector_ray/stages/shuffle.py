@@ -6,8 +6,8 @@ overhead (~ms); measured on this Ray 2.49 install, a 2-column aggregate over
 statuses), catastrophic for web-scale keys (tokens, content hashes, url buckets,
 candidate pairs).
 
-The pattern here keeps the number of Ray-level groups FIXED at
-``num_partitions`` regardless of key cardinality: a deterministic row hash of
+The pattern here keeps the number of Ray-level groups FIXED at the
+exchange width regardless of key cardinality: a deterministic row hash of
 the key columns assigns each row to one of P coarse partitions, Ray groups by
 that single small-int key (P groups → P Python calls), and the real per-key
 work happens INSIDE each partition with vectorized pandas.  All-key-equal rows
@@ -21,10 +21,10 @@ LSH candidate buckets and the verify join (stages/dedup.py), the star
 contraction and survivor step (stages/components.py) and the semi/anti join
 (stages/joins.py) all run on it.  The only other Ray-level
 ``groupby().map_groups()`` is the store commit (state/lineage.py), whose
-polyhash partition id is the resume contract.  Exchange width comes from
-``partitions_for`` — the cluster's CPUs and, where known, the input size —
-not from caller knobs; ``_pin`` materializes a small intermediate that feeds
-more than one exchange.
+polyhash partition id is the resume contract.  Exchange width has one
+owner, ``partitions_for`` (the cluster's CPUs); no caller passes one except
+``connected_components``, which narrows it to its edge count.  ``_pin``
+materializes a small intermediate that feeds more than one exchange.
 """
 
 from __future__ import annotations
@@ -37,49 +37,26 @@ import numpy as np
 import pandas as pd
 import ray.data
 
-DEFAULT_PARTITIONS = 64   # fixed fallback (no Ray session / explicit pins)
-
-_TARGET_PARTITION_BYTES = 256 << 20   # ~256 MB of input per reduce partition
+_NO_SESSION_PARTITIONS = 64   # a plan built before any Ray session exists
 
 
-def partitions_for(size_bytes: int | None = None) -> int:
-    """Adaptive exchange width: the number of coarse reduce partitions an
-    exchange should use — the runtime picks it from what it observes.
-
-    Two adaptive components, take the max (at least 8, at most 8192):
-    - CLUSTER-scaled: ~2 partitions per CPU (good reduce-task granularity;
-      equals the legacy fixed 64 on the 32-CPU bench box) so small inputs
-      still use the whole machine.
-    - DATA-scaled: enough partitions that each holds ~256 MB of input — the
-      component that matters at 100 TB, where a fixed 64-wide exchange would
-      put ~1.5 TB in each reduce task.  Callers that know their input size
-      (parquet metadata, ``os.path.getsize``) pass it;
-      ``connected_components`` adapts DOWN for toy graphs the same way.
-
-    Exactness never depends on P (all-key-equal rows land together at any
-    width — pinned by the partition-count-invariance tests), so the value is
-    a pure performance knob.
-    """
-    import math
-
-    p = 8
+def partitions_for() -> int:
+    """The exchange width of derived data — the one place it is decided,
+    from what the runtime observes: ~2 coarse partitions per cluster CPU
+    (equal to a fixed 64 on a 32-CPU box), at least 8 and at most 256.
+    ``grouped_apply`` and ``_pin`` call it; ``connected_components``
+    narrows it to its measured edge count.  Exactness never depends on it
+    (all-key-equal rows land together at any width — pinned by the
+    width-invariance tests)."""
     try:
         import ray
 
         if ray.is_initialized():
             cpus = int(ray.cluster_resources().get("CPU", 0))
-            p = max(p, min(2 * cpus, 256))
-        else:
-            p = max(p, DEFAULT_PARTITIONS)
+            return max(8, min(2 * cpus, 256))
     except Exception:
-        p = max(p, DEFAULT_PARTITIONS)
-    if size_bytes:
-        p = max(p, math.ceil(size_bytes / _TARGET_PARTITION_BYTES))
-    return int(min(p, 8192))
-
-
-def _resolve_partitions(num_partitions: int | None) -> int:
-    return partitions_for() if num_partitions is None else int(num_partitions)
+        pass
+    return _NO_SESSION_PARTITIONS
 
 
 class _EmptySchemaDivergenceFilter(logging.Filter):
@@ -135,28 +112,20 @@ def _install_empty_schema_filter() -> None:
 _install_empty_schema_filter()
 
 
-def add_key_partition(df: pd.DataFrame, key_cols: list[str],
-                      num_partitions: int = DEFAULT_PARTITIONS,
-                      col: str = "_kp") -> pd.DataFrame:
-    h = pd.util.hash_pandas_object(df[key_cols], index=False).to_numpy()
-    df = df.copy()
-    df[col] = (h % np.uint64(num_partitions)).astype(np.int64)
-    return df
-
-
 def grouped_apply(ds: ray.data.Dataset, key_cols: list[str],
                   fn: Callable[[pd.DataFrame], pd.DataFrame], *,
                   num_partitions: int | None = None) -> ray.data.Dataset:
     """Apply ``fn`` (vectorized pandas, sees every row of each key it
     receives) once per coarse partition.  ``fn`` must itself group by
     ``key_cols`` internally; it is called with all rows whose key hashes into
-    one partition.  ``num_partitions=None`` → adaptive (``partitions_for``:
-    cluster-scaled here; pass an explicit data-scaled width when input bytes
-    are known)."""
-    num_partitions = _resolve_partitions(num_partitions)
+    one partition.  The width is ``partitions_for()``; only
+    ``connected_components`` passes a narrower ``num_partitions``."""
+    if num_partitions is None:
+        num_partitions = partitions_for()
 
     def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        return add_key_partition(df, key_cols, num_partitions)
+        h = pd.util.hash_pandas_object(df[key_cols], index=False).to_numpy()
+        return df.assign(_kp=(h % np.uint64(num_partitions)).astype(np.int64))
 
     def run(df: pd.DataFrame) -> pd.DataFrame:
         # closures are cloudpickled by value, so WORKER processes never
@@ -170,13 +139,16 @@ def grouped_apply(ds: ray.data.Dataset, key_cols: list[str],
         .groupby("_kp").map_groups(run, batch_format="pandas")
 
 
-def _pin(ds: ray.data.Dataset, num_partitions: int) -> ray.data.Dataset:
+def _pin(ds: ray.data.Dataset,
+         num_partitions: int | None = None) -> ray.data.Dataset:
     """Materialize + coalesce a small intermediate.  Exchange cost in Ray is
     per-TASK (block), not per-row: a 150-row set fragmented into 140 blocks
     makes the next exchange pay 140 map + 140 reduce task overheads.
     ``grouped_apply`` inflates block counts, so every pinned intermediate is
-    coalesced back to ≤ num_partitions blocks before feeding the next
-    exchange."""
+    coalesced back to ≤ ``num_partitions`` blocks (default
+    ``partitions_for()``) before feeding the next exchange."""
+    if num_partitions is None:
+        num_partitions = partitions_for()
     m = ds.materialize()
     try:
         blocks = m.num_blocks()
@@ -188,8 +160,7 @@ def _pin(ds: ray.data.Dataset, num_partitions: int) -> ray.data.Dataset:
 
 
 def grouped_agg(ds: ray.data.Dataset, key_cols: list[str],
-                agg_spec: dict[str, tuple[str, str]], *,
-                num_partitions: int | None = None) -> ray.data.Dataset:
+                agg_spec: dict[str, tuple[str, str]]) -> ray.data.Dataset:
     """Exact high-cardinality groupby-aggregate.
 
     ``agg_spec``: output_col → (input_col, pandas agg name), e.g.
@@ -203,4 +174,4 @@ def grouped_agg(ds: ray.data.Dataset, key_cols: list[str],
             **{out: (src, how) for out, (src, how) in agg_spec.items()})
         return g
 
-    return grouped_apply(ds, key_cols, agg, num_partitions=num_partitions)
+    return grouped_apply(ds, key_cols, agg)

@@ -39,7 +39,7 @@ def quality_tiers(ds: ray.data.Dataset, *, id_col: str = "doc_id",
     import pandas as pd
 
     from . import textstats as ts
-    from .shuffle import _pin, grouped_agg, grouped_apply, partitions_for
+    from .shuffle import _pin, grouped_agg, grouped_apply
 
     def project(batch: pa.Table) -> pa.Table:
         q = ts.quality_score_batch(batch.select([id_col, text_col]),
@@ -53,8 +53,7 @@ def quality_tiers(ds: ray.data.Dataset, *, id_col: str = "doc_id",
 
     # pinned because it is consumed twice (histogram pass + rank pass) and
     # the text column is already projected away — 4 narrow columns spill fine
-    docs = _pin(ds.map_batches(project, batch_format="pyarrow"),
-                partitions_for())
+    docs = _pin(ds.map_batches(project, batch_format="pyarrow"))
 
     def partial(batch: pa.Table) -> pa.Table:
         g = (pd.DataFrame({lang_col: batch.column(lang_col).to_pandas(),

@@ -28,3 +28,22 @@ def tiny_hparams():
     """Small model hyperparameters for fast tests (sizes are tunable in the
     reference too — hyperparameters.json; semantics don't depend on size)."""
     return dict(max_len=16, d_model=32, n_head=2, n_layers=2, d_linear=32)
+
+
+@pytest.fixture(scope="session")
+def exchange_width():
+    """``with exchange_width(p):`` plans every derived-data exchange inside
+    the block at width ``p``, by setting the width's one owner,
+    ``stages.shuffle.partitions_for`` (``connected_components`` still
+    narrows it to its edge count)."""
+    import contextlib
+
+    from post_ocr_corrector_ray.stages import shuffle
+
+    @contextlib.contextmanager
+    def at(p: int):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shuffle, "partitions_for", lambda: p)
+            yield
+
+    return at

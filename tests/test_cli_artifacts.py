@@ -244,6 +244,44 @@ class TestCli:
             got[name] = sorted(read_output(out)["doc_id"].to_pylist())
         assert got == {"sigstore": want, "text": want}
 
+    @pytest.mark.parametrize("case", ["empty_wave", "empty_wave_against",
+                                      "all_dup_against"])
+    def test_dedup_wave_with_no_survivors(self, tmp_path, capsys, case):
+        """A wave with no rows, alone or ``--against`` a store, and a wave
+        whose every document is a near-duplicate of the store each exit 0,
+        commit nothing and leave no temporary signature store."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.state.lineage import committed_partitions
+
+        base = ("the quick brown fox jumps over the lazy dog and then "
+                "runs far away toward the distant hills today")
+        other = "completely different content about database engines and arrow"
+
+        def _write(path, ids, texts):
+            pq.write_table(pa.table({"doc_id": pa.array(ids, pa.int64()),
+                                     "text": pa.array(texts, pa.string())}),
+                           path)
+            return path
+
+        argv = []
+        if case != "empty_wave":
+            store = str(tmp_path / "store")
+            assert main(["dedup", _write(str(tmp_path / "w1.parquet"), [0, 1],
+                                         [base, other]),
+                         store, "--partitions", "2"]) == 0
+            argv = ["--against", store]
+        ids, texts = ([], []) if case.startswith("empty") else \
+            ([10, 11], [base.replace("lazy", "hazy"), other])
+        out = tmp_path / "out"
+        assert main(["dedup", _write(str(tmp_path / "w2.parquet"), ids, texts),
+                     str(out), "--partitions", "2", *argv]) == 0
+        assert _last_json(capsys) == {"partitions_committed": 0, "rows": 0}
+        assert not committed_partitions(str(out))
+        assert not (out / "_sigstore.tmp").exists()
+
     def test_subprocess_end_to_end(self, tmp_path):
         """One real subprocess run proving the CLI owns its own session."""
         pages = str(tmp_path / "p.parquet")

@@ -30,20 +30,19 @@ def _union_find_components(edges):
     return {node: comp_min[find(node)] for node in parent}
 
 
-def _run_cc(edges, num_partitions=4, **kw):
+def _run_cc(edges, **kw):
     import ray.data
     from post_ocr_corrector_ray.stages.components import connected_components
 
     t = pa.table({"id_a": pa.array([a for a, _ in edges], pa.int64()),
                   "id_b": pa.array([b for _, b in edges], pa.int64())})
-    out = connected_components(ray.data.from_arrow(t),
-                               num_partitions=num_partitions, **kw).to_pandas()
+    out = connected_components(ray.data.from_arrow(t), **kw).to_pandas()
     if out.empty:
         return {}
     return dict(zip(out["node"], out["component"]))
 
 
-def test_cc_matches_union_find_random_graph(ray_session):
+def test_cc_matches_union_find_random_graph(ray_session, exchange_width):
     rng = np.random.default_rng(7)
     # sparse random graph over sparse ids → many non-trivial components
     nodes = rng.choice(10_000, size=300, replace=False)
@@ -51,34 +50,57 @@ def test_cc_matches_union_find_random_graph(ray_session):
              for i, j in rng.integers(0, len(nodes), size=(250, 2))
              if i != j]
     expect = _union_find_components(edges)
-    assert _run_cc(edges) == expect
+    with exchange_width(4):
+        assert _run_cc(edges) == expect
 
 
-def test_cc_long_chain_converges(ray_session):
+def test_cc_long_chain_converges(ray_session, exchange_width):
     # a 60-node path is the adversarial case for naive label propagation;
     # star contraction must still converge within the round bound
     edges = [(i, i + 1) for i in range(60)]
-    got = _run_cc(edges, num_partitions=3)
+    with exchange_width(3):
+        got = _run_cc(edges)
     assert got == {i: 0 for i in range(61)}
 
 
-def test_cc_partition_count_invariance(ray_session):
+def test_cc_partition_count_invariance(ray_session, exchange_width,
+                                      monkeypatch):
+    """The components are the same at widths 2 and 8, and a spy on
+    ``grouped_apply`` shows every star-round exchange ran at the width
+    asked for (a clamp would run both at one width and prove nothing)."""
+    from post_ocr_corrector_ray.stages import components
+
     rng = np.random.default_rng(13)
     edges = [(int(a), int(b)) for a, b in rng.integers(0, 120, size=(90, 2))
              if a != b]
-    assert _run_cc(edges, num_partitions=2) == _run_cc(edges, num_partitions=9)
+    widths, real_apply = [], components.grouped_apply
+
+    def spy(*a, num_partitions=None, **kw):
+        widths.append(num_partitions)
+        return real_apply(*a, num_partitions=num_partitions, **kw)
+
+    monkeypatch.setattr(components, "grouped_apply", spy)
+    got = {}
+    for p in (2, 8):
+        widths.clear()
+        with exchange_width(p):
+            got[p] = _run_cc(edges)
+        assert len(widths) >= 3 and set(widths) == {p}
+    assert got[2] == got[8] == _union_find_components(edges)
 
 
-def test_cc_empty_edges(ray_session):
-    assert _run_cc([]) == {}
+def test_cc_empty_edges(ray_session, exchange_width):
+    with exchange_width(4):
+        assert _run_cc([]) == {}
 
 
-def test_cc_duplicate_and_reversed_edges(ray_session):
+def test_cc_duplicate_and_reversed_edges(ray_session, exchange_width):
     edges = [(5, 9), (9, 5), (5, 9), (9, 12), (1, 2)]
-    assert _run_cc(edges) == {5: 5, 9: 5, 12: 5, 1: 1, 2: 1}
+    with exchange_width(4):
+        assert _run_cc(edges) == {5: 5, 9: 5, 12: 5, 1: 1, 2: 1}
 
 
-def test_near_dedup_keeps_min_representative(ray_session):
+def test_near_dedup_keeps_min_representative(ray_session, exchange_width):
     import ray.data
     from post_ocr_corrector_ray.stages.components import near_dedup
 
@@ -87,20 +109,19 @@ def test_near_dedup_keeps_min_representative(ray_session):
     pairs = ray.data.from_arrow(
         pa.table({"id_a": pa.array([3, 4, 17, 20], pa.int64()),
                   "id_b": pa.array([4, 5, 18, 21], pa.int64())}))
-    surv = sorted(near_dedup(docs, pairs, num_partitions=4)
-                  .to_pandas()["doc_id"].tolist())
+    with exchange_width(4):
+        surv = sorted(near_dedup(docs, pairs).to_pandas()["doc_id"].tolist())
     assert surv == sorted(set(range(30)) - {4, 5, 18, 21})
 
 
-def test_cc_non_convergence_raises(ray_session):
+def test_cc_non_convergence_raises(ray_session, exchange_width):
     from post_ocr_corrector_ray.stages.components import connected_components
     import ray.data
 
     t = pa.table({"id_a": pa.array([i for i in range(40)], pa.int64()),
                   "id_b": pa.array([i + 1 for i in range(40)], pa.int64())})
-    with pytest.raises(RuntimeError, match="no convergence"):
-        connected_components(ray.data.from_arrow(t), max_rounds=0,
-                             num_partitions=2)
+    with exchange_width(2), pytest.raises(RuntimeError, match="no convergence"):
+        connected_components(ray.data.from_arrow(t), max_rounds=0)
 
 
 from hypothesis import given, settings, strategies as st
@@ -110,9 +131,11 @@ from hypothesis import given, settings, strategies as st
 @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)),
                 min_size=0, max_size=80),
        st.sampled_from([3, 8]))
-def test_cc_property_matches_union_find(ray_session, edges, parts):
+def test_cc_property_matches_union_find(ray_session, exchange_width, edges,
+                                        parts):
     edges = [(a, b) for a, b in edges if a != b]
-    assert _run_cc(edges, num_partitions=parts) == _union_find_components(edges)
+    with exchange_width(parts):
+        assert _run_cc(edges) == _union_find_components(edges)
 
 
 def _incr_oracle(new_ids, old_ids, edges):
@@ -132,7 +155,7 @@ def _incr_oracle(new_ids, old_ids, edges):
     return sorted(set(new_ids) - drop)
 
 
-def test_near_dedup_incremental(ray_session):
+def test_near_dedup_incremental(ray_session, exchange_width):
     import ray.data
     from post_ocr_corrector_ray.stages.components import near_dedup_incremental
 
@@ -148,8 +171,9 @@ def test_near_dedup_incremental(ray_session):
     pairs = ray.data.from_arrow(pa.table(
         {"id_a": pa.array([a for a, _ in edges], pa.int64()),
          "id_b": pa.array([b for _, b in edges], pa.int64())}))
-    surv = sorted(near_dedup_incremental(docs, store, pairs, num_partitions=4)
-                  .to_pandas()["doc_id"].tolist())
+    with exchange_width(4):
+        surv = sorted(near_dedup_incremental(docs, store, pairs)
+                      .to_pandas()["doc_id"].tolist())
     want = _incr_oracle(new_ids, old_ids, edges)
     assert surv == want
     # explicit: 1,2 drop (store chain); 11 drops; of {5,7,9} only 5 survives
@@ -160,7 +184,8 @@ def test_near_dedup_incremental(ray_session):
 @settings(max_examples=5, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
                 min_size=0, max_size=50))
-def test_near_dedup_incremental_property(ray_session, raw_edges):
+def test_near_dedup_incremental_property(ray_session, exchange_width,
+                                         raw_edges):
     import ray.data
     from post_ocr_corrector_ray.stages.components import near_dedup_incremental
 
@@ -174,12 +199,14 @@ def test_near_dedup_incremental_property(ray_session, raw_edges):
     pairs = ray.data.from_arrow(pa.table(
         {"id_a": pa.array([a for a, _ in edges], pa.int64()),
          "id_b": pa.array([b for _, b in edges], pa.int64())}))
-    surv = sorted(near_dedup_incremental(docs, store, pairs, num_partitions=3)
-                  .to_pandas()["doc_id"].tolist())
+    with exchange_width(3):
+        surv = sorted(near_dedup_incremental(docs, store, pairs)
+                      .to_pandas()["doc_id"].tolist())
     assert surv == _incr_oracle(new_ids, old_ids, edges)
 
 
-def test_near_dedup_incremental_exchange_count(ray_session, monkeypatch):
+def test_near_dedup_incremental_exchange_count(ray_session, exchange_width,
+                                               monkeypatch):
     """After the clustering, the survivors take three keyed exchanges: the
     semi join marking store nodes, one survivor step keyed on the
     component, and the final anti join."""
@@ -209,8 +236,8 @@ def test_near_dedup_incremental_exchange_count(ray_session, monkeypatch):
     pairs = ray.data.from_arrow(pa.table(
         {"id_a": pa.array([a for a, _ in edges], pa.int64()),
          "id_b": pa.array([b for _, b in edges], pa.int64())}))
-    surv = components.near_dedup_incremental(docs, store, pairs,
-                                             num_partitions=4)
+    with exchange_width(4):
+        surv = components.near_dedup_incremental(docs, store, pairs)
     assert len(calls) == 3
     assert sorted(surv.to_pandas()["doc_id"].tolist()) == _incr_oracle(
         set(range(1, 20)), {100, 101, 102}, edges)

@@ -92,7 +92,7 @@ class TestHashJoinMatchesPandas:
 
     @pytest.mark.parametrize("parts", [1, 6])
     @pytest.mark.parametrize("how", ["semi", "anti"])
-    def test_matches_pandas_spec(self, how, parts):
+    def test_matches_pandas_spec(self, how, parts, exchange_width):
         import ray.data
 
         from post_ocr_corrector_ray.stages.joins import hash_join
@@ -102,9 +102,10 @@ class TestHashJoinMatchesPandas:
                              "lv": [f"l{i}" for i in range(200)]})
         right = pd.DataFrame({"k": rng.integers(20, 60, 120).astype("int64"),
                               "rv": np.arange(120, dtype="int64") * 7})
-        got = hash_join(ray.data.from_pandas(left).repartition(5),
-                        ray.data.from_pandas(right).repartition(3),
-                        on="k", how=how, num_partitions=parts).to_pandas()
+        with exchange_width(parts):
+            got = hash_join(ray.data.from_pandas(left).repartition(5),
+                            ray.data.from_pandas(right).repartition(3),
+                            on="k", how=how).to_pandas()
         hit = left["k"].isin(right["k"])
         want = left[hit if how == "semi" else ~hit]
         assert list(got.columns) == list(want.columns)

@@ -111,12 +111,13 @@ class TestCliOperatorsLayoutInvariance:
         assert sorted(zip(got["id_a"], got["id_b"])) == sorted(want)
 
     @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_near_dedup(self, blocks):
+    def test_near_dedup(self, blocks, exchange_width):
         from post_ocr_corrector_ray.stages.components import near_dedup
 
         tbl = _docs()
         ds = _blocks(tbl, blocks)
-        got = near_dedup(ds, _pairs(ds), num_partitions=4).to_pandas()
+        with exchange_width(4):
+            got = near_dedup(ds, _pairs(ds)).to_pandas()
         # min-id representative per union-find cluster
         want = sorted(i for i, r in _roots(tbl).items() if i == r)
         assert sorted(got["doc_id"]) == want
@@ -186,7 +187,7 @@ class TestCliOperatorsLayoutInvariance:
         assert sorted(zip(got["id_a"], got["id_b"])) == sorted(want)
 
     @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_near_dedup_incremental(self, blocks):
+    def test_near_dedup_incremental(self, blocks, exchange_width):
         """A new document survives iff no store document shares its
         cluster and it is its cluster's min id."""
         from post_ocr_corrector_ray.stages.components import near_dedup_incremental
@@ -201,8 +202,10 @@ class TestCliOperatorsLayoutInvariance:
         new_ds = _blocks(new, blocks)
         pairs = minhash_duplicate_pairs_incremental(
             new_ds, bands, sigs, min_new_id=cut, jaccard_threshold=0.5, **_LSH)
-        got = near_dedup_incremental(new_ds, _blocks(store.select(["doc_id"]), blocks),
-                                     pairs, num_partitions=4).to_pandas()
+        with exchange_width(4):
+            got = near_dedup_incremental(
+                new_ds, _blocks(store.select(["doc_id"]), blocks),
+                pairs).to_pandas()
         roots = _roots(tbl)
         tainted = {roots[i] for i in store.column("doc_id").to_pylist()}
         want = sorted(i for i in new.column("doc_id").to_pylist()
@@ -212,7 +215,7 @@ class TestCliOperatorsLayoutInvariance:
 
     @pytest.mark.parametrize("how", ["semi", "anti"])
     @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_hash_join(self, blocks, how):
+    def test_hash_join(self, blocks, how, exchange_width):
         """The survivor filter: the rows of ``docs`` whose id is (semi) or
         is not (anti) in a key set with repeats and strangers, with the int
         payload column restored to int64."""
@@ -224,9 +227,10 @@ class TestCliOperatorsLayoutInvariance:
         tbl = tbl.append_column("n", pc.utf8_length(tbl["text"]).cast(pa.int64()))
         rng = np.random.default_rng(9)
         keys = np.concatenate((rng.choice(tbl["doc_id"].to_numpy(), 40), [5000, 5001]))
-        got = hash_join(_blocks(tbl, blocks),
-                        _blocks(pa.table({"doc_id": pa.array(keys)}), blocks),
-                        on="doc_id", how=how, num_partitions=4).to_pandas()
+        with exchange_width(4):
+            got = hash_join(_blocks(tbl, blocks),
+                            _blocks(pa.table({"doc_id": pa.array(keys)}), blocks),
+                            on="doc_id", how=how).to_pandas()
         df = tbl.to_pandas()
         hit = df["doc_id"].isin(keys)
         want = df[hit if how == "semi" else ~hit]
@@ -236,14 +240,14 @@ class TestCliOperatorsLayoutInvariance:
             sorted(want.itertuples(index=False))
 
     @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_connected_components(self, blocks):
+    def test_connected_components(self, blocks, exchange_width):
         """Every clustered document maps to its union-find cluster's min
         id, and no unclustered document appears."""
         from post_ocr_corrector_ray.stages.components import connected_components
 
         tbl = _docs()
-        got = connected_components(_pairs(_blocks(tbl, blocks)),
-                                   num_partitions=4).to_pandas()
+        with exchange_width(4):
+            got = connected_components(_pairs(_blocks(tbl, blocks))).to_pandas()
         roots = _roots(tbl)
         clustered = {i for pair in _spec_pairs(tbl) for i in pair}
         assert len(got) == len(clustered)

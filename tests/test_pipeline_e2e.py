@@ -114,7 +114,7 @@ class TestByteIdentity:
                                concurrency=2)
         gpu0 = extract_correct(ray.data.from_arrow(small), corrector="neural",
                                alphabet=alphabet, seed=7, hparams=tiny_hparams,
-                               concurrency=2, num_gpus=0, num_cpus=1)
+                               concurrency=2, num_gpus=0)
         assert _as_url_map(gpu0) == _as_url_map(base)
 
 

@@ -77,16 +77,17 @@ class TestShuffleHelpersSpec:
                              "v": v})
 
     @pytest.mark.parametrize("how", ["sum", "min", "max", "count"])
-    def test_grouped_agg_each_combinable_agg(self, how):
+    def test_grouped_agg_each_combinable_agg(self, how, exchange_width):
         import ray.data
 
         df = self._frame()
-        got = grouped_agg(ray.data.from_pandas(df).repartition(9), ["a", "b"],
-                          {"out": ("v", how)}, num_partitions=4).to_pandas()
+        with exchange_width(4):
+            got = grouped_agg(ray.data.from_pandas(df).repartition(9),
+                              ["a", "b"], {"out": ("v", how)}).to_pandas()
         want = df.groupby(["a", "b"], as_index=False).agg(out=("v", how))
         pd.testing.assert_frame_equal(_canon(got), _canon(want), check_dtype=False)
 
-    def test_grouped_apply_multi_column_key(self):
+    def test_grouped_apply_multi_column_key(self, exchange_width):
         import ray.data
 
         df = self._frame()
@@ -94,8 +95,9 @@ class TestShuffleHelpersSpec:
         def n_rows(d: pd.DataFrame) -> pd.DataFrame:
             return d.groupby(["a", "b"], as_index=False).size()
 
-        got = grouped_apply(ray.data.from_pandas(df).repartition(6), ["a", "b"],
-                            n_rows, num_partitions=3).to_pandas()
+        with exchange_width(3):
+            got = grouped_apply(ray.data.from_pandas(df).repartition(6),
+                                ["a", "b"], n_rows).to_pandas()
         want = df.groupby(["a", "b"], as_index=False).size()
         pd.testing.assert_frame_equal(_canon(got), _canon(want), check_dtype=False)
 
@@ -122,10 +124,6 @@ def test_partitions_for_adaptive_width(ray_session):
     # cluster-scaled: 2 per CPU (capped 256), never < 8
     cpus = int(ray.cluster_resources().get("CPU", 0))
     assert partitions_for() == max(8, min(2 * cpus, 256))
-    # data-scaled: ~256 MB per partition dominates when input is large
-    assert partitions_for(size_bytes=100 << 30) == (100 << 30) // (256 << 20)
-    # 8192 bounds runaway widths
-    assert partitions_for(size_bytes=1 << 50) == 8192
 
 
 def test_map_groups_only_in_shuffle_and_commit():
@@ -145,6 +143,38 @@ def test_map_groups_only_in_shuffle_and_commit():
                 found.add(os.path.relpath(path, root))
     assert found == {os.path.join("post_ocr_corrector_ray", "stages", "shuffle.py"),
                      os.path.join("post_ocr_corrector_ray", "state", "lineage.py")}
+
+
+def test_exchange_width_has_one_owner():
+    """``partitions_for()`` decides the width of every derived-data
+    exchange.  Of the functions in ``stages/`` and ``pipelines/``, only
+    ``grouped_apply`` and ``_pin`` (for ``connected_components``' narrowed
+    star rounds) take ``num_partitions``, and ``extract_correct``, whose
+    ``num_partitions`` is the committed store's layout, like the
+    ``state/lineage.py`` store functions that ``stages.extract``
+    re-exports."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import post_ocr_corrector_ray.pipelines as pipelines
+    import post_ocr_corrector_ray.stages as stages
+
+    allowed = {"stages.shuffle.grouped_apply", "stages.shuffle._pin",
+               "pipelines.extract_correct.extract_correct"}
+    takes_width = set()
+    for pkg in (stages, pipelines):
+        for info in pkgutil.iter_modules(pkg.__path__):
+            mod = importlib.import_module(f"{pkg.__name__}.{info.name}")
+            for name, fn in inspect.getmembers(mod, inspect.isfunction):
+                if name.startswith("_") and name != "_pin":
+                    continue
+                if "num_partitions" not in inspect.signature(fn).parameters:
+                    continue
+                owner = fn.__module__.removeprefix("post_ocr_corrector_ray.")
+                if owner != "state.lineage":
+                    takes_width.add(f"{owner}.{name}")
+    assert takes_width == allowed
 
 
 def test_registry_orders_oracle_backed_first():
