@@ -185,18 +185,11 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         # quality score, via (lang, score-bits) histogram-offset ranking —
         # no global or per-language sort
         "doc_quality_tiers": lambda sf: D.doc_quality_tiers(sf),
-        # the `dedup` command's pairs and its LSH bucket census
-        "doc_minhash_pairs": D.doc_minhash_pairs,
-        "doc_minhash_bucket_stats": lambda sf: D.doc_minhash_bucket_stats(sf),
         # training-data feed (CorrectorDataset+DataLoader analog: collated
         # INT_EMPTY-padded (messy, clean) id batches, deterministic epoch
         # shuffle — pipelines/training.py; batch-content determinism across
         # parallelism is pytest-pinned in tests/test_training_feed.py)
         "training_feed": lambda sf: T.training_feed(sf),
-        # near-dup clustering + end-to-end dedup (large-star/small-star
-        # contraction over verified LSH pairs — stages/components.py)
-        "doc_dup_components": D.doc_dup_components,
-        "doc_dedup_near": D.doc_dedup_near,
     }
 
 
@@ -225,34 +218,6 @@ FROM documents d LEFT JOIN agg a USING (doc_id)
 """
 
 
-# shared prefix for the near-dup clustering oracles: exact-Jaccard ≥ 0.5
-# pair edges (identical to the doc_minhash_pairs CTE) symmetrized, then the
-# recursive reachability set of every node (DuckDB UNION-dedup guarantees
-# termination); consumers reduce `reach` to min-reachable components
-_CC_ORACLE = r"""
-    WITH RECURSIVE sh AS (
-      SELECT DISTINCT doc_id, substr(text, CAST(g AS INTEGER), 5) AS gram
-      FROM (SELECT doc_id, text,
-                   unnest(generate_series(1, greatest(length(text)-4, 1))) AS g
-            FROM documents)
-    ), sizes AS (SELECT doc_id, count(*) AS sz FROM sh GROUP BY doc_id),
-    inter AS (
-      SELECT a.doc_id AS id_a, b.doc_id AS id_b, count(*) AS ix
-      FROM sh a JOIN sh b ON a.gram = b.gram AND a.doc_id < b.doc_id
-      GROUP BY 1, 2),
-    pairs AS (
-      SELECT id_a, id_b FROM inter
-      JOIN sizes sa ON sa.doc_id = id_a JOIN sizes sb ON sb.doc_id = id_b
-      WHERE CAST(ix AS DOUBLE) / (sa.sz + sb.sz - ix) >= 0.5),
-    sym AS (SELECT id_a AS u, id_b AS v FROM pairs
-            UNION ALL SELECT id_b, id_a FROM pairs),
-    reach(node, r) AS (
-      SELECT u, v FROM sym
-      UNION
-      SELECT reach.node, sym.v FROM reach JOIN sym ON reach.r = sym.u)
-"""
-
-
 def oracle_sql() -> dict[str, str]:
     return {
         "doc_normalize_ws": r"""
@@ -277,28 +242,6 @@ def oracle_sql() -> dict[str, str]:
                    array_to_string(regexp_split_to_array(trim(text), '\s+'), ' ') AS sentence
             FROM documents""",
         "doc_token_stats": _TOKEN_STATS_SQL,
-        # Exact-Jaccard oracles for the LSH near-dup pipelines.  The engine
-        # output is "LSH candidates, verified by exact Jaccard >= t"; on this
-        # corpus similarity is bimodal (planted near-dups >= 0.9, background
-        # <= 0.31), so b=16/r=4 banding recall at the threshold is
-        # 1 - (1 - 0.9^4)^16 ~ 1 - 4e-8 and the verified set equals the exact
-        # thresholded set; the float division (int/int in double) is
-        # bit-identical between NumPy and DuckDB.
-        "doc_minhash_pairs": r"""
-            WITH sh AS (
-              SELECT DISTINCT doc_id, substr(text, CAST(g AS INTEGER), 5) AS gram
-              FROM (SELECT doc_id, text,
-                           unnest(generate_series(1, greatest(length(text)-4, 1))) AS g
-                    FROM documents)
-            ), sizes AS (SELECT doc_id, count(*) AS sz FROM sh GROUP BY doc_id),
-            inter AS (
-              SELECT a.doc_id AS id_a, b.doc_id AS id_b, count(*) AS ix
-              FROM sh a JOIN sh b ON a.gram = b.gram AND a.doc_id < b.doc_id
-              GROUP BY 1, 2)
-            SELECT id_a, id_b, CAST(ix AS DOUBLE) / (sa.sz + sb.sz - ix) AS jaccard
-            FROM inter
-            JOIN sizes sa ON sa.doc_id = id_a JOIN sizes sb ON sb.doc_id = id_b
-            WHERE CAST(ix AS DOUBLE) / (sa.sz + sb.sz - ix) >= 0.5""",
         "doc_quality": f"""
             WITH s AS ({_TOKEN_STATS_SQL})
             SELECT doc_id, n_chars, n_words, n_punct, mean_word_len, stop_ratio,
@@ -325,17 +268,4 @@ def oracle_sql() -> dict[str, str]:
                                        ORDER BY quality, doc_id) AS BIGINT)
                        AS tier
             FROM q""",
-        # connected components over the exact-Jaccard ≥ 0.5 edge set (same
-        # edge CTE as doc_minhash_pairs); component = min doc_id, computed by
-        # transitive-closure min over the recursive reachability set
-        "doc_dup_components": _CC_ORACLE + """
-            SELECT node, least(node, min(r)) AS component
-            FROM reach GROUP BY node""",
-        "doc_dedup_near": _CC_ORACLE + """
-            SELECT doc_id FROM documents
-            WHERE doc_id NOT IN (
-              SELECT node
-              FROM (SELECT node, least(node, min(r)) AS component
-                    FROM reach GROUP BY node)
-              WHERE node <> component)""",
     }

@@ -29,8 +29,7 @@ NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 # The representative query suite; every name must be a ``queries()`` key.
 BENCH_QUERIES = (
     "doc_token_counts", "doc_normalize_ws", "doc_token_stats",
-    "doc_minhash_pairs", "training_feed", "doc_null_corrector_cer",
-    "doc_dup_components", "doc_dedup_near", "doc_quality_tiers",
+    "training_feed", "doc_null_corrector_cer", "doc_quality_tiers",
     "flagship_tiered",
 )
 

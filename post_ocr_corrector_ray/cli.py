@@ -15,6 +15,8 @@ they run today):
 | ``CorrectorDataset`` + DataLoader | ``feed`` (collated epoch batches parquet) |
 | ``NeuralCorrector.load_from_checkpoint`` | ``convert-ckpt`` (torch-free .ckpt → model dir) |
 | — | ``synth`` (deterministic test pages) |
+| — | ``commit`` (any parquet → resumable key-partitioned committed store) |
+| — | ``tiers`` (per-language quality tiers → committed store) |
 
 The CLI owns the Ray session (``ray.init(address="local")``) unless its
 caller already started one, which it reuses and leaves running; library code
@@ -103,27 +105,6 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("parquet"); s.add_argument("out_dir")
     s.add_argument("--key-col", required=True)
     s.add_argument("--partitions", type=int, default=32)
-
-    s = sub.add_parser("dedup", help="documents parquet → near-dup-deduplicated "
-                                     "resumable committed store (MinHash-LSH "
-                                     "pairs → connected components → keep "
-                                     "min-id representative)")
-    s.add_argument("documents"); s.add_argument("out_dir")
-    s.add_argument("--id-col", default="doc_id")
-    s.add_argument("--text-col", default="text")
-    s.add_argument("--threshold", type=float, default=0.5)
-    s.add_argument("--partitions", type=int, default=32,
-                   help="partition count of the committed survivor store "
-                        "(its layout, checked on resume); the dedup "
-                        "exchanges size themselves to the cluster")
-    s.add_argument("--against", default=None, metavar="STORE_DIR",
-                   help="incremental ingest: dedup the new documents against "
-                        "this existing committed survivor store (ids must be "
-                        "globally unique AND append-only ordered — every "
-                        "store id smaller than every new id — for "
-                        "one-shot-equivalent representatives); the new "
-                        "wave's survivors commit to OUT_DIR, the combined "
-                        "corpus is STORE_DIR + OUT_DIR")
 
     s = sub.add_parser("tiers",
                        help="pages (extract first) or documents parquet → "
@@ -298,116 +279,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.out_dir, key_col="lang_tier",
                 num_partitions=args.partitions, resume=not args.no_resume,
                 input_fingerprint=fingerprint_inputs(args.input)).to_pandas()
-            print(json.dumps({"partitions_committed": len(summary),
-                              "rows": int(summary["n_rows"].sum()) if len(summary) else 0}))
-        elif args.cmd == "dedup":
-            from .stages.components import near_dedup, near_dedup_incremental
-            from .stages.dedup import _verified_pairs, signature_store_tables
-            from .state.lineage import (commit_by_key, committed_partitions,
-                                        fingerprint_inputs, read_output,
-                                        read_output_ds)
-
-            import shutil
-
-            lsh_params = dict(n_hashes=64, bands=16, k_shingle=5)
-            id_col, text_col = args.id_col, args.text_col
-
-            def _sigstore_meta(store_dir):
-                return os.path.join(store_dir, "_sigstore", "meta.json")
-
-            # a persisted signature store is checked before any wave work:
-            # a mismatch is refused with nothing shingled or written
-            has_sigstore = bool(args.against) and os.path.exists(
-                _sigstore_meta(args.against))
-            if has_sigstore:
-                with open(_sigstore_meta(args.against), encoding="utf-8") as f:
-                    meta = json.load(f)
-                want = {**lsh_params, "id_col": id_col}
-                got = {k: meta.get(k) for k in want}
-                if got != want:
-                    raise SystemExit(
-                        f"sigstore params {got} != run params {want}; "
-                        "signatures are not comparable across parameter "
-                        "sets — rerun without the persisted store")
-
-            docs = ray.data.read_parquet(args.documents,
-                                         columns=[id_col, text_col])
-            empty = json.dumps({"partitions_committed": 0, "rows": 0})
-
-            # shingle the wave ONCE: the wave's deterministic LSH tables are
-            # materialized, feed pair generation, and are filtered to the
-            # survivors for the persisted store — the wave's text is never
-            # re-shingled
-            wave_bands, wave_sigs = (
-                t.materialize() for t in signature_store_tables(
-                    docs, text_col=text_col, id_col=id_col, **lsh_params))
-            if wave_sigs.count() == 0:
-                print(empty)
-                return 0
-            # a stale store is cleared first: meta.json, written LAST, is
-            # the validity marker
-            fin_store = os.path.join(args.out_dir, "_sigstore")
-            shutil.rmtree(fin_store, ignore_errors=True)
-
-            bands, sigs, min_new_id = wave_bands, wave_sigs, None
-            if args.against:
-                if has_sigstore:
-                    # persisted signature store: store TEXT is never read
-                    # again — the wave's cost is O(new docs)
-                    sig_dir = os.path.join(args.against, "_sigstore")
-                    store_bands = ray.data.read_parquet(
-                        os.path.join(sig_dir, "bands"))
-                    store_sigs = ray.data.read_parquet(
-                        os.path.join(sig_dir, "sigs"))
-                else:
-                    store_bands, store_sigs = signature_store_tables(
-                        read_output_ds(args.against).map_batches(
-                            lambda b: b.select([id_col, text_col]),
-                            batch_format="pyarrow"),
-                        text_col=text_col, id_col=id_col, **lsh_params)
-                bands = bands.union(store_bands)
-                sigs = sigs.union(store_sigs)
-                min_new_id = int(wave_sigs.min(id_col))
-            pairs = _verified_pairs(bands, sigs, id_col=id_col,
-                                    jaccard_threshold=args.threshold,
-                                    min_new_id=min_new_id)
-            if args.against:
-                store_ids = read_output_ds(args.against).map_batches(
-                    lambda b: b.select([id_col]), batch_format="pyarrow")
-                surv = near_dedup_incremental(docs, store_ids, pairs,
-                                              id_col=id_col)
-            else:
-                surv = near_dedup(docs, pairs, id_col=id_col)
-            summary = commit_by_key(
-                surv, args.out_dir, key_col=id_col,
-                num_partitions=args.partitions,
-                input_fingerprint=fingerprint_inputs(args.documents),
-                stage_versions={"dedup": "minhash-lsh-cc-v1"}).to_pandas()
-            if not committed_partitions(args.out_dir):
-                print(empty)
-                return 0
-            # persist the SURVIVORS' LSH state so the NEXT wave can run
-            # --against this out_dir: filter the materialized wave tables
-            # against the broadcast survivor-id set (wave-bounded — NOT
-            # store-bounded; a co-partitioned semi join is unusable here
-            # because band_hash is a full-range int64 that would be promoted
-            # to float64 through the join union), meta LAST
-            import pyarrow.compute as _pc
-
-            surv_ids = read_output(args.out_dir).column(id_col)
-            ids_ref = ray.put(surv_ids.combine_chunks())
-
-            def _keep_surv(batch):
-                return batch.filter(_pc.is_in(batch.column(id_col),
-                                              value_set=ray.get(ids_ref)))
-
-            wave_bands.map_batches(_keep_surv, batch_format="pyarrow") \
-                .write_parquet(os.path.join(fin_store, "bands"))
-            wave_sigs.map_batches(_keep_surv, batch_format="pyarrow") \
-                .write_parquet(os.path.join(fin_store, "sigs"))
-            with open(_sigstore_meta(args.out_dir), "w", encoding="utf-8") as f:
-                json.dump({**lsh_params, "id_col": id_col,
-                           "threshold": args.threshold}, f)
             print(json.dumps({"partitions_committed": len(summary),
                               "rows": int(summary["n_rows"].sum()) if len(summary) else 0}))
         elif args.cmd == "feed":

@@ -84,14 +84,14 @@ def partition_of_array(arr, num_partitions: int) -> np.ndarray:
     return (polyhash_u64_array(arr) % np.uint64(num_partitions)).astype(np.int64)
 
 
-# --- vectorized multiply-shift hashing for minhash ----------------------------
+# --- vectorized multiply-shift hashing ---------------------------------------
 
 
 def hash_u64_array(values: np.ndarray, seed: int) -> np.ndarray:
     """Vectorized universal hash of a uint64 array for a given seed.
 
-    Splitmix64-style mix with a seed-derived odd multiplier; adequate
-    statistical quality for minhash permutations, fully deterministic.
+    Splitmix64-style mix with a seed-derived odd multiplier; fully
+    deterministic.
     """
     mult = (0x9E3779B97F4A7C15 * (seed * 2 + 1)) & 0xFFFFFFFFFFFFFFFF  # wraparound in python int
     x = values.astype(np.uint64) + np.uint64(mult)
@@ -102,21 +102,3 @@ def hash_u64_array(values: np.ndarray, seed: int) -> np.ndarray:
     x ^= x >> np.uint64(31)
     return x
 
-
-def shingle_hashes(text: str, k: int = 5) -> np.ndarray:
-    """Rolling k-gram (character shingle) hashes as uint64, deduplicated.
-
-    Character shingles over the raw text; blake2b per shingle would be slow,
-    so shingles are hashed with a polynomial rolling scheme over codepoints in
-    uint64 (wraparound arithmetic), then mixed.  Deterministic.
-    """
-    if len(text) < k:
-        base = text if text else "\x00"
-        return np.array([stable_hash_u64(base)], dtype=np.uint64)
-    cps = np.frombuffer(text.encode("utf-32-le"), dtype="<u4").astype(np.uint64)
-    n = cps.size - k + 1
-    p = np.uint64(1099511628211)
-    acc = np.zeros(n, dtype=np.uint64)
-    for off in range(k):  # k is small (<=8); loop over offsets, vector over rows
-        acc = acc * p + cps[off : off + n]
-    return np.unique(hash_u64_array(acc, seed=0xC0FFEE))

@@ -1,6 +1,6 @@
 """Document-table pipelines over the ``documents`` test table (doc_id, text,
-lang, source, n_chars): the reference's text semantics, and the dedup,
-quality and tier operators that the ``dedup`` and ``tiers`` commands run.
+lang, source, n_chars): the reference's text semantics, and the quality and
+tier operators that the ``tiers`` command runs.
 
 Each function takes ``sf_dir`` and returns a Dataset / Arrow table; SQL
 oracles (where expressible) live in __ray_entry__.
@@ -16,7 +16,6 @@ import ray.data
 
 from ..functions.text import normalize_whitespace
 from ..sources.markup import markup_to_sentences_batch
-from ..stages import dedup as dd
 from ..stages import textstats as ts
 from ..stages.noise import add_messy_column
 from .corpus import pick_split, token_counts
@@ -86,36 +85,6 @@ def doc_quality(sf_dir: str) -> ray.data.Dataset:
         ts.quality_score_batch, batch_format="pyarrow")
 
 
-def doc_minhash_pairs(sf_dir: str) -> ray.data.Dataset:
-    """MinHash-LSH near-duplicate pairs verified by shingle Jaccard ≥ 0.5.
-
-    Calibration: random same-vocabulary pairs sit at jaccard ≈ 0.17
-    (p99 = 0.26) for k=5 char shingles.  The b=16/r=4 banding has its S-curve
-    threshold at (1/16)^(1/4) ≈ 0.5 — background pairs become candidates at
-    ~1.3% while genuinely overlapping documents pass; a b=32/r=2 profile
-    admits ~60% of ALL pairs and melts at scale.
-
-    Verification is fully distributed (signature join, stages/dedup.py) — no
-    driver-side corpus dict.  With verify-exact semantics and the corpus's
-    bimodal similarity (near-dups ≥ 0.9, background ≤ 0.31), LSH recall at
-    the 0.5 threshold is 1 − (1 − 0.9⁴)¹⁶ ≈ 1 − 4e-8, so the result equals
-    the exact-Jaccard SQL oracle (pinned in CORRECTNESS).  It is also the
-    edge list that ``doc_dup_components`` and ``doc_dedup_near`` cluster."""
-    return dd.minhash_duplicate_pairs(
-        _docs(sf_dir, ["doc_id", "text"]), n_hashes=64, bands=16, k_shingle=5,
-        jaccard_threshold=0.5)
-
-
-def doc_minhash_bucket_stats(sf_dir: str) -> pa.Table:
-    """LSH bucket census for the minhash banding — makes the MAX_BUCKET
-    oversized-bucket drop in candidate generation observable (no silent
-    caps): bucket counts, dropped buckets, dropped candidate pairs."""
-    bands_ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        dd.minhash_bands_batch, batch_format="pyarrow",
-        fn_kwargs=dict(n_hashes=64, bands=16, k_shingle=5))
-    return dd.bucket_stats(bands_ds, ["band_id", "band_hash"])
-
-
 def doc_mutilate(sf_dir: str, good_chars: str = "abcdefghijklmnopqrstuvwxyz ") -> ray.data.Dataset:
     """Keyed noise per doc (reference mutilate semantics, RNG keyed by doc_id)."""
 
@@ -167,24 +136,6 @@ def doc_markup_roundtrip(sf_dir: str) -> ray.data.Dataset:
                          "sentence": batch.column("sentence")})
 
     return parsed.map_batches(project, batch_format="pyarrow")
-
-
-def doc_dup_components(sf_dir: str) -> ray.data.Dataset:
-    """Near-dup clusters: verified pair edges contracted to (node, component)
-    by alternating large-star/small-star rounds (stages/components.py);
-    component = min doc_id.  DuckDB recursive-CTE oracle."""
-    from ..stages.components import connected_components
-
-    return connected_components(doc_minhash_pairs(sf_dir))
-
-
-def doc_dedup_near(sf_dir: str) -> ray.data.Dataset:
-    """End-to-end near-duplicate dedup: keep the min-id representative of
-    each cluster plus all unclustered docs — pairs → connected components →
-    co-partitioned anti join (never collected on the driver)."""
-    from ..stages.components import near_dedup
-
-    return near_dedup(_docs(sf_dir, ["doc_id"]), doc_minhash_pairs(sf_dir))
 
 
 def doc_quality_tiers(sf_dir: str, n: int = 3) -> ray.data.Dataset:

@@ -5,8 +5,7 @@ The filter is ONE co-partitioning shuffle: tag each side, pad both onto the
 left schema (the right side ships only its key), ``union`` the datasets,
 coarse-hash-partition on the key (stages/shuffle.py — ``partitions_for()``
 Ray groups regardless of key cardinality), and run a vectorized ``isin`` inside
-each partition.  The ``dedup`` command's survivor logic
-(stages/components.py) runs on it.
+each partition.  No CLI command calls it; it is kept as a library operator.
 
 Partitioning assumption (document per the engine contract): every row of one
 key lands in exactly one partition — guaranteed by the deterministic key
@@ -67,7 +66,7 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
     """Rows of ``left`` whose ``on`` value occurs ("semi") or does not occur
     ("anti") in ``right[on]`` — the shuffle filter for when NEITHER side
     fits a broadcast (a dimension-sized right side should stay a ``ray.put``
-    set and ``pc.is_in``, as ``cli dedup`` does for its signature store).
+    set and ``pc.is_in``).
 
     Returns the left columns only.  Constraint: the right rows carry the
     left columns as nulls through the tagged union, so non-key integer

@@ -17,14 +17,15 @@ Row hashing uses ``pd.util.hash_pandas_object`` (fixed default hash key —
 deterministic across processes and machines, unlike builtin ``hash``).
 
 ``grouped_apply`` is the package's one keyed exchange for derived data: the
-LSH candidate buckets and the verify join (stages/dedup.py), the star
-contraction and survivor step (stages/components.py) and the semi/anti join
-(stages/joins.py) all run on it.  The only other Ray-level
-``groupby().map_groups()`` is the store commit (state/lineage.py), whose
-polyhash partition id is the resume contract.  Exchange width has one
-owner, ``partitions_for`` (the cluster's CPUs); no caller passes one except
-``connected_components``, which narrows it to its edge count.  ``_pin``
-materializes a small intermediate that feeds more than one exchange.
+quality tiers' histogram and ranking (stages/tiers.py), the token counts
+(pipelines/corpus.py, through ``grouped_agg``) and the training feed's
+shuffle and collation (pipelines/training.py) run on it, as does the library
+semi / anti ``hash_join`` (stages/joins.py).  The only other
+Ray-level ``groupby().map_groups()`` is the store commit
+(state/lineage.py), whose polyhash partition id is the resume contract.
+Exchange width has one owner, ``partitions_for`` (the cluster's CPUs); no
+caller passes one.  ``_pin`` materializes a small intermediate that feeds
+more than one exchange (the tiers' scored documents).
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ def partitions_for() -> int:
     """The exchange width of derived data — the one place it is decided,
     from what the runtime observes: ~2 coarse partitions per cluster CPU
     (equal to a fixed 64 on a 32-CPU box), at least 8 and at most 256.
-    ``grouped_apply`` and ``_pin`` call it; ``connected_components``
-    narrows it to its measured edge count.  Exactness never depends on it
+    ``grouped_apply`` and ``_pin`` call it.  Exactness never depends on it
     (all-key-equal rows land together at any width — pinned by the
     width-invariance tests)."""
     try:
@@ -66,14 +66,15 @@ class _EmptySchemaDivergenceFilter(logging.Filter):
     Ray's ``map_groups`` yields nothing for the empty blocks a tiny sorted
     exchange produces, so the executor sees a schema-less RefBundle and warns
     (`streaming_executor_state.py` exempts an empty OLD schema but not an
-    empty NEW one).  Every grouped UDF in this package returns typed empty
+    empty NEW one; the new schema prints as ``PandasBlockSchema(names=[],
+    types=[])``, ``None`` or nothing).  Every grouped UDF in this package returns typed empty
     frames; the remaining noise is Ray-internal and key-partition-count
     dependent, so it is filtered at the logger.  Real drift — two NON-empty
     schemas disagreeing — still warns.
     """
 
     _EMPTY_NEW = re.compile(
-        r"new schema: (PandasBlockSchema\(names=\[\], types=\[\]\)|None)\.")
+        r"new schema: (PandasBlockSchema\(names=\[\], types=\[\]\)|None)?\.")
 
     def filter(self, record: logging.LogRecord) -> bool:
         msg = record.getMessage()
@@ -88,9 +89,9 @@ class _EmptyBlockSizeEstimateFilter(logging.Filter):
 
     Ray's ``PandasBlockAccessor.size_bytes`` estimates object-column width
     with ``np.vectorize``, which raises on size-0 input — so every empty
-    string-typed block a selective exchange produces (e.g. a near-dup
-    anti join, where most key partitions are empty) logs a spurious
-    warning.  Genuine estimation failures on non-empty columns still warn.
+    string-typed block a sparse exchange produces (most key partitions of
+    a small input are empty) logs a spurious warning.  Genuine estimation
+    failures on non-empty columns still warn.
     """
 
     def filter(self, record: logging.LogRecord) -> bool:
@@ -113,15 +114,12 @@ _install_empty_schema_filter()
 
 
 def grouped_apply(ds: ray.data.Dataset, key_cols: list[str],
-                  fn: Callable[[pd.DataFrame], pd.DataFrame], *,
-                  num_partitions: int | None = None) -> ray.data.Dataset:
+                  fn: Callable[[pd.DataFrame], pd.DataFrame]) -> ray.data.Dataset:
     """Apply ``fn`` (vectorized pandas, sees every row of each key it
     receives) once per coarse partition.  ``fn`` must itself group by
     ``key_cols`` internally; it is called with all rows whose key hashes into
-    one partition.  The width is ``partitions_for()``; only
-    ``connected_components`` passes a narrower ``num_partitions``."""
-    if num_partitions is None:
-        num_partitions = partitions_for()
+    one partition.  The width is ``partitions_for()``."""
+    num_partitions = partitions_for()
 
     def bucketize(df: pd.DataFrame) -> pd.DataFrame:
         h = pd.util.hash_pandas_object(df[key_cols], index=False).to_numpy()
@@ -139,16 +137,14 @@ def grouped_apply(ds: ray.data.Dataset, key_cols: list[str],
         .groupby("_kp").map_groups(run, batch_format="pandas")
 
 
-def _pin(ds: ray.data.Dataset,
-         num_partitions: int | None = None) -> ray.data.Dataset:
+def _pin(ds: ray.data.Dataset) -> ray.data.Dataset:
     """Materialize + coalesce a small intermediate.  Exchange cost in Ray is
     per-TASK (block), not per-row: a 150-row set fragmented into 140 blocks
     makes the next exchange pay 140 map + 140 reduce task overheads.
     ``grouped_apply`` inflates block counts, so every pinned intermediate is
-    coalesced back to ≤ ``num_partitions`` blocks (default
-    ``partitions_for()``) before feeding the next exchange."""
-    if num_partitions is None:
-        num_partitions = partitions_for()
+    coalesced back to ≤ ``partitions_for()`` blocks before feeding the next
+    exchange."""
+    num_partitions = partitions_for()
     m = ds.materialize()
     try:
         blocks = m.num_blocks()

@@ -107,18 +107,18 @@ def partition_dir(out_dir: str, part_id: int) -> str:
     return os.path.join(out_dir, f"part={part_id:05d}")
 
 
-def clear_partitions(out_dir: str) -> None:
-    """Delete every ``part=NNNNN`` directory under ``out_dir``, committed or
-    not; other entries are left alone.  A ``resume=False`` run calls this
-    first, so partitions the new run does not rewrite cannot survive into
-    its store."""
+def clear_partitions(out_dir: str, keep: frozenset[int] = frozenset()) -> None:
+    """Delete every ``part=NNNNN`` directory under ``out_dir`` whose id is
+    not in ``keep``, committed or not; other entries are left alone.  A
+    ``resume=False`` run calls this first, so partitions the new run does
+    not rewrite cannot survive into its store."""
     import re
     import shutil
 
     if not os.path.isdir(out_dir):
         return
     for name in os.listdir(out_dir):
-        if re.fullmatch(r"part=\d{5,}", name):
+        if re.fullmatch(r"part=\d{5,}", name) and int(name[5:]) not in keep:
             shutil.rmtree(os.path.join(out_dir, name))
 
 
@@ -138,14 +138,21 @@ def open_store(out_dir: str, *, resume: bool, num_partitions: int,
     """The resume prologue both committed sinks share: with ``resume``,
     refuse a store written under another layout, input or stage versions
     (``check_partition_scheme``) and return its committed partition ids;
-    without, delete its partitions (``clear_partitions``) and return none."""
+    without, delete its partitions (``clear_partitions``) and return none.
+
+    A resume also deletes every partition without a marker: a commit that
+    crashed left its temp files there, or a ``data.parquet`` renamed before
+    the marker.  A partition the rerun does not write (its input changed)
+    would otherwise keep them."""
     if not resume:
         clear_partitions(out_dir)
         return frozenset()
     check_partition_scheme(out_dir, num_partitions=num_partitions,
                            input_fingerprint=input_fingerprint,
                            stage_versions=stage_versions)
-    return committed_partitions(out_dir)
+    committed = committed_partitions(out_dir)
+    clear_partitions(out_dir, keep=committed)
+    return committed
 
 
 def _key_partitions(batch: pa.Table, key: str, num_partitions: int) -> np.ndarray:
@@ -225,7 +232,7 @@ def commit_by_key(ds, out_dir: str, *, key_col: str,
     record.  Returns the tiny per-partition summary dataset.
 
     This is the flagship's commit protocol lifted to a standalone operator so
-    every pipeline output (dedup tables, stats, training feeds) can be a
+    every pipeline output (quality tiers, stats, training feeds) can be a
     resumable partitioned store rather than one giant file.  It shares the
     exchange and commit with the flagship (``_exchange_and_commit``), so the
     summary runs without Ray Data's per-operator CPU reservation: the stages

@@ -34,8 +34,7 @@ def tiny_hparams():
 def exchange_width():
     """``with exchange_width(p):`` plans every derived-data exchange inside
     the block at width ``p``, by setting the width's one owner,
-    ``stages.shuffle.partitions_for`` (``connected_components`` still
-    narrows it to its edge count)."""
+    ``stages.shuffle.partitions_for``."""
     import contextlib
 
     from post_ocr_corrector_ray.stages import shuffle

@@ -131,157 +131,6 @@ class TestCli:
         m2 = load_model_dir(out)
         assert m2.correct_document("ab c") == m.correct_document("ab c")
 
-    def test_dedup_incremental_sigstore(self, tmp_path):
-        """Two-wave ingest: wave 1 persists its LSH signature store; wave 2
-        --against reuses it (meta.json present) and must keep exactly the
-        survivors the store-text recompute fallback keeps."""
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from post_ocr_corrector_ray.cli import main
-        from post_ocr_corrector_ray.state.lineage import read_output
-
-        base = ("the quick brown fox jumps over the lazy dog and then "
-                "runs far away toward the distant hills today")
-        other = "completely different content about database engines and arrow"
-
-        def _write(path, ids, texts):
-            pq.write_table(pa.table({"doc_id": pa.array(ids, pa.int64()),
-                                     "text": pa.array(texts, pa.string())}),
-                           path)
-
-        w1 = str(tmp_path / "wave1.parquet")
-        _write(w1, [0, 1, 2], [base, other,
-                               "unrelated text regarding mountains and rivers"])
-        out1 = str(tmp_path / "out1")
-        assert main([
-            "dedup", w1, out1, "--threshold", "0.5", "--partitions", "2"]) == 0
-        assert (tmp_path / "out1" / "_sigstore" / "meta.json").exists()
-
-        w2 = str(tmp_path / "wave2.parquet")
-        _write(w2, [100, 101, 102],
-               [base.replace("lazy", "hazy"),   # dup of store 0 → drops
-                other,                           # exact dup of store 1 → drops
-                "fresh novel text with nothing shared at all whatsoever"])
-        out2 = str(tmp_path / "out2")
-        assert main(["dedup", w2, out2, "--against", out1,
-                     "--threshold", "0.5", "--partitions", "2"]) == 0
-        got = sorted(read_output(out2)["doc_id"].to_pylist())
-
-        # fallback recompute path (no meta.json → store text re-read)
-        (tmp_path / "out1" / "_sigstore" / "meta.json").unlink()
-        out3 = str(tmp_path / "out3")
-        assert main(["dedup", w2, out3, "--against", out1,
-                     "--threshold", "0.5", "--partitions", "2"]) == 0
-        assert got == sorted(read_output(out3)["doc_id"].to_pylist()) == [102]
-
-    def test_dedup_against_store_ids_above_new_ids(self, tmp_path):
-        """Two waves where every store id is LARGER than every new id, so
-        ``_verified_pairs``' ``min_new_id`` filter keeps every pair.  With and
-        without the persisted signature store, the survivors equal a
-        union-find over the exact-Jaccard pairs: a new document drops iff
-        its cluster holds a store document, else only its cluster's min new
-        id survives."""
-        import itertools
-
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from post_ocr_corrector_ray.cli import main
-        from post_ocr_corrector_ray.stages.dedup import _jaccard
-        from post_ocr_corrector_ray.state.lineage import read_output
-
-        base = ("the quick brown fox jumps over the lazy dog and then "
-                "runs far away toward the distant hills today")
-        other = "completely different content about database engines and arrow"
-        boats = ("a story about sailing boats crossing the wide ocean under "
-                 "bright summer stars")
-        store = {100: base, 101: other,
-                 102: "unrelated text regarding mountains and rivers"}
-        new = {0: base.replace("lazy", "hazy"),           # dup of store 100
-               1: other,                                   # exact dup of 101
-               2: boats.replace("bright", "warm"),         # new-only cluster
-               3: boats,
-               4: "fresh novel text with nothing shared at all whatsoever"}
-
-        def _write(path, rows):
-            pq.write_table(pa.table({
-                "doc_id": pa.array(list(rows), pa.int64()),
-                "text": pa.array(list(rows.values()), pa.string())}), path)
-
-        texts = {**store, **new}
-        parent = {i: i for i in texts}
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        for a, b in itertools.combinations(texts, 2):
-            if _jaccard(texts[a], texts[b], 5) >= 0.5:
-                parent[find(a)] = find(b)
-        clusters = {}
-        for i in texts:
-            clusters.setdefault(find(i), []).append(i)
-        want = sorted(min(c) for c in clusters.values()
-                      if not any(i in store for i in c))
-        assert want == [2, 4]
-
-        w1, w2 = str(tmp_path / "w1.parquet"), str(tmp_path / "w2.parquet")
-        _write(w1, store)
-        _write(w2, new)
-        out1 = str(tmp_path / "out1")
-        assert main(["dedup", w1, out1, "--threshold", "0.5",
-                     "--partitions", "2"]) == 0
-        assert sorted(read_output(out1)["doc_id"].to_pylist()) == sorted(store)
-        got = {}
-        for name in ("sigstore", "text"):
-            if name == "text":
-                (tmp_path / "out1" / "_sigstore" / "meta.json").unlink()
-            out = str(tmp_path / f"out_{name}")
-            assert main(["dedup", w2, out, "--against", out1,
-                         "--threshold", "0.5", "--partitions", "2"]) == 0
-            got[name] = sorted(read_output(out)["doc_id"].to_pylist())
-        assert got == {"sigstore": want, "text": want}
-
-    @pytest.mark.parametrize("case", ["empty_wave", "empty_wave_against",
-                                      "all_dup_against"])
-    def test_dedup_wave_with_no_survivors(self, tmp_path, capsys, case):
-        """A wave with no rows, alone or ``--against`` a store, and a wave
-        whose every document is a near-duplicate of the store each exit 0,
-        commit nothing and leave no temporary signature store."""
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from post_ocr_corrector_ray.cli import main
-        from post_ocr_corrector_ray.state.lineage import committed_partitions
-
-        base = ("the quick brown fox jumps over the lazy dog and then "
-                "runs far away toward the distant hills today")
-        other = "completely different content about database engines and arrow"
-
-        def _write(path, ids, texts):
-            pq.write_table(pa.table({"doc_id": pa.array(ids, pa.int64()),
-                                     "text": pa.array(texts, pa.string())}),
-                           path)
-            return path
-
-        argv = []
-        if case != "empty_wave":
-            store = str(tmp_path / "store")
-            assert main(["dedup", _write(str(tmp_path / "w1.parquet"), [0, 1],
-                                         [base, other]),
-                         store, "--partitions", "2"]) == 0
-            argv = ["--against", store]
-        ids, texts = ([], []) if case.startswith("empty") else \
-            ([10, 11], [base.replace("lazy", "hazy"), other])
-        out = tmp_path / "out"
-        assert main(["dedup", _write(str(tmp_path / "w2.parquet"), ids, texts),
-                     str(out), "--partitions", "2", *argv]) == 0
-        assert _last_json(capsys) == {"partitions_committed": 0, "rows": 0}
-        assert not committed_partitions(str(out))
-        assert not (out / "_sigstore.tmp").exists()
-
     def test_subprocess_end_to_end(self, tmp_path):
         """One real subprocess run proving the CLI owns its own session."""
         pages = str(tmp_path / "p.parquet")
@@ -369,6 +218,14 @@ class TestCliUsageErrors:
                   "--corrector", corrector])
         assert exc.value.code == 2
         assert "--model-dir" in capsys.readouterr().err
+
+    def test_dedup_command_is_gone(self, tmp_path, capsys):
+        from post_ocr_corrector_ray.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["dedup", str(tmp_path / "docs.parquet"), str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'dedup'" in capsys.readouterr().err
 
 
 def _last_json(capsys) -> dict:
@@ -592,54 +449,6 @@ def default_doc_tiers(tmp_path_factory):
 class TestCliOptions:
     """Options of the shipped subcommands that change what they read or
     write, each against the default run or the library call it maps to."""
-
-    def test_dedup_against_refuses_mismatched_sigstore(self, tmp_path):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from post_ocr_corrector_ray.cli import main
-
-        w1, w2 = str(tmp_path / "w1.parquet"), str(tmp_path / "w2.parquet")
-        pq.write_table(pa.table({"doc_id": pa.array([0, 1], pa.int64()),
-                                 "text": ["alpha beta gamma delta", "epsilon zeta"]}), w1)
-        pq.write_table(pa.table({"doc_id": pa.array([100], pa.int64()),
-                                 "text": ["alpha beta gamma delta"]}), w2)
-        out1 = tmp_path / "out1"
-        assert main(["dedup", w1, str(out1), "--partitions", "2"]) == 0
-        meta = out1 / "_sigstore" / "meta.json"
-        params = json.loads(meta.read_text(encoding="utf-8"))
-        meta.write_text(json.dumps({**params, "n_hashes": 32}), encoding="utf-8")
-        out2 = tmp_path / "out2"
-        with pytest.raises(SystemExit, match="not comparable"):
-            main(["dedup", w2, str(out2), "--against", str(out1),
-                  "--partitions", "2"])
-        # refused before the wave is shingled: no temp signature store left
-        assert not (out2 / "_sigstore.tmp").exists()
-
-    def test_dedup_custom_columns(self, tmp_path):
-        """``--id-col``/``--text-col`` keep the survivors of the default
-        column names, and the signature store records the id column."""
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from post_ocr_corrector_ray.cli import main
-        from post_ocr_corrector_ray.state.lineage import read_output
-
-        base = "the quick brown fox jumps over the lazy dog near the river bank"
-        texts = [base, base.replace("lazy", "hazy"), "an unrelated sentence on arrow",
-                 base, "another different line about parquet files"]
-        ids = pa.array([3, 5, 8, 13, 21], pa.int64())
-        plain, renamed = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
-        pq.write_table(pa.table({"doc_id": ids, "text": texts}), plain)
-        pq.write_table(pa.table({"id": ids, "body": texts}), renamed)
-        assert main(["dedup", plain, str(tmp_path / "oa"), "--partitions", "2"]) == 0
-        assert main(["dedup", renamed, str(tmp_path / "ob"), "--partitions", "2",
-                     "--id-col", "id", "--text-col", "body"]) == 0
-        want = sorted(read_output(str(tmp_path / "oa")).column("doc_id").to_pylist())
-        assert want == [3, 8, 21]
-        assert sorted(read_output(str(tmp_path / "ob")).column("id").to_pylist()) == want
-        meta = json.loads((tmp_path / "ob" / "_sigstore" / "meta.json").read_text())
-        assert meta["id_col"] == "id"
 
     def test_tiers_text_col(self, tmp_path, default_doc_tiers):
         import pandas as pd

@@ -1,11 +1,8 @@
 """Input-layout invariance of the operators the CLI runs (``run``:
 ``extract_correct`` with the null and dictionary correctors; ``run`` and
-``tiers``: ``extract_pipeline``; ``dedup``: ``minhash_duplicate_pairs``,
-``bucket_stats``' census of its buckets, ``connected_components``,
-``near_dedup``, ``signature_store_tables`` and, with ``--against``,
-``minhash_duplicate_pairs_incremental``, ``near_dedup_incremental`` and the
-``hash_join`` semi / anti filter under both; ``tiers``: ``quality_tiers`` and
-the token stats and quality score it ranks by; ``commit``: ``commit_by_key``;
+``tiers``: ``extract_pipeline``; ``tiers``: ``quality_tiers`` and the token
+stats and quality score it ranks by; the library ``hash_join`` semi / anti
+filter; ``commit``: ``commit_by_key``;
 ``feed``: ``epoch_feed``; ``parse-markup``: ``read_markup_dir``; ``corpus``:
 ``add_messy_column``; ``alphabet``, ``build-dictionary``, ``corpus`` and
 ``eval``: the corpus and eval aggregates): the same rows split into 1, 3, 7
@@ -26,9 +23,9 @@ _WORDS = ("river stone maple quiet lantern copper meadow orbit velvet harbor "
 
 
 def _docs() -> pa.Table:
-    """48 documents: 24 random-word bases, 12 one-word edits of a base
-    (Jaccard well above 0.5), 4 exact copies, 8 further bases; ids shuffled
-    so no block holds a cluster whole."""
+    """48 documents: 24 random-word bases, 12 one-word edits of a base,
+    4 exact copies, 8 further bases; ids shuffled, languages drawn at
+    random."""
     rng = np.random.default_rng(5)
     bases = [" ".join(rng.choice(_WORDS, size=24)) for _ in range(32)]
     texts = bases[:24]
@@ -51,79 +48,8 @@ def _blocks(tbl: pa.Table, n: int):
                                 for a, b in zip(bounds[:-1], bounds[1:])])
 
 
-def _spec_pairs(tbl: pa.Table) -> set:
-    from post_ocr_corrector_ray.stages.dedup import _jaccard
-
-    ids = tbl.column("doc_id").to_pylist()
-    texts = tbl.column("text").to_pylist()
-    out = set()
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            if _jaccard(texts[i], texts[j], 5) >= 0.5:
-                out.add((min(ids[i], ids[j]), max(ids[i], ids[j])))
-    return out
-
-
-# the CLI ``dedup`` LSH parameters
-_LSH = dict(n_hashes=64, bands=16, k_shingle=5)
-
-
-def _pairs(ds):
-    from post_ocr_corrector_ray.stages.dedup import minhash_duplicate_pairs
-
-    return minhash_duplicate_pairs(ds, jaccard_threshold=0.5, **_LSH)
-
-
-def _roots(tbl: pa.Table) -> dict:
-    """doc_id → the min id of its union-find cluster over the spec pairs."""
-    parent = {i: i for i in tbl.column("doc_id").to_pylist()}
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for a, b in sorted(_spec_pairs(tbl)):
-        ra, rb = find(a), find(b)
-        parent[max(ra, rb)] = min(ra, rb)
-    return {i: find(i) for i in parent}
-
-
-def _waves(tbl: pa.Table):
-    """(store, new, min_new_id): the lower half of the ids is the store
-    wave, the upper half the new wave (the append-only id contract)."""
-    import pyarrow.compute as pc
-
-    cut = sorted(tbl.column("doc_id").to_pylist())[tbl.num_rows // 2]
-    store = tbl.filter(pc.less(tbl.column("doc_id"), cut))
-    new = tbl.filter(pc.greater_equal(tbl.column("doc_id"), cut))
-    return store, new, cut
-
-
 @pytest.mark.usefixtures("ray_session")
 class TestCliOperatorsLayoutInvariance:
-    @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_minhash_duplicate_pairs(self, blocks):
-        tbl = _docs()
-        got = _pairs(_blocks(tbl, blocks)).to_pandas()
-        want = _spec_pairs(tbl)
-        assert len(want) >= 16
-        assert sorted(zip(got["id_a"], got["id_b"])) == sorted(want)
-
-    @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_near_dedup(self, blocks, exchange_width):
-        from post_ocr_corrector_ray.stages.components import near_dedup
-
-        tbl = _docs()
-        ds = _blocks(tbl, blocks)
-        with exchange_width(4):
-            got = near_dedup(ds, _pairs(ds)).to_pandas()
-        # min-id representative per union-find cluster
-        want = sorted(i for i, r in _roots(tbl).items() if i == r)
-        assert sorted(got["doc_id"]) == want
-        assert len(want) < tbl.num_rows
-        assert sorted(got.columns) == sorted(tbl.column_names)
-
     @pytest.mark.parametrize("blocks", BLOCKS)
     def test_quality_tiers(self, blocks):
         import duckdb
@@ -145,78 +71,10 @@ class TestCliOperatorsLayoutInvariance:
             got[["doc_id", "lang", "quality", "tier"]], want,
             check_dtype=False, check_exact=True)
 
-    @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_signature_store_tables(self, blocks):
-        from post_ocr_corrector_ray.functions.hashing import shingle_hashes
-        from post_ocr_corrector_ray.stages.dedup import (
-            minhash_bands_batch,
-            signature_bytes,
-            signature_store_tables,
-        )
-
-        tbl = _docs().select(["doc_id", "text"])
-        bands, sigs = signature_store_tables(_blocks(tbl, blocks), **_LSH)
-        got = bands.to_pandas()
-        want = minhash_bands_batch(tbl, **_LSH).to_pandas()
-        assert len(want) == tbl.num_rows * _LSH["bands"]
-        assert sorted(zip(got["band_id"], got["band_hash"], got["doc_id"])) == \
-            sorted(zip(want["band_id"], want["band_hash"], want["doc_id"]))
-        got = sigs.to_pandas()
-        assert dict(zip(got["doc_id"], got["sig"])) == {
-            i: signature_bytes(shingle_hashes(t, k=_LSH["k_shingle"]))
-            for i, t in zip(tbl.column("doc_id").to_pylist(),
-                            tbl.column("text").to_pylist())}
-
-    @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_minhash_duplicate_pairs_incremental(self, blocks):
-        """The new wave against the store wave's persisted tables: every
-        spec pair with a new member, and no store-store pair."""
-        from post_ocr_corrector_ray.stages.dedup import (
-            minhash_duplicate_pairs_incremental,
-            signature_store_tables,
-        )
-
-        tbl = _docs().select(["doc_id", "text"])
-        store, new, cut = _waves(tbl)
-        bands, sigs = signature_store_tables(_blocks(store, blocks), **_LSH)
-        got = minhash_duplicate_pairs_incremental(
-            _blocks(new, blocks), bands, sigs, min_new_id=cut,
-            jaccard_threshold=0.5, **_LSH).to_pandas()
-        want = {p for p in _spec_pairs(tbl) if p[1] >= cut}
-        assert any(a < cut for a, _ in want) and any(a >= cut for a, _ in want)
-        assert sorted(zip(got["id_a"], got["id_b"])) == sorted(want)
-
-    @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_near_dedup_incremental(self, blocks, exchange_width):
-        """A new document survives iff no store document shares its
-        cluster and it is its cluster's min id."""
-        from post_ocr_corrector_ray.stages.components import near_dedup_incremental
-        from post_ocr_corrector_ray.stages.dedup import (
-            minhash_duplicate_pairs_incremental,
-            signature_store_tables,
-        )
-
-        tbl = _docs().select(["doc_id", "text"])
-        store, new, cut = _waves(tbl)
-        bands, sigs = signature_store_tables(_blocks(store, blocks), **_LSH)
-        new_ds = _blocks(new, blocks)
-        pairs = minhash_duplicate_pairs_incremental(
-            new_ds, bands, sigs, min_new_id=cut, jaccard_threshold=0.5, **_LSH)
-        with exchange_width(4):
-            got = near_dedup_incremental(
-                new_ds, _blocks(store.select(["doc_id"]), blocks),
-                pairs).to_pandas()
-        roots = _roots(tbl)
-        tainted = {roots[i] for i in store.column("doc_id").to_pylist()}
-        want = sorted(i for i in new.column("doc_id").to_pylist()
-                      if roots[i] == i and i not in tainted)
-        assert sorted(got["doc_id"]) == want
-        assert 0 < len(want) < new.num_rows
-
     @pytest.mark.parametrize("how", ["semi", "anti"])
     @pytest.mark.parametrize("blocks", BLOCKS)
     def test_hash_join(self, blocks, how, exchange_width):
-        """The survivor filter: the rows of ``docs`` whose id is (semi) or
+        """The semi / anti filter: the rows of ``docs`` whose id is (semi) or
         is not (anti) in a key set with repeats and strangers, with the int
         payload column restored to int64."""
         import pyarrow.compute as pc
@@ -238,48 +96,6 @@ class TestCliOperatorsLayoutInvariance:
         assert got.dtypes.to_dict() == want.dtypes.to_dict()
         assert sorted(got.itertuples(index=False)) == \
             sorted(want.itertuples(index=False))
-
-    @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_connected_components(self, blocks, exchange_width):
-        """Every clustered document maps to its union-find cluster's min
-        id, and no unclustered document appears."""
-        from post_ocr_corrector_ray.stages.components import connected_components
-
-        tbl = _docs()
-        with exchange_width(4):
-            got = connected_components(_pairs(_blocks(tbl, blocks))).to_pandas()
-        roots = _roots(tbl)
-        clustered = {i for pair in _spec_pairs(tbl) for i in pair}
-        assert len(got) == len(clustered)
-        assert dict(zip(got["node"], got["component"])) == \
-            {i: roots[i] for i in clustered}
-        assert len(set(roots[i] for i in clustered)) > 1
-
-    @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_bucket_stats(self, blocks):
-        """The census of the LSH buckets, at the ``dedup`` cap and at a cap
-        of 2 that drops the near-dup clusters' shared buckets."""
-        from post_ocr_corrector_ray.stages.dedup import (
-            MAX_BUCKET,
-            bucket_stats,
-            minhash_bands_batch,
-            signature_store_tables,
-        )
-
-        tbl = _docs().select(["doc_id", "text"])
-        bands, _ = signature_store_tables(_blocks(tbl, blocks), **_LSH)
-        sizes = minhash_bands_batch(tbl, **_LSH).to_pandas() \
-            .groupby(["band_id", "band_hash"]).size()
-        assert (sizes > 2).any()
-        for cap in (MAX_BUCKET, 2):
-            over = sizes[sizes > cap]
-            got = bucket_stats(bands, ["band_id", "band_hash"], max_bucket=cap)
-            assert got.to_pylist() == [{
-                "n_buckets": len(sizes),
-                "n_multi_buckets": int((sizes > 1).sum()),
-                "n_dropped_buckets": len(over),
-                "n_dropped_pairs": int((over * (over - 1) // 2).sum()),
-            }]
 
     @pytest.mark.parametrize("blocks", BLOCKS)
     def test_token_stats_batch(self, blocks):
@@ -452,7 +268,7 @@ _GOOD_CHARS = "abcdefghijklmnopqrstuvwxyz "
 
 
 def _stats_docs() -> pa.Table:
-    """The dedup documents plus texts with stopwords, every punctuation
+    """The ``_docs`` documents plus texts with stopwords, every punctuation
     mark, runs of whitespace and empty rows spread over the block
     boundaries."""
     extra = ["", "the cat: and the dog.", "  a  b  ", "word.word, end!", "",

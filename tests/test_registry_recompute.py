@@ -69,19 +69,3 @@ class TestAggregateQueries:
         assert got["mean_cer"][0] == pytest.approx(sum(cers) / len(cers), rel=1e-12)
         assert got["percent_perfect"][0] == sum(c == 0.0 for c in cers) / len(cers)
         assert 0.0 < got["mean_cer"][0] < 1.0
-
-    def test_doc_minhash_bucket_stats(self, docs):
-        from post_ocr_corrector_ray.stages.dedup import MAX_BUCKET, minhash_bands_batch
-
-        got = _run("doc_minhash_bucket_stats")
-        bands = minhash_bands_batch(docs, n_hashes=64, bands=16,
-                                    k_shingle=5).to_pandas()
-        sizes = bands.groupby(["band_id", "band_hash"]).size()
-        over = sizes[sizes > MAX_BUCKET]
-        assert got.to_dict("records") == [{
-            "n_buckets": len(sizes),
-            "n_multi_buckets": int((sizes > 1).sum()),
-            "n_dropped_buckets": len(over),
-            "n_dropped_pairs": int((over * (over - 1) // 2).sum()),
-        }]
-        assert len(sizes) > docs.num_rows

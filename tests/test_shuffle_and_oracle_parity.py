@@ -147,12 +147,10 @@ def test_map_groups_only_in_shuffle_and_commit():
 
 def test_exchange_width_has_one_owner():
     """``partitions_for()`` decides the width of every derived-data
-    exchange.  Of the functions in ``stages/`` and ``pipelines/``, only
-    ``grouped_apply`` and ``_pin`` (for ``connected_components``' narrowed
-    star rounds) take ``num_partitions``, and ``extract_correct``, whose
-    ``num_partitions`` is the committed store's layout, like the
-    ``state/lineage.py`` store functions that ``stages.extract``
-    re-exports."""
+    exchange.  Of the functions in ``stages/`` and ``pipelines/``, ``_pin``
+    included, only ``extract_correct`` takes ``num_partitions``: it is the
+    committed store's layout, like that of the ``state/lineage.py`` store
+    functions that ``stages.extract`` re-exports."""
     import importlib
     import inspect
     import pkgutil
@@ -160,8 +158,7 @@ def test_exchange_width_has_one_owner():
     import post_ocr_corrector_ray.pipelines as pipelines
     import post_ocr_corrector_ray.stages as stages
 
-    allowed = {"stages.shuffle.grouped_apply", "stages.shuffle._pin",
-               "pipelines.extract_correct.extract_correct"}
+    allowed = {"pipelines.extract_correct.extract_correct"}
     takes_width = set()
     for pkg in (stages, pipelines):
         for info in pkgutil.iter_modules(pkg.__path__):
@@ -175,6 +172,36 @@ def test_exchange_width_has_one_owner():
                 if owner != "state.lineage":
                     takes_width.add(f"{owner}.{name}")
     assert takes_width == allowed
+
+
+_DIVERGENCE = ("Operator produced a RefBundle with a different schema than the "
+               "previous one. Previous schema: PandasBlockSchema(names=['u'], "
+               "types=[dtype('int64')]), new schema: {}. This may lead to "
+               "unexpected behavior.")
+
+
+@pytest.mark.parametrize("new_schema,kept", [
+    ("PandasBlockSchema(names=[], types=[])", False),
+    ("None", False),
+    ("", False),
+    ("PandasBlockSchema(names=['v'], types=[dtype('int64')])", True),
+], ids=["empty_pandas", "none", "empty_string", "drift"])
+def test_empty_schema_divergence_filter_selectivity(new_schema, kept):
+    """The logger filter drops the schema-divergence warning only when the
+    new schema is empty, in each of the three forms Ray prints it in (Ray's
+    ``map_groups`` yields nothing for an empty sorted block).  Drift between
+    two non-empty schemas still warns, and so does any other warning."""
+    import logging
+
+    from post_ocr_corrector_ray.stages.shuffle import _EmptySchemaDivergenceFilter
+
+    f = _EmptySchemaDivergenceFilter()
+
+    def rec(msg):
+        return logging.LogRecord("x", logging.WARNING, "f", 1, msg, (), None)
+
+    assert f.filter(rec(_DIVERGENCE.format(new_schema))) is kept
+    assert f.filter(rec("some other warning")) is True
 
 
 def test_registry_orders_oracle_backed_first():

@@ -1,9 +1,8 @@
-"""Training-data extensions: textstats, MinHash dedup, the markup parser."""
+"""Training-data extensions: textstats and the markup parser."""
 
 import pyarrow as pa
 import pytest
 
-from post_ocr_corrector_ray.stages import dedup as dd
 from post_ocr_corrector_ray.stages import textstats as ts
 from post_ocr_corrector_ray.sources.markup import parse_vertical_markup
 
@@ -39,74 +38,6 @@ class TestTextStats:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestDedup:
-    def test_minhash_finds_near_dups(self):
-        import ray
-
-        base = "the quick brown fox jumps over the lazy dog and runs far away today"
-        texts = [base, base.replace("lazy", "hazy"),           # near-dup pair
-                 "completely different content about database engines and arrow",
-                 "unrelated words regarding mountains rivers and weather patterns"]
-        tbl = _doc_table(texts)
-        out = dd.minhash_duplicate_pairs(
-            ray.data.from_arrow(tbl), n_hashes=64, bands=32, k_shingle=5,
-            jaccard_threshold=0.5).to_pandas()
-        pairs = set(zip(out["id_a"], out["id_b"]))
-        assert (0, 1) in pairs
-        assert all(p == (0, 1) for p in pairs)
-
-    def test_incremental_pairs_match_recompute(self):
-        """The persisted-signature ingest path (store text never re-read)
-        yields exactly the recompute path's pairs, minus store-store pairs —
-        the only ones incremental survivor logic provably never consults."""
-        import ray.data
-
-        base = "the quick brown fox jumps over the lazy dog and runs far away today"
-        other = "completely different content about database engines and arrow"
-        store_texts = [base, other,
-                       "unrelated words regarding mountains rivers and weather"]
-        new_texts = [base.replace("lazy", "hazy"),    # dup of store 0
-                     other,                            # exact dup of store 1
-                     base.replace("lazy", "hazy"),     # dup of new 100 too
-                     "fresh novel text with nothing shared at all whatsoever"]
-        store = ray.data.from_arrow(_doc_table(store_texts, ids=[0, 1, 2]))
-        new = ray.data.from_arrow(_doc_table(new_texts, ids=[100, 101, 102, 103]))
-        kw = dict(n_hashes=64, bands=32, k_shingle=5, jaccard_threshold=0.5)
-
-        full = dd.minhash_duplicate_pairs(store.union(new), **kw).to_pandas()
-        want = set(zip(full[full["id_b"] >= 100]["id_a"],
-                       full[full["id_b"] >= 100]["id_b"]))
-        assert want, "fixture must produce cross-wave pairs"
-
-        bands_ds, sigs_ds = dd.signature_store_tables(
-            store, n_hashes=64, bands=32, k_shingle=5)
-        inc = dd.minhash_duplicate_pairs_incremental(
-            new, bands_ds, sigs_ds, min_new_id=100, **kw).to_pandas()
-        got = set(zip(inc["id_a"], inc["id_b"]))
-        assert got == want
-        assert (inc["id_b"] >= 100).all()  # no store-store pairs emitted
-
-    def test_near_dup_wrappers_never_materialize_on_driver(self, monkeypatch):
-        """The near-dup wrapper used to collect the whole corpus into a
-        driver dict.  Pin the fix: building the pipeline must not call any
-        driver-side materialization API."""
-        import ray.data
-
-        from post_ocr_corrector_ray.pipelines import documents as D
-
-        def _boom(self, *a, **k):  # noqa: ANN001
-            raise AssertionError("driver-side materialization in wrapper")
-
-        for meth in ("take_all", "take", "to_pandas", "iter_batches",
-                     "iter_rows", "materialize"):
-            monkeypatch.setattr(ray.data.Dataset, meth, _boom)
-        ds1 = D.doc_minhash_pairs("/root/testdata/sf0.001")
-        assert isinstance(ds1, ray.data.Dataset)
-        monkeypatch.undo()
-        # and the lazy pipelines still execute
-        assert {"id_a", "id_b", "jaccard"} <= set(ds1.to_pandas().columns)
-
-
 class TestMarkupParser:
     def test_sentences_and_gluing(self):
         blob = "\n".join([
@@ -133,17 +64,3 @@ class TestMarkupParser:
         blob = "<s>\nsurface lemma pos extra\n</s>"
         sentences, _ = parse_vertical_markup(blob)
         assert sentences == [["surface"]]
-
-
-class TestJaccardSpecEquivalence:
-    def test_signature_jaccard_equals_text_jaccard(self):
-        """The distributed verify scores serialized signatures; the text-based
-        helper is the semantic spec — both must agree exactly."""
-        from post_ocr_corrector_ray.functions.hashing import shingle_hashes
-
-        pairs = [("the quick brown fox jumps", "the quick brown fox jumped"),
-                 ("aaaa", "aaab"), ("", ""), ("x", ""), ("same", "same")]
-        for a, b in pairs:
-            assert dd.jaccard_from_signatures(
-                dd.signature_bytes(shingle_hashes(a, k=5)),
-                dd.signature_bytes(shingle_hashes(b, k=5))) == dd._jaccard(a, b, 5)
