@@ -61,35 +61,6 @@ def _flagship(n_pages: int, batch_size: int = 8, concurrency=(2, 8)):
                               "corrected_text"])
 
 
-def _flagship_tiered(n_pages: int = 600, n: int = 3):
-    """Tier extraction end-to-end — the graft cell's namesake shape: stream
-    pages → DOM-heuristic boilerplate-strip extraction → per-language CCNet
-    quality tiers over the EXTRACTED text (stages/tiers.py::quality_tiers,
-    histogram-offset NTILE, url-keyed — no global or per-language sort).
-    Pages with no extractable content are excluded before scoring (nothing
-    to grade).  Rows-only driver check (the synthetic pages table is not a
-    DuckDB view); exactness is pytest-pinned against a single-process
-    extract + DuckDB-NTILE recompute (tests/test_new_ops_edges.py)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from post_ocr_corrector_ray.pipelines.extract_correct import extract_pipeline
-    from post_ocr_corrector_ray.stages.tiers import quality_tiers
-
-    ext = extract_pipeline(_synthetic_pages(n_pages))
-
-    def keep(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.and_(
-            pc.is_valid(batch.column("extracted_text")),
-            pc.not_equal(batch.column("extracted_text"), "")))
-        return pa.table({"url": t.column("url"),
-                         "lang": t.column("lang"),
-                         "text": t.column("extracted_text")})
-
-    return quality_tiers(ext.map_batches(keep, batch_format="pyarrow"),
-                         id_col="url", n=n)
-
-
 def _flagship_dict_corpus(n_pages: int):
     """The committed extraction corpus of the dictionary flagship:
     pages → extract → (url, clean), committed as a PARTITIONED PARQUET STAGE
@@ -167,9 +138,6 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         # flagship + reference-semantics pipelines (rows-only where non-SQL)
         "flagship_extract_correct": lambda sf: _flagship(n_pages=120),
         "flagship_dictionary": lambda sf: _flagship_dictionary(n_pages=300),
-        # tier extraction end-to-end: extract → per-lang quality tiers over
-        # extracted text (rows-only; pytest-pinned vs DuckDB NTILE recompute)
-        "flagship_tiered": lambda sf: _flagship_tiered(n_pages=600),
         "doc_mutilate": D.doc_mutilate,
         "doc_null_corrector_cer": D.doc_null_corrector_cer,
         # reference text semantics with SQL twins
@@ -178,13 +146,6 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         "doc_token_counts": D.doc_token_counts,
         "doc_split_assignment": D.doc_split_assignment,
         "doc_markup_roundtrip": D.doc_markup_roundtrip,
-        # the scores `tiers` ranks by
-        "doc_token_stats": D.doc_token_stats,
-        "doc_quality": D.doc_quality,
-        # CCNet-style head/middle/tail bucketing: per-language NTILE over the
-        # quality score, via (lang, score-bits) histogram-offset ranking —
-        # no global or per-language sort
-        "doc_quality_tiers": lambda sf: D.doc_quality_tiers(sf),
         # training-data feed (CorrectorDataset+DataLoader analog: collated
         # INT_EMPTY-padded (messy, clean) id batches, deterministic epoch
         # shuffle — pipelines/training.py; batch-content determinism across
@@ -194,28 +155,6 @@ def _registry() -> dict[str, Callable[[str], Any]]:
 
 
 _ORACLE_SF_DIR = os.environ.get("GRAFT_ORACLE_SF_DIR", "/root/testdata/sf0.01")
-
-
-_STOP_LIST = "('the','a','of','and','to','in','is','on','for','with')"
-
-_TOKEN_STATS_SQL = f"""
-WITH words AS (
-  SELECT doc_id, unnest(regexp_split_to_array(trim(text), '\\s+')) AS w
-  FROM documents WHERE trim(text) <> ''
-), agg AS (
-  SELECT doc_id, CAST(count(*) AS BIGINT) AS n_words,
-         CAST(sum(length(w)) AS BIGINT) AS sum_wl,
-         CAST(sum(CASE WHEN w IN {_STOP_LIST} THEN 1 ELSE 0 END) AS BIGINT) AS n_stop
-  FROM words GROUP BY doc_id
-)
-SELECT d.doc_id,
-       CAST(length(d.text) AS BIGINT) AS n_chars,
-       COALESCE(a.n_words, 0) AS n_words,
-       CAST(length(d.text) - length(regexp_replace(d.text, '[.,!?;:]', '', 'g')) AS BIGINT) AS n_punct,
-       COALESCE(a.sum_wl * 1.0 / a.n_words, 0.0) AS mean_word_len,
-       COALESCE(a.n_stop * 1.0 / a.n_words, 0.0) AS stop_ratio
-FROM documents d LEFT JOIN agg a USING (doc_id)
-"""
 
 
 def oracle_sql() -> dict[str, str]:
@@ -241,31 +180,4 @@ def oracle_sql() -> dict[str, str]:
             SELECT doc_id,
                    array_to_string(regexp_split_to_array(trim(text), '\s+'), ' ') AS sentence
             FROM documents""",
-        "doc_token_stats": _TOKEN_STATS_SQL,
-        "doc_quality": f"""
-            WITH s AS ({_TOKEN_STATS_SQL})
-            SELECT doc_id, n_chars, n_words, n_punct, mean_word_len, stop_ratio,
-                   0.25 * (least(n_chars / 200.0, 1.0)
-                           + least(n_words / 30.0, 1.0)
-                           + CASE WHEN mean_word_len >= 2.0 AND mean_word_len <= 12.0
-                                  THEN 1.0 ELSE 0.5 END
-                           + CASE WHEN stop_ratio > 0.0 THEN 1.0 ELSE 0.6 END) AS quality
-            FROM s""",
-        "doc_quality_tiers": f"""
-            WITH s AS ({_TOKEN_STATS_SQL}),
-            q AS (
-              SELECT s.doc_id, d.lang,
-                     0.25 * (least(s.n_chars / 200.0, 1.0)
-                             + least(s.n_words / 30.0, 1.0)
-                             + CASE WHEN s.mean_word_len >= 2.0
-                                         AND s.mean_word_len <= 12.0
-                                    THEN 1.0 ELSE 0.5 END
-                             + CASE WHEN s.stop_ratio > 0.0
-                                    THEN 1.0 ELSE 0.6 END) AS quality
-              FROM s JOIN documents d USING (doc_id))
-            SELECT doc_id, lang, quality,
-                   CAST(ntile(3) OVER (PARTITION BY lang
-                                       ORDER BY quality, doc_id) AS BIGINT)
-                       AS tier
-            FROM q""",
     }

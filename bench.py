@@ -28,9 +28,8 @@ NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 
 # The representative query suite; every name must be a ``queries()`` key.
 BENCH_QUERIES = (
-    "doc_token_counts", "doc_normalize_ws", "doc_token_stats",
-    "training_feed", "doc_null_corrector_cer", "doc_quality_tiers",
-    "flagship_tiered",
+    "doc_token_counts", "doc_normalize_ws", "training_feed",
+    "doc_null_corrector_cer",
 )
 
 

@@ -16,7 +16,6 @@ they run today):
 | ``NeuralCorrector.load_from_checkpoint`` | ``convert-ckpt`` (torch-free .ckpt → model dir) |
 | — | ``synth`` (deterministic test pages) |
 | — | ``commit`` (any parquet → resumable key-partitioned committed store) |
-| — | ``tiers`` (per-language quality tiers → committed store) |
 
 The CLI owns the Ray session (``ray.init(address="local")``) unless its
 caller already started one, which it reuses and leaves running; library code
@@ -105,29 +104,6 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("parquet"); s.add_argument("out_dir")
     s.add_argument("--key-col", required=True)
     s.add_argument("--partitions", type=int, default=32)
-
-    s = sub.add_parser("tiers",
-                       help="pages (extract first) or documents parquet → "
-                            "per-language CCNet quality tiers over the text "
-                            "→ resumable committed store partitioned by "
-                            "(lang, tier) — the tier-extraction pipeline "
-                            "as a user-facing artifact")
-    s.add_argument("input"); s.add_argument("out_dir")
-    s.add_argument("--mode", choices=["pages", "documents"], default="pages",
-                   help="pages: DOM-heuristic extraction feeds the scorer; "
-                        "documents: score the text column directly")
-    s.add_argument("--id-col", default=None,
-                   help="default: url (pages) / doc_id (documents)")
-    s.add_argument("--lang-col", default="lang")
-    s.add_argument("--text-col", default="text")
-    s.add_argument("--tiers", type=int, default=3)
-    s.add_argument("--shards-per-tier", type=int, default=4,
-                   help="id-hash sub-shards inside each (lang, tier) slice — "
-                        "without them a 100-TB corpus would cap at "
-                        "n_langs x n_tiers giant partitions; shard count is "
-                        "the resume/commit granularity per slice")
-    s.add_argument("--partitions", type=int, default=32)
-    s.add_argument("--no-resume", action="store_true")
 
     args = p.parse_args(argv)
     if args.cmd == "run" and args.corrector != "null" and not args.model_dir:
@@ -222,63 +198,6 @@ def main(argv: list[str] | None = None) -> int:
                 ray.data.read_parquet(args.parquet), args.out_dir,
                 key_col=args.key_col, num_partitions=args.partitions,
                 input_fingerprint=fingerprint_inputs(args.parquet)).to_pandas()
-            print(json.dumps({"partitions_committed": len(summary),
-                              "rows": int(summary["n_rows"].sum()) if len(summary) else 0}))
-        elif args.cmd == "tiers":
-            import pyarrow as pa
-            import pyarrow.compute as pc
-
-            from .stages.tiers import quality_tiers
-            from .state.lineage import commit_by_key, fingerprint_inputs
-
-            if args.mode == "pages":
-                from .pipelines.extract_correct import extract_pipeline
-
-                id_col = args.id_col or "url"
-                ext = extract_pipeline(ray.data.read_parquet(args.input))
-
-                def keep(batch: pa.Table) -> pa.Table:
-                    t = batch.filter(pc.and_(
-                        pc.is_valid(batch.column("extracted_text")),
-                        pc.not_equal(batch.column("extracted_text"), "")))
-                    return pa.table({id_col: t.column(id_col),
-                                     args.lang_col: t.column(args.lang_col),
-                                     "text": t.column("extracted_text")})
-
-                ds = ext.map_batches(keep, batch_format="pyarrow")
-            else:
-                id_col = args.id_col or "doc_id"
-                ds = ray.data.read_parquet(
-                    args.input, columns=[id_col, args.lang_col, args.text_col])
-                if args.text_col != "text":
-                    ds = ds.map_batches(lambda b: b.rename_columns(
-                        ["text" if n == args.text_col else n
-                         for n in b.column_names]), batch_format="pyarrow")
-
-            tiers = quality_tiers(ds, id_col=id_col, lang_col=args.lang_col,
-                                  n=args.tiers)
-
-            from .functions.hashing import polyhash_u64_array
-
-            def with_key(batch: pa.Table) -> pa.Table:
-                import numpy as np
-
-                key = pc.binary_join_element_wise(
-                    batch.column(args.lang_col).cast(pa.string()),
-                    pc.cast(batch.column("tier"), pa.string()), "/tier-")
-                shard = (polyhash_u64_array(
-                    batch.column(id_col).cast(pa.string()).combine_chunks())
-                    % np.uint64(max(args.shards_per_tier, 1))).astype(np.int64)
-                key = pc.binary_join_element_wise(
-                    key, pc.cast(pa.array(shard, pa.int64()), pa.string()),
-                    "/s")
-                return batch.append_column("lang_tier", key)
-
-            summary = commit_by_key(
-                tiers.map_batches(with_key, batch_format="pyarrow"),
-                args.out_dir, key_col="lang_tier",
-                num_partitions=args.partitions, resume=not args.no_resume,
-                input_fingerprint=fingerprint_inputs(args.input)).to_pandas()
             print(json.dumps({"partitions_committed": len(summary),
                               "rows": int(summary["n_rows"].sum()) if len(summary) else 0}))
         elif args.cmd == "feed":

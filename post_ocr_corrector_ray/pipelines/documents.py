@@ -1,6 +1,7 @@
 """Document-table pipelines over the ``documents`` test table (doc_id, text,
-lang, source, n_chars): the reference's text semantics, and the quality and
-tier operators that the ``tiers`` command runs.
+lang, source, n_chars): the reference's text semantics — whitespace
+normalization, distinct chars, token counts, splits, keyed noise, the null
+corrector's CER and the vertical-markup round trip.
 
 Each function takes ``sf_dir`` and returns a Dataset / Arrow table; SQL
 oracles (where expressible) live in __ray_entry__.
@@ -16,7 +17,6 @@ import ray.data
 
 from ..functions.text import normalize_whitespace
 from ..sources.markup import markup_to_sentences_batch
-from ..stages import textstats as ts
 from ..stages.noise import add_messy_column
 from .corpus import pick_split, token_counts
 from .evaluate import evaluate
@@ -75,16 +75,6 @@ def doc_split_assignment(sf_dir: str) -> ray.data.Dataset:
     return ds.map_batches(f, batch_format="pyarrow")
 
 
-def doc_token_stats(sf_dir: str) -> ray.data.Dataset:
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        ts.token_stats_batch, batch_format="pyarrow")
-
-
-def doc_quality(sf_dir: str) -> ray.data.Dataset:
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        ts.quality_score_batch, batch_format="pyarrow")
-
-
 def doc_mutilate(sf_dir: str, good_chars: str = "abcdefghijklmnopqrstuvwxyz ") -> ray.data.Dataset:
     """Keyed noise per doc (reference mutilate semantics, RNG keyed by doc_id)."""
 
@@ -136,20 +126,3 @@ def doc_markup_roundtrip(sf_dir: str) -> ray.data.Dataset:
                          "sentence": batch.column("sentence")})
 
     return parsed.map_batches(project, batch_format="pyarrow")
-
-
-def doc_quality_tiers(sf_dir: str, n: int = 3) -> ray.data.Dataset:
-    """Per-language quality tiers — NTILE(n) OVER (PARTITION BY lang ORDER BY
-    quality, doc_id) over the composite quality score: the CCNet head/middle/
-    tail corpus bucketing (Wenzek et al. 2020, with the repo's C4/Gopher
-    composite from stages/textstats.py::quality_score_batch standing in for
-    the LM-perplexity score this container can't train).
-
-    Implementation (histogram-offset rank, no global or per-language sort —
-    a language is a giant key at 100 TB) lives in stages/tiers.py::
-    quality_tiers, shared with the flagship extraction-output tiering
-    (flagship_tiered); this wrapper binds it to the documents table."""
-    from ..stages.tiers import quality_tiers
-
-    return quality_tiers(_docs(sf_dir, ["doc_id", "text", "lang"]),
-                         id_col="doc_id", n=n)

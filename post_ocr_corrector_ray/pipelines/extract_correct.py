@@ -74,7 +74,10 @@ def correct_stage(ds: ray.data.Dataset, *, corrector: CorrectorKind,
     neural corrector deploys as the north-star "GPU-sized micro-batches"
     shape (reference eval.py:25-33 runs the model on whatever device torch
     finds; here the resource request is explicit per stage).  ``batch_size``
-    is the micro-batch: size it to the device memory, not the block."""
+    is the micro-batch of both actor correctors (neural and dictionary):
+    size it to the device memory, not the block.  The null corrector is a
+    task stage that takes neither ``batch_size`` nor ``concurrency``, so it
+    fuses with extraction into one operator."""
     pool_kwargs: dict = dict(num_cpus=1)
     if num_gpus is not None:
         pool_kwargs["num_gpus"] = num_gpus
@@ -95,7 +98,7 @@ def correct_stage(ds: ray.data.Dataset, *, corrector: CorrectorKind,
         return ds.map_batches(
             DictionaryCorrectorStage,
             fn_constructor_kwargs=dict(vocab_ref=vocab_ref, min_frequency=min_frequency),
-            batch_format="pyarrow", batch_size=max(batch_size, 128),
+            batch_format="pyarrow", batch_size=batch_size,
             concurrency=concurrency, **pool_kwargs,
         )
     raise ValueError(f"unknown corrector: {corrector}")

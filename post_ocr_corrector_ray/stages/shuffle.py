@@ -17,15 +17,12 @@ Row hashing uses ``pd.util.hash_pandas_object`` (fixed default hash key —
 deterministic across processes and machines, unlike builtin ``hash``).
 
 ``grouped_apply`` is the package's one keyed exchange for derived data: the
-quality tiers' histogram and ranking (stages/tiers.py), the token counts
-(pipelines/corpus.py, through ``grouped_agg``) and the training feed's
-shuffle and collation (pipelines/training.py) run on it, as does the library
-semi / anti ``hash_join`` (stages/joins.py).  The only other
-Ray-level ``groupby().map_groups()`` is the store commit
+token counts (pipelines/corpus.py, through ``grouped_agg``) and the training
+feed's shuffle and collation (pipelines/training.py) run on it.  The only
+other Ray-level ``groupby().map_groups()`` is the store commit
 (state/lineage.py), whose polyhash partition id is the resume contract.
 Exchange width has one owner, ``partitions_for`` (the cluster's CPUs); no
-caller passes one.  ``_pin`` materializes a small intermediate that feeds
-more than one exchange (the tiers' scored documents).
+caller passes one.
 """
 
 from __future__ import annotations
@@ -45,9 +42,9 @@ def partitions_for() -> int:
     """The exchange width of derived data — the one place it is decided,
     from what the runtime observes: ~2 coarse partitions per cluster CPU
     (equal to a fixed 64 on a 32-CPU box), at least 8 and at most 256.
-    ``grouped_apply`` and ``_pin`` call it.  Exactness never depends on it
-    (all-key-equal rows land together at any width — pinned by the
-    width-invariance tests)."""
+    ``grouped_apply`` calls it.  Exactness never depends on it (all-key-equal
+    rows land together at any width — pinned by
+    tests/test_layout_invariance.py::TestExchangeWidthInvariance)."""
     try:
         import ray
 
@@ -135,24 +132,6 @@ def grouped_apply(ds: ray.data.Dataset, key_cols: list[str],
 
     return ds.map_batches(bucketize, batch_format="pandas") \
         .groupby("_kp").map_groups(run, batch_format="pandas")
-
-
-def _pin(ds: ray.data.Dataset) -> ray.data.Dataset:
-    """Materialize + coalesce a small intermediate.  Exchange cost in Ray is
-    per-TASK (block), not per-row: a 150-row set fragmented into 140 blocks
-    makes the next exchange pay 140 map + 140 reduce task overheads.
-    ``grouped_apply`` inflates block counts, so every pinned intermediate is
-    coalesced back to ≤ ``partitions_for()`` blocks before feeding the next
-    exchange."""
-    num_partitions = partitions_for()
-    m = ds.materialize()
-    try:
-        blocks = m.num_blocks()
-    except Exception:
-        return m
-    if blocks and blocks > num_partitions:
-        m = m.repartition(num_partitions).materialize()
-    return m
 
 
 def grouped_agg(ds: ray.data.Dataset, key_cols: list[str],

@@ -232,7 +232,7 @@ def commit_by_key(ds, out_dir: str, *, key_col: str,
     record.  Returns the tiny per-partition summary dataset.
 
     This is the flagship's commit protocol lifted to a standalone operator so
-    every pipeline output (quality tiers, stats, training feeds) can be a
+    every pipeline output (corpora, training feeds) can be a
     resumable partitioned store rather than one giant file.  It shares the
     exchange and commit with the flagship (``_exchange_and_commit``), so the
     summary runs without Ray Data's per-operator CPU reservation: the stages

@@ -147,65 +147,6 @@ class TestCli:
         assert json.loads(r2.stdout.strip().splitlines()[-1])["rows"] == 30
 
 
-@pytest.mark.usefixtures("ray_session")
-class TestTiersCli:
-    def test_tiers_pages_e2e_and_resume(self, tmp_path, capsys):
-        """pages → extract → per-lang tiers → committed (lang, tier) store;
-        a second identical run resumes (0 partitions re-committed); tier
-        values match the library flagship composition."""
-        import __ray_entry__ as entry
-        from post_ocr_corrector_ray.cli import main
-        from post_ocr_corrector_ray.state.lineage import read_output
-
-        pages = str(tmp_path / "pages.parquet")
-        assert main(["synth", pages, "--n", "600"]) == 0
-        out = str(tmp_path / "tiers_store")
-        assert main(["tiers", pages, out, "--partitions", "8"]) == 0
-        first = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert first["partitions_committed"] > 0 and first["rows"] > 500
-
-        got = read_output(out).to_pandas().sort_values("url") \
-            .reset_index(drop=True)
-        assert set(got["tier"].unique()) == {1, 2, 3}
-        # composite partition key is (lang, tier, id-hash shard)
-        assert got["lang_tier"].str.match(r"^[a-z]+/tier-[123]/s[0-3]$").all()
-        prefix = got["lang_tier"].str.rsplit("/s", n=1).str[0]
-        assert (prefix == got["lang"] + "/tier-"
-                + got["tier"].astype(str)).all()
-        # sub-sharding actually splits tiers (the 100-TB partition-count fix)
-        assert got["lang_tier"].nunique() > got["lang"].nunique() * 3
-        want = entry.queries()["flagship_tiered"]("unused").to_pandas() \
-            .sort_values("url").reset_index(drop=True)
-        import pandas as pd
-        pd.testing.assert_frame_equal(
-            got[["url", "lang", "quality", "tier"]], want,
-            check_dtype=False, check_exact=True)
-
-        # resume: nothing re-commits
-        assert main(["tiers", pages, out, "--partitions", "8"]) == 0
-        second = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert second["partitions_committed"] == 0
-
-    def test_tiers_documents_mode_matches_pipeline(self, tmp_path, capsys):
-        import __ray_entry__ as entry
-        from post_ocr_corrector_ray.cli import main
-        from post_ocr_corrector_ray.state.lineage import read_output
-
-        out = str(tmp_path / "doc_tiers")
-        assert main(["tiers", "/root/testdata/sf0.001/documents.parquet",
-                     out, "--mode", "documents", "--partitions", "4"]) == 0
-        capsys.readouterr()
-        got = read_output(out).to_pandas().sort_values("doc_id") \
-            .reset_index(drop=True)
-        want = entry.queries()["doc_quality_tiers"]("/root/testdata/sf0.001") \
-            .to_pandas().sort_values("doc_id").reset_index(drop=True)
-        import pandas as pd
-        pd.testing.assert_frame_equal(
-            got[["doc_id", "lang", "quality", "tier"]],
-            want[["doc_id", "lang", "quality", "tier"]],
-            check_dtype=False, check_exact=True)
-
-
 class TestCliUsageErrors:
     @pytest.mark.parametrize("corrector", ["neural", "dictionary"])
     def test_run_without_model_dir(self, tmp_path, capsys, corrector):
@@ -226,6 +167,14 @@ class TestCliUsageErrors:
             main(["dedup", str(tmp_path / "docs.parquet"), str(tmp_path / "o")])
         assert exc.value.code == 2
         assert "invalid choice: 'dedup'" in capsys.readouterr().err
+
+    def test_tiers_command_is_gone(self, tmp_path, capsys):
+        from post_ocr_corrector_ray.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["tiers", str(tmp_path / "pages.parquet"), str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'tiers'" in capsys.readouterr().err
 
 
 def _last_json(capsys) -> dict:
@@ -416,123 +365,10 @@ class TestCliSubcommands:
         assert any(want.values())
 
 
-DOCS = "/root/testdata/sf0.001/documents.parquet"
-_TIER_COLS = ["doc_id", "lang", "quality", "tier", "lang_tier"]
-
-
-def _renamed_copy(src: str, dst: str, names: dict) -> str:
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(src)
-    pq.write_table(t.rename_columns([names.get(n, n) for n in t.column_names]), dst)
-    return dst
-
-
-def _tier_rows(out_dir: str, names: dict | None = None):
-    from post_ocr_corrector_ray.state.lineage import read_output
-
-    df = read_output(out_dir).to_pandas().rename(columns=names or {})
-    return df[_TIER_COLS].sort_values("doc_id").reset_index(drop=True)
-
-
-@pytest.fixture(scope="module")
-def default_doc_tiers(tmp_path_factory):
-    """``tiers --mode documents`` over the documents fixture, default options."""
-    from post_ocr_corrector_ray.cli import main
-
-    out = str(tmp_path_factory.mktemp("tiers") / "store")
-    assert main(["tiers", DOCS, out, "--mode", "documents", "--partitions", "4"]) == 0
-    return _tier_rows(out)
-
-
 @pytest.mark.usefixtures("ray_session")
 class TestCliOptions:
     """Options of the shipped subcommands that change what they read or
     write, each against the default run or the library call it maps to."""
-
-    def test_tiers_text_col(self, tmp_path, default_doc_tiers):
-        import pandas as pd
-
-        from post_ocr_corrector_ray.cli import main
-
-        src = _renamed_copy(DOCS, str(tmp_path / "d.parquet"), {"text": "body"})
-        out = str(tmp_path / "store")
-        assert main(["tiers", src, out, "--mode", "documents", "--partitions", "4",
-                     "--text-col", "body"]) == 0
-        pd.testing.assert_frame_equal(_tier_rows(out), default_doc_tiers)
-
-    def test_tiers_id_and_lang_cols(self, tmp_path, default_doc_tiers):
-        import pandas as pd
-
-        from post_ocr_corrector_ray.cli import main
-
-        names = {"doc_id": "id", "lang": "language"}
-        src = _renamed_copy(DOCS, str(tmp_path / "d.parquet"), names)
-        out = str(tmp_path / "store")
-        assert main(["tiers", src, out, "--mode", "documents", "--partitions", "4",
-                     "--id-col", "id", "--lang-col", "language"]) == 0
-        got = _tier_rows(out, {v: k for k, v in names.items()})
-        pd.testing.assert_frame_equal(got, default_doc_tiers)
-
-    def test_tiers_no_resume(self, tmp_path, capsys, default_doc_tiers):
-        """A ``--no-resume`` rerun over a complete store commits every
-        partition again and writes the same rows."""
-        import pandas as pd
-
-        from post_ocr_corrector_ray.cli import main
-
-        out = str(tmp_path / "store")
-        argv = ["tiers", DOCS, out, "--mode", "documents", "--partitions", "4"]
-        assert main(argv) == 0
-        first = _last_json(capsys)
-        assert main(argv + ["--no-resume"]) == 0
-        second = _last_json(capsys)
-        assert second == first and first["partitions_committed"] > 0
-        pd.testing.assert_frame_equal(_tier_rows(out), default_doc_tiers)
-
-    @pytest.mark.parametrize("shards", [1, 4, 7])
-    def test_tiers_shards_per_tier(self, tmp_path, shards, default_doc_tiers):
-        """Sub-sharding moves rows between partitions only: the tiers are
-        the default run's, and each row's key ends in its id-hash shard."""
-        import pandas as pd
-
-        from post_ocr_corrector_ray.cli import main
-        from post_ocr_corrector_ray.functions.hashing import polyhash_u64
-
-        out = str(tmp_path / "store")
-        assert main(["tiers", DOCS, out, "--mode", "documents", "--partitions", "4",
-                     "--shards-per-tier", str(shards)]) == 0
-        got = _tier_rows(out)
-        cols = ["doc_id", "lang", "quality", "tier"]
-        pd.testing.assert_frame_equal(got[cols], default_doc_tiers[cols])
-        want = [f"{lang}/tier-{tier}/s{polyhash_u64(str(i).encode()) % shards}"
-                for i, lang, tier in zip(got["doc_id"], got["lang"], got["tier"])]
-        assert got["lang_tier"].tolist() == want
-        assert got["lang_tier"].str.rsplit("/s", n=1).str[1].nunique() == shards
-
-    def test_tiers_count(self, tmp_path):
-        """``--tiers 5``: per-language NTILE(5) over (quality, doc_id)."""
-        import duckdb
-        import pandas as pd
-        import pyarrow.parquet as pq
-
-        from post_ocr_corrector_ray.cli import main
-        from post_ocr_corrector_ray.stages.textstats import quality_score_batch
-
-        out = str(tmp_path / "store")
-        assert main(["tiers", DOCS, out, "--mode", "documents", "--partitions", "4",
-                     "--tiers", "5"]) == 0
-        docs = pq.read_table(DOCS, columns=["doc_id", "text", "lang"])
-        q = quality_score_batch(docs.select(["doc_id", "text"])).to_pandas()
-        q["lang"] = docs.column("lang").to_pylist()
-        want = duckdb.query(
-            "SELECT doc_id, lang, quality, CAST(NTILE(5) OVER (PARTITION BY "
-            "lang ORDER BY quality, doc_id) AS BIGINT) AS tier FROM q"
-        ).fetchdf().sort_values("doc_id").reset_index(drop=True)
-        got = _tier_rows(out)
-        pd.testing.assert_frame_equal(got[["doc_id", "lang", "quality", "tier"]], want,
-                                      check_dtype=False, check_exact=True)
-        assert sorted(got["tier"].unique()) == [1, 2, 3, 4, 5]
 
     def test_eval_banded(self, tmp_path, capsys):
         """``--banded`` scores with the reference's banded distance, which

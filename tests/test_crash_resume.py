@@ -10,7 +10,8 @@ for byte; every marker field equal except ``write_seconds`` and
 ``committed_at_unix``; and each input url committed exactly once.
 
 The sinks are ``extract_correct`` with the null, dictionary and neural
-correctors, and ``commit_by_key``.
+correctors, and ``commit_by_key``.  The two model sinks read one model
+directory, as ``cli run --model-dir`` does.
 
 - ``test_commit_crash_then_resume``: ``commit_partition`` stops at one of
   its four steps (the data write, the data rename, the marker write, the
@@ -26,6 +27,10 @@ correctors, and ``commit_by_key``.
   partition has committed.  The rerun is in this process, at another
   ``--concurrency`` (``commit`` has none; its rerun runs on this process's
   4-CPU cluster instead of the child's 2).
+- ``test_corrector_worker_killed_mid_batch``: ``cli run`` with one
+  corrector actor, whose worker process alone is SIGKILLed while it runs a
+  batch.  Ray restarts the actor and retries the batch, and the run itself
+  finishes the store.
 """
 
 import collections
@@ -51,8 +56,7 @@ MIN_FREQUENCY = 25
 PHASES = ["write_table", "data_replace", "marker_dump", "marker_replace"]
 # the uninterrupted run's settings; every rerun uses batch size 3 and one
 # actor or task at a time.  The null corrector is a task stage with neither
-# knob, and the dictionary stage rounds a batch up to 128 rows, so there the
-# block count is what changes.
+# knob, so there the block count is what changes.
 REF_LAYOUT = dict(blocks=5, batch_size=4, concurrency=2)
 _CLOCKS = ("write_seconds", "committed_at_unix")
 
@@ -93,23 +97,36 @@ def inputs(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def vocab(inputs) -> dict:
-    """Word counts of input ``a``'s extracted text.  With a high frequency
-    floor the rarer words become corrections, so the stage rewrites text."""
+def model_dir(inputs, tmp_path_factory) -> str:
+    """A model directory with the flagship's seed-7 neural model and a
+    dictionary of the word counts of input ``a``'s extracted text.  With a
+    high frequency floor the rarer words become corrections, so the
+    dictionary stage rewrites text."""
+    from __ray_entry__ import FLAGSHIP_ALPHABET, TINY_HPARAMS
+    from post_ocr_corrector_ray.model.artifacts import save_model_dir
+    from post_ocr_corrector_ray.model.dictionary import DictionaryCorrector
+    from post_ocr_corrector_ray.model.neural import NeuralCorrectorModel
     from post_ocr_corrector_ray.oracle import oracle_extract, oracle_token_counts
 
     clean = oracle_extract(pq.read_table(inputs["pages", "a"]))
-    return oracle_token_counts(list(clean.values()))
+    d = str(tmp_path_factory.mktemp("model"))
+    save_model_dir(d, NeuralCorrectorModel.from_seed(FLAGSHIP_ALPHABET, seed=7,
+                                                     **TINY_HPARAMS),
+                   dictionary=DictionaryCorrector(
+                       oracle_token_counts(list(clean.values())),
+                       min_frequency=MIN_FREQUENCY))
+    return d
 
 
 def _input(sink: str, which: str, inputs) -> str:
     return inputs["short" if sink == "neural" else "pages", which]
 
 
-def _run(sink: str, path: str, out: str, vocab: dict, *, blocks: int,
+def _run(sink: str, path: str, out: str, model_dir: str, *, blocks: int,
          batch_size: int, concurrency: int) -> list[int]:
     """Run ``sink`` over the parquet at ``path`` into the store ``out``, read
-    in ``blocks`` blocks; returns the partitions it committed."""
+    in ``blocks`` blocks, with the model that ``cli run`` loads from
+    ``model_dir``; returns the partitions it committed."""
     import ray.data
 
     from post_ocr_corrector_ray.pipelines.extract_correct import extract_correct
@@ -123,13 +140,18 @@ def _run(sink: str, path: str, out: str, vocab: dict, *, blocks: int,
         summary = lin.commit_by_key(ds, out, key_col="url", num_partitions=PARTS,
                                     input_fingerprint=fingerprint)
     else:
+        from post_ocr_corrector_ray.model.artifacts import (
+            load_dictionary,
+            read_alphabet,
+        )
+
         kwargs = {}
         if sink == "dictionary":
-            kwargs = dict(vocab_ref=vocab, min_frequency=MIN_FREQUENCY)
+            corr = load_dictionary(model_dir)
+            kwargs = dict(vocab_ref=corr.vocabulary, min_frequency=corr.min_frequency)
         elif sink == "neural":
-            from __ray_entry__ import FLAGSHIP_ALPHABET, TINY_HPARAMS
-
-            kwargs = dict(alphabet=FLAGSHIP_ALPHABET, seed=7, hparams=TINY_HPARAMS)
+            kwargs = dict(alphabet=read_alphabet(model_dir),
+                          model_path=os.path.join(model_dir, "weights.npz"))
         summary = extract_correct(ds, corrector=sink, out_dir=out,
                                   num_partitions=PARTS,
                                   input_fingerprint=fingerprint,
@@ -139,7 +161,7 @@ def _run(sink: str, path: str, out: str, vocab: dict, *, blocks: int,
 
 
 @pytest.fixture(scope="module")
-def reference(inputs, vocab, tmp_path_factory):
+def reference(inputs, model_dir, tmp_path_factory):
     """``reference(sink, which)``: the store of one uninterrupted run of
     ``sink`` over input ``which``, built once per module."""
     stores = {}
@@ -147,7 +169,7 @@ def reference(inputs, vocab, tmp_path_factory):
     def get(sink: str, which: str) -> str:
         if (sink, which) not in stores:
             out = str(tmp_path_factory.mktemp(f"ref_{sink}_{which}") / "store")
-            _run(sink, _input(sink, which, inputs), out, vocab, **REF_LAYOUT)
+            _run(sink, _input(sink, which, inputs), out, model_dir, **REF_LAYOUT)
             stores[sink, which] = out
         return stores[sink, which]
 
@@ -243,8 +265,8 @@ _CRASH_CASES = [(sink, phase, blocks)
 
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("sink,phase,blocks", _CRASH_CASES)
-def test_commit_crash_then_resume(sink, phase, blocks, inputs, vocab, reference,
-                                  tmp_path):
+def test_commit_crash_then_resume(sink, phase, blocks, inputs, model_dir,
+                                  reference, tmp_path):
     ref = reference(sink, "a")
     out = str(tmp_path / "store")
     shutil.copytree(ref, out)
@@ -253,7 +275,7 @@ def test_commit_crash_then_resume(sink, phase, blocks, inputs, vocab, reference,
         shutil.rmtree(lin.partition_dir(out, part))
         _crashed_commit(_ref_rows(ref, part), out, part, phase)
     path = _input(sink, "a", inputs)
-    assert _run(sink, path, out, vocab, blocks=blocks, batch_size=3,
+    assert _run(sink, path, out, model_dir, blocks=blocks, batch_size=3,
                 concurrency=1) == lost
     _assert_same_store(out, ref, path)
 
@@ -261,7 +283,7 @@ def test_commit_crash_then_resume(sink, phase, blocks, inputs, vocab, reference,
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("sink", ["null", "dictionary", "commit", "neural"])
 @pytest.mark.parametrize("phase", PHASES)
-def test_crash_before_any_marker_then_new_input(sink, phase, inputs, vocab,
+def test_crash_before_any_marker_then_new_input(sink, phase, inputs, model_dir,
                                                 reference, tmp_path):
     """Input ``a``'s run crashed in its first commits, so no partition has
     a marker; one crashed partition is written by input ``b``, one is not."""
@@ -272,12 +294,12 @@ def test_crash_before_any_marker_then_new_input(sink, phase, inputs, vocab,
         _crashed_commit(_ref_rows(ref_a, part), out, part, phase)
     assert not lin.committed_partitions(out)
     path = _input(sink, "b", inputs)
-    assert _run(sink, path, out, vocab, blocks=3, batch_size=3,
+    assert _run(sink, path, out, model_dir, blocks=3, batch_size=3,
                 concurrency=1) == sorted(parts_b)
     _assert_same_store(out, ref_b, path)
 
 
-# -- kill points (a) and (b): a whole run SIGKILLed ----------------------------
+# -- kill points (a), (b) and (c): SIGKILLed processes -------------------------
 
 def _children() -> dict[int, list[int]]:
     out: dict[int, list[int]] = {}
@@ -353,51 +375,113 @@ def _markers(out: str) -> list[str]:
     return glob.glob(os.path.join(out, "part=*", lin.SUCCESS_NAME))
 
 
-def _killed_run(argv: list[str], out: str, point: str, log: str) -> None:
-    """Run the CLI with ``argv`` in a child process with its own session and
-    SIGKILL it at ``point``: "a" once its Ray workers exist and no partition
-    has committed, "b" once the first partition has committed."""
+def _cli_child(argv: list[str], log: str) -> subprocess.Popen:
+    """The CLI with ``argv`` in a child process with its own session."""
     with open(log, "wb") as err:
-        child = subprocess.Popen(
+        return subprocess.Popen(
             [sys.executable, "-m", "post_ocr_corrector_ray.cli", *argv],
             cwd=REPO_ROOT, stdout=subprocess.DEVNULL, stderr=err,
             start_new_session=True)
+
+
+def _wait_for(child: subprocess.Popen, log: str, what: str, ready):
+    """Poll ``ready()`` until it returns something true, and return that;
+    fail if the child ends first."""
+    deadline = time.monotonic() + 120
+    while not (got := ready()):
+        if child.poll() is not None or time.monotonic() > deadline:
+            with open(log, encoding="utf-8", errors="replace") as f:
+                pytest.fail(f"the run ended (code {child.poll()}) before "
+                            f"{what}: {f.read()[-2000:]}")
+        time.sleep(0.005)
+    return got
+
+
+def _killed_run(argv: list[str], out: str, point: str, log: str) -> None:
+    """Run the CLI with ``argv`` in a child process and SIGKILL it at
+    ``point``: "a" once its Ray workers exist and no partition has
+    committed, "b" once the first partition has committed."""
+    child = _cli_child(argv, log)
     try:
-        deadline = time.monotonic() + 120
-        while not (_markers(out) if point == "b"
-                   else _has_ray_worker(child.pid) and not _markers(out)):
-            if child.poll() is not None or time.monotonic() > deadline:
-                with open(log, encoding="utf-8", errors="replace") as f:
-                    pytest.fail(f"the run ended (code {child.poll()}) before "
-                                f"kill point ({point}): {f.read()[-2000:]}")
-            time.sleep(0.005)
+        _wait_for(child, log, f"kill point ({point})",
+                  lambda: _markers(out) if point == "b"
+                  else _has_ray_worker(child.pid) and not _markers(out))
     finally:
         _kill_tree(child)
 
 
+def _correcting(pid: int) -> bool:
+    """Whether ``pid`` is a corrector actor's worker inside a batch: Ray
+    titles an actor's worker ``ray::MapWorker(...).submit()`` while it runs
+    a task, and ``ray::MapWorker(...)`` between tasks."""
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as f:
+            cmd = f.read()
+    except OSError:
+        return False
+    return (cmd.startswith(b"ray::MapWorker(") and b"CorrectorStage)" in cmd
+            and b".submit" in cmd)
+
+
+def _stop_mid_batch(pid: int) -> int | None:
+    """SIGSTOP a corrector actor's worker under ``pid`` that is inside a
+    batch, and return it; ``None`` if no worker is (one that finished its
+    batch between the two looks is let go again)."""
+    for worker in filter(_correcting, _descendants(pid)):
+        try:
+            os.kill(worker, signal.SIGSTOP)
+            if _correcting(worker):
+                return worker
+            os.kill(worker, signal.SIGCONT)
+        except ProcessLookupError:
+            pass
+    return None
+
+
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("point", ["a", "b"])
-@pytest.mark.parametrize("sink", ["null", "dictionary", "commit"])
-def test_killed_run_then_rerun(sink, point, inputs, vocab, reference, tmp_path):
+@pytest.mark.parametrize("sink", ["null", "dictionary", "commit", "neural"])
+def test_killed_run_then_rerun(sink, point, inputs, model_dir, reference, tmp_path):
     from post_ocr_corrector_ray.cli import main
-    from post_ocr_corrector_ray.model.dictionary import DictionaryCorrector
 
-    path, out = inputs["pages", "a"], str(tmp_path / "store")
+    path, out = _input(sink, "a", inputs), str(tmp_path / "store")
     if sink == "commit":
         argv = ["commit", path, out, "--key-col", "url", "--partitions", str(PARTS)]
         # ``commit`` has no --concurrency: its rerun differs in cluster size
         rerun = argv
     else:
         argv = ["run", path, out, "--corrector", sink, "--partitions", str(PARTS)]
-        if sink == "dictionary":
-            mdir = tmp_path / "model"
-            mdir.mkdir()
-            DictionaryCorrector(vocab, min_frequency=MIN_FREQUENCY).save(
-                str(mdir / "dictionary.json"))
-            argv += ["--model-dir", str(mdir)]
+        if sink != "null":
+            argv += ["--model-dir", model_dir]
         argv, rerun = argv + ["--concurrency", "1"], argv + ["--concurrency", "2"]
     _killed_run(["--num-cpus", "2", *argv], out, point, str(tmp_path / "child.log"))
     committed = lin.committed_partitions(out)
     assert bool(committed) == (point == "b")
     assert main(rerun) == 0
+    _assert_same_store(out, reference(sink, "a"), path)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("sink", ["dictionary", "neural"])
+def test_corrector_worker_killed_mid_batch(sink, inputs, model_dir, reference,
+                                           tmp_path):
+    """Kill point (c): the run loses its one corrector actor mid-batch and
+    still writes the uninterrupted run's store, with no rerun."""
+    path, out = _input(sink, "a", inputs), str(tmp_path / "store")
+    log = str(tmp_path / "child.log")
+    child = _cli_child(["--num-cpus", "2", "run", path, out, "--corrector", sink,
+                        "--model-dir", model_dir, "--partitions", str(PARTS),
+                        "--concurrency", "1"], log)
+    try:
+        worker = _wait_for(child, log, "kill point (c)",
+                           lambda: _stop_mid_batch(child.pid))
+        assert not _markers(out)
+        os.kill(worker, signal.SIGKILL)
+        code = child.wait(timeout=170)
+    finally:
+        if child.poll() is None:
+            _kill_tree(child)
+    with open(log, encoding="utf-8", errors="replace") as f:
+        assert code == 0, f.read()[-2000:]
+    assert not _alive(worker)
     _assert_same_store(out, reference(sink, "a"), path)

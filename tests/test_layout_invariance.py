@@ -1,13 +1,12 @@
 """Input-layout invariance of the operators the CLI runs (``run``:
-``extract_correct`` with the null and dictionary correctors; ``run`` and
-``tiers``: ``extract_pipeline``; ``tiers``: ``quality_tiers`` and the token
-stats and quality score it ranks by; the library ``hash_join`` semi / anti
-filter; ``commit``: ``commit_by_key``;
-``feed``: ``epoch_feed``; ``parse-markup``: ``read_markup_dir``; ``corpus``:
+``extract_correct`` with the null and dictionary correctors, and
+``extract_pipeline``; ``commit``: ``commit_by_key``; ``feed``:
+``epoch_feed``; ``parse-markup``: ``read_markup_dir``; ``corpus``:
 ``add_messy_column``; ``alphabet``, ``build-dictionary``, ``corpus`` and
 ``eval``: the corpus and eval aggregates): the same rows split into 1, 3, 7
 or 16 input blocks (or files) give the same output, equal to a
-single-process recompute."""
+single-process recompute.  The exchanges of derived data give it at every
+exchange width too (``TestExchangeWidthInvariance``)."""
 
 import os
 
@@ -15,7 +14,10 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from post_ocr_corrector_ray.functions.alphabet import build_alphabet
+
 BLOCKS = [1, 3, 7, 16]
+WIDTHS = [1, 3, 64, 256]
 _WORDS = ("river stone maple quiet lantern copper meadow orbit velvet harbor "
           "cinder pillar saffron thistle quarry fable nimbus walnut ember "
           "garnet hollow juniper kestrel lattice marble nectar obsidian "
@@ -50,77 +52,6 @@ def _blocks(tbl: pa.Table, n: int):
 
 @pytest.mark.usefixtures("ray_session")
 class TestCliOperatorsLayoutInvariance:
-    @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_quality_tiers(self, blocks):
-        import duckdb
-        import pandas as pd
-
-        from post_ocr_corrector_ray.stages.textstats import quality_score_batch
-        from post_ocr_corrector_ray.stages.tiers import quality_tiers
-
-        tbl = _docs()
-        got = quality_tiers(_blocks(tbl, blocks), n=3).to_pandas() \
-            .sort_values("doc_id").reset_index(drop=True)
-        q = quality_score_batch(tbl.select(["doc_id", "text"])).to_pandas()
-        q["lang"] = tbl.column("lang").to_pylist()
-        want = duckdb.query(
-            "SELECT doc_id, lang, quality, CAST(NTILE(3) OVER (PARTITION BY "
-            "lang ORDER BY quality, doc_id) AS BIGINT) AS tier FROM q"
-        ).fetchdf().sort_values("doc_id").reset_index(drop=True)
-        pd.testing.assert_frame_equal(
-            got[["doc_id", "lang", "quality", "tier"]], want,
-            check_dtype=False, check_exact=True)
-
-    @pytest.mark.parametrize("how", ["semi", "anti"])
-    @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_hash_join(self, blocks, how, exchange_width):
-        """The semi / anti filter: the rows of ``docs`` whose id is (semi) or
-        is not (anti) in a key set with repeats and strangers, with the int
-        payload column restored to int64."""
-        import pyarrow.compute as pc
-
-        from post_ocr_corrector_ray.stages.joins import hash_join
-
-        tbl = _docs()
-        tbl = tbl.append_column("n", pc.utf8_length(tbl["text"]).cast(pa.int64()))
-        rng = np.random.default_rng(9)
-        keys = np.concatenate((rng.choice(tbl["doc_id"].to_numpy(), 40), [5000, 5001]))
-        with exchange_width(4):
-            got = hash_join(_blocks(tbl, blocks),
-                            _blocks(pa.table({"doc_id": pa.array(keys)}), blocks),
-                            on="doc_id", how=how).to_pandas()
-        df = tbl.to_pandas()
-        hit = df["doc_id"].isin(keys)
-        want = df[hit if how == "semi" else ~hit]
-        assert 0 < len(want) < len(df)
-        assert got.dtypes.to_dict() == want.dtypes.to_dict()
-        assert sorted(got.itertuples(index=False)) == \
-            sorted(want.itertuples(index=False))
-
-    @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_token_stats_batch(self, blocks):
-        from post_ocr_corrector_ray.stages.textstats import token_stats_batch
-
-        got = _blocks(_stats_docs(), blocks).map_batches(
-            token_stats_batch, batch_format="pyarrow").to_pandas()
-        assert got.sort_values("doc_id").to_dict("records") == _spec_stats()
-
-    @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_quality_score_batch(self, blocks):
-        from post_ocr_corrector_ray.stages.textstats import quality_score_batch
-
-        got = _blocks(_stats_docs(), blocks).map_batches(
-            quality_score_batch, batch_format="pyarrow").to_pandas()
-        want = []
-        for r in _spec_stats():
-            wl_ok = 1.0 if 2.0 <= r["mean_word_len"] <= 12.0 else 0.5
-            stop_ok = 1.0 if r["stop_ratio"] > 0.0 else 0.6
-            want.append({**r, "quality": 0.25 * (min(r["n_chars"] / 200.0, 1.0)
-                                                 + min(r["n_words"] / 30.0, 1.0)
-                                                 + wl_ok + stop_ok)})
-        assert len({r["quality"] for r in want}) > 5
-        assert got.sort_values("doc_id").to_dict("records") == want
-
     @pytest.mark.parametrize("blocks", BLOCKS)
     def test_commit_by_key_store_bytes(self, blocks, tmp_path):
         """Each partition's ``data.parquet`` is the bytes of its rows, in
@@ -232,70 +163,53 @@ class TestCliOperatorsLayoutInvariance:
     def test_epoch_feed(self, corpus, blocks):
         """Train rows ordered by (epoch shuffle key, url), cut into batches
         of 8 and collated to ``INT_EMPTY``-padded int32 id matrices."""
-        from post_ocr_corrector_ray import INT_EMPTY
-        from post_ocr_corrector_ray.functions.alphabet import Vocab, build_alphabet
-        from post_ocr_corrector_ray.pipelines.training import _shuffle_key, epoch_feed
+        from post_ocr_corrector_ray.pipelines.training import epoch_feed
 
-        alphabet = build_alphabet(set(_GOOD_CHARS + "."))
-        got = epoch_feed(_blocks(corpus, blocks), alphabet=alphabet, epoch=1) \
-            .to_pandas().sort_values("batch_id")
-        train = corpus.filter(pa.array([s == "train" for s in
-                                        corpus.column("split").to_pylist()]))
-        keys = _shuffle_key(train, "url", 1, 17).tolist()
-        urls = train.column("url").to_pylist()
-        order = sorted(range(train.num_rows), key=lambda i: (keys[i], urls[i]))
-        v = Vocab(alphabet)
-
-        def collate(col, rows):
-            seqs = [v.encode(train.column(col)[i].as_py()) for i in rows]
-            width = max(len(s) for s in seqs)
-            m = np.full((len(seqs), width), INT_EMPTY, dtype="<i4")
-            for r, s in enumerate(seqs):
-                m[r, :len(s)] = s
-            return width, m.tobytes()
-
-        want = []
-        for b in range(0, len(order), 8):
-            rows = order[b:b + 8]
-            (wx, x), (wy, y) = collate("messy", rows), collate("clean", rows)
-            want.append((b // 8, len(rows), wx, wy, x, y))
-        assert len(want) > 8
-        assert list(zip(got["batch_id"], got["size"], got["width_x"],
-                        got["width_y"], got["x"], got["y"])) == want
+        got = epoch_feed(_blocks(corpus, blocks), alphabet=_FEED_ALPHABET,
+                         epoch=1).to_pandas()
+        assert _feed_rows(got) == _want_feed(corpus, epoch=1)
 
 
 _GOOD_CHARS = "abcdefghijklmnopqrstuvwxyz "
+_FEED_ALPHABET = build_alphabet(set(_GOOD_CHARS + "."))
 
 
-def _stats_docs() -> pa.Table:
-    """The ``_docs`` documents plus texts with stopwords, every punctuation
-    mark, runs of whitespace and empty rows spread over the block
-    boundaries."""
-    extra = ["", "the cat: and the dog.", "  a  b  ", "word.word, end!", "",
-             "is it; on? for with", "\tof\nto in ", "x" * 250, "",
-             " ".join(["the"] * 40), "one two three four"]
-    tbl = _docs().select(["doc_id", "text"])
-    ids = np.arange(2000, 2000 + len(extra), dtype=np.int64)
-    return pa.concat_tables([tbl, pa.table({"doc_id": ids, "text": extra})]) \
-        .take(np.random.default_rng(4).permutation(tbl.num_rows + len(extra)))
+def _feed_rows(df) -> list:
+    df = df.sort_values("batch_id")
+    return list(zip(df["batch_id"], df["size"], df["width_x"], df["width_y"],
+                    df["x"], df["y"]))
 
 
-def _spec_stats() -> list:
-    """Token stats of ``_stats_docs`` row by row over ``str.split``, in
-    doc_id order."""
-    from post_ocr_corrector_ray.stages.textstats import STOPWORDS_EN
+def _want_feed(corpus: pa.Table, epoch: int) -> list:
+    """``epoch_feed`` rows in one process: train rows ordered by (epoch
+    shuffle key, url), cut into batches of 8 and collated to
+    ``INT_EMPTY``-padded int32 id matrices."""
+    from post_ocr_corrector_ray import INT_EMPTY
+    from post_ocr_corrector_ray.functions.alphabet import Vocab
+    from post_ocr_corrector_ray.pipelines.training import _shuffle_key
 
-    tbl = _stats_docs()
-    out = []
-    for i, t in sorted(zip(tbl["doc_id"].to_pylist(), tbl["text"].to_pylist())):
-        words = t.split()
-        n = len(words)
-        out.append({"doc_id": i, "n_chars": len(t), "n_words": n,
-                    "n_punct": sum(t.count(c) for c in ".,!?;:"),
-                    "mean_word_len": sum(map(len, words)) / n if n else 0.0,
-                    "stop_ratio": sum(w in STOPWORDS_EN for w in words) / n
-                    if n else 0.0})
-    return out
+    train = corpus.filter(pa.array([s == "train" for s in
+                                    corpus.column("split").to_pylist()]))
+    keys = _shuffle_key(train, "url", epoch, 17).tolist()
+    urls = train.column("url").to_pylist()
+    order = sorted(range(train.num_rows), key=lambda i: (keys[i], urls[i]))
+    v = Vocab(_FEED_ALPHABET)
+
+    def collate(col, rows):
+        seqs = [v.encode(train.column(col)[i].as_py()) for i in rows]
+        width = max(len(s) for s in seqs)
+        m = np.full((len(seqs), width), INT_EMPTY, dtype="<i4")
+        for r, s in enumerate(seqs):
+            m[r, :len(s)] = s
+        return width, m.tobytes()
+
+    want = []
+    for b in range(0, len(order), 8):
+        rows = order[b:b + 8]
+        (wx, x), (wy, y) = collate("messy", rows), collate("clean", rows)
+        want.append((b // 8, len(rows), wx, wy, x, y))
+    assert len(want) > 8
+    return want
 
 
 @pytest.fixture(scope="module")
@@ -406,3 +320,43 @@ class TestCorpusEvalLayoutInvariance:
                        correct_col="clean", banded=True)
         assert n > 100
         assert got == want
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestExchangeWidthInvariance:
+    """The three ``grouped_apply`` consumers at exchange widths 1 and 3
+    (many keys in each partition), 64 (the width of a plan built with no
+    Ray session) and 256 (the cap, where most partitions are empty), over
+    1, 3, 7 or 16 input blocks: each output equals the single-process
+    recompute."""
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_token_counts_train(self, corpus, blocks, width, exchange_width):
+        from post_ocr_corrector_ray.pipelines.corpus import token_counts
+
+        with exchange_width(width):
+            df = token_counts(_blocks(corpus, blocks), text_col="clean",
+                              split="train").to_pandas()
+        assert dict(zip(df["token"], df["frequency"].astype(int))) == \
+            _train_counts(corpus)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_build_dictionary(self, corpus, blocks, width, exchange_width):
+        from post_ocr_corrector_ray.pipelines.corpus import build_dictionary
+
+        with exchange_width(width):
+            got = build_dictionary(_blocks(corpus, blocks), min_frequency=2)
+        assert got.vocabulary == \
+            {t: c for t, c in _train_counts(corpus).items() if c >= 2}
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_epoch_feed(self, corpus, blocks, width, exchange_width):
+        from post_ocr_corrector_ray.pipelines.training import epoch_feed
+
+        with exchange_width(width):
+            got = epoch_feed(_blocks(corpus, blocks), alphabet=_FEED_ALPHABET,
+                             epoch=1).to_pandas()
+        assert _feed_rows(got) == _want_feed(corpus, epoch=1)

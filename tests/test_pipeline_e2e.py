@@ -839,6 +839,36 @@ class TestCorrectStageArguments:
         with pytest.raises(ValueError, match="unknown corrector"):
             model_fingerprint("spell")
 
+    @pytest.mark.parametrize("corrector", ["dictionary", "neural"])
+    def test_actor_batches_hold_at_most_batch_size_rows(self, corrector, alphabet,
+                                                        tiny_hparams):
+        """``batch_size`` is the micro-batch of both actor correctors: over
+        one 40-row block, every batch an actor is called with holds at most
+        ``batch_size`` rows."""
+        import pyarrow as pa
+        import ray.data
+
+        from post_ocr_corrector_ray.pipelines import extract_correct as ec
+
+        name = {"dictionary": "DictionaryCorrectorStage",
+                "neural": "NeuralCorrectorStage"}[corrector]
+
+        class Recorded(getattr(ec, name)):
+            def __call__(self, batch):
+                n = batch.num_rows
+                return super().__call__(batch).append_column(
+                    "batch_rows", pa.array([n] * n, pa.int64()))
+
+        kwargs = (dict(vocab_ref={"page": 3}) if corrector == "dictionary"
+                  else dict(alphabet=alphabet, seed=7, hparams=tiny_hparams))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ec, name, Recorded)
+            pages = ec.extract_pipeline(ray.data.from_arrow(_text_pages(40)))
+            ds = ec.correct_stage(pages, corrector=corrector, batch_size=3,
+                                  concurrency=1, **kwargs)
+            rows = ds.to_pandas()["batch_rows"]
+        assert len(rows) == 40 and rows.max() <= 3
+
     @pytest.mark.parametrize("broadcast", [False, True], ids=["dict", "object_ref"])
     def test_dictionary_stage_vocabulary(self, broadcast):
         """The vocabulary arrives as a plain dict or as a ``ray.put``

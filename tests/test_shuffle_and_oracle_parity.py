@@ -147,8 +147,8 @@ def test_map_groups_only_in_shuffle_and_commit():
 
 def test_exchange_width_has_one_owner():
     """``partitions_for()`` decides the width of every derived-data
-    exchange.  Of the functions in ``stages/`` and ``pipelines/``, ``_pin``
-    included, only ``extract_correct`` takes ``num_partitions``: it is the
+    exchange.  Of the public functions in ``stages/`` and ``pipelines/``,
+    only ``extract_correct`` takes ``num_partitions``: it is the
     committed store's layout, like that of the ``state/lineage.py`` store
     functions that ``stages.extract`` re-exports."""
     import importlib
@@ -164,7 +164,7 @@ def test_exchange_width_has_one_owner():
         for info in pkgutil.iter_modules(pkg.__path__):
             mod = importlib.import_module(f"{pkg.__name__}.{info.name}")
             for name, fn in inspect.getmembers(mod, inspect.isfunction):
-                if name.startswith("_") and name != "_pin":
+                if name.startswith("_"):
                     continue
                 if "num_partitions" not in inspect.signature(fn).parameters:
                     continue

@@ -1,40 +1,8 @@
-"""Training-data extensions: textstats and the markup parser."""
+"""Training-data extensions: the markup parser."""
 
-import pyarrow as pa
 import pytest
 
-from post_ocr_corrector_ray.stages import textstats as ts
 from post_ocr_corrector_ray.sources.markup import parse_vertical_markup
-
-
-def _doc_table(texts, ids=None):
-    ids = ids if ids is not None else list(range(len(texts)))
-    return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                     "text": pa.array(texts, pa.string())})
-
-
-class TestTextStats:
-    def test_token_stats_per_row_spec(self):
-        texts = ["the quick fox", "  a  b  ", "", "word.word, end!"]
-        out = ts.token_stats_batch(_doc_table(texts))
-        for i, t in enumerate(texts):
-            words = t.split()
-            assert out.column("n_chars")[i].as_py() == len(t)
-            assert out.column("n_words")[i].as_py() == len(words)
-            assert out.column("n_punct")[i].as_py() == sum(t.count(c) for c in ".,!?;:")
-            if words:
-                assert out.column("mean_word_len")[i].as_py() == pytest.approx(
-                    sum(len(w) for w in words) / len(words))
-                stops = sum(w in ts.STOPWORDS_EN for w in words)
-                assert out.column("stop_ratio")[i].as_py() == pytest.approx(stops / len(words))
-            else:
-                assert out.column("mean_word_len")[i].as_py() == 0.0
-
-    def test_quality_bounds(self):
-        out = ts.quality_score_batch(_doc_table(["the cat sat on the mat " * 20, "x"]))
-        q = out.column("quality").to_pylist()
-        assert all(0.0 <= v <= 1.0 for v in q)
-        assert q[0] > q[1]
 
 
 @pytest.mark.usefixtures("ray_session")
