@@ -11,7 +11,7 @@ they run today):
 | ``make_split_csv.py`` | ``corpus`` (adds split column) |
 | ``eval.py`` / ``null_corrector.py`` | ``eval`` |
 | ``dictionary_corrector.py`` train | ``build-dictionary`` |
-| inference over pages | ``run`` (extract+correct, committed output; ``--num-gpus``) |
+| inference over pages | ``run`` (extract+correct, committed output) |
 | ``CorrectorDataset`` + DataLoader | ``feed`` (collated epoch batches parquet) |
 | ``NeuralCorrector.load_from_checkpoint`` | ``convert-ckpt`` (torch-free .ckpt → model dir) |
 | — | ``synth`` (deterministic test pages) |
@@ -62,8 +62,6 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--partitions", type=int, default=32)
     s.add_argument("--no-resume", action="store_true")
     s.add_argument("--concurrency", type=int, default=4)
-    s.add_argument("--num-gpus", type=float, default=None,
-                   help="GPUs per corrector actor (passed to map_batches)")
 
     s = sub.add_parser("alphabet", help="distinct-char aggregate over a text column")
     s.add_argument("parquet"); s.add_argument("--column", default="text")
@@ -110,12 +108,17 @@ def main(argv: list[str] | None = None) -> int:
         p.error(f"--model-dir is required for --corrector {args.corrector}")
 
     if args.cmd == "convert-ckpt":
-        from .model.ckpt_compat import convert_to_model_dir
+        from .model.artifacts import save_model_dir
+        from .model.ckpt_compat import checkpoint_to_weights
+        from .model.neural import NeuralCorrectorModel
 
         with open(args.alphabet_file, encoding="utf-8") as f:
             alphabet = f.read().replace("\n", "")
-        hp = convert_to_model_dir(args.ckpt, alphabet, args.out_dir)
-        print(json.dumps({"out_dir": args.out_dir, **hp}))
+        weights, hp = checkpoint_to_weights(args.ckpt, alphabet)
+        model = NeuralCorrectorModel(alphabet, weights,
+                                     batch_size=int(hp.get("batch_size", 4)))
+        print(json.dumps({"out_dir": args.out_dir,
+                          **save_model_dir(args.out_dir, model)}))
         return 0
 
     if args.cmd == "synth":
@@ -150,7 +153,6 @@ def main(argv: list[str] | None = None) -> int:
                 out_dir=args.out_dir, num_partitions=args.partitions,
                 resume=not args.no_resume,
                 concurrency=args.concurrency,
-                num_gpus=args.num_gpus,
                 input_fingerprint=fingerprint_inputs(args.pages), **kwargs).to_pandas()
             print(json.dumps({"partitions_committed": len(summary),
                               "rows": int(summary["n_rows"].sum()) if len(summary) else 0}))
@@ -173,8 +175,10 @@ def main(argv: list[str] | None = None) -> int:
         elif args.cmd == "build-dictionary":
             from .pipelines.corpus import build_dictionary
 
-            corr = build_dictionary(ray.data.read_parquet(args.corpus_parquet),
-                                    text_col=args.column, split=None,
+            ds = ray.data.read_parquet(args.corpus_parquet)
+            # a ``corpus`` output counts its train split only, like the reference
+            split = "train" if "split" in ds.schema().names else None
+            corr = build_dictionary(ds, text_col=args.column, split=split,
                                     min_frequency=args.min_frequency)
             corr.save(args.out_json)
             print(json.dumps({"vocab_size": len(corr.vocabulary)}))

@@ -12,9 +12,9 @@ import hashlib
 import numpy as np
 
 
-def stable_hash_u64(key: str, *, salt: bytes = b"") -> int:
+def stable_hash_u64(key: str) -> int:
     """Deterministic 64-bit hash of a string (process-independent)."""
-    h = hashlib.blake2b(key.encode("utf-8"), digest_size=8, key=salt[:64] if salt else b"")
+    h = hashlib.blake2b(key.encode("utf-8"), digest_size=8)
     return int.from_bytes(h.digest(), "little")
 
 

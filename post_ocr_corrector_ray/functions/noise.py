@@ -64,7 +64,7 @@ def mutilate_string(text: str, good_chars: str, rng: random.Random) -> str:
     return "".join(out)
 
 
-def mutilate_keyed(key: str, text: str, good_chars: str, salt: int = 0) -> str:
-    """Mutilate with an RNG seeded from ``stable_hash_u64(key) ^ salt``."""
-    rng = random.Random(stable_hash_u64(key) ^ salt)
+def mutilate_keyed(key: str, text: str, good_chars: str) -> str:
+    """Mutilate with an RNG seeded from ``stable_hash_u64(key)``."""
+    rng = random.Random(stable_hash_u64(key))
     return mutilate_string(text, good_chars, rng)

@@ -1,18 +1,21 @@
 """Model-directory artifacts mirroring the reference's conventions.
 
 Reference layout (src/model/__init__.py:1-3, src/corpus/__init__.py:1-5):
-``hyperparameters.json`` (``load_hparams``, src/util/data_functions.py:79-82),
+``hyperparameters.json`` (read by the reference at src/util/data_functions.py:79-82),
 char files whose newline is stripped on read (``get_alphabet``,
 data_functions.py:63-67), and per-model checkpoint files.  This engine's
 model dir::
 
     model_dir/
-      hyperparameters.json   # transformer config + batch_size (tolerates extras)
+      hyperparameters.json   # transformer config + batch_size (reference layout)
       alphabet.txt           # the char vocabulary string (newlines stripped on read)
       weights.npz            # TransformerWeights artifact
       dictionary.json        # optional DictionaryCorrector state
 
-Every corrector actor loads from this directory once in ``__init__``.
+``cli run`` reads ``alphabet.txt`` and hands ``weights.npz`` (neural) or the
+dictionary's vocabulary (dictionary) to the corrector actors, which load it
+once in ``__init__``.  ``cli convert-ckpt`` writes the neural files
+(``save_model_dir``); ``DictionaryCorrector.save`` writes ``dictionary.json``.
 """
 
 from __future__ import annotations
@@ -32,13 +35,6 @@ _HPARAM_KEYS = ("max_len", "d_model", "n_head", "n_layers", "d_linear",
                 "layer_norm_eps")
 
 
-def load_hparams(model_dir: str) -> dict:
-    """``load_hparams`` semantics: plain JSON dict, extra keys tolerated
-    (reference passes ``**kwargs`` through, neural_corrector.py:31)."""
-    with open(os.path.join(model_dir, HYPERPARAMS_FILE), encoding="utf-8") as f:
-        return json.load(f)
-
-
 def read_alphabet(model_dir: str) -> str:
     """``get_alphabet`` semantics: file content with every newline removed
     (data_functions.py:66 — \\n may appear if the file is wrapped, but is
@@ -47,34 +43,18 @@ def read_alphabet(model_dir: str) -> str:
         return f.read().replace("\n", "")
 
 
-def whitespace_indices(alphabet: str) -> set[int]:
-    """``get_whitespace_indices`` (data_functions.py:70-76)."""
-    return {i for i, ch in enumerate(alphabet) if ch.isspace()}
-
-
-def save_model_dir(model_dir: str, model: NeuralCorrectorModel,
-                   dictionary: DictionaryCorrector | None = None,
-                   extra_hparams: dict | None = None) -> None:
+def save_model_dir(model_dir: str, model: NeuralCorrectorModel) -> dict:
+    """Write the neural files of a model dir; returns the written hparams."""
     os.makedirs(model_dir, exist_ok=True)
     cfg = model.net.cfg
     hparams = {k: getattr(cfg, k) for k in _HPARAM_KEYS}
     hparams["batch_size"] = model.batch_size
-    hparams.update(extra_hparams or {})
     with open(os.path.join(model_dir, HYPERPARAMS_FILE), "w", encoding="utf-8") as f:
         json.dump(hparams, f, indent=2)
     with open(os.path.join(model_dir, ALPHABET_FILE), "w", encoding="utf-8") as f:
         f.write(model.alphabet)
     model.save(os.path.join(model_dir, WEIGHTS_FILE))
-    if dictionary is not None:
-        dictionary.save(os.path.join(model_dir, DICTIONARY_FILE))
-
-
-def load_model_dir(model_dir: str) -> NeuralCorrectorModel:
-    hparams = load_hparams(model_dir)
-    alphabet = read_alphabet(model_dir)
-    model = NeuralCorrectorModel.load(os.path.join(model_dir, WEIGHTS_FILE), alphabet,
-                                      batch_size=int(hparams.get("batch_size", 4)))
-    return model
+    return hparams
 
 
 def load_dictionary(model_dir: str) -> DictionaryCorrector:

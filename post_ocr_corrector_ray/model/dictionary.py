@@ -40,25 +40,6 @@ class DictionaryCorrector:
         self._buckets: dict[int, tuple[list[str], np.ndarray]] | None = None
         self._memo: dict[str, str] = {}
 
-    # -- vocabulary maintenance ----------------------------------------------
-
-    def add_counts(self, tokens: dict[str, int]) -> None:
-        vocab = self.vocabulary
-        for tok, cnt in tokens.items():
-            vocab[tok] = vocab.get(tok, 0) + cnt
-        self._invalidate()
-
-    def prune(self, min_frequency: int | None = None) -> None:
-        """Drop entries below min_frequency (reference :64-76)."""
-        if min_frequency is None:
-            min_frequency = self.min_frequency
-        self.vocabulary = {t: f for t, f in self.vocabulary.items() if f >= min_frequency}
-        self._invalidate()
-
-    def _invalidate(self) -> None:
-        self._buckets = None
-        self._memo = {}
-
     def _build_buckets(self) -> dict[int, tuple[list[str], np.ndarray]]:
         if self._buckets is None:
             by_len: dict[int, list[tuple[str, int]]] = {}

@@ -75,8 +75,8 @@ class NeuralCorrectorModel:
         return cls(alphabet, TransformerWeights.create(cfg, seed=seed), batch_size=batch_size)
 
     @classmethod
-    def load(cls, npz_path: str, alphabet: str, batch_size: int = 4) -> "NeuralCorrectorModel":
-        return cls(alphabet, TransformerWeights.load_npz(npz_path), batch_size=batch_size)
+    def load(cls, npz_path: str, alphabet: str) -> "NeuralCorrectorModel":
+        return cls(alphabet, TransformerWeights.load_npz(npz_path))
 
     def save(self, npz_path: str) -> None:
         TransformerWeights(config=self.net.cfg, params=self.net.w).save_npz(npz_path)

@@ -74,6 +74,6 @@ def oracle_token_counts(texts: list[str]) -> dict[str, int]:
     return dict(c)
 
 
-def oracle_messy(url: str, clean: str, good_chars: str, salt: int = 0) -> str:
+def oracle_messy(url: str, clean: str, good_chars: str) -> str:
     """Keyed noise (reference mutilate semantics, per-url RNG)."""
-    return mutilate_keyed(url, clean, good_chars, salt=salt)
+    return mutilate_keyed(url, clean, good_chars)

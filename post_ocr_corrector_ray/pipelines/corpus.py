@@ -9,7 +9,9 @@ seek index are replaced by row-colocated columns (SURVEY.md §1.3).
 Wide operations and their scale posture:
 - **alphabet** (global distinct chars, reference all_chars.py:17-29): per-batch
   char-set partials (tiny) → driver union.  No shuffle: the partial per batch
-  is ≤ a few hundred chars regardless of batch size.
+  is ≤ a few hundred chars regardless of batch size.  ``doc_all_chars`` runs
+  the same aggregate (``distinct_chars``) and keeps ``\\n``; the alphabet
+  drops it.
 - **token counts** (reference dictionary_corrector.py:54-62): per-batch partial
   Counters collapsed to (token, count) rows inside ``map_batches`` — the
   pre-aggregation — then ONE small ``groupby("token").sum()`` shuffle over
@@ -17,19 +19,22 @@ Wide operations and their scale posture:
 - **split** (reference make_split_csv.py:23-32): the reference keys 80/10/10 on
   the 1-based line number modulo 10 (9→validation, 0→test).  A parallel engine
   has no stable line number, so the split keys on a vectorized url hash
-  (``polyhash_u64_array(url) % 10``) with the same remainder→split mapping —
-  deterministic, partition-invariant, no per-row Python on the scan.
+  (``polyhash_u64_array(url) % 10``) with the same remainder→split mapping
+  (``split_of``, the one vectorized form of ``pick_split``) — deterministic,
+  partition-invariant, no per-row Python on the scan.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pyarrow as pa
 
 import ray.data
 
 from ..functions.alphabet import build_alphabet
+from ..functions.hashing import polyhash_u64_array
 from ..functions.text import tokenize_ws
 from ..model.dictionary import DictionaryCorrector
 from ..stages.extract import extract_batch
@@ -39,7 +44,8 @@ SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST = "train", "validation", "test"
 
 
 def pick_split(remainder: int) -> str:
-    """Reference mapping (make_split_csv.py:23-32)."""
+    """Reference mapping (make_split_csv.py:23-32), one remainder at a time;
+    the pipelines run its vectorized form ``split_of``."""
     if remainder == 9:
         return SPLIT_VAL
     if remainder == 0:
@@ -47,46 +53,41 @@ def pick_split(remainder: int) -> str:
     return SPLIT_TRAIN
 
 
-def add_split_column(batch: pa.Table, *, key_col: str = "url",
-                     out_col: str = "split") -> pa.Table:
-    """80/10/10 split keyed on a VECTORIZED url hash (polyhash_u64_array —
-    the same scalar/vectorized-pinned hash the partition router uses; no
-    per-row Python on the scan).  Remainder → split mapping is the
-    reference's ``pick_split`` (make_split_csv.py:23-32), applied as two
-    numpy selects."""
-    import numpy as np
+def split_of(remainders: np.ndarray) -> pa.Array:
+    """``pick_split`` over an array of remainders mod 10, as two selects."""
+    splits = np.where(remainders == 9, SPLIT_VAL,
+                      np.where(remainders == 0, SPLIT_TEST, SPLIT_TRAIN))
+    return pa.array(splits.tolist(), pa.string())
 
-    from ..functions.hashing import polyhash_u64_array
 
-    col = batch.column(key_col)
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    rem = polyhash_u64_array(col) % np.uint64(10)
-    assert pick_split(9) == SPLIT_VAL and pick_split(0) == SPLIT_TEST
-    splits = np.where(rem == 9, SPLIT_VAL,
-                      np.where(rem == 0, SPLIT_TEST, SPLIT_TRAIN))
-    return batch.append_column(out_col, pa.array(splits.tolist(), pa.string()))
+def add_split_column(batch: pa.Table) -> pa.Table:
+    """80/10/10 ``split`` keyed on a VECTORIZED hash of ``url``
+    (polyhash_u64_array — the same scalar/vectorized-pinned hash the
+    partition router uses; no per-row Python on the scan)."""
+    rem = polyhash_u64_array(batch.column("url")) % np.uint64(10)
+    return batch.append_column("split", split_of(rem))
+
+
+def distinct_chars(ds: ray.data.Dataset, text_col: str) -> set[str]:
+    """Global distinct-char aggregate: each batch's distinct chars (one
+    utf-32 decode + ``np.unique``) stream to the driver, which unions them;
+    the full dataset is never materialized."""
+
+    def partial(batch: pa.Table) -> pa.Table:
+        joined = "".join(t for t in batch.column(text_col).to_pylist() if t)
+        cps = np.unique(np.frombuffer(joined.encode("utf-32-le"), dtype="<u4"))
+        chars = "".join(map(chr, cps.tolist()))
+        return pa.table({"chars": pa.array([chars], pa.string())})
+
+    merged: set[str] = set()
+    for row in ds.map_batches(partial, batch_format="pyarrow").take_all():
+        merged.update(row["chars"])
+    return merged
 
 
 def compute_alphabet(ds: ray.data.Dataset, text_col: str = "clean") -> str:
-    """Global distinct-char aggregate → sorted alphabet string.
-
-    Streams per-batch char-set partials (strings of ≤ ~1k distinct chars) to
-    the driver; the full dataset is never materialized.
-    """
-
-    def partial(batch: pa.Table) -> pa.Table:
-        chars: set[str] = set()
-        for t in batch.column(text_col).to_pylist():
-            if t:
-                chars.update(t)
-        return pa.Table.from_pylist([{"chars": "".join(sorted(chars))}])
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").take_all()
-    merged: set[str] = set()
-    for row in parts:
-        merged.update(row["chars"])
-    return build_alphabet(merged)
+    """Sorted alphabet string of ``text_col`` (``\\n`` excluded)."""
+    return build_alphabet(distinct_chars(ds, text_col))
 
 
 def token_counts(ds: ray.data.Dataset, text_col: str = "clean",
@@ -145,17 +146,20 @@ def build_dictionary(ds: ray.data.Dataset, *, text_col: str = "clean",
     return DictionaryCorrector(vocab, min_frequency=min_frequency)
 
 
-def corpus_from_pages(pages: ray.data.Dataset, *, good_chars: str,
-                      noise_salt: int = 0) -> ray.data.Dataset:
+def _url_clean(batch: pa.Table) -> pa.Table:
+    return pa.table({"url": batch.column("url"),
+                     "clean": batch.column("extracted_text")})
+
+
+def extract_clean(pages: ray.data.Dataset) -> ray.data.Dataset:
+    """pages → (url, clean): the extracted text of every page."""
+    return pages.map_batches(extract_batch, batch_format="pyarrow") \
+        .map_batches(_url_clean, batch_format="pyarrow")
+
+
+def corpus_from_pages(pages: ray.data.Dataset, *, good_chars: str) -> ray.data.Dataset:
     """pages → (url, clean, messy, split) corpus dataset (reference §3.1 chain)."""
-    ds = pages.map_batches(extract_batch, batch_format="pyarrow")
-
-    def project(batch: pa.Table) -> pa.Table:
-        return pa.table({"url": batch.column("url"),
-                         "clean": batch.column("extracted_text")})
-
-    ds = ds.map_batches(project, batch_format="pyarrow")
-    ds = ds.map_batches(add_messy_column, batch_format="pyarrow",
-                        fn_kwargs=dict(good_chars=good_chars, salt=noise_salt))
+    ds = extract_clean(pages).map_batches(
+        add_messy_column, batch_format="pyarrow", fn_kwargs=dict(good_chars=good_chars))
     return ds.map_batches(add_split_column, batch_format="pyarrow")
 

@@ -9,7 +9,6 @@ oracles (where expressible) live in __ray_entry__.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -17,8 +16,8 @@ import ray.data
 
 from ..functions.text import normalize_whitespace
 from ..sources.markup import markup_to_sentences_batch
-from ..stages.noise import add_messy_column
-from .corpus import pick_split, token_counts
+from ..stages.noise import GOOD_CHARS, add_messy_column
+from .corpus import distinct_chars, split_of, token_counts
 from .evaluate import evaluate
 
 
@@ -39,20 +38,10 @@ def doc_normalize_ws(sf_dir: str) -> ray.data.Dataset:
 
 
 def doc_all_chars(sf_dir: str) -> pa.Table:
-    """Global distinct-char aggregate (A1) → one row per char."""
-    ds = _docs(sf_dir, ["text"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        # vectorized distinct chars: one utf-32 decode + np.unique per batch
-        joined = "".join(t for t in batch.column("text").to_pylist() if t)
-        cps = np.unique(np.frombuffer(joined.encode("utf-32-le"), dtype="<u4"))
-        chars = "".join(chr(int(c)) for c in cps)
-        return pa.table({"chars": pa.array([chars], pa.string())})
-
-    merged: set[str] = set()
-    for row in ds.map_batches(partial, batch_format="pyarrow").take_all():
-        merged.update(row["chars"])
-    return pa.table({"ch": pa.array(sorted(merged), pa.string())})
+    """Global distinct-char aggregate (A1) → one row per char, ``\\n``
+    included (the alphabet drops it)."""
+    chars = distinct_chars(_docs(sf_dir, ["text"]), "text")
+    return pa.table({"ch": pa.array(sorted(chars), pa.string())})
 
 
 def doc_token_counts(sf_dir: str) -> ray.data.Dataset:
@@ -65,21 +54,17 @@ def doc_split_assignment(sf_dir: str) -> ray.data.Dataset:
     ds = _docs(sf_dir, ["doc_id"])
 
     def f(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy()
-        rem = ids % 10
-        splits = np.where(rem == 9, "validation", np.where(rem == 0, "test", "train"))
-        assert pick_split(9) == "validation"  # keep mapping pinned to reference fn
         return pa.table({"doc_id": batch.column("doc_id"),
-                         "split": pa.array(splits.tolist(), pa.string())})
+                         "split": split_of(batch.column("doc_id").to_numpy() % 10)})
 
     return ds.map_batches(f, batch_format="pyarrow")
 
 
-def doc_mutilate(sf_dir: str, good_chars: str = "abcdefghijklmnopqrstuvwxyz ") -> ray.data.Dataset:
+def doc_mutilate(sf_dir: str) -> ray.data.Dataset:
     """Keyed noise per doc (reference mutilate semantics, RNG keyed by doc_id)."""
 
     def f(batch: pa.Table) -> pa.Table:
-        return add_messy_column(batch, good_chars=good_chars, text_col="text",
+        return add_messy_column(batch, good_chars=GOOD_CHARS, text_col="text",
                                 key_col="doc_id").drop_columns(["text"])
 
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
@@ -91,10 +76,8 @@ def doc_null_corrector_cer(sf_dir: str) -> pa.Table:
     perfect fraction.  Single-row result."""
     noisy = _docs(sf_dir, ["doc_id", "text"]).map_batches(
         add_messy_column, batch_format="pyarrow",
-        fn_kwargs=dict(good_chars="abcdefghijklmnopqrstuvwxyz ",
-                       text_col="text", key_col="doc_id"))
-    res = evaluate(noisy, out_col="messy", correct_col="text", banded=True,
-                   skip_empty_correct=True)
+        fn_kwargs=dict(good_chars=GOOD_CHARS, text_col="text", key_col="doc_id"))
+    res = evaluate(noisy, out_col="messy", correct_col="text", banded=True)
     return pa.table({"n": pa.array([res.n], pa.int64()),
                      "mean_cer": pa.array([res.mean_cer], pa.float64()),
                      "percent_perfect": pa.array([res.percent_perfect], pa.float64())})

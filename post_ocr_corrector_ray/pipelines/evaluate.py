@@ -5,8 +5,8 @@ Reference call-site semantics preserved per variant:
   output == reference; otherwise ``normalized_edit_distance(..., banded=False)``;
   mean over scored rows; percent-perfect = fraction of zero scores.
 - ``null_corrector.py:16-42`` / ``dictionary_corrector.py:108-155``: banded
-  default, no empty-skip (an empty reference raises there too — our synthetic
-  eval inputs never have empty references on those paths).
+  default, no empty-skip (an empty reference raises there).  This engine
+  skips rows with an empty reference on every path, so no input raises.
 
 Scale posture: per-row CER is computed inside ``map_batches`` (vectorized
 banded DP per row, O(band·n)); the global mean/count reduce over per-batch
@@ -23,7 +23,7 @@ import pyarrow as pa
 
 import ray.data
 
-from ..functions.edit_distance import edit_distance, edit_distance_banded
+from ..functions.edit_distance import normalized_edit_distance
 
 
 @dataclass(frozen=True)
@@ -34,27 +34,19 @@ class EvalResult:
 
 
 def add_cer_column(batch: pa.Table, *, out_col: str, correct_col: str,
-                   banded: bool = True, skip_empty_correct: bool = False,
-                   cer_col: str = "cer") -> pa.Table:
-    """Per-row CER column; rows with empty reference get CER null (skipped)."""
-    outs = batch.column(out_col).to_pylist()
-    refs = batch.column(correct_col).to_pylist()
-    dist_fn = edit_distance_banded if banded else edit_distance
+                   banded: bool = True) -> pa.Table:
+    """Per-row ``cer`` column; a row with an empty or null reference gets
+    null, which the aggregate skips."""
     cers: list[float | None] = []
-    for o, r in zip(outs, refs):
-        o = o or ""
-        r = r or ""
-        if len(r) == 0:
-            cers.append(None if skip_empty_correct else 0.0 if o == "" else float(len(o)))
-            # unguarded reference would raise ZeroDivisionError; for pipeline
-            # robustness an empty reference scores 0 when output empty, else
-            # distance/1-normalized-as-length (documented engine behavior)
-            continue
-        if o == r:
-            cers.append(0.0)
+    for o, r in zip(batch.column(out_col).to_pylist(),
+                    batch.column(correct_col).to_pylist()):
+        if not r:
+            cers.append(None)
+        elif o == r:
+            cers.append(0.0)  # the reference's shortcut: no DP for a perfect row
         else:
-            cers.append(dist_fn(o, r) / len(r))
-    return batch.append_column(cer_col, pa.array(cers, pa.float64()))
+            cers.append(normalized_edit_distance(o or "", r, banded=banded))
+    return batch.append_column("cer", pa.array(cers, pa.float64()))
 
 
 # Every finite float64 is an integer multiple of 2**-1074.
@@ -72,13 +64,11 @@ def _scaled_sum(values: list[float]) -> int:
 
 
 def evaluate(ds: ray.data.Dataset, *, out_col: str = "corrected_text",
-             correct_col: str = "clean", banded: bool = False,
-             skip_empty_correct: bool = True) -> EvalResult:
+             correct_col: str = "clean", banded: bool = False) -> EvalResult:
     """Streaming mean CER + percent perfect (reference eval.py:64-68)."""
     scored = ds.map_batches(
         add_cer_column, batch_format="pyarrow",
-        fn_kwargs=dict(out_col=out_col, correct_col=correct_col, banded=banded,
-                       skip_empty_correct=skip_empty_correct),
+        fn_kwargs=dict(out_col=out_col, correct_col=correct_col, banded=banded),
     )
 
     def partial(batch: pa.Table) -> pa.Table:

@@ -4,11 +4,19 @@ Stage graph (all lazy, streaming with backpressure)::
 
     read_parquet(pages)                        # column-pruned scan
       → filter committed partitions            # resume: cheap, before any work
-      → map_batches(extract_batch)             # stateless tasks; drops `html`
+      → map_batches(extract_batch)             # drops `html`
       → map_batches(CorrectorStage, ...)       # actor pool, state per actor
       → map_batches(add_partition_column)
       → groupby("part").map_groups(commit)     # the ONE shuffle: url-hash exchange
                                                # → atomic per-partition commit
+
+Ray Data 2.49 fuses ``extract_batch`` into the stage after it.  With an actor
+corrector the plan runs
+``ActorPoolMapOperator[MapBatches(extract_batch)->MapBatches(NeuralCorrectorStage)]``
+(likewise ``DictionaryCorrectorStage``): extraction runs inside the corrector
+actors, at the corrector's ``batch_size`` and ``concurrency``, not as
+stateless tasks on every free CPU.  The null corrector is a task stage, so
+read, extraction and the identity fuse into one task operator.
 
 Skew note (SURVEY.md §7.4.4): correction cost scales superlinearly with
 document length.  The actor pool pulls small batches dynamically, so giant
@@ -66,21 +74,12 @@ def correct_stage(ds: ray.data.Dataset, *, corrector: CorrectorKind,
                   seed: int = 42, hparams: dict | None = None,
                   vocab_ref=None, min_frequency: int = 2,
                   concurrency: int | tuple[int, int] = 4,
-                  batch_size: int = 32,
-                  num_gpus: float | None = None) -> ray.data.Dataset:
-    """Corrector actor-pool stage.
-
-    ``num_gpus`` passes straight to ``map_batches`` so the
-    neural corrector deploys as the north-star "GPU-sized micro-batches"
-    shape (reference eval.py:25-33 runs the model on whatever device torch
-    finds; here the resource request is explicit per stage).  ``batch_size``
-    is the micro-batch of both actor correctors (neural and dictionary):
-    size it to the device memory, not the block.  The null corrector is a
-    task stage that takes neither ``batch_size`` nor ``concurrency``, so it
-    fuses with extraction into one operator."""
-    pool_kwargs: dict = dict(num_cpus=1)
-    if num_gpus is not None:
-        pool_kwargs["num_gpus"] = num_gpus
+                  batch_size: int = 32) -> ray.data.Dataset:
+    """Corrector actor-pool stage: one CPU per actor (the NumPy model and the
+    dictionary scan are CPU work).  ``batch_size`` is the micro-batch of both
+    actor correctors (neural and dictionary).  The null corrector is a task
+    stage that takes neither ``batch_size`` nor ``concurrency``, so it fuses
+    with extraction into one operator."""
     if corrector == "null":
         # stateless identity — plain task stage, no actor pool needed
         return ds.map_batches(NullCorrectorStage(), batch_format="pyarrow")
@@ -92,14 +91,14 @@ def correct_stage(ds: ray.data.Dataset, *, corrector: CorrectorKind,
             fn_constructor_kwargs=dict(alphabet=alphabet, model_path=model_path,
                                        seed=seed, hparams=hparams),
             batch_format="pyarrow", batch_size=batch_size,
-            concurrency=concurrency, **pool_kwargs,
+            concurrency=concurrency, num_cpus=1,
         )
     if corrector == "dictionary":
         return ds.map_batches(
             DictionaryCorrectorStage,
             fn_constructor_kwargs=dict(vocab_ref=vocab_ref, min_frequency=min_frequency),
             batch_format="pyarrow", batch_size=batch_size,
-            concurrency=concurrency, **pool_kwargs,
+            concurrency=concurrency, num_cpus=1,
         )
     raise ValueError(f"unknown corrector: {corrector}")
 

@@ -37,6 +37,7 @@ from ..functions.alphabet import Vocab
 from ..functions.hashing import hash_u64_array, polyhash_u64_array
 
 _RANGE_PARTS = 64
+_SEED = 17  # of the epoch shuffle
 
 
 @lru_cache(maxsize=8)
@@ -44,17 +45,16 @@ def _vocab(alphabet: str) -> Vocab:
     return Vocab(alphabet)
 
 
-def _shuffle_key(batch: pa.Table, key_col: str, epoch: int, seed: int) -> np.ndarray:
-    base = polyhash_u64_array(batch.column(key_col).cast(pa.string()))
-    return hash_u64_array(base, seed=seed * 1000003 + epoch)
+def _shuffle_key(batch: pa.Table, epoch: int) -> np.ndarray:
+    base = polyhash_u64_array(batch.column("url").cast(pa.string()))
+    return hash_u64_array(base, seed=_SEED * 1000003 + epoch)
 
 
 def epoch_feed(corpus: ray.data.Dataset, *, alphabet: str,
                split: str | None = "train", batch_size: int = 8,
-               epoch: int = 0, seed: int = 17, key_col: str = "url",
-               messy_col: str = "messy", clean_col: str = "clean",
-               ) -> ray.data.Dataset:
-    """One epoch of collated (messy, clean) training batches as a Dataset.
+               epoch: int = 0) -> ray.data.Dataset:
+    """One epoch of collated (messy, clean) training batches of a
+    (url, messy, clean[, split]) corpus, as a Dataset.
 
     Each output ROW is one training batch:
     ``(batch_id, size, width_x, width_y, x: list<int32>, y: list<int32>)``
@@ -66,13 +66,13 @@ def epoch_feed(corpus: ray.data.Dataset, *, alphabet: str,
         corpus = corpus.filter(expr=f"split == '{split}'")
 
     def keyed(batch: pa.Table) -> pa.Table:
-        k = _shuffle_key(batch, key_col, epoch, seed)
+        k = _shuffle_key(batch, epoch)
         return pa.table({
             "skey": pa.array(k, pa.uint64()),
             "rng": pa.array((k >> np.uint64(58)).astype(np.int64)),  # 64 ranges
-            "ukey": batch.column(key_col).cast(pa.string()),  # hash-tie breaker
-            messy_col: batch.column(messy_col),
-            clean_col: batch.column(clean_col)})
+            "ukey": batch.column("url").cast(pa.string()),  # hash-tie breaker
+            "messy": batch.column("messy"),
+            "clean": batch.column("clean")})
 
     # exact batching needs TWO passes over the keyed projection (count, then
     # rank); materialize it once into the object store so the upstream corpus
@@ -101,13 +101,13 @@ def epoch_feed(corpus: ray.data.Dataset, *, alphabet: str,
             out.append(pd.DataFrame({
                 "batch_id": (rank // batch_size).astype("int64"),
                 "rank": rank,
-                messy_col: g[messy_col].to_numpy(),
-                clean_col: g[clean_col].to_numpy()}))
+                "messy": g["messy"].to_numpy(),
+                "clean": g["clean"].to_numpy()}))
         if not out:
             return pd.DataFrame({"batch_id": pd.Series([], dtype="int64"),
                                  "rank": pd.Series([], dtype="int64"),
-                                 messy_col: pd.Series([], dtype="object"),
-                                 clean_col: pd.Series([], dtype="object")})
+                                 "messy": pd.Series([], dtype="object"),
+                                 "clean": pd.Series([], dtype="object")})
         return pd.concat(out, ignore_index=True)
 
     from ..stages.shuffle import grouped_apply
@@ -119,8 +119,8 @@ def epoch_feed(corpus: ray.data.Dataset, *, alphabet: str,
         rows = []
         for bid, g in df.groupby("batch_id", sort=True):
             g = g.sort_values("rank")
-            xs = [v.encode(t or "") for t in g[messy_col]]
-            ys = [v.encode(t or "") for t in g[clean_col]]
+            xs = [v.encode(t or "") for t in g["messy"]]
+            ys = [v.encode(t or "") for t in g["clean"]]
             wx = max((len(a) for a in xs), default=0)
             wy = max((len(a) for a in ys), default=0)
             x = np.full((len(xs), wx), INT_EMPTY, dtype=np.int32)
@@ -147,51 +147,31 @@ def epoch_feed(corpus: ray.data.Dataset, *, alphabet: str,
     return grouped_apply(ranked, ["batch_id"], collate)
 
 
-def iter_epoch(corpus: ray.data.Dataset, *, alphabet: str, n_epochs: int = 1,
-               **kwargs):
-    """Multi-epoch trainer-facing generator: yields
-    ``(epoch, batch_id, x(size,width_x), y(size,width_y))`` NumPy int32
-    matrices in batch order — the DataLoader loop shape, re-shuffled per
-    epoch.  Streams via ``iter_batches``; nothing is materialized."""
-    for epoch in range(n_epochs):
-        ds = epoch_feed(corpus, alphabet=alphabet, epoch=epoch, **kwargs)
-        for rows in ds.sort("batch_id").iter_batches(batch_size=64,
-                                                     batch_format="pyarrow"):
-            for r in rows.to_pylist():
-                x = np.frombuffer(r["x"], dtype="<i4").reshape(r["size"], r["width_x"])
-                y = np.frombuffer(r["y"], dtype="<i4").reshape(r["size"], r["width_y"])
-                yield epoch, r["batch_id"], x, y
-
-
-def documents_corpus(sf_dir: str, *, good_chars: str = "abcdefghijklmnopqrstuvwxyz ",
-                     ) -> ray.data.Dataset:
+def documents_corpus(sf_dir: str) -> ray.data.Dataset:
     """(url, clean, messy, split) corpus derived from the documents test table
     (keyed noise + reference split semantics — doc_id % 10)."""
-    from ..stages.noise import add_messy_column
-    from .corpus import pick_split
+    from ..stages.noise import GOOD_CHARS, add_messy_column
+    from .corpus import split_of
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
 
     def f(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
+        ids = batch.column("doc_id")
         clean = [(t or "").strip() for t in batch.column("text").to_pylist()]
-        splits = [pick_split(int(i) % 10) for i in ids]
         return add_messy_column(
-            pa.table({"url": pa.array([str(i) for i in ids], pa.string()),
+            pa.table({"url": ids.cast(pa.string()),
                       "clean": pa.array(clean, pa.string())}),
-            good_chars=good_chars).append_column(
-                "split", pa.array(splits, pa.string()))
+            good_chars=GOOD_CHARS).append_column(
+                "split", split_of(ids.to_numpy() % 10))
 
     return ds.map_batches(f, batch_format="pyarrow")
 
 
-def training_feed(sf_dir: str, *, batch_size: int = 8, epoch: int = 0,
-                  ) -> ray.data.Dataset:
+def training_feed(sf_dir: str) -> ray.data.Dataset:
     """queries() entry: epoch-0 collated train-split feed over documents."""
     from ..functions.alphabet import build_alphabet
 
     corpus = documents_corpus(sf_dir)
     alphabet = build_alphabet(set("abcdefghijklmnopqrstuvwxyz .,!?;:ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789'\"-"))
-    return epoch_feed(corpus, alphabet=alphabet, batch_size=batch_size,
-                      epoch=epoch)
+    return epoch_feed(corpus, alphabet=alphabet)

@@ -59,13 +59,13 @@ def parse_vertical_markup(text: str) -> tuple[list[list[str]], dict[str, int]]:
     return sentences, counters
 
 
-def markup_to_sentences_batch(batch: pa.Table, *, text_col: str = "markup",
-                              key_col: str = "path") -> pa.Table:
-    """Blob rows → sentence rows (key, sentence_idx, sentence, counters)."""
+def markup_to_sentences_batch(batch: pa.Table) -> pa.Table:
+    """(path, markup) blob rows → sentence rows (path, sentence_idx,
+    sentence, n_malformed)."""
     keys_out, idx_out, sent_out = [], [], []
     bad_out = []
-    for key, blob in zip(batch.column(key_col).to_pylist(),
-                         batch.column(text_col).to_pylist()):
+    for key, blob in zip(batch.column("path").to_pylist(),
+                         batch.column("markup").to_pylist()):
         if isinstance(blob, bytes):
             blob = blob.decode("utf-8")
         sentences, counters = parse_vertical_markup(blob or "")
@@ -76,7 +76,7 @@ def markup_to_sentences_batch(batch: pa.Table, *, text_col: str = "markup",
             sent_out.append(detokenize(toks))
             bad_out.append(n_bad if i == 0 else 0)
     return pa.table({
-        key_col: pa.array(keys_out, pa.string()),
+        "path": pa.array(keys_out, pa.string()),
         "sentence_idx": pa.array(idx_out, pa.int64()),
         "sentence": pa.array(sent_out, pa.string()),
         "n_malformed": pa.array(bad_out, pa.int64()),

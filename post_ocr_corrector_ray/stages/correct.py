@@ -68,12 +68,12 @@ class DictionaryCorrectorStage:
     """
 
     def __init__(self, *, vocab_ref=None, min_frequency: int = 2,
-                 text_col: str = TEXT_COL, out_col: str = OUT_COL):
+                 text_col: str = TEXT_COL):
         vocab = ray.get(vocab_ref) if isinstance(vocab_ref, ray.ObjectRef) else vocab_ref
         self.corrector = DictionaryCorrector(vocab or {}, min_frequency=min_frequency)
-        self.text_col, self.out_col = text_col, out_col
+        self.text_col = text_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = batch.column(self.text_col).to_pylist()
         corrected = [self.corrector.correct_sentence(t or "") for t in texts]
-        return _append_str_column(batch, self.out_col, corrected)
+        return _append_str_column(batch, OUT_COL, corrected)

@@ -16,12 +16,15 @@ import pyarrow as pa
 from ..functions.noise import mutilate_keyed
 
 
-def add_messy_column(batch: pa.Table, *, good_chars: str, salt: int = 0,
-                     text_col: str = "clean", out_col: str = "messy",
+# the noise alphabet of the ``documents`` pipelines
+GOOD_CHARS = "abcdefghijklmnopqrstuvwxyz "
+
+
+def add_messy_column(batch: pa.Table, *, good_chars: str, text_col: str = "clean",
                      key_col: str = "url") -> pa.Table:
     # keyed by the key's text, so an int doc_id keys by its decimal form
     urls = batch.column(key_col).cast(pa.string()).to_pylist()
     texts = batch.column(text_col).to_pylist()
-    messy = [mutilate_keyed(u, (t or "").strip(), good_chars, salt=salt)
+    messy = [mutilate_keyed(u, (t or "").strip(), good_chars)
              for u, t in zip(urls, texts)]
-    return batch.append_column(out_col, pa.array(messy, pa.string()))
+    return batch.append_column("messy", pa.array(messy, pa.string()))

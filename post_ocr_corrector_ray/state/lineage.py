@@ -309,10 +309,11 @@ def read_lineage(out_dir: str) -> list[dict]:
     return out
 
 
-def _data_paths(out_dir: str) -> list[str]:
-    """``data.parquet`` of every committed partition, in partition order.  A
-    committed partition without one (older stores could hold csv
-    partitions) is refused, not skipped: the store would read back short."""
+def read_output(out_dir: str) -> pa.Table:
+    """Concatenate committed partitions, in partition order (test/driver-side
+    convenience).  A committed partition without ``data.parquet`` (older
+    stores could hold csv partitions) is refused, not skipped: the store
+    would read back short."""
     paths = []
     for p in sorted(committed_partitions(out_dir)):
         fp = os.path.join(partition_dir(out_dir, p), "data.parquet")
@@ -324,20 +325,4 @@ def _data_paths(out_dir: str) -> list[str]:
         paths.append(fp)
     if not paths:
         raise FileNotFoundError(f"no committed partitions under {out_dir}")
-    return paths
-
-
-def read_output(out_dir: str) -> pa.Table:
-    """Concatenate committed partitions (test/driver-side convenience)."""
-    return pa.concat_tables([pq.read_table(p) for p in _data_paths(out_dir)])
-
-
-def read_output_ds(out_dir: str):
-    """Committed partitions as a streaming Dataset — the scale-safe twin of
-    ``read_output``: partitions are read lazily by Ray tasks, never
-    concatenated on the driver.  Same columns as ``read_output``: the
-    ``part=NNNNN`` directory names are not parsed into a hive partition
-    column."""
-    import ray.data
-
-    return ray.data.read_parquet(_data_paths(out_dir), partitioning=None)
+    return pa.concat_tables([pq.read_table(p) for p in paths])

@@ -4,6 +4,7 @@ state-dict mapping round-trips, and serving the converted weights."""
 import numpy as np
 import pytest
 
+from fake_torch_ckpt import params_to_state_dict, write_fake_torch_ckpt
 from post_ocr_corrector_ray.functions.alphabet import build_alphabet
 from post_ocr_corrector_ray.model import ckpt_compat as cc
 from post_ocr_corrector_ray.model.neural import NeuralCorrectorModel
@@ -22,7 +23,7 @@ class TestMappingRoundTrip:
         m = _seeded_model()
         p = m.net.w
         p = {k: v for k, v in p.items() if not k.startswith("_")}
-        sd = cc.params_to_state_dict(p, HPARAMS["n_layers"])
+        sd = params_to_state_dict(p, HPARAMS["n_layers"])
         # torch nn.Transformer naming present
         assert "transformer.encoder.layers.0.self_attn.in_proj_weight" in sd
         assert "transformer.decoder.layers.1.multihead_attn.out_proj.bias" in sd
@@ -37,9 +38,9 @@ class TestZipReader:
     def test_fake_ckpt_round_trip(self, tmp_path):
         m = _seeded_model()
         p = {k: v for k, v in m.net.w.items() if not k.startswith("_")}
-        sd = cc.params_to_state_dict(p, HPARAMS["n_layers"])
+        sd = params_to_state_dict(p, HPARAMS["n_layers"])
         path = str(tmp_path / "model.ckpt")
-        cc.write_fake_torch_ckpt(path, sd, dict(HPARAMS, lr=3e-4, batch_size=4))
+        write_fake_torch_ckpt(path, sd, dict(HPARAMS, lr=3e-4, batch_size=4))
         weights, hp = cc.checkpoint_to_weights(path, ALPHABET)
         assert hp["lr"] == 3e-4
         cfg = weights.config
@@ -52,9 +53,9 @@ class TestZipReader:
     def test_converted_weights_decode_identically(self, tmp_path):
         m = _seeded_model()
         p = {k: v for k, v in m.net.w.items() if not k.startswith("_")}
-        sd = cc.params_to_state_dict(p, HPARAMS["n_layers"])
+        sd = params_to_state_dict(p, HPARAMS["n_layers"])
         path = str(tmp_path / "model.ckpt")
-        cc.write_fake_torch_ckpt(path, sd, dict(HPARAMS))
+        write_fake_torch_ckpt(path, sd, dict(HPARAMS))
         weights, _ = cc.checkpoint_to_weights(path, ALPHABET)
         m2 = NeuralCorrectorModel(ALPHABET, weights, batch_size=4)
         texts = ["abc defg h", "hhh", ""]
@@ -84,9 +85,13 @@ class TestMismatchedAlphabet:
         m = _seeded_model()
         p = {k: v for k, v in m.net.w.items() if not k.startswith("_")}
         path = str(tmp_path / "model.ckpt")
-        cc.write_fake_torch_ckpt(path, cc.params_to_state_dict(p, HPARAMS["n_layers"]),
+        write_fake_torch_ckpt(path, params_to_state_dict(p, HPARAMS["n_layers"]),
                                  dict(HPARAMS))
+        alphabet_file = tmp_path / "alphabet.txt"
+        alphabet_file.write_text(ALPHABET[:-1])
         out = tmp_path / "model_dir"
+        from post_ocr_corrector_ray.cli import main
+
         with pytest.raises(ValueError, match="model.ckpt"):
-            cc.convert_to_model_dir(path, ALPHABET[:-1], str(out))
+            main(["convert-ckpt", path, str(alphabet_file), str(out)])
         assert not out.exists()

@@ -10,13 +10,9 @@ import pytest
 
 from post_ocr_corrector_ray.model.artifacts import (
     load_dictionary,
-    load_hparams,
-    load_model_dir,
     read_alphabet,
     save_model_dir,
-    whitespace_indices,
 )
-from post_ocr_corrector_ray.model.dictionary import DictionaryCorrector
 from post_ocr_corrector_ray.model.neural import NeuralCorrectorModel
 
 ALPHA = " .abcdefghij"
@@ -24,19 +20,25 @@ ALPHA = " .abcdefghij"
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _load_like_cli_run(model_dir: str) -> NeuralCorrectorModel:
+    """The neural model ``cli run --model-dir`` serves: ``alphabet.txt``
+    read with ``read_alphabet``, the weights from ``weights.npz``."""
+    return NeuralCorrectorModel.load(os.path.join(model_dir, "weights.npz"),
+                                     read_alphabet(model_dir))
+
+
 class TestArtifacts:
     def test_model_dir_round_trip(self, tmp_path, tiny_hparams):
         model = NeuralCorrectorModel.from_seed(ALPHA, seed=3, **tiny_hparams)
-        d = DictionaryCorrector({"abc": 3}, min_frequency=1)
         mdir = str(tmp_path / "m")
-        save_model_dir(mdir, model, dictionary=d, extra_hparams={"note": "x"})
-        hp = load_hparams(mdir)
-        assert hp["max_len"] == tiny_hparams["max_len"] and hp["note"] == "x"
+        hp = save_model_dir(mdir, model)
+        with open(os.path.join(mdir, "hyperparameters.json"), encoding="utf-8") as f:
+            assert json.load(f) == hp == dict(tiny_hparams, layer_norm_eps=2e-5,
+                                              batch_size=4)
         assert read_alphabet(mdir) == ALPHA
-        loaded = load_model_dir(mdir)
+        loaded = _load_like_cli_run(mdir)
         text = "a bad cafe hid a jig."
         assert loaded.correct_document(text) == model.correct_document(text)
-        assert load_dictionary(mdir).vocabulary == {"abc": 3}
 
     def test_alphabet_newline_stripped(self, tmp_path):
         # get_alphabet semantics: \n in the file never enters the alphabet
@@ -44,9 +46,6 @@ class TestArtifacts:
         mdir.mkdir()
         (mdir / "alphabet.txt").write_text("ab\ncd\n")
         assert read_alphabet(str(mdir)) == "abcd"
-
-    def test_whitespace_indices(self):
-        assert whitespace_indices(" a\tb") == {0, 2}
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -110,25 +109,27 @@ class TestCli:
         got = pq.read_table(out)
         assert got.num_rows == 3 and set(got.column("size").to_pylist()) == {4}
 
-    def test_convert_ckpt_subcommand(self, tmp_path):
+    def test_convert_ckpt_subcommand(self, tmp_path, capsys):
+        from fake_torch_ckpt import params_to_state_dict, write_fake_torch_ckpt
         from post_ocr_corrector_ray.cli import main
         from post_ocr_corrector_ray.functions.alphabet import build_alphabet
-        from post_ocr_corrector_ray.model import ckpt_compat as cc
-        from post_ocr_corrector_ray.model.artifacts import load_model_dir
-        from post_ocr_corrector_ray.model.neural import NeuralCorrectorModel
 
         alphabet = build_alphabet(set("abc "))
         hp = dict(max_len=8, d_model=8, n_head=2, n_layers=1, d_linear=8)
         m = NeuralCorrectorModel.from_seed(alphabet, seed=3, **hp)
-        sd = cc.params_to_state_dict(
+        sd = params_to_state_dict(
             {k: v for k, v in m.net.w.items() if not k.startswith("_")}, 1)
         ckpt = str(tmp_path / "ref.ckpt")
-        cc.write_fake_torch_ckpt(ckpt, sd, dict(hp, batch_size=4))
+        write_fake_torch_ckpt(ckpt, sd, dict(hp, batch_size=6))
         af = tmp_path / "alpha.txt"
         af.write_text(alphabet)
         out = str(tmp_path / "mdir")
         assert main(["convert-ckpt", ckpt, str(af), out]) == 0
-        m2 = load_model_dir(out)
+        with open(os.path.join(out, "hyperparameters.json"), encoding="utf-8") as f:
+            written = json.load(f)
+        assert written == dict(hp, layer_norm_eps=2e-5, batch_size=6)
+        assert _last_json(capsys) == {"out_dir": out, **written}
+        m2 = _load_like_cli_run(out)
         assert m2.correct_document("ab c") == m.correct_document("ab c")
 
     def test_subprocess_end_to_end(self, tmp_path):
@@ -266,6 +267,33 @@ class TestCliSubcommands:
         assert state == {"min_frequency": 2, "vocabulary": want}
         assert _last_json(capsys) == {"vocab_size": len(want)}
 
+    def test_build_dictionary_counts_the_train_split(self, tmp_path, capsys):
+        """On a ``corpus`` output (it has a ``split`` column) the vocabulary
+        counts the train rows only, like ``build_dictionary``'s default and
+        the reference's train-split vocabulary."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.oracle import oracle_token_counts
+
+        clean = ["the fox and the dog", "a fox ran", "the end dog",
+                 "ran ran far", "far far"]
+        split = ["train", "train", "validation", "test", "train"]
+        f = str(tmp_path / "corpus.parquet")
+        pq.write_table(pa.table({"url": [f"u{i}" for i in range(5)],
+                                 "clean": clean, "split": split}), f)
+        out = tmp_path / "dictionary.json"
+        assert main(["build-dictionary", f, str(out)]) == 0
+
+        def vocab(texts):
+            return {w: n for w, n in oracle_token_counts(texts).items() if n >= 2}
+
+        want = vocab([c for c, s in zip(clean, split) if s == "train"])
+        state = json.loads(out.read_text(encoding="utf-8"))
+        assert state == {"min_frequency": 2, "vocabulary": want}
+        assert want != vocab(clean)
+
     def test_parse_markup(self, tmp_path):
         import pyarrow as pa
         import pyarrow.parquet as pq
@@ -360,7 +388,7 @@ class TestCliSubcommands:
         assert main(["--num-cpus", "4", "run", path, out,
                      "--corrector", "neural", "--model-dir", mdir,
                      "--concurrency", "1", "--partitions", "4"]) == 0
-        want = oracle_extract_correct(pages, load_model_dir(mdir))
+        want = oracle_extract_correct(pages, _load_like_cli_run(mdir))
         assert _committed_url_map(out) == want
         assert any(want.values())
 

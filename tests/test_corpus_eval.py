@@ -16,6 +16,7 @@ from post_ocr_corrector_ray.pipelines.corpus import (
     compute_alphabet,
     corpus_from_pages,
     pick_split,
+    split_of,
     token_counts,
 )
 from post_ocr_corrector_ray.pipelines.evaluate import evaluate
@@ -44,6 +45,8 @@ class TestCorpusBuild:
         assert pick_split(9) == "validation"
         assert pick_split(0) == "test"
         assert all(pick_split(r) == "train" for r in range(1, 9))
+        rems = np.arange(10, dtype=np.uint64)
+        assert split_of(rems).to_pylist() == [pick_split(int(r)) for r in rems]
 
     def test_corpus_columns_and_split_determinism(self, corpus_ds):
         ds, _ = corpus_ds
@@ -115,6 +118,6 @@ class TestEvaluate:
         import ray.data
 
         # eval.py:52-53 skips rows with empty reference
-        tbl = pa.table({"corrected_text": ["x", "ab"], "clean": ["", "ab"]})
-        res = evaluate(ray.data.from_arrow(tbl), banded=False, skip_empty_correct=True)
+        tbl = pa.table({"corrected_text": ["x", "ab", "q"], "clean": ["", "ab", None]})
+        res = evaluate(ray.data.from_arrow(tbl), banded=False)
         assert res.n == 1 and res.percent_perfect == 1.0

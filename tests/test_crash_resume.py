@@ -103,7 +103,7 @@ def model_dir(inputs, tmp_path_factory) -> str:
     high frequency floor the rarer words become corrections, so the
     dictionary stage rewrites text."""
     from __ray_entry__ import FLAGSHIP_ALPHABET, TINY_HPARAMS
-    from post_ocr_corrector_ray.model.artifacts import save_model_dir
+    from post_ocr_corrector_ray.model.artifacts import DICTIONARY_FILE, save_model_dir
     from post_ocr_corrector_ray.model.dictionary import DictionaryCorrector
     from post_ocr_corrector_ray.model.neural import NeuralCorrectorModel
     from post_ocr_corrector_ray.oracle import oracle_extract, oracle_token_counts
@@ -111,10 +111,9 @@ def model_dir(inputs, tmp_path_factory) -> str:
     clean = oracle_extract(pq.read_table(inputs["pages", "a"]))
     d = str(tmp_path_factory.mktemp("model"))
     save_model_dir(d, NeuralCorrectorModel.from_seed(FLAGSHIP_ALPHABET, seed=7,
-                                                     **TINY_HPARAMS),
-                   dictionary=DictionaryCorrector(
-                       oracle_token_counts(list(clean.values())),
-                       min_frequency=MIN_FREQUENCY))
+                                                     **TINY_HPARAMS))
+    DictionaryCorrector(oracle_token_counts(list(clean.values())),
+                        min_frequency=MIN_FREQUENCY).save(os.path.join(d, DICTIONARY_FILE))
     return d
 
 

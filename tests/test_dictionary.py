@@ -58,16 +58,6 @@ class TestSentence:
 
 
 class TestVocabMaintenance:
-    def test_prune(self, corr):
-        corr.prune(5)
-        assert set(corr.vocabulary) == {"hello", "world"}
-
-    def test_add_counts(self):
-        c = DictionaryCorrector()
-        c.add_counts({"a": 2})
-        c.add_counts({"a": 3, "b": 1})
-        assert c.vocabulary == {"a": 5, "b": 1}
-
     def test_save_load_round_trip(self, corr, tmp_path):
         p = str(tmp_path / "vocab.json")
         corr.save(p)
@@ -86,14 +76,3 @@ class TestVocabMaintenance:
         p.write_text('[["fox", 3]]')
         with pytest.raises(ValueError, match="dictionary.json"):
             DictionaryCorrector.load(str(p))
-
-
-class TestSweepOptions:
-    def test_prune_invalidates_buckets(self):
-        from post_ocr_corrector_ray.model.dictionary import DictionaryCorrector
-
-        c = DictionaryCorrector({"aaa": 5, "bbb": 2}, min_frequency=1)
-        assert c.correct_token("aab") == "aaa"
-        c.prune(3)
-        assert "bbb" not in c.vocabulary
-        assert c.correct_token("bbb") == "aaa"  # stale memo/buckets would say 'bbb'

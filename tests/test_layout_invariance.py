@@ -186,11 +186,13 @@ def _want_feed(corpus: pa.Table, epoch: int) -> list:
     ``INT_EMPTY``-padded int32 id matrices."""
     from post_ocr_corrector_ray import INT_EMPTY
     from post_ocr_corrector_ray.functions.alphabet import Vocab
-    from post_ocr_corrector_ray.pipelines.training import _shuffle_key
+    from post_ocr_corrector_ray.functions.hashing import hash_u64_array, polyhash_u64_array
 
     train = corpus.filter(pa.array([s == "train" for s in
                                     corpus.column("split").to_pylist()]))
-    keys = _shuffle_key(train, "url", epoch, 17).tolist()
+    # the epoch shuffle key: url hash re-hashed under seed 17 and the epoch
+    keys = hash_u64_array(polyhash_u64_array(train.column("url")),
+                          seed=17 * 1000003 + epoch).tolist()
     urls = train.column("url").to_pylist()
     order = sorted(range(train.num_rows), key=lambda i: (keys[i], urls[i]))
     v = Vocab(_FEED_ALPHABET)

@@ -102,21 +102,6 @@ class TestByteIdentity:
         )
         assert _as_url_map(ds) == want
 
-    def test_corrector_stage_resource_passthrough(self, pages_table, alphabet,
-                                                  tiny_hparams):
-        """SURVEY §2.3 T1: num_gpus plumbs through to map_batches
-        (smoke with num_gpus=0 — same output, no GPU requested)."""
-        import ray.data
-
-        small = pages_table.slice(0, 12)
-        base = extract_correct(ray.data.from_arrow(small), corrector="neural",
-                               alphabet=alphabet, seed=7, hparams=tiny_hparams,
-                               concurrency=2)
-        gpu0 = extract_correct(ray.data.from_arrow(small), corrector="neural",
-                               alphabet=alphabet, seed=7, hparams=tiny_hparams,
-                               concurrency=2, num_gpus=0)
-        assert _as_url_map(gpu0) == _as_url_map(base)
-
 
 @pytest.mark.usefixtures("ray_session")
 class TestCommitResume:
@@ -373,28 +358,15 @@ class TestCommitByKeyResume:
             list(range(100))
 
 
-@pytest.mark.usefixtures("ray_session")
-class TestReadOutputDs:
-    def test_rows_equal_read_output(self, tmp_path):
-        import ray.data
-
-        out = str(tmp_path / "store")
-        lin.commit_by_key(ray.data.from_arrow(_doc_rows(50)), out,
-                          key_col="doc_id", num_partitions=6).to_pandas()
-        got = lin.read_output_ds(out).to_pandas().sort_values("doc_id")
-        want = lin.read_output(out).to_pandas().sort_values("doc_id")
-        assert got.reset_index(drop=True).equals(want.reset_index(drop=True))
-        assert len(got) == 50
-
+class TestReadOutput:
     def test_csv_only_store_refused(self, tmp_path):
         out = str(tmp_path / "store")
         lin.commit_partition(_doc_rows(3), out, 0)
         _forge_csv_partition(out, 0)
-        with pytest.raises(FileNotFoundError):
-            lin.read_output_ds(out)
+        with pytest.raises(FileNotFoundError, match="partition 0"):
+            lin.read_output(out)
 
-    @pytest.mark.parametrize("reader", ["read_output", "read_output_ds"])
-    def test_legacy_csv_partition_refused(self, tmp_path, reader):
+    def test_legacy_csv_partition_refused(self, tmp_path):
         """One parquet and one legacy csv partition: reading back only the
         parquet rows, or both, would hide that the store is mixed."""
         out = str(tmp_path / "store")
@@ -402,7 +374,7 @@ class TestReadOutputDs:
         lin.commit_partition(_doc_rows(5), out, 1)
         _forge_csv_partition(out, 1)
         with pytest.raises(FileNotFoundError, match="partition 1"):
-            getattr(lin, reader)(out)
+            lin.read_output(out)
 
 
 def _six_file_input(tmp_path, n_per_file=10):
@@ -781,36 +753,39 @@ class TestHostilePages:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestFlagshipDictionaryCommittedIntermediate:
-    def test_intermediate_is_lineage_store_and_resumes(self):
-        """The twice-consumed extracted corpus must live in a committed
-        partitioned parquet store (the 100-TB posture), not an object-store
-        materialize — and a second run must resume (commit 0 new partitions)."""
-        import shutil
+class TestFlagshipDictionary:
+    def test_extracts_fresh_and_writes_nothing_to_tmp(self):
+        """``flagship_dictionary`` extracts inside its own plan: it leaves
+        nothing under /tmp for a later run to read back, and its per-url rows
+        are those of the single-process chain (extract, vocabulary of every
+        page's text, keyed noise, dictionary correction, banded CER)."""
         import sys
 
         sys.path.insert(0, os.getcwd())
         import __ray_entry__ as entry
 
-        store = "/tmp/flagship_dict_corpus_n40"
-        shutil.rmtree(store, ignore_errors=True)
-        out1 = entry._flagship_dictionary(40)
-        n1 = out1.count()
-        assert n1 == 40
-        recs = lin.read_lineage(store)
-        # every NON-EMPTY partition commits with lineage (a 40-row input may
-        # leave some of the 16 hash partitions empty — those never commit)
-        assert len(recs) >= 10
-        assert sum(r["n_rows"] for r in recs) == 40
-        assert all(r["input_fingerprint"] == "synthetic_pages:40" for r in recs)
-        mtimes = {r["partition"]: os.path.getmtime(
-            os.path.join(lin.partition_dir(store, r["partition"]), "data.parquet"))
-            for r in recs}
-        out2 = entry._flagship_dictionary(40)  # resume: no partition rewritten
-        assert out2.count() == n1
-        for pid, mt in mtimes.items():
-            assert os.path.getmtime(os.path.join(
-                lin.partition_dir(store, pid), "data.parquet")) == mt
+        import pandas as pd
+
+        from post_ocr_corrector_ray.functions.edit_distance import normalized_edit_distance
+        from post_ocr_corrector_ray.oracle import oracle_messy, oracle_token_counts
+
+        before = set(os.listdir("/tmp"))
+        got = entry._flagship_dictionary(40).to_pandas()
+        assert sorted(set(os.listdir("/tmp")) - before) == []
+
+        clean = oracle_extract(pages_batch(np.arange(40), seed=42))
+        corr = DictionaryCorrector(oracle_token_counts(list(clean.values())))
+        good = "".join(c for c in entry.FLAGSHIP_ALPHABET if not c.isupper())
+        want = {}
+        for url, text in clean.items():
+            messy = oracle_messy(url, text.strip(), good)
+            out = corr.correct_sentence(messy)
+            cer = None if not text else normalized_edit_distance(out, text)
+            want[url] = (text, messy, out, cer)
+        assert sorted(got.columns) == ["cer", "clean", "corrected_text", "messy", "url"]
+        assert {r.url: (r.clean, r.messy, r.corrected_text,
+                        None if pd.isna(r.cer) else r.cer)
+                for r in got.itertuples()} == want
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -174,6 +174,87 @@ def test_exchange_width_has_one_owner():
     assert takes_width == allowed
 
 
+# Options that no production caller passed, with the functions they left;
+# ``None`` means no public function of the package may take it.
+_REMOVED_OPTIONS = {
+    "num_gpus": None, "salt": None, "noise_salt": None,
+    "skip_empty_correct": None, "cer_col": None, "extra_hparams": None,
+    "dictionary": {"model.artifacts.save_model_dir"},
+    "seed": {"pipelines.training.epoch_feed"},
+    "key_col": {"pipelines.training.epoch_feed", "pipelines.corpus.add_split_column",
+                "sources.markup.markup_to_sentences_batch"},
+    "messy_col": {"pipelines.training.epoch_feed"},
+    "clean_col": {"pipelines.training.epoch_feed"},
+    "batch_size": {"pipelines.training.training_feed", "model.neural.NeuralCorrectorModel.load"},
+    "epoch": {"pipelines.training.training_feed"},
+    "good_chars": {"pipelines.training.documents_corpus",
+                   "pipelines.documents.doc_mutilate"},
+    "text_col": {"sources.markup.markup_to_sentences_batch"},
+    "out_col": {"pipelines.corpus.add_split_column", "stages.noise.add_messy_column",
+                "stages.correct.DictionaryCorrectorStage.__init__"},
+}
+# API that only tests reached, and leftovers of the removed commands
+_REMOVED_NAMES = [
+    "model.artifacts.whitespace_indices", "model.artifacts.load_model_dir",
+    "model.artifacts.load_hparams", "model.ckpt_compat.convert_to_model_dir",
+    "model.ckpt_compat.params_to_state_dict", "model.ckpt_compat.write_fake_torch_ckpt",
+    "model.dictionary.DictionaryCorrector.add_counts",
+    "model.dictionary.DictionaryCorrector.prune",
+    "model.dictionary.DictionaryCorrector._invalidate",
+    "pipelines.training.iter_epoch", "state.lineage.read_output_ds",
+]
+
+
+def _public_callables():
+    """(dotted name below the package, function) for every public function
+    and method defined in the package, ``__init__`` included."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import post_ocr_corrector_ray as pkg
+
+    for info in pkgutil.walk_packages(pkg.__path__, pkg.__name__ + "."):
+        mod = importlib.import_module(info.name)
+        short = info.name.removeprefix(pkg.__name__ + ".")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{short}.{name}", obj
+            elif inspect.isclass(obj):
+                for mname, m in vars(obj).items():
+                    fn = getattr(m, "__func__", m)
+                    if inspect.isfunction(fn) and (mname == "__init__"
+                                                   or not mname.startswith("_")):
+                        yield f"{short}.{name}.{mname}", fn
+
+
+def test_removed_options_and_names_stay_gone():
+    """No public package function takes an option that had one value in
+    use, and the API that only tests reached does not resolve."""
+    import importlib
+    import inspect
+
+    takes = sorted(
+        f"{name}({param})" for name, fn in _public_callables()
+        for param in inspect.signature(fn).parameters
+        if param in _REMOVED_OPTIONS
+        and (_REMOVED_OPTIONS[param] is None or name in _REMOVED_OPTIONS[param]))
+    assert takes == []
+    resolved = []
+    for dotted in _REMOVED_NAMES:
+        parts = dotted.split(".")
+        mod = importlib.import_module("post_ocr_corrector_ray." + ".".join(parts[:2]))
+        obj = mod
+        for attr in parts[2:]:
+            obj = getattr(obj, attr, None)
+        if obj is not None:
+            resolved.append(dotted)
+    assert resolved == []
+    assert not hasattr(entry, "_flagship_dict_corpus")
+
+
 _DIVERGENCE = ("Operator produced a RefBundle with a different schema than the "
                "previous one. Previous schema: PandasBlockSchema(names=['u'], "
                "types=[dtype('int64')]), new schema: {}. This may lead to "
@@ -221,6 +302,47 @@ def test_bench_queries_are_registered():
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_perfbench_surface_resolves(monkeypatch):
+    """The frozen benchmark in ``perfbench/`` imports and calls the package:
+    its modules import, every ``lin.<name>`` and ``extract_mod.<name>`` it
+    uses and every name it imports from the package exist, and
+    ``extract_correct`` forwards the corrector options it passes.  An API
+    cut that would break the benchmark fails here first."""
+    import ast
+    import importlib.util
+    import inspect
+
+    from post_ocr_corrector_ray.pipelines.extract_correct import correct_stage
+    from post_ocr_corrector_ray.stages import extract as extract_mod
+    from post_ocr_corrector_ray.state import lineage as lin
+
+    bench_dir = os.path.join(REPO, "perfbench")
+    monkeypatch.syspath_prepend(bench_dir)
+    for name in ("gate", "workloads", "tracing"):
+        importlib.import_module(name)
+    missing = []
+    for fname in sorted(os.listdir(bench_dir)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(bench_dir, fname), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in ("lin", "extract_mod")):
+                owner = lin if node.value.id == "lin" else extract_mod
+                if not hasattr(owner, node.attr):
+                    missing.append(f"{fname}: {node.value.id}.{node.attr}")
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                  and node.module.startswith("post_ocr_corrector_ray")):
+                mod = importlib.import_module(node.module)
+                missing += [f"{fname}: {node.module}.{a.name}" for a in node.names
+                            if not hasattr(mod, a.name)
+                            and importlib.util.find_spec(f"{node.module}.{a.name}") is None]
+    assert missing == []
+    forwarded = inspect.signature(correct_stage).parameters
+    assert {"batch_size", "concurrency", "alphabet", "seed", "hparams"} <= set(forwarded)
 
 
 def _coverage_rows() -> list[str]:

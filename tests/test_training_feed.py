@@ -8,7 +8,7 @@ import pytest
 
 from post_ocr_corrector_ray import INT_EMPTY
 from post_ocr_corrector_ray.functions.alphabet import Vocab, build_alphabet
-from post_ocr_corrector_ray.pipelines.training import epoch_feed, iter_epoch
+from post_ocr_corrector_ray.pipelines.training import epoch_feed
 
 ALPHABET = build_alphabet(set("abcdefghijklmnopqrstuvwxyz ."))
 
@@ -101,14 +101,3 @@ class TestEpochFeed:
         out = _feed_df(epoch_feed(ray.data.from_arrow(tbl), alphabet=ALPHABET,
                                   batch_size=4, split="train"))
         assert out["size"].sum() == 10
-
-    def test_iter_epoch_yields_matrices(self):
-        import ray.data
-
-        tbl = _corpus_table(10)
-        got = list(iter_epoch(ray.data.from_arrow(tbl), alphabet=ALPHABET,
-                              n_epochs=2, batch_size=4))
-        assert len(got) == 2 * 3                   # 10 = 4+4+2, two epochs
-        ep, bid, x, y = got[0]
-        assert ep == 0 and x.shape[0] == 4 and x.dtype == np.int32
-        assert y.shape[0] == 4
