@@ -12,19 +12,17 @@ site.  Differences from the reference, by design:
   hash of the example key (``shuffle_key = hash(key, epoch)``) — a
   deterministic permutation that changes every epoch and is identical for any
   block layout / worker count (pytest-pinned).
-- **Exact-size batches.** Batch membership is computed from the GLOBAL rank of
-  the shuffle key (two-pass: per-range counts → driver prefix sums → in-range
-  local rank), so batch ``i`` contains exactly rows ``[i·B, (i+1)·B)`` of the
+- **Exact-size batches.** Ray's ``sort`` on (shuffle key, url) gives the
+  permutation and zipping it with ``range(n)`` numbers each row by its
+  position, so batch ``i`` contains exactly rows ``[i·B, (i+1)·B)`` of the
   permutation — byte-stable across parallelism, unlike block-aligned batching.
 
-Scale posture: the count pass moves P small integers; the rank/collate pass is
-one coarse range-shuffle (keys are uniform hashes → ranges are balanced); each
-collated batch row is the padded id matrices flattened to int32 lists.
+Scale posture: the sort is Ray's sampled range exchange (the engine picks
+the boundaries); collation is one more coarse exchange on ``batch_id``; each
+collated batch row is the padded id matrices flattened to int32 bytes.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 import pandas as pd
@@ -36,13 +34,7 @@ from .. import INT_EMPTY
 from ..functions.alphabet import Vocab
 from ..functions.hashing import hash_u64_array, polyhash_u64_array
 
-_RANGE_PARTS = 64
 _SEED = 17  # of the epoch shuffle
-
-
-@lru_cache(maxsize=8)
-def _vocab(alphabet: str) -> Vocab:
-    return Vocab(alphabet)
 
 
 def _shuffle_key(batch: pa.Table, epoch: int) -> np.ndarray:
@@ -66,59 +58,30 @@ def epoch_feed(corpus: ray.data.Dataset, *, alphabet: str,
         corpus = corpus.filter(expr=f"split == '{split}'")
 
     def keyed(batch: pa.Table) -> pa.Table:
-        k = _shuffle_key(batch, epoch)
         return pa.table({
-            "skey": pa.array(k, pa.uint64()),
-            "rng": pa.array((k >> np.uint64(58)).astype(np.int64)),  # 64 ranges
+            "skey": pa.array(_shuffle_key(batch, epoch), pa.uint64()),
             "ukey": batch.column("url").cast(pa.string()),  # hash-tie breaker
             "messy": batch.column("messy"),
             "clean": batch.column("clean")})
 
-    # exact batching needs TWO passes over the keyed projection (count, then
-    # rank); materialize it once into the object store so the upstream corpus
-    # pipeline (read + extraction + noise) is not re-executed for pass 2 —
-    # blocks live/spill in the object store, never on the driver
+    # materialized once: the row count below is then block metadata, and the
+    # upstream corpus pipeline (read + extraction + noise) runs once
     keyed_ds = corpus.map_batches(keyed, batch_format="pyarrow").materialize()
-
-    # pass 1: rows per key range → prefix offsets (tiny driver reduce)
-    def count_partial(batch: pa.Table) -> pa.Table:
-        vals, counts = np.unique(
-            batch.column("rng").to_numpy(zero_copy_only=False), return_counts=True)
-        return pa.table({"rng": pa.array(vals, pa.int64()),
-                         "n": pa.array(counts, pa.int64())})
-
-    totals = np.zeros(_RANGE_PARTS, dtype=np.int64)
-    for row in keyed_ds.map_batches(count_partial, batch_format="pyarrow").take_all():
-        totals[row["rng"]] += row["n"]
-    prefix = np.concatenate(([0], np.cumsum(totals)))
-
-    # pass 2: rank within range + global prefix → exact batch membership
-    def rank_and_batch(df: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for rng, g in df.groupby("rng", sort=True):
-            g = g.sort_values(["skey", "ukey"], kind="mergesort")
-            rank = prefix[int(rng)] + np.arange(len(g))
-            out.append(pd.DataFrame({
-                "batch_id": (rank // batch_size).astype("int64"),
-                "rank": rank,
-                "messy": g["messy"].to_numpy(),
-                "clean": g["clean"].to_numpy()}))
-        if not out:
-            return pd.DataFrame({"batch_id": pd.Series([], dtype="int64"),
-                                 "rank": pd.Series([], dtype="int64"),
-                                 "messy": pd.Series([], dtype="object"),
-                                 "clean": pd.Series([], dtype="object")})
-        return pd.concat(out, ignore_index=True)
-
-    from ..stages.shuffle import grouped_apply
-
-    ranked = grouped_apply(keyed_ds, ["rng"], rank_and_batch)
+    # zip pairs rows by position.  That is exact here because Ray 2.49
+    # executes any plan holding a Sort or a Zip with preserve_order=True
+    # (legacy_compat.py: "Enforce to preserve ordering if the plan has
+    # operators required to do so, such as Zip and Sort") — pinned by
+    # tests/test_training_feed.py::test_zip_pairs_rows_by_position
+    ranked = keyed_ds.sort(["skey", "ukey"]).zip(
+        ray.data.range(keyed_ds.count())).map_batches(
+            lambda df: df.assign(batch_id=df["id"] // batch_size),
+            batch_format="pandas")
 
     def collate(df: pd.DataFrame) -> pd.DataFrame:
-        v = _vocab(alphabet)
+        v = Vocab(alphabet)
         rows = []
         for bid, g in df.groupby("batch_id", sort=True):
-            g = g.sort_values("rank")
+            g = g.sort_values("id")
             xs = [v.encode(t or "") for t in g["messy"]]
             ys = [v.encode(t or "") for t in g["clean"]]
             wx = max((len(a) for a in xs), default=0)
@@ -143,6 +106,8 @@ def epoch_feed(corpus: ray.data.Dataset, *, alphabet: str,
                                  "x": pd.Series([], dtype="object"),
                                  "y": pd.Series([], dtype="object")})
         return pd.DataFrame(rows)
+
+    from ..stages.shuffle import grouped_apply
 
     return grouped_apply(ranked, ["batch_id"], collate)
 

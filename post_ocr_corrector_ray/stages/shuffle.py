@@ -1,9 +1,11 @@
 """High-cardinality grouped operations via coarse hash partitioning.
 
-Ray Data's ``groupby().aggregate()`` / ``map_groups()`` pays per-GROUP Python
-overhead (~ms); measured on this Ray 2.49 install, a 2-column aggregate over
-40k groups takes ~100 s.  Fine for low-cardinality keys (languages,
-statuses), catastrophic for web-scale keys (tokens, content hashes, url buckets,
+Ray Data's ``groupby().aggregate()`` / ``map_groups()`` pays per-GROUP
+overhead, about 0.1 ms.  Measured with Ray 2.49.2 on 4 CPUs, 120k rows in
+38,002 groups, ``.count()`` as the sink: ``groupby("token").sum("frequency")``
+takes 4.5–4.8 s with the sort shuffle and with the hash shuffle, and
+``grouped_agg`` 0.61–0.62 s.  Fine for low-cardinality keys (languages,
+statuses), costly for web-scale keys (tokens, content hashes, url buckets,
 candidate pairs).
 
 The pattern here keeps the number of Ray-level groups FIXED at the
@@ -18,9 +20,10 @@ deterministic across processes and machines, unlike builtin ``hash``).
 
 ``grouped_apply`` is the package's one keyed exchange for derived data: the
 token counts (pipelines/corpus.py, through ``grouped_agg``) and the training
-feed's shuffle and collation (pipelines/training.py) run on it.  The only
-other Ray-level ``groupby().map_groups()`` is the store commit
-(state/lineage.py), whose polyhash partition id is the resume contract.
+feed's collation (pipelines/training.py) run on it; the feed's shuffle is
+Ray's own ``sort``.  The only other Ray-level ``groupby().map_groups()`` is
+the store commit (state/lineage.py), whose polyhash partition id is the
+resume contract.
 Exchange width has one owner, ``partitions_for`` (the cluster's CPUs); no
 caller passes one.
 """

@@ -222,14 +222,14 @@ def commit_partition(table: pa.Table, out_dir: str, part_id: int, *,
 
 
 def commit_by_key(ds, out_dir: str, *, key_col: str,
-                  num_partitions: int = 32, resume: bool = True,
-                  input_fingerprint: str = "",
-                  stage_versions: dict | None = None):
+                  num_partitions: int = 32, input_fingerprint: str = ""):
     """Generic resumable committed sink for ANY dataset: rows are
     hash-partitioned on ``key_col`` (the same vectorized polynomial hash the
     flagship uses), already-committed partitions are filtered out BEFORE any
     shuffle work, and each partition commits atomically with a lineage
-    record.  Returns the tiny per-partition summary dataset.
+    record.  Returns the tiny per-partition summary dataset.  It always
+    resumes, with no stage versions: a store written under another partition
+    count or input is refused (``check_partition_scheme``).
 
     This is the flagship's commit protocol lifted to a standalone operator so
     every pipeline output (corpora, training feeds) can be a
@@ -238,11 +238,9 @@ def commit_by_key(ds, out_dir: str, *, key_col: str,
     summary runs without Ray Data's per-operator CPU reservation: the stages
     before the exchange use every free CPU instead of a fixed share, and
     ``ds`` keeps its own context."""
-    stage_versions = stage_versions or {}
     keep = make_committed_filter(
-        open_store(out_dir, resume=resume, num_partitions=num_partitions,
-                   input_fingerprint=input_fingerprint,
-                   stage_versions=stage_versions),
+        open_store(out_dir, resume=True, num_partitions=num_partitions,
+                   input_fingerprint=input_fingerprint, stage_versions={}),
         num_partitions, key_col)
 
     def add_part(batch: pa.Table) -> pa.Table:
@@ -252,7 +250,7 @@ def commit_by_key(ds, out_dir: str, *, key_col: str,
     return _exchange_and_commit(ds.map_batches(add_part, batch_format="pyarrow"),
                                 out_dir, part_col="_part",
                                 input_fingerprint=input_fingerprint,
-                                stage_versions=stage_versions,
+                                stage_versions={},
                                 num_partitions=num_partitions)
 
 

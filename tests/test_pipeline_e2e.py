@@ -292,7 +292,8 @@ def _assert_store(out, n, num_partitions, key_col="url"):
 @pytest.mark.usefixtures("ray_session")
 class TestResumeFalseClearsStore:
     """A ``resume=False`` rerun replaces the store: a partition the new run
-    does not rewrite must not survive into it."""
+    does not rewrite must not survive into it.  ``commit_by_key`` always
+    resumes, so there the rerun is refused and the store kept."""
 
     def test_extract_correct_rerun_with_fewer_partitions(self, tmp_path):
         import ray.data
@@ -309,11 +310,14 @@ class TestResumeFalseClearsStore:
         import ray.data
 
         out = str(tmp_path / "store")
-        for parts, resume in ((16, True), (8, False)):
+        lin.commit_by_key(ray.data.from_arrow(_doc_rows(40)), out,
+                          key_col="doc_id", num_partitions=16).to_pandas()
+        want = lin.read_output(out)
+        with pytest.raises(ValueError, match="num_partitions"):
             lin.commit_by_key(ray.data.from_arrow(_doc_rows(40)), out,
-                              key_col="doc_id", num_partitions=parts,
-                              resume=resume).to_pandas()
-        _assert_store(out, 40, 8, key_col="doc_id")
+                              key_col="doc_id", num_partitions=8).to_pandas()
+        assert lin.read_output(out).equals(want)
+        _assert_store(out, 40, 16, key_col="doc_id")
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -322,13 +326,12 @@ class TestCommitByKeyResume:
         import ray.data
 
         kw = {"key_col": "doc_id", "num_partitions": 8,
-              "input_fingerprint": "A", "stage_versions": {"s": "1"}, **kw}
+              "input_fingerprint": "A", **kw}
         return lin.commit_by_key(ray.data.from_arrow(_doc_rows(100)), out,
                                  **kw).to_pandas()
 
     @pytest.mark.parametrize("field, value", [("num_partitions", 4),
-                                              ("input_fingerprint", "B"),
-                                              ("stage_versions", {"s": "2"})])
+                                              ("input_fingerprint", "B")])
     def test_mismatch_refused(self, tmp_path, field, value):
         import shutil
 

@@ -192,6 +192,8 @@ _REMOVED_OPTIONS = {
     "text_col": {"sources.markup.markup_to_sentences_batch"},
     "out_col": {"pipelines.corpus.add_split_column", "stages.noise.add_messy_column",
                 "stages.correct.DictionaryCorrectorStage.__init__"},
+    "resume": {"state.lineage.commit_by_key"},
+    "stage_versions": {"state.lineage.commit_by_key"},
 }
 # API that only tests reached, and leftovers of the removed commands
 _REMOVED_NAMES = [
@@ -202,6 +204,8 @@ _REMOVED_NAMES = [
     "model.dictionary.DictionaryCorrector.prune",
     "model.dictionary.DictionaryCorrector._invalidate",
     "pipelines.training.iter_epoch", "state.lineage.read_output_ds",
+    "pipelines.training._RANGE_PARTS", "pipelines.training._vocab",
+    "pipelines.training.rank_and_batch",
 ]
 
 

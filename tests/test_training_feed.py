@@ -101,3 +101,67 @@ class TestEpochFeed:
         out = _feed_df(epoch_feed(ray.data.from_arrow(tbl), alphabet=ALPHABET,
                                   batch_size=4, split="train"))
         assert out["size"].sum() == 10
+
+    def test_empty_split_gives_no_batches(self):
+        import ray.data
+
+        tbl = _corpus_table(6)
+        tbl = tbl.set_column(3, "split", pa.array(["test"] * 6, pa.string()))
+        ds = epoch_feed(ray.data.from_arrow(tbl), alphabet=ALPHABET, batch_size=4)
+        assert ds.count() == 0
+        assert len(ds.to_pandas()) == 0
+
+    def test_one_row_gives_one_batch(self):
+        import ray.data
+
+        out = _feed_df(epoch_feed(ray.data.from_arrow(_corpus_table(1)),
+                                  alphabet=ALPHABET, batch_size=4))
+        assert out["batch_id"].tolist() == [0]
+        assert out["size"].tolist() == [1]
+
+    def test_one_exchange_and_no_driver_pass(self, monkeypatch):
+        """Sort, number and collate: one ``grouped_apply`` (the collation)
+        and no ``take_all`` on the driver."""
+        import ray.data
+
+        from post_ocr_corrector_ray.stages import shuffle
+
+        calls = {"grouped_apply": 0, "take_all": 0}
+        real_apply, real_take_all = shuffle.grouped_apply, ray.data.Dataset.take_all
+
+        def counting_apply(*a, **kw):
+            calls["grouped_apply"] += 1
+            return real_apply(*a, **kw)
+
+        def counting_take_all(*a, **kw):
+            calls["take_all"] += 1
+            return real_take_all(*a, **kw)
+
+        monkeypatch.setattr(shuffle, "grouped_apply", counting_apply)
+        monkeypatch.setattr(ray.data.Dataset, "take_all", counting_take_all)
+        out = _feed_df(epoch_feed(ray.data.from_arrow(_corpus_table(37)),
+                                  alphabet=ALPHABET, batch_size=8))
+        assert out["size"].tolist() == [8, 8, 8, 8, 5]
+        assert calls == {"grouped_apply": 1, "take_all": 0}
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_zip_pairs_rows_by_position():
+    """``epoch_feed`` numbers its sorted rows by zipping them with
+    ``range(n)``, which is exact only if Ray keeps block order in a plan
+    holding a Zip.  Here the later blocks of one side finish first; the
+    rows must still pair by position."""
+    import time
+
+    import ray.data
+
+    def slow_early(batch):
+        time.sleep(0.2 * (1 - batch["id"].min() / 4000))   # earliest ids last
+        return {"rid": batch["id"]}
+
+    left = ray.data.range(4000, override_num_blocks=1)
+    right = ray.data.range(4000, override_num_blocks=16).map_batches(
+        slow_early, batch_size=None)
+    df = left.zip(right).to_pandas()
+    assert len(df) == 4000
+    assert (df["id"].to_numpy() == df["rid"].to_numpy()).all()
