@@ -114,11 +114,9 @@ def main(argv: list[str] | None = None) -> int:
 
         with open(args.alphabet_file, encoding="utf-8") as f:
             alphabet = f.read().replace("\n", "")
-        weights, hp = checkpoint_to_weights(args.ckpt, alphabet)
-        model = NeuralCorrectorModel(alphabet, weights,
-                                     batch_size=int(hp.get("batch_size", 4)))
-        print(json.dumps({"out_dir": args.out_dir,
-                          **save_model_dir(args.out_dir, model)}))
+        weights, _ = checkpoint_to_weights(args.ckpt, alphabet)
+        save_model_dir(args.out_dir, NeuralCorrectorModel(alphabet, weights))
+        print(json.dumps({"out_dir": args.out_dir, **weights.config.to_dict()}))
         return 0
 
     if args.cmd == "synth":

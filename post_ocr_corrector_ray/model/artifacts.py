@@ -7,10 +7,13 @@ data_functions.py:63-67), and per-model checkpoint files.  This engine's
 model dir::
 
     model_dir/
-      hyperparameters.json   # transformer config + batch_size (reference layout)
       alphabet.txt           # the char vocabulary string (newlines stripped on read)
-      weights.npz            # TransformerWeights artifact
+      weights.npz            # TransformerWeights artifact, transformer config included
       dictionary.json        # optional DictionaryCorrector state
+
+It has no ``hyperparameters.json``: the transformer config travels inside
+``weights.npz`` (``TransformerWeights.save_npz``), and the reference's
+``batch_size`` sizes a cross-document micro-batch this engine does not run.
 
 ``cli run`` reads ``alphabet.txt`` and hands ``weights.npz`` (neural) or the
 dictionary's vocabulary (dictionary) to the corrector actors, which load it
@@ -20,19 +23,14 @@ once in ``__init__``.  ``cli convert-ckpt`` writes the neural files
 
 from __future__ import annotations
 
-import json
 import os
 
 from .dictionary import DictionaryCorrector
 from .neural import NeuralCorrectorModel
 
-HYPERPARAMS_FILE = "hyperparameters.json"
 ALPHABET_FILE = "alphabet.txt"
 WEIGHTS_FILE = "weights.npz"
 DICTIONARY_FILE = "dictionary.json"
-
-_HPARAM_KEYS = ("max_len", "d_model", "n_head", "n_layers", "d_linear",
-                "layer_norm_eps")
 
 
 def read_alphabet(model_dir: str) -> str:
@@ -43,18 +41,12 @@ def read_alphabet(model_dir: str) -> str:
         return f.read().replace("\n", "")
 
 
-def save_model_dir(model_dir: str, model: NeuralCorrectorModel) -> dict:
-    """Write the neural files of a model dir; returns the written hparams."""
+def save_model_dir(model_dir: str, model: NeuralCorrectorModel) -> None:
+    """Write the neural files of a model dir."""
     os.makedirs(model_dir, exist_ok=True)
-    cfg = model.net.cfg
-    hparams = {k: getattr(cfg, k) for k in _HPARAM_KEYS}
-    hparams["batch_size"] = model.batch_size
-    with open(os.path.join(model_dir, HYPERPARAMS_FILE), "w", encoding="utf-8") as f:
-        json.dump(hparams, f, indent=2)
     with open(os.path.join(model_dir, ALPHABET_FILE), "w", encoding="utf-8") as f:
         f.write(model.alphabet)
     model.save(os.path.join(model_dir, WEIGHTS_FILE))
-    return hparams
 
 
 def load_dictionary(model_dir: str) -> DictionaryCorrector:

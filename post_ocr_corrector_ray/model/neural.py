@@ -23,13 +23,11 @@ depend on which documents share a batch.  This engine therefore pins
 **per-document batching**: ``correct_document`` processes one document's
 chunks with batch size 1 per chunk — output is a pure function of the document
 text, invariant to partitioning, Ray batch size, and actor count.  The
-cross-document ``correct(texts)`` micro-batch path of the reference is also
-provided (for parity/testing) but the pipeline never uses it.
+reference's cross-document ``correct(texts)`` micro-batch path lives in the
+tests, as a parity check on ``greedy_decode``.
 """
 
 from __future__ import annotations
-
-from math import ceil
 
 import numpy as np
 
@@ -48,7 +46,7 @@ DECODE_GROUP = 32
 
 
 class NeuralCorrectorModel:
-    def __init__(self, alphabet: str, weights: TransformerWeights, batch_size: int = 4):
+    def __init__(self, alphabet: str, weights: TransformerWeights):
         self.vocab = Vocab(alphabet)
         cfg = weights.config
         if cfg.vocab_size != self.vocab.vocab_size:
@@ -56,7 +54,6 @@ class NeuralCorrectorModel:
                              f"vocab {self.vocab.vocab_size}")
         self.alphabet = alphabet
         self.max_len = cfg.max_len
-        self.batch_size = batch_size
         self.net = Transformer(weights)
 
     # -- constructors ---------------------------------------------------------
@@ -64,15 +61,14 @@ class NeuralCorrectorModel:
     @classmethod
     def from_seed(cls, alphabet: str, seed: int = 42, *, max_len: int = 512,
                   d_model: int = 256, n_head: int = 4, n_layers: int = 4,
-                  d_linear: int = 256, layer_norm_eps: float = 2e-5,
-                  batch_size: int = 4) -> "NeuralCorrectorModel":
+                  d_linear: int = 256, layer_norm_eps: float = 2e-5) -> "NeuralCorrectorModel":
         vocab = Vocab(alphabet)
         cfg = TransformerConfig(
             vocab_size=vocab.vocab_size, max_len=max_len, d_model=d_model,
             n_head=n_head, n_layers=n_layers, d_linear=d_linear,
             layer_norm_eps=layer_norm_eps, pad_index=vocab.pad_index,
         )
-        return cls(alphabet, TransformerWeights.create(cfg, seed=seed), batch_size=batch_size)
+        return cls(alphabet, TransformerWeights.create(cfg, seed=seed))
 
     @classmethod
     def load(cls, npz_path: str, alphabet: str) -> "NeuralCorrectorModel":
@@ -107,9 +103,6 @@ class NeuralCorrectorModel:
         out = sequence[:, 1:]  # drop the starting bookend
         return np.where(out == v.pad_index, INT_EMPTY, out)
 
-    def ids_to_texts(self, ids: np.ndarray) -> list[str]:
-        return [self.vocab.decode(ids[i]) for i in range(ids.shape[0])]
-
     # -- correction -----------------------------------------------------------
 
     def correct_document(self, text: str) -> str:
@@ -141,30 +134,3 @@ class NeuralCorrectorModel:
             outs[-1] = self.vocab.decode(out[0])
         return "".join(outs)
 
-    def correct(self, texts: list[str]) -> list[str]:
-        """Reference ``correct`` parity path (cross-document micro-batches,
-        chunk i of every batch text decoded together; :128-150).  Used for
-        semantics tests only — the pipeline uses ``correct_document``."""
-        out_all: list[str] = []
-        n = len(texts)
-        next_text = 0
-        while next_text < n:
-            batch_texts = texts[next_text : next_text + self.batch_size]
-            longest = max(len(x) for x in batch_texts)
-            out_chunks: list[list[str]] = [[] for _ in batch_texts]
-            for chunk_num in range(ceil(longest / self.max_len)):
-                lo = chunk_num * self.max_len
-                hi = lo + self.max_len
-                in_chunks = [t[lo:hi] for t in batch_texts]
-                width = max(len(c) for c in in_chunks)
-                ids = np.full((len(in_chunks), width), INT_EMPTY, dtype=np.int64)
-                for i, c in enumerate(in_chunks):
-                    if c:
-                        ids[i, : len(c)] = self.vocab.encode(c)
-                decoded = self.ids_to_texts(self.greedy_decode(ids))
-                for i, (in_c, out_c) in enumerate(zip(in_chunks, decoded)):
-                    if in_c != "":
-                        out_chunks[i].append(out_c)
-            out_all += ["".join(c) for c in out_chunks]
-            next_text += self.batch_size
-        return out_all

@@ -16,6 +16,16 @@ This module reimplements that architecture in NumPy (float32, inference only
 blocks plus a final LayerNorm after each stack (what ``nn.Transformer``
 constructs when ``norm_first=True``).
 
+Two precomputations in ``Transformer.__init__`` make the greedy decode
+cheaper without changing its math.  Every attention's query projection
+carries the ``1/sqrt(dh)`` score scale, so the scores need no division; the
+scaling is exact when ``sqrt(dh)`` is a power of two, as at both shipped
+hparams (dh = 16 and 64).  And decoder layer 0's packed self-attention QKV is
+a (vocab, max_len, 3·d_model) table indexed by (token, position in the
+window), because that layer's input ``emb_tgt[tok] + pe[pos]`` depends on
+nothing else; each decode step gathers from it instead of running the
+layer's LayerNorm and projection over the whole prefix.
+
 Weights are NOT ported from torch (no checkpoint exists in the reference repo
 and torch is absent here); they are generated deterministically from a seed or
 loaded from an ``.npz`` artifact.  Byte-identity of pipeline output is defined
@@ -86,35 +96,36 @@ def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e
 
 
-def _mha(x: np.ndarray, w: dict, n_head: int,
+def _mha(x: np.ndarray | None, w: dict, n_head: int,
          kv: tuple[np.ndarray, np.ndarray] | None = None,
-         q_rows: slice = slice(None)) -> np.ndarray:
+         q_rows: slice = slice(None), qkv: np.ndarray | None = None) -> np.ndarray:
     """Multi-head attention of queries ``x`` (B, L, D), like torch MHA.
 
     ``kv=None`` is self-attention over ``x``: q, k and v come from ONE GEMM
     against the packed weight ``w["wqkv"]`` (one BLAS call instead of three,
-    same dot products).  Otherwise ``kv`` holds the (k, v) projections of the
-    encoder memory, computed once per decode by
-    ``Transformer.precompute_memory_kv``.  ``q_rows`` keeps only those
-    self-attention queries after the packed projection: every row of ``x``
-    still serves as a key and value, and the output has one row per kept
-    query."""
-    d = x.shape[-1]
-    dh = d // n_head
+    same dot products), or are given already packed as ``qkv`` (then ``x`` is
+    unused).  Otherwise ``kv`` holds the (k, v) projections of the encoder
+    memory, computed once per decode by ``Transformer.precompute_memory_kv``.
+    ``q_rows`` keeps only those self-attention queries after the packed
+    projection: every row still serves as a key and value, and the output has
+    one row per kept query.  The query weights carry the ``1/sqrt(dh)`` score
+    scale (``Transformer.__init__``), so the scores are used as they come."""
     if kv is None:
-        qkv = x @ w["wqkv"].T + w["bqkv"]
+        if qkv is None:
+            qkv = x @ w["wqkv"].T + w["bqkv"]
+        d = qkv.shape[-1] // 3
         q, k, v = qkv[:, q_rows, :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
     else:
+        d = x.shape[-1]
         q = x @ w["wq"].T + w["bq"]
         k, v = kv
+    dh = d // n_head
     B, Lq, _ = q.shape
     Lk = k.shape[1]
     q = q.reshape(B, Lq, n_head, dh).transpose(0, 2, 1, 3)
     k = k.reshape(B, Lk, n_head, dh).transpose(0, 2, 1, 3)
     v = v.reshape(B, Lk, n_head, dh).transpose(0, 2, 1, 3)
-    scores = q @ k.transpose(0, 1, 3, 2)
-    scores /= np.float32(math.sqrt(dh))
-    attn = _softmax(scores, axis=-1)
+    attn = _softmax(q @ k.transpose(0, 1, 3, 2), axis=-1)
     out = (attn @ v).transpose(0, 2, 1, 3).reshape(B, Lq, d)
     return out @ w["wo"].T + w["bo"]
 
@@ -195,19 +206,27 @@ class Transformer:
     The per-layer parameters are gathered once here, from the flat
     ``weights.params`` names: ``enc``/``dec`` hold one dict per layer with the
     self-attention (``wqkv``/``bqkv`` packed, ``wo``/``bo``), the decoder's
-    cross-attention, the feed-forward and the ``(g, b)`` of each norm."""
+    cross-attention, the feed-forward and the ``(g, b)`` of each norm.  The
+    query weights ``wq``/``bq`` are scaled by ``1/sqrt(dh)`` and ``qkv0`` is
+    decoder layer 0's (token, position) QKV table (module docstring); both
+    are copies, and ``weights.params``, which ``save`` writes, stays as
+    loaded."""
 
     def __init__(self, weights: TransformerWeights):
         self.w = w = weights.params
         self.cfg = cfg = weights.config
+        scale = np.float32(1.0 / math.sqrt(cfg.d_model // cfg.n_head))
 
         def group(pre: str, names: tuple[str, ...]) -> dict:
             return {nm: w[f"{pre}.{nm}"] for nm in names}
 
-        attn = ("wq", "wk", "wv", "bq", "bk", "bv", "wo", "bo")
+        def attn(pre: str) -> dict:
+            a = group(pre, ("wq", "wk", "wv", "bq", "bk", "bv", "wo", "bo"))
+            a["wq"], a["bq"] = a["wq"] * scale, a["bq"] * scale
+            return a
 
         def layer(pre: str, n_norms: int) -> dict:
-            sa = group(f"{pre}.attn0", attn)
+            sa = attn(f"{pre}.attn0")
             return {
                 "self": {"wqkv": np.vstack([sa["wq"], sa["wk"], sa["wv"]]),
                          "bqkv": np.concatenate([sa["bq"], sa["bk"], sa["bv"]]),
@@ -218,21 +237,27 @@ class Transformer:
             }
 
         self.enc = [layer(f"enc{i}", 2) for i in range(cfg.n_layers)]
-        self.dec = [{**layer(f"dec{i}", 3), "cross": group(f"dec{i}.attn1", attn)}
+        self.dec = [{**layer(f"dec{i}", 3), "cross": attn(f"dec{i}.attn1")}
                     for i in range(cfg.n_layers)]
         self.enc_norm = (w["enc_final_norm.g"], w["enc_final_norm.b"])
         self.dec_norm = (w["dec_final_norm.g"], w["dec_final_norm.b"])
         self.head = group("head", ("w1", "b1", "w2", "b2"))  # Linear → ReLU → Linear
+        # one token at a time, so the build holds the table and one (max_len, D) slab
+        sa0, n0 = self.dec[0]["self"], self.dec[0]["norms"][0]
+        self.qkv0 = np.empty((cfg.vocab_size, cfg.max_len, 3 * cfg.d_model), np.float32)
+        for tok, e in enumerate(w["emb_tgt"]):
+            np.matmul(_layer_norm(e + w["pe"], *n0, cfg.layer_norm_eps), sa0["wqkv"].T,
+                      out=self.qkv0[tok])
+        self.qkv0 += sa0["bqkv"]
 
-    def embed(self, ids: np.ndarray, which: str) -> np.ndarray:
-        """Embedding + positional encoding (no sqrt(d_model) scale — reference
-        adds PE directly to the raw embedding)."""
-        emb = self.w[f"emb_{which}"][ids]  # (B, L, D)
-        L = ids.shape[1]
-        return emb + self.w["pe"][:L]
+    def embed(self, src_ids: np.ndarray) -> np.ndarray:
+        """Source embedding + positional encoding (no sqrt(d_model) scale —
+        reference adds PE directly to the raw embedding).  The decoder's
+        target side is ``decode_last_logits``'s own."""
+        return self.w["emb_src"][src_ids] + self.w["pe"][: src_ids.shape[1]]  # (B, L, D)
 
     def encode(self, src_ids: np.ndarray) -> np.ndarray:
-        x = self.embed(src_ids, "src")
+        x = self.embed(src_ids)
         nh, eps = self.cfg.n_head, self.cfg.layer_norm_eps
         for p in self.enc:
             n0, n1 = p["norms"]
@@ -253,20 +278,38 @@ class Transformer:
         Self-attention is UNMASKED — the reference's inference decode passes
         no tgt_mask (neural_corrector.py:92) — so every layer but the last
         runs over the whole prefix: each of its output rows attends to every
-        position.  The last layer needs only the final row's output: its
-        packed QKV projection still covers every row (the keys and values),
-        and from there the query, residual, cross-attention, feed-forward,
-        their norms and the final norm see one row.  Same math as running
-        every row; the rounding differs only because the GEMMs see fewer rows."""
+        position.  Layer 0's LayerNorm and packed QKV projection are one
+        gather from the ``qkv0`` table, ``qkv0[tgt_ids, arange(Lt)]``: the
+        positions are those within the window, so the table holds after the
+        window slides past ``max_len``; the residual stream is still
+        ``emb_tgt[tgt_ids] + pe[:Lt]``.  The last layer needs only the final
+        row's output: its packed QKV still covers every row (the keys and
+        values), and from there the query, residual, cross-attention,
+        feed-forward, their norms and the final norm see one row.  Same math
+        as running every row; the rounding differs only because the GEMMs see
+        fewer or other rows.  The table's projection ran once per token over
+        ``max_len`` rows, not over the prefix: at small prefixes the logits can
+        differ from a per-step projection in the last bits, while the golden
+        digests of ``tests/test_golden_digests.py`` (both shipped hparams and
+        the flagship bytes) are unchanged by it.  Scaling the queries instead
+        of the scores is exact at both shipped hparams (dh = 16 and 64, powers
+        of two squared); at a dh whose square root is not a power of two it
+        rounds differently, within float32 noise."""
         if mem_kv is None:
             mem_kv = self.precompute_memory_kv(memory)
-        x = self.embed(tgt_ids, "tgt")
+        L = tgt_ids.shape[1]
+        x = self.w["emb_tgt"][tgt_ids] + self.w["pe"][:L]  # the residual stream
         nh, eps = self.cfg.n_head, self.cfg.layer_norm_eps
         last = len(self.dec) - 1
         for i, (p, kv) in enumerate(zip(self.dec, mem_kv)):
             n0, n1, n2 = p["norms"]
             rows = slice(-1, None) if i == last else slice(None)
-            x = x[:, rows] + _mha(_layer_norm(x, *n0, eps), p["self"], nh, q_rows=rows)
+            if i == 0:
+                a = _mha(None, p["self"], nh, q_rows=rows,
+                         qkv=self.qkv0[tgt_ids, np.arange(L)])
+            else:
+                a = _mha(_layer_norm(x, *n0, eps), p["self"], nh, q_rows=rows)
+            x = x[:, rows] + a
             x += _mha(_layer_norm(x, *n1, eps), p["cross"], nh, kv=kv)
             x += _ff(_layer_norm(x, *n2, eps), p["ff"])
         return _ff(_layer_norm(x[:, -1], *self.dec_norm, eps), self.head)  # (B, V)

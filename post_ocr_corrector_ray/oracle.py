@@ -12,13 +12,10 @@ model/dictionary.py).
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pyarrow as pa
 
 from .functions.extraction import extract_page
-from .functions.noise import mutilate_keyed
-from .functions.text import normalize_whitespace, tokenize_ws
+from .functions.text import normalize_whitespace
 from .model.dictionary import DictionaryCorrector
 from .model.neural import NeuralCorrectorModel
 
@@ -55,25 +52,3 @@ def oracle_extract_correct(pages: pa.Table, corrector) -> dict[str, str]:
     if isinstance(corrector, DictionaryCorrector):
         return {u: corrector.correct_sentence(t) for u, t in extracted.items()}
     raise TypeError(type(corrector))
-
-
-def oracle_alphabet(texts: list[str]) -> str:
-    """Sorted distinct chars (reference all_chars.py:17-29; \\n excluded by
-    construction since normalized text never contains it)."""
-    chars: set[str] = set()
-    for t in texts:
-        chars.update(t)
-    return "".join(sorted(chars - {"\n"}))
-
-
-def oracle_token_counts(texts: list[str]) -> dict[str, int]:
-    """Word-frequency vocabulary build (reference dictionary_corrector.py:54-62)."""
-    c: Counter[str] = Counter()
-    for t in texts:
-        c.update(tokenize_ws(t))
-    return dict(c)
-
-
-def oracle_messy(url: str, clean: str, good_chars: str) -> str:
-    """Keyed noise (reference mutilate semantics, per-url RNG)."""
-    return mutilate_keyed(url, clean, good_chars)

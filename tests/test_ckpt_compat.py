@@ -57,7 +57,7 @@ class TestZipReader:
         path = str(tmp_path / "model.ckpt")
         write_fake_torch_ckpt(path, sd, dict(HPARAMS))
         weights, _ = cc.checkpoint_to_weights(path, ALPHABET)
-        m2 = NeuralCorrectorModel(ALPHABET, weights, batch_size=4)
+        m2 = NeuralCorrectorModel(ALPHABET, weights)
         texts = ["abc defg h", "hhh", ""]
         assert [m2.correct_document(t) for t in texts] == \
             [m.correct_document(t) for t in texts]

@@ -14,6 +14,7 @@ from post_ocr_corrector_ray.model.artifacts import (
     save_model_dir,
 )
 from post_ocr_corrector_ray.model.neural import NeuralCorrectorModel
+from post_ocr_corrector_ray.model.transformer import TransformerWeights
 
 ALPHA = " .abcdefghij"
 # the checkout this test file belongs to: subprocesses import its package
@@ -31,10 +32,11 @@ class TestArtifacts:
     def test_model_dir_round_trip(self, tmp_path, tiny_hparams):
         model = NeuralCorrectorModel.from_seed(ALPHA, seed=3, **tiny_hparams)
         mdir = str(tmp_path / "m")
-        hp = save_model_dir(mdir, model)
-        with open(os.path.join(mdir, "hyperparameters.json"), encoding="utf-8") as f:
-            assert json.load(f) == hp == dict(tiny_hparams, layer_norm_eps=2e-5,
-                                              batch_size=4)
+        save_model_dir(mdir, model)
+        assert sorted(os.listdir(mdir)) == ["alphabet.txt", "weights.npz"]
+        cfg = TransformerWeights.load_npz(os.path.join(mdir, "weights.npz")).config
+        assert cfg == model.net.cfg
+        assert {k: getattr(cfg, k) for k in tiny_hparams} == tiny_hparams
         assert read_alphabet(mdir) == ALPHA
         loaded = _load_like_cli_run(mdir)
         text = "a bad cafe hid a jig."
@@ -125,10 +127,11 @@ class TestCli:
         af.write_text(alphabet)
         out = str(tmp_path / "mdir")
         assert main(["convert-ckpt", ckpt, str(af), out]) == 0
-        with open(os.path.join(out, "hyperparameters.json"), encoding="utf-8") as f:
-            written = json.load(f)
-        assert written == dict(hp, layer_norm_eps=2e-5, batch_size=6)
-        assert _last_json(capsys) == {"out_dir": out, **written}
+        assert sorted(os.listdir(out)) == ["alphabet.txt", "weights.npz"]
+        written = TransformerWeights.load_npz(os.path.join(out, "weights.npz")).config
+        assert {k: getattr(written, k) for k in (*hp, "layer_norm_eps")} == \
+            dict(hp, layer_norm_eps=2e-5)
+        assert _last_json(capsys) == {"out_dir": out, **written.to_dict()}
         m2 = _load_like_cli_run(out)
         assert m2.correct_document("ab c") == m.correct_document("ab c")
 
@@ -213,9 +216,9 @@ class TestCliSubcommands:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
+        from corpus_oracle import oracle_alphabet
         from post_ocr_corrector_ray.cli import main
         from post_ocr_corrector_ray.functions.alphabet import build_alphabet
-        from post_ocr_corrector_ray.oracle import oracle_alphabet
 
         texts = ["Ünïcode and ascii.", None, "", "tab\tand\nnewline", "zz"]
         f = str(tmp_path / "t.parquet")
@@ -231,8 +234,9 @@ class TestCliSubcommands:
     def test_corpus(self, tmp_path):
         import pyarrow.parquet as pq
 
+        from corpus_oracle import oracle_messy
         from post_ocr_corrector_ray.cli import main
-        from post_ocr_corrector_ray.oracle import oracle_extract, oracle_messy
+        from post_ocr_corrector_ray.oracle import oracle_extract
         from post_ocr_corrector_ray.pipelines.corpus import add_split_column
 
         pages, path = _write_pages(tmp_path, range(30))
@@ -253,8 +257,8 @@ class TestCliSubcommands:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
+        from corpus_oracle import oracle_token_counts
         from post_ocr_corrector_ray.cli import main
-        from post_ocr_corrector_ray.oracle import oracle_token_counts
 
         clean = ["the fox and the dog", "a fox ran", "", None, "the  end dog"]
         f = str(tmp_path / "c.parquet")
@@ -274,8 +278,8 @@ class TestCliSubcommands:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
+        from corpus_oracle import oracle_token_counts
         from post_ocr_corrector_ray.cli import main
-        from post_ocr_corrector_ray.oracle import oracle_token_counts
 
         clean = ["the fox and the dog", "a fox ran", "the end dog",
                  "ran ran far", "far far"]

@@ -4,13 +4,9 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from corpus_oracle import oracle_alphabet, oracle_messy, oracle_token_counts
 from post_ocr_corrector_ray.functions.alphabet import build_alphabet
-from post_ocr_corrector_ray.oracle import (
-    oracle_alphabet,
-    oracle_extract,
-    oracle_messy,
-    oracle_token_counts,
-)
+from post_ocr_corrector_ray.oracle import oracle_extract
 from post_ocr_corrector_ray.pipelines.corpus import (
     build_dictionary,
     compute_alphabet,

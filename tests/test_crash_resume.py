@@ -103,10 +103,11 @@ def model_dir(inputs, tmp_path_factory) -> str:
     high frequency floor the rarer words become corrections, so the
     dictionary stage rewrites text."""
     from __ray_entry__ import FLAGSHIP_ALPHABET, TINY_HPARAMS
+    from corpus_oracle import oracle_token_counts
     from post_ocr_corrector_ray.model.artifacts import DICTIONARY_FILE, save_model_dir
     from post_ocr_corrector_ray.model.dictionary import DictionaryCorrector
     from post_ocr_corrector_ray.model.neural import NeuralCorrectorModel
-    from post_ocr_corrector_ray.oracle import oracle_extract, oracle_token_counts
+    from post_ocr_corrector_ray.oracle import oracle_extract
 
     clean = oracle_extract(pq.read_table(inputs["pages", "a"]))
     d = str(tmp_path_factory.mktemp("model"))

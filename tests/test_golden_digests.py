@@ -50,8 +50,9 @@ DEFAULT_HPARAMS: dict = {}  # d_model 256, n_head 4, 4 + 4 layers, max_len 512
 SEED = 7
 
 # Largest |engine float32 logit - reference float64 logit| over the
-# agreement cases below: 4.0e-07 at the tiny hparams, 9.2e-07 at the default
-# hparams, on logits of magnitude up to 2.3.  The tolerance leaves a 10x margin.
+# agreement cases below: 4.6e-07 at the tiny-sized hparams (``tiny``,
+# ``one-layer``, ``dh12``), 1.0e-06 at the default hparams, on logits of
+# magnitude up to 2.3.  The tolerance leaves a 10x margin.
 LOGIT_TOL = 1e-5
 
 GOLDEN_LOGITS_TINY = "9562966256782b9984dda2f97c32c7dcf39bc85005c610aefc171126d9058db0"
@@ -64,6 +65,12 @@ def _models() -> dict[str, NeuralCorrectorModel]:
         "tiny": NeuralCorrectorModel.from_seed(FLAGSHIP_ALPHABET, seed=SEED, **TINY_HPARAMS),
         "default": NeuralCorrectorModel.from_seed(FLAGSHIP_ALPHABET, seed=SEED,
                                                   **DEFAULT_HPARAMS),
+        # decoder layer 0 is also the last layer
+        "one-layer": NeuralCorrectorModel.from_seed(FLAGSHIP_ALPHABET, seed=SEED,
+                                                    **dict(TINY_HPARAMS, n_layers=1)),
+        # head width 12: sqrt(12) is not a power of two
+        "dh12": NeuralCorrectorModel.from_seed(FLAGSHIP_ALPHABET, seed=SEED,
+                                               **dict(TINY_HPARAMS, d_model=24, n_head=2)),
     }
 
 
@@ -86,10 +93,11 @@ def _ids(model: NeuralCorrectorModel, texts: list[str]) -> np.ndarray:
 
 
 def _target(model: NeuralCorrectorModel, prefixes: list[str]) -> np.ndarray:
-    """Decoder input: the bookend start token followed by each prefix."""
+    """Decoder input: the bookend start token followed by each prefix, cut to
+    its last ``max_len`` ids like the greedy loop's window."""
     body = _ids(model, prefixes)
     start = np.full((body.shape[0], 1), model.vocab.bookend_index, dtype=np.int64)
-    return np.concatenate([start, body], axis=1)
+    return np.concatenate([start, body], axis=1)[:, -model.max_len:]
 
 
 def _engine_logits(model: NeuralCorrectorModel, src: np.ndarray,
@@ -260,6 +268,15 @@ AGREEMENT_CASES = {
     "default-short": ("default", ["The quick brown fox."], ["The qu"]),
     "default-cyrillic": ("default", ["Брза смеђа лисица.", "мирне реке"],
                          ["Брза", "ми"]),
+    # one decoder layer: the table's query rows are cut to the last position
+    "one-layer": ("one-layer", ["Seven wizards brew coffee.", "Брза лисица."],
+                  ["Seven wiz", "Брза л"]),
+    # dh = 12: the folded 1/sqrt(dh) scale is not exact
+    "dh12": ("dh12", ["Quiet river banks.", "мирне реке"], ["Quiet riv", "мир"]),
+    # 40 target ids against max_len 32: the window has slid, so position 0
+    # holds a text char and not the bookend
+    "tiny-slid-window": ("tiny", ["Seven wizards brew strong coffee"],
+                         ["Seven wizards brew strong coffee each da"]),
 }
 
 

@@ -225,8 +225,9 @@ def pages() -> pa.Table:
 def corpus(pages) -> pa.Table:
     """The (url, clean, messy, split) corpus, built row by row in one
     process."""
+    from corpus_oracle import oracle_messy
     from post_ocr_corrector_ray.functions.hashing import polyhash_u64
-    from post_ocr_corrector_ray.oracle import oracle_extract, oracle_messy
+    from post_ocr_corrector_ray.oracle import oracle_extract
     from post_ocr_corrector_ray.pipelines.corpus import pick_split
 
     clean = oracle_extract(pages)
@@ -240,7 +241,7 @@ def corpus(pages) -> pa.Table:
 
 
 def _train_counts(corpus: pa.Table) -> dict:
-    from post_ocr_corrector_ray.oracle import oracle_token_counts
+    from corpus_oracle import oracle_token_counts
 
     return oracle_token_counts(
         [c for c, s in zip(corpus.column("clean").to_pylist(),
@@ -251,7 +252,7 @@ def _train_counts(corpus: pa.Table) -> dict:
 class TestCorpusEvalLayoutInvariance:
     @pytest.mark.parametrize("blocks", BLOCKS)
     def test_compute_alphabet(self, corpus, blocks):
-        from post_ocr_corrector_ray.oracle import oracle_alphabet
+        from corpus_oracle import oracle_alphabet
         from post_ocr_corrector_ray.pipelines.corpus import compute_alphabet
 
         got = compute_alphabet(_blocks(corpus, blocks), text_col="clean")

@@ -1,6 +1,7 @@
 """Neural corrector decode semantics + determinism (SURVEY.md §5)."""
 
 import tracemalloc
+from math import ceil
 
 import numpy as np
 import pytest
@@ -12,6 +13,32 @@ from post_ocr_corrector_ray.model.transformer import (
     TransformerWeights, _layer_norm, _softmax, sinusoidal_pe)
 
 ALPHA = build_alphabet("abcdefghijklmnopqrstuvwxyz .,!ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+
+def reference_correct(model: NeuralCorrectorModel, texts: list[str],
+                      batch_size: int) -> list[str]:
+    """The reference's ``correct`` (neural_corrector.py:128-150) over
+    ``greedy_decode``: cross-document micro-batches of ``batch_size`` texts,
+    chunk i of every text in a batch decoded together, INT_EMPTY-padded.  The
+    pipeline runs ``correct_document`` instead; this is its parity check."""
+    out_all: list[str] = []
+    L = model.max_len
+    for lo in range(0, len(texts), batch_size):
+        batch_texts = texts[lo : lo + batch_size]
+        out_chunks: list[list[str]] = [[] for _ in batch_texts]
+        for chunk_num in range(ceil(max(len(x) for x in batch_texts) / L)):
+            in_chunks = [t[chunk_num * L : (chunk_num + 1) * L] for t in batch_texts]
+            ids = np.full((len(in_chunks), max(len(c) for c in in_chunks)), INT_EMPTY,
+                          dtype=np.int64)
+            for i, c in enumerate(in_chunks):
+                if c:
+                    ids[i, : len(c)] = model.vocab.encode(c)
+            decoded = model.greedy_decode(ids)
+            for i, in_c in enumerate(in_chunks):
+                if in_c != "":
+                    out_chunks[i].append(model.vocab.decode(decoded[i]))
+        out_all += ["".join(c) for c in out_chunks]
+    return out_all
 
 
 @pytest.fixture(scope="module")
@@ -90,15 +117,16 @@ class TestDecodeSemantics:
         ids[0, :4] = v.encode("abcd")
         ids[1, :6] = v.encode("abcdef")
         out = model.greedy_decode(ids)
-        texts = model.ids_to_texts(out)
+        texts = [v.decode(row) for row in out]
         assert len(texts) == 2
 
     def test_reference_batch_path_single_equals_per_doc(self, model):
-        """correct([doc]) with batch_size=1 equals correct_document(doc):
-        both run the doc's chunks at batch=1 with no padding."""
-        model.batch_size = 1
+        """The reference's correct([doc]) at batch_size=1 equals
+        correct_document(doc): both run the doc's chunks at batch=1 with no
+        padding."""
         for text in ("Short.", "Longer text that spans multiple chunks easily here."):
-            assert model.correct([text]) == [model.correct_document(text)]
+            assert reference_correct(model, [text], batch_size=1) == \
+                [model.correct_document(text)]
 
 
 class TestWeights:

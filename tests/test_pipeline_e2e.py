@@ -769,8 +769,8 @@ class TestFlagshipDictionary:
 
         import pandas as pd
 
+        from corpus_oracle import oracle_messy, oracle_token_counts
         from post_ocr_corrector_ray.functions.edit_distance import normalized_edit_distance
-        from post_ocr_corrector_ray.oracle import oracle_messy, oracle_token_counts
 
         before = set(os.listdir("/tmp"))
         got = entry._flagship_dictionary(40).to_pandas()

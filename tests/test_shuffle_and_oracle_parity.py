@@ -185,7 +185,9 @@ _REMOVED_OPTIONS = {
                 "sources.markup.markup_to_sentences_batch"},
     "messy_col": {"pipelines.training.epoch_feed"},
     "clean_col": {"pipelines.training.epoch_feed"},
-    "batch_size": {"pipelines.training.training_feed", "model.neural.NeuralCorrectorModel.load"},
+    "batch_size": {"pipelines.training.training_feed", "model.neural.NeuralCorrectorModel.load",
+                   "model.neural.NeuralCorrectorModel.__init__",
+                   "model.neural.NeuralCorrectorModel.from_seed"},
     "epoch": {"pipelines.training.training_feed"},
     "good_chars": {"pipelines.training.documents_corpus",
                    "pipelines.documents.doc_mutilate"},
@@ -206,6 +208,8 @@ _REMOVED_NAMES = [
     "pipelines.training.iter_epoch", "state.lineage.read_output_ds",
     "pipelines.training._RANGE_PARTS", "pipelines.training._vocab",
     "pipelines.training.rank_and_batch",
+    "model.neural.NeuralCorrectorModel.correct", "model.neural.NeuralCorrectorModel.ids_to_texts",
+    "model.artifacts.HYPERPARAMS_FILE",
 ]
 
 
