@@ -19,7 +19,12 @@ they run today):
 
 The CLI owns the Ray session (``ray.init(address="local")``) unless its
 caller already started one, which it reuses and leaves running; library code
-never starts one.  All outputs are partitioned parquet.
+never starts one.  Every dataset a command writes (``run``, ``commit``,
+``corpus``, ``feed``, ``parse-markup``) is a committed store
+(``state/lineage.py``): a rerun into the same ``out_dir`` commits only the
+missing partitions, and one over another input or options is refused (start
+over in a fresh ``out_dir``).  Every input is read through one listing: a
+store's committed partitions, a directory's parquet files, or a file.
 """
 
 from __future__ import annotations
@@ -43,6 +48,39 @@ def _ray_session(num_cpus: int | None):
 
     ray.data.DataContext.get_current().enable_progress_bars = False
     return ray, started
+
+
+def _read(path: str):
+    """A command's parquet input: the files ``input_files`` lists, without
+    the hive ``part`` column Ray would add to a store's files."""
+    import ray.data
+
+    from .state.lineage import input_files
+
+    return ray.data.read_parquet(input_files(path), partitioning=None)
+
+
+def _report(summary) -> None:
+    """The summary line of every dataset command (one row per commit)."""
+    print(json.dumps({"partitions_committed": len(summary),
+                      "rows": int(summary["n_rows"].sum()) if len(summary) else 0}))
+
+
+def _commit(ds, out_dir: str, fingerprint: str, key_col: str, *,
+            num_partitions: int = 32, **options) -> None:
+    """Commit ``ds`` into the store ``out_dir`` keyed on ``key_col``, with
+    ``options`` in its markers, and print the summary.  An output without
+    rows becomes one empty partition with the output's schema."""
+    import pandas as pd
+
+    from .state import lineage as lin
+
+    kw = dict(key_col=key_col, num_partitions=num_partitions,
+              input_fingerprint=fingerprint, options=options)
+    summary = lin.commit_by_key(ds, out_dir, **kw).to_pandas()
+    if not lin.committed_partitions(out_dir):
+        summary = pd.DataFrame([lin.commit_empty(ds.schema(), out_dir, **kw)])
+    _report(summary)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -127,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     ray, started = _ray_session(args.num_cpus)
-    import ray.data
+    from .state.lineage import fingerprint_inputs
 
     try:
         if args.cmd == "run":
@@ -144,36 +182,31 @@ def main(argv: list[str] | None = None) -> int:
                 corr = load_dictionary(args.model_dir)
                 kwargs = dict(vocab_ref=ray.put(corr.vocabulary),
                               min_frequency=corr.min_frequency)
-            from .state.lineage import fingerprint_inputs
-
-            summary = extract_correct(
-                ray.data.read_parquet(args.pages), corrector=args.corrector,
+            _report(extract_correct(
+                _read(args.pages), corrector=args.corrector,
                 out_dir=args.out_dir, num_partitions=args.partitions,
                 resume=not args.no_resume,
                 concurrency=args.concurrency,
-                input_fingerprint=fingerprint_inputs(args.pages), **kwargs).to_pandas()
-            print(json.dumps({"partitions_committed": len(summary),
-                              "rows": int(summary["n_rows"].sum()) if len(summary) else 0}))
+                input_fingerprint=fingerprint_inputs(args.pages), **kwargs).to_pandas())
         elif args.cmd == "alphabet":
             from .pipelines.corpus import compute_alphabet
 
-            alpha = compute_alphabet(ray.data.read_parquet(args.parquet),
-                                     text_col=args.column)
+            alpha = compute_alphabet(_read(args.parquet), text_col=args.column)
             if args.out:
-                with open(args.out, "w", encoding="utf-8") as f:
-                    f.write(alpha)
+                from .state.lineage import write_atomic
+
+                write_atomic(args.out, alpha)
             print(json.dumps({"alphabet_size": len(alpha), "alphabet": alpha}))
         elif args.cmd == "corpus":
             from .pipelines.corpus import corpus_from_pages
 
-            ds = corpus_from_pages(ray.data.read_parquet(args.pages),
-                                   good_chars=args.good_chars)
-            ds.write_parquet(args.out_dir)
-            print(f"corpus written to {args.out_dir}")
+            _commit(corpus_from_pages(_read(args.pages), good_chars=args.good_chars),
+                    args.out_dir, fingerprint_inputs(args.pages), "url",
+                    good_chars=args.good_chars)
         elif args.cmd == "build-dictionary":
             from .pipelines.corpus import build_dictionary
 
-            ds = ray.data.read_parquet(args.corpus_parquet)
+            ds = _read(args.corpus_parquet)
             # a ``corpus`` output counts its train split only, like the reference
             split = "train" if "split" in ds.schema().names else None
             corr = build_dictionary(ds, text_col=args.column, split=split,
@@ -183,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.cmd == "eval":
             from .pipelines.evaluate import evaluate
 
-            res = evaluate(ray.data.read_parquet(args.parquet),
+            res = evaluate(_read(args.parquet),
                            out_col=args.out_col, correct_col=args.clean_col,
                            banded=args.banded)
             print(json.dumps({"mean_cer": res.mean_cer,
@@ -191,27 +224,21 @@ def main(argv: list[str] | None = None) -> int:
         elif args.cmd == "parse-markup":
             from .sources.markup import read_markup_dir
 
-            read_markup_dir(args.markup_dir).write_parquet(args.out_dir)
-            print(f"sentences written to {args.out_dir}")
+            # every file is markup: the listing and its fingerprint take no suffix
+            _commit(read_markup_dir(args.markup_dir), args.out_dir,
+                    fingerprint_inputs(args.markup_dir, suffix=""), "path")
         elif args.cmd == "commit":
-            from .state.lineage import commit_by_key, fingerprint_inputs
-
-            summary = commit_by_key(
-                ray.data.read_parquet(args.parquet), args.out_dir,
-                key_col=args.key_col, num_partitions=args.partitions,
-                input_fingerprint=fingerprint_inputs(args.parquet)).to_pandas()
-            print(json.dumps({"partitions_committed": len(summary),
-                              "rows": int(summary["n_rows"].sum()) if len(summary) else 0}))
+            _commit(_read(args.parquet), args.out_dir, fingerprint_inputs(args.parquet),
+                    args.key_col, num_partitions=args.partitions)
         elif args.cmd == "feed":
             from .pipelines.training import epoch_feed
 
             with open(args.alphabet_file, encoding="utf-8") as f:
                 alphabet = f.read().replace("\n", "")
-            ds = epoch_feed(ray.data.read_parquet(args.corpus_parquet),
-                            alphabet=alphabet, split=args.split or None,
-                            batch_size=args.batch_size, epoch=args.epoch)
-            ds.write_parquet(args.out_dir)
-            print(f"collated batches written to {args.out_dir}")
+            options = dict(alphabet=alphabet, split=args.split or None,
+                           batch_size=args.batch_size, epoch=args.epoch)
+            _commit(epoch_feed(_read(args.corpus_parquet), **options), args.out_dir,
+                    fingerprint_inputs(args.corpus_parquet), "batch_id", **options)
     finally:
         if started:
             ray.shutdown()

@@ -42,10 +42,11 @@ def read_alphabet(model_dir: str) -> str:
 
 
 def save_model_dir(model_dir: str, model: NeuralCorrectorModel) -> None:
-    """Write the neural files of a model dir."""
+    """Write the neural files of a model dir, each atomically."""
+    from ..state.lineage import write_atomic
+
     os.makedirs(model_dir, exist_ok=True)
-    with open(os.path.join(model_dir, ALPHABET_FILE), "w", encoding="utf-8") as f:
-        f.write(model.alphabet)
+    write_atomic(os.path.join(model_dir, ALPHABET_FILE), model.alphabet)
     model.save(os.path.join(model_dir, WEIGHTS_FILE))
 
 

@@ -100,9 +100,10 @@ class DictionaryCorrector:
     # -- artifacts ------------------------------------------------------------
 
     def save(self, file_path: str) -> None:
-        state = {"min_frequency": self.min_frequency, "vocabulary": self.vocabulary}
-        with open(file_path, "w", encoding="utf-8") as f:
-            json.dump(state, f, ensure_ascii=False, indent=2)
+        from ..state.lineage import write_atomic
+
+        write_atomic(file_path, {"min_frequency": self.min_frequency,
+                                 "vocabulary": self.vocabulary})
 
     @classmethod
     def load(cls, file_path: str) -> "DictionaryCorrector":

@@ -180,9 +180,13 @@ class TransformerWeights:
         return cls(config=config, params=p)
 
     def save_npz(self, path: str) -> None:
+        """Write the weights and config to ``path`` atomically, under exactly
+        that name (no ``.npz`` is appended)."""
+        from ..state.lineage import write_atomic
+
         meta = {f"__cfg__{k}": np.array(v if v is not None else -1)
                 for k, v in self.config.to_dict().items()}
-        np.savez_compressed(path, **self.params, **meta)
+        write_atomic(path, lambda f: np.savez_compressed(f, **self.params, **meta))
 
     @classmethod
     def load_npz(cls, path: str) -> "TransformerWeights":

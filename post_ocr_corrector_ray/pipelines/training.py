@@ -35,6 +35,10 @@ from ..functions.alphabet import Vocab
 from ..functions.hashing import hash_u64_array, polyhash_u64_array
 
 _SEED = 17  # of the epoch shuffle
+# one collated batch per row; x and y are int32-LE bytes
+FEED_SCHEMA = pa.schema([("batch_id", pa.int64()), ("size", pa.int64()),
+                         ("width_x", pa.int64()), ("width_y", pa.int64()),
+                         ("x", pa.binary()), ("y", pa.binary())])
 
 
 def _shuffle_key(batch: pa.Table, epoch: int) -> np.ndarray:
@@ -48,11 +52,11 @@ def epoch_feed(corpus: ray.data.Dataset, *, alphabet: str,
     """One epoch of collated (messy, clean) training batches of a
     (url, messy, clean[, split]) corpus, as a Dataset.
 
-    Each output ROW is one training batch:
-    ``(batch_id, size, width_x, width_y, x: list<int32>, y: list<int32>)``
-    with ``x``/``y`` the seq-padded id matrices (INT_EMPTY padding, row-major
-    ``size × width``) — exactly ``collate_sequences`` of the reference (which
-    is seq-first; transpose at the consumer).
+    Each output ROW is one training batch, typed as ``FEED_SCHEMA``, with
+    ``x``/``y`` the seq-padded id matrices (INT_EMPTY padding, row-major
+    ``size × width``, as int32-LE bytes) — exactly ``collate_sequences`` of
+    the reference (which is seq-first; transpose at the consumer).  A corpus
+    without rows in ``split`` gives a feed without rows, of the same type.
     """
     if split is not None:
         corpus = corpus.filter(expr=f"split == '{split}'")
@@ -67,13 +71,16 @@ def epoch_feed(corpus: ray.data.Dataset, *, alphabet: str,
     # materialized once: the row count below is then block metadata, and the
     # upstream corpus pipeline (read + extraction + noise) runs once
     keyed_ds = corpus.map_batches(keyed, batch_format="pyarrow").materialize()
+    n = keyed_ds.count()
+    if n == 0:
+        return ray.data.from_arrow(FEED_SCHEMA.empty_table())
     # zip pairs rows by position.  That is exact here because Ray 2.49
     # executes any plan holding a Sort or a Zip with preserve_order=True
     # (legacy_compat.py: "Enforce to preserve ordering if the plan has
     # operators required to do so, such as Zip and Sort") — pinned by
     # tests/test_training_feed.py::test_zip_pairs_rows_by_position
     ranked = keyed_ds.sort(["skey", "ukey"]).zip(
-        ray.data.range(keyed_ds.count())).map_batches(
+        ray.data.range(n)).map_batches(
             lambda df: df.assign(batch_id=df["id"] // batch_size),
             batch_format="pandas")
 
@@ -99,12 +106,7 @@ def epoch_feed(corpus: ray.data.Dataset, *, alphabet: str,
                          "x": np.ascontiguousarray(x.astype("<i4")).tobytes(),
                          "y": np.ascontiguousarray(y.astype("<i4")).tobytes()})
         if not rows:
-            return pd.DataFrame({"batch_id": pd.Series([], dtype="int64"),
-                                 "size": pd.Series([], dtype="int64"),
-                                 "width_x": pd.Series([], dtype="int64"),
-                                 "width_y": pd.Series([], dtype="int64"),
-                                 "x": pd.Series([], dtype="object"),
-                                 "y": pd.Series([], dtype="object")})
+            return FEED_SCHEMA.empty_table().to_pandas()
         return pd.DataFrame(rows)
 
     from ..stages.shuffle import grouped_apply

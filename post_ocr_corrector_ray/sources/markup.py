@@ -84,10 +84,14 @@ def markup_to_sentences_batch(batch: pa.Table) -> pa.Table:
 
 
 def read_markup_dir(dir_path: str):
-    """Dataset of sentences from a directory of vertical-markup files."""
+    """Dataset of sentences from a directory of vertical-markup files: every
+    file that ``input_files`` lists, whatever its name ends in."""
     import ray.data
 
-    files = ray.data.read_binary_files(dir_path, include_paths=True)
+    from ..state.lineage import input_files
+
+    files = ray.data.read_binary_files(input_files(dir_path, suffix=""),
+                                       include_paths=True)
 
     def to_blob(batch: pa.Table) -> pa.Table:
         return pa.table({"path": batch.column("path"),

@@ -225,12 +225,12 @@ def pages_batch(indices: np.ndarray, seed: int = 42, with_golden: bool = False) 
 
 def write_pages_parquet(path: str, n: int, seed: int = 42, golden_path: str | None = None) -> None:
     """Single-process writer for test-scale fixtures (bench-scale generation
-    goes through ray.data.range(n).map_batches(pages_batch) instead)."""
-    import pyarrow.parquet as pq
+    goes through ray.data.range(n).map_batches(pages_batch) instead); each
+    file is written atomically."""
+    from ..state.lineage import write_atomic
 
     table = pages_batch(np.arange(n), seed=seed, with_golden=golden_path is not None)
     if golden_path is not None:
-        golden = table.select(["url", "expected_text", "kind"])
-        pq.write_table(golden, golden_path)
+        write_atomic(golden_path, table.select(["url", "expected_text", "kind"]))
         table = table.select(list(PAGES_SCHEMA.names))
-    pq.write_table(table, path)
+    write_atomic(path, table)

@@ -27,12 +27,16 @@ directory, for the same reason.
 
 Lineage recorded per partition: input fileset fingerprint, row/url counts,
 url-hash range, stage versions, wall-clock, and arbitrary caller metrics.
+
+Every file the package writes goes through ``write_atomic``, and every
+input is listed by ``input_files``, for its reader and its fingerprint.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import time
 import uuid
 
@@ -49,6 +53,7 @@ SUCCESS_NAME = "_SUCCESS.json"
 # round-2 moved from blake2b ("blake2b-v1", implicit/absent in old markers)
 # to the vectorized polynomial hash.
 PARTITION_SCHEME = "polyhash-v2"
+_PART_DIR = re.compile(r"part=\d{5,}")
 
 
 def check_partition_scheme(out_dir: str, *, num_partitions: int | None = None,
@@ -76,30 +81,75 @@ def check_partition_scheme(out_dir: str, *, num_partitions: int | None = None,
                     f"{out_dir} partition {rec['partition']} was committed "
                     f"with {field}={got!r} but this run uses {want!r}; "
                     f"resuming would corrupt the output. "
-                    f"Re-run with resume=False (or a fresh out_dir).")
+                    f"Use a fresh out_dir (or, for `cli run`, --no-resume).")
 
 
-def fingerprint_inputs(paths: list[str] | str) -> str:
-    """Deterministic fingerprint of the input fileset: sorted
-    (basename, size) pairs hashed — identifies WHAT was processed without
-    reading payloads, so a resumed run can detect input drift cheaply.
-    Accepts file paths, directories (their parquet files), or glob results."""
-    import glob as _glob
+def write_atomic(path: str, content) -> None:
+    """Write ``path`` all or nothing: ``content`` goes to a ``.tmp-*`` name in
+    the same directory, then ``os.replace`` moves it into place.  It is a
+    pyarrow Table (parquet), a str (UTF-8 text), a callable that writes to
+    the open binary file, or else JSON.  A process killed midway leaves only
+    its temp file, which no listing reads."""
+    tmp = os.path.join(os.path.dirname(path),
+                       f".tmp-{uuid.uuid4().hex}{os.path.splitext(path)[1]}")
+    if isinstance(content, pa.Table):
+        pq.write_table(content, tmp)
+    elif callable(content):
+        with open(tmp, "wb") as f:
+            content(f)
+    else:
+        with open(tmp, "w", encoding="utf-8") as f:
+            if isinstance(content, str):
+                f.write(content)
+            else:
+                json.dump(content, f, ensure_ascii=False)
+    os.replace(tmp, path)
+
+
+def input_files(path: str, suffix: str = ".parquet") -> list[str]:
+    """The files a command reads from ``path``, sorted: for a store (a
+    directory with ``part=NNNNN`` subdirectories) each committed partition's
+    ``data.parquet``, refusing a committed partition without one (the store
+    would read back short); for another directory its files ending in
+    ``suffix``, at any depth, but no dot names; for a file, itself.  An
+    empty listing is refused."""
+    if not os.path.isdir(path):
+        return [path]
+    files = []
+    if any(_PART_DIR.fullmatch(n) for n in os.listdir(path)):
+        for p in sorted(committed_partitions(path)):
+            files.append(os.path.join(partition_dir(path, p), "data.parquet"))
+            if not os.path.exists(files[-1]):
+                raise FileNotFoundError(
+                    f"{path} partition {p} is committed but has no "
+                    f"data.parquet (a csv-format store is no longer readable); "
+                    f"rewrite it into a fresh out_dir.")
+    else:
+        for root, dirs, names in os.walk(path):
+            dirs[:] = [d for d in dirs if not d.startswith(".")]
+            files += [os.path.join(root, n) for n in names
+                      if n.endswith(suffix) and not n.startswith(".")]
+    if not files:
+        raise FileNotFoundError(f"no committed partitions or input files under {path}")
+    return sorted(files)
+
+
+def fingerprint_inputs(paths: list[str] | str, suffix: str = ".parquet") -> str:
+    """Deterministic fingerprint of the input fileset without reading
+    payloads: the (name, size) pair of every file ``input_files`` lists,
+    hashed in path order.  A name is relative to its input root (every file
+    of a store is a ``data.parquet``), so a file or a flat directory's file
+    is named by its basename."""
     import hashlib
 
-    if isinstance(paths, str):
-        paths = [paths]
-    files: list[str] = []
-    for p in paths:
-        if os.path.isdir(p):
-            files.extend(sorted(_glob.glob(os.path.join(p, "*.parquet"))))
-        else:
-            files.append(p)
+    named = []
+    for root in [paths] if isinstance(paths, str) else paths:
+        named += [(f, os.path.relpath(f, root) if os.path.isdir(root)
+                   else os.path.basename(f)) for f in input_files(root, suffix)]
     h = hashlib.blake2b(digest_size=12)
-    for f in sorted(files):
-        st = os.stat(f)
-        h.update(os.path.basename(f).encode())
-        h.update(st.st_size.to_bytes(8, "little"))
+    for f, name in sorted(named):
+        h.update(name.encode())
+        h.update(os.stat(f).st_size.to_bytes(8, "little"))
     return h.hexdigest()
 
 
@@ -112,13 +162,12 @@ def clear_partitions(out_dir: str, keep: frozenset[int] = frozenset()) -> None:
     not in ``keep``, committed or not; other entries are left alone.  A
     ``resume=False`` run calls this first, so partitions the new run does
     not rewrite cannot survive into its store."""
-    import re
     import shutil
 
     if not os.path.isdir(out_dir):
         return
     for name in os.listdir(out_dir):
-        if re.fullmatch(r"part=\d{5,}", name) and int(name[5:]) not in keep:
+        if _PART_DIR.fullmatch(name) and int(name[5:]) not in keep:
             shutil.rmtree(os.path.join(out_dir, name))
 
 
@@ -198,9 +247,7 @@ def commit_partition(table: pa.Table, out_dir: str, part_id: int, *,
         if name.startswith(".tmp-"):
             os.remove(os.path.join(pdir, name))
     started = time.time()
-    tmp = os.path.join(pdir, f".tmp-{uuid.uuid4().hex}.parquet")
-    pq.write_table(table, tmp)
-    os.replace(tmp, os.path.join(pdir, "data.parquet"))
+    write_atomic(os.path.join(pdir, "data.parquet"), table)
     record = {
         "partition": part_id,
         "partition_scheme": PARTITION_SCHEME,
@@ -214,33 +261,32 @@ def commit_partition(table: pa.Table, out_dir: str, part_id: int, *,
         "write_seconds": round(time.time() - started, 4),
         "committed_at_unix": round(time.time(), 3),
     }
-    tmp_marker = os.path.join(pdir, f".tmp-{uuid.uuid4().hex}.json")
-    with open(tmp_marker, "w", encoding="utf-8") as f:
-        json.dump(record, f, ensure_ascii=False)
-    os.replace(tmp_marker, os.path.join(pdir, SUCCESS_NAME))
+    write_atomic(os.path.join(pdir, SUCCESS_NAME), record)
     return record
 
 
 def commit_by_key(ds, out_dir: str, *, key_col: str,
-                  num_partitions: int = 32, input_fingerprint: str = ""):
-    """Generic resumable committed sink for ANY dataset: rows are
-    hash-partitioned on ``key_col`` (the same vectorized polynomial hash the
-    flagship uses), already-committed partitions are filtered out BEFORE any
-    shuffle work, and each partition commits atomically with a lineage
-    record.  Returns the tiny per-partition summary dataset.  It always
-    resumes, with no stage versions: a store written under another partition
-    count or input is refused (``check_partition_scheme``).
+                  num_partitions: int = 32, input_fingerprint: str = "",
+                  options: dict | None = None):
+    """Generic resumable committed sink for ANY dataset, and the writer of
+    every dataset the CLI produces but ``run``'s: rows are hash-partitioned
+    on ``key_col`` (the same vectorized polynomial hash the flagship uses),
+    already-committed partitions are filtered out BEFORE any shuffle work,
+    and each partition commits atomically with a lineage record.  Returns
+    the tiny per-partition summary dataset.  It always resumes; the markers'
+    ``stage_versions`` record ``key_col`` and the caller's ``options`` (what
+    decides the bytes besides the input), so a rerun under another key,
+    options, partition count or input is refused (``check_partition_scheme``).
 
-    This is the flagship's commit protocol lifted to a standalone operator so
-    every pipeline output (corpora, training feeds) can be a
-    resumable partitioned store rather than one giant file.  It shares the
-    exchange and commit with the flagship (``_exchange_and_commit``), so the
-    summary runs without Ray Data's per-operator CPU reservation: the stages
-    before the exchange use every free CPU instead of a fixed share, and
-    ``ds`` keeps its own context."""
+    It shares the exchange and commit with the flagship
+    (``_exchange_and_commit``), so the summary runs without Ray Data's
+    per-operator CPU reservation: the stages before the exchange use every
+    free CPU instead of a fixed share, and ``ds`` keeps its own context."""
+    stage_versions = {"key_col": key_col, **(options or {})}
     keep = make_committed_filter(
         open_store(out_dir, resume=True, num_partitions=num_partitions,
-                   input_fingerprint=input_fingerprint, stage_versions={}),
+                   input_fingerprint=input_fingerprint,
+                   stage_versions=stage_versions),
         num_partitions, key_col)
 
     def add_part(batch: pa.Table) -> pa.Table:
@@ -250,8 +296,20 @@ def commit_by_key(ds, out_dir: str, *, key_col: str,
     return _exchange_and_commit(ds.map_batches(add_part, batch_format="pyarrow"),
                                 out_dir, part_col="_part",
                                 input_fingerprint=input_fingerprint,
-                                stage_versions={},
+                                stage_versions=stage_versions,
                                 num_partitions=num_partitions)
+
+
+def commit_empty(schema, out_dir: str, *, key_col: str, num_partitions: int = 32,
+                 input_fingerprint: str = "", options: dict | None = None) -> dict:
+    """``commit_by_key``'s store of an output without rows: partition 0,
+    empty, with ``schema``, so it reads back typed and a rerun resumes.  A
+    plan that read no block has no schema: its partition has no columns."""
+    cols = list(zip(schema.names, schema.types)) if schema is not None else []
+    return commit_partition(pa.schema(cols).empty_table(), out_dir, 0,
+                            input_fingerprint=input_fingerprint,
+                            stage_versions={"key_col": key_col, **(options or {})},
+                            num_partitions=num_partitions)
 
 
 def _exchange_and_commit(ds, out_dir: str, *, part_col: str,
@@ -284,7 +342,9 @@ def _exchange_and_commit(ds, out_dir: str, *, part_col: str,
 
     def _commit(group: pa.Table) -> pa.Table:
         part_id = int(group.column(part_col)[0].as_py())
-        body = group.drop_columns([part_col])
+        # without schema metadata: a pandas stage's (``feed``) is taken from
+        # whichever block a conversion saw, so it varies with the layout
+        body = group.drop_columns([part_col]).replace_schema_metadata()
         rec = commit_partition(body, out_dir, part_id,
                                input_fingerprint=input_fingerprint,
                                stage_versions=stage_versions,
@@ -308,19 +368,6 @@ def read_lineage(out_dir: str) -> list[dict]:
 
 
 def read_output(out_dir: str) -> pa.Table:
-    """Concatenate committed partitions, in partition order (test/driver-side
-    convenience).  A committed partition without ``data.parquet`` (older
-    stores could hold csv partitions) is refused, not skipped: the store
-    would read back short."""
-    paths = []
-    for p in sorted(committed_partitions(out_dir)):
-        fp = os.path.join(partition_dir(out_dir, p), "data.parquet")
-        if not os.path.exists(fp):
-            raise FileNotFoundError(
-                f"{out_dir} partition {p} is committed but has no "
-                f"data.parquet (a csv-format store is no longer readable); "
-                f"re-run with resume=False to rewrite it.")
-        paths.append(fp)
-    if not paths:
-        raise FileNotFoundError(f"no committed partitions under {out_dir}")
-    return pa.concat_tables([pq.read_table(p) for p in paths])
+    """Concatenate the files ``input_files`` lists for ``out_dir``: a
+    store's committed partitions, in partition order."""
+    return pa.concat_tables([pq.read_table(p) for p in input_files(out_dir)])

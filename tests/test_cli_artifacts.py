@@ -15,6 +15,7 @@ from post_ocr_corrector_ray.model.artifacts import (
 )
 from post_ocr_corrector_ray.model.neural import NeuralCorrectorModel
 from post_ocr_corrector_ray.model.transformer import TransformerWeights
+from post_ocr_corrector_ray.state.lineage import read_output
 
 ALPHA = " .abcdefghij"
 # the checkout this test file belongs to: subprocesses import its package
@@ -108,7 +109,7 @@ class TestCli:
         out = str(tmp_path / "feed_out")
         assert main(["feed", f, out, "--alphabet-file", str(alpha),
                      "--batch-size", "4"]) == 0
-        got = pq.read_table(out)
+        got = read_output(out)
         assert got.num_rows == 3 and set(got.column("size").to_pylist()) == {4}
 
     def test_convert_ckpt_subcommand(self, tmp_path, capsys):
@@ -199,8 +200,6 @@ def _write_pages(tmp_path, ids):
 
 
 def _committed_url_map(out_dir, col="corrected_text") -> dict:
-    from post_ocr_corrector_ray.state.lineage import read_output
-
     t = read_output(out_dir)
     urls = t.column("url").to_pylist()
     assert len(set(urls)) == len(urls)
@@ -232,8 +231,6 @@ class TestCliSubcommands:
                                       "alphabet": want}
 
     def test_corpus(self, tmp_path):
-        import pyarrow.parquet as pq
-
         from corpus_oracle import oracle_messy
         from post_ocr_corrector_ray.cli import main
         from post_ocr_corrector_ray.oracle import oracle_extract
@@ -243,7 +240,7 @@ class TestCliSubcommands:
         out = str(tmp_path / "corpus")
         good = "abcdefghijklmnopqrstuvwxyz "
         assert main(["corpus", path, out, "--good-chars", good]) == 0
-        got = pq.read_table(out).to_pandas().set_index("url").sort_index()
+        got = read_output(out).to_pandas().set_index("url").sort_index()
         clean = oracle_extract(pages)
         splits = add_split_column(pages.select(["url"])).to_pandas()
         assert sorted(got.index) == sorted(clean)
@@ -300,7 +297,6 @@ class TestCliSubcommands:
 
     def test_parse_markup(self, tmp_path):
         import pyarrow as pa
-        import pyarrow.parquet as pq
 
         from post_ocr_corrector_ray.cli import main
         from post_ocr_corrector_ray.sources.markup import markup_to_sentences_batch
@@ -317,7 +313,7 @@ class TestCliSubcommands:
             (src / name).write_text(blob, encoding="utf-8")
         out = str(tmp_path / "sentences")
         assert main(["parse-markup", str(src), out]) == 0
-        got = pq.read_table(out).to_pandas()
+        got = read_output(out).to_pandas()
         got["path"] = got["path"].map(os.path.basename)
         want = markup_to_sentences_batch(pa.table({
             "path": list(blobs), "markup": list(blobs.values())})).to_pandas()
@@ -331,7 +327,6 @@ class TestCliSubcommands:
         import pyarrow.parquet as pq
 
         from post_ocr_corrector_ray.cli import main
-        from post_ocr_corrector_ray.state.lineage import read_output
 
         src = pa.table({"k": pa.array([f"key{i}" for i in range(60)]),
                         "v": pa.array(range(60), pa.int64())})
@@ -348,7 +343,7 @@ class TestCliSubcommands:
 
     def test_run_no_resume_after_partitions_change(self, tmp_path):
         from post_ocr_corrector_ray.cli import main
-        from post_ocr_corrector_ray.state.lineage import read_lineage, read_output
+        from post_ocr_corrector_ray.state.lineage import read_lineage
 
         _, path = _write_pages(tmp_path, range(40))
         out = str(tmp_path / "store")
@@ -477,6 +472,127 @@ class TestCliOptions:
             return rows(epoch_feed(ray.data.read_parquet(f), alphabet="abcde ",
                                    **kw).to_pandas())
 
-        got = rows(pq.read_table(out).to_pandas())
+        got = rows(read_output(out).to_pandas())
         want, default = library(**kwargs), library()
         assert got == want != default
+
+
+def _snapshot(store: str) -> dict:
+    """Every file under ``store``: relative path → (bytes, mtime in ns)."""
+    out = {}
+    for root, _, names in os.walk(store):
+        for name in names:
+            f = os.path.join(root, name)
+            with open(f, "rb") as fh:
+                out[os.path.relpath(f, store)] = (fh.read(), os.stat(f).st_mtime_ns)
+    return out
+
+
+def _write_corpus(path: str, n: int, split: str = "train") -> None:
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    pq.write_table(pa.table({"url": [f"u{i}" for i in range(n)],
+                             "clean": [f"ab cd {'e' * (i % 5)}" for i in range(n)],
+                             "messy": [f"ab ce {'d' * (i % 3)}" for i in range(n)],
+                             "split": [split] * n}), path)
+
+
+def _stage(tmp_path, cmd: str) -> list[str]:
+    """Write the input of ``cmd`` under ``tmp_path``; return its argv."""
+    out = str(tmp_path / "store")
+    if cmd == "corpus":
+        return ["corpus", _write_pages(tmp_path, range(30))[1], out]
+    if cmd == "parse-markup":
+        src = tmp_path / "markup"
+        src.mkdir()
+        for i in range(4):
+            (src / f"f{i}.vert").write_text(f"<s>\nword{i}\tw\tX\t0\n</s>\n")
+        return ["parse-markup", str(src), out]
+    corpus = str(tmp_path / "corpus.parquet")
+    _write_corpus(corpus, 24)
+    if cmd == "commit":
+        return ["commit", corpus, out, "--key-col", "url"]
+    (tmp_path / "alpha.txt").write_text("abcde ")
+    return ["feed", corpus, out, "--alphabet-file", str(tmp_path / "alpha.txt"),
+            "--batch-size", "4"]
+
+
+_OPTION_CHANGES = {"--good-chars": "abc ", "--batch-size": "3", "--epoch": "1",
+                   "--key-col": "clean"}
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestCliStores:
+    """``corpus``, ``feed``, ``parse-markup`` and ``commit`` write committed
+    stores: a second run over a complete store commits nothing and touches
+    no file; a rerun over another input, or under another option that
+    decides the bytes, is refused and leaves the store as it was."""
+
+    @pytest.mark.parametrize("cmd,change,field", [
+        ("corpus", "input", "input_fingerprint"),
+        ("corpus", "--good-chars", "stage_versions"),
+        ("parse-markup", "input", "input_fingerprint"),
+        ("feed", "--batch-size", "stage_versions"),
+        ("feed", "--epoch", "stage_versions"),
+        ("commit", "--key-col", "stage_versions"),
+    ])
+    def test_rerun_resumes_or_refuses(self, tmp_path, capsys, cmd, change, field):
+        from post_ocr_corrector_ray.cli import main
+
+        argv = _stage(tmp_path, cmd)
+        out = argv[2]
+        assert main(argv) == 0
+        first = _last_json(capsys)
+        assert first["partitions_committed"] > 1 and first["rows"] > 0
+        before = _snapshot(out)
+        assert main(argv) == 0
+        assert _last_json(capsys) == {"partitions_committed": 0, "rows": 0}
+        assert _snapshot(out) == before
+        if change == "input":
+            if cmd == "corpus":
+                _write_pages(tmp_path, range(31))
+            else:
+                (tmp_path / "markup" / "f9.vert").write_text("<s>\nmore\tm\tX\t0\n</s>\n")
+        else:
+            argv = argv + [change, _OPTION_CHANGES[change]]
+        with pytest.raises(ValueError, match=field):
+            main(argv)
+        assert _snapshot(out) == before
+
+    def test_build_dictionary_over_a_rerun_corpus(self, tmp_path):
+        """A second ``corpus`` run into the same out_dir adds no rows, so
+        the dictionary counts each page once."""
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.model.dictionary import DictionaryCorrector
+
+        _, path = _write_pages(tmp_path, range(40))
+        once, twice = str(tmp_path / "once"), str(tmp_path / "twice")
+        for out in (once, twice, twice):
+            assert main(["corpus", path, out]) == 0
+        dicts = []
+        for out in (once, twice):
+            assert main(["build-dictionary", out, out + ".json"]) == 0
+            dicts.append(DictionaryCorrector.load(out + ".json"))
+        assert dicts[0].vocabulary == dicts[1].vocabulary
+        assert len(dicts[0].vocabulary) > 10
+
+    def test_zero_batch_feed_is_a_typed_empty_store(self, tmp_path, capsys):
+        import ray.data
+
+        from post_ocr_corrector_ray.cli import main
+        from post_ocr_corrector_ray.pipelines.training import FEED_SCHEMA
+        from post_ocr_corrector_ray.state.lineage import input_files
+
+        corpus, out = str(tmp_path / "corpus.parquet"), str(tmp_path / "feed")
+        _write_corpus(corpus, 6, split="test")
+        (tmp_path / "alpha.txt").write_text("abcde ")
+        argv = ["feed", corpus, out, "--alphabet-file", str(tmp_path / "alpha.txt")]
+        assert main(argv) == 0
+        assert _last_json(capsys) == {"partitions_committed": 1, "rows": 0}
+        got = read_output(out)
+        assert got.num_rows == 0 and got.schema == FEED_SCHEMA
+        ds = ray.data.read_parquet(input_files(out), partitioning=None)
+        assert ds.count() == 0 and ds.schema().base_schema == FEED_SCHEMA
+        assert main(argv) == 0
+        assert _last_json(capsys) == {"partitions_committed": 0, "rows": 0}

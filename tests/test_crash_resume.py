@@ -21,12 +21,13 @@ directory, as ``cli run --model-dir`` does.
   a store with no marker, then a run on another input.  The store equals a
   clean run on that input: a partition the new input does not write keeps
   nothing of the crash.
-- ``test_killed_run_then_rerun``: ``cli run`` and ``cli commit`` in a child
-  process, SIGKILLed together with every process the child started, either
-  once its Ray workers exist and before any commit, or once its first
-  partition has committed.  The rerun is in this process, at another
-  ``--concurrency`` (``commit`` has none; its rerun runs on this process's
-  4-CPU cluster instead of the child's 2).
+- ``test_killed_run_then_rerun``: ``cli run``, ``cli commit``, ``cli corpus``,
+  ``cli feed`` and ``cli parse-markup`` in a child process, SIGKILLed
+  together with every process the child started, either once its Ray
+  workers exist and before any commit, or once its first partition has
+  committed.  The rerun is in this process, at another ``--concurrency``
+  (the other commands have none; their rerun runs on this process's 4-CPU
+  cluster instead of the child's 2).
 - ``test_corrector_worker_killed_mid_batch``: ``cli run`` with one
   corrector actor, whose worker process alone is SIGKILLed while it runs a
   batch.  Ray restarts the actor and retries the batch, and the run itself
@@ -37,6 +38,7 @@ import collections
 import glob
 import json
 import os
+import pathlib
 import shutil
 import signal
 import subprocess
@@ -59,6 +61,13 @@ PHASES = ["write_table", "data_replace", "marker_dump", "marker_replace"]
 # knob, so there the block count is what changes.
 REF_LAYOUT = dict(blocks=5, batch_size=4, concurrency=2)
 _CLOCKS = ("write_seconds", "committed_at_unix")
+# the commands whose store only the CLI writes, at its default partitions
+CLI_SINKS = ("corpus", "feed", "parse-markup")
+FEED_BATCH = 2
+
+
+_WORDS = ["river stone", "maple quiet", "lantern", "copper meadow", "orbit",
+          "velvet harbor"]
 
 
 def _short_pages(words: list[str]) -> pa.Table:
@@ -84,8 +93,7 @@ def inputs(tmp_path_factory):
     tables = {
         ("pages", "a"): pages_batch(np.arange(40), seed=3),
         ("pages", "b"): pages_batch(np.arange(8), seed=11),
-        ("short", "a"): _short_pages(["river stone", "maple quiet", "lantern",
-                                      "copper meadow", "orbit", "velvet harbor"]),
+        ("short", "a"): _short_pages(_WORDS),
         ("short", "b"): _short_pages(["cinder", "pillar saffron", "thistle",
                                       "quarry fable"]),
     }
@@ -93,6 +101,23 @@ def inputs(tmp_path_factory):
     for (kind, which), tbl in tables.items():
         paths[kind, which] = str(d / f"{kind}_{which}.parquet")
         pq.write_table(tbl, paths[kind, which])
+    words = sorted(" ".join(_WORDS).split())
+    paths["corpus", "a"] = str(d / "corpus_a.parquet")
+    pq.write_table(pa.table({
+        "url": [f"u{i:02d}" for i in range(40)],
+        "clean": [" ".join(words[i % len(words):][:3]) for i in range(40)],
+        "messy": [" ".join(words[(i + 1) % len(words):][:2]) for i in range(40)],
+        "split": ["train"] * 40}), paths["corpus", "a"])
+    markup = d / "markup_a"
+    markup.mkdir()
+    for i in range(16):
+        (markup / f"doc{i:02d}.vert").write_text(
+            "".join(f"<s>\n{w}\t{w}\tX\t0\n</s>\n" for w in words[i:i + 1 + i % 3]),
+            encoding="utf-8")
+    paths["markup", "a"] = str(markup)
+    paths["alphabet"] = str(d / "alphabet.txt")
+    with open(paths["alphabet"], "w", encoding="utf-8") as f:
+        f.write("".join(sorted(set("".join(words)) | {" "})))
     return paths
 
 
@@ -119,7 +144,16 @@ def model_dir(inputs, tmp_path_factory) -> str:
 
 
 def _input(sink: str, which: str, inputs) -> str:
-    return inputs["short" if sink == "neural" else "pages", which]
+    kind = {"neural": "short", "feed": "corpus", "parse-markup": "markup"}
+    return inputs[kind.get(sink, "pages"), which]
+
+
+def _cli_argv(sink: str, path: str, out: str, inputs) -> list[str]:
+    """The argv of the CLI command that writes ``sink``'s store."""
+    if sink == "feed":
+        return ["feed", path, out, "--alphabet-file", inputs["alphabet"],
+                "--batch-size", str(FEED_BATCH)]
+    return [sink, path, out]
 
 
 def _run(sink: str, path: str, out: str, model_dir: str, *, blocks: int,
@@ -169,7 +203,13 @@ def reference(inputs, model_dir, tmp_path_factory):
     def get(sink: str, which: str) -> str:
         if (sink, which) not in stores:
             out = str(tmp_path_factory.mktemp(f"ref_{sink}_{which}") / "store")
-            _run(sink, _input(sink, which, inputs), out, model_dir, **REF_LAYOUT)
+            path = _input(sink, which, inputs)
+            if sink in CLI_SINKS:
+                from post_ocr_corrector_ray.cli import main
+
+                assert main(_cli_argv(sink, path, out, inputs)) == 0
+            else:
+                _run(sink, path, out, model_dir, **REF_LAYOUT)
             stores[sink, which] = out
         return stores[sink, which]
 
@@ -235,7 +275,23 @@ def _ref_rows(ref: str, part: int) -> pa.Table:
     return pq.read_table(os.path.join(lin.partition_dir(ref, part), "data.parquet"))
 
 
-def _assert_same_store(got: str, want: str, input_path: str) -> None:
+def _keys(sink: str, input_path: str) -> tuple[str, list]:
+    """The key column of ``sink``'s store over ``input_path``, and each key
+    as often as the store holds it."""
+    if sink == "feed":
+        n = pq.read_metadata(input_path).num_rows
+        return "batch_id", list(range(-(-n // FEED_BATCH)))
+    if sink == "parse-markup":
+        from post_ocr_corrector_ray.sources.markup import markup_to_sentences_batch
+
+        files = lin.input_files(input_path, suffix="")
+        blobs = [pathlib.Path(f).read_text(encoding="utf-8") for f in files]
+        sentences = markup_to_sentences_batch(pa.table({"path": files, "markup": blobs}))
+        return "path", sentences.column("path").to_pylist()
+    return "url", pq.read_table(input_path, columns=["url"]).column("url").to_pylist()
+
+
+def _assert_same_store(got: str, want: str, sink: str, input_path: str) -> None:
     def parts(store):
         return sorted(n for n in os.listdir(store) if n.startswith("part="))
 
@@ -252,9 +308,9 @@ def _assert_same_store(got: str, want: str, input_path: str) -> None:
                 markers.append({k: v for k, v in json.load(f).items()
                                 if k not in _CLOCKS})
         assert markers[0] == markers[1], name
-    urls = pq.read_table(input_path, columns=["url"]).column("url").to_pylist()
-    assert collections.Counter(lin.read_output(got).column("url").to_pylist()) == \
-        collections.Counter(urls)
+    key, keys = _keys(sink, input_path)
+    assert collections.Counter(lin.read_output(got).column(key).to_pylist()) == \
+        collections.Counter(keys)
 
 
 _CRASH_CASES = [(sink, phase, blocks)
@@ -277,7 +333,7 @@ def test_commit_crash_then_resume(sink, phase, blocks, inputs, model_dir,
     path = _input(sink, "a", inputs)
     assert _run(sink, path, out, model_dir, blocks=blocks, batch_size=3,
                 concurrency=1) == lost
-    _assert_same_store(out, ref, path)
+    _assert_same_store(out, ref, sink, path)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -296,7 +352,7 @@ def test_crash_before_any_marker_then_new_input(sink, phase, inputs, model_dir,
     path = _input(sink, "b", inputs)
     assert _run(sink, path, out, model_dir, blocks=3, batch_size=3,
                 concurrency=1) == sorted(parts_b)
-    _assert_same_store(out, ref_b, path)
+    _assert_same_store(out, ref_b, sink, path)
 
 
 # -- kill points (a), (b) and (c): SIGKILLed processes -------------------------
@@ -440,14 +496,15 @@ def _stop_mid_batch(pid: int) -> int | None:
 
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("point", ["a", "b"])
-@pytest.mark.parametrize("sink", ["null", "dictionary", "commit", "neural"])
+@pytest.mark.parametrize("sink", ["null", "dictionary", "commit", "neural", *CLI_SINKS])
 def test_killed_run_then_rerun(sink, point, inputs, model_dir, reference, tmp_path):
     from post_ocr_corrector_ray.cli import main
 
     path, out = _input(sink, "a", inputs), str(tmp_path / "store")
-    if sink == "commit":
-        argv = ["commit", path, out, "--key-col", "url", "--partitions", str(PARTS)]
-        # ``commit`` has no --concurrency: its rerun differs in cluster size
+    if sink == "commit" or sink in CLI_SINKS:
+        argv = (_cli_argv(sink, path, out, inputs) if sink in CLI_SINKS else
+                ["commit", path, out, "--key-col", "url", "--partitions", str(PARTS)])
+        # no --concurrency: the rerun differs in cluster size
         rerun = argv
     else:
         argv = ["run", path, out, "--corrector", sink, "--partitions", str(PARTS)]
@@ -458,7 +515,7 @@ def test_killed_run_then_rerun(sink, point, inputs, model_dir, reference, tmp_pa
     committed = lin.committed_partitions(out)
     assert bool(committed) == (point == "b")
     assert main(rerun) == 0
-    _assert_same_store(out, reference(sink, "a"), path)
+    _assert_same_store(out, reference(sink, "a"), sink, path)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -484,4 +541,4 @@ def test_corrector_worker_killed_mid_batch(sink, inputs, model_dir, reference,
     with open(log, encoding="utf-8", errors="replace") as f:
         assert code == 0, f.read()[-2000:]
     assert not _alive(worker)
-    _assert_same_store(out, reference(sink, "a"), path)
+    _assert_same_store(out, reference(sink, "a"), sink, path)

@@ -4,6 +4,7 @@ the input fingerprint.  Pure filesystem tests — no Ray session."""
 
 import json
 import os
+import re
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -192,9 +193,13 @@ class TestCheckPartitionScheme:
             lin.check_partition_scheme(out)
 
     def test_refusal_names_the_way_out(self, tmp_path):
+        """The way out a CLI user has: a fresh out_dir, or ``--no-resume``
+        for ``cli run`` (no command takes ``resume=False``)."""
         out = str(tmp_path / "s")
         _store(out)
-        with pytest.raises(ValueError, match="resume=False"):
+        with pytest.raises(ValueError, match=re.escape(
+                "resuming would corrupt the output. "
+                "Use a fresh out_dir (or, for `cli run`, --no-resume).")):
             lin.check_partition_scheme(out, num_partitions=2)
 
 
@@ -215,3 +220,88 @@ class TestFingerprintInputs:
         before = lin.fingerprint_inputs(path)
         pq.write_table(_table(300), path)
         assert lin.fingerprint_inputs(path) != before
+
+    def test_single_file_and_flat_directory_keep_their_values(self, tmp_path):
+        """Digests taken before stores became inputs: a file is named by its
+        basename and a flat directory lists its ``*.parquet`` files, so
+        existing markers still match."""
+        (tmp_path / "pages.parquet").write_bytes(b"x" * 100)
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        (flat / "a.parquet").write_bytes(b"y" * 10)
+        (flat / "b.parquet").write_bytes(b"y" * 20)
+        (flat / "notes.txt").write_text("ignored")
+        assert lin.fingerprint_inputs(str(tmp_path / "pages.parquet")) == \
+            "fcf8aeaa1f073f21b33451a8"
+        assert lin.fingerprint_inputs(str(flat)) == "c444e31b61dfd0439170e84e"
+
+    def test_stores_with_different_contents_differ(self, tmp_path):
+        """Every file of a store is a ``data.parquet``: named by basename,
+        all stores hashed alike.  Relative names tell them apart, and only
+        committed partitions count."""
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        _store(a, parts=(0, 1))
+        _store(b, parts=(0, 3))
+        assert lin.fingerprint_inputs(a) != lin.fingerprint_inputs(b)
+        before = lin.fingerprint_inputs(a)
+        os.makedirs(lin.partition_dir(a, 2))
+        pq.write_table(_table(9), os.path.join(lin.partition_dir(a, 2), "data.parquet"))
+        assert lin.fingerprint_inputs(a) == before
+        _store(a, parts=(2,))
+        assert lin.fingerprint_inputs(a) != before
+
+
+class TestInputFiles:
+    def test_store_lists_its_committed_partitions(self, tmp_path):
+        out = str(tmp_path / "s")
+        _store(out, parts=(11, 2))
+        os.makedirs(lin.partition_dir(out, 5))   # uncommitted
+        assert lin.input_files(out) == [
+            os.path.join(lin.partition_dir(out, p), "data.parquet") for p in (2, 11)]
+
+    def test_directory_lists_its_files_at_any_depth(self, tmp_path):
+        d = tmp_path / "in"
+        (d / "nested").mkdir(parents=True)
+        (d / ".hidden").mkdir()
+        for rel in ("b.parquet", "nested/a.parquet", ".tmp-1.parquet",
+                    ".hidden/c.parquet", "notes.txt"):
+            (d / rel).write_bytes(b"z")
+        assert lin.input_files(str(d)) == [str(d / "b.parquet"),
+                                           str(d / "nested" / "a.parquet")]
+        assert lin.input_files(str(d), suffix="") == [
+            str(d / "b.parquet"), str(d / "nested" / "a.parquet"), str(d / "notes.txt")]
+        assert lin.input_files(str(d / "notes.txt")) == [str(d / "notes.txt")]
+
+    def test_empty_listing_refused(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="no committed partitions"):
+            lin.input_files(str(tmp_path))
+
+
+class TestWriteAtomic:
+    @pytest.mark.parametrize("content", [_table(2), "text", {"k": [1, "ü"]},
+                                         lambda f: f.write(b"raw")],
+                             ids=["parquet", "text", "json", "callable"])
+    def test_round_trip_leaves_no_temp_file(self, tmp_path, content):
+        path = tmp_path / "out.bin"
+        lin.write_atomic(str(path), content)
+        assert os.listdir(tmp_path) == ["out.bin"]
+        if isinstance(content, pa.Table):
+            assert pq.read_table(str(path)).equals(content)
+        elif isinstance(content, str):
+            assert path.read_text(encoding="utf-8") == content
+        elif isinstance(content, dict):
+            assert json.loads(path.read_text(encoding="utf-8")) == content
+        else:
+            assert path.read_bytes() == b"raw"
+
+    def test_failed_write_leaves_the_previous_file(self, tmp_path):
+        path = tmp_path / "dictionary.json"
+        lin.write_atomic(str(path), {"old": 1})
+
+        def torn(f):
+            f.write(b'{"new": ')
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            lin.write_atomic(str(path), torn)
+        assert json.loads(path.read_text(encoding="utf-8")) == {"old": 1}

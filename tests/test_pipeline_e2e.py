@@ -248,6 +248,21 @@ class TestCommitByKey:
         assert len(s3) == 1
         assert lin.read_output(out).num_rows == 100
 
+    def test_pandas_rows_commit_without_schema_metadata(self, tmp_path):
+        """A pandas stage's schema metadata comes from whichever block a
+        conversion saw, so it varies with the block layout; the committed
+        bytes must not (``cli feed`` collates in pandas)."""
+        import pandas as pd
+        import ray.data
+
+        from post_ocr_corrector_ray.state.lineage import commit_by_key
+
+        out = str(tmp_path / "store")
+        df = pd.DataFrame({"k": [f"k{i}" for i in range(20)], "v": range(20)})
+        ds = ray.data.from_pandas(df)
+        commit_by_key(ds, out, key_col="k", num_partitions=4).to_pandas()
+        assert [pq.read_schema(f).metadata for f in lin.input_files(out)] == [None] * 4
+
 
 def _text_pages(n):
     """n text-only pages: extraction passes each page's text through."""

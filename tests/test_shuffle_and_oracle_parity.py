@@ -263,6 +263,39 @@ def test_removed_options_and_names_stay_gone():
     assert not hasattr(entry, "_flagship_dict_corpus")
 
 
+def test_every_file_write_goes_through_write_atomic():
+    """No ``write_parquet`` call (Ray 2.49's default mode appends, so a rerun
+    duplicated its output), and no ``open()`` in a write mode outside
+    ``state.lineage.write_atomic``: each dataset is a committed store and
+    each single file is written atomically."""
+    import ast
+
+    pkg = os.path.join(REPO, "post_ocr_corrector_ray")
+    found = []
+    for root, _, names in os.walk(pkg):
+        for name in sorted(n for n in names if n.endswith(".py")):
+            rel = os.path.relpath(os.path.join(root, name), REPO)
+            with open(os.path.join(root, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            allowed = {id(n) for fn in ast.walk(tree)
+                       if isinstance(fn, ast.FunctionDef) and fn.name == "write_atomic"
+                       and rel.endswith(os.path.join("state", "lineage.py"))
+                       for n in ast.walk(fn)}
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                if isinstance(node.func, ast.Attribute) and node.func.attr == "write_parquet":
+                    found.append(f"{rel}:{node.lineno} write_parquet")
+                if not (isinstance(node.func, ast.Name) and node.func.id == "open"):
+                    continue
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+                writes = not isinstance(mode, ast.Constant) or set(mode.value) & set("wax+")
+                if writes and id(node) not in allowed:
+                    found.append(f"{rel}:{node.lineno} open")
+    assert found == []
+
+
 _DIVERGENCE = ("Operator produced a RefBundle with a different schema than the "
                "previous one. Previous schema: PandasBlockSchema(names=['u'], "
                "types=[dtype('int64')]), new schema: {}. This may lead to "

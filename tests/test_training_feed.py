@@ -8,7 +8,7 @@ import pytest
 
 from post_ocr_corrector_ray import INT_EMPTY
 from post_ocr_corrector_ray.functions.alphabet import Vocab, build_alphabet
-from post_ocr_corrector_ray.pipelines.training import epoch_feed
+from post_ocr_corrector_ray.pipelines.training import FEED_SCHEMA, epoch_feed
 
 ALPHABET = build_alphabet(set("abcdefghijklmnopqrstuvwxyz ."))
 
@@ -110,6 +110,7 @@ class TestEpochFeed:
         ds = epoch_feed(ray.data.from_arrow(tbl), alphabet=ALPHABET, batch_size=4)
         assert ds.count() == 0
         assert len(ds.to_pandas()) == 0
+        assert ds.schema().base_schema == FEED_SCHEMA
 
     def test_one_row_gives_one_batch(self):
         import ray.data
